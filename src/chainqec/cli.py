@@ -130,6 +130,7 @@ def main(argv=None) -> int:
                 "samples": args.samples,
                 "min_success": summary.min_success,
                 "mean_success": summary.mean_success,
+                "discarded_mass": summary.discarded_mass,
             })
         elif args.command == "timing-sweep":
             curve = exp_timing(

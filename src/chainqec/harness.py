@@ -35,6 +35,11 @@ from .noise import disordered_spec
 from .pauli import PauliString
 
 _BRUTE_FORCE_MAX_SITES = 6
+# points evaluated together as the columns of one eigenbasis GEMM.  A
+# point's value must not depend on its chunk, or a resumed run (which
+# re-chunks the missing points) would differ from a fresh one; the
+# batched-engine and resume tests check this.
+_CHUNK = 64
 
 DEFAULT_TIMING_GRID_POINTS = 21
 DEFAULT_TIMING_GRID_MAX_FRACTION = 0.1  # of t0
@@ -116,18 +121,41 @@ class ExperimentManifest:
 
 
 class _Checkpoint:
-    """points.jsonl-backed resume support: one JSON record per finished point."""
+    """points.jsonl-backed resume support: one JSON record per finished point.
 
-    def __init__(self, out_dir: str | None, manifest: ExperimentManifest):
+    A points.jsonl is reused only under a manifest.json that matches this
+    run's manifest in every field except those named in `free`, which set
+    how many points there are rather than what each point is.  A mismatch
+    raises before anything is written, so a resumed sweep never mixes
+    points from a different run.
+    """
+
+    def __init__(self, out_dir: str | None, manifest: ExperimentManifest, free=()):
         self.path = None
         self.done: dict[int, dict] = {}
         if out_dir is None:
             return
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            fh.write(manifest.to_json() + "\n")
+        manifest_path = os.path.join(out_dir, "manifest.json")
         self.path = os.path.join(out_dir, "points.jsonl")
-        if os.path.exists(self.path):
+        resume = os.path.exists(self.path)
+        if resume:
+            old = {}
+            if os.path.exists(manifest_path):
+                with open(manifest_path) as fh:
+                    old = json.loads(fh.read())
+            new = json.loads(manifest.to_json())
+            for key in free:
+                old.pop(key, None)
+                new.pop(key)
+            if old != new:
+                raise ValueError(
+                    f"{out_dir} holds points of a different run (manifest.json differs); "
+                    "use a fresh output directory"
+                )
+        with open(manifest_path, "w") as fh:
+            fh.write(manifest.to_json() + "\n")
+        if resume:
             with open(self.path) as fh:
                 for line in fh:
                     line = line.strip()
@@ -142,15 +170,33 @@ class _Checkpoint:
         return self.done.get(index)
 
     def put(self, index: int, payload: dict) -> None:
+        rec = {"index": index, **payload}
+        self.done[index] = rec
         if self.path is None:
             return
-        rec = {"index": index, **payload}
         self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
         if self.path is not None:
             self._fh.close()
+
+    def fill(self, count: int, evaluate) -> list[dict]:
+        """Records for points 0..count-1, evaluating the missing ones in chunks.
+
+        `evaluate(indices)` returns or yields one payload per index; chunks
+        hold at most _CHUNK points and each record is checkpointed as it
+        arrives.
+        """
+        todo = [i for i in range(count) if self.get(i) is None]
+        try:
+            for start in range(0, len(todo), _CHUNK):
+                chunk = todo[start:start + _CHUNK]
+                for i, payload in zip(chunk, evaluate(chunk)):
+                    self.put(i, payload)
+        finally:
+            self.close()
+        return [self.get(i) for i in range(count)]
 
 
 def _write_csv(out_dir: str | None, name: str, header: list[str], rows: list[list]) -> None:
@@ -164,13 +210,9 @@ def _write_csv(out_dir: str | None, name: str, header: list[str], rows: list[lis
             fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _stack2(v: np.ndarray) -> np.ndarray:
-    """Complex vector as an (n, 2) real matrix so real GEMMs avoid promotion."""
-    return np.column_stack([v.real, v.imag])
-
-
-def _unstack2(m: np.ndarray) -> np.ndarray:
-    return m[:, 0] + 1j * m[:, 1]
+def _real_gemm(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for real m and complex z as one real GEMM over z's (re, im) column pairs."""
+    return (m @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
 
 
 class RevivalSetup:
@@ -178,8 +220,10 @@ class RevivalSetup:
 
     The encoded state occupies a handful of excitation sectors; their
     eigendata are held here together with the state's eigenbasis
-    coordinates, so one error sample costs three real matrix products per
-    sector instead of repeated full evolutions.
+    coordinates.  A batch of S error samples is evolved as the columns of
+    one (n_sector, 2S) real matrix: each sector costs three real GEMMs per
+    batch, with the per-sample rotations and site-Z signs applied
+    elementwise between them, instead of repeated full evolutions.
     """
 
     def __init__(
@@ -206,18 +250,18 @@ class RevivalSetup:
         self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
         self._sectors = None
 
-    def _success(self, amps: np.ndarray) -> float:
+    def _success(self, amps: np.ndarray) -> tuple[float, float]:
+        """(success probability, probability mass discarded by pruning)."""
         if self.prune_below == 0.0:
-            return self.evaluator.success(amps)
+            return self.evaluator.success(amps), 0.0
         from .decoder import DecodeOptions, decode_pipeline
         from .hilbert import StateVector
 
         opts = DecodeOptions(
             mode="revival", alpha=self.alpha, beta=self.beta, prune_below=self.prune_below
         )
-        return decode_pipeline(
-            StateVector(amps, self.spec.n_sites), self.code, opts
-        ).success_probability
+        report = decode_pipeline(StateVector(amps, self.spec.n_sites), self.code, opts)
+        return report.success_probability, report.discarded_mass
 
     def _sector_engine(self):
         if self._sectors is None:
@@ -229,7 +273,7 @@ class RevivalSetup:
             sectors = []
             for w in weights:
                 states, evals, evecs = sector_eig(self.spec, w)
-                coords = evecs.T @ _stack2(self.encoded.amps[states])
+                coords = _real_gemm(evecs.T, self.encoded.amps[states][:, None])[:, 0]
                 zsigns = 1.0 - 2.0 * (
                     (states[None, :] >> (n - np.arange(1, n + 1)[:, None])) & 1
                 )
@@ -237,28 +281,49 @@ class RevivalSetup:
             self._sectors = sectors
         return self._sectors
 
-    def success_single_z(self, site: int, t_err: float) -> float:
-        out = np.zeros_like(self.encoded.amps)
-        for states, evals, evecs, coords, zsigns in self._sector_engine():
-            rot = np.exp(-1j * evals * t_err)
-            mid = _unstack2(evecs @ _stack2(rot * _unstack2(coords)))
-            mid *= zsigns[site - 1]
-            back = evecs.T @ _stack2(mid)
-            rot2 = np.exp(-1j * evals * (self.duration - t_err))
-            out[states] = _unstack2(evecs @ _stack2(rot2 * _unstack2(back)))
-        return self._success(out)
+    def _score(self, columns) -> tuple[np.ndarray, np.ndarray]:
+        """Decode each column of a batch; `columns(sector)` gives its (n_sector, S) amplitudes."""
+        blocks = [(sector[0], columns(sector)) for sector in self._sector_engine()]
+        size = blocks[0][1].shape[1]
+        success, discarded = np.empty(size), np.empty(size)
+        for j in range(size):
+            out = np.zeros_like(self.encoded.amps)
+            for states, amps in blocks:
+                out[states] = amps[:, j]
+            success[j], discarded[j] = self._success(out)
+        return success, discarded
 
-    def success_timing(self, delta: float) -> float:
-        out = np.zeros_like(self.encoded.amps)
-        for states, evals, evecs, coords, _ in self._sector_engine():
-            rot = np.exp(-1j * evals * (self.duration + delta))
-            out[states] = _unstack2(evecs @ _stack2(rot * _unstack2(coords)))
-        return self._success(out)
+    def success_single_z(self, sites, t_errs) -> tuple[np.ndarray, np.ndarray]:
+        """One phase flip per column: Z on sites[k] at time t_errs[k] of the revival run.
+
+        Returns (success probability, discarded mass) arrays, one entry per sample.
+        """
+        sites = np.asarray(sites, dtype=np.int64)
+        t_errs = np.asarray(t_errs, dtype=float)
+
+        def columns(sector):
+            _, evals, evecs, coords, zsigns = sector
+            mid = _real_gemm(evecs, np.exp(-1j * np.outer(evals, t_errs)) * coords[:, None])
+            mid *= zsigns[sites - 1].T
+            back = _real_gemm(evecs.T, mid)
+            return _real_gemm(evecs, np.exp(-1j * np.outer(evals, self.duration - t_errs)) * back)
+
+        return self._score(columns)
+
+    def success_timing(self, deltas) -> tuple[np.ndarray, np.ndarray]:
+        """Readout at twice the transfer time plus each offset; arrays as success_single_z."""
+        times = self.duration + np.asarray(deltas, dtype=float)
+
+        def columns(sector):
+            _, evals, evecs, coords, _ = sector
+            return _real_gemm(evecs, np.exp(-1j * np.outer(evals, times)) * coords[:, None])
+
+        return self._score(columns)
 
     def success_coupling_instance(self, f: float, draw_seed: int) -> tuple[float, float]:
         perturbed, zeta = disordered_spec(self.spec, f, draw_seed)
         psi = evolve(self.encoded, perturbed, self.duration, method="chebyshev")
-        return self._success(psi.amps), zeta
+        return self._success(psi.amps)[0], zeta
 
 
 @dataclass
@@ -267,6 +332,7 @@ class SingleZSummary:
     successes: tuple[float, ...]
     sites: tuple[int, ...]
     times: tuple[float, ...]
+    discarded_mass: float = 0.0  # summed over samples; nonzero only when pruning
 
     @property
     def min_success(self) -> float:
@@ -293,28 +359,31 @@ def exp_single_z(
         "single_z", spec, code_id, (), samples, seed,
         (alpha.real, alpha.imag, beta.real, beta.imag), prune_below,
     )
-    ckpt = _Checkpoint(out_dir, manifest)
-    setup = None
-    sites, times, successes = [], [], []
-    for i in range(samples):
-        rec = ckpt.get(i)
-        if rec is None:
-            if setup is None:
-                setup = RevivalSetup(spec, make_code(code_id), alpha, beta, prune_below)
-            rng = sample_rng(seed, i)
-            site = int(rng.integers(1, spec.n_sites + 1))
-            t_err = float(rng.uniform(0.0, setup.duration))
-            rec = {"site": site, "t_err": t_err, "success": setup.success_single_z(site, t_err)}
-            ckpt.put(i, rec)
-        sites.append(int(rec["site"]))
-        times.append(float(rec["t_err"]))
-        successes.append(float(rec["success"]))
-    ckpt.close()
-    rows = [
-        [i, sites[i], float(times[i]), float(successes[i])] for i in range(samples)
-    ]
+    # sample i depends only on (seed, i): a run may extend an interrupted one
+    ckpt = _Checkpoint(out_dir, manifest, free=("samples",))
+    if any(ckpt.get(i) is None for i in range(samples)):
+        setup = RevivalSetup(spec, make_code(code_id), alpha, beta, prune_below)
+
+    def evaluate(indices):
+        draws = [sample_rng(seed, i) for i in indices]
+        sites = [int(rng.integers(1, spec.n_sites + 1)) for rng in draws]
+        t_errs = [float(rng.uniform(0.0, setup.duration)) for rng in draws]
+        success, discarded = setup.success_single_z(sites, t_errs)
+        return [
+            {"site": site, "t_err": t, "success": float(p), "discarded_mass": float(d)}
+            for site, t, p, d in zip(sites, t_errs, success, discarded)
+        ]
+
+    recs = ckpt.fill(samples, evaluate)
+    sites = [int(r["site"]) for r in recs]
+    times = [float(r["t_err"]) for r in recs]
+    successes = [float(r["success"]) for r in recs]
+    rows = [[i, sites[i], times[i], successes[i]] for i in range(samples)]
     _write_csv(out_dir, "single_z.csv", ["sample", "site", "t_err", "success_probability"], rows)
-    return SingleZSummary(manifest, tuple(successes), tuple(sites), tuple(times))
+    return SingleZSummary(
+        manifest, tuple(successes), tuple(sites), tuple(times),
+        float(sum(float(r["discarded_mass"]) for r in recs)),
+    )
 
 
 @dataclass
@@ -355,14 +424,16 @@ def exp_timing(
         (alpha.real, alpha.imag, beta.real, beta.imag), prune_below,
     )
     ckpt = _Checkpoint(out_dir, manifest)
-    successes = []
-    for i, delta in enumerate(delta_grid):
-        rec = ckpt.get(i)
-        if rec is None:
-            rec = {"delta": delta, "success": setup.success_timing(delta)}
-            ckpt.put(i, rec)
-        successes.append(float(rec["success"]))
-    ckpt.close()
+
+    def evaluate(indices):
+        deltas = [delta_grid[i] for i in indices]
+        success, discarded = setup.success_timing(deltas)
+        return [
+            {"delta": delta, "success": float(p), "discarded_mass": float(d)}
+            for delta, p, d in zip(deltas, success, discarded)
+        ]
+
+    successes = [float(r["success"]) for r in ckpt.fill(len(delta_grid), evaluate)]
     smallness = tuple(abs(d) * setup.spectral_bound for d in delta_grid)
     rows = [
         [float(delta_grid[i]), float(smallness[i]), float(successes[i])]
@@ -404,10 +475,9 @@ def exp_coupling(
     )
     ckpt = _Checkpoint(out_dir, manifest)
     setup = RevivalSetup(spec, make_code(code_id), alpha, beta, prune_below)
-    means, mins, zetas = [], [], []
-    for i, f in enumerate(f_grid):
-        rec = ckpt.get(i)
-        if rec is None:
+
+    def evaluate(indices):
+        for i in indices:  # one record per grid point, checkpointed as it is yielded
             vals = np.empty(instances)
             zeta_vals = np.empty(instances)
             for k in range(instances):
@@ -416,18 +486,18 @@ def exp_coupling(
                 draw_seed = int(
                     sample_rng(seed, i * instances + k).integers(0, 2**63 - 1)
                 )
-                vals[k], zeta_vals[k] = setup.success_coupling_instance(f, draw_seed)
-            rec = {
-                "f": f,
+                vals[k], zeta_vals[k] = setup.success_coupling_instance(f_grid[i], draw_seed)
+            yield {
+                "f": f_grid[i],
                 "mean": float(np.mean(vals)) if instances else 1.0,
                 "min": float(np.min(vals)) if instances else 1.0,
                 "zeta_mean": float(np.mean(zeta_vals)) if instances else 0.0,
             }
-            ckpt.put(i, rec)
-        means.append(float(rec["mean"]))
-        mins.append(float(rec["min"]))
-        zetas.append(float(rec["zeta_mean"]))
-    ckpt.close()
+
+    recs = ckpt.fill(len(f_grid), evaluate)
+    means = [float(r["mean"]) for r in recs]
+    mins = [float(r["min"]) for r in recs]
+    zetas = [float(r["zeta_mean"]) for r in recs]
     rows = [
         [float(f_grid[i]), means[i], mins[i], zetas[i]] for i in range(len(f_grid))
     ]

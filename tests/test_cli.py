@@ -47,8 +47,15 @@ def test_single_z_cli_json(tmp_path, capsys, warm_cache15):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["min_success"] >= 1 - 1e-8
+    assert payload["discarded_mass"] == 0.0
     assert (tmp_path / "single_z.csv").exists()
     assert (tmp_path / "manifest.json").exists()
+    # resuming into the directory of a different run is refused
+    rc = main(["single-z", "--samples", "4", "--seed", "3", "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "different run" in err["message"]
 
 
 def test_dephasing_cli(tmp_path, capsys):

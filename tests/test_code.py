@@ -3,7 +3,7 @@ import pytest
 
 from chainqec.code import encode, logical_readout, minimal15, parity_condition, shor_code
 from chainqec.errors import ResourceLimitError
-from chainqec.hilbert import StateVector, apply_pauli
+from chainqec.hilbert import apply_pauli, basis_state
 from chainqec.pauli import from_sites, pauli_x, pauli_z, symplectic_rank
 
 
@@ -213,7 +213,7 @@ def test_readout_flags_errors():
     psi = encode(code, 1.0, 0.0)
     _, _, ok = logical_readout(code, apply_pauli(psi, pauli_x(15, 1)))
     assert not ok
-    orthogonal = StateVector(np.eye(1 << 15, dtype=complex)[3], 15)
+    orthogonal = basis_state(15, (14, 15))  # basis index 3
     _, _, ok = logical_readout(code, orthogonal)
     assert not ok
 

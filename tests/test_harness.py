@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -70,7 +71,9 @@ def test_single_z_fixed_case(warm_cache15):
     from chainqec.harness import RevivalSetup
 
     setup = RevivalSetup(pst_couplings(15), make_code("minimal15"), 2**-0.5, 2**-0.5)
-    assert setup.success_single_z(8, np.pi / 2) >= 1 - 1e-9
+    success, discarded = setup.success_single_z([8], [np.pi / 2])
+    assert success[0] >= 1 - 1e-9
+    assert discarded[0] == 0.0
 
 
 def test_setup_engine_matches_success_probability(code15, chain15, warm_cache15):
@@ -81,10 +84,43 @@ def test_setup_engine_matches_success_probability(code15, chain15, warm_cache15)
 
     logical = (1 / np.sqrt(2), 1 / np.sqrt(2))
     setup = RevivalSetup(chain15, code15, *logical)
-    for site, t_err in [(4, 0.31), (13, 2.9)]:
-        fast = setup.success_single_z(site, t_err)
+    cases = [(4, 0.31), (13, 2.9)]
+    fast, _ = setup.success_single_z(*zip(*cases))
+    for (site, t_err), got in zip(cases, fast):
         api = success_probability(logical, single_z_scenario(site, t_err), code15, chain15)
-        assert fast == pytest.approx(api, abs=1e-11)
+        assert got == pytest.approx(api, abs=1e-11)
+
+
+def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15, warm_cache15):
+    # one mixed-site batch (end sites, a repeated site, both ends of the
+    # time window) against per-sample evolution plus the branch pipeline
+    from chainqec.code import encode
+    from chainqec.decoder import DecodeOptions, decode_pipeline
+    from chainqec.harness import RevivalSetup
+    from chainqec.noise import inject_single_z
+
+    amp = 1 / np.sqrt(2)
+    setup = RevivalSetup(chain15, code15, amp, amp)
+    sites = np.array([1, 15, 7, 7, 3, 12, 9])
+    t_errs = np.array([0.0, setup.duration, 0.4, 2.3, 1.7, 0.05, 3.0])
+    success, discarded = setup.success_single_z(sites, t_errs)
+    # every single flip is corrected, so also compare the arriving states
+    decode = setup._success
+    arrived = []
+    setup._success = lambda amps: arrived.append(amps.copy()) or decode(amps)
+    setup.success_single_z(sites, t_errs)
+    psi0 = encode(code15, amp, amp)
+    for site, t_err, got, amps in zip(sites, t_errs, success, arrived):
+        noisy = inject_single_z(psi0, chain15, int(site), float(t_err), setup.duration)
+        np.testing.assert_allclose(amps, noisy.amps, rtol=0, atol=1e-11)
+        want = decode_pipeline(noisy, code15, DecodeOptions(mode="revival")).success_probability
+        assert got == pytest.approx(want, abs=1e-11)
+    np.testing.assert_array_equal(discarded, 0.0)
+    # a sample's value does not depend on its column: resumed runs rely on it
+    setup._success = decode
+    perm = np.random.default_rng(63).permutation(sites.size)
+    again, _ = setup.success_single_z(sites[perm], t_errs[perm])
+    np.testing.assert_array_equal(again, success[perm])
 
 
 def test_single_z_csv_and_resume(tmp_path, warm_cache15):
@@ -103,6 +139,41 @@ def test_single_z_csv_and_resume(tmp_path, warm_cache15):
     manifest = json.loads((full_dir / "manifest.json").read_text())
     assert manifest["experiment"] == "single_z"
     assert "version" in manifest
+
+
+def test_single_z_resume_across_chunk_boundary(tmp_path, warm_cache15):
+    # 70 samples span two evaluation chunks; an interruption after 37 points
+    # re-chunks the rest, and the CSV must not notice
+    full_dir = tmp_path / "full"
+    part_dir = tmp_path / "part"
+    exp_single_z(samples=70, seed=4, out_dir=str(full_dir))
+    shutil.copytree(full_dir, part_dir)
+    points = (part_dir / "points.jsonl").read_text().splitlines(keepends=True)
+    (part_dir / "points.jsonl").write_text("".join(points[:37]))
+    (part_dir / "single_z.csv").unlink()
+    exp_single_z(samples=70, seed=4, out_dir=str(part_dir))
+    assert (part_dir / "single_z.csv").read_bytes() == (full_dir / "single_z.csv").read_bytes()
+    assert (part_dir / "points.jsonl").read_bytes() == (full_dir / "points.jsonl").read_bytes()
+
+
+def test_single_z_resume_refuses_other_seed(tmp_path, warm_cache15):
+    exp_single_z(samples=3, seed=1, out_dir=str(tmp_path))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match="different run"):
+        exp_single_z(samples=3, seed=2, out_dir=str(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_single_z_pruned_mass_reported(tmp_path, warm_cache15):
+    summary = exp_single_z(samples=6, seed=0, out_dir=str(tmp_path), prune_below=1e-12)
+    lines = (tmp_path / "points.jsonl").read_text().splitlines()
+    recs = [json.loads(line) for line in lines]
+    for rec in recs:
+        assert rec["success"] + rec["discarded_mass"] <= 1 + 1e-12
+    assert summary.discarded_mass == pytest.approx(sum(r["discarded_mass"] for r in recs))
+    assert summary.discarded_mass > 0
+    header = (tmp_path / "single_z.csv").read_text().splitlines()[0]
+    assert header == "sample,site,t_err,success_probability"
 
 
 # --- timing --------------------------------------------------------------------
@@ -142,6 +213,14 @@ def test_default_timing_grid():
     assert len(grid) == 21
     assert grid[0] == 0.0
     np.testing.assert_allclose(grid[-1], 0.1 * np.pi / 2)
+
+
+def test_timing_resume_refuses_other_grid(tmp_path, warm_cache15):
+    exp_timing(delta_grid=(0.0, 0.1), seed=0, out_dir=str(tmp_path))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match="different run"):
+        exp_timing(delta_grid=(0.0, 0.3), seed=0, out_dir=str(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_timing_csv(tmp_path, warm_cache15):
