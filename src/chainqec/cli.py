@@ -152,6 +152,7 @@ def main(argv=None) -> int:
                 "points": len(curves.fractions),
                 "mean_success_last": curves.mean_success[-1],
                 "min_success_last": curves.min_success[-1],
+                "discarded_mass": sum(curves.discarded_mass),
             })
         elif args.command == "dephasing":
             spec = _chain_from_args(args)

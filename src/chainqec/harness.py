@@ -265,13 +265,11 @@ class RevivalSetup:
 
     def _sector_engine(self):
         if self._sectors is None:
-            from .hilbert import sector_eig
+            from .hilbert import _occupied_weights, sector_eig
 
             n = self.spec.n_sites
-            idx = np.nonzero(np.abs(self.encoded.amps) ** 2 > 0)[0]
-            weights = sorted({int(np.bitwise_count(np.int64(i))) for i in idx})
             sectors = []
-            for w in weights:
+            for w in _occupied_weights(self.encoded):
                 states, evals, evecs = sector_eig(self.spec, w)
                 coords = _real_gemm(evecs.T, self.encoded.amps[states][:, None])[:, 0]
                 zsigns = 1.0 - 2.0 * (
@@ -320,10 +318,12 @@ class RevivalSetup:
 
         return self._score(columns)
 
-    def success_coupling_instance(self, f: float, draw_seed: int) -> tuple[float, float]:
+    def success_coupling_instance(self, f: float, draw_seed: int) -> tuple[float, float, float]:
+        """(success probability, largest perturbation singular value, discarded mass)."""
         perturbed, zeta = disordered_spec(self.spec, f, draw_seed)
-        psi = evolve(self.encoded, perturbed, self.duration, method="chebyshev")
-        return self._success(psi.amps)[0], zeta
+        psi = evolve(self.encoded, perturbed, self.duration, method="givens")
+        success, discarded = self._success(psi.amps)
+        return success, zeta, discarded
 
 
 @dataclass
@@ -453,6 +453,7 @@ class CouplingCurves:
     mean_success: tuple[float, ...]
     min_success: tuple[float, ...]
     zeta_max_mean: tuple[float, ...]
+    discarded_mass: tuple[float, ...]  # summed over instances; nonzero only when pruning
 
 
 def exp_coupling(
@@ -480,18 +481,22 @@ def exp_coupling(
         for i in indices:  # one record per grid point, checkpointed as it is yielded
             vals = np.empty(instances)
             zeta_vals = np.empty(instances)
+            discarded = np.empty(instances)
             for k in range(instances):
                 # derive the per-instance key from the master seed, the grid
                 # point and the instance index so draws are order-independent
                 draw_seed = int(
                     sample_rng(seed, i * instances + k).integers(0, 2**63 - 1)
                 )
-                vals[k], zeta_vals[k] = setup.success_coupling_instance(f_grid[i], draw_seed)
+                vals[k], zeta_vals[k], discarded[k] = setup.success_coupling_instance(
+                    f_grid[i], draw_seed
+                )
             yield {
                 "f": f_grid[i],
                 "mean": float(np.mean(vals)) if instances else 1.0,
                 "min": float(np.min(vals)) if instances else 1.0,
                 "zeta_mean": float(np.mean(zeta_vals)) if instances else 0.0,
+                "discarded_mass": float(np.sum(discarded)),
             }
 
     recs = ckpt.fill(len(f_grid), evaluate)
@@ -505,7 +510,10 @@ def exp_coupling(
         out_dir, "coupling.csv",
         ["f", "mean_success", "min_success", "zeta_max_mean"], rows,
     )
-    return CouplingCurves(manifest, f_grid, tuple(means), tuple(mins), tuple(zetas))
+    return CouplingCurves(
+        manifest, f_grid, tuple(means), tuple(mins), tuple(zetas),
+        tuple(float(r["discarded_mass"]) for r in recs),
+    )
 
 
 @dataclass

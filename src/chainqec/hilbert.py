@@ -7,22 +7,21 @@ used throughout couples the field B_n to the local excitation number
 matrix of chain.single_excitation_matrix exactly and keeps the fermionic
 mode evolution of the freefermion module exact for nonzero fields.
 
-Evolution is excitation-number resolved: each occupied sector is
-diagonalised once per chain (cached) and reused for every later time.  A
-Chebyshev propagator on the sparse sector matrix is available for one-shot
-evolutions where filling the cache would be wasted work (disorder sweeps).
+Evolution is excitation-number resolved: each occupied sector is diagonalised
+once per chain (cached), or, for one-shot evolutions, rotated through the Givens
+factorisation of the single-particle unitary; both read one pair table per sector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import jv
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _u_of_t, single_excitation_matrix
 from .errors import ResourceLimitError
 from .pauli import PauliString, site_bit
 
@@ -122,55 +121,46 @@ def cz_network(state: StateVector, region) -> StateVector:
 
 
 def sector_indices(n_sites: int, weight: int) -> np.ndarray:
-    """Basis indices with `weight` excited sites, in ascending combination order."""
-    out = [
-        sum(1 << (n_sites - s) for s in combo)
-        for combo in combinations(range(1, n_sites + 1), weight)
-    ]
-    return np.array(out, dtype=np.int64)
+    """Basis indices with `weight` excited sites, descending (ascending combination order)."""
+    idx = np.arange((1 << n_sites) - 1, -1, -1, dtype=np.int64)
+    return idx[np.bitwise_count(idx) == weight]
 
 
-def _sector_hops(n_sites: int, states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each bond n, the (row, col) pairs the hop J_n connects inside a sector."""
-    lookup = {int(s): i for i, s in enumerate(states)}
-    hops = []
-    for n in range(1, n_sites):
-        b1, b2 = 1 << (n_sites - n), 1 << (n_sites - n - 1)
-        rows, cols = [], []
-        for i, s in enumerate(states):
-            s = int(s)
-            if bool(s & b1) != bool(s & b2):
-                rows.append(i)
-                cols.append(lookup[s ^ b1 ^ b2])
-        hops.append((np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)))
-    return hops
+@lru_cache(maxsize=None)
+def _sector_table(n_sites: int, weight: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(basis indices, pair tables) of one excitation sector; shared, so read-only.
+
+    pairs[m][0] are the sector positions with site m+1 occupied and site m+2
+    empty, pairs[m][1] the positions the hop across that bond takes them to.
+    """
+    states = sector_indices(n_sites, weight)
+    pairs = []
+    for m in range(n_sites - 1):
+        b1, b2 = 1 << (n_sites - 1 - m), 1 << (n_sites - 2 - m)
+        lo = np.nonzero((states & b1 != 0) & (states & b2 == 0))[0]
+        hi = states.size - 1 - np.searchsorted(states[::-1], states[lo] ^ (b1 | b2))
+        pairs.append(np.stack([lo, hi]))
+    for a in (states, *pairs):
+        a.flags.writeable = False
+    return states, tuple(pairs)
 
 
-def _sector_diagonal(spec: ChainSpec, states: np.ndarray) -> np.ndarray:
-    diag = np.zeros(states.size)
-    for n in range(1, spec.n_sites + 1):
-        b = spec.fields[n - 1]
-        if b != 0.0:
-            diag += b * ((states >> (spec.n_sites - n)) & 1)
-    return diag
+def _occupation_sum(values, states: np.ndarray) -> np.ndarray:
+    """Per basis state, the sum of values[n] over its occupied sites n + 1."""
+    out = np.zeros(states.size)
+    for n, v in enumerate(values):
+        if v != 0.0:
+            out += v * ((states >> (len(values) - 1 - n)) & 1)
+    return out
 
 
-def sector_sparse(spec: ChainSpec, states: np.ndarray, hops=None) -> sp.csr_matrix:
-    if hops is None:
-        hops = _sector_hops(spec.n_sites, states)
-    rows, cols, vals = [], [], []
-    for n, (r, c) in enumerate(hops, start=1):
-        rows.append(r)
-        cols.append(c)
-        vals.append(np.full(r.size, spec.couplings[n - 1]))
-    rows = np.concatenate(rows) if rows else np.array([], dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.array([], dtype=np.int64)
-    vals = np.concatenate(vals) if vals else np.array([])
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(states.size, states.size))
-    diag = _sector_diagonal(spec, states)
-    if np.any(diag):
-        m = m + sp.diags(diag)
-    return m
+def sector_sparse(spec: ChainSpec, weight: int) -> sp.csr_matrix:
+    """The chain Hamiltonian restricted to one excitation sector."""
+    states, pairs = _sector_table(spec.n_sites, weight)
+    both = np.hstack(pairs)
+    hops = np.tile(np.repeat(spec.couplings, [p.shape[1] for p in pairs]), 2)
+    m = sp.csr_matrix((hops, (both.ravel(), both[::-1].ravel())), shape=(states.size,) * 2)
+    return m + sp.diags(_occupation_sum(spec.fields, states))
 
 
 class _SectorCache:
@@ -185,14 +175,11 @@ class _SectorCache:
         self.spec = spec
         self._eigs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def states(self, w: int) -> np.ndarray:
-        return self._get(w)[0]
-
     def _get(self, w: int):
         if w in self._eigs:
             return self._eigs[w]
         n = self.spec.n_sites
-        states = sector_indices(n, w)
+        states = _sector_table(n, w)[0]
         zero_field = not any(self.spec.fields)
         if zero_field and w > n - w:
             # occupied/empty relabelling: reuse the smaller complementary block
@@ -202,7 +189,7 @@ class _SectorCache:
             perm = np.array([lookup[int(s)] for s in states], dtype=np.int64)
             self._eigs[w] = (states, evals, evecs[perm])
             return self._eigs[w]
-        h = sector_sparse(self.spec, states).toarray()
+        h = sector_sparse(self.spec, w).toarray()
         evals, evecs = np.linalg.eigh(h)
         self._eigs[w] = (states, evals, evecs)
         return self._eigs[w]
@@ -234,28 +221,33 @@ def sector_eig(spec: ChainSpec, weight: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _occupied_weights(state: StateVector) -> list[int]:
-    idx = np.nonzero(np.abs(state.amps) ** 2 > 0.0)[0]
-    return sorted(set(int(np.bitwise_count(np.int64(i))) for i in idx))
+    return np.unique(np.bitwise_count(np.flatnonzero(np.abs(state.amps) ** 2 > 0.0))).tolist()
 
 
-def _chebyshev_sector(h: sp.csr_matrix, v: np.ndarray, t: float) -> np.ndarray:
-    """e^{-iht} v via a Chebyshev expansion with Gershgorin spectral bounds."""
-    radius = float(np.abs(h).sum(axis=1).max()) if h.shape[0] > 1 else float(abs(h[0, 0]))
-    radius = max(radius, 1e-12)
-    z = radius * t
-    n_terms = int(abs(z)) + 60
-    ks = np.arange(n_terms)
-    coef = 2.0 * (-1j) ** (ks % 4) * jv(ks, z)
-    coef[0] /= 2.0
-    hs = h * (1.0 / radius)
-    tm2 = v.astype(complex)
-    tm1 = hs @ tm2
-    out = coef[0] * tm2 + coef[1] * tm1
-    for k in range(2, n_terms):
-        tm0 = 2.0 * (hs @ tm1) - tm2
-        out += coef[k] * tm0
-        tm2, tm1 = tm1, tm0
-    return out
+def _givens_factor(u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reck factorisation u1 = G_1^dag ... G_K^dag D; returns (m_k, blocks G_k, diag D).
+
+    Column by column from the left, each lower-triangle entry is zeroed from the
+    bottom up by an SU(2) rotation G_k of rows (m_k, m_k + 1), leaving the
+    diagonal D.  Entries already zero get none, so K <= N(N-1)/2.
+    """
+    rows = [[complex(v) for v in row] for row in u1]
+    n = len(rows)
+    modes, blocks = [], []
+    for j in range(n - 1):
+        for i in range(n - 1, j, -1):
+            top, bot = rows[i - 1], rows[i]
+            x, y = top[j], bot[j]
+            if y == 0:
+                continue
+            r = math.hypot(abs(x), abs(y))
+            xc, yc, x, y = x.conjugate() / r, y.conjugate() / r, x / r, y / r
+            for k in range(j + 1, n):
+                top[k], bot[k] = xc * top[k] + yc * bot[k], x * bot[k] - y * top[k]
+            top[j], bot[j] = r, 0j
+            modes.append(i - 1)
+            blocks.append(((xc, yc), (-y, x)))
+    return np.array(modes, dtype=np.int64), np.array(blocks).reshape(-1, 2, 2), np.diag(rows)
 
 
 def evolve(
@@ -269,9 +261,11 @@ def evolve(
 
     Both methods are exact well beyond `tol`; excitation-sector weights are
     preserved identically because each sector is propagated in isolation.
-    method="eig" diagonalises occupied sectors once per chain and caches
-    them; method="chebyshev" does a one-shot sparse propagation instead and
-    leaves no cache behind.
+    method="eig" diagonalises occupied sectors once per chain and caches them.
+    method="givens" is one-shot and cache-free, O(N^2 * sector size): with
+    exp(-i H1 t) = G_1^dag ... G_K^dag D, basis states take D's phases on their
+    occupied sites, then each G_k^dag on modes (m, m+1) mixes the (|10>, |01>)
+    amplitude pairs by its 2x2 block (|11> takes det G_k = 1; no JW signs).
     """
     if spec.n_sites != state.n_sites:
         raise ValueError("size mismatch")
@@ -279,7 +273,7 @@ def evolve(
         raise ValueError("time must be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method not in ("eig", "chebyshev"):
+    if method not in ("eig", "givens"):
         raise ValueError(f"unknown method {method!r}")
     amps = state.amps.copy()
     if method == "eig":
@@ -287,10 +281,15 @@ def evolve(
         for w in _occupied_weights(state):
             cache.propagate(amps, w, t)
     else:
+        evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
+        modes, blocks, phases = _givens_factor(_u_of_t(evals, evecs, t))
         for w in _occupied_weights(state):
-            states = sector_indices(spec.n_sites, w)
-            h = sector_sparse(spec, states)
-            amps[states] = _chebyshev_sector(h, amps[states], t)
+            states, pairs = _sector_table(spec.n_sites, w)
+            sub = amps[states] * np.exp(1j * _occupation_sum(np.angle(phases), states))
+            for m, g in zip(modes[::-1], blocks[::-1].conj().transpose(0, 2, 1)):
+                if pairs[m].size:
+                    sub[pairs[m]] = g @ sub[pairs[m]]
+            amps[states] = sub
     return StateVector(amps, state.n_sites)
 
 

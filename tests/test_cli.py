@@ -58,6 +58,18 @@ def test_single_z_cli_json(tmp_path, capsys, warm_cache15):
     assert "different run" in err["message"]
 
 
+def test_coupling_cli_reports_discarded_mass(tmp_path, capsys, warm_cache15):
+    rc = main([
+        "coupling-sweep", "--grid", "0.05", "--instances", "2", "--prune", "1e-12",
+        "--out", str(tmp_path), "--format", "json",
+    ])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    rec = json.loads((tmp_path / "points.jsonl").read_text())
+    assert payload["discarded_mass"] == rec["discarded_mass"] > 0
+    assert payload["points"] == 1
+
+
 def test_dephasing_cli(tmp_path, capsys):
     rc = main([
         "dephasing", "--pst", "4", "--gammas", "0.05",

@@ -292,17 +292,18 @@ def test_evaluator_matches_pipeline_on_disorder_state(code15, chain15, plus_logi
     from chainqec.noise import coupling_disorder
 
     perturbed, _ = coupling_disorder(chain15, 0.06, 17)
-    psi = evolve(plus_logical15, perturbed, np.pi, method="chebyshev")
+    psi = evolve(plus_logical15, perturbed, np.pi, method="givens")
     ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
     slow = decode_pipeline(psi, code15, _options()).success_probability
     assert ev.success(psi.amps) == pytest.approx(slow, abs=1e-10)
 
 
-def test_eig_and_chebyshev_agree_at_scale(code15, chain15, plus_logical15, warm_cache15):
+def test_eig_and_givens_agree_at_scale(code15, chain15, plus_logical15, warm_cache15):
     # both production evolution paths on the full 15-site encoded state
-    a = evolve(plus_logical15, chain15, 1.1, method="eig")
-    b = evolve(plus_logical15, chain15, 1.1, method="chebyshev")
-    assert np.abs(a.amps - b.amps).max() < 1e-9
+    for t in (1.1, -0.4, 2 * np.pi):
+        a = evolve(plus_logical15, chain15, t, method="eig")
+        b = evolve(plus_logical15, chain15, t, method="givens")
+        assert np.abs(a.amps - b.amps).max() < 1e-10
 
 
 # --- general mode ----------------------------------------------------------------
@@ -430,8 +431,8 @@ def test_success_probability_timing_between_zero_and_one(code15, chain15, warm_c
 
 def test_success_probability_coupling_reproducible(code15, chain15, warm_cache15):
     scn = coupling_scenario(0.02, seed=11)
-    a = success_probability((1, 0), scn, code15, chain15, evolve_method="chebyshev")
-    b = success_probability((1, 0), scn, code15, chain15, evolve_method="chebyshev")
+    a = success_probability((1, 0), scn, code15, chain15, evolve_method="givens")
+    b = success_probability((1, 0), scn, code15, chain15, evolve_method="givens")
     assert a == b
     assert 0.0 < a <= 1.0
 

@@ -1,0 +1,183 @@
+"""The free-fermion Givens engine and the shared per-sector pair table."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainqec.chain import ChainSpec, _u_of_t, single_excitation_matrix
+from chainqec.hilbert import (
+    StateVector,
+    _givens_factor,
+    _occupied_weights,
+    _sector_table,
+    basis_state,
+    dense_hamiltonian,
+    dense_unitary,
+    evolve,
+    sector_indices,
+    sector_sparse,
+)
+
+
+def random_chain(rng, n, with_fields):
+    js = tuple(rng.uniform(0.3, 1.4, n - 1))
+    bs = tuple(rng.uniform(-0.8, 0.8, n)) if with_fields else (0.0,) * n
+    return ChainSpec(n, js, bs)
+
+
+def sector_state(rng, n, weight):
+    amps = np.zeros(1 << n, dtype=complex)
+    states = sector_indices(n, weight)
+    v = rng.standard_normal(states.size) + 1j * rng.standard_normal(states.size)
+    amps[states] = v / np.linalg.norm(v)
+    return StateVector(amps, n)
+
+
+def single_particle_unitary(spec, t):
+    evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
+    return _u_of_t(evals, evecs, t)
+
+
+def rebuild(modes, blocks, phases):
+    """G_1^dag ... G_K^dag D as a dense matrix."""
+    n = phases.size
+    out = np.diag(phases)
+    for m, g in zip(modes[::-1], blocks[::-1]):
+        full = np.eye(n, dtype=complex)
+        full[m:m + 2, m:m + 2] = g.conj().T
+        out = full @ out
+    return out
+
+
+# --- oracles -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_givens_matches_dense_unitary_every_weight(n):
+    rng = np.random.default_rng(100 + n)
+    for with_fields in (False, True):
+        spec = random_chain(rng, n, with_fields)
+        for t in (-1.7, 0.0, 0.9):
+            u = dense_unitary(spec, t)
+            for weight in range(n + 1):
+                psi = sector_state(rng, n, weight)
+                got = evolve(psi, spec, t, method="givens").amps
+                np.testing.assert_allclose(got, u @ psi.amps, atol=1e-12)
+
+
+def test_factor_skips_entries_already_zero():
+    modes, blocks, phases = _givens_factor(np.eye(5))
+    assert modes.size == 0 and blocks.shape == (0, 2, 2)
+    np.testing.assert_array_equal(phases, np.ones(5))
+    # a unitary that mixes only modes 2 and 3 needs one rotation on them
+    u = np.diag(np.exp(1j * np.arange(4)))
+    u[2:, 2:] = [[0.6, 0.8j], [0.8j, 0.6]]
+    modes, blocks, phases = _givens_factor(u)
+    assert modes.tolist() == [2]
+    np.testing.assert_allclose(rebuild(modes, blocks, phases), u, atol=1e-15)
+
+
+def test_givens_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method"):
+        evolve(basis_state(3, [1]), ChainSpec(3, (1.0, 1.0), (0.0,) * 3), 0.1, method="cheb")
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sector_sparse_is_dense_hamiltonian_block(n):
+    # the eig path's sector matrices come from the same pair table
+    spec = random_chain(np.random.default_rng(n), n, True)
+    h = dense_hamiltonian(spec)
+    for weight in range(n + 1):
+        states = sector_indices(n, weight)
+        np.testing.assert_array_equal(
+            sector_sparse(spec, weight).toarray(), h[np.ix_(states, states)].real
+        )
+
+
+# --- properties ----------------------------------------------------------------
+
+finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def chains(draw, max_sites=10):
+    n = draw(st.integers(2, max_sites))
+    js = draw(st.lists(finite, min_size=n - 1, max_size=n - 1))
+    bs = draw(st.lists(finite, min_size=n, max_size=n))
+    return ChainSpec(n, tuple(js), tuple(bs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=chains(), t=st.floats(-6.0, 6.0, allow_nan=False))
+def test_factor_rebuilds_single_particle_unitary(spec, t):
+    u1 = single_particle_unitary(spec, t)
+    modes, blocks, phases = _givens_factor(u1)
+    n = spec.n_sites
+    assert modes.size <= n * (n - 1) // 2
+    assert np.all((modes >= 0) & (modes < n - 1))
+    np.testing.assert_allclose(np.linalg.det(blocks), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-12)
+    np.testing.assert_allclose(rebuild(modes, blocks, phases), u1, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=chains(max_sites=8), t=st.floats(-6.0, 6.0, allow_nan=False))
+def test_single_excitation_block_is_single_particle_unitary(spec, t):
+    n = spec.n_sites
+    states = sector_indices(n, 1)  # site k is states[k - 1]
+    block = np.column_stack([
+        evolve(basis_state(n, [k]), spec, t, method="givens").amps[states]
+        for k in range(1, n + 1)
+    ])
+    np.testing.assert_allclose(block, single_particle_unitary(spec, t), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 11), data=st.data())
+def test_pair_tables_are_involutions_over_singly_occupied_bonds(n, data):
+    weight = data.draw(st.integers(0, n))
+    states, pairs = _sector_table(n, weight)
+    np.testing.assert_array_equal(states, sector_indices(n, weight))
+    assert len(pairs) == n - 1
+    for m, pair in enumerate(pairs):
+        b1, b2 = 1 << (n - 1 - m), 1 << (n - 2 - m)
+        rows, cols = pair.ravel(), pair[::-1].ravel()
+        partner = np.full(states.size, -1)
+        partner[rows] = cols
+        assert np.all(partner[cols] == rows)  # an involution on its support
+        assert np.all(partner[partner[rows]] == rows)
+        assert np.all(states[cols] == states[rows] ^ (b1 | b2))
+        assert np.all(states[pair[0]] & b1) and not np.any(states[pair[0]] & b2)
+        one_occupied = ((states & b1) != 0) != ((states & b2) != 0)
+        assert sorted(rows.tolist()) == np.nonzero(one_occupied)[0].tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sector_indices_match_combination_loop(n):
+    for weight in range(n + 1):
+        loop = [
+            sum(1 << (n - s) for s in combo)
+            for combo in combinations(range(1, n + 1), weight)
+        ]
+        np.testing.assert_array_equal(sector_indices(n, weight), np.array(loop, dtype=np.int64))
+
+
+def test_occupied_weights_match_loop():
+    rng = np.random.default_rng(8)
+    for n in (1, 4, 9):
+        amps = rng.standard_normal(1 << n) * (rng.random(1 << n) < 0.3)
+        idx = np.nonzero(np.abs(amps) ** 2 > 0.0)[0]
+        loop = sorted({bin(int(i)).count("1") for i in idx})
+        assert _occupied_weights(StateVector(amps, n)) == loop
+
+
+def test_pair_table_is_cached_and_read_only():
+    a = _sector_table(9, 4)
+    assert _sector_table(9, 4) is a
+    with pytest.raises(ValueError):
+        a[0][0] = 0
+    with pytest.raises(ValueError):
+        a[1][0][0, 0] = 0

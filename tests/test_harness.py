@@ -259,6 +259,31 @@ def test_coupling_csv_deterministic(tmp_path, warm_cache15):
     assert header == "f,mean_success,min_success,zeta_max_mean"
 
 
+def test_coupling_pruned_mass_reported(tmp_path, warm_cache15):
+    curves = exp_coupling(
+        f_grid=(0.0, 0.05), instances=3, seed=2, out_dir=str(tmp_path), prune_below=1e-12
+    )
+    recs = [json.loads(line) for line in (tmp_path / "points.jsonl").read_text().splitlines()]
+    for rec in recs:
+        assert rec["mean"] + rec["discarded_mass"] <= 1 + 1e-12
+    assert curves.discarded_mass == tuple(r["discarded_mass"] for r in recs)
+    assert curves.discarded_mass[1] > 0
+    header = (tmp_path / "coupling.csv").read_text().splitlines()[0]
+    assert header == "f,mean_success,min_success,zeta_max_mean"
+
+
+def test_coupling_resume_refuses_older_version(tmp_path, warm_cache15):
+    # 0.2.0 coupling records lack discarded_mass and differ in their last digits
+    exp_coupling(f_grid=(0.0,), instances=1, seed=0, out_dir=str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["version"] = "0.2.0"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match="different run"):
+        exp_coupling(f_grid=(0.0,), instances=1, seed=0, out_dir=str(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # --- dephasing -----------------------------------------------------------------
 
 

@@ -169,7 +169,7 @@ def test_coupling_success_converges_as_disorder_vanishes(code15, chain15, warm_c
     vals = [
         success_probability(
             logical, coupling_scenario(f, seed=3), code15, chain15,
-            evolve_method="chebyshev",
+            evolve_method="givens",
         )
         for f in (3e-3, 1e-3, 3e-4)
     ]
