@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,15 +31,16 @@ from .hilbert import (
     evolve,
     from_density,
     lindblad_evolve,
+    single_z_sectors,
 )
 from .noise import disordered_spec
 from .pauli import PauliString
 
 _BRUTE_FORCE_MAX_SITES = 6
-# points evaluated together as the columns of one eigenbasis GEMM.  A
-# point's value must not depend on its chunk, or a resumed run (which
-# re-chunks the missing points) would differ from a fresh one; the
-# batched-engine and resume tests check this.
+# points evaluated together: the single-Z samples of one chunk are the rows
+# of one block per excitation sector.  A point's value must not depend on
+# its chunk, or a resumed run (which re-chunks the missing points) would
+# differ from a fresh one; the batched-engine and resume tests check this.
 _CHUNK = 64
 
 DEFAULT_TIMING_GRID_POINTS = 21
@@ -210,20 +212,25 @@ def _write_csv(out_dir: str | None, name: str, header: list[str], rows: list[lis
             fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _real_gemm(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for real m and complex z as one real GEMM over z's (re, im) column pairs."""
-    return (m @ np.ascontiguousarray(z).view(np.float64)).view(np.complex128)
+@lru_cache(maxsize=4)
+def _shared_evaluator(codeobj: StabilizerCode, alpha: complex, beta: complex) -> RevivalEvaluator:
+    """One evaluator per (code, logical state) and process; shared, so read-only."""
+    evaluator = RevivalEvaluator(codeobj, alpha, beta)
+    for value in vars(evaluator).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return evaluator
 
 
 class RevivalSetup:
     """Shared machinery for the revival experiments on one chain and code.
 
-    The encoded state occupies a handful of excitation sectors; their
-    eigendata are held here together with the state's eigenbasis
-    coordinates.  A batch of S error samples is evolved as the columns of
-    one (n_sector, 2S) real matrix: each sector costs three real GEMMs per
-    batch, with the per-sample rotations and site-Z signs applied
-    elementwise between them, instead of repeated full evolutions.
+    Nothing here diagonalises a sector: every evolution is a Givens
+    evolve.  The error-free arrival state e^{-iH duration}|encoded> is
+    computed once; a phase flip on site s at time t then arrives as one
+    rotated fermionic mode about it, so a batch of single-Z samples costs
+    2(N-1) bond rotations per sample on the rows of one block per sector
+    (hilbert.single_z_sectors) instead of two full evolutions.
     """
 
     def __init__(
@@ -247,8 +254,7 @@ class RevivalSetup:
         self.alpha, self.beta = alpha, beta
         self.prune_below = float(prune_below)
         self.encoded = encode(codeobj, alpha, beta)
-        self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
-        self._sectors = None
+        self.evaluator = _shared_evaluator(codeobj, alpha, beta)
 
     def _success(self, amps: np.ndarray) -> tuple[float, float]:
         """(success probability, probability mass discarded by pruning)."""
@@ -263,60 +269,34 @@ class RevivalSetup:
         report = decode_pipeline(StateVector(amps, self.spec.n_sites), self.code, opts)
         return report.success_probability, report.discarded_mass
 
-    def _sector_engine(self):
-        if self._sectors is None:
-            from .hilbert import _occupied_weights, sector_eig
-
-            n = self.spec.n_sites
-            sectors = []
-            for w in _occupied_weights(self.encoded):
-                states, evals, evecs = sector_eig(self.spec, w)
-                coords = _real_gemm(evecs.T, self.encoded.amps[states][:, None])[:, 0]
-                zsigns = 1.0 - 2.0 * (
-                    (states[None, :] >> (n - np.arange(1, n + 1)[:, None])) & 1
-                )
-                sectors.append((states, evals, evecs, coords, zsigns))
-            self._sectors = sectors
-        return self._sectors
-
-    def _score(self, columns) -> tuple[np.ndarray, np.ndarray]:
-        """Decode each column of a batch; `columns(sector)` gives its (n_sector, S) amplitudes."""
-        blocks = [(sector[0], columns(sector)) for sector in self._sector_engine()]
-        size = blocks[0][1].shape[1]
-        success, discarded = np.empty(size), np.empty(size)
-        for j in range(size):
-            out = np.zeros_like(self.encoded.amps)
-            for states, amps in blocks:
-                out[states] = amps[:, j]
-            success[j], discarded[j] = self._success(out)
-        return success, discarded
+    @cached_property
+    def arrival(self) -> StateVector:
+        """The error-free state at the readout, e^{-iH duration}|encoded>."""
+        return evolve(self.encoded, self.spec, self.duration, method="givens")
 
     def success_single_z(self, sites, t_errs) -> tuple[np.ndarray, np.ndarray]:
-        """One phase flip per column: Z on sites[k] at time t_errs[k] of the revival run.
+        """One phase flip per sample: Z on sites[k] at time t_errs[k] of the revival run.
 
         Returns (success probability, discarded mass) arrays, one entry per sample.
         """
-        sites = np.asarray(sites, dtype=np.int64)
-        t_errs = np.asarray(t_errs, dtype=float)
-
-        def columns(sector):
-            _, evals, evecs, coords, zsigns = sector
-            mid = _real_gemm(evecs, np.exp(-1j * np.outer(evals, t_errs)) * coords[:, None])
-            mid *= zsigns[sites - 1].T
-            back = _real_gemm(evecs.T, mid)
-            return _real_gemm(evecs, np.exp(-1j * np.outer(evals, self.duration - t_errs)) * back)
-
-        return self._score(columns)
+        taus = np.asarray(t_errs, dtype=float) - self.duration
+        blocks = single_z_sectors(self.arrival, self.spec, sites, taus)
+        success, discarded = np.empty(taus.size), np.empty(taus.size)
+        for k in range(taus.size):
+            out = np.zeros_like(self.encoded.amps)
+            for states, rows in blocks:
+                out[states] = rows[k]
+            success[k], discarded[k] = self._success(out)
+        return success, discarded
 
     def success_timing(self, deltas) -> tuple[np.ndarray, np.ndarray]:
         """Readout at twice the transfer time plus each offset; arrays as success_single_z."""
-        times = self.duration + np.asarray(deltas, dtype=float)
-
-        def columns(sector):
-            _, evals, evecs, coords, _ = sector
-            return _real_gemm(evecs, np.exp(-1j * np.outer(evals, times)) * coords[:, None])
-
-        return self._score(columns)
+        deltas = np.asarray(deltas, dtype=float)
+        out = np.empty((2, deltas.size))
+        for k, delta in enumerate(deltas):
+            psi = evolve(self.encoded, self.spec, self.duration + delta, method="givens")
+            out[:, k] = self._success(psi.amps)
+        return out[0], out[1]
 
     def success_coupling_instance(self, f: float, draw_seed: int) -> tuple[float, float, float]:
         """(success probability, largest perturbation singular value, discarded mass)."""

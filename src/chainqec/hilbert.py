@@ -7,9 +7,13 @@ used throughout couples the field B_n to the local excitation number
 matrix of chain.single_excitation_matrix exactly and keeps the fermionic
 mode evolution of the freefermion module exact for nonzero fields.
 
-Evolution is excitation-number resolved: each occupied sector is diagonalised
-once per chain (cached), or, for one-shot evolutions, rotated through the Givens
-factorisation of the single-particle unitary; both read one pair table per sector.
+Evolution is excitation-number resolved and reads one pair table per sector.
+method="givens" rotates each occupied sector through the Givens factorisation
+of the single-particle unitary and needs no set-up; method="eig" diagonalises
+the occupied sectors once per chain and caches them, and serves as the exact
+N = 15 oracle.  A phase flip during transport is one rotated mode about the
+error-free arrival state (single_z_sectors): N - 1 rotations carry that mode
+to site 1, where Z is diagonal, and the inverse rotations carry it back.
 """
 
 from __future__ import annotations
@@ -254,13 +258,12 @@ def evolve(
     state: StateVector,
     spec: ChainSpec,
     t: float,
-    tol: float = 1e-10,
     method: str = "eig",
 ) -> StateVector:
     """Return e^{-iHt}|psi>.
 
-    Both methods are exact well beyond `tol`; excitation-sector weights are
-    preserved identically because each sector is propagated in isolation.
+    Excitation-sector weights are preserved identically because each sector
+    is propagated in isolation.
     method="eig" diagonalises occupied sectors once per chain and caches them.
     method="givens" is one-shot and cache-free, O(N^2 * sector size): with
     exp(-i H1 t) = G_1^dag ... G_K^dag D, basis states take D's phases on their
@@ -271,8 +274,6 @@ def evolve(
         raise ValueError("size mismatch")
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if method not in ("eig", "givens"):
         raise ValueError(f"unknown method {method!r}")
     amps = state.amps.copy()
@@ -291,6 +292,81 @@ def evolve(
                     sub[pairs[m]] = g @ sub[pairs[m]]
             amps[states] = sub
     return StateVector(amps, state.n_sites)
+
+
+def _rotations_to_first(w: np.ndarray) -> np.ndarray:
+    """SU(2) blocks G_m of bonds (m, m + 1) with G_0 ... G_{N-2} w = e^{i theta} e_1.
+
+    Bond m = N-2 first: each block zeroes entry m + 1 into entry m, as in
+    _givens_factor; an entry already zero gets the identity.
+    """
+    blocks = np.empty((w.size - 1, 2, 2), dtype=complex)
+    y = complex(w[-1])
+    for m in range(w.size - 2, -1, -1):
+        x = complex(w[m])
+        if y == 0:
+            blocks[m] = np.eye(2)
+            y = x
+            continue
+        r = math.hypot(abs(x), abs(y))
+        x, y = x / r, y / r
+        blocks[m] = ((x.conjugate(), y.conjugate()), (-y, x))
+        y = r
+    return blocks
+
+
+def _rotate_rows(x: np.ndarray, pair: np.ndarray, g: np.ndarray) -> None:
+    """Row k of the (S, n_sector) block x: its (|10>, |01>) pairs of one bond times g[k]."""
+    if pair.size:
+        flat = x.reshape(-1)  # 1-D gathers and scatters are far cheaper than x[:, pair]
+        idx = (np.arange(0, flat.size, x.shape[1])[:, None] + pair.reshape(1, -1)).ravel()
+        flat[idx] = (g @ flat[idx].reshape(x.shape[0], *pair.shape)).ravel()
+
+
+def single_z_sectors(
+    arrival: StateVector, spec: ChainSpec, sites, taus
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per occupied sector of `arrival`: (basis indices, (S, n_sector) block).
+
+    Row k of a block is e^{iH tau_k} Z_{s_k} e^{-iH tau_k} |arrival>.  With
+    |arrival> = e^{-iHT}|psi> and tau = t - T that is the readout
+    e^{-iH(T-t)} Z_s e^{-iHt}|psi> of a phase flip on site s at time t.
+    H is quadratic and number conserving, so the conjugated flip is
+    1 - 2 n_v with n_v = a_v^dag a_v, a_v = sum_j v_j c_j and v row s of
+    exp(-i H1 tau): the N - 1 bond rotations G that carry conj(v) to e_1
+    give n_v = G^dag n_1 G, read from the one pair table per sector.  Every
+    operation acts within a row, so a sample's value does not depend on
+    the batch it is evaluated in.
+    """
+    n = spec.n_sites
+    if arrival.n_sites != n:
+        raise ValueError("size mismatch")
+    sites = np.asarray(sites, dtype=np.int64)
+    taus = np.asarray(taus, dtype=float)
+    if sites.ndim != 1 or sites.shape != taus.shape:
+        raise ValueError("need one site per time")
+    if np.any((sites < 1) | (sites > n)):
+        raise ValueError("site out of range")
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("time must be finite")
+    evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
+    g = np.empty((sites.size, n - 1, 2, 2), dtype=complex)
+    for k, (s, tau) in enumerate(zip(sites, taus)):
+        v = (evecs[s - 1] * np.exp(-1j * evals * tau)) @ evecs.T
+        g[k] = _rotations_to_first(v.conj())
+    g_inv = g.conj().transpose(0, 1, 3, 2)
+    blocks = []
+    for w in _occupied_weights(arrival):
+        states, pairs = _sector_table(n, w)
+        phi = arrival.amps[states]
+        x = np.tile(phi, (sites.size, 1))
+        for m in range(n - 2, -1, -1):
+            _rotate_rows(x, pairs[m], g[:, m])
+        x[:, (states >> (n - 1)) & 1 == 0] = 0.0  # n_1: keep site 1 occupied
+        for m in range(n - 1):
+            _rotate_rows(x, pairs[m], g_inv[:, m])
+        blocks.append((states, phi - 2.0 * x))
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from chainqec.harness import (
     exp_dephasing,
     exp_single_z,
     exp_timing,
+    RevivalSetup,
     fmt,
     make_code,
     sample_rng,
@@ -77,7 +78,7 @@ def test_single_z_fixed_case(warm_cache15):
 
 
 def test_setup_engine_matches_success_probability(code15, chain15, warm_cache15):
-    # the sector-engine sample path and the scenario API agree exactly
+    # the one-mode sample path and the scenario API (eig evolution) agree
     from chainqec.decoder import success_probability
     from chainqec.harness import RevivalSetup
     from chainqec.noise import single_z_scenario
@@ -121,6 +122,48 @@ def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15, wa
     perm = np.random.default_rng(63).permutation(sites.size)
     again, _ = setup.success_single_z(sites[perm], t_errs[perm])
     np.testing.assert_array_equal(again, success[perm])
+
+
+def test_single_z_one_mode_matches_eig_oracle(code15, chain15, warm_cache15):
+    # end sites and the middle, at both ends and a third of the time window
+    from chainqec.hilbert import single_z_sectors
+    from chainqec.noise import inject_single_z
+
+    amp = 1 / np.sqrt(2)
+    setup = RevivalSetup(chain15, code15, amp, amp)
+    total = setup.duration
+    cases = [(site, t) for site in (1, 8, 15) for t in (0.0, total / 3, total)]
+    sites, t_errs = (np.array(col) for col in zip(*cases))
+    blocks = single_z_sectors(setup.arrival, chain15, sites, t_errs - total)
+    for k, (site, t_err) in enumerate(cases):
+        got = np.zeros_like(setup.encoded.amps)
+        for states, rows in blocks:
+            got[states] = rows[k]
+        want = inject_single_z(setup.encoded, chain15, site, t_err, total, method="eig")
+        np.testing.assert_allclose(got, want.amps, rtol=0, atol=1e-12)
+
+
+def test_single_z_and_timing_never_diagonalise(monkeypatch):
+    from chainqec import hilbert
+
+    def refuse(self, weight):
+        raise AssertionError("sector eigendecomposition requested")
+
+    monkeypatch.setattr(hilbert._SectorCache, "_get", refuse)
+    summary = exp_single_z(samples=4, seed=2)
+    assert summary.min_success >= 1 - 1e-8
+    curve = exp_timing(delta_grid=(0.0, 0.01), seed=0)
+    assert curve.successes[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_setups_share_one_read_only_evaluator(code15, chain15):
+    amp = 1 / np.sqrt(2)
+    a = RevivalSetup(chain15, code15, amp, amp)
+    b = RevivalSetup(chain15, make_code("minimal15"), amp, amp)
+    assert a.evaluator is b.evaluator
+    with pytest.raises(ValueError, match="read-only"):
+        a.evaluator.u[0, 0, 0] = 1.0
+    assert RevivalSetup(chain15, code15, 1.0, 0.0).evaluator is not a.evaluator
 
 
 def test_single_z_csv_and_resume(tmp_path, warm_cache15):
@@ -174,6 +217,18 @@ def test_single_z_pruned_mass_reported(tmp_path, warm_cache15):
     assert summary.discarded_mass > 0
     header = (tmp_path / "single_z.csv").read_text().splitlines()[0]
     assert header == "sample,site,t_err,success_probability"
+
+
+def test_single_z_resume_refuses_older_version(tmp_path):
+    # 0.3.0 single-Z records came from the eigenbasis engine and differ in their last digits
+    exp_single_z(samples=2, seed=0, out_dir=str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["version"] = "0.3.0"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match="different run"):
+        exp_single_z(samples=2, seed=0, out_dir=str(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # --- timing --------------------------------------------------------------------
