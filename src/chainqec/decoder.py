@@ -3,38 +3,38 @@
 The correction runs in two stages.  Bit-flip checks are measured first; the
 decoded flip locations get X corrections plus a trailing-Z string fixed by a
 parity rule: a Z lands on every site holding an odd number of detected flips
-strictly on the configured side (below each flip for the revival setup,
-above it after the controlled-phase network of the transfer setup).  The
-residual Z errors sitting on the flip sites are then handled by the phase
-checks, with one extra rule on three-block codes: a phase syndrome pointing
-at a block with no detected flip, while flips exist elsewhere, is
-reinterpreted as phase errors on the other two blocks.
+strictly on one side (below each flip for the revival setup, above it after
+the controlled-phase network of the transfer setup).  The residual Z errors
+sitting on the flip sites are then handled by the phase checks, with one
+extra rule on three-block codes: a phase syndrome pointing at a block with
+no detected flip, while flips exist elsewhere, is reinterpreted as phase
+errors on the other two blocks.
 
-Every syndrome outcome is tracked as an explicit branch with its Born
-probability; success_probability is the probability-weighted squared
-overlap with the reference state over all leaves.
+These rules live in one place, DecoderTables, built once per (code, side).
+decode_pipeline reads them while tracking every syndrome outcome as an
+explicit branch with its Born probability; RevivalEvaluator reads the same
+tables to score the revival setup without branch records.  The success
+probability is the probability-weighted squared overlap with the reference
+state over all leaves.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
 from .code import StabilizerCode, encode
 from .hilbert import StateVector, apply_pauli, cz_network
-from .pauli import PauliString, popcount
+from .pauli import PauliString, mask_of_sites, popcount
 
 _EXACT_ZERO = 0.0
-
-
-@dataclass
-class SyndromeBranch:
-    outcomes: tuple[int, ...]  # one bit per measured generator, 1 = eigenvalue -1
-    probability: float
-    post_state: StateVector
+_MAX_X_CHECKS = 20  # the per-key arrays hold 2^(number of bit-flip checks) entries
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,13 @@ class CorrectionReport:
 
 @dataclass
 class DecodeOptions:
-    mode: str = "revival"  # "revival" or "general"
+    mode: str = "revival"  # "revival" (trailing Z below each flip) or "general" (above)
     alpha: complex = 1 / np.sqrt(2)
     beta: complex = 1 / np.sqrt(2)
     prune_below: float = 0.0
-    reference: StateVector | None = None  # full-size (revival) or region-size (general)
+    reference: StateVector | None = None  # expected state of the code qubits
     success_metric: str = "fidelity"  # or "threshold"
     threshold_eps: float = 1e-6
-    trailing_side: str | None = None  # default: "below" in revival, "above" in general
     # general mode: each excitation reaching the far end carries the chain's
     # known arrival phase (TransferReport.global_phase); the receiver undoes
     # it per region excitation along with the controlled-phase network
@@ -96,187 +95,117 @@ class DecodeOptions:
 
 
 # ---------------------------------------------------------------------------
-# projective measurement of commuting generators
+# decode tables: the rule set, built once per (code, side)
 # ---------------------------------------------------------------------------
 
 
-def measure_generators(
-    state: StateVector, generators, prune_below: float = 0.0
-) -> tuple[list[SyndromeBranch], float]:
-    """Branch over all outcomes of measuring the commuting `generators` in order.
+@dataclass(frozen=True, eq=False)
+class DecoderTables:
+    """The decode rules of one code and trailing-Z side; shared, so read-only.
 
-    Returns (branches, discarded_mass).  With prune_below = 0 only branches
-    of exactly zero probability are dropped, so the retained probabilities
-    sum to 1.  Post-states are normalised dense vectors: the tree has at
-    most 2^len(generators) leaves, so keep the generator list modest.
+    A syndrome key has bit g set iff check g reads -1.  The per-key arrays
+    are indexed by bit-flip syndrome key; keys missing from x_table are
+    undecodable and hold zeros.
     """
-    gens = list(generators)
-    for i, g in enumerate(gens):
-        if g.n_sites != state.n_sites:
-            raise ValueError("generator size mismatch")
-        for h in gens[i + 1 :]:
-            if not g.commutes_with(h):
-                raise ValueError("generators must mutually commute")
-    branches = [((), state.amps.astype(complex), 1.0)]
-    discarded = 0.0
-    for g in gens:
-        nxt = []
-        for outcomes, amps, _ in branches:
-            ga = apply_pauli(StateVector(amps, state.n_sites), g).amps
-            for bit, proj in ((0, 0.5 * (amps + ga)), (1, 0.5 * (amps - ga))):
-                p = float(np.vdot(proj, proj).real)
-                if p <= _EXACT_ZERO or p < prune_below:
-                    discarded += p
-                    continue
-                nxt.append((outcomes + (bit,), proj, p))
-        branches = nxt
-    out = []
-    for outcomes, amps, _ in branches:
-        p = float(np.vdot(amps, amps).real)
-        out.append(SyndromeBranch(outcomes, p, StateVector(amps / np.sqrt(p), state.n_sites)))
-    return out, discarded
 
+    code: StabilizerCode
+    x_table: Mapping[int, tuple[int, ...]]  # bit-flip key -> flip sites
+    z_table: Mapping[int, tuple[int, ...]]  # phase key -> Z-error sites
+    block_of: Mapping[int, int]  # site -> index of its block
+    correctable: np.ndarray  # bool per bit-flip key
+    x_mask: np.ndarray  # X correction per bit-flip key
+    z_trail: np.ndarray  # trailing-Z string of the parity rule per bit-flip key
+    flip_blocks: np.ndarray  # bitmask of the blocks holding a flip per bit-flip key
 
-# ---------------------------------------------------------------------------
-# syndrome decode tables
-# ---------------------------------------------------------------------------
+    def cross_reference(self, z_key: int, flips) -> tuple[int, ...] | None:
+        """Z-correction sites for phase key `z_key` after the X stage found `flips`.
 
+        None when the key is undecodable.  On a three-block code a single
+        phase error decoded onto a block holding no detected flip, while
+        flips exist in other blocks, really means one phase error on each
+        of the other two blocks (at their flip sites).
+        """
+        decoded = self.z_table.get(z_key)
+        blocks = self.code.blocks
+        if decoded is None or len(decoded) != 1 or len(blocks) != 3:
+            return decoded
+        flip_blocks = {self.block_of[s] for s in flips}
 
-def _syndrome_key(gens, x_mask: int, z_mask: int) -> int:
-    """Key with bit g set iff the error (x_mask, z_mask) anticommutes with gens[g]."""
-    key = 0
-    for g, gen in enumerate(gens):
-        if (popcount(gen.x_mask & z_mask) + popcount(gen.z_mask & x_mask)) & 1:
-            key |= 1 << g
-    return key
+        def block_site(b: int) -> int:
+            # put the Z on the block's detected flip when it has one; on the
+            # inner-bitflip codes any site of the block is equivalent anyway
+            return next((s for s in flips if s in blocks[b]), blocks[b][0])
 
-
-def _x_decode_table(codeobj: StabilizerCode) -> dict[int, tuple[int, ...]]:
-    """Syndrome key -> flip sites, for flip patterns up to floor((dx-1)/2)."""
-    n = codeobj.n_qubits
-    gens = codeobj.x_detecting_generators
-    table: dict[int, tuple[int, ...]] = {0: ()}
-    for w in range(1, (codeobj.dx - 1) // 2 + 1):
-        for sites in combinations(range(1, n + 1), w):
-            mask = 0
-            for s in sites:
-                mask |= 1 << (n - s)
-            table.setdefault(_syndrome_key(gens, mask, 0), sites)
-    return table
-
-
-def _z_decode_table(codeobj: StabilizerCode) -> dict[int, tuple[int, ...]]:
-    """Syndrome key -> Z-error sites, for patterns up to floor((dz-1)/2).
-
-    Collisions keep the first (lowest) representative; for the block codes
-    here any two same-block single-Z patterns that collide differ by a
-    stabilizer, so the representative acts identically on the code space.
-    """
-    gens = codeobj.z_detecting_generators
-    n = codeobj.n_qubits
-    table: dict[int, tuple[int, ...]] = {0: ()}
-    for w in range(1, (codeobj.dz - 1) // 2 + 1):
-        for sites in combinations(range(1, n + 1), w):
-            z_mask = 0
-            for s in sites:
-                z_mask |= 1 << (n - s)
-            table.setdefault(_syndrome_key(gens, 0, z_mask), sites)
-    return table
+        beta = self.block_of[decoded[0]]
+        if beta not in flip_blocks and flip_blocks:
+            return tuple(block_site(b) for b in range(3) if b != beta)
+        if self.code.orientation == "inner-bitflip":
+            return (block_site(beta),)
+        return decoded
 
 
 def _trailing_mask(n_sites: int, flips, side: str) -> int:
     """Z-mask of the parity rule: Z wherever an odd number of flips lies on `side`."""
-    mask = 0
-    flips = tuple(flips)
-    for q in range(1, n_sites + 1):
-        if q in flips:
-            continue
-        if side == "below":
-            count = sum(1 for s in flips if s > q)
-        elif side == "above":
-            count = sum(1 for s in flips if s < q)
-        else:
-            raise ValueError("trailing side must be 'below' or 'above'")
-        if count & 1:
-            mask |= 1 << (n_sites - q)
-    return mask
+
+    def count(q: int) -> int:  # flips strictly on `side` of site q
+        return sum(1 for s in flips if (s > q if side == "below" else s < q))
+
+    return mask_of_sites(
+        n_sites, (q for q in range(1, n_sites + 1) if q not in flips and count(q) % 2)
+    )
 
 
-def x_stage(
-    branch: SyndromeBranch, codeobj: StabilizerCode, trailing_side: str = "below"
-) -> tuple[PauliString | None, tuple[int, ...]]:
-    """Decode a bit-flip syndrome branch into its correction.
+@lru_cache(maxsize=8)
+def decoder_tables(codeobj: StabilizerCode, side: str) -> DecoderTables:
+    """Build the decode tables of `codeobj` with the trailing Z string on `side`.
 
-    Returns (correction, flip_sites); the correction is None when the
-    syndrome matches no pattern the code can resolve (the branch is then
-    scored as-is rather than raising).
+    The tables cover flip patterns up to floor((dx-1)/2) sites and Z
+    patterns up to floor((dz-1)/2).  Collisions keep the first (lowest)
+    representative; for the block codes here any two same-block patterns
+    that collide differ by a stabilizer, so the representative acts
+    identically on the code space.
     """
-    key = 0
-    for g, bit in enumerate(branch.outcomes):
-        key |= int(bit) << g
-    flips = _x_decode_table(codeobj).get(key)
-    if flips is None:
-        return None, ()
+    if side not in ("below", "above"):
+        raise ValueError("trailing side must be 'below' or 'above'")
+    n_x = len(codeobj.x_detecting_generators)
+    if n_x > _MAX_X_CHECKS:
+        raise ValueError(f"decode tables sized for at most {_MAX_X_CHECKS} bit-flip checks")
     n = codeobj.n_qubits
-    x_mask = 0
-    for s in flips:
-        x_mask |= 1 << (n - s)
-    return PauliString(n, x_mask, _trailing_mask(n, flips, trailing_side)), flips
+    tables = []
+    for gens, distance, x_error in (
+        (codeobj.x_detecting_generators, codeobj.dx, True),
+        (codeobj.z_detecting_generators, codeobj.dz, False),
+    ):
+        # an X error is seen by the checks' Z part, a Z error by their X part
+        table: dict[int, tuple[int, ...]] = {0: ()}
+        for w in range(1, (distance - 1) // 2 + 1):
+            for sites in combinations(range(1, n + 1), w):
+                mask = mask_of_sites(n, sites)
+                key = 0
+                for g, gen in enumerate(gens):
+                    key |= (popcount(mask & (gen.z_mask if x_error else gen.x_mask)) & 1) << g
+                table.setdefault(key, sites)
+        tables.append(MappingProxyType(table))
+    x_table, z_table = tables
+    block_of = {s: b for b, blk in enumerate(codeobj.blocks) for s in blk}
 
-
-def _block_of(codeobj: StabilizerCode, site: int) -> int:
-    for b, blk in enumerate(codeobj.blocks):
-        if site in blk:
-            return b
-    raise ValueError(f"site {site} not in any block")
-
-
-def _z_correction_sites(
-    codeobj: StabilizerCode, decoded_sites, x_flip_sites
-) -> tuple[int, ...] | None:
-    """Turn a decoded Z pattern into correction sites, applying the
-    cross-reference rule of the three-block code: a single phase error
-    decoded onto a block holding no detected flip, while flips exist in
-    other blocks, really means one phase error on each of the other two
-    blocks (at their flip sites)."""
-    if decoded_sites is None:
-        return None
-    flip_blocks = {_block_of(codeobj, s) for s in x_flip_sites}
-
-    def block_site(b: int) -> int:
-        # put the Z on the block's detected flip when it has one; on the
-        # inner-bitflip codes any site of the block is equivalent anyway
-        return next((s for s in x_flip_sites if s in codeobj.blocks[b]), codeobj.blocks[b][0])
-
-    if len(decoded_sites) == 1 and len(codeobj.blocks) == 3:
-        beta = _block_of(codeobj, decoded_sites[0])
-        if beta not in flip_blocks and flip_blocks:
-            return tuple(block_site(b) for b in range(3) if b != beta)
-        if codeobj.orientation == "inner-bitflip":
-            return (block_site(beta),)
-    return tuple(decoded_sites)
-
-
-def _sites_to_zmask(n: int, sites) -> int:
-    mask = 0
-    for s in sites:
-        mask |= 1 << (n - s)
-    return mask
-
-
-def z_stage(
-    branch: SyndromeBranch, codeobj: StabilizerCode, x_flip_sites
-) -> PauliString | None:
-    """Decode a phase syndrome branch (measured after the X corrections)."""
-    key = 0
-    for g, bit in enumerate(branch.outcomes):
-        key |= int(bit) << g
-    decoded = _z_decode_table(codeobj).get(key)
-    sites = _z_correction_sites(codeobj, decoded, tuple(x_flip_sites))
-    if sites is None:
-        return None
-    n = codeobj.n_qubits
-    return PauliString(n, 0, _sites_to_zmask(n, sites))
+    n_keys = 1 << n_x
+    correctable = np.zeros(n_keys, dtype=bool)
+    x_mask = np.zeros(n_keys, dtype=np.int64)
+    z_trail = np.zeros(n_keys, dtype=np.int64)
+    flip_blocks = np.zeros(n_keys, dtype=np.int64)
+    for key, flips in x_table.items():
+        correctable[key] = True
+        x_mask[key] = mask_of_sites(n, flips)
+        z_trail[key] = _trailing_mask(n, flips, side)
+        for s in flips:
+            flip_blocks[key] |= 1 << block_of[s]
+    for arr in (correctable, x_mask, z_trail, flip_blocks):
+        arr.flags.writeable = False
+    return DecoderTables(
+        codeobj, x_table, z_table, MappingProxyType(block_of),
+        correctable, x_mask, z_trail, flip_blocks,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +325,14 @@ def decode_pipeline(
     """
     opt = options or DecodeOptions()
     n_total = state.n_sites
+    if opt.reference is not None and opt.reference.n_sites != codeobj.n_qubits:
+        raise ValueError(
+            f"options.reference has {opt.reference.n_sites} sites, the code {codeobj.n_qubits}"
+        )
     if opt.mode == "revival":
         if codeobj.n_qubits != n_total:
             raise ValueError("revival mode needs the state on exactly the code qubits")
-        work = codeobj
-        side = opt.trailing_side or "below"
+        tables = decoder_tables(codeobj, "below")
         psi = state.amps
         ref = (opt.reference or encode(codeobj, opt.alpha, opt.beta)).amps
         region_bits = None
@@ -411,18 +343,15 @@ def decode_pipeline(
         if opt.reference is None:
             raise ValueError("general mode needs options.reference for the region")
         psi = _restore_region(state, m, opt.arrival_phase)
-        work = mirror_code(codeobj)
-        side = opt.trailing_side or "above"
+        tables = decoder_tables(mirror_code(codeobj), "above")
         ref = opt.reference.amps
         region_bits = m
     else:
         raise ValueError(f"unknown mode {opt.mode!r}")
 
-    xgens = work.x_detecting_generators
-    zgens = work.z_detecting_generators
-    xtable = _x_decode_table(work)
-    ztable = _z_decode_table(work)
-    m_qubits = work.n_qubits
+    xgens = tables.code.x_detecting_generators
+    zgens = tables.code.z_detecting_generators
+    m_qubits = tables.code.n_qubits
 
     nz = np.nonzero(np.abs(psi) ** 2 > _EXACT_ZERO)[0].astype(np.int64)
     keys = _syndrome_keys_for_indices(xgens, nz)
@@ -454,7 +383,8 @@ def decode_pipeline(
             discarded += p_branch
             continue
         x_out = tuple((key >> g) & 1 for g in range(len(xgens)))
-        flips = xtable.get(key ^ x_frame)
+        x_key = key ^ x_frame
+        flips = tables.x_table.get(x_key)
         if flips is None:
             records.append(
                 BranchRecord(
@@ -463,10 +393,7 @@ def decode_pipeline(
                 )
             )
             continue
-        x_mask = 0
-        for s in flips:
-            x_mask |= 1 << (m_qubits - s)
-        z_mask = _trailing_mask(m_qubits, flips, side)
+        x_mask, z_mask = int(tables.x_mask[x_key]), int(tables.z_trail[x_key])
         corr_x = PauliString(m_qubits, x_mask, z_mask)
         sign = 1.0 - 2.0 * (np.bitwise_count(ind & z_mask) & 1)
         ind2, amp2 = ind ^ x_mask, amp * sign
@@ -490,7 +417,7 @@ def decode_pipeline(
             zkey = 0
             for g, bit in enumerate(z_out):
                 zkey |= bit << g
-            zc_sites = _z_correction_sites(work, ztable.get(zkey ^ z_frame), flips)
+            zc_sites = tables.cross_reference(zkey ^ z_frame, flips)
             if zc_sites is None:
                 records.append(
                     BranchRecord(
@@ -499,7 +426,7 @@ def decode_pipeline(
                     )
                 )
                 continue
-            zc_mask = _sites_to_zmask(m_qubits, zc_sites)
+            zc_mask = mask_of_sites(m_qubits, zc_sites)
             ba_corr = ba * (1.0 - 2.0 * (np.bitwise_count(bi & zc_mask) & 1))
             fid = leaf_overlap(bi, ba_corr) / p_leaf
             records.append(
@@ -528,74 +455,49 @@ def decode_pipeline(
 class RevivalEvaluator:
     """Success probability of the revival-mode pipeline, fully vectorised.
 
-    Precomputes, for every possible bit-flip syndrome key, the correction
-    masks and the block bookkeeping, plus the projected-and-corrected
-    reference vectors for every phase outcome; a decode is then a handful of
+    Reads the per-key correction arrays of decoder_tables(code, "below") and
+    precomputes, for every block class and phase outcome, the
+    projected-and-corrected reference vectors; a decode is then a handful of
     gathers and segment sums.  Agrees with decode_pipeline to roundoff.
     """
 
-    def __init__(self, codeobj: StabilizerCode, alpha: complex, beta: complex,
-                 trailing_side: str = "below"):
+    def __init__(self, codeobj: StabilizerCode, alpha: complex, beta: complex):
         n = codeobj.n_qubits
         self.n_qubits = n
         if codeobj.orientation != "inner-bitflip":
             raise ValueError("evaluator supports the inner-bitflip block codes")
-        xgens = codeobj.x_detecting_generators
         zgens = codeobj.z_detecting_generators
-        n_x, n_z = len(xgens), len(zgens)
-        if n_x > 20 or n_z > 6:
+        n_z = len(zgens)
+        if n_z > 6:
             raise ValueError("evaluator sized for small generator sets")
         for gen in zgens:
             if gen.z_mask or gen.phase != 1:
                 raise ValueError("phase checks must be plain X-type")
+        self.tables = tables = decoder_tables(codeobj, "below")
         dim = 1 << n
         idx = np.arange(dim, dtype=np.int64)
-        self.keys = _syndrome_keys_for_indices(xgens, idx)
+        self.keys = _syndrome_keys_for_indices(codeobj.x_detecting_generators, idx)
 
-        xtable = _x_decode_table(codeobj)
-        ztable = _z_decode_table(codeobj)
-        n_keys = 1 << n_x
-        self.xmask = np.zeros(n_keys, dtype=np.int64)
-        self.ztrail = np.zeros(n_keys, dtype=np.int64)
-        self.correctable = np.zeros(n_keys, dtype=bool)
-        self.flip_blocks = np.zeros(n_keys, dtype=np.int64)  # bitmask over blocks
-        for key, flips in xtable.items():
-            self.correctable[key] = True
-            for s in flips:
-                self.xmask[key] |= 1 << (n - s)
-                for b, blk in enumerate(codeobj.blocks):
-                    if s in blk:
-                        self.flip_blocks[key] |= 1 << b
-            self.ztrail[key] = _trailing_mask(n, flips, trailing_side)
-
-        n_blocks = len(codeobj.blocks)
+        blocks = codeobj.blocks
         n_out = 1 << n_z
-        n_cls = 1 << n_blocks
+        n_cls = 1 << len(blocks)
         # class = bitmask of blocks receiving a Z (representative site each);
         # on these codes the in-block position is a stabilizer choice, so the
         # representative acts on the reference exactly like the flip site
         self.cls_table = np.zeros((n_cls, n_out), dtype=np.int64)
         for fb in range(n_cls):
-            fake_flips = tuple(
-                codeobj.blocks[b][0] for b in range(n_blocks) if fb & (1 << b)
-            )
+            fake_flips = tuple(blk[0] for b, blk in enumerate(blocks) if fb & (1 << b))
             for o in range(n_out):
-                sites = _z_correction_sites(codeobj, ztable.get(o), fake_flips)
-                cls = 0
-                if sites is not None:  # undecodable: score with no correction
-                    for s in sites:
-                        cls |= 1 << _block_of(codeobj, s)
-                self.cls_table[fb, o] = cls
+                # undecodable: score with no correction
+                for s in tables.cross_reference(o, fake_flips) or ():
+                    self.cls_table[fb, o] |= 1 << tables.block_of[s]
 
         ref = encode(codeobj, alpha, beta).amps
         self.ref = ref
         # u[o, cls] = P_o * C2(cls) |ref> with C2 a Z at each class block's first site
         self.u = np.zeros((n_out, n_cls, dim), dtype=complex)
         for cls in range(n_cls):
-            zm = 0
-            for b in range(n_blocks):
-                if cls & (1 << b):
-                    zm |= 1 << (n - codeobj.blocks[b][0])
+            zm = mask_of_sites(n, (blk[0] for b, blk in enumerate(blocks) if cls & (1 << b)))
             v = ref * (1.0 - 2.0 * (np.bitwise_count(idx & zm) & 1))
             for o in range(n_out):
                 w = v
@@ -607,20 +509,21 @@ class RevivalEvaluator:
         self.n_out = n_out
 
     def success(self, psi: np.ndarray) -> float:
+        t = self.tables
         ind = np.nonzero(np.abs(psi) ** 2 > _EXACT_ZERO)[0].astype(np.int64)
         amp = psi[ind]
         k = self.keys[ind]
         uniq, inv = np.unique(k, return_inverse=True)
-        ok = self.correctable[k]
+        ok = t.correctable[k]
         total = 0.0
         # undecodable branches score their raw overlap with the reference
         if not ok.all():
             bad = ~ok
             s = _segment_sum(np.conj(self.ref[ind[bad]]) * amp[bad], inv[bad], uniq.size)
             total += float(np.sum(np.abs(s) ** 2))
-        ind2 = ind ^ self.xmask[k]
-        amp2 = amp * (1.0 - 2.0 * (np.bitwise_count(ind & self.ztrail[k]) & 1))
-        fb = self.flip_blocks[k]
+        ind2 = ind ^ t.x_mask[k]
+        amp2 = amp * (1.0 - 2.0 * (np.bitwise_count(ind & t.z_trail[k]) & 1))
+        fb = t.flip_blocks[k]
         for o in range(self.n_out):
             cls = self.cls_table[fb, o]
             vals = np.conj(self.u[o, cls, ind2]) * amp2
@@ -634,60 +537,3 @@ def _segment_sum(values: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
     re = np.bincount(seg, weights=values.real, minlength=n_seg)
     im = np.bincount(seg, weights=values.imag, minlength=n_seg)
     return re + 1j * im
-
-
-# ---------------------------------------------------------------------------
-# scenario evaluation
-# ---------------------------------------------------------------------------
-
-
-def success_probability(
-    logical: tuple[complex, complex],
-    channel,
-    codeobj: StabilizerCode,
-    spec,
-    options: DecodeOptions | None = None,
-    evolve_method: str = "eig",
-) -> float:
-    """Encode, run one error scenario, decode, and return the success probability.
-
-    `channel` is a noise.ErrorScenario; the chain must match the code size
-    (the revival setup: the state is evolved for twice the transfer time so
-    it returns to its original sites).
-    """
-    from . import noise
-    from .chain import analyze_transfer
-    from .hilbert import evolve, trajectory_sample
-
-    alpha, beta = logical
-    if codeobj.n_qubits != spec.n_sites:
-        raise ValueError("scenario evaluation expects the revival setup (M = N)")
-    opt = replace(options or DecodeOptions(), mode="revival", alpha=alpha, beta=beta)
-    report_t0 = analyze_transfer(spec)
-    total = 2.0 * report_t0.transfer_time
-    psi0 = encode(codeobj, alpha, beta)
-
-    kind = channel.kind
-    if kind == "single_z":
-        psi = noise.inject_single_z(
-            psi0, spec, channel.parameters["site"], channel.parameters["t_err"],
-            channel.parameters.get("total_time", total), method=evolve_method,
-        )
-    elif kind == "timing":
-        psi, _ = noise.timing_offset(
-            psi0, spec, total, channel.parameters["delta"], method=evolve_method
-        )
-    elif kind == "coupling":
-        perturbed, _ = noise.coupling_disorder(
-            spec, channel.parameters["f"], channel.parameters["seed"]
-        )
-        psi = evolve(psi0, perturbed, total, method=evolve_method)
-    elif kind == "dephasing":
-        psi, _ = trajectory_sample(
-            psi0, channel.parameters["gamma"],
-            channel.parameters.get("duration", total),
-            channel.parameters["seed"], spec, method=evolve_method,
-        )
-    else:
-        raise ValueError(f"unknown scenario kind {kind!r}")
-    return decode_pipeline(psi, codeobj, opt).success_probability

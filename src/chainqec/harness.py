@@ -261,7 +261,6 @@ class RevivalSetup:
         if self.prune_below == 0.0:
             return self.evaluator.success(amps), 0.0
         from .decoder import DecodeOptions, decode_pipeline
-        from .hilbert import StateVector
 
         opts = DecodeOptions(
             mode="revival", alpha=self.alpha, beta=self.beta, prune_below=self.prune_below

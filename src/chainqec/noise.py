@@ -1,70 +1,19 @@
 """Error-scenario generators.
 
-Each scenario produces the exact evolved state handed to the decoder:
-a single phase flip injected mid-transfer, a timing offset on the readout,
-a disorder instance of the couplings, or one stochastic dephasing
-trajectory.  Scenarios are reproducible from (kind, parameters, seed).
+Each scenario produces the exact evolved state (or the perturbed chain)
+handed to the decoder: a single phase flip injected mid-transfer, a timing
+offset on the readout, or a disorder instance of the couplings.  One
+stochastic dephasing trajectory is hilbert.trajectory_sample.  Disorder
+instances are reproducible from their seed.
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainSpec, single_excitation_matrix
 from .hilbert import StateVector, apply_pauli, evolve
 from .pauli import PauliString, site_bit
-
-_KINDS = ("single_z", "dephasing", "timing", "coupling")
-
-
-@dataclass(frozen=True)
-class ErrorScenario:
-    kind: str
-    parameters: dict
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "parameters": self.parameters}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ErrorScenario":
-        d = json.loads(text)
-        return cls(d["kind"], d["parameters"])
-
-
-def single_z_scenario(site: int, t_err: float, total_time: float | None = None) -> ErrorScenario:
-    params = {"site": int(site), "t_err": float(t_err)}
-    if total_time is not None:
-        params["total_time"] = float(total_time)
-    return ErrorScenario("single_z", params)
-
-
-def timing_scenario(delta: float) -> ErrorScenario:
-    return ErrorScenario("timing", {"delta": float(delta)})
-
-
-def coupling_scenario(f: float, seed: int) -> ErrorScenario:
-    if not 0 <= f < 1:
-        raise ValueError("disorder fraction must be in [0, 1)")
-    return ErrorScenario("coupling", {"f": float(f), "seed": int(seed)})
-
-
-def dephasing_trajectory_scenario(
-    gamma: float, duration: float | None = None, seed: int = 0
-) -> ErrorScenario:
-    """Descriptor for one Poisson dephasing trajectory (consumed by trajectory_sample)."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    params = {"gamma": float(gamma), "seed": int(seed)}
-    if duration is not None:
-        params["duration"] = float(duration)
-    return ErrorScenario("dephasing", params)
 
 
 def inject_single_z(

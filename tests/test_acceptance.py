@@ -71,7 +71,7 @@ def test_criterion_2_mode_evolution_oracle():
     _report(2, "mode-evolution-oracle", worst <= 1e-10, f"worst max-norm gap = {worst:.3e}")
 
 
-def test_criterion_3_single_z_1024_samples(warm_cache15):
+def test_criterion_3_single_z_1024_samples():
     summary = exp_single_z(samples=1024, seed=0)
     worst = summary.min_success
     _report(
@@ -126,7 +126,7 @@ def test_criterion_6_block_rule_cases(code15, plus_logical15):
     _report(6, "block-rule-cases", ok, ", ".join(f"{k}={v:.12f}" for k, v in cases.items()))
 
 
-def test_criterion_7_timing_sweep(warm_cache15):
+def test_criterion_7_timing_sweep():
     curve = exp_timing(seed=0)
     s = np.array(curve.successes)
     at_zero = abs(s[0] - 1.0) <= 1e-9
@@ -157,7 +157,7 @@ def _coupling_checks(curves) -> tuple[bool, str]:
     return ok, detail
 
 
-def test_criterion_8_coupling_sweep_smoke(warm_cache15):
+def test_criterion_8_coupling_sweep_smoke():
     start = time.monotonic()
     curves = exp_coupling(instances=50, seed=0)
     elapsed = time.monotonic() - start
@@ -170,7 +170,7 @@ def test_criterion_8_coupling_sweep_smoke(warm_cache15):
     os.environ.get("CHAINQEC_FULL_ACCEPTANCE") != "1",
     reason="full 1000-instance sweep: set CHAINQEC_FULL_ACCEPTANCE=1",
 )
-def test_criterion_8_coupling_sweep_full(warm_cache15):
+def test_criterion_8_coupling_sweep_full():
     curves = exp_coupling(instances=1000, seed=0)
     ok, detail = _coupling_checks(curves)
     _report(8, "coupling-sweep-full", ok, detail)

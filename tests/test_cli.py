@@ -39,7 +39,7 @@ def test_error_json_on_failure(capsys):
     assert "nonsense" in err["message"]
 
 
-def test_single_z_cli_json(tmp_path, capsys, warm_cache15):
+def test_single_z_cli_json(tmp_path, capsys):
     rc = main([
         "single-z", "--samples", "4", "--seed", "2",
         "--out", str(tmp_path), "--format", "json",
@@ -58,7 +58,7 @@ def test_single_z_cli_json(tmp_path, capsys, warm_cache15):
     assert "different run" in err["message"]
 
 
-def test_coupling_cli_reports_discarded_mass(tmp_path, capsys, warm_cache15):
+def test_coupling_cli_reports_discarded_mass(tmp_path, capsys):
     rc = main([
         "coupling-sweep", "--grid", "0.05", "--instances", "2", "--prune", "1e-12",
         "--out", str(tmp_path), "--format", "json",
@@ -80,7 +80,7 @@ def test_dephasing_cli(tmp_path, capsys):
     assert payload["max_deviation"] < 1e-6
 
 
-def test_timing_cli_grid_parsing(capsys, warm_cache15):
+def test_timing_cli_grid_parsing(capsys):
     rc = main(["timing-sweep", "--grid", "0:0.01:3", "--format", "json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)

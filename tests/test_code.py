@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,14 @@ def test_minimal15_structure():
     assert symplectic_rank(code.generators) == 14
     assert (code.dx, code.dz) == (5, 3)
     assert code.blocks == (tuple(range(1, 6)), tuple(range(6, 11)), tuple(range(11, 16)))
+
+
+def test_validate_rejects_noncommuting():
+    # X_1 anticommutes with the bit-flip check Z_1 Z_2
+    code = minimal15()
+    bad = replace(code, z_detecting_generators=code.z_detecting_generators + (pauli_x(15, 1),))
+    with pytest.raises(ValueError, match="do not commute"):
+        bad.validate()
 
 
 def test_minimal15_codewords_are_stabilized():

@@ -1,110 +1,123 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainqec import decoder
 from chainqec.chain import analyze_transfer, pst_couplings
-from chainqec.code import encode, shor_code
+from chainqec.code import StabilizerCode, encode, minimal15, shor_code
 from chainqec.decoder import (
     DecodeOptions,
     RevivalEvaluator,
     clean_arrival_frame,
     decode_pipeline,
-    measure_generators,
+    decoder_tables,
     mirror_code,
-    success_probability,
-    x_stage,
-    z_stage,
-    SyndromeBranch,
 )
 from chainqec.freefermion import MajoranaMonomial, fermion_to_pauli, jordan_wigner
-from chainqec.hilbert import StateVector, apply_pauli, basis_state, evolve
-from chainqec.noise import (
-    coupling_scenario,
-    dephasing_trajectory_scenario,
-    inject_single_z,
-    single_z_scenario,
-    timing_scenario,
+from chainqec.harness import RevivalSetup
+from chainqec.hilbert import StateVector, apply_pauli, basis_state, evolve, trajectory_sample
+from chainqec.noise import inject_single_z
+from chainqec.pauli import (
+    PauliString,
+    from_label,
+    from_sites,
+    identity,
+    mask_of_sites,
+    pauli_x,
+    pauli_z,
+    symplectic_rank,
 )
-from chainqec.pauli import from_label, from_sites, pauli_x, pauli_z
 
 T0 = np.pi / 2
+TABLE_CODES = {"minimal15": minimal15(), "shor:2": shor_code(2), "shor:3": shor_code(3)}
 
 
-# --- measure_generators -------------------------------------------------------
+def _options(alpha=1 / np.sqrt(2), beta=1 / np.sqrt(2), **kw):
+    return DecodeOptions(mode="revival", alpha=alpha, beta=beta, **kw)
+
+
+# --- measuring the checks (decode_pipeline branches) ---------------------------
 
 
 def test_measure_stabilizer_eigenstate_single_branch(code15, plus_logical15):
-    branches, discarded = measure_generators(plus_logical15, code15.generators)
-    assert discarded == 0.0
-    assert len(branches) == 1
-    b = branches[0]
-    assert b.outcomes == (0,) * 14
+    report = decode_pipeline(plus_logical15, code15, _options())
+    assert report.discarded_mass == 0.0
+    assert len(report.branches) == 1
+    b = report.branches[0]
+    assert b.x_outcomes + b.z_outcomes == (0,) * 14
     assert b.probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_deterministic_error_syndrome(code15, plus_logical15):
     noisy = apply_pauli(plus_logical15, pauli_x(15, 3))
-    branches, _ = measure_generators(noisy, code15.x_detecting_generators)
-    assert len(branches) == 1
+    report = decode_pipeline(noisy, code15, _options())
     # X_3 anticommutes with Z2Z3 and Z3Z4 (generators 1 and 2 of block one)
-    assert branches[0].outcomes == (0, 1, 1, 0) + (0,) * 8
+    assert {b.x_outcomes for b in report.branches} == {(0, 1, 1, 0) + (0,) * 8}
+    assert sum(b.probability for b in report.branches) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_born_rule():
-    # (|00> + |11>)/sqrt(2): measuring Z1 gives both outcomes at 1/2
-    amps = np.zeros(4, dtype=complex)
-    amps[0b00] = amps[0b11] = 1 / np.sqrt(2)
-    state = StateVector(amps, 2)
-    branches, _ = measure_generators(state, [pauli_z(2, 1)])
-    probs = sorted(b.probability for b in branches)
-    assert probs == [pytest.approx(0.5), pytest.approx(0.5)]
-    mixed = np.sqrt(0.3) * basis_state(2, [1]).amps + np.sqrt(0.7) * basis_state(2).amps
-    branches, _ = measure_generators(StateVector(mixed, 2), [pauli_z(2, 1)])
-    by_out = {b.outcomes: b.probability for b in branches}
-    assert by_out[(0,)] == pytest.approx(0.7)
-    assert by_out[(1,)] == pytest.approx(0.3)
-
-
-def test_measure_rejects_noncommuting():
-    with pytest.raises(ValueError):
-        measure_generators(basis_state(2), [pauli_x(2, 1), pauli_z(2, 1)])
+    # shor_code(2) has one bit-flip check, Z on all four sites: a mix of an
+    # even and an odd basis state splits between its outcomes by the Born rule
+    code = shor_code(2)
+    for p_odd in (0.5, 0.3):
+        amps = np.sqrt(1 - p_odd) * basis_state(4).amps + np.sqrt(p_odd) * basis_state(4, [4]).amps
+        report = decode_pipeline(StateVector(amps, 4), code, _options())
+        by_out = {(0,): 0.0, (1,): 0.0}
+        for b in report.branches:
+            by_out[b.x_outcomes] += b.probability
+        assert by_out[(0,)] == pytest.approx(1 - p_odd)
+        assert by_out[(1,)] == pytest.approx(p_odd)
 
 
 def test_measure_probabilities_sum_to_one():
     rng = np.random.default_rng(41)
     code = shor_code(2)
-    for _ in range(5):
+    for trial in range(6):
         v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         state = StateVector(v / np.linalg.norm(v), 4)
-        branches, discarded = measure_generators(state, code.generators)
-        assert sum(b.probability for b in branches) + discarded == pytest.approx(1.0, abs=1e-12)
+        report = decode_pipeline(state, code, _options(prune_below=0.05 * (trial % 2)))
+        total = sum(b.probability for b in report.branches) + report.discarded_mass
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
-# --- x_stage -------------------------------------------------------------------
+# --- X stage: the bit-flip table and its per-key arrays -------------------------
 
 
-def _branch_with_outcomes(outcomes):
-    return SyndromeBranch(tuple(outcomes), 1.0, basis_state(15))
+def _key(gens, err):
+    """Syndrome key of `err`: bit g set iff it anticommutes with gens[g]."""
+    return sum(1 << g for g, gen in enumerate(gens) if not err.commutes_with(gen))
 
 
-def _x_syndrome(code, sites):
-    err = from_sites(15, xs=sites)
-    return tuple(0 if err.commutes_with(g) else 1 for g in code.x_detecting_generators)
+def _x_stage(code, err, side="below"):
+    """(correction, flips) the tables give for the bit-flip syndrome of `err`."""
+    t = decoder_tables(code, side)
+    key = _key(code.x_detecting_generators, err)
+    flips = t.x_table.get(key)
+    assert t.correctable[key] == (flips is not None)
+    if flips is None:
+        assert t.x_mask[key] == 0 and t.z_trail[key] == 0
+        return None, ()
+    return PauliString(code.n_qubits, int(t.x_mask[key]), int(t.z_trail[key])), flips
 
 
 def test_x_stage_trivial(code15):
-    corr, flips = x_stage(_branch_with_outcomes((0,) * 12), code15)
+    corr, flips = _x_stage(code15, identity(15))
     assert corr.is_identity()
     assert flips == ()
 
 
 def test_x_stage_two_flips_trailing_string(code15):
-    corr, flips = x_stage(_branch_with_outcomes(_x_syndrome(code15, (2, 9))), code15)
+    corr, flips = _x_stage(code15, from_sites(15, xs=(2, 9)))
     assert flips == (2, 9)
     assert corr == from_sites(15, xs=(2, 9), zs=(3, 4, 5, 6, 7, 8))
 
 
 def test_x_stage_single_flip(code15):
-    corr, flips = x_stage(_branch_with_outcomes(_x_syndrome(code15, (5,))), code15)
+    corr, flips = _x_stage(code15, from_sites(15, xs=(5,)))
     assert flips == (5,)
     assert corr == from_sites(15, xs=(5,), zs=(1, 2, 3, 4))
 
@@ -113,65 +126,126 @@ def test_x_stage_inverts_every_mode_string(code15):
     # the correction built from a single flip is exactly the site's mode string
     for k in range(1, 16):
         err = jordan_wigner(k, 15)
-        synd = tuple(0 if err.commutes_with(g) else 1 for g in code15.x_detecting_generators)
-        corr, flips = x_stage(_branch_with_outcomes(synd), code15)
+        corr, flips = _x_stage(code15, err)
         assert flips == (k,)
         prod = corr * err
         assert prod.x_mask == 0 and prod.z_mask == 0
 
 
 def test_x_stage_trailing_side_above(code15):
-    synd = _x_syndrome(code15, (5,))
-    corr, _ = x_stage(_branch_with_outcomes(synd), code15, trailing_side="above")
+    corr, _ = _x_stage(code15, from_sites(15, xs=(5,)), side="above")
     assert corr == from_sites(15, xs=(5,), zs=tuple(range(6, 16)))
 
 
 def test_x_stage_uncorrectable(code15):
     # three flips across blocks: syndrome outside the weight-2 table
-    synd = _x_syndrome(code15, (2, 7, 12))
-    corr, flips = x_stage(_branch_with_outcomes(synd), code15)
+    corr, flips = _x_stage(code15, from_sites(15, xs=(2, 7, 12)))
     assert corr is None and flips == ()
 
 
-# --- z_stage -------------------------------------------------------------------
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("code_id", sorted(TABLE_CODES))
+def test_table_entries_reproduce_their_keys(code_id, side):
+    code = TABLE_CODES[code_id]
+    t = decoder_tables(code, side)
+    n = code.n_qubits
+    for key, flips in t.x_table.items():
+        assert _key(code.x_detecting_generators, from_sites(n, xs=flips)) == key
+        assert t.x_mask[key] == mask_of_sites(n, flips)
+        assert t.flip_blocks[key] == sum({1 << t.block_of[s] for s in flips})
+    for key, sites in t.z_table.items():
+        assert _key(code.z_detecting_generators, from_sites(n, zs=sites)) == key
+    np.testing.assert_array_equal(np.flatnonzero(t.correctable), sorted(t.x_table))
+    for arr in (t.correctable, t.x_mask, t.z_trail, t.flip_blocks):
+        assert not arr.flags.writeable
+    assert decoder_tables(code, side) is t
 
 
-def _z_syndrome(code, zsites):
-    err = from_sites(15, zs=zsites)
-    return tuple(0 if err.commutes_with(g) else 1 for g in code.z_detecting_generators)
+def _pattern(n, distance):
+    """Up to floor((distance-1)/2) distinct sites: an error pattern the code corrects."""
+    return st.lists(st.integers(1, n), max_size=(distance - 1) // 2, unique=True)
+
+
+def _is_stabilizer(code, p):
+    """p adds nothing to the span of the checks (signs aside)."""
+    return symplectic_rank(code.generators + (p,)) == len(code.generators)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    code_id=st.sampled_from(sorted(TABLE_CODES)),
+    side=st.sampled_from(["below", "above"]),
+    data=st.data(),
+)
+def test_drawn_correctable_pattern_decodes_up_to_a_stabilizer(code_id, side, data):
+    code = TABLE_CODES[code_id]
+    t = decoder_tables(code, side)
+    n = code.n_qubits
+    flips = data.draw(_pattern(n, code.dx), "flips")
+    key = _key(code.x_detecting_generators, from_sites(n, xs=flips))
+    assert _is_stabilizer(code, from_sites(n, xs=t.x_table[key]) * from_sites(n, xs=flips))
+    # the trailing string is the Z part of the decoded flips' mode strings,
+    # counted from the side's far end, with the flip sites left out
+    expect = 0
+    for k in t.x_table[key]:
+        expect ^= mask_of_sites(n, range(1, k) if side == "below" else range(k + 1, n + 1))
+    assert t.z_trail[key] == expect & ~int(t.x_mask[key])
+    zs = data.draw(_pattern(n, code.dz), "phase errors")
+    z_key = _key(code.z_detecting_generators, from_sites(n, zs=zs))
+    assert _is_stabilizer(code, from_sites(n, zs=t.z_table[z_key]) * from_sites(n, zs=zs))
+
+
+def test_tables_guard_fires_before_allocation(monkeypatch):
+    # 21 bit-flip checks would need 2^21-entry key arrays
+    n = 22
+    code = StabilizerCode(
+        n_qubits=n,
+        x_detecting_generators=tuple(from_sites(n, zs=(k, k + 1)) for k in range(1, n)),
+        z_detecting_generators=(),
+        logical_x=from_sites(n, xs=range(1, n + 1)),
+        logical_z=pauli_z(n, 1),
+        blocks=(tuple(range(1, n + 1)),),
+        dx=3,
+        dz=1,
+        orientation="inner-bitflip",
+    )
+    monkeypatch.setattr(decoder, "np", None)  # any array call would fail differently
+    with pytest.raises(ValueError, match="at most 20"):
+        decoder_tables(code, "below")
+    with pytest.raises(ValueError, match="at most 20"):
+        RevivalEvaluator(code, 1.0, 0.0)
+
+
+# --- Z stage: the phase table and the cross-reference rule ----------------------
+
+
+def _z_key(code, zsites):
+    return _key(code.z_detecting_generators, from_sites(code.n_qubits, zs=zsites))
 
 
 def test_z_stage_trivial(code15):
-    corr = z_stage(SyndromeBranch((0, 0), 1.0, basis_state(15)), code15, ())
-    assert corr.is_identity()
+    assert decoder_tables(code15, "below").cross_reference(0, ()) == ()
 
 
 def test_z_stage_single_z_block2(code15):
-    synd = _z_syndrome(code15, (7,))
-    assert synd == (1, 1)
-    corr = z_stage(SyndromeBranch(synd, 1.0, basis_state(15)), code15, ())
-    sites = corr.sites()
+    key = _z_key(code15, (7,))
+    assert key == 0b11
+    sites = decoder_tables(code15, "below").cross_reference(key, ())
     assert len(sites) == 1 and sites[0] in code15.blocks[1]
 
 
 def test_z_stage_cross_reference(code15):
     # phase syndrome points at block 3 but the flips sat in blocks 1 and 2
-    synd = _z_syndrome(code15, (12,))
-    corr = z_stage(SyndromeBranch(synd, 1.0, basis_state(15)), code15, (2, 9))
-    assert corr == from_sites(15, zs=(2, 9))
+    sites = decoder_tables(code15, "below").cross_reference(_z_key(code15, (12,)), (2, 9))
+    assert sites == (2, 9)
 
 
 def test_z_stage_no_cross_reference_when_block_has_flip(code15):
-    synd = _z_syndrome(code15, (7,))
-    corr = z_stage(SyndromeBranch(synd, 1.0, basis_state(15)), code15, (7,))
-    assert corr == from_sites(15, zs=(7,))
+    sites = decoder_tables(code15, "below").cross_reference(_z_key(code15, (7,)), (7,))
+    assert sites == (7,)
 
 
 # --- decode_pipeline: revival mode ----------------------------------------------
-
-
-def _options(alpha=1 / np.sqrt(2), beta=1 / np.sqrt(2), **kw):
-    return DecodeOptions(mode="revival", alpha=alpha, beta=beta, **kw)
 
 
 def test_pipeline_clean_state(code15, plus_logical15):
@@ -216,6 +290,20 @@ def test_pipeline_corrects_every_two_mode_monomial(code15, plus_logical15):
         assert report.success_probability >= 1 - 1e-9, (a, b)
 
 
+def test_single_mode_errors_corrected_for_any_logical_state(code15):
+    # one Majorana mode is parity-odd: only here does the side of the trailing
+    # string matter, and the wrong side leaves a logical X, which a state other
+    # than |+_L> exposes
+    alpha, beta = 0.6, 0.8j
+    psi0 = encode(code15, alpha, beta)
+    ev = RevivalEvaluator(code15, alpha, beta)
+    for mode in range(1, 31):
+        noisy = apply_pauli(psi0, jordan_wigner(mode, 15))
+        report = decode_pipeline(noisy, code15, _options(alpha, beta))
+        assert report.success_probability == pytest.approx(1.0, abs=1e-12), mode
+        assert ev.success(noisy.amps) == pytest.approx(1.0, abs=1e-12), mode
+
+
 def test_pipeline_deterministic(code15, plus_logical15):
     noisy = apply_pauli(plus_logical15, from_label("+" + "I" * 6 + "Y" + "I" * 8))
     r1 = decode_pipeline(noisy, code15, _options())
@@ -258,8 +346,6 @@ def test_pipeline_prune_reports_discarded(code15, chain15, plus_logical15, warm_
 
 
 def test_pipeline_json_schema(code15, plus_logical15):
-    import json
-
     report = decode_pipeline(plus_logical15, code15, _options())
     payload = json.loads(report.to_json())
     assert set(payload) == {"success_probability", "discarded_mass", "metric", "branches"}
@@ -365,6 +451,17 @@ def test_general_mode_detects_injected_error():
     assert any(not b.corrected for b in report.branches)
 
 
+def test_pipeline_rejects_reference_of_wrong_size(code15, plus_logical15):
+    # revival: a 16-qubit reference for the 15-qubit code
+    with pytest.raises(ValueError, match="reference"):
+        decode_pipeline(plus_logical15, code15, _options(reference=basis_state(16)))
+    # general: a chain-sized reference instead of the 4-qubit region
+    code, spec, joint = _general_setup()
+    arrived = evolve(joint, spec, analyze_transfer(spec).transfer_time)
+    with pytest.raises(ValueError, match="reference"):
+        decode_pipeline(arrived, code, DecodeOptions(mode="general", reference=basis_state(6)))
+
+
 def test_pipeline_honest_beyond_capability(code15, plus_logical15):
     # three flips alias a lighter syndrome or get flagged; either way the
     # report stays a valid probability account and the success is honest
@@ -400,21 +497,20 @@ def test_mirror_code_structure(code15):
     assert again.x_detecting_generators == code15.x_detecting_generators
 
 
-# --- success_probability ----------------------------------------------------------
+# --- success probability end to end: RevivalSetup and trajectories -------------
 
 
-def test_success_probability_noiseless(code15, chain15, warm_cache15):
-    val = success_probability(
-        (1 / np.sqrt(2), 1 / np.sqrt(2)), timing_scenario(0.0), code15, chain15
-    )
-    assert val == pytest.approx(1.0, abs=1e-9)
+def test_success_probability_noiseless(code15, chain15):
+    setup = RevivalSetup(chain15, code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    success, discarded = setup.success_timing([0.0])
+    assert success[0] == pytest.approx(1.0, abs=1e-9)
+    assert discarded[0] == 0.0
 
 
-def test_success_probability_single_z_input_independent(code15, chain15, warm_cache15):
+def test_success_probability_single_z_input_independent(code15, chain15):
     s = 1 / np.sqrt(2)
-    scn = single_z_scenario(6, 1.1)
     vals = [
-        success_probability(logical, scn, code15, chain15)
+        RevivalSetup(chain15, code15, *logical).success_single_z([6], [1.1])[0][0]
         for logical in [(1, 0), (0, 1), (s, s), (s, 1j * s)]
     ]
     for v in vals:
@@ -422,22 +518,21 @@ def test_success_probability_single_z_input_independent(code15, chain15, warm_ca
     assert max(vals) - min(vals) < 1e-9
 
 
-def test_success_probability_timing_between_zero_and_one(code15, chain15, warm_cache15):
-    val = success_probability(
-        (1 / np.sqrt(2), 1 / np.sqrt(2)), timing_scenario(0.3 / 14), code15, chain15
-    )
+def test_success_probability_timing_between_zero_and_one(code15, chain15):
+    setup = RevivalSetup(chain15, code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    val = setup.success_timing([0.3 / 14])[0][0]
     assert 0.0 < val < 1.0
 
 
-def test_success_probability_coupling_reproducible(code15, chain15, warm_cache15):
-    scn = coupling_scenario(0.02, seed=11)
-    a = success_probability((1, 0), scn, code15, chain15, evolve_method="givens")
-    b = success_probability((1, 0), scn, code15, chain15, evolve_method="givens")
+def test_success_probability_coupling_reproducible(code15, chain15):
+    setup = RevivalSetup(chain15, code15, 1, 0)
+    a = setup.success_coupling_instance(0.02, 11)[0]
+    b = setup.success_coupling_instance(0.02, 11)[0]
     assert a == b
     assert 0.0 < a <= 1.0
 
 
-def test_success_probability_dephasing_trajectory(code15, chain15, warm_cache15):
-    scn = dephasing_trajectory_scenario(0.002, seed=3)
-    val = success_probability((1 / np.sqrt(2), 1 / np.sqrt(2)), scn, code15, chain15)
+def test_success_probability_dephasing_trajectory(code15, chain15, plus_logical15):
+    psi, _ = trajectory_sample(plus_logical15, 0.002, 2 * T0, 3, chain15, method="givens")
+    val = decode_pipeline(psi, code15, _options()).success_probability
     assert 0.0 <= val <= 1.0 + 1e-12

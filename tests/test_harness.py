@@ -54,7 +54,7 @@ def test_make_code():
 # --- single-z ------------------------------------------------------------------
 
 
-def test_single_z_small_run_all_perfect(warm_cache15):
+def test_single_z_small_run_all_perfect():
     summary = exp_single_z(samples=12, seed=7)
     assert len(summary.successes) == 12
     assert summary.min_success >= 1 - 1e-8
@@ -67,7 +67,7 @@ def test_single_z_zero_samples():
     assert np.isnan(summary.min_success)
 
 
-def test_single_z_fixed_case(warm_cache15):
+def test_single_z_fixed_case():
     # site 8 at exactly the transfer time
     from chainqec.harness import RevivalSetup
 
@@ -78,18 +78,21 @@ def test_single_z_fixed_case(warm_cache15):
 
 
 def test_setup_engine_matches_success_probability(code15, chain15, warm_cache15):
-    # the one-mode sample path and the scenario API (eig evolution) agree
-    from chainqec.decoder import success_probability
-    from chainqec.harness import RevivalSetup
-    from chainqec.noise import single_z_scenario
+    # the one-mode sample path against eig evolution plus the branch pipeline
+    from chainqec.decoder import DecodeOptions, decode_pipeline
+    from chainqec.noise import inject_single_z
 
     logical = (1 / np.sqrt(2), 1 / np.sqrt(2))
     setup = RevivalSetup(chain15, code15, *logical)
+    opts = DecodeOptions(mode="revival", alpha=logical[0], beta=logical[1])
     cases = [(4, 0.31), (13, 2.9)]
     fast, _ = setup.success_single_z(*zip(*cases))
     for (site, t_err), got in zip(cases, fast):
-        api = success_probability(logical, single_z_scenario(site, t_err), code15, chain15)
-        assert got == pytest.approx(api, abs=1e-11)
+        noisy = inject_single_z(
+            setup.encoded, chain15, site, t_err, setup.duration, method="eig"
+        )
+        want = decode_pipeline(noisy, code15, opts).success_probability
+        assert got == pytest.approx(want, abs=1e-11)
 
 
 def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15, warm_cache15):
@@ -166,7 +169,7 @@ def test_setups_share_one_read_only_evaluator(code15, chain15):
     assert RevivalSetup(chain15, code15, 1.0, 0.0).evaluator is not a.evaluator
 
 
-def test_single_z_csv_and_resume(tmp_path, warm_cache15):
+def test_single_z_csv_and_resume(tmp_path):
     full_dir = tmp_path / "full"
     part_dir = tmp_path / "part"
     exp_single_z(samples=6, seed=3, out_dir=str(part_dir))  # "interrupted" prefix run
@@ -184,7 +187,7 @@ def test_single_z_csv_and_resume(tmp_path, warm_cache15):
     assert "version" in manifest
 
 
-def test_single_z_resume_across_chunk_boundary(tmp_path, warm_cache15):
+def test_single_z_resume_across_chunk_boundary(tmp_path):
     # 70 samples span two evaluation chunks; an interruption after 37 points
     # re-chunks the rest, and the CSV must not notice
     full_dir = tmp_path / "full"
@@ -199,7 +202,7 @@ def test_single_z_resume_across_chunk_boundary(tmp_path, warm_cache15):
     assert (part_dir / "points.jsonl").read_bytes() == (full_dir / "points.jsonl").read_bytes()
 
 
-def test_single_z_resume_refuses_other_seed(tmp_path, warm_cache15):
+def test_single_z_resume_refuses_other_seed(tmp_path):
     exp_single_z(samples=3, seed=1, out_dir=str(tmp_path))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(ValueError, match="different run"):
@@ -207,7 +210,7 @@ def test_single_z_resume_refuses_other_seed(tmp_path, warm_cache15):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def test_single_z_pruned_mass_reported(tmp_path, warm_cache15):
+def test_single_z_pruned_mass_reported(tmp_path):
     summary = exp_single_z(samples=6, seed=0, out_dir=str(tmp_path), prune_below=1e-12)
     lines = (tmp_path / "points.jsonl").read_text().splitlines()
     recs = [json.loads(line) for line in lines]
@@ -234,20 +237,20 @@ def test_single_z_resume_refuses_older_version(tmp_path):
 # --- timing --------------------------------------------------------------------
 
 
-def test_timing_zero_delta_and_monotone_smallness(warm_cache15):
+def test_timing_zero_delta_and_monotone_smallness():
     curve = exp_timing(delta_grid=(0.0, 0.005, 0.01), seed=0)
     assert curve.successes[0] == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(curve.smallness, [0.0, 0.07, 0.14], atol=1e-12)
     assert curve.successes[1] >= curve.successes[2]
 
 
-def test_timing_symmetric_in_delta(warm_cache15):
+def test_timing_symmetric_in_delta():
     plus = exp_timing(delta_grid=(0.01,), seed=0).successes[0]
     minus = exp_timing(delta_grid=(-0.01,), seed=0).successes[0]
     assert plus == pytest.approx(minus, abs=1e-9)
 
 
-def test_timing_quartic_onset(warm_cache15):
+def test_timing_quartic_onset():
     # leading failure probability grows as the fourth power of the offset
     deltas = (0.004, 0.008, 0.016, 0.032)
     curve = exp_timing(delta_grid=deltas, seed=0)
@@ -256,7 +259,7 @@ def test_timing_quartic_onset(warm_cache15):
     assert slope >= 3.5
 
 
-def test_timing_with_pruning_close_to_exact(warm_cache15):
+def test_timing_with_pruning_close_to_exact():
     exact = exp_timing(delta_grid=(0.02,), seed=0).successes[0]
     pruned = exp_timing(delta_grid=(0.02,), seed=0, prune_below=1e-7).successes[0]
     assert pruned <= exact + 1e-12
@@ -270,7 +273,7 @@ def test_default_timing_grid():
     np.testing.assert_allclose(grid[-1], 0.1 * np.pi / 2)
 
 
-def test_timing_resume_refuses_other_grid(tmp_path, warm_cache15):
+def test_timing_resume_refuses_other_grid(tmp_path):
     exp_timing(delta_grid=(0.0, 0.1), seed=0, out_dir=str(tmp_path))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(ValueError, match="different run"):
@@ -278,7 +281,7 @@ def test_timing_resume_refuses_other_grid(tmp_path, warm_cache15):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def test_timing_csv(tmp_path, warm_cache15):
+def test_timing_csv(tmp_path):
     exp_timing(delta_grid=(0.0, 0.01), seed=0, out_dir=str(tmp_path))
     lines = (tmp_path / "timing.csv").read_text().splitlines()
     assert lines[0] == "delta_t,delta_t_times_lambda_max,success_probability"
@@ -290,14 +293,14 @@ def test_timing_csv(tmp_path, warm_cache15):
 # --- coupling ------------------------------------------------------------------
 
 
-def test_coupling_noiseless_point(warm_cache15):
+def test_coupling_noiseless_point():
     curves = exp_coupling(f_grid=(0.0,), instances=3, seed=0)
     assert curves.mean_success[0] == pytest.approx(1.0, abs=1e-9)
     assert curves.min_success[0] == pytest.approx(1.0, abs=1e-9)
     assert curves.zeta_max_mean[0] == 0.0
 
 
-def test_coupling_min_below_mean_and_reproducible(warm_cache15):
+def test_coupling_min_below_mean_and_reproducible():
     a = exp_coupling(f_grid=(0.03, 0.08), instances=6, seed=5)
     b = exp_coupling(f_grid=(0.03, 0.08), instances=6, seed=5)
     assert a.mean_success == b.mean_success
@@ -305,7 +308,7 @@ def test_coupling_min_below_mean_and_reproducible(warm_cache15):
         assert mn <= mean + 1e-12
 
 
-def test_coupling_csv_deterministic(tmp_path, warm_cache15):
+def test_coupling_csv_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     exp_coupling(f_grid=(0.0, 0.05), instances=4, seed=9, out_dir=str(d1))
     exp_coupling(f_grid=(0.0, 0.05), instances=4, seed=9, out_dir=str(d2))
@@ -314,7 +317,7 @@ def test_coupling_csv_deterministic(tmp_path, warm_cache15):
     assert header == "f,mean_success,min_success,zeta_max_mean"
 
 
-def test_coupling_pruned_mass_reported(tmp_path, warm_cache15):
+def test_coupling_pruned_mass_reported(tmp_path):
     curves = exp_coupling(
         f_grid=(0.0, 0.05), instances=3, seed=2, out_dir=str(tmp_path), prune_below=1e-12
     )
@@ -327,7 +330,7 @@ def test_coupling_pruned_mass_reported(tmp_path, warm_cache15):
     assert header == "f,mean_success,min_success,zeta_max_mean"
 
 
-def test_coupling_resume_refuses_older_version(tmp_path, warm_cache15):
+def test_coupling_resume_refuses_older_version(tmp_path):
     # 0.2.0 coupling records lack discarded_mass and differ in their last digits
     exp_coupling(f_grid=(0.0,), instances=1, seed=0, out_dir=str(tmp_path))
     manifest = json.loads((tmp_path / "manifest.json").read_text())

@@ -3,18 +3,15 @@ import pytest
 
 from chainqec.chain import ChainSpec, pst_couplings, single_excitation_matrix
 from chainqec.freefermion import mode_propagator_for, pauli_to_fermion, propagate
-from chainqec.hilbert import StateVector, apply_pauli, basis_state, evolve, fidelity
-from chainqec.noise import (
-    ErrorScenario,
-    coupling_disorder,
-    coupling_scenario,
-    dephasing_trajectory_scenario,
-    disordered_spec,
-    inject_single_z,
-    single_z_scenario,
-    timing_offset,
-    timing_scenario,
+from chainqec.hilbert import (
+    StateVector,
+    apply_pauli,
+    basis_state,
+    evolve,
+    fidelity,
+    trajectory_sample,
 )
+from chainqec.noise import coupling_disorder, disordered_spec, inject_single_z, timing_offset
 from chainqec.pauli import pauli_z
 
 
@@ -23,24 +20,12 @@ def random_state(rng, n):
     return StateVector(v / np.linalg.norm(v), n)
 
 
-def test_scenario_json_roundtrip():
-    for scn in [
-        single_z_scenario(3, 0.7, 2.0),
-        timing_scenario(0.01),
-        coupling_scenario(0.05, 9),
-        dephasing_trajectory_scenario(0.1, 3.0, 4),
-    ]:
-        again = ErrorScenario.from_json(scn.to_json())
-        assert again == scn
-
-
 def test_scenario_validation():
+    spec = pst_couplings(3)
     with pytest.raises(ValueError):
-        ErrorScenario("flux_noise", {})
+        coupling_disorder(spec, 1.5, 0)
     with pytest.raises(ValueError):
-        coupling_scenario(1.5, 0)
-    with pytest.raises(ValueError):
-        dephasing_trajectory_scenario(-0.1)
+        trajectory_sample(basis_state(3), -0.1, 1.0, 0, spec)
 
 
 def test_inject_single_z_at_end_is_plain_z():
@@ -162,17 +147,11 @@ def test_single_z_time_sweep_always_corrected(code15, chain15, plus_logical15, w
         assert report.success_probability >= 1 - 1e-9, t_err
 
 
-def test_coupling_success_converges_as_disorder_vanishes(code15, chain15, warm_cache15):
-    from chainqec.decoder import success_probability
+def test_coupling_success_converges_as_disorder_vanishes(code15, chain15):
+    from chainqec.harness import RevivalSetup
 
-    logical = (1 / np.sqrt(2), 1 / np.sqrt(2))
-    vals = [
-        success_probability(
-            logical, coupling_scenario(f, seed=3), code15, chain15,
-            evolve_method="givens",
-        )
-        for f in (3e-3, 1e-3, 3e-4)
-    ]
+    setup = RevivalSetup(chain15, code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    vals = [setup.success_coupling_instance(f, 3)[0] for f in (3e-3, 1e-3, 3e-4)]
     assert all(np.diff(vals) > 0) or vals[-1] > 1 - 1e-5
     assert vals[-1] > 1 - 1e-4
 
@@ -181,8 +160,6 @@ def test_trajectory_region_errors_match_mode_estimate():
     # each jump errors two fermionic modes, so for small rates the expected
     # fermionic-error count on an M-site region approaches 2M * p_mode
     from chainqec.freefermion import chi_decay
-    from chainqec.hilbert import basis_state, trajectory_sample
-
     spec = pst_couplings(4)
     psi = basis_state(4)
     gamma, duration, m_region = 0.01, 1.5, 2

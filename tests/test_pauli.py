@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainqec.pauli import (
     PauliString,
@@ -38,12 +40,26 @@ def random_pauli(rng, n):
     )
 
 
-def test_multiplication_matches_dense():
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        n = int(rng.integers(1, 5))
-        a, b = random_pauli(rng, n), random_pauli(rng, n)
-        assert np.allclose((a * b).dense(), a.dense() @ b.dense(), atol=1e-12)
+@st.composite
+def pauli_strings(draw, n):
+    return PauliString(
+        n,
+        draw(st.integers(0, (1 << n) - 1)),
+        draw(st.integers(0, (1 << n) - 1)),
+        draw(st.sampled_from([1, -1, 1j, -1j])),
+    )
+
+
+@st.composite
+def pauli_pairs(draw):
+    n = draw(st.integers(1, 4))
+    return draw(pauli_strings(n)), draw(pauli_strings(n))
+
+
+@given(pauli_pairs())
+def test_multiplication_matches_dense(pair):
+    a, b = pair
+    assert np.allclose((a * b).dense(), a.dense() @ b.dense(), atol=1e-12)
 
 
 def test_square_is_plus_minus_identity():
@@ -55,13 +71,11 @@ def test_square_is_plus_minus_identity():
         assert np.allclose(sq, np.eye(1 << n)) or np.allclose(sq, -np.eye(1 << n))
 
 
-def test_commutes_with_matches_dense():
-    rng = np.random.default_rng(13)
-    for _ in range(60):
-        n = int(rng.integers(1, 5))
-        a, b = random_pauli(rng, n), random_pauli(rng, n)
-        comm = a.dense() @ b.dense() - b.dense() @ a.dense()
-        assert a.commutes_with(b) == bool(np.allclose(comm, 0, atol=1e-12))
+@given(pauli_pairs())
+def test_commutes_with_matches_dense(pair):
+    a, b = pair
+    comm = a.dense() @ b.dense() - b.dense() @ a.dense()
+    assert a.commutes_with(b) == bool(np.allclose(comm, 0, atol=1e-12))
 
 
 def test_adjoint_matches_dense():
