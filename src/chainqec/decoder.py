@@ -52,14 +52,12 @@ class CorrectionReport:
     branches: list[BranchRecord]
     success_probability: float
     discarded_mass: float
-    metric: str
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "success_probability": self.success_probability,
                 "discarded_mass": self.discarded_mass,
-                "metric": self.metric,
                 "branches": [
                     {
                         "x_outcomes": "".join(map(str, b.x_outcomes)),
@@ -82,8 +80,6 @@ class DecodeOptions:
     beta: complex = 1 / np.sqrt(2)
     prune_below: float = 0.0
     reference: StateVector | None = None  # expected state of the code qubits
-    success_metric: str = "fidelity"  # or "threshold"
-    threshold_eps: float = 1e-6
     # general mode: each excitation reaching the far end carries the chain's
     # known arrival phase (TransferReport.global_phase); the receiver undoes
     # it per region excitation along with the controlled-phase network
@@ -436,15 +432,8 @@ def decode_pipeline(
                 )
             )
 
-    if opt.success_metric == "fidelity":
-        success = float(sum(b.probability * b.fidelity for b in records))
-    elif opt.success_metric == "threshold":
-        success = float(
-            sum(b.probability for b in records if b.fidelity >= 1 - opt.threshold_eps)
-        )
-    else:
-        raise ValueError(f"unknown metric {opt.success_metric!r}")
-    return CorrectionReport(records, success, discarded, opt.success_metric)
+    success = float(sum(b.probability * b.fidelity for b in records))
+    return CorrectionReport(records, success, discarded)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Error-scenario generators.
 
 Each scenario produces the exact evolved state (or the perturbed chain)
-handed to the decoder: a single phase flip injected mid-transfer, a timing
-offset on the readout, or a disorder instance of the couplings.  One
-stochastic dephasing trajectory is hilbert.trajectory_sample.  Disorder
-instances are reproducible from their seed.
+handed to the decoder: a single phase flip injected mid-transfer or a
+disorder instance of the couplings.  A timing offset on the readout is
+hilbert.evolve to the shifted time, and one stochastic dephasing trajectory
+is hilbert.trajectory_sample.  Disorder instances are reproducible from
+their seed.
 """
 
 from __future__ import annotations
@@ -34,40 +35,21 @@ def inject_single_z(
     return evolve(psi, spec, total_time - t_err, method=method)
 
 
-def timing_offset(
-    state: StateVector, spec: ChainSpec, nominal: float, delta: float, method: str = "eig"
-) -> tuple[StateVector, float]:
-    """Evolve for nominal + delta; also report |delta| * lambda_max.
-
-    The report is the caller's handle on the perturbative condition: the
-    offset is a small error only while it is well below 1.
-    """
-    lam_max = float(np.max(np.abs(np.linalg.eigvalsh(single_excitation_matrix(spec)))))
-    psi = evolve(state, spec, nominal + delta, method=method)
-    return psi, abs(delta) * lam_max
-
-
 def coupling_disorder(spec: ChainSpec, f: float, rng_seed: int) -> tuple[ChainSpec, float]:
     """Multiply each coupling by an independent uniform draw from [1-f, 1+f].
 
-    Fields are left untouched (pass through perturb_fields=True on
-    disordered_spec for exploratory runs).  Returns the perturbed spec and
-    the largest singular value of the single-excitation perturbation.
+    Fields are left untouched.  Returns the perturbed spec and the largest
+    singular value of the single-excitation perturbation.
     """
-    return disordered_spec(spec, f, rng_seed, perturb_fields=False)
+    return disordered_spec(spec, f, rng_seed)
 
 
-def disordered_spec(
-    spec: ChainSpec, f: float, rng_seed: int, perturb_fields: bool = False
-) -> tuple[ChainSpec, float]:
+def disordered_spec(spec: ChainSpec, f: float, rng_seed: int) -> tuple[ChainSpec, float]:
     if not 0 <= f < 1:
         raise ValueError("disorder fraction must be in [0, 1)")
     rng = np.random.Generator(np.random.Philox(key=[int(rng_seed) & (2**64 - 1), 1]))
     js = np.array(spec.couplings) * rng.uniform(1 - f, 1 + f, spec.n_sites - 1)
-    bs = np.array(spec.fields)
-    if perturb_fields:
-        bs = bs * rng.uniform(1 - f, 1 + f, spec.n_sites)
-    perturbed = ChainSpec(spec.n_sites, tuple(js), tuple(bs))
+    perturbed = ChainSpec(spec.n_sites, tuple(js), spec.fields)
     dh = single_excitation_matrix(perturbed) - single_excitation_matrix(spec)
     zeta_max = float(np.max(np.abs(np.linalg.eigvalsh(dh)))) if spec.n_sites else 0.0
     return perturbed, zeta_max

@@ -80,6 +80,15 @@ def test_dephasing_cli(tmp_path, capsys):
     assert payload["max_deviation"] < 1e-6
 
 
+def test_dephasing_cli_rejects_non_finite_gamma(tmp_path, capsys):
+    rc = main(["dephasing", "--pst", "3", "--gammas", "nan", "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "finite" in err["message"]
+    assert not (tmp_path / "dephasing.csv").exists()
+
+
 def test_timing_cli_grid_parsing(capsys):
     rc = main(["timing-sweep", "--grid", "0:0.01:3", "--format", "json"])
     assert rc == 0

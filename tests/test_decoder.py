@@ -324,17 +324,6 @@ def test_pipeline_single_z_mid_transfer(code15, chain15, plus_logical15, warm_ca
     assert report.success_probability >= 1 - 1e-9
 
 
-def test_pipeline_threshold_metric(code15, chain15, plus_logical15, warm_cache15):
-    psi = evolve(plus_logical15, chain15, 2 * T0 + 0.02)
-    fid_report = decode_pipeline(psi, code15, _options())
-    thr_report = decode_pipeline(psi, code15, _options(success_metric="threshold"))
-    assert 0 < thr_report.success_probability <= 1
-    # counting metric cannot exceed the fidelity-weighted one by construction here
-    assert thr_report.success_probability == pytest.approx(
-        sum(b.probability for b in fid_report.branches if b.fidelity >= 1 - 1e-6), abs=1e-12
-    )
-
-
 def test_pipeline_prune_reports_discarded(code15, chain15, plus_logical15, warm_cache15):
     psi = evolve(plus_logical15, chain15, 2 * T0 + 0.05)
     report = decode_pipeline(psi, code15, _options(prune_below=1e-6))
@@ -348,7 +337,7 @@ def test_pipeline_prune_reports_discarded(code15, chain15, plus_logical15, warm_
 def test_pipeline_json_schema(code15, plus_logical15):
     report = decode_pipeline(plus_logical15, code15, _options())
     payload = json.loads(report.to_json())
-    assert set(payload) == {"success_probability", "discarded_mass", "metric", "branches"}
+    assert set(payload) == {"success_probability", "discarded_mass", "branches"}
     assert payload["branches"][0]["correction"].startswith("+")
 
 
@@ -533,6 +522,6 @@ def test_success_probability_coupling_reproducible(code15, chain15):
 
 
 def test_success_probability_dephasing_trajectory(code15, chain15, plus_logical15):
-    psi, _ = trajectory_sample(plus_logical15, 0.002, 2 * T0, 3, chain15, method="givens")
+    psi, _ = trajectory_sample(plus_logical15, 0.002, 2 * T0, 3, chain15)
     val = decode_pipeline(psi, code15, _options()).success_probability
     assert 0.0 <= val <= 1.0 + 1e-12

@@ -355,11 +355,11 @@ def test_dephasing_small_chain_closed_form():
     assert report.max_deviation[0] < 1e-6
 
 
-def test_dephasing_step_order():
-    # fourth-order scheme: halving the step cuts the defect by >= 8x
-    coarse = exp_dephasing(n_sites=3, gamma_grid=(0.2,), time_points=3, step=0.02)
-    fine = exp_dephasing(n_sites=3, gamma_grid=(0.2,), time_points=3, step=0.01)
-    assert coarse.max_deviation[0] / fine.max_deviation[0] >= 8.0
+def test_dephasing_nan_coherence_is_reported(monkeypatch):
+    # max(0.0, nan) is 0.0: a fold through max() would report a perfect check
+    monkeypatch.setattr("chainqec.harness.chi", lambda rho, spec, m, t: np.nan if t else 1.0)
+    report = exp_dephasing(n_sites=3, gamma_grid=(0.1,), time_points=3)
+    assert np.isnan(report.max_deviation[0])
 
 
 def test_dephasing_guard():

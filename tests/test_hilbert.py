@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainqec.chain import ChainSpec, pst_couplings
 from chainqec.errors import ResourceLimitError
@@ -253,11 +256,77 @@ def test_lindblad_preserves_trace_and_hermiticity():
     assert np.abs(rho.mat - rho.mat.conj().T).max() < 1e-8
 
 
-def test_lindblad_guard():
+def _unbuilt(spec):
+    pytest.fail("Hamiltonian built before the guard")
+
+
+def test_lindblad_guard(monkeypatch):
+    # the refusal fires before the Hamiltonian or the Liouvillian is built
+    monkeypatch.setattr("chainqec.hilbert.dense_hamiltonian", _unbuilt)
     spec = pst_couplings(9)
     rho = DensityMatrix(np.eye(512) / 512, 9)
     with pytest.raises(ResourceLimitError):
         lindblad_evolve(rho, spec, 0.1, 0.1)
+
+
+def test_lindblad_rejects_non_finite_and_negative(monkeypatch):
+    monkeypatch.setattr("chainqec.hilbert.dense_hamiltonian", _unbuilt)
+    spec = pst_couplings(3)
+    rho = from_density(basis_state(3, [1]))
+    for gamma, t in ((np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            lindblad_evolve(rho, spec, gamma, t)
+    with pytest.raises(ValueError, match="gamma"):
+        lindblad_evolve(rho, spec, -0.1, 1.0)
+    with pytest.raises(ValueError, match="t must"):
+        lindblad_evolve(rho, spec, 0.1, -1.0)
+
+
+_PAULI = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0 + 0j, -1.0]),
+}
+
+
+def _on_sites(n, ops):
+    """Dense product of single-qubit Paulis {site: label}; qubit 1 is the most significant."""
+    out = np.eye(1)
+    for site in range(1, n + 1):
+        out = np.kron(out, _PAULI[ops[site]] if site in ops else np.eye(2))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    data=st.data(),
+    gamma=st.floats(0.0, 0.5),
+    t=st.floats(0.0, 2.0),
+)
+def test_lindblad_matches_pauli_built_superoperator(n, data, gamma, t):
+    # independent oracle: H and the jump terms from Pauli products, the
+    # row-major superoperator from them, dense Pade expm
+    js = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=n - 1, max_size=n - 1))
+    bs = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    spec = ChainSpec(n, tuple(js), tuple(bs))
+    dim = 1 << n
+    eye = np.eye(dim)
+    h = sum(
+        js[k - 1] * (_on_sites(n, {k: "X", k + 1: "X"}) + _on_sites(n, {k: "Y", k + 1: "Y"})) / 2
+        for k in range(1, n)
+    ) + sum(bs[k - 1] * (eye - _on_sites(n, {k: "Z"})) / 2 for k in range(1, n + 1))
+    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + gamma * sum(
+        np.kron(_on_sites(n, {k: "Z"}), _on_sites(n, {k: "Z"})) - np.eye(dim * dim)
+        for k in range(1, n + 1)
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho0 = g @ g.conj().T
+    rho0 /= np.trace(rho0)
+    want = (scipy.linalg.expm(sup * t) @ rho0.ravel()).reshape(dim, dim)
+    got = lindblad_evolve(DensityMatrix(rho0, n), spec, gamma, t).mat
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_chi_initial_values():
