@@ -119,9 +119,7 @@ def _uniform_gap(evals: np.ndarray, rel_tol: float = 1e-8) -> float | None:
     return None
 
 
-def analyze_transfer(
-    spec: ChainSpec, tolerance: float = 1e-10, window: float | None = None
-) -> TransferReport:
+def analyze_transfer(spec: ChainSpec, tolerance: float = 1e-10) -> TransferReport:
     """Locate the earliest transfer time and report mirror data.
 
     For a spectrum whose gaps are commensurate (the engineered chains), the
@@ -147,9 +145,8 @@ def analyze_transfer(
         if abs(end_amp(cand)) >= 1 - tolerance:
             t0 = cand
     if t0 is None:
-        if window is None:
-            spread = max(float(evals[-1] - evals[0]), 1e-12)
-            window = 8 * np.pi * n / spread
+        spread = max(float(evals[-1] - evals[0]), 1e-12)
+        window = 8 * np.pi * n / spread
         grid = np.linspace(0, window, 4001)[1:]
         amps = np.abs([end_amp(t) for t in grid])
         k = int(np.argmax(amps))

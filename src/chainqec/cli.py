@@ -43,12 +43,21 @@ def _add_chain_args(p: argparse.ArgumentParser, default_n: int = 15) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="output directory (CSV + manifest)")
+    p.add_argument("--out", default=None,
+                   help="output directory (CSV, manifest, points.jsonl checkpoint)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="stdout summary format")
+
+
+def _add_revival(p: argparse.ArgumentParser, seeded: bool) -> None:
+    """Flags of the revival sweeps; only the sweeps that draw random numbers take --seed."""
+    _add_chain_args(p)
+    _add_common(p)
+    p.add_argument("--code", default="minimal15")
     p.add_argument("--prune", type=float, default=0.0,
                    help="branch probability floor (0 = exact tracking)")
+    if seeded:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def _grid(text: str) -> tuple[float, ...]:
@@ -69,25 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-10)
 
     p = sub.add_parser("single-z", help="random single phase flips on the revival setup")
-    _add_chain_args(p)
-    _add_common(p)
+    _add_revival(p, seeded=True)
     p.add_argument("--samples", type=int, default=1024)
-    p.add_argument("--code", default="minimal15")
 
     p = sub.add_parser("timing-sweep", help="readout-offset sweep")
-    _add_chain_args(p)
-    _add_common(p)
+    _add_revival(p, seeded=False)
     p.add_argument("--grid", type=_grid, default=None,
                    help='offsets as "a,b,c" or "start:stop:count" (default 0..0.1 t0, 21 points)')
-    p.add_argument("--code", default="minimal15")
 
     p = sub.add_parser("coupling-sweep", help="coupling-disorder sweep")
-    _add_chain_args(p)
-    _add_common(p)
+    _add_revival(p, seeded=True)
     p.add_argument("--grid", type=_grid, default=None,
                    help='disorder fractions (default 0..0.1, 11 points)')
     p.add_argument("--instances", type=int, default=1000)
-    p.add_argument("--code", default="minimal15")
 
     p = sub.add_parser("dephasing", help="master-equation mode-decay check")
     _add_chain_args(p, default_n=5)
@@ -134,8 +137,8 @@ def main(argv=None) -> int:
             })
         elif args.command == "timing-sweep":
             curve = exp_timing(
-                delta_grid=args.grid, seed=args.seed, spec=_chain_from_args(args),
-                code_id=args.code, out_dir=args.out, prune_below=args.prune,
+                delta_grid=args.grid, spec=_chain_from_args(args), code_id=args.code,
+                out_dir=args.out, prune_below=args.prune,
             )
             _emit(args, {
                 "points": len(curve.deltas),
@@ -155,9 +158,8 @@ def main(argv=None) -> int:
                 "discarded_mass": sum(curves.discarded_mass),
             })
         elif args.command == "dephasing":
-            spec = _chain_from_args(args)
             report = exp_dephasing(
-                n_sites=spec.n_sites, gamma_grid=args.gammas, spec=spec, out_dir=args.out,
+                spec=_chain_from_args(args), gamma_grid=args.gammas, out_dir=args.out
             )
             _emit(args, {
                 "gammas": ",".join(str(g) for g in report.gammas),

@@ -123,9 +123,6 @@ class FermionOperator:
     def monomials(self) -> list[MajoranaMonomial]:
         return [MajoranaMonomial(c, m) for m, c in sorted(self.terms.items())]
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     def isclose(self, other: "FermionOperator", tol: float = 1e-10) -> bool:
         keys = set(self.terms) | set(other.terms)
         return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys)
@@ -182,7 +179,6 @@ class ModePropagator:
     """Orthogonal 2N x 2N matrix carrying the Majorana modes through time t."""
 
     matrix: np.ndarray
-    time: float
 
     @property
     def n_sites(self) -> int:
@@ -206,7 +202,7 @@ def mode_propagator(h1: np.ndarray, t: float) -> ModePropagator:
     cos = (evecs * np.cos(evals * t)) @ evecs.T
     sin = (evecs * np.sin(evals * t)) @ evecs.T
     mat = np.block([[cos, sin], [-sin, cos]])
-    return ModePropagator(matrix=mat, time=float(t))
+    return ModePropagator(matrix=mat)
 
 
 def mode_propagator_for(spec: ChainSpec, t: float) -> ModePropagator:
@@ -298,54 +294,6 @@ def propagate(
         for k, v in acc.items():
             out_terms[k] = out_terms.get(k, 0.0) + v
     return FermionOperator(op.n_sites, out_terms)
-
-
-class ArrivalTerm(NamedTuple):
-    coefficient: complex
-    modes: tuple[int, ...]
-    modes_in_region: tuple[int, ...]
-    flip_sites: tuple[int, ...]
-    z_sites: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ArrivalClassification:
-    region_first_site: int
-    terms: tuple[ArrivalTerm, ...]
-    max_flips_in_region: int
-
-
-def classify_arrival(op: FermionOperator, region_size: int) -> ArrivalClassification:
-    """Describe where each monomial of a propagated error acts.
-
-    The decoding region is the last region_size sites.  Flip sites are the
-    X/Y positions of the monomial's Pauli form, the z_sites its residual
-    phase positions; the headline quantity is the worst-case number of flips
-    landing inside the region across all monomials.
-    """
-    n = op.n_sites
-    if not 1 <= region_size <= n:
-        raise ValueError("region size out of range")
-    first = n + 1 - region_size
-    terms = []
-    max_flips = 0
-    for modes, coeff in sorted(op.terms.items()):
-        p = fermion_to_pauli(MajoranaMonomial(1.0, modes), n)
-        flips = tuple(
-            s for s in range(1, n + 1) if p.x_mask & (1 << (n - s))
-        )
-        zs = tuple(
-            s
-            for s in range(1, n + 1)
-            if (p.z_mask & (1 << (n - s))) and not (p.x_mask & (1 << (n - s)))
-        )
-        in_region = tuple(
-            m for m in modes if first <= (m if m <= n else m - n) <= n
-        )
-        flips_in = sum(1 for s in flips if s >= first)
-        max_flips = max(max_flips, flips_in)
-        terms.append(ArrivalTerm(complex(coeff), modes, in_region, flips, zs))
-    return ArrivalClassification(first, tuple(terms), max_flips)
 
 
 def chi_decay(gamma: float, t: float) -> tuple[float, float]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -23,6 +23,7 @@ from .chain import ChainSpec, analyze_transfer, pst_couplings
 from .code import StabilizerCode, encode, minimal15, shor_code
 from .decoder import RevivalEvaluator
 from .errors import ResourceLimitError
+from .freefermion import chi_decay
 from .hilbert import (
     StateVector,
     apply_pauli,
@@ -46,6 +47,7 @@ _CHUNK = 64
 DEFAULT_TIMING_GRID_POINTS = 21
 DEFAULT_TIMING_GRID_MAX_FRACTION = 0.1  # of t0
 DEFAULT_COUPLING_GRID = tuple(np.linspace(0.0, 0.1, 11))
+DEPHASING_TIME_POINTS = 9  # from 0 to the transfer time
 
 
 def fmt(x: float) -> str:
@@ -251,7 +253,6 @@ class RevivalSetup:
         self.transfer_time = report.transfer_time
         self.duration = 2.0 * report.transfer_time
         self.spectral_bound = report.spectral_bound
-        self.alpha, self.beta = alpha, beta
         self.prune_below = float(prune_below)
         self.encoded = encode(codeobj, alpha, beta)
         self.evaluator = _shared_evaluator(codeobj, alpha, beta)
@@ -263,7 +264,7 @@ class RevivalSetup:
         from .decoder import DecodeOptions, decode_pipeline
 
         opts = DecodeOptions(
-            mode="revival", alpha=self.alpha, beta=self.beta, prune_below=self.prune_below
+            mode="revival", prune_below=self.prune_below, reference=self.encoded
         )
         report = decode_pipeline(StateVector(amps, self.spec.n_sites), self.code, opts)
         return report.success_probability, report.discarded_mass
@@ -305,6 +306,14 @@ class RevivalSetup:
         return success, zeta, discarded
 
 
+def _revival_setup(manifest: ExperimentManifest) -> RevivalSetup:
+    """The revival machinery for the chain, code, logical state and pruning a manifest records."""
+    return RevivalSetup(
+        manifest.spec, make_code(manifest.code_id), manifest.alpha, manifest.beta,
+        manifest.prune_below,
+    )
+
+
 @dataclass
 class SingleZSummary:
     manifest: ExperimentManifest
@@ -328,20 +337,17 @@ def exp_single_z(
     spec: ChainSpec | None = None,
     code_id: str = "minimal15",
     out_dir: str | None = None,
-    logical: tuple[complex, complex] | None = None,
     prune_below: float = 0.0,
 ) -> SingleZSummary:
     """Random single phase flips (uniform site and time) on the revival setup."""
     spec = spec or pst_couplings(15)
-    alpha, beta = logical or (1 / np.sqrt(2), 1 / np.sqrt(2))
     manifest = ExperimentManifest(
-        "single_z", spec, code_id, (), samples, seed,
-        (alpha.real, alpha.imag, beta.real, beta.imag), prune_below,
+        "single_z", spec, code_id, (), samples, seed, prune_below=prune_below
     )
     # sample i depends only on (seed, i): a run may extend an interrupted one
     ckpt = _Checkpoint(out_dir, manifest, free=("samples",))
     if any(ckpt.get(i) is None for i in range(samples)):
-        setup = RevivalSetup(spec, make_code(code_id), alpha, beta, prune_below)
+        setup = _revival_setup(manifest)
 
     def evaluate(indices):
         draws = [sample_rng(seed, i) for i in indices]
@@ -382,26 +388,21 @@ def default_timing_grid(transfer_time: float) -> tuple[float, ...]:
 
 def exp_timing(
     delta_grid=None,
-    seed: int = 0,
     spec: ChainSpec | None = None,
     code_id: str = "minimal15",
     out_dir: str | None = None,
-    logical: tuple[complex, complex] | None = None,
     prune_below: float = 0.0,
 ) -> TimingCurve:
     """Readout-time offsets on the revival setup, exhaustively branch-tracked."""
     spec = spec or pst_couplings(15)
-    alpha, beta = logical or (1 / np.sqrt(2), 1 / np.sqrt(2))
-    setup = RevivalSetup(spec, make_code(code_id), alpha, beta, prune_below)
+    manifest = ExperimentManifest("timing", spec, code_id, (), 0, 0, prune_below=prune_below)
+    setup = _revival_setup(manifest)
     if delta_grid is None:
         delta_grid = default_timing_grid(setup.transfer_time)
     delta_grid = tuple(float(d) for d in delta_grid)
     if not all(np.isfinite(delta_grid)):
         raise ValueError("grid must be finite")
-    manifest = ExperimentManifest(
-        "timing", spec, code_id, delta_grid, 0, seed,
-        (alpha.real, alpha.imag, beta.real, beta.imag), prune_below,
-    )
+    manifest = replace(manifest, grid=delta_grid)
     ckpt = _Checkpoint(out_dir, manifest)
 
     def evaluate(indices):
@@ -442,19 +443,16 @@ def exp_coupling(
     spec: ChainSpec | None = None,
     code_id: str = "minimal15",
     out_dir: str | None = None,
-    logical: tuple[complex, complex] | None = None,
     prune_below: float = 0.0,
 ) -> CouplingCurves:
     """Static coupling disorder: per fraction, success over random instances."""
     spec = spec or pst_couplings(15)
-    alpha, beta = logical or (1 / np.sqrt(2), 1 / np.sqrt(2))
     f_grid = DEFAULT_COUPLING_GRID if f_grid is None else tuple(float(f) for f in f_grid)
     manifest = ExperimentManifest(
-        "coupling", spec, code_id, f_grid, instances, seed,
-        (alpha.real, alpha.imag, beta.real, beta.imag), prune_below,
+        "coupling", spec, code_id, f_grid, instances, seed, prune_below=prune_below
     )
     ckpt = _Checkpoint(out_dir, manifest)
-    setup = RevivalSetup(spec, make_code(code_id), alpha, beta, prune_below)
+    setup = _revival_setup(manifest)
 
     def evaluate(indices):
         for i in indices:  # one record per grid point, checkpointed as it is yielded
@@ -503,49 +501,47 @@ class DephasingReport:
 
 
 def exp_dephasing(
-    n_sites: int = 5,
-    gamma_grid=(0.01, 0.1),
     spec: ChainSpec | None = None,
+    gamma_grid=(0.01, 0.1),
     out_dir: str | None = None,
-    time_points: int = 9,
 ) -> DephasingReport:
     """Master-equation check of the mode-coherence decay on a small chain.
 
     Starts from |0...0+> (unit coherence in the last site's mode pair),
     evolves it exactly under the dephasing master equation (lindblad_evolve)
-    across a grid up to the transfer time, and reports the worst deviation
-    of every mode coherence from e^{-2 gamma t} times its initial value.
-    A NaN deviation propagates into the report.
+    across DEPHASING_TIME_POINTS times up to the transfer time, and reports,
+    per gamma, the worst deviation of every mode coherence from
+    e^{-2 gamma t} (freefermion.chi_decay) times its initial value.  One
+    checkpointed record per gamma; a NaN deviation propagates into the report.
     """
-    if spec is None:
-        spec = pst_couplings(n_sites)
+    spec = spec or pst_couplings(5)
     n = spec.n_sites
     if n > 6:
         raise ResourceLimitError("dephasing experiment limited to N <= 6")
     gamma_grid = tuple(float(g) for g in gamma_grid)
-    manifest = ExperimentManifest("dephasing", spec, "", gamma_grid, time_points, 0)
+    if not all(0.0 <= g < np.inf for g in gamma_grid):
+        raise ValueError("gamma must be finite and nonnegative")
+    manifest = ExperimentManifest("dephasing", spec, "", gamma_grid, DEPHASING_TIME_POINTS, 0)
+    ckpt = _Checkpoint(out_dir, manifest)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = amps[1] = 1 / np.sqrt(2)  # last site in |+>, rest |00..0>
     rho0 = from_density(StateVector(amps, n))
-    t_total = analyze_transfer(spec).transfer_time
+    times = np.linspace(0.0, analyze_transfer(spec).transfer_time, DEPHASING_TIME_POINTS)
     chi0 = [chi(rho0, spec, m, 0.0) for m in range(1, 2 * n + 1)]
-    devs = []
-    for gamma in gamma_grid:
-        dev = []
-        rho = rho0
-        times = np.linspace(0.0, t_total, time_points)
-        for k in range(1, time_points):
-            rho = lindblad_evolve(rho, spec, gamma, times[k] - times[k - 1])
-            decay = np.exp(-2.0 * gamma * times[k])
-            for m in range(1, 2 * n + 1):
-                dev.append(abs(chi(rho, spec, m, times[k]) - decay * chi0[m - 1]))
-        devs.append(float(np.max(dev, initial=0.0)))
-    rows = [[float(gamma_grid[i]), float(devs[i])] for i in range(len(gamma_grid))]
+
+    def evaluate(indices):
+        for i in indices:  # one record per gamma, checkpointed as it is yielded
+            gamma, rho, dev = gamma_grid[i], rho0, []
+            for k in range(1, DEPHASING_TIME_POINTS):
+                rho = lindblad_evolve(rho, spec, gamma, times[k] - times[k - 1])
+                decay = chi_decay(gamma, times[k])[0]
+                for m in range(1, 2 * n + 1):
+                    dev.append(abs(chi(rho, spec, m, times[k]) - decay * chi0[m - 1]))
+            yield {"gamma": gamma, "max_abs_deviation": float(np.max(dev))}
+
+    devs = [float(r["max_abs_deviation"]) for r in ckpt.fill(len(gamma_grid), evaluate)]
+    rows = [[gamma_grid[i], devs[i]] for i in range(len(gamma_grid))]
     _write_csv(out_dir, "dephasing.csv", ["gamma", "max_abs_deviation"], rows)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            fh.write(manifest.to_json() + "\n")
     return DephasingReport(manifest, gamma_grid, tuple(devs))
 
 

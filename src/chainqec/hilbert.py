@@ -47,9 +47,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "StateVector":
-        return StateVector(self.amps / self.norm(), self.n_sites)
-
     def copy(self) -> "StateVector":
         return StateVector(self.amps.copy(), self.n_sites)
 
@@ -483,8 +480,12 @@ def trajectory_sample(
     Givens engine) runs between jumps.  Averaging over seeds converges to
     lindblad_evolve.
     """
+    if not (np.isfinite(gamma) and np.isfinite(duration)):
+        raise ValueError("gamma and duration must be finite")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
+    if duration < 0:
+        raise ValueError("duration must be nonnegative")
     rng = np.random.Generator(np.random.Philox(key=[int(rng_seed) & (2**64 - 1), 0]))
     events: list[tuple[float, int]] = []
     for site in range(1, spec.n_sites + 1):

@@ -81,7 +81,7 @@ def test_criterion_3_single_z_1024_samples():
 
 
 def test_criterion_4_mode_decay_closed_form():
-    report = exp_dephasing(n_sites=5, gamma_grid=(0.01, 0.1), time_points=9)
+    report = exp_dephasing(pst_couplings(5), (0.01, 0.1))
     worst = max(report.max_deviation)
     _report(
         4, "dephasing-closed-form", worst <= 1e-6,
@@ -127,7 +127,7 @@ def test_criterion_6_block_rule_cases(code15, plus_logical15):
 
 
 def test_criterion_7_timing_sweep():
-    curve = exp_timing(seed=0)
+    curve = exp_timing()
     s = np.array(curve.successes)
     at_zero = abs(s[0] - 1.0) <= 1e-9
     continuous = bool(np.all(np.abs(np.diff(s)) <= 0.2))

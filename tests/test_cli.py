@@ -80,6 +80,28 @@ def test_dephasing_cli(tmp_path, capsys):
     assert payload["max_deviation"] < 1e-6
 
 
+def test_dephasing_refuses_another_runs_directory(tmp_path, capsys):
+    assert main(["single-z", "--samples", "2", "--out", str(tmp_path)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    rc = main(["dephasing", "--pst", "3", "--gammas", "0.05", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "different run" in json.loads(capsys.readouterr().err)["message"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["dephasing", "--seed", "1"],
+    ["dephasing", "--prune", "0.1"],
+    ["timing-sweep", "--seed", "1"],
+])
+def test_parser_rejects_flags_that_select_nothing(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_dephasing_cli_rejects_non_finite_gamma(tmp_path, capsys):
     rc = main(["dephasing", "--pst", "3", "--gammas", "nan", "--out", str(tmp_path)])
     assert rc == 1

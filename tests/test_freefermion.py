@@ -7,7 +7,6 @@ from chainqec.freefermion import (
     FermionOperator,
     MajoranaMonomial,
     chi_decay,
-    classify_arrival,
     error_budget,
     fermion_to_pauli,
     jordan_wigner,
@@ -276,38 +275,41 @@ def test_propagate_term_cap():
         propagate(op, mode_propagator_for(spec, 0.7), term_cap=10)
 
 
-# --- classification -------------------------------------------------------------
+# --- arrival structure -----------------------------------------------------------
+
+
+def _flip_and_z_sites(modes, n):
+    """(X/Y sites, Z-only sites) of a monomial's Pauli form."""
+    p = fermion_to_pauli(MajoranaMonomial(1.0, modes), n)
+    flips = tuple(s for s in range(1, n + 1) if p.x_mask >> (n - s) & 1)
+    zs = tuple(s for s in range(1, n + 1) if p.z_mask >> (n - s) & 1 and s not in flips)
+    return flips, zs
 
 
 def test_classify_identity():
-    cls = classify_arrival(FermionOperator.identity(4), 4)
-    assert cls.max_flips_in_region == 0
-
-
-def test_classify_single_z_propagated():
-    # a propagated phase error stays quadratic: never more than 2 flips
-    spec = pst_couplings(6)
-    for t in (0.3, 1.1, np.pi / 2):
-        out = propagate(pauli_to_fermion(pauli_z(6, 3)), mode_propagator_for(spec, t))
-        cls = classify_arrival(out, 6)
-        assert cls.max_flips_in_region <= 2
+    assert _flip_and_z_sites((), 4) == ((), ())
 
 
 def test_classify_monomial_term():
-    op = FermionOperator(7, {(3, 7): 1.0})
-    cls = classify_arrival(op, 7)
-    (term,) = cls.terms
-    assert term.flip_sites == (3, 7)
-    assert term.z_sites == (4, 5, 6)  # parity rule: odd flip count above
-    assert term.modes_in_region == (3, 7)
+    # parity rule: the sites between two X/Y sites carry the Z string
+    assert _flip_and_z_sites((3, 7), 7) == ((3, 7), (4, 5, 6))
 
 
 def test_classify_region_restriction():
-    op = FermionOperator(6, {(2, 11): 1.0})  # site 2 and site 5 (Y-type)
-    cls = classify_arrival(op, 2)  # region = sites 5, 6
-    (term,) = cls.terms
-    assert term.modes_in_region == (11,)
-    assert cls.max_flips_in_region == 1
+    # mode 11 on six sites is the Y-type mode of site 5: of the last two
+    # sites only site 5 flips
+    flips, _ = _flip_and_z_sites((2, 11), 6)
+    assert flips == (2, 5)
+    assert [s for s in flips if s >= 5] == [5]
+
+
+def test_propagated_single_z_stays_quadratic():
+    # a propagated phase error is at most two modes, so at most two flips
+    spec = pst_couplings(6)
+    for t in (0.3, 1.1, np.pi / 2):
+        out = propagate(pauli_to_fermion(pauli_z(6, 3)), mode_propagator_for(spec, t))
+        assert out.terms and all(len(modes) <= 2 for modes in out.terms)
+        assert all(len(_flip_and_z_sites(modes, 6)[0]) <= 2 for modes in out.terms)
 
 
 # --- closed forms ---------------------------------------------------------------

@@ -155,7 +155,7 @@ def test_single_z_and_timing_never_diagonalise(monkeypatch):
     monkeypatch.setattr(hilbert._SectorCache, "_get", refuse)
     summary = exp_single_z(samples=4, seed=2)
     assert summary.min_success >= 1 - 1e-8
-    curve = exp_timing(delta_grid=(0.0, 0.01), seed=0)
+    curve = exp_timing(delta_grid=(0.0, 0.01))
     assert curve.successes[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -211,7 +211,7 @@ def test_single_z_resume_refuses_other_seed(tmp_path):
 
 
 def test_single_z_pruned_mass_reported(tmp_path):
-    summary = exp_single_z(samples=6, seed=0, out_dir=str(tmp_path), prune_below=1e-12)
+    summary = exp_single_z(samples=6, out_dir=str(tmp_path), prune_below=1e-12)
     lines = (tmp_path / "points.jsonl").read_text().splitlines()
     recs = [json.loads(line) for line in lines]
     for rec in recs:
@@ -224,13 +224,13 @@ def test_single_z_pruned_mass_reported(tmp_path):
 
 def test_single_z_resume_refuses_older_version(tmp_path):
     # 0.3.0 single-Z records came from the eigenbasis engine and differ in their last digits
-    exp_single_z(samples=2, seed=0, out_dir=str(tmp_path))
+    exp_single_z(samples=2, out_dir=str(tmp_path))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["version"] = "0.3.0"
     (tmp_path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(ValueError, match="different run"):
-        exp_single_z(samples=2, seed=0, out_dir=str(tmp_path))
+        exp_single_z(samples=2, out_dir=str(tmp_path))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -238,30 +238,30 @@ def test_single_z_resume_refuses_older_version(tmp_path):
 
 
 def test_timing_zero_delta_and_monotone_smallness():
-    curve = exp_timing(delta_grid=(0.0, 0.005, 0.01), seed=0)
+    curve = exp_timing(delta_grid=(0.0, 0.005, 0.01))
     assert curve.successes[0] == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(curve.smallness, [0.0, 0.07, 0.14], atol=1e-12)
     assert curve.successes[1] >= curve.successes[2]
 
 
 def test_timing_symmetric_in_delta():
-    plus = exp_timing(delta_grid=(0.01,), seed=0).successes[0]
-    minus = exp_timing(delta_grid=(-0.01,), seed=0).successes[0]
+    plus = exp_timing(delta_grid=(0.01,)).successes[0]
+    minus = exp_timing(delta_grid=(-0.01,)).successes[0]
     assert plus == pytest.approx(minus, abs=1e-9)
 
 
 def test_timing_quartic_onset():
     # leading failure probability grows as the fourth power of the offset
     deltas = (0.004, 0.008, 0.016, 0.032)
-    curve = exp_timing(delta_grid=deltas, seed=0)
+    curve = exp_timing(delta_grid=deltas)
     infid = 1.0 - np.array(curve.successes)
     slope = np.polyfit(np.log(deltas), np.log(infid), 1)[0]
     assert slope >= 3.5
 
 
 def test_timing_with_pruning_close_to_exact():
-    exact = exp_timing(delta_grid=(0.02,), seed=0).successes[0]
-    pruned = exp_timing(delta_grid=(0.02,), seed=0, prune_below=1e-7).successes[0]
+    exact = exp_timing(delta_grid=(0.02,)).successes[0]
+    pruned = exp_timing(delta_grid=(0.02,), prune_below=1e-7).successes[0]
     assert pruned <= exact + 1e-12
     assert exact - pruned < 1e-3
 
@@ -274,15 +274,15 @@ def test_default_timing_grid():
 
 
 def test_timing_resume_refuses_other_grid(tmp_path):
-    exp_timing(delta_grid=(0.0, 0.1), seed=0, out_dir=str(tmp_path))
+    exp_timing(delta_grid=(0.0, 0.1), out_dir=str(tmp_path))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(ValueError, match="different run"):
-        exp_timing(delta_grid=(0.0, 0.3), seed=0, out_dir=str(tmp_path))
+        exp_timing(delta_grid=(0.0, 0.3), out_dir=str(tmp_path))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_timing_csv(tmp_path):
-    exp_timing(delta_grid=(0.0, 0.01), seed=0, out_dir=str(tmp_path))
+    exp_timing(delta_grid=(0.0, 0.01), out_dir=str(tmp_path))
     lines = (tmp_path / "timing.csv").read_text().splitlines()
     assert lines[0] == "delta_t,delta_t_times_lambda_max,success_probability"
     assert len(lines) == 3
@@ -294,7 +294,7 @@ def test_timing_csv(tmp_path):
 
 
 def test_coupling_noiseless_point():
-    curves = exp_coupling(f_grid=(0.0,), instances=3, seed=0)
+    curves = exp_coupling(f_grid=(0.0,), instances=3)
     assert curves.mean_success[0] == pytest.approx(1.0, abs=1e-9)
     assert curves.min_success[0] == pytest.approx(1.0, abs=1e-9)
     assert curves.zeta_max_mean[0] == 0.0
@@ -332,13 +332,13 @@ def test_coupling_pruned_mass_reported(tmp_path):
 
 def test_coupling_resume_refuses_older_version(tmp_path):
     # 0.2.0 coupling records lack discarded_mass and differ in their last digits
-    exp_coupling(f_grid=(0.0,), instances=1, seed=0, out_dir=str(tmp_path))
+    exp_coupling(f_grid=(0.0,), instances=1, out_dir=str(tmp_path))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["version"] = "0.2.0"
     (tmp_path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(ValueError, match="different run"):
-        exp_coupling(f_grid=(0.0,), instances=1, seed=0, out_dir=str(tmp_path))
+        exp_coupling(f_grid=(0.0,), instances=1, out_dir=str(tmp_path))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -346,25 +346,43 @@ def test_coupling_resume_refuses_older_version(tmp_path):
 
 
 def test_dephasing_gamma_zero():
-    report = exp_dephasing(n_sites=4, gamma_grid=(0.0,), time_points=4)
+    report = exp_dephasing(pst_couplings(4), (0.0,))
     assert report.max_deviation[0] < 1e-8
 
 
 def test_dephasing_small_chain_closed_form():
-    report = exp_dephasing(n_sites=4, gamma_grid=(0.05,), time_points=5)
+    report = exp_dephasing(pst_couplings(4), (0.05,))
     assert report.max_deviation[0] < 1e-6
 
 
 def test_dephasing_nan_coherence_is_reported(monkeypatch):
     # max(0.0, nan) is 0.0: a fold through max() would report a perfect check
     monkeypatch.setattr("chainqec.harness.chi", lambda rho, spec, m, t: np.nan if t else 1.0)
-    report = exp_dephasing(n_sites=3, gamma_grid=(0.1,), time_points=3)
+    report = exp_dephasing(pst_couplings(3), (0.1,))
     assert np.isnan(report.max_deviation[0])
+
+
+def test_dephasing_resume_reuses_points(tmp_path, monkeypatch):
+    first = exp_dephasing(pst_couplings(3), (0.0, 0.1), out_dir=str(tmp_path))
+    csv = (tmp_path / "dephasing.csv").read_bytes()
+    assert len((tmp_path / "points.jsonl").read_text().splitlines()) == 2
+
+    def no_evolution(*args):
+        raise AssertionError("a resumed run re-evaluated a finished gamma")
+
+    monkeypatch.setattr("chainqec.harness.lindblad_evolve", no_evolution)
+    again = exp_dephasing(pst_couplings(3), (0.0, 0.1), out_dir=str(tmp_path))
+    assert again.max_deviation == first.max_deviation
+    assert (tmp_path / "dephasing.csv").read_bytes() == csv
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match="different run"):
+        exp_dephasing(pst_couplings(3), (0.05,), out_dir=str(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_dephasing_guard():
     with pytest.raises(ResourceLimitError):
-        exp_dephasing(n_sites=7)
+        exp_dephasing(pst_couplings(7))
 
 
 # --- brute-force oracle ----------------------------------------------------------

@@ -24,8 +24,14 @@ def test_scenario_validation():
     spec = pst_couplings(3)
     with pytest.raises(ValueError):
         coupling_disorder(spec, 1.5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
         trajectory_sample(basis_state(3), -0.1, 1.0, 0, spec)
+    # refused by name before any draw, not by the Poisson sampler
+    for gamma, duration in ((np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)):
+        with pytest.raises(ValueError, match="gamma and duration must be finite"):
+            trajectory_sample(basis_state(3), gamma, duration, 0, spec)
+    with pytest.raises(ValueError, match="duration must be nonnegative"):
+        trajectory_sample(basis_state(3), 0.1, -1.0, 0, spec)
 
 
 def test_inject_single_z_at_end_is_plain_z():

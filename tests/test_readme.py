@@ -1,10 +1,14 @@
-"""The README library example runs as written, and the package root exports exactly its names."""
+"""The README examples hold: the library example runs as written, the package
+root exports exactly its names, and every CLI line parses."""
 
+import argparse
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import chainqec
+from chainqec.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +33,14 @@ def test_package_root_exports_the_readme_names():
     assert sorted(chainqec.__all__) == sorted(imported | {"__version__"})
     for name in chainqec.__all__:
         assert hasattr(chainqec, name)
+
+
+def test_readme_cli_lines_parse():
+    block = re.search(r"## CLI\n+```\n(.*?)```", README.read_text(), flags=re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert all(argv[0] == "chainqec" for argv in lines)
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])  # exits with status 2 on a flag the parser lacks
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[1] for argv in lines} == set(sub.choices)
