@@ -340,6 +340,8 @@ def exp_single_z(
     prune_below: float = 0.0,
 ) -> SingleZSummary:
     """Random single phase flips (uniform site and time) on the revival setup."""
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     spec = spec or pst_couplings(15)
     manifest = ExperimentManifest(
         "single_z", spec, code_id, (), samples, seed, prune_below=prune_below
@@ -448,6 +450,10 @@ def exp_coupling(
     """Static coupling disorder: per fraction, success over random instances."""
     spec = spec or pst_couplings(15)
     f_grid = DEFAULT_COUPLING_GRID if f_grid is None else tuple(float(f) for f in f_grid)
+    if not all(0.0 <= f < 1.0 for f in f_grid):
+        raise ValueError("disorder fraction must be finite and in [0, 1)")
+    if instances < 0:
+        raise ValueError("instances must be nonnegative")
     manifest = ExperimentManifest(
         "coupling", spec, code_id, f_grid, instances, seed, prune_below=prune_below
     )

@@ -9,11 +9,13 @@ mode evolution of the freefermion module exact for nonzero fields.
 
 Evolution is excitation-number resolved and reads one pair table per sector.
 method="givens" rotates each occupied sector through the Givens factorisation
-of the single-particle unitary and needs no set-up; method="eig" diagonalises
-the occupied sectors once per chain and caches them, and serves as the exact
-N = 15 oracle.  A phase flip during transport is one rotated mode about the
-error-free arrival state (single_z_sectors): N - 1 rotations carry that mode
-to site 1, where Z is diagonal, and the inverse rotations carry it back.
+of the single-particle unitary; method="expm", the default, applies each
+occupied sector's sparse Hamiltonian with scipy's expm_multiply and serves as
+the exact N = 15 oracle.  Neither caches anything that depends on the
+chain's couplings or fields.  A phase flip during transport is one rotated
+mode about the error-free arrival state (single_z_sectors): N - 1 rotations
+carry that mode to site 1, where Z is diagonal, and the inverse rotations
+carry it back.
 """
 
 from __future__ import annotations
@@ -165,61 +167,15 @@ def sector_sparse(spec: ChainSpec, weight: int) -> sp.csr_matrix:
     return m + sp.diags(_occupation_sum(spec.fields, states))
 
 
-class _SectorCache:
-    """Per-chain eigendecompositions of the occupied sectors.
-
-    For zero-field chains the weight-w and weight-(N-w) blocks are related by
-    the occupied/empty relabelling, so only the smaller of the two is ever
-    diagonalised.
-    """
-
-    def __init__(self, spec: ChainSpec):
-        self.spec = spec
-        self._eigs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def _get(self, w: int):
-        if w in self._eigs:
-            return self._eigs[w]
-        n = self.spec.n_sites
-        states = _sector_table(n, w)[0]
-        zero_field = not any(self.spec.fields)
-        if zero_field and w > n - w:
-            # occupied/empty relabelling: reuse the smaller complementary block
-            st_c, evals, evecs = self._get(n - w)
-            full = (1 << n) - 1
-            lookup = {int(v): k for k, v in enumerate(st_c ^ full)}
-            perm = np.array([lookup[int(s)] for s in states], dtype=np.int64)
-            self._eigs[w] = (states, evals, evecs[perm])
-            return self._eigs[w]
-        h = sector_sparse(self.spec, w).toarray()
-        evals, evecs = np.linalg.eigh(h)
-        self._eigs[w] = (states, evals, evecs)
-        return self._eigs[w]
-
-    def propagate(self, amps: np.ndarray, w: int, t: float) -> None:
-        states, evals, evecs = self._get(w)
-        sub = amps[states]
-        amps[states] = evecs @ (np.exp(-1j * evals * t) * (evecs.T @ sub))
-
-
-_EVOLUTION_CACHE: dict[ChainSpec, _SectorCache] = {}
-
-
-def _cache_for(spec: ChainSpec) -> _SectorCache:
-    if spec not in _EVOLUTION_CACHE:
-        if len(_EVOLUTION_CACHE) >= 8:
-            _EVOLUTION_CACHE.pop(next(iter(_EVOLUTION_CACHE)))
-        _EVOLUTION_CACHE[spec] = _SectorCache(spec)
-    return _EVOLUTION_CACHE[spec]
-
-
 def clear_evolution_cache() -> None:
-    _EVOLUTION_CACHE.clear()
+    """Drop the cached dense eigendecompositions behind dense_unitary."""
+    _dense_eig.cache_clear()
 
 
 def sector_eig(spec: ChainSpec, weight: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached (basis indices, eigenvalues, eigenvectors) of one excitation sector."""
-    return _cache_for(spec)._get(weight)
+    """(basis indices, eigenvalues, eigenvectors) of one excitation sector, uncached."""
+    states = _sector_table(spec.n_sites, weight)[0]
+    return (states, *np.linalg.eigh(sector_sparse(spec, weight).toarray()))
 
 
 def _occupied_weights(state: StateVector) -> list[int]:
@@ -256,14 +212,17 @@ def evolve(
     state: StateVector,
     spec: ChainSpec,
     t: float,
-    method: str = "eig",
+    method: str = "expm",
 ) -> StateVector:
     """Return e^{-iHt}|psi>.
 
     Excitation-sector weights are preserved identically because each sector
     is propagated in isolation.
-    method="eig" diagonalises occupied sectors once per chain and caches them.
-    method="givens" is one-shot and cache-free, O(N^2 * sector size): with
+    method="expm" applies each occupied sector's sparse Hamiltonian with
+    scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+    (2011)); it keeps no cache and never factorises the single-particle
+    unitary, so it serves as an oracle independent of the Givens engine.
+    method="givens" is O(N^2 * sector size) with no set-up: with
     exp(-i H1 t) = G_1^dag ... G_K^dag D, basis states take D's phases on their
     occupied sites, then each G_k^dag on modes (m, m+1) mixes the (|10>, |01>)
     amplitude pairs by its 2x2 block (|11> takes det G_k = 1; no JW signs).
@@ -272,13 +231,13 @@ def evolve(
         raise ValueError("size mismatch")
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    if method not in ("eig", "givens"):
+    if method not in ("expm", "givens"):
         raise ValueError(f"unknown method {method!r}")
     amps = state.amps.copy()
-    if method == "eig":
-        cache = _cache_for(spec)
+    if method == "expm":
         for w in _occupied_weights(state):
-            cache.propagate(amps, w, t)
+            states = _sector_table(spec.n_sites, w)[0]
+            amps[states] = expm_multiply(-1j * t * sector_sparse(spec, w), amps[states])
     else:
         evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
         modes, blocks, phases = _givens_factor(_u_of_t(evals, evecs, t))
@@ -392,16 +351,9 @@ def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return h
 
 
-_DENSE_EIG_CACHE: dict[ChainSpec, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _dense_eig(spec: ChainSpec):
-    if spec not in _DENSE_EIG_CACHE:
-        if len(_DENSE_EIG_CACHE) >= 8:
-            _DENSE_EIG_CACHE.pop(next(iter(_DENSE_EIG_CACHE)))
-        evals, evecs = np.linalg.eigh(dense_hamiltonian(spec))
-        _DENSE_EIG_CACHE[spec] = (evals, evecs)
-    return _DENSE_EIG_CACHE[spec]
+@lru_cache(maxsize=8)
+def _dense_eig(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh(dense_hamiltonian(spec))
 
 
 def dense_unitary(spec: ChainSpec, t: float) -> np.ndarray:

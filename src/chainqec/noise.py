@@ -23,9 +23,13 @@ def inject_single_z(
     site: int,
     t_err: float,
     total_time: float,
-    method: str = "eig",
+    method: str = "expm",
 ) -> StateVector:
-    """Evolve to t_err, flip the phase of one site, evolve out to total_time."""
+    """Evolve to t_err, flip the phase of one site, evolve out to total_time.
+
+    `method` is hilbert.evolve's: the default "expm" is the exact oracle,
+    "givens" the free-fermion engine.
+    """
     if not 1 <= site <= spec.n_sites:
         raise ValueError("site out of range")
     if not 0 <= t_err <= total_time:
@@ -35,16 +39,12 @@ def inject_single_z(
     return evolve(psi, spec, total_time - t_err, method=method)
 
 
-def coupling_disorder(spec: ChainSpec, f: float, rng_seed: int) -> tuple[ChainSpec, float]:
+def disordered_spec(spec: ChainSpec, f: float, rng_seed: int) -> tuple[ChainSpec, float]:
     """Multiply each coupling by an independent uniform draw from [1-f, 1+f].
 
     Fields are left untouched.  Returns the perturbed spec and the largest
     singular value of the single-excitation perturbation.
     """
-    return disordered_spec(spec, f, rng_seed)
-
-
-def disordered_spec(spec: ChainSpec, f: float, rng_seed: int) -> tuple[ChainSpec, float]:
     if not 0 <= f < 1:
         raise ValueError("disorder fraction must be in [0, 1)")
     rng = np.random.Generator(np.random.Philox(key=[int(rng_seed) & (2**64 - 1), 1]))
@@ -53,3 +53,6 @@ def disordered_spec(spec: ChainSpec, f: float, rng_seed: int) -> tuple[ChainSpec
     dh = single_excitation_matrix(perturbed) - single_excitation_matrix(spec)
     zeta_max = float(np.max(np.abs(np.linalg.eigvalsh(dh)))) if spec.n_sites else 0.0
     return perturbed, zeta_max
+
+
+coupling_disorder = disordered_spec

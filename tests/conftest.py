@@ -19,12 +19,3 @@ def code15():
 def plus_logical15(code15):
     s = 1 / np.sqrt(2)
     return encode(code15, s, s)
-
-
-@pytest.fixture(scope="session")
-def warm_cache15(chain15, plus_logical15):
-    """Populate the evolution cache for the 15-site chain once per session."""
-    from chainqec.hilbert import evolve
-
-    evolve(plus_logical15, chain15, 0.1)
-    return chain15

@@ -176,7 +176,7 @@ def test_criterion_8_coupling_sweep_full():
     _report(8, "coupling-sweep-full", ok, detail)
 
 
-def test_criterion_9_branch_completeness(code15, chain15, plus_logical15, warm_cache15):
+def test_criterion_9_branch_completeness(code15, chain15, plus_logical15):
     rng = np.random.default_rng(9)
     worst = 0.0
     opts = DecodeOptions(mode="revival", prune_below=0.0)

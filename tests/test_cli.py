@@ -58,6 +58,26 @@ def test_single_z_cli_json(tmp_path, capsys):
     assert "different run" in err["message"]
 
 
+def test_single_z_cli_refuses_negative_samples(tmp_path, capsys):
+    out = tmp_path / "sz"
+    assert main(["single-z", "--samples", "-3", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "samples" in err["message"]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("bad", [["--grid", "1.5"], ["--grid", "nan"], ["--instances", "-1"]])
+def test_coupling_cli_refuses_bad_input_before_writing(bad, tmp_path, capsys):
+    out = tmp_path / "cp"
+    assert main(["coupling-sweep", *bad, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not (out / "manifest.json").exists()
+    assert not (out / "points.jsonl").exists()
+    # the refused run leaves nothing that blocks a valid run into the same directory
+    assert main(["coupling-sweep", "--grid", "0.05", "--instances", "1", "--out", str(out)]) == 0
+
+
 def test_coupling_cli_reports_discarded_mass(tmp_path, capsys):
     rc = main([
         "coupling-sweep", "--grid", "0.05", "--instances", "2", "--prune", "1e-12",

@@ -311,20 +311,20 @@ def test_pipeline_deterministic(code15, plus_logical15):
     assert r1.to_json() == r2.to_json()
 
 
-def test_pipeline_branch_probabilities_sum(code15, chain15, plus_logical15, warm_cache15):
+def test_pipeline_branch_probabilities_sum(code15, chain15, plus_logical15):
     psi = inject_single_z(plus_logical15, chain15, 4, 0.7, 2 * T0)
     report = decode_pipeline(psi, code15, _options())
     total = sum(b.probability for b in report.branches) + report.discarded_mass
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_pipeline_single_z_mid_transfer(code15, chain15, plus_logical15, warm_cache15):
+def test_pipeline_single_z_mid_transfer(code15, chain15, plus_logical15):
     psi = inject_single_z(plus_logical15, chain15, 11, 1.234, 2 * T0)
     report = decode_pipeline(psi, code15, _options())
     assert report.success_probability >= 1 - 1e-9
 
 
-def test_pipeline_prune_reports_discarded(code15, chain15, plus_logical15, warm_cache15):
+def test_pipeline_prune_reports_discarded(code15, chain15, plus_logical15):
     psi = evolve(plus_logical15, chain15, 2 * T0 + 0.05)
     report = decode_pipeline(psi, code15, _options(prune_below=1e-6))
     assert report.discarded_mass > 0
@@ -344,7 +344,7 @@ def test_pipeline_json_schema(code15, plus_logical15):
 # --- evaluator equivalence -------------------------------------------------------
 
 
-def test_evaluator_matches_pipeline(code15, chain15, plus_logical15, warm_cache15):
+def test_evaluator_matches_pipeline(code15, chain15, plus_logical15):
     ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
     states = [
         evolve(plus_logical15, chain15, 2 * T0 + 0.03),
@@ -373,10 +373,10 @@ def test_evaluator_matches_pipeline_on_disorder_state(code15, chain15, plus_logi
     assert ev.success(psi.amps) == pytest.approx(slow, abs=1e-10)
 
 
-def test_eig_and_givens_agree_at_scale(code15, chain15, plus_logical15, warm_cache15):
+def test_expm_and_givens_agree_at_scale(code15, chain15, plus_logical15):
     # both production evolution paths on the full 15-site encoded state
     for t in (1.1, -0.4, 2 * np.pi):
-        a = evolve(plus_logical15, chain15, t, method="eig")
+        a = evolve(plus_logical15, chain15, t, method="expm")
         b = evolve(plus_logical15, chain15, t, method="givens")
         assert np.abs(a.amps - b.amps).max() < 1e-10
 

@@ -66,8 +66,9 @@ def test_givens_matches_dense_unitary_every_weight(n):
             u = dense_unitary(spec, t)
             for weight in range(n + 1):
                 psi = sector_state(rng, n, weight)
-                got = evolve(psi, spec, t, method="givens").amps
-                np.testing.assert_allclose(got, u @ psi.amps, atol=1e-12)
+                for method in ("expm", "givens"):
+                    got = evolve(psi, spec, t, method=method).amps
+                    np.testing.assert_allclose(got, u @ psi.amps, atol=1e-12, err_msg=method)
 
 
 def test_factor_skips_entries_already_zero():
@@ -89,7 +90,7 @@ def test_givens_rejects_unknown_method():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_sector_sparse_is_dense_hamiltonian_block(n):
-    # the eig path's sector matrices come from the same pair table
+    # the expm path's sector matrices come from the same pair table
     spec = random_chain(np.random.default_rng(n), n, True)
     h = dense_hamiltonian(spec)
     for weight in range(n + 1):

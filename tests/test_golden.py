@@ -7,7 +7,7 @@ import numpy as np
 from chainqec.chain import pst_couplings
 from chainqec.freefermion import FermionOperator, mode_propagator_for, pauli_to_fermion, propagate
 from chainqec.harness import brute_force_conjugate
-from chainqec.hilbert import basis_state, evolve, state_from_text, state_to_text
+from chainqec.hilbert import basis_state, dense_unitary, evolve, state_from_text, state_to_text
 from chainqec.pauli import pauli_z
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -35,3 +35,6 @@ def test_state_golden():
     assert state_to_text(out) == text
     frozen = state_from_text(text)
     assert abs(abs(frozen.amps[1]) - 1) < 1e-12  # arrived at the last site
+    # the frozen file itself must still match the dense unitary oracle
+    oracle = dense_unitary(pst_couplings(4), np.pi / 2) @ basis_state(4, [1]).amps
+    assert np.abs(frozen.amps - oracle).max() < 1e-12

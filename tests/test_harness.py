@@ -77,8 +77,8 @@ def test_single_z_fixed_case():
     assert discarded[0] == 0.0
 
 
-def test_setup_engine_matches_success_probability(code15, chain15, warm_cache15):
-    # the one-mode sample path against eig evolution plus the branch pipeline
+def test_setup_engine_matches_success_probability(code15, chain15):
+    # the one-mode sample path against expm evolution plus the branch pipeline
     from chainqec.decoder import DecodeOptions, decode_pipeline
     from chainqec.noise import inject_single_z
 
@@ -89,13 +89,13 @@ def test_setup_engine_matches_success_probability(code15, chain15, warm_cache15)
     fast, _ = setup.success_single_z(*zip(*cases))
     for (site, t_err), got in zip(cases, fast):
         noisy = inject_single_z(
-            setup.encoded, chain15, site, t_err, setup.duration, method="eig"
+            setup.encoded, chain15, site, t_err, setup.duration, method="expm"
         )
         want = decode_pipeline(noisy, code15, opts).success_probability
         assert got == pytest.approx(want, abs=1e-11)
 
 
-def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15, warm_cache15):
+def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15):
     # one mixed-site batch (end sites, a repeated site, both ends of the
     # time window) against per-sample evolution plus the branch pipeline
     from chainqec.code import encode
@@ -127,7 +127,7 @@ def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15, wa
     np.testing.assert_array_equal(again, success[perm])
 
 
-def test_single_z_one_mode_matches_eig_oracle(code15, chain15, warm_cache15):
+def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
     # end sites and the middle, at both ends and a third of the time window
     from chainqec.hilbert import single_z_sectors
     from chainqec.noise import inject_single_z
@@ -142,17 +142,17 @@ def test_single_z_one_mode_matches_eig_oracle(code15, chain15, warm_cache15):
         got = np.zeros_like(setup.encoded.amps)
         for states, rows in blocks:
             got[states] = rows[k]
-        want = inject_single_z(setup.encoded, chain15, site, t_err, total, method="eig")
+        want = inject_single_z(setup.encoded, chain15, site, t_err, total, method="expm")
         np.testing.assert_allclose(got, want.amps, rtol=0, atol=1e-12)
 
 
 def test_single_z_and_timing_never_diagonalise(monkeypatch):
     from chainqec import hilbert
 
-    def refuse(self, weight):
-        raise AssertionError("sector eigendecomposition requested")
+    def refuse(spec, weight):
+        raise AssertionError("sparse sector Hamiltonian requested")
 
-    monkeypatch.setattr(hilbert._SectorCache, "_get", refuse)
+    monkeypatch.setattr(hilbert, "sector_sparse", refuse)
     summary = exp_single_z(samples=4, seed=2)
     assert summary.min_success >= 1 - 1e-8
     curve = exp_timing(delta_grid=(0.0, 0.01))

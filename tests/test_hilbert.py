@@ -12,7 +12,6 @@ from chainqec.hilbert import (
     apply_pauli,
     basis_state,
     chi,
-    clear_evolution_cache,
     cz_network,
     dense_hamiltonian,
     dense_unitary,
@@ -151,7 +150,7 @@ def test_evolve_composes():
 
 
 def test_evolve_cache_complement_consistency():
-    # weight-4 sector of a 6-site zero-field chain reuses the weight-2 block
+    # the weight-4 sector of a 6-site zero-field chain
     rng = np.random.default_rng(8)
     spec = random_chain(rng, 6)
     amps = np.zeros(64, dtype=complex)
@@ -160,7 +159,6 @@ def test_evolve_cache_complement_consistency():
     vals = rng.standard_normal(four.size) + 1j * rng.standard_normal(four.size)
     amps[four] = vals / np.linalg.norm(vals)
     psi = StateVector(amps, 6)
-    clear_evolution_cache()
     expected = dense_unitary(spec, 0.9) @ psi.amps
     np.testing.assert_allclose(evolve(psi, spec, 0.9).amps, expected, atol=1e-10)
 

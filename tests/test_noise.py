@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chainqec
 from chainqec.chain import ChainSpec, pst_couplings, single_excitation_matrix
 from chainqec.freefermion import mode_propagator_for, pauli_to_fermion, propagate
 from chainqec.hilbert import (
@@ -120,6 +127,37 @@ def test_coupling_disorder_zeta_matches_matrix_norm():
     perturbed, zeta = coupling_disorder(spec, 0.05, 7)
     dh = single_excitation_matrix(perturbed) - single_excitation_matrix(spec)
     np.testing.assert_allclose(zeta, np.max(np.abs(np.linalg.eigvalsh(dh))), atol=1e-12)
+
+
+# ru_maxrss is no use here: on Linux a spawned child inherits the spawning
+# process's peak through exec, so under pytest it reads pytest's own peak.
+# VmHWM is the peak resident size of this interpreter's memory map alone.
+_COLD_DEFAULT = """
+import json
+import numpy as np
+from chainqec import encode, inject_single_z, minimal15, pst_couplings
+
+spec = pst_couplings(15)
+psi = encode(minimal15(), 1 / np.sqrt(2), 1 / np.sqrt(2))
+noisy = inject_single_z(psi, spec, site=7, t_err=1.1, total_time=np.pi)
+with open("/proc/self/status") as fh:
+    peak_kib = int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+fast = inject_single_z(psi, spec, site=7, t_err=1.1, total_time=np.pi, method="givens")
+print(json.dumps({"peak_kib": peak_kib, "diff": float(np.abs(noisy.amps - fast.amps).max())}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cold_default_inject_single_z_is_cheap():
+    # the README's call with the default method, in a fresh interpreter
+    src = str(Path(chainqec.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _COLD_DEFAULT], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    out = json.loads(run.stdout)
+    assert out["peak_kib"] < 200 * 1024
+    assert out["diff"] < 1e-12
 
 
 def test_single_z_time_sweep_always_corrected(code15, chain15, plus_logical15):
