@@ -11,11 +11,13 @@ no detected flip, while flips exist elsewhere, is reinterpreted as phase
 errors on the other two blocks.
 
 These rules live in one place, DecoderTables, built once per (code, side).
-decode_pipeline reads them while tracking every syndrome outcome as an
-explicit branch with its Born probability; RevivalEvaluator reads the same
-tables to score the revival setup without branch records.  The success
-probability is the probability-weighted squared overlap with the reference
-state over all leaves.
+RevivalEvaluator reads them to score the revival setup with a handful of
+gathers and segment sums; every sweep, pruned or exact, goes through it.
+decode_pipeline is the branch-recording oracle the evaluator is checked
+against: it tracks every syndrome outcome as an explicit branch with its
+Born probability, and also serves general mode.  The success probability
+is the probability-weighted squared overlap with the reference state over
+all leaves.
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ def decoder_tables(codeobj: StabilizerCode, side: str) -> DecoderTables:
 
 
 # ---------------------------------------------------------------------------
-# full pipeline (sparse branch engine)
+# full pipeline (sparse branch engine; the evaluator's oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -437,17 +439,19 @@ def decode_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# vectorised revival evaluator (no per-branch records; used by sweeps)
+# vectorised revival evaluator (no per-branch records; serves every sweep)
 # ---------------------------------------------------------------------------
 
 
 class RevivalEvaluator:
-    """Success probability of the revival-mode pipeline, fully vectorised.
+    """Success probability and pruned mass of the revival-mode pipeline, vectorised.
 
     Reads the per-key correction arrays of decoder_tables(code, "below") and
     precomputes, for every block class and phase outcome, the
     projected-and-corrected reference vectors; a decode is then a handful of
-    gathers and segment sums.  Agrees with decode_pipeline to roundoff.
+    gathers and segment sums.  It serves every revival sweep, pruned or not,
+    without branch records, and agrees with decode_pipeline, its oracle, to
+    roundoff in both success and discarded mass.
     """
 
     def __init__(self, codeobj: StabilizerCode, alpha: complex, beta: complex):
@@ -496,20 +500,41 @@ class RevivalEvaluator:
                     w = 0.5 * (w + (1 - 2 * ((o >> g) & 1)) * flipped)
                 self.u[o, cls] = w
         self.n_out = n_out
+        # check_masks[S]: X mask of the product of the phase checks in S;
+        # leaf_signs[S, o] = (-1)^{|o & S|}, so P_o = 2^-n_z sum_S leaf_signs[S, o] X_S
+        self.check_masks = np.zeros(n_out, dtype=np.int64)
+        for g, gen in enumerate(zgens):
+            self.check_masks[1 << g:2 << g] = self.check_masks[:1 << g] ^ gen.x_mask
+        outcomes = np.arange(n_out)
+        self.leaf_signs = 1.0 - 2.0 * (np.bitwise_count(outcomes[:, None] & outcomes) & 1)
 
-    def success(self, psi: np.ndarray) -> float:
+    def success(self, psi: np.ndarray, prune_below: float = 0.0) -> tuple[float, float]:
+        """(success probability, discarded mass) of decode_pipeline on `psi`.
+
+        Pruning follows decode_pipeline: a bit-flip branch with mass below
+        `prune_below` is discarded whole; an undecodable branch is never
+        split; in a kept decodable branch each phase leaf with mass below
+        `prune_below` is discarded.
+        """
         t = self.tables
         ind = np.nonzero(np.abs(psi) ** 2 > _EXACT_ZERO)[0].astype(np.int64)
         amp = psi[ind]
         k = self.keys[ind]
         uniq, inv = np.unique(k, return_inverse=True)
         ok = t.correctable[k]
+        branch_kept = np.ones(uniq.size, dtype=bool)
+        leaf_kept = np.ones((uniq.size, self.n_out), dtype=bool)
+        discarded = 0.0
+        if prune_below > 0.0:  # at 0 nothing can be dropped, so the masses are not needed
+            branch_kept, leaf_kept, discarded = self._pruned(
+                psi, ind, amp, uniq, inv, prune_below
+            )
         total = 0.0
         # undecodable branches score their raw overlap with the reference
         if not ok.all():
             bad = ~ok
             s = _segment_sum(np.conj(self.ref[ind[bad]]) * amp[bad], inv[bad], uniq.size)
-            total += float(np.sum(np.abs(s) ** 2))
+            total += float(np.sum(np.abs(s[branch_kept]) ** 2))
         ind2 = ind ^ t.x_mask[k]
         amp2 = amp * (1.0 - 2.0 * (np.bitwise_count(ind & t.z_trail[k]) & 1))
         fb = t.flip_blocks[k]
@@ -518,8 +543,35 @@ class RevivalEvaluator:
             vals = np.conj(self.u[o, cls, ind2]) * amp2
             vals[~ok] = 0.0
             s = _segment_sum(vals, inv, uniq.size)
-            total += float(np.sum(np.abs(s) ** 2))
-        return total
+            total += float(np.sum(np.abs(s[leaf_kept[:, o]]) ** 2))
+        return total, discarded
+
+    def _pruned(self, psi, ind, amp, uniq, inv, prune_below):
+        """Kept-branch mask, kept-leaf mask [key, o] and discarded mass at `prune_below`.
+
+        Leaf o of the X-corrected branch x has mass <x|P_o|x> =
+        2^-n_z sum_S (-1)^{|o & S|} <x|X_S|x>, X_S the product of the
+        phase checks in S.  X_S commutes with the bit-flip checks, so it
+        maps a branch onto itself, and the correction commutes with it up
+        to the sign (-1)^{|m_S & trail|}: <x|X_S|x> is that sign times
+        <psi_key|X_S|psi_key>, one gather from `psi` per S.
+        """
+        t = self.tables
+        gram = np.empty((uniq.size, self.n_out))  # gram[key, S] = <x|X_S|x>
+        gram[:, 0] = np.bincount(inv, weights=np.abs(amp) ** 2, minlength=uniq.size)
+        trail = t.z_trail[uniq]
+        for s in range(1, self.n_out):
+            m = self.check_masks[s]
+            overlap = np.bincount(
+                inv, weights=(np.conj(psi[ind ^ m]) * amp).real, minlength=uniq.size
+            )
+            gram[:, s] = overlap * (1.0 - 2.0 * (np.bitwise_count(trail & m) & 1))
+        # a leaf mass is a squared norm: clip the roundoff of empty leaves at 0
+        p_leaf = np.maximum(gram @ self.leaf_signs / self.n_out, 0.0)
+        branch_kept = gram[:, 0] >= prune_below
+        leaf_dropped = (branch_kept & t.correctable[uniq])[:, None] & (p_leaf < prune_below)
+        discarded = float(np.sum(gram[~branch_kept, 0])) + float(np.sum(p_leaf[leaf_dropped]))
+        return branch_kept, branch_kept[:, None] & ~leaf_dropped, discarded
 
 
 def _segment_sum(values: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:

@@ -246,7 +246,6 @@ class RevivalSetup:
         if codeobj.n_qubits != spec.n_sites:
             raise ValueError("revival experiments need the code on the whole chain")
         self.spec = spec
-        self.code = codeobj
         report = analyze_transfer(spec)
         if not report.is_perfect:
             raise ValueError("chain does not transfer perfectly")
@@ -259,15 +258,7 @@ class RevivalSetup:
 
     def _success(self, amps: np.ndarray) -> tuple[float, float]:
         """(success probability, probability mass discarded by pruning)."""
-        if self.prune_below == 0.0:
-            return self.evaluator.success(amps), 0.0
-        from .decoder import DecodeOptions, decode_pipeline
-
-        opts = DecodeOptions(
-            mode="revival", prune_below=self.prune_below, reference=self.encoded
-        )
-        report = decode_pipeline(StateVector(amps, self.spec.n_sites), self.code, opts)
-        return report.success_probability, report.discarded_mass
+        return self.evaluator.success(amps, self.prune_below)
 
     @cached_property
     def arrival(self) -> StateVector:
@@ -346,10 +337,9 @@ def exp_single_z(
     manifest = ExperimentManifest(
         "single_z", spec, code_id, (), samples, seed, prune_below=prune_below
     )
+    setup = _revival_setup(manifest)  # an unknown code or chain is refused before writing
     # sample i depends only on (seed, i): a run may extend an interrupted one
     ckpt = _Checkpoint(out_dir, manifest, free=("samples",))
-    if any(ckpt.get(i) is None for i in range(samples)):
-        setup = _revival_setup(manifest)
 
     def evaluate(indices):
         draws = [sample_rng(seed, i) for i in indices]
@@ -457,8 +447,8 @@ def exp_coupling(
     manifest = ExperimentManifest(
         "coupling", spec, code_id, f_grid, instances, seed, prune_below=prune_below
     )
+    setup = _revival_setup(manifest)  # an unknown code or chain is refused before writing
     ckpt = _Checkpoint(out_dir, manifest)
-    setup = _revival_setup(manifest)
 
     def evaluate(indices):
         for i in indices:  # one record per grid point, checkpointed as it is yielded

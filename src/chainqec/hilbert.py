@@ -235,9 +235,15 @@ def evolve(
         raise ValueError(f"unknown method {method!r}")
     amps = state.amps.copy()
     if method == "expm":
-        for w in _occupied_weights(state):
-            states = _sector_table(spec.n_sites, w)[0]
-            amps[states] = expm_multiply(-1j * t * sector_sparse(spec, w), amps[states])
+        # expm_multiply's norm estimates (onenormest) draw from numpy's global
+        # legacy generator; restore it so the caller's np.random stream is untouched
+        rng_state = np.random.get_state()
+        try:
+            for w in _occupied_weights(state):
+                states = _sector_table(spec.n_sites, w)[0]
+                amps[states] = expm_multiply(-1j * t * sector_sparse(spec, w), amps[states])
+        finally:
+            np.random.set_state(rng_state)
     else:
         evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
         modes, blocks, phases = _givens_factor(_u_of_t(evals, evecs, t))

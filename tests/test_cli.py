@@ -78,6 +78,23 @@ def test_coupling_cli_refuses_bad_input_before_writing(bad, tmp_path, capsys):
     assert main(["coupling-sweep", "--grid", "0.05", "--instances", "1", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("sweep", [
+    ["single-z", "--samples", "1"],
+    ["coupling-sweep", "--grid", "0.05", "--instances", "1"],
+])
+@pytest.mark.parametrize("bad", ["code", "chain"])
+def test_unknown_code_or_imperfect_chain_refused_before_writing(sweep, bad, tmp_path, capsys):
+    flat = tmp_path / "flat.cfg"  # uniform couplings: no perfect transfer at N = 15
+    flat.write_text(f"n_sites = 15\ncouplings = {', '.join(['1.0'] * 14)}\n"
+                    f"fields = {', '.join(['0.0'] * 15)}\n")
+    args = {"code": ["--code", "nonsense"], "chain": ["--config", str(flat)]}[bad]
+    out = tmp_path / "run"
+    assert main([*sweep, *args, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not (out / "manifest.json").exists()
+    assert main([*sweep, "--out", str(out)]) == 0
+
+
 def test_coupling_cli_reports_discarded_mass(tmp_path, capsys):
     rc = main([
         "coupling-sweep", "--grid", "0.05", "--instances", "2", "--prune", "1e-12",

@@ -301,7 +301,7 @@ def test_single_mode_errors_corrected_for_any_logical_state(code15):
         noisy = apply_pauli(psi0, jordan_wigner(mode, 15))
         report = decode_pipeline(noisy, code15, _options(alpha, beta))
         assert report.success_probability == pytest.approx(1.0, abs=1e-12), mode
-        assert ev.success(noisy.amps) == pytest.approx(1.0, abs=1e-12), mode
+        assert ev.success(noisy.amps)[0] == pytest.approx(1.0, abs=1e-12), mode
 
 
 def test_pipeline_deterministic(code15, plus_logical15):
@@ -353,13 +353,13 @@ def test_evaluator_matches_pipeline(code15, chain15, plus_logical15):
     ]
     for psi in states:
         slow = decode_pipeline(psi, code15, _options()).success_probability
-        fast = ev.success(psi.amps)
+        fast, _ = ev.success(psi.amps)
         assert fast == pytest.approx(slow, abs=1e-11)
 
 
 def test_evaluator_clean(code15, plus_logical15):
     ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
-    assert ev.success(plus_logical15.amps) == pytest.approx(1.0, abs=1e-12)
+    assert ev.success(plus_logical15.amps)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluator_matches_pipeline_on_disorder_state(code15, chain15, plus_logical15):
@@ -370,7 +370,46 @@ def test_evaluator_matches_pipeline_on_disorder_state(code15, chain15, plus_logi
     psi = evolve(plus_logical15, perturbed, np.pi, method="givens")
     ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
     slow = decode_pipeline(psi, code15, _options()).success_probability
-    assert ev.success(psi.amps) == pytest.approx(slow, abs=1e-10)
+    assert ev.success(psi.amps)[0] == pytest.approx(slow, abs=1e-10)
+
+
+def test_pruned_evaluator_matches_pipeline(code15, chain15, plus_logical15):
+    from chainqec.noise import coupling_disorder
+
+    perturbed, _ = coupling_disorder(chain15, 0.08, 3)
+    # a decodable branch of mass 0.9 holding a phase leaf of mass 1e-4, and an
+    # undecodable branch of mass 0.1 that pruning must not split into its leaves
+    flipped = apply_pauli(plus_logical15, from_sites(15, xs=(2, 7, 12)))
+    constructed = StateVector(
+        np.sqrt(0.9 - 1e-4) * plus_logical15.amps
+        + 1e-2 * apply_pauli(plus_logical15, pauli_z(15, 3)).amps
+        + np.sqrt(0.1 - 1e-5) * flipped.amps
+        + np.sqrt(1e-5) * apply_pauli(flipped, pauli_z(15, 3)).amps,
+        15,
+    )
+    states = {
+        "single_z": inject_single_z(plus_logical15, chain15, 6, 2.1, 2 * T0),
+        "timing": evolve(plus_logical15, chain15, 2 * T0 + 0.05, method="givens"),
+        "coupling": evolve(plus_logical15, perturbed, 2 * T0, method="givens"),
+        "constructed": constructed,
+    }
+    ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    whole_branch = leaves_only = False
+    for name, psi in states.items():
+        branch_mass: dict[tuple[int, ...], float] = {}
+        for b in decode_pipeline(psi, code15, _options()).branches:
+            branch_mass[b.x_outcomes] = branch_mass.get(b.x_outcomes, 0.0) + b.probability
+        for p in (0.0, 1e-12, 1e-6, 1e-3, 3e-2):
+            want = decode_pipeline(psi, code15, _options(prune_below=p, reference=plus_logical15))
+            success, discarded = ev.success(psi.amps, p)
+            assert success == pytest.approx(want.success_probability, abs=1e-12), (name, p)
+            assert discarded == pytest.approx(want.discarded_mass, abs=1e-12), (name, p)
+            if want.discarded_mass > 0:
+                if min(branch_mass.values()) < p:
+                    whole_branch = True
+                else:
+                    leaves_only = True
+    assert whole_branch and leaves_only
 
 
 def test_expm_and_givens_agree_at_scale(code15, chain15, plus_logical15):

@@ -159,6 +159,21 @@ def test_single_z_and_timing_never_diagonalise(monkeypatch):
     assert curve.successes[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_pruned_sweeps_never_run_the_pipeline(monkeypatch):
+    from chainqec import decoder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decode_pipeline called")
+
+    monkeypatch.setattr(decoder, "decode_pipeline", refuse)
+    summary = exp_single_z(samples=4, seed=2, prune_below=1e-12)
+    assert summary.min_success >= 1 - 1e-8
+    curve = exp_timing(delta_grid=(0.0, 0.01), prune_below=1e-7)
+    assert curve.successes[0] == pytest.approx(1.0, abs=1e-9)
+    curves = exp_coupling(f_grid=(0.05,), instances=2, seed=1, prune_below=1e-12)
+    assert curves.discarded_mass[0] > 0
+
+
 def test_setups_share_one_read_only_evaluator(code15, chain15):
     amp = 1 / np.sqrt(2)
     a = RevivalSetup(chain15, code15, amp, amp)

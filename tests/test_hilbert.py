@@ -163,6 +163,15 @@ def test_evolve_cache_complement_consistency():
     np.testing.assert_allclose(evolve(psi, spec, 0.9).amps, expected, atol=1e-10)
 
 
+def test_expm_evolve_leaves_global_rng_alone(chain15, plus_logical15):
+    # scipy's expm_multiply estimates norms with onenormest, which draws np.random
+    np.random.seed(0)
+    want = np.random.random()
+    np.random.seed(0)
+    evolve(plus_logical15, chain15, 1.234, method="expm")
+    assert np.random.random() == want
+
+
 # --- cz_network ------------------------------------------------------------
 
 
