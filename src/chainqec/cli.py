@@ -61,9 +61,11 @@ def _add_revival(p: argparse.ArgumentParser, seeded: bool) -> None:
 
 
 def _grid(text: str) -> tuple[float, ...]:
-    """Parse "a,b,c" or "start:stop:count" into a float grid."""
+    """Parse "a,b,c" or "start:stop:count" into a float grid of at least one point."""
     if ":" in text:
         start, stop, count = text.split(":")
+        if int(count) < 1:
+            raise argparse.ArgumentTypeError(f"grid {text!r} has no points")
         return tuple(np.linspace(float(start), float(stop), int(count)))
     return tuple(float(tok) for tok in text.split(","))
 

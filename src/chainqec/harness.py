@@ -11,10 +11,11 @@ final CSV is byte-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .errors import ResourceLimitError
 from .freefermion import chi_decay
 from .hilbert import (
     StateVector,
-    apply_pauli,
     chi,
     dense_unitary,
     evolve,
@@ -108,42 +108,26 @@ class ExperimentManifest:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentManifest":
-        d = json.loads(text)
-        return cls(
-            experiment=d["experiment"],
-            spec=ChainSpec.from_json(json.dumps(d["spec"])),
-            code_id=d["code_id"],
-            grid=tuple(d["grid"]),
-            samples=int(d["samples"]),
-            seed=int(d["seed"]),
-            logical=tuple(d["logical"]),
-            prune_below=float(d.get("prune_below", 0.0)),
-            version=d.get("version", __version__),
-        )
 
-
-class _Checkpoint:
-    """points.jsonl-backed resume support: one JSON record per finished point.
+def _fill(out_dir: str | None, manifest: ExperimentManifest, count: int, evaluate,
+          free=()) -> list[dict]:
+    """Records for points 0..count-1, resumed from out_dir/points.jsonl where it can be.
 
     A points.jsonl is reused only under a manifest.json that matches this
     run's manifest in every field except those named in `free`, which set
     how many points there are rather than what each point is.  A mismatch
     raises before anything is written, so a resumed sweep never mixes
-    points from a different run.
+    points from a different run.  `evaluate(indices)` returns or yields one
+    payload per index for the missing points, in chunks of at most _CHUNK;
+    each record is appended to points.jsonl as it arrives.
     """
-
-    def __init__(self, out_dir: str | None, manifest: ExperimentManifest, free=()):
-        self.path = None
-        self.done: dict[int, dict] = {}
-        if out_dir is None:
-            return
+    done: dict[int, dict] = {}
+    path = None
+    if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         manifest_path = os.path.join(out_dir, "manifest.json")
-        self.path = os.path.join(out_dir, "points.jsonl")
-        resume = os.path.exists(self.path)
-        if resume:
+        path = os.path.join(out_dir, "points.jsonl")
+        if os.path.exists(path):
             old = {}
             if os.path.exists(manifest_path):
                 with open(manifest_path) as fh:
@@ -157,50 +141,23 @@ class _Checkpoint:
                     f"{out_dir} holds points of a different run (manifest.json differs); "
                     "use a fresh output directory"
                 )
+            with open(path) as fh:
+                for line in fh:
+                    if line.strip():
+                        rec = json.loads(line)
+                        done[int(rec["index"])] = rec
         with open(manifest_path, "w") as fh:
             fh.write(manifest.to_json() + "\n")
-        if resume:
-            with open(self.path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        rec = json.loads(line)
-                        self.done[int(rec["index"])] = rec
-            self._fh = open(self.path, "a")
-        else:
-            self._fh = open(self.path, "w")
-
-    def get(self, index: int) -> dict | None:
-        return self.done.get(index)
-
-    def put(self, index: int, payload: dict) -> None:
-        rec = {"index": index, **payload}
-        self.done[index] = rec
-        if self.path is None:
-            return
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self.path is not None:
-            self._fh.close()
-
-    def fill(self, count: int, evaluate) -> list[dict]:
-        """Records for points 0..count-1, evaluating the missing ones in chunks.
-
-        `evaluate(indices)` returns or yields one payload per index; chunks
-        hold at most _CHUNK points and each record is checkpointed as it
-        arrives.
-        """
-        todo = [i for i in range(count) if self.get(i) is None]
-        try:
-            for start in range(0, len(todo), _CHUNK):
-                chunk = todo[start:start + _CHUNK]
-                for i, payload in zip(chunk, evaluate(chunk)):
-                    self.put(i, payload)
-        finally:
-            self.close()
-        return [self.get(i) for i in range(count)]
+    todo = [i for i in range(count) if i not in done]
+    with open(path, "a") if path else contextlib.nullcontext() as fh:
+        for start in range(0, len(todo), _CHUNK):
+            chunk = todo[start:start + _CHUNK]
+            for i, payload in zip(chunk, evaluate(chunk)):
+                done[i] = rec = {"index": i, **payload}
+                if fh is not None:
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                    fh.flush()
+    return [done[i] for i in range(count)]
 
 
 def _write_csv(out_dir: str | None, name: str, header: list[str], rows: list[list]) -> None:
@@ -214,16 +171,6 @@ def _write_csv(out_dir: str | None, name: str, header: list[str], rows: list[lis
             fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-@lru_cache(maxsize=4)
-def _shared_evaluator(codeobj: StabilizerCode, alpha: complex, beta: complex) -> RevivalEvaluator:
-    """One evaluator per (code, logical state) and process; shared, so read-only."""
-    evaluator = RevivalEvaluator(codeobj, alpha, beta)
-    for value in vars(evaluator).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return evaluator
-
-
 class RevivalSetup:
     """Shared machinery for the revival experiments on one chain and code.
 
@@ -232,7 +179,9 @@ class RevivalSetup:
     computed once; a phase flip on site s at time t then arrives as one
     rotated fermionic mode about it, so a batch of single-Z samples costs
     2(N-1) bond rotations per sample on the rows of one block per sector
-    (hilbert.single_z_sectors) instead of two full evolutions.
+    (hilbert.single_z_sectors) instead of two full evolutions.  Every
+    array held here, the evaluator's included, is read-only, so one set-up
+    can serve every sweep of a process (_revival_setup).
     """
 
     def __init__(
@@ -254,16 +203,17 @@ class RevivalSetup:
         self.spectral_bound = report.spectral_bound
         self.prune_below = float(prune_below)
         self.encoded = encode(codeobj, alpha, beta)
-        self.evaluator = _shared_evaluator(codeobj, alpha, beta)
+        self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
+        # the error-free state at the readout, e^{-iH duration}|encoded>
+        self.arrival = evolve(self.encoded, spec, self.duration, method="givens")
+        arrays = [*vars(self.evaluator).values(), self.encoded.amps, self.arrival.amps]
+        for value in arrays:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def _success(self, amps: np.ndarray) -> tuple[float, float]:
         """(success probability, probability mass discarded by pruning)."""
         return self.evaluator.success(amps, self.prune_below)
-
-    @cached_property
-    def arrival(self) -> StateVector:
-        """The error-free state at the readout, e^{-iH duration}|encoded>."""
-        return evolve(self.encoded, self.spec, self.duration, method="givens")
 
     def success_single_z(self, sites, t_errs) -> tuple[np.ndarray, np.ndarray]:
         """One phase flip per sample: Z on sites[k] at time t_errs[k] of the revival run.
@@ -297,12 +247,16 @@ class RevivalSetup:
         return success, zeta, discarded
 
 
-def _revival_setup(manifest: ExperimentManifest) -> RevivalSetup:
-    """The revival machinery for the chain, code, logical state and pruning a manifest records."""
-    return RevivalSetup(
-        manifest.spec, make_code(manifest.code_id), manifest.alpha, manifest.beta,
-        manifest.prune_below,
-    )
+@lru_cache(maxsize=4)
+def _revival_setup(
+    spec: ChainSpec, code_id: str, alpha: complex, beta: complex, prune_below: float
+) -> RevivalSetup:
+    """The revival machinery for one chain, code, logical state and pruning.
+
+    Built once per process and shared by every sweep with those inputs.
+    """
+    return RevivalSetup(spec, make_code(code_id), alpha, beta, prune_below)
+
 
 
 @dataclass
@@ -337,9 +291,8 @@ def exp_single_z(
     manifest = ExperimentManifest(
         "single_z", spec, code_id, (), samples, seed, prune_below=prune_below
     )
-    setup = _revival_setup(manifest)  # an unknown code or chain is refused before writing
-    # sample i depends only on (seed, i): a run may extend an interrupted one
-    ckpt = _Checkpoint(out_dir, manifest, free=("samples",))
+    # an unknown code or chain is refused before anything is written
+    setup = _revival_setup(spec, code_id, manifest.alpha, manifest.beta, prune_below)
 
     def evaluate(indices):
         draws = [sample_rng(seed, i) for i in indices]
@@ -351,7 +304,8 @@ def exp_single_z(
             for site, t, p, d in zip(sites, t_errs, success, discarded)
         ]
 
-    recs = ckpt.fill(samples, evaluate)
+    # sample i depends only on (seed, i): a run may extend an interrupted one
+    recs = _fill(out_dir, manifest, samples, evaluate, free=("samples",))
     sites = [int(r["site"]) for r in recs]
     times = [float(r["t_err"]) for r in recs]
     successes = [float(r["success"]) for r in recs]
@@ -388,14 +342,13 @@ def exp_timing(
     """Readout-time offsets on the revival setup, exhaustively branch-tracked."""
     spec = spec or pst_couplings(15)
     manifest = ExperimentManifest("timing", spec, code_id, (), 0, 0, prune_below=prune_below)
-    setup = _revival_setup(manifest)
+    setup = _revival_setup(spec, code_id, manifest.alpha, manifest.beta, prune_below)
     if delta_grid is None:
         delta_grid = default_timing_grid(setup.transfer_time)
     delta_grid = tuple(float(d) for d in delta_grid)
     if not all(np.isfinite(delta_grid)):
         raise ValueError("grid must be finite")
     manifest = replace(manifest, grid=delta_grid)
-    ckpt = _Checkpoint(out_dir, manifest)
 
     def evaluate(indices):
         deltas = [delta_grid[i] for i in indices]
@@ -405,7 +358,8 @@ def exp_timing(
             for delta, p, d in zip(deltas, success, discarded)
         ]
 
-    successes = [float(r["success"]) for r in ckpt.fill(len(delta_grid), evaluate)]
+    recs = _fill(out_dir, manifest, len(delta_grid), evaluate)
+    successes = [float(r["success"]) for r in recs]
     smallness = tuple(abs(d) * setup.spectral_bound for d in delta_grid)
     rows = [
         [float(delta_grid[i]), float(smallness[i]), float(successes[i])]
@@ -447,8 +401,8 @@ def exp_coupling(
     manifest = ExperimentManifest(
         "coupling", spec, code_id, f_grid, instances, seed, prune_below=prune_below
     )
-    setup = _revival_setup(manifest)  # an unknown code or chain is refused before writing
-    ckpt = _Checkpoint(out_dir, manifest)
+    # an unknown code or chain is refused before anything is written
+    setup = _revival_setup(spec, code_id, manifest.alpha, manifest.beta, prune_below)
 
     def evaluate(indices):
         for i in indices:  # one record per grid point, checkpointed as it is yielded
@@ -472,7 +426,7 @@ def exp_coupling(
                 "discarded_mass": float(np.sum(discarded)),
             }
 
-    recs = ckpt.fill(len(f_grid), evaluate)
+    recs = _fill(out_dir, manifest, len(f_grid), evaluate)
     means = [float(r["mean"]) for r in recs]
     mins = [float(r["min"]) for r in recs]
     zetas = [float(r["zeta_mean"]) for r in recs]
@@ -518,7 +472,6 @@ def exp_dephasing(
     if not all(0.0 <= g < np.inf for g in gamma_grid):
         raise ValueError("gamma must be finite and nonnegative")
     manifest = ExperimentManifest("dephasing", spec, "", gamma_grid, DEPHASING_TIME_POINTS, 0)
-    ckpt = _Checkpoint(out_dir, manifest)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = amps[1] = 1 / np.sqrt(2)  # last site in |+>, rest |00..0>
     rho0 = from_density(StateVector(amps, n))
@@ -535,7 +488,8 @@ def exp_dephasing(
                     dev.append(abs(chi(rho, spec, m, times[k]) - decay * chi0[m - 1]))
             yield {"gamma": gamma, "max_abs_deviation": float(np.max(dev))}
 
-    devs = [float(r["max_abs_deviation"]) for r in ckpt.fill(len(gamma_grid), evaluate)]
+    recs = _fill(out_dir, manifest, len(gamma_grid), evaluate)
+    devs = [float(r["max_abs_deviation"]) for r in recs]
     rows = [[gamma_grid[i], devs[i]] for i in range(len(gamma_grid))]
     _write_csv(out_dir, "dephasing.csv", ["gamma", "max_abs_deviation"], rows)
     return DephasingReport(manifest, gamma_grid, tuple(devs))

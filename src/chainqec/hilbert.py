@@ -415,14 +415,18 @@ def chi(rho: DensityMatrix, spec: ChainSpec, n: int, t: float) -> complex:
     state e^{iHt} rho e^{-iHt}; equivalently the expectation of the
     Heisenberg mode e^{-iHt} c_{N+1-n} e^{iHt} in rho.  Written this way the
     unitary dynamics drop out exactly, which is what makes the closed-form
-    dephasing decay hold for every mode and initial state.
+    dephasing decay hold for every mode and initial state.  The mode is a
+    Pauli string, c|i> = phase (-1)^|i & z| |i ^ x>, so the trace is one
+    gather: phase * sum_i rho_int[i, i ^ x] (-1)^|i & z|.
     """
     from .freefermion import jordan_wigner
 
     u = dense_unitary(spec, t)
     rho_int = u.conj().T @ rho.mat @ u
-    c = jordan_wigner(mirror_mode(spec.n_sites, n), spec.n_sites).dense()
-    return complex(np.trace(rho_int @ c))
+    c = jordan_wigner(mirror_mode(spec.n_sites, n), spec.n_sites)
+    idx = np.arange(rho_int.shape[0], dtype=np.int64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & c.z_mask) & 1)
+    return complex(c.phase * np.sum(rho_int[idx, idx ^ c.x_mask] * signs))
 
 
 def trajectory_sample(

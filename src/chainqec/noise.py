@@ -23,20 +23,19 @@ def inject_single_z(
     site: int,
     t_err: float,
     total_time: float,
-    method: str = "expm",
 ) -> StateVector:
     """Evolve to t_err, flip the phase of one site, evolve out to total_time.
 
-    `method` is hilbert.evolve's: the default "expm" is the exact oracle,
-    "givens" the free-fermion engine.
+    The oracle for single-Z samples: both evolutions are hilbert.evolve's
+    exact "expm" method, independent of the free-fermion engine.
     """
     if not 1 <= site <= spec.n_sites:
         raise ValueError("site out of range")
     if not 0 <= t_err <= total_time:
         raise ValueError("need 0 <= t_err <= total_time")
-    psi = evolve(state, spec, t_err, method=method)
+    psi = evolve(state, spec, t_err, method="expm")
     psi = apply_pauli(psi, PauliString(spec.n_sites, 0, site_bit(spec.n_sites, site)))
-    return evolve(psi, spec, total_time - t_err, method=method)
+    return evolve(psi, spec, total_time - t_err, method="expm")
 
 
 def disordered_spec(spec: ChainSpec, f: float, rng_seed: int) -> tuple[ChainSpec, float]:

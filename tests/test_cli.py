@@ -95,6 +95,23 @@ def test_unknown_code_or_imperfect_chain_refused_before_writing(sweep, bad, tmp_
     assert main([*sweep, "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("empty, valid", [
+    (["timing-sweep", "--grid", "0:0.1:0"], ["timing-sweep", "--grid", "0,0.01"]),
+    (["coupling-sweep", "--grid", "0:0.1:0", "--instances", "1"],
+     ["coupling-sweep", "--grid", "0.05", "--instances", "1"]),
+    (["dephasing", "--pst", "3", "--gammas", "0:0.1:0"],
+     ["dephasing", "--pst", "3", "--gammas", "0.05"]),
+])
+def test_empty_grid_refused_by_the_parser(empty, valid, tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([*empty, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "no points" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*valid, "--out", str(out)]) == 0
+
+
 def test_coupling_cli_reports_discarded_mass(tmp_path, capsys):
     rc = main([
         "coupling-sweep", "--grid", "0.05", "--instances", "2", "--prune", "1e-12",

@@ -4,6 +4,8 @@ import shutil
 import numpy as np
 import pytest
 
+import chainqec
+from chainqec import harness
 from chainqec.chain import ChainSpec, pst_couplings
 from chainqec.errors import ResourceLimitError
 from chainqec.freefermion import mode_propagator_for, pauli_to_fermion, propagate
@@ -23,10 +25,22 @@ from chainqec.harness import (
 from chainqec.pauli import from_sites, pauli_z
 
 
-def test_manifest_roundtrip():
-    m = ExperimentManifest("timing", pst_couplings(5), "minimal15", (0.0, 0.1), 7, 42)
-    again = ExperimentManifest.from_json(m.to_json())
-    assert again == m
+def test_manifest_json_records_every_field():
+    spec = pst_couplings(5)
+    m = ExperimentManifest(
+        "timing", spec, "minimal15", (0.0, 0.1), 7, 42, (1.0, 0.0, 0.0, 0.0), 1e-9
+    )
+    assert json.loads(m.to_json()) == {
+        "experiment": "timing",
+        "spec": json.loads(spec.to_json()),
+        "code_id": "minimal15",
+        "grid": [0.0, 0.1],
+        "samples": 7,
+        "seed": 42,
+        "logical": [1.0, 0.0, 0.0, 0.0],
+        "prune_below": 1e-9,
+        "version": chainqec.__version__,
+    }
 
 
 def test_fmt_is_round_trip_exact():
@@ -88,9 +102,7 @@ def test_setup_engine_matches_success_probability(code15, chain15):
     cases = [(4, 0.31), (13, 2.9)]
     fast, _ = setup.success_single_z(*zip(*cases))
     for (site, t_err), got in zip(cases, fast):
-        noisy = inject_single_z(
-            setup.encoded, chain15, site, t_err, setup.duration, method="expm"
-        )
+        noisy = inject_single_z(setup.encoded, chain15, site, t_err, setup.duration)
         want = decode_pipeline(noisy, code15, opts).success_probability
         assert got == pytest.approx(want, abs=1e-11)
 
@@ -142,7 +154,7 @@ def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
         got = np.zeros_like(setup.encoded.amps)
         for states, rows in blocks:
             got[states] = rows[k]
-        want = inject_single_z(setup.encoded, chain15, site, t_err, total, method="expm")
+        want = inject_single_z(setup.encoded, chain15, site, t_err, total)
         np.testing.assert_allclose(got, want.amps, rtol=0, atol=1e-12)
 
 
@@ -174,14 +186,38 @@ def test_pruned_sweeps_never_run_the_pipeline(monkeypatch):
     assert curves.discarded_mass[0] > 0
 
 
-def test_setups_share_one_read_only_evaluator(code15, chain15):
+def test_cached_setup_is_read_only():
     amp = 1 / np.sqrt(2)
-    a = RevivalSetup(chain15, code15, amp, amp)
-    b = RevivalSetup(chain15, make_code("minimal15"), amp, amp)
-    assert a.evaluator is b.evaluator
-    with pytest.raises(ValueError, match="read-only"):
-        a.evaluator.u[0, 0, 0] = 1.0
-    assert RevivalSetup(chain15, code15, 1.0, 0.0).evaluator is not a.evaluator
+    setup = harness._revival_setup(pst_couplings(15), "minimal15", amp, amp, 0.0)
+    held = [
+        *vars(setup.evaluator).values(), *vars(setup.evaluator.tables).values(),
+        setup.encoded.amps, setup.arrival.amps,
+    ]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 12  # six evaluator arrays, four table arrays, two states
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+
+
+def test_revival_sweeps_share_one_setup_per_process(monkeypatch):
+    built = []
+    init = RevivalSetup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RevivalSetup, "__init__", counting_init)
+    harness._revival_setup.cache_clear()
+    exp_single_z(samples=2, seed=1, prune_below=1e-12)
+    exp_single_z(samples=3, seed=2, prune_below=1e-12)
+    exp_timing(delta_grid=(0.0,), prune_below=1e-12)
+    assert len(built) == 1
+    exp_single_z(samples=2, seed=1)  # another prune gets its own set-up
+    assert len(built) == 2
+    harness._revival_setup(pst_couplings(15), "minimal15", 1.0, 0.0, 0.0)  # another state
+    assert len(built) == 3
 
 
 def test_single_z_csv_and_resume(tmp_path):

@@ -357,6 +357,25 @@ def test_chi_plus_on_first_site():
     assert chi(rho, spec, n, 0.0) == pytest.approx(1.0)  # n=N picks mode c_1 = X_1
 
 
+def test_chi_matches_dense_trace_exactly():
+    # the gather against Tr(rho_int c) with c the dense Jordan-Wigner matrix
+    from chainqec.freefermion import jordan_wigner
+    from chainqec.hilbert import mirror_mode
+
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 4):
+        spec = pst_couplings(n)
+        for _ in range(3):
+            a = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
+            rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T), n)
+            for t in (0.0, 0.7):
+                u = dense_unitary(spec, t)
+                rho_int = u.conj().T @ rho.mat @ u
+                for mode in range(1, 2 * n + 1):
+                    c = jordan_wigner(mirror_mode(n, mode), n).dense()
+                    assert chi(rho, spec, mode, t) == complex(np.trace(rho_int @ c))
+
+
 def test_chi_dephasing_decay_small_chain():
     # full cross-check of the closed form on N=4
     n, gamma = 4, 0.05

@@ -136,13 +136,16 @@ _COLD_DEFAULT = """
 import json
 import numpy as np
 from chainqec import encode, inject_single_z, minimal15, pst_couplings
+from chainqec.hilbert import apply_pauli, evolve
+from chainqec.pauli import pauli_z
 
 spec = pst_couplings(15)
 psi = encode(minimal15(), 1 / np.sqrt(2), 1 / np.sqrt(2))
 noisy = inject_single_z(psi, spec, site=7, t_err=1.1, total_time=np.pi)
 with open("/proc/self/status") as fh:
     peak_kib = int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
-fast = inject_single_z(psi, spec, site=7, t_err=1.1, total_time=np.pi, method="givens")
+mid = apply_pauli(evolve(psi, spec, 1.1, method="givens"), pauli_z(15, 7))
+fast = evolve(mid, spec, np.pi - 1.1, method="givens")
 print(json.dumps({"peak_kib": peak_kib, "diff": float(np.abs(noisy.amps - fast.amps).max())}))
 """
 
@@ -165,7 +168,7 @@ def test_single_z_time_sweep_always_corrected(code15, chain15, plus_logical15):
     from chainqec.decoder import DecodeOptions, decode_pipeline
 
     for t_err in np.linspace(0.0, np.pi, 7):
-        psi = inject_single_z(plus_logical15, chain15, 9, float(t_err), np.pi, method="givens")
+        psi = inject_single_z(plus_logical15, chain15, 9, float(t_err), np.pi)
         report = decode_pipeline(psi, code15, DecodeOptions(mode="revival"))
         assert report.success_probability >= 1 - 1e-9, t_err
 
