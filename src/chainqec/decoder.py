@@ -11,8 +11,10 @@ no detected flip, while flips exist elsewhere, is reinterpreted as phase
 errors on the other two blocks.
 
 These rules live in one place, DecoderTables, built once per (code, side).
-RevivalEvaluator reads them to score the revival setup with a handful of
-gathers and segment sums; every sweep, pruned or exact, goes through it.
+RevivalEvaluator folds them into one fixed sparse weight matrix on the
+excitation sectors the encoded state occupies, so scoring a chunk of
+revival states is one sparse product (and, when pruning, one more for the
+branch and leaf masses); every sweep, pruned or exact, goes through it.
 decode_pipeline is the branch-recording oracle the evaluator is checked
 against: it tracks every syndrome outcome as an explicit branch with its
 Born probability, and also serves general mode.  The success probability
@@ -30,9 +32,10 @@ from itertools import combinations
 from types import MappingProxyType
 
 import numpy as np
+import scipy.sparse as sp
 
 from .code import StabilizerCode, encode
-from .hilbert import StateVector, apply_pauli, cz_network
+from .hilbert import StateVector, _occupied_weights, apply_pauli, cz_network, sector_indices
 from .pauli import PauliString, mask_of_sites, popcount
 
 _EXACT_ZERO = 0.0
@@ -393,8 +396,7 @@ def decode_pipeline(
             continue
         x_mask, z_mask = int(tables.x_mask[x_key]), int(tables.z_trail[x_key])
         corr_x = PauliString(m_qubits, x_mask, z_mask)
-        sign = 1.0 - 2.0 * (np.bitwise_count(ind & z_mask) & 1)
-        ind2, amp2 = ind ^ x_mask, amp * sign
+        ind2, amp2 = ind ^ x_mask, amp * _z_sign(ind & z_mask)
         srt = np.argsort(ind2)
         stack = [((), ind2[srt], amp2[srt])]
         for gen in zgens:
@@ -425,7 +427,7 @@ def decode_pipeline(
                 )
                 continue
             zc_mask = mask_of_sites(m_qubits, zc_sites)
-            ba_corr = ba * (1.0 - 2.0 * (np.bitwise_count(bi & zc_mask) & 1))
+            ba_corr = ba * _z_sign(bi & zc_mask)
             fid = leaf_overlap(bi, ba_corr) / p_leaf
             records.append(
                 BranchRecord(
@@ -439,142 +441,175 @@ def decode_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# vectorised revival evaluator (no per-branch records; serves every sweep)
+# sparse revival evaluator (no per-branch records; serves every sweep)
 # ---------------------------------------------------------------------------
 
 
 class RevivalEvaluator:
-    """Success probability and pruned mass of the revival-mode pipeline, vectorised.
+    """Success probability and pruned mass of the revival-mode pipeline, as sparse products.
 
-    Reads the per-key correction arrays of decoder_tables(code, "below") and
-    precomputes, for every block class and phase outcome, the
-    projected-and-corrected reference vectors; a decode is then a handful of
-    gathers and segment sums.  It serves every revival sweep, pruned or not,
-    without branch records, and agrees with decode_pipeline, its oracle, to
-    roundoff in both success and discarded mass.
+    Scores rows of amplitudes on `support`, a fixed list of basis indices:
+    by default the excitation sectors the encoded reference occupies, which
+    every revival state stays in (weights {0, 10}, 3004 of 32768 indices,
+    on minimal15); amplitudes off the support are not read.  Column (key,
+    o) of the weight matrix W (support x column) folds the X/trailing-Z
+    correction of bit-flip key `key`, the phase projector P_o and the
+    class table's Z correction into one conjugated, corrected copy of the
+    reference, so that without pruning success = sum_c |rows @ W|^2.  The
+    reference has bit-flip key 0, so an undecodable branch overlaps it
+    exactly 0 and W has no column for one.  Pruning reads the branch and
+    leaf masses as one sparse product over the support pairs the phase
+    checks connect.  Every product sums each entry in a fixed order, so a
+    row's value does not depend on the rows scored with it.  Agrees with decode_pipeline,
+    its oracle, to roundoff in both success and discarded mass.
     """
 
-    def __init__(self, codeobj: StabilizerCode, alpha: complex, beta: complex):
-        n = codeobj.n_qubits
-        self.n_qubits = n
+    def __init__(self, codeobj: StabilizerCode, alpha: complex, beta: complex, support=None):
         if codeobj.orientation != "inner-bitflip":
             raise ValueError("evaluator supports the inner-bitflip block codes")
         zgens = codeobj.z_detecting_generators
-        n_z = len(zgens)
-        if n_z > 6:
+        if len(zgens) > 6:
             raise ValueError("evaluator sized for small generator sets")
-        for gen in zgens:
-            if gen.z_mask or gen.phase != 1:
-                raise ValueError("phase checks must be plain X-type")
+        if any(gen.z_mask or gen.phase != 1 for gen in zgens):
+            raise ValueError("phase checks must be plain X-type")
         self.tables = tables = decoder_tables(codeobj, "below")
-        dim = 1 << n
-        idx = np.arange(dim, dtype=np.int64)
-        self.keys = _syndrome_keys_for_indices(codeobj.x_detecting_generators, idx)
+        n, blocks = codeobj.n_qubits, codeobj.blocks
+        ref = encode(codeobj, alpha, beta)
+        if support is None:
+            support = np.concatenate([sector_indices(n, w) for w in _occupied_weights(ref)])
+        self.support = support = np.array(support, dtype=np.int64)
+        position = np.full(1 << n, support.size)  # of each basis index; support.size off it
+        position[support] = np.arange(support.size)
 
-        blocks = codeobj.blocks
-        n_out = 1 << n_z
-        n_cls = 1 << len(blocks)
-        # class = bitmask of blocks receiving a Z (representative site each);
-        # on these codes the in-block position is a stabilizer choice, so the
-        # representative acts on the reference exactly like the flip site
-        self.cls_table = np.zeros((n_cls, n_out), dtype=np.int64)
-        for fb in range(n_cls):
-            fake_flips = tuple(blk[0] for b, blk in enumerate(blocks) if fb & (1 << b))
-            for o in range(n_out):
-                # undecodable: score with no correction
-                for s in tables.cross_reference(o, fake_flips) or ():
-                    self.cls_table[fb, o] |= 1 << tables.block_of[s]
-
-        ref = encode(codeobj, alpha, beta).amps
-        self.ref = ref
-        # u[o, cls] = P_o * C2(cls) |ref> with C2 a Z at each class block's first site
-        self.u = np.zeros((n_out, n_cls, dim), dtype=complex)
-        for cls in range(n_cls):
-            zm = mask_of_sites(n, (blk[0] for b, blk in enumerate(blocks) if cls & (1 << b)))
-            v = ref * (1.0 - 2.0 * (np.bitwise_count(idx & zm) & 1))
-            for o in range(n_out):
-                w = v
-                for g, gen in enumerate(zgens):
-                    flipped = np.empty_like(w)
-                    flipped[idx ^ gen.x_mask] = w
-                    w = 0.5 * (w + (1 - 2 * ((o >> g) & 1)) * flipped)
-                self.u[o, cls] = w
-        self.n_out = n_out
+        n_out = self.n_out = 1 << len(zgens)
         # check_masks[S]: X mask of the product of the phase checks in S;
         # leaf_signs[S, o] = (-1)^{|o & S|}, so P_o = 2^-n_z sum_S leaf_signs[S, o] X_S
-        self.check_masks = np.zeros(n_out, dtype=np.int64)
+        check_masks = np.zeros(n_out, dtype=np.int64)
         for g, gen in enumerate(zgens):
-            self.check_masks[1 << g:2 << g] = self.check_masks[:1 << g] ^ gen.x_mask
+            check_masks[1 << g:2 << g] = check_masks[:1 << g] ^ gen.x_mask
         outcomes = np.arange(n_out)
-        self.leaf_signs = 1.0 - 2.0 * (np.bitwise_count(outcomes[:, None] & outcomes) & 1)
+        leaf_signs = _z_sign(outcomes[:, None] & outcomes)
 
-    def success(self, psi: np.ndarray, prune_below: float = 0.0) -> tuple[float, float]:
-        """(success probability, discarded mass) of decode_pipeline on `psi`.
+        # class = bitmask of blocks receiving a Z (representative site each);
+        # on these codes the in-block position is a stabilizer choice, so the
+        # representative acts on the reference exactly like the flip site.
+        # The reference is a +1 eigenstate of every phase check, so P_o C2|ref>
+        # is C2|ref> when o is the phase syndrome of C2 and 0 otherwise.
+        cls_masks = np.zeros(1 << len(blocks), dtype=np.int64)
+        cls_table = np.zeros((cls_masks.size, n_out), dtype=np.int64)
+        for fb in range(cls_masks.size):
+            rep = tuple(blk[0] for b, blk in enumerate(blocks) if fb & (1 << b))
+            cls_masks[fb] = mask_of_sites(n, rep)
+            for o in range(n_out):
+                for s in tables.cross_reference(o, rep) or ():
+                    cls_table[fb, o] |= 1 << tables.block_of[s]
+        cls_syndrome = sum(
+            (np.bitwise_count(cls_masks & gen.x_mask) & 1) << g for g, gen in enumerate(zgens)
+        )
 
-        Pruning follows decode_pipeline: a bit-flip branch with mass below
+        # column (key, o) of W holds C2|ref> at i ^ x_mask[key], conjugated and
+        # signed (-1)^{|i & z_trail[key]|}, so rows @ W is <ref|C2 P_o C1|row>
+        # with C1 the key's X/trailing-Z correction (the entries all have
+        # bit-flip key `key`: W reads only that branch) and C2 the class's Z
+        keys = np.flatnonzero(tables.correctable)
+        cls = cls_table[tables.flip_blocks[keys]]  # (key, o)
+        k, o = np.nonzero(cls_syndrome[cls] == outcomes)
+        ref_ind = np.flatnonzero(ref.amps)
+        ind = ref_ind ^ tables.x_mask[keys[k]][:, None]  # (column, reference entry)
+        vals = np.conj(ref.amps[ref_ind]) * _z_sign(ref_ind & cls_masks[cls[k, o]][:, None])
+        vals *= _z_sign(ind & tables.z_trail[keys[k]][:, None])
+        pos = position[ind]
+        cols = np.broadcast_to((keys[k] * n_out + o)[:, None], ind.shape)
+        inner = pos < support.size
+        used, col = np.unique(cols[inner], return_inverse=True)
+        self.weights = sp.csc_array((vals[inner], (pos[inner], col)), (support.size, used.size))
+        self.weights.sum_duplicates()  # canonical: each column summed in row order
+
+        # branch and leaf masses (see _pruned) from the overlaps of pairs (p, q)
+        # of support positions with support[q] = support[p] ^ m_S (pairs
+        # leaving the support read zero amplitudes and are left out): one
+        # column per bit-flip key on the support for its branch mass (the
+        # S = 0 pairs), then n_out per decodable key for its leaf masses
+        support_keys = _syndrome_keys_for_indices(codeobj.x_detecting_generators, support)
+        present, key_col = np.unique(support_keys, return_inverse=True)
+        self.leaf_keys = np.flatnonzero(tables.correctable[present])  # positions in present
+        leaf_col = np.full(present.size, -1)
+        leaf_col[self.leaf_keys] = np.arange(self.leaf_keys.size)
+        partner = position[support[:, None] ^ check_masks]  # (p, S)
+        p, check = np.nonzero(partner < support.size)
+        self.pairs = np.stack([p, partner[p, check]])
+        leaf = leaf_col[key_col[p]]
+        own, dec = np.flatnonzero(check == 0), np.flatnonzero(leaf >= 0)
+        # the correction commutes with X_S up to (-1)^{|m_S & trail|}
+        trail = _z_sign(tables.z_trail[support_keys[p[dec]]] & check_masks[check[dec]])
+        data = [np.ones(own.size), (leaf_signs[check[dec]] * trail[:, None]).ravel() / n_out]
+        pair = [own, np.repeat(dec, n_out)]
+        col = [key_col[p[own]], present.size + (leaf[dec][:, None] * n_out + outcomes).ravel()]
+        self.mass_weights = sp.csc_array(
+            (np.concatenate(data), (np.concatenate(pair), np.concatenate(col))),
+            (p.size, present.size + self.leaf_keys.size * n_out),
+        )
+        self.col_key = leaf_col[np.searchsorted(present, used // n_out)]  # decodable key
+        self.col_out = used % n_out
+        for value in vars(self).values():
+            for a in (value.data, value.indices, value.indptr) if sp.issparse(value) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+
+    def success(self, rows: np.ndarray, prune_below: float = 0.0):
+        """(success probability, discarded mass) of decode_pipeline on each row.
+
+        `rows` holds amplitudes on the support, one state per row; a 1-D
+        row returns two floats, an (S, support) block two arrays.  Pruning
+        follows decode_pipeline: a bit-flip branch with mass below
         `prune_below` is discarded whole; an undecodable branch is never
         split; in a kept decodable branch each phase leaf with mass below
         `prune_below` is discarded.
         """
-        t = self.tables
-        ind = np.nonzero(np.abs(psi) ** 2 > _EXACT_ZERO)[0].astype(np.int64)
-        amp = psi[ind]
-        k = self.keys[ind]
-        uniq, inv = np.unique(k, return_inverse=True)
-        ok = t.correctable[k]
-        branch_kept = np.ones(uniq.size, dtype=bool)
-        leaf_kept = np.ones((uniq.size, self.n_out), dtype=bool)
-        discarded = 0.0
+        xt = np.ascontiguousarray(np.atleast_2d(rows).T)  # (support, state)
+        mass = np.abs(self.weights.T @ xt) ** 2  # (column of W, state)
+        discarded = np.zeros(xt.shape[1])
         if prune_below > 0.0:  # at 0 nothing can be dropped, so the masses are not needed
-            branch_kept, leaf_kept, discarded = self._pruned(
-                psi, ind, amp, uniq, inv, prune_below
-            )
-        total = 0.0
-        # undecodable branches score their raw overlap with the reference
-        if not ok.all():
-            bad = ~ok
-            s = _segment_sum(np.conj(self.ref[ind[bad]]) * amp[bad], inv[bad], uniq.size)
-            total += float(np.sum(np.abs(s[branch_kept]) ** 2))
-        ind2 = ind ^ t.x_mask[k]
-        amp2 = amp * (1.0 - 2.0 * (np.bitwise_count(ind & t.z_trail[k]) & 1))
-        fb = t.flip_blocks[k]
-        for o in range(self.n_out):
-            cls = self.cls_table[fb, o]
-            vals = np.conj(self.u[o, cls, ind2]) * amp2
-            vals[~ok] = 0.0
-            s = _segment_sum(vals, inv, uniq.size)
-            total += float(np.sum(np.abs(s[leaf_kept[:, o]]) ** 2))
-        return total, discarded
+            kept, discarded = self._pruned(xt, prune_below)
+            mass[~kept] = 0.0
+        success = _state_sums(mass)
+        if np.ndim(rows) == 1:
+            return float(success[0]), float(discarded[0])
+        return success, discarded
 
-    def _pruned(self, psi, ind, amp, uniq, inv, prune_below):
-        """Kept-branch mask, kept-leaf mask [key, o] and discarded mass at `prune_below`.
+    def _pruned(self, xt: np.ndarray, prune_below: float) -> tuple[np.ndarray, np.ndarray]:
+        """Kept mask (column of W, state) and discarded mass per state at `prune_below`.
 
         Leaf o of the X-corrected branch x has mass <x|P_o|x> =
         2^-n_z sum_S (-1)^{|o & S|} <x|X_S|x>, X_S the product of the
         phase checks in S.  X_S commutes with the bit-flip checks, so it
         maps a branch onto itself, and the correction commutes with it up
         to the sign (-1)^{|m_S & trail|}: <x|X_S|x> is that sign times
-        <psi_key|X_S|psi_key>, one gather from `psi` per S.
+        <psi_key|X_S|psi_key>, a sum of Re(conj(psi_q) psi_p) over the
+        support pairs X_S connects.  Branch and leaf masses are therefore
+        one sparse product of those pair overlaps.
         """
-        t = self.tables
-        gram = np.empty((uniq.size, self.n_out))  # gram[key, S] = <x|X_S|x>
-        gram[:, 0] = np.bincount(inv, weights=np.abs(amp) ** 2, minlength=uniq.size)
-        trail = t.z_trail[uniq]
-        for s in range(1, self.n_out):
-            m = self.check_masks[s]
-            overlap = np.bincount(
-                inv, weights=(np.conj(psi[ind ^ m]) * amp).real, minlength=uniq.size
-            )
-            gram[:, s] = overlap * (1.0 - 2.0 * (np.bitwise_count(trail & m) & 1))
-        # a leaf mass is a squared norm: clip the roundoff of empty leaves at 0
-        p_leaf = np.maximum(gram @ self.leaf_signs / self.n_out, 0.0)
-        branch_kept = gram[:, 0] >= prune_below
-        leaf_dropped = (branch_kept & t.correctable[uniq])[:, None] & (p_leaf < prune_below)
-        discarded = float(np.sum(gram[~branch_kept, 0])) + float(np.sum(p_leaf[leaf_dropped]))
-        return branch_kept, branch_kept[:, None] & ~leaf_dropped, discarded
+        p, q = self.pairs
+        overlap = (np.conj(xt[q]) * xt[p]).real  # (pair, state)
+        masses = self.mass_weights.T @ overlap
+        n_keys = len(masses) - self.leaf_keys.size * self.n_out
+        branch = masses[:n_keys]  # [key, state]
+        # a leaf mass is a squared norm: clip the roundoff of empty leaves at 0;
+        # leaf[decodable key, o, state]
+        leaf = np.maximum(masses[n_keys:].reshape(self.leaf_keys.size, self.n_out, xt.shape[1]), 0)
+        branch_kept = branch >= prune_below
+        leaf_dropped = branch_kept[self.leaf_keys][:, None] & (leaf < prune_below)
+        discarded = _state_sums(branch * ~branch_kept) + _state_sums(leaf * leaf_dropped)
+        col_key = self.col_key
+        kept = branch_kept[self.leaf_keys[col_key]] & ~leaf_dropped[col_key, self.col_out]
+        return kept, discarded
 
 
-def _segment_sum(values: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
-    re = np.bincount(seg, weights=values.real, minlength=n_seg)
-    im = np.bincount(seg, weights=values.imag, minlength=n_seg)
-    return re + 1j * im
+def _z_sign(masked: np.ndarray) -> np.ndarray:
+    """(-1)^{popcount}: the sign a Z string picks up on the basis states `masked` by it."""
+    return 1.0 - 2.0 * (np.bitwise_count(masked) & 1)
+
+
+def _state_sums(a: np.ndarray) -> np.ndarray:
+    """Per-state sums of a (..., state) array, added in an order independent of the state count."""
+    return np.ascontiguousarray(a.reshape(-1 if a.size else 0, a.shape[-1]).T).sum(axis=1)

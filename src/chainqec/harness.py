@@ -32,16 +32,18 @@ from .hilbert import (
     evolve,
     from_density,
     lindblad_evolve,
+    sample_rng,
     single_z_sectors,
 )
 from .noise import disordered_spec
 from .pauli import PauliString
 
 _BRUTE_FORCE_MAX_SITES = 6
-# points evaluated together: the single-Z samples of one chunk are the rows
-# of one block per excitation sector.  A point's value must not depend on
-# its chunk, or a resumed run (which re-chunks the missing points) would
-# differ from a fresh one; the batched-engine and resume tests check this.
+# points evaluated together: the single-Z samples (or timing offsets) of one
+# chunk are the rows of one block on the evaluator's support, scored in one
+# sparse product.  A point's value must not depend on its chunk, or a
+# resumed run (which re-chunks the missing points) would differ from a
+# fresh one; the chunk, batched-engine and resume tests check this.
 _CHUNK = 64
 
 DEFAULT_TIMING_GRID_POINTS = 21
@@ -53,13 +55,6 @@ DEPHASING_TIME_POINTS = 9  # from 0 to the transfer time
 def fmt(x: float) -> str:
     """Canonical float formatting for reproducible CSV output."""
     return f"{float(x):.17g}"
-
-
-def sample_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator for one sample: order-independent across samples."""
-    return np.random.Generator(
-        np.random.Philox(key=[int(seed) & (2**64 - 1), int(index) & (2**64 - 1)])
-    )
 
 
 def make_code(code_id: str) -> StabilizerCode:
@@ -180,8 +175,11 @@ class RevivalSetup:
     rotated fermionic mode about it, so a batch of single-Z samples costs
     2(N-1) bond rotations per sample on the rows of one block per sector
     (hilbert.single_z_sectors) instead of two full evolutions.  Every
-    array held here, the evaluator's included, is read-only, so one set-up
-    can serve every sweep of a process (_revival_setup).
+    revival state stays in the excitation sectors the encoded state
+    occupies, the evaluator's support, so a chunk of samples is scored as
+    one (S, support) block of rows, never scattered into a 2^N vector.
+    Every array held here, the evaluator's included, is read-only, so one
+    set-up can serve every sweep of a process (_revival_setup).
     """
 
     def __init__(
@@ -206,14 +204,8 @@ class RevivalSetup:
         self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
         # the error-free state at the readout, e^{-iH duration}|encoded>
         self.arrival = evolve(self.encoded, spec, self.duration, method="givens")
-        arrays = [*vars(self.evaluator).values(), self.encoded.amps, self.arrival.amps]
-        for value in arrays:
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-
-    def _success(self, amps: np.ndarray) -> tuple[float, float]:
-        """(success probability, probability mass discarded by pruning)."""
-        return self.evaluator.success(amps, self.prune_below)
+        for state in (self.encoded, self.arrival):
+            state.amps.flags.writeable = False
 
     def success_single_z(self, sites, t_errs) -> tuple[np.ndarray, np.ndarray]:
         """One phase flip per sample: Z on sites[k] at time t_errs[k] of the revival run.
@@ -222,28 +214,26 @@ class RevivalSetup:
         """
         taus = np.asarray(t_errs, dtype=float) - self.duration
         blocks = single_z_sectors(self.arrival, self.spec, sites, taus)
-        success, discarded = np.empty(taus.size), np.empty(taus.size)
-        for k in range(taus.size):
-            out = np.zeros_like(self.encoded.amps)
-            for states, rows in blocks:
-                out[states] = rows[k]
-            success[k], discarded[k] = self._success(out)
-        return success, discarded
+        # the sectors, in weight order, are the evaluator's support
+        rows = np.concatenate([block for _, block in blocks], axis=1)
+        return self.evaluator.success(rows, self.prune_below)
 
     def success_timing(self, deltas) -> tuple[np.ndarray, np.ndarray]:
         """Readout at twice the transfer time plus each offset; arrays as success_single_z."""
-        deltas = np.asarray(deltas, dtype=float)
-        out = np.empty((2, deltas.size))
-        for k, delta in enumerate(deltas):
-            psi = evolve(self.encoded, self.spec, self.duration + delta, method="givens")
-            out[:, k] = self._success(psi.amps)
-        return out[0], out[1]
+        support = self.evaluator.support
+        rows = np.array([
+            evolve(self.encoded, self.spec, self.duration + delta, method="givens").amps[support]
+            for delta in np.asarray(deltas, dtype=float)
+        ])
+        return self.evaluator.success(rows, self.prune_below)
 
     def success_coupling_instance(self, f: float, draw_seed: int) -> tuple[float, float, float]:
         """(success probability, largest perturbation singular value, discarded mass)."""
         perturbed, zeta = disordered_spec(self.spec, f, draw_seed)
         psi = evolve(self.encoded, perturbed, self.duration, method="givens")
-        success, discarded = self._success(psi.amps)
+        success, discarded = self.evaluator.success(
+            psi.amps[self.evaluator.support], self.prune_below
+        )
         return success, zeta, discarded
 
 
@@ -339,7 +329,7 @@ def exp_timing(
     out_dir: str | None = None,
     prune_below: float = 0.0,
 ) -> TimingCurve:
-    """Readout-time offsets on the revival setup, exhaustively branch-tracked."""
+    """Readout-time offsets on the revival setup: a Givens evolve per offset, scored per chunk."""
     spec = spec or pst_couplings(15)
     manifest = ExperimentManifest("timing", spec, code_id, (), 0, 0, prune_below=prune_below)
     setup = _revival_setup(spec, code_id, manifest.alpha, manifest.beta, prune_below)

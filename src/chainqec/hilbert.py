@@ -429,6 +429,18 @@ def chi(rho: DensityMatrix, spec: ChainSpec, n: int, t: float) -> complex:
     return complex(c.phase * np.sum(rho_int[idx, idx ^ c.x_mask] * signs))
 
 
+def sample_rng(*words: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, counter, ...), each word taken mod 2^64.
+
+    Draws for one key do not depend on any other key, so samples are
+    order-independent.  The key is built as a uint64 array: numpy reads a
+    Python list holding a word of 2^63 or more through float64, which maps
+    every seed in [-1024, -1] to key word 0.
+    """
+    key = np.array([int(w) & (2**64 - 1) for w in words], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def trajectory_sample(
     state: StateVector,
     gamma: float,
@@ -448,7 +460,7 @@ def trajectory_sample(
         raise ValueError("gamma must be nonnegative")
     if duration < 0:
         raise ValueError("duration must be nonnegative")
-    rng = np.random.Generator(np.random.Philox(key=[int(rng_seed) & (2**64 - 1), 0]))
+    rng = sample_rng(rng_seed, 0)
     events: list[tuple[float, int]] = []
     for site in range(1, spec.n_sites + 1):
         for t_j in rng.uniform(0, duration, rng.poisson(gamma * duration)):

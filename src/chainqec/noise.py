@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import ChainSpec, single_excitation_matrix
-from .hilbert import StateVector, apply_pauli, evolve
+from .hilbert import StateVector, apply_pauli, evolve, sample_rng
 from .pauli import PauliString, site_bit
 
 
@@ -46,7 +46,7 @@ def disordered_spec(spec: ChainSpec, f: float, rng_seed: int) -> tuple[ChainSpec
     """
     if not 0 <= f < 1:
         raise ValueError("disorder fraction must be in [0, 1)")
-    rng = np.random.Generator(np.random.Philox(key=[int(rng_seed) & (2**64 - 1), 1]))
+    rng = sample_rng(rng_seed, 1)
     js = np.array(spec.couplings) * rng.uniform(1 - f, 1 + f, spec.n_sites - 1)
     perturbed = ChainSpec(spec.n_sites, tuple(js), spec.fields)
     dh = single_excitation_matrix(perturbed) - single_excitation_matrix(spec)

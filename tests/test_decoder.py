@@ -296,7 +296,8 @@ def test_single_mode_errors_corrected_for_any_logical_state(code15):
     # than |+_L> exposes
     alpha, beta = 0.6, 0.8j
     psi0 = encode(code15, alpha, beta)
-    ev = RevivalEvaluator(code15, alpha, beta)
+    # a single mode changes the excitation number: score on every basis index
+    ev = RevivalEvaluator(code15, alpha, beta, np.arange(2**15))
     for mode in range(1, 31):
         noisy = apply_pauli(psi0, jordan_wigner(mode, 15))
         report = decode_pipeline(noisy, code15, _options(alpha, beta))
@@ -345,7 +346,8 @@ def test_pipeline_json_schema(code15, plus_logical15):
 
 
 def test_evaluator_matches_pipeline(code15, chain15, plus_logical15):
-    ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    # the X errors leave the encoded sectors: score on every basis index
+    ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2), np.arange(2**15))
     states = [
         evolve(plus_logical15, chain15, 2 * T0 + 0.03),
         inject_single_z(plus_logical15, chain15, 8, 0.9, 2 * T0),
@@ -359,7 +361,7 @@ def test_evaluator_matches_pipeline(code15, chain15, plus_logical15):
 
 def test_evaluator_clean(code15, plus_logical15):
     ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
-    assert ev.success(plus_logical15.amps)[0] == pytest.approx(1.0, abs=1e-12)
+    assert ev.success(plus_logical15.amps[ev.support])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluator_matches_pipeline_on_disorder_state(code15, chain15, plus_logical15):
@@ -370,7 +372,29 @@ def test_evaluator_matches_pipeline_on_disorder_state(code15, chain15, plus_logi
     psi = evolve(plus_logical15, perturbed, np.pi, method="givens")
     ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
     slow = decode_pipeline(psi, code15, _options()).success_probability
-    assert ev.success(psi.amps)[0] == pytest.approx(slow, abs=1e-10)
+    assert ev.success(psi.amps[ev.support])[0] == pytest.approx(slow, abs=1e-10)
+
+
+def test_undecodable_branch_scores_exactly_zero(code15, plus_logical15):
+    # the reference has bit-flip key 0, so its overlap with an undecodable
+    # branch is exactly 0: the evaluator's weights need no column for one
+    flips = from_sites(15, xs=(2, 7, 12))  # one flip per block: beyond the tables
+    x_table = decoder_tables(code15, "below").x_table
+    assert _key(code15.x_detecting_generators, flips) not in x_table
+    psi = apply_pauli(plus_logical15, flips)
+    mass = float(np.sum(np.abs(psi.amps) ** 2))
+    report = decode_pipeline(psi, code15, _options())
+    assert [b.corrected for b in report.branches] == [False]
+    ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2), np.arange(2**15))
+    assert report.success_probability == 0.0
+    assert ev.success(psi.amps) == (0.0, 0.0)
+    # a threshold above the branch mass discards the whole branch
+    pruned = decode_pipeline(psi, code15, _options(prune_below=2 * mass))
+    for success, discarded in (
+        (pruned.success_probability, pruned.discarded_mass), ev.success(psi.amps, 2 * mass),
+    ):
+        assert success == 0.0
+        assert discarded == pytest.approx(mass, abs=1e-15)
 
 
 def test_pruned_evaluator_matches_pipeline(code15, chain15, plus_logical15):
@@ -393,6 +417,9 @@ def test_pruned_evaluator_matches_pipeline(code15, chain15, plus_logical15):
         "coupling": evolve(plus_logical15, perturbed, 2 * T0, method="givens"),
         "constructed": constructed,
     }
+    # the constructed state's X flips leave the encoded sectors; the others
+    # stay in them and are also scored on the default support
+    full = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2), np.arange(2**15))
     ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
     whole_branch = leaves_only = False
     for name, psi in states.items():
@@ -401,9 +428,12 @@ def test_pruned_evaluator_matches_pipeline(code15, chain15, plus_logical15):
             branch_mass[b.x_outcomes] = branch_mass.get(b.x_outcomes, 0.0) + b.probability
         for p in (0.0, 1e-12, 1e-6, 1e-3, 3e-2):
             want = decode_pipeline(psi, code15, _options(prune_below=p, reference=plus_logical15))
-            success, discarded = ev.success(psi.amps, p)
-            assert success == pytest.approx(want.success_probability, abs=1e-12), (name, p)
-            assert discarded == pytest.approx(want.discarded_mass, abs=1e-12), (name, p)
+            scored = [full.success(psi.amps, p)]
+            if name != "constructed":
+                scored.append(ev.success(psi.amps[ev.support], p))
+            for success, discarded in scored:
+                assert success == pytest.approx(want.success_probability, abs=1e-12), (name, p)
+                assert discarded == pytest.approx(want.discarded_mass, abs=1e-12), (name, p)
             if want.discarded_mass > 0:
                 if min(branch_mass.values()) < p:
                     whole_branch = True

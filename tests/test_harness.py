@@ -3,6 +3,7 @@ import shutil
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import chainqec
 from chainqec import harness
@@ -56,6 +57,28 @@ def test_sample_rng_order_independent():
     b = sample_rng(5, 100).random(3)
     np.testing.assert_array_equal(a, b)
     assert not np.allclose(sample_rng(5, 101).random(3), a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_negative_seeds_draw_their_own_samples():
+    # a key word >= 2**63 once went through float64, so every seed in
+    # [-1024, -1] replayed seed 0
+    from chainqec.hilbert import basis_state, trajectory_sample
+    from chainqec.noise import disordered_spec
+
+    spec = pst_couplings(5)
+    draws = {
+        "sample_rng": lambda seed: tuple(sample_rng(seed, 0).random(3)),
+        "disordered_spec": lambda seed: disordered_spec(spec, 0.1, seed)[0].couplings,
+        "trajectory_sample": lambda seed: trajectory_sample(
+            basis_state(5, [1]), 2.0, 1.0, seed, spec
+        )[1],
+    }
+    for name, draw in draws.items():
+        assert len({draw(seed) for seed in (-1, -2, 0)}) == 3, name
+    # seeds in [0, 2**63) keep their draws
+    first = exp_single_z(samples=1, seed=0)
+    assert first.sites == (1,) and fmt(first.times[0]) == "0.75884918140195357"
 
 
 def test_make_code():
@@ -120,20 +143,25 @@ def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15):
     sites = np.array([1, 15, 7, 7, 3, 12, 9])
     t_errs = np.array([0.0, setup.duration, 0.4, 2.3, 1.7, 0.05, 3.0])
     success, discarded = setup.success_single_z(sites, t_errs)
-    # every single flip is corrected, so also compare the arriving states
-    decode = setup._success
+    # every single flip is corrected, so also compare the arriving states:
+    # the scored rows on the support, and nothing off it
+    ev = setup.evaluator
+    decode = ev.success
     arrived = []
-    setup._success = lambda amps: arrived.append(amps.copy()) or decode(amps)
+    ev.success = lambda rows, p: arrived.extend(rows.copy()) or decode(rows, p)
     setup.success_single_z(sites, t_errs)
+    off_support = np.ones(2**15, dtype=bool)
+    off_support[ev.support] = False
     psi0 = encode(code15, amp, amp)
-    for site, t_err, got, amps in zip(sites, t_errs, success, arrived):
+    for site, t_err, got, row in zip(sites, t_errs, success, arrived):
         noisy = inject_single_z(psi0, chain15, int(site), float(t_err), setup.duration)
-        np.testing.assert_allclose(amps, noisy.amps, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(row, noisy.amps[ev.support], rtol=0, atol=1e-11)
+        np.testing.assert_allclose(noisy.amps[off_support], 0.0, rtol=0, atol=1e-11)
         want = decode_pipeline(noisy, code15, DecodeOptions(mode="revival")).success_probability
         assert got == pytest.approx(want, abs=1e-11)
     np.testing.assert_array_equal(discarded, 0.0)
-    # a sample's value does not depend on its column: resumed runs rely on it
-    setup._success = decode
+    # a sample's value does not depend on its row: resumed runs rely on it
+    del ev.success
     perm = np.random.default_rng(63).permutation(sites.size)
     again, _ = setup.success_single_z(sites[perm], t_errs[perm])
     np.testing.assert_array_equal(again, success[perm])
@@ -186,18 +214,50 @@ def test_pruned_sweeps_never_run_the_pipeline(monkeypatch):
     assert curves.discarded_mass[0] > 0
 
 
+def _held_arrays(*owners) -> list[np.ndarray]:
+    """Every array the owners hold, the buffers of their sparse matrices included."""
+    held = [value for owner in owners for value in vars(owner).values()]
+    sparse = [buf for m in held if sp.issparse(m) for buf in (m.data, m.indices, m.indptr)]
+    return [a for a in held if isinstance(a, np.ndarray)] + sparse
+
+
 def test_cached_setup_is_read_only():
     amp = 1 / np.sqrt(2)
     setup = harness._revival_setup(pst_couplings(15), "minimal15", amp, amp, 0.0)
-    held = [
-        *vars(setup.evaluator).values(), *vars(setup.evaluator.tables).values(),
-        setup.encoded.amps, setup.arrival.amps,
-    ]
-    arrays = [a for a in held if isinstance(a, np.ndarray)]
-    assert len(arrays) >= 12  # six evaluator arrays, four table arrays, two states
+    arrays = _held_arrays(setup.evaluator, setup.evaluator.tables)
+    arrays += [setup.encoded.amps, setup.arrival.amps]
+    # five evaluator arrays, two sparse matrices of three buffers each, four
+    # table arrays, two states
+    assert len(arrays) >= 17
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
+
+
+def test_evaluator_holds_no_state_sized_array():
+    # the set-up's evaluator works on the encoded sectors, weights {0, 10}
+    amp = 1 / np.sqrt(2)
+    ev = harness._revival_setup(pst_couplings(15), "minimal15", amp, amp, 0.0).evaluator
+    assert ev.support.size == 1 + 3003
+    sizes = [a.size for a in _held_arrays(ev, ev.tables)]
+    assert max(sizes) < 2**15
+
+
+def test_row_value_does_not_depend_on_its_chunk(chain15):
+    # every product sums each entry in a fixed order, whatever the number of
+    # rows; a resumed run re-chunks its missing points
+    amp = 1 / np.sqrt(2)
+    rng = np.random.default_rng(64)
+    sites = rng.integers(1, 16, 64)
+    t_errs = rng.uniform(0.0, 2 * np.pi / 2, 64)
+    for prune in (0.0, 1e-12, 1e-6):
+        setup = harness._revival_setup(chain15, "minimal15", amp, amp, prune)
+        success, discarded = setup.success_single_z(sites, t_errs)
+        if prune:
+            assert discarded.max() > 0
+        for k in range(64):
+            alone = setup.success_single_z(sites[k:k + 1], t_errs[k:k + 1])
+            assert (alone[0][0], alone[1][0]) == (success[k], discarded[k]), (prune, k)
 
 
 def test_revival_sweeps_share_one_setup_per_process(monkeypatch):
