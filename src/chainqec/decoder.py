@@ -1,25 +1,22 @@
-"""Modified syndrome decoding for chain-propagated errors.
+"""Modified syndrome decoding for chain-propagated errors, read out at the revival time.
 
 The correction runs in two stages.  Bit-flip checks are measured first; the
 decoded flip locations get X corrections plus a trailing-Z string fixed by a
 parity rule: a Z lands on every site holding an odd number of detected flips
-strictly on one side (below each flip for the revival setup, above it after
-the controlled-phase network of the transfer setup).  The residual Z errors
-sitting on the flip sites are then handled by the phase checks, with one
-extra rule on three-block codes: a phase syndrome pointing at a block with
-no detected flip, while flips exist elsewhere, is reinterpreted as phase
-errors on the other two blocks.
+strictly below it.  The residual Z errors sitting on the flip sites are
+then handled by the phase checks, with one extra rule on three-block codes:
+a phase syndrome pointing at a block with no detected flip, while flips
+exist elsewhere, is reinterpreted as phase errors on the other two blocks.
 
-These rules live in one place, DecoderTables, built once per (code, side).
+These rules live in one place, DecoderTables, built once per code.
 RevivalEvaluator folds them into one fixed sparse weight matrix on the
 excitation sectors the encoded state occupies, so scoring a chunk of
 revival states is one sparse product (and, when pruning, one more for the
 branch and leaf masses); every sweep, pruned or exact, goes through it.
 decode_pipeline is the branch-recording oracle the evaluator is checked
 against: it tracks every syndrome outcome as an explicit branch with its
-Born probability, and also serves general mode.  The success probability
-is the probability-weighted squared overlap with the reference state over
-all leaves.
+Born probability.  The success probability is the probability-weighted
+squared overlap with the reference state over all leaves.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .code import StabilizerCode, encode
-from .hilbert import StateVector, _occupied_weights, apply_pauli, cz_network, sector_indices
+from .hilbert import StateVector, _occupied_weights, sector_indices
 from .pauli import PauliString, mask_of_sites, popcount
 
 _EXACT_ZERO = 0.0
@@ -80,29 +77,23 @@ class CorrectionReport:
 
 @dataclass
 class DecodeOptions:
-    mode: str = "revival"  # "revival" (trailing Z below each flip) or "general" (above)
+    # the revival read-out is the only one; the field stays so that callers
+    # naming it keep working, and any other value is refused
+    mode: str = "revival"
     alpha: complex = 1 / np.sqrt(2)
     beta: complex = 1 / np.sqrt(2)
     prune_below: float = 0.0
     reference: StateVector | None = None  # expected state of the code qubits
-    # general mode: each excitation reaching the far end carries the chain's
-    # known arrival phase (TransferReport.global_phase); the receiver undoes
-    # it per region excitation along with the controlled-phase network
-    arrival_phase: complex = 1 + 0j
-    # expected syndrome keys of a clean arrival (x, z); transfer conjugates the
-    # stabilizers with mode-dependent signs, so a clean general-mode arrival can
-    # sit in the -1 eigenspace of some checks.  Decoding is relative to this.
-    syndrome_frame: tuple[int, int] = (0, 0)
 
 
 # ---------------------------------------------------------------------------
-# decode tables: the rule set, built once per (code, side)
+# decode tables: the rule set, built once per code
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class DecoderTables:
-    """The decode rules of one code and trailing-Z side; shared, so read-only.
+    """The decode rules of one code; shared, so read-only.
 
     A syndrome key has bit g set iff check g reads -1.  The per-key arrays
     are indexed by bit-flip syndrome key; keys missing from x_table are
@@ -145,20 +136,17 @@ class DecoderTables:
         return decoded
 
 
-def _trailing_mask(n_sites: int, flips, side: str) -> int:
-    """Z-mask of the parity rule: Z wherever an odd number of flips lies on `side`."""
-
-    def count(q: int) -> int:  # flips strictly on `side` of site q
-        return sum(1 for s in flips if (s > q if side == "below" else s < q))
-
+def _trailing_mask(n_sites: int, flips) -> int:
+    """Z-mask of the parity rule: Z wherever an odd number of flips lies below."""
     return mask_of_sites(
-        n_sites, (q for q in range(1, n_sites + 1) if q not in flips and count(q) % 2)
+        n_sites,
+        (q for q in range(1, n_sites + 1) if q not in flips and sum(s > q for s in flips) % 2),
     )
 
 
 @lru_cache(maxsize=8)
-def decoder_tables(codeobj: StabilizerCode, side: str) -> DecoderTables:
-    """Build the decode tables of `codeobj` with the trailing Z string on `side`.
+def decoder_tables(codeobj: StabilizerCode) -> DecoderTables:
+    """Build the decode tables of `codeobj`, the trailing Z string below each flip.
 
     The tables cover flip patterns up to floor((dx-1)/2) sites and Z
     patterns up to floor((dz-1)/2).  Collisions keep the first (lowest)
@@ -166,8 +154,6 @@ def decoder_tables(codeobj: StabilizerCode, side: str) -> DecoderTables:
     that collide differ by a stabilizer, so the representative acts
     identically on the code space.
     """
-    if side not in ("below", "above"):
-        raise ValueError("trailing side must be 'below' or 'above'")
     n_x = len(codeobj.x_detecting_generators)
     if n_x > _MAX_X_CHECKS:
         raise ValueError(f"decode tables sized for at most {_MAX_X_CHECKS} bit-flip checks")
@@ -198,7 +184,7 @@ def decoder_tables(codeobj: StabilizerCode, side: str) -> DecoderTables:
     for key, flips in x_table.items():
         correctable[key] = True
         x_mask[key] = mask_of_sites(n, flips)
-        z_trail[key] = _trailing_mask(n, flips, side)
+        z_trail[key] = _trailing_mask(n, flips)
         for s in flips:
             flip_blocks[key] |= 1 << block_of[s]
     for arr in (correctable, x_mask, z_trail, flip_blocks):
@@ -212,82 +198,6 @@ def decoder_tables(codeobj: StabilizerCode, side: str) -> DecoderTables:
 # ---------------------------------------------------------------------------
 # full pipeline (sparse branch engine; the evaluator's oracle)
 # ---------------------------------------------------------------------------
-
-
-def _reverse_bits(mask: int, n: int) -> int:
-    out = 0
-    for k in range(n):
-        if mask & (1 << k):
-            out |= 1 << (n - 1 - k)
-    return out
-
-
-def mirror_code(codeobj: StabilizerCode) -> StabilizerCode:
-    """The site-mirrored code (qubit k <-> qubit n+1-k), as it arrives after transfer."""
-    n = codeobj.n_qubits
-
-    def rev(p: PauliString) -> PauliString:
-        return PauliString(n, _reverse_bits(p.x_mask, n), _reverse_bits(p.z_mask, n), p.phase)
-
-    return StabilizerCode(
-        n_qubits=n,
-        x_detecting_generators=tuple(rev(g) for g in codeobj.x_detecting_generators),
-        z_detecting_generators=tuple(rev(g) for g in codeobj.z_detecting_generators),
-        logical_x=rev(codeobj.logical_x),
-        logical_z=rev(codeobj.logical_z),
-        blocks=tuple(
-            tuple(sorted(n + 1 - s for s in blk)) for blk in reversed(codeobj.blocks)
-        ),
-        dx=codeobj.dx,
-        dz=codeobj.dz,
-        orientation=codeobj.orientation,
-        codeword_builder=codeobj.codeword_builder,
-    )
-
-
-def _restore_region(state: StateVector, m_qubits: int, arrival_phase: complex) -> np.ndarray:
-    """Undo the arrival dressing on the last m_qubits sites.
-
-    Applies the controlled-phase network over the region and removes the
-    known per-excitation arrival phase, after which the plain mirrored code
-    is restored up to deterministic check signs.
-    """
-    n_total = state.n_sites
-    psi = cz_network(state, range(n_total - m_qubits + 1, n_total + 1)).amps
-    if arrival_phase != 1:
-        if abs(abs(arrival_phase) - 1) > 1e-9:
-            raise ValueError("arrival phase must have unit modulus")
-        idx = np.arange(psi.size, dtype=np.int64)
-        w = np.bitwise_count(idx & ((1 << m_qubits) - 1))
-        psi = psi * np.conj(arrival_phase) ** w
-    return psi
-
-
-def clean_arrival_frame(
-    clean_state: StateVector, codeobj: StabilizerCode, arrival_phase: complex = 1 + 0j
-) -> tuple[int, int]:
-    """Syndrome keys a noiseless general-mode arrival produces.
-
-    `clean_state` is the full chain state after evolving the encoded state
-    for the transfer time, before the controlled-phase network.  The
-    mirrored checks are deterministic (+/-1) on it after the dressing is
-    undone; the returned keys feed DecodeOptions.syndrome_frame.
-    """
-    n_total = clean_state.n_sites
-    psi = StateVector(_restore_region(clean_state, codeobj.n_qubits, arrival_phase), n_total)
-    work = mirror_code(codeobj)
-    keys = []
-    for gens in (work.x_detecting_generators, work.z_detecting_generators):
-        key = 0
-        for g, gen in enumerate(gens):
-            embedded = PauliString(n_total, gen.x_mask, gen.z_mask, gen.phase)
-            val = np.vdot(psi.amps, apply_pauli(psi, embedded).amps).real
-            if abs(abs(val) - 1) > 1e-6:
-                raise ValueError("clean state does not have deterministic syndromes")
-            if val < 0:
-                key |= 1 << g
-        keys.append(key)
-    return keys[0], keys[1]
 
 
 def _syndrome_keys_for_indices(gens, idx: np.ndarray) -> np.ndarray:
@@ -317,42 +227,25 @@ def decode_pipeline(
 ) -> CorrectionReport:
     """Run the two-stage correction on `state`, tracking every syndrome branch.
 
-    Revival mode expects the state on exactly the code qubits with the code
-    in its original orientation.  General mode expects the code to have
-    arrived (mirrored) on the last n_qubits sites of a longer chain: the
-    controlled-phase network is applied to that region first, the mirrored
-    generators are measured, and fidelity is taken against
-    options.reference, the expected pure state of the region.
+    Expects the revival state: exactly the code qubits, the code in its
+    original orientation.  Fidelity is taken against options.reference,
+    by default the encoded state of options.alpha and options.beta.
     """
     opt = options or DecodeOptions()
-    n_total = state.n_sites
-    if opt.reference is not None and opt.reference.n_sites != codeobj.n_qubits:
+    if opt.mode != "revival":
+        raise ValueError(f"unknown mode {opt.mode!r}: the revival read-out is the only one")
+    n_qubits = codeobj.n_qubits
+    if opt.reference is not None and opt.reference.n_sites != n_qubits:
         raise ValueError(
-            f"options.reference has {opt.reference.n_sites} sites, the code {codeobj.n_qubits}"
+            f"options.reference has {opt.reference.n_sites} sites, the code {n_qubits}"
         )
-    if opt.mode == "revival":
-        if codeobj.n_qubits != n_total:
-            raise ValueError("revival mode needs the state on exactly the code qubits")
-        tables = decoder_tables(codeobj, "below")
-        psi = state.amps
-        ref = (opt.reference or encode(codeobj, opt.alpha, opt.beta)).amps
-        region_bits = None
-    elif opt.mode == "general":
-        m = codeobj.n_qubits
-        if n_total < m:
-            raise ValueError("state smaller than the code")
-        if opt.reference is None:
-            raise ValueError("general mode needs options.reference for the region")
-        psi = _restore_region(state, m, opt.arrival_phase)
-        tables = decoder_tables(mirror_code(codeobj), "above")
-        ref = opt.reference.amps
-        region_bits = m
-    else:
-        raise ValueError(f"unknown mode {opt.mode!r}")
-
-    xgens = tables.code.x_detecting_generators
-    zgens = tables.code.z_detecting_generators
-    m_qubits = tables.code.n_qubits
+    if state.n_sites != n_qubits:
+        raise ValueError("revival mode needs the state on exactly the code qubits")
+    tables = decoder_tables(codeobj)
+    psi = state.amps
+    ref = (opt.reference or encode(codeobj, opt.alpha, opt.beta)).amps
+    xgens = codeobj.x_detecting_generators
+    zgens = codeobj.z_detecting_generators
 
     nz = np.nonzero(np.abs(psi) ** 2 > _EXACT_ZERO)[0].astype(np.int64)
     keys = _syndrome_keys_for_indices(xgens, nz)
@@ -362,19 +255,12 @@ def decode_pipeline(
     groups = np.split(np.arange(nz.size), cuts)
 
     def leaf_overlap(ind: np.ndarray, amp: np.ndarray) -> float:
-        """|<ref| branch>|^2 without normalising (general mode: region-contracted)."""
-        if region_bits is None:
-            return float(abs(np.sum(np.conj(ref[ind]) * amp)) ** 2)
-        low = (1 << region_bits) - 1
-        rest = ind >> region_bits
-        w = np.zeros(int(rest.max()) + 1 if rest.size else 1, dtype=complex)
-        np.add.at(w, rest, np.conj(ref[ind & low]) * amp)
-        return float(np.sum(np.abs(w) ** 2))
+        """|<ref| branch>|^2 without normalising."""
+        return float(abs(np.sum(np.conj(ref[ind]) * amp)) ** 2)
 
-    x_frame, z_frame = opt.syndrome_frame
     records: list[BranchRecord] = []
     discarded = 0.0
-    identity = PauliString(m_qubits, 0, 0)
+    identity = PauliString(n_qubits, 0, 0)
     for grp in groups:
         ind = nz[grp]
         amp = psi[ind]
@@ -384,8 +270,7 @@ def decode_pipeline(
             discarded += p_branch
             continue
         x_out = tuple((key >> g) & 1 for g in range(len(xgens)))
-        x_key = key ^ x_frame
-        flips = tables.x_table.get(x_key)
+        flips = tables.x_table.get(key)
         if flips is None:
             records.append(
                 BranchRecord(
@@ -394,8 +279,8 @@ def decode_pipeline(
                 )
             )
             continue
-        x_mask, z_mask = int(tables.x_mask[x_key]), int(tables.z_trail[x_key])
-        corr_x = PauliString(m_qubits, x_mask, z_mask)
+        x_mask, z_mask = int(tables.x_mask[key]), int(tables.z_trail[key])
+        corr_x = PauliString(n_qubits, x_mask, z_mask)
         ind2, amp2 = ind ^ x_mask, amp * _z_sign(ind & z_mask)
         srt = np.argsort(ind2)
         stack = [((), ind2[srt], amp2[srt])]
@@ -417,7 +302,7 @@ def decode_pipeline(
             zkey = 0
             for g, bit in enumerate(z_out):
                 zkey |= bit << g
-            zc_sites = tables.cross_reference(zkey ^ z_frame, flips)
+            zc_sites = tables.cross_reference(zkey, flips)
             if zc_sites is None:
                 records.append(
                     BranchRecord(
@@ -426,13 +311,13 @@ def decode_pipeline(
                     )
                 )
                 continue
-            zc_mask = mask_of_sites(m_qubits, zc_sites)
+            zc_mask = mask_of_sites(n_qubits, zc_sites)
             ba_corr = ba * _z_sign(bi & zc_mask)
             fid = leaf_overlap(bi, ba_corr) / p_leaf
             records.append(
                 BranchRecord(
                     x_out, z_out, p_leaf,
-                    corr_x * PauliString(m_qubits, 0, zc_mask), fid, corrected=True,
+                    corr_x * PauliString(n_qubits, 0, zc_mask), fid, corrected=True,
                 )
             )
 
@@ -472,7 +357,7 @@ class RevivalEvaluator:
             raise ValueError("evaluator sized for small generator sets")
         if any(gen.z_mask or gen.phase != 1 for gen in zgens):
             raise ValueError("phase checks must be plain X-type")
-        self.tables = tables = decoder_tables(codeobj, "below")
+        self.tables = tables = decoder_tables(codeobj)
         n, blocks = codeobj.n_qubits, codeobj.blocks
         ref = encode(codeobj, alpha, beta)
         if support is None:

@@ -302,20 +302,3 @@ def chi_decay(gamma: float, t: float) -> tuple[float, float]:
         raise ValueError("gamma and t must be nonnegative")
     chi_factor = float(np.exp(-2.0 * gamma * t))
     return chi_factor, 0.5 * (1.0 - chi_factor)
-
-
-class BudgetReport(NamedTuple):
-    expected_total: float
-    expected_on_region: float
-    feasible: bool
-
-
-def error_budget(
-    gamma: float, t0: float, n_sites: int, region: int, correctable_fermions: int
-) -> BudgetReport:
-    """Expected fermionic error counts over a transfer and a feasibility flag."""
-    if min(gamma, t0) < 0 or min(n_sites, region, correctable_fermions) <= 0:
-        raise ValueError("arguments must be positive (gamma, t0 nonnegative)")
-    total = 2.0 * gamma * n_sites * t0
-    on_region = 2.0 * gamma * region * t0
-    return BudgetReport(total, on_region, bool(on_region <= correctable_fermions))

@@ -104,21 +104,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def cz_network(state: StateVector, region) -> StateVector:
-    """Controlled-phase between every unordered pair of qubits in `region`.
-
-    Diagonal: a basis state with w excitations inside the region picks up
-    (-1)^(w(w-1)/2).
-    """
-    mask = 0
-    for s in region:
-        mask |= site_bit(state.n_sites, s)
-    idx = np.arange(state.amps.size, dtype=np.int64)
-    w = np.bitwise_count(idx & mask).astype(np.int64)
-    phase = 1 - 2 * ((w * (w - 1) // 2) & 1)
-    return StateVector(state.amps * phase, state.n_sites)
-
-
 # ---------------------------------------------------------------------------
 # excitation-sector machinery
 # ---------------------------------------------------------------------------

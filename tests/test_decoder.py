@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainqec import decoder
-from chainqec.chain import analyze_transfer, pst_couplings
+from chainqec.chain import pst_couplings
 from chainqec.code import StabilizerCode, encode, minimal15, shor_code
 from chainqec.decoder import (
     DecodeOptions,
     RevivalEvaluator,
-    clean_arrival_frame,
     decode_pipeline,
     decoder_tables,
-    mirror_code,
 )
 from chainqec.freefermion import MajoranaMonomial, fermion_to_pauli, jordan_wigner
 from chainqec.harness import RevivalSetup
@@ -92,9 +90,9 @@ def _key(gens, err):
     return sum(1 << g for g, gen in enumerate(gens) if not err.commutes_with(gen))
 
 
-def _x_stage(code, err, side="below"):
+def _x_stage(code, err):
     """(correction, flips) the tables give for the bit-flip syndrome of `err`."""
-    t = decoder_tables(code, side)
+    t = decoder_tables(code)
     key = _key(code.x_detecting_generators, err)
     flips = t.x_table.get(key)
     assert t.correctable[key] == (flips is not None)
@@ -132,22 +130,16 @@ def test_x_stage_inverts_every_mode_string(code15):
         assert prod.x_mask == 0 and prod.z_mask == 0
 
 
-def test_x_stage_trailing_side_above(code15):
-    corr, _ = _x_stage(code15, from_sites(15, xs=(5,)), side="above")
-    assert corr == from_sites(15, xs=(5,), zs=tuple(range(6, 16)))
-
-
 def test_x_stage_uncorrectable(code15):
     # three flips across blocks: syndrome outside the weight-2 table
     corr, flips = _x_stage(code15, from_sites(15, xs=(2, 7, 12)))
     assert corr is None and flips == ()
 
 
-@pytest.mark.parametrize("side", ["below", "above"])
 @pytest.mark.parametrize("code_id", sorted(TABLE_CODES))
-def test_table_entries_reproduce_their_keys(code_id, side):
+def test_table_entries_reproduce_their_keys(code_id):
     code = TABLE_CODES[code_id]
-    t = decoder_tables(code, side)
+    t = decoder_tables(code)
     n = code.n_qubits
     for key, flips in t.x_table.items():
         assert _key(code.x_detecting_generators, from_sites(n, xs=flips)) == key
@@ -158,7 +150,7 @@ def test_table_entries_reproduce_their_keys(code_id, side):
     np.testing.assert_array_equal(np.flatnonzero(t.correctable), sorted(t.x_table))
     for arr in (t.correctable, t.x_mask, t.z_trail, t.flip_blocks):
         assert not arr.flags.writeable
-    assert decoder_tables(code, side) is t
+    assert decoder_tables(code) is t
 
 
 def _pattern(n, distance):
@@ -174,21 +166,20 @@ def _is_stabilizer(code, p):
 @settings(max_examples=80, deadline=None)
 @given(
     code_id=st.sampled_from(sorted(TABLE_CODES)),
-    side=st.sampled_from(["below", "above"]),
     data=st.data(),
 )
-def test_drawn_correctable_pattern_decodes_up_to_a_stabilizer(code_id, side, data):
+def test_drawn_correctable_pattern_decodes_up_to_a_stabilizer(code_id, data):
     code = TABLE_CODES[code_id]
-    t = decoder_tables(code, side)
+    t = decoder_tables(code)
     n = code.n_qubits
     flips = data.draw(_pattern(n, code.dx), "flips")
     key = _key(code.x_detecting_generators, from_sites(n, xs=flips))
     assert _is_stabilizer(code, from_sites(n, xs=t.x_table[key]) * from_sites(n, xs=flips))
     # the trailing string is the Z part of the decoded flips' mode strings,
-    # counted from the side's far end, with the flip sites left out
+    # which run from site 1, with the flip sites left out
     expect = 0
     for k in t.x_table[key]:
-        expect ^= mask_of_sites(n, range(1, k) if side == "below" else range(k + 1, n + 1))
+        expect ^= mask_of_sites(n, range(1, k))
     assert t.z_trail[key] == expect & ~int(t.x_mask[key])
     zs = data.draw(_pattern(n, code.dz), "phase errors")
     z_key = _key(code.z_detecting_generators, from_sites(n, zs=zs))
@@ -211,7 +202,7 @@ def test_tables_guard_fires_before_allocation(monkeypatch):
     )
     monkeypatch.setattr(decoder, "np", None)  # any array call would fail differently
     with pytest.raises(ValueError, match="at most 20"):
-        decoder_tables(code, "below")
+        decoder_tables(code)
     with pytest.raises(ValueError, match="at most 20"):
         RevivalEvaluator(code, 1.0, 0.0)
 
@@ -224,24 +215,24 @@ def _z_key(code, zsites):
 
 
 def test_z_stage_trivial(code15):
-    assert decoder_tables(code15, "below").cross_reference(0, ()) == ()
+    assert decoder_tables(code15).cross_reference(0, ()) == ()
 
 
 def test_z_stage_single_z_block2(code15):
     key = _z_key(code15, (7,))
     assert key == 0b11
-    sites = decoder_tables(code15, "below").cross_reference(key, ())
+    sites = decoder_tables(code15).cross_reference(key, ())
     assert len(sites) == 1 and sites[0] in code15.blocks[1]
 
 
 def test_z_stage_cross_reference(code15):
     # phase syndrome points at block 3 but the flips sat in blocks 1 and 2
-    sites = decoder_tables(code15, "below").cross_reference(_z_key(code15, (12,)), (2, 9))
+    sites = decoder_tables(code15).cross_reference(_z_key(code15, (12,)), (2, 9))
     assert sites == (2, 9)
 
 
 def test_z_stage_no_cross_reference_when_block_has_flip(code15):
-    sites = decoder_tables(code15, "below").cross_reference(_z_key(code15, (7,)), (7,))
+    sites = decoder_tables(code15).cross_reference(_z_key(code15, (7,)), (7,))
     assert sites == (7,)
 
 
@@ -379,7 +370,7 @@ def test_undecodable_branch_scores_exactly_zero(code15, plus_logical15):
     # the reference has bit-flip key 0, so its overlap with an undecodable
     # branch is exactly 0: the evaluator's weights need no column for one
     flips = from_sites(15, xs=(2, 7, 12))  # one flip per block: beyond the tables
-    x_table = decoder_tables(code15, "below").x_table
+    x_table = decoder_tables(code15).x_table
     assert _key(code15.x_detecting_generators, flips) not in x_table
     psi = apply_pauli(plus_logical15, flips)
     mass = float(np.sum(np.abs(psi.amps) ** 2))
@@ -450,74 +441,17 @@ def test_expm_and_givens_agree_at_scale(code15, chain15, plus_logical15):
         assert np.abs(a.amps - b.amps).max() < 1e-10
 
 
-# --- general mode ----------------------------------------------------------------
-
-
-def _general_setup(n_chain=6, seed=5):
-    """shor_code(2) on the first 4 sites of a 6-site engineered chain."""
-    code = shor_code(2)
-    spec = pst_couplings(n_chain)
-    rng = np.random.default_rng(seed)
-    a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    enc = encode(code, a / norm, b / norm)
-    rest = np.zeros(1 << (n_chain - code.n_qubits), dtype=complex)
-    rest[0] = 1.0
-    # code on sites 1..4 (high bits), uninitialised tail on sites 5,6
-    joint = StateVector(np.kron(enc.amps, rest), n_chain)
-    return code, spec, joint
-
-
-def _general_reference(arrived, code, phase):
-    """Pure region state of the clean arrival after undoing the dressing."""
-    from chainqec.decoder import _restore_region
-
-    m = code.n_qubits
-    restored = _restore_region(arrived, m, phase)
-    mat = restored.reshape(-1, 1 << m)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    assert s[0] == pytest.approx(1.0, abs=1e-10)  # region is pure
-    return StateVector(vh[0], m)
-
-
-def test_general_mode_clean_arrival():
-    code, spec, joint = _general_setup()
-    rep = analyze_transfer(spec)
-    arrived = evolve(joint, spec, rep.transfer_time)
-    frame = clean_arrival_frame(arrived, code, rep.global_phase)
-    ref = _general_reference(arrived, code, rep.global_phase)
-    opts = DecodeOptions(
-        mode="general", reference=ref, syndrome_frame=frame, arrival_phase=rep.global_phase
-    )
-    report = decode_pipeline(arrived, code, opts)
-    assert report.success_probability == pytest.approx(1.0, abs=1e-9)
-
-
-def test_general_mode_detects_injected_error():
-    code, spec, joint = _general_setup()
-    rep = analyze_transfer(spec)
-    clean = evolve(joint, spec, rep.transfer_time)
-    frame = clean_arrival_frame(clean, code, rep.global_phase)
-    ref = _general_reference(clean, code, rep.global_phase)
-    opts = DecodeOptions(
-        mode="general", reference=ref, syndrome_frame=frame, arrival_phase=rep.global_phase
-    )
-    # an X on an arrived code qubit: distance 2 detects but cannot correct
-    noisy = apply_pauli(clean, pauli_x(spec.n_sites, 5))
-    report = decode_pipeline(noisy, code, opts)
-    assert report.success_probability < 0.5
-    assert any(not b.corrected for b in report.branches)
-
-
 def test_pipeline_rejects_reference_of_wrong_size(code15, plus_logical15):
-    # revival: a 16-qubit reference for the 15-qubit code
+    # a 16-qubit reference for the 15-qubit code
     with pytest.raises(ValueError, match="reference"):
         decode_pipeline(plus_logical15, code15, _options(reference=basis_state(16)))
-    # general: a chain-sized reference instead of the 4-qubit region
-    code, spec, joint = _general_setup()
-    arrived = evolve(joint, spec, analyze_transfer(spec).transfer_time)
-    with pytest.raises(ValueError, match="reference"):
-        decode_pipeline(arrived, code, DecodeOptions(mode="general", reference=basis_state(6)))
+
+
+def test_pipeline_refuses_unknown_mode(code15):
+    # the revival read-out is the only one: any other mode is refused before
+    # the state is read (None would fail on its first attribute)
+    with pytest.raises(ValueError, match="unknown mode"):
+        decode_pipeline(None, code15, DecodeOptions(mode="general"))
 
 
 def test_pipeline_honest_beyond_capability(code15, plus_logical15):
@@ -544,15 +478,6 @@ def test_revival_mode_on_phaseflip_inner_code():
     assert 0.0 <= report.success_probability <= 1.0 + 1e-12
     r2 = decode_pipeline(noisy, code, opts)
     assert r2.to_json() == report.to_json()
-
-
-def test_mirror_code_structure(code15):
-    m = mirror_code(code15)
-    m.validate()
-    assert m.blocks[0] == tuple(range(1, 6))
-    # mirroring twice restores the original generators
-    again = mirror_code(m)
-    assert again.x_detecting_generators == code15.x_detecting_generators
 
 
 # --- success probability end to end: RevivalSetup and trajectories -------------

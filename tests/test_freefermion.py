@@ -7,7 +7,6 @@ from chainqec.freefermion import (
     FermionOperator,
     MajoranaMonomial,
     chi_decay,
-    error_budget,
     fermion_to_pauli,
     jordan_wigner,
     mode_propagator,
@@ -323,16 +322,3 @@ def test_chi_decay_values():
     f, p = chi_decay(2.0, 1e9)
     assert f == pytest.approx(0.0, abs=1e-12)
     assert p == pytest.approx(0.5, abs=1e-12)
-
-
-def test_error_budget():
-    rep = error_budget(0.0, 1.0, 10, 5, 1)
-    assert rep.expected_total == 0.0 and rep.feasible
-    rep = error_budget(0.01, 1.0, 100, 15, 2)
-    np.testing.assert_allclose(rep.expected_total, 2.0)
-    np.testing.assert_allclose(rep.expected_on_region, 0.3)
-    assert rep.feasible
-    # marginal case: gamma t0 = 1/(2M) makes the on-region expectation exactly 1
-    m = 15
-    rep = error_budget(1.0 / (2 * m), 1.0, 30, m, 1)
-    np.testing.assert_allclose(rep.expected_on_region, 1.0)

@@ -299,7 +299,7 @@ def test_single_z_csv_and_resume(tmp_path):
 
 
 def test_single_z_resume_across_chunk_boundary(tmp_path):
-    # 70 samples span two evaluation chunks; an interruption after 37 points
+    # 70 samples span five evaluation chunks; an interruption after 37 points
     # re-chunks the rest, and the CSV must not notice
     full_dir = tmp_path / "full"
     part_dir = tmp_path / "part"

@@ -12,7 +12,6 @@ from chainqec.hilbert import (
     apply_pauli,
     basis_state,
     chi,
-    cz_network,
     dense_hamiltonian,
     dense_unitary,
     evolve,
@@ -170,51 +169,6 @@ def test_expm_evolve_leaves_global_rng_alone(chain15, plus_logical15):
     np.random.seed(0)
     evolve(plus_logical15, chain15, 1.234, method="expm")
     assert np.random.random() == want
-
-
-# --- cz_network ------------------------------------------------------------
-
-
-def test_cz_single_site_is_identity():
-    rng = np.random.default_rng(9)
-    psi = random_state(rng, 3)
-    np.testing.assert_allclose(cz_network(psi, [2]).amps, psi.amps)
-
-
-def test_cz_two_qubits():
-    psi = basis_state(2, [1, 2])
-    assert cz_network(psi, [1, 2]).amps[0b11] == -1.0
-
-
-def test_cz_phase_from_pair_count():
-    psi = basis_state(4, [1, 2, 3])  # w = 3 inside region -> 3 pairs
-    out = cz_network(psi, [1, 2, 3, 4])
-    assert out.amps[0b1110] == -1.0
-
-
-def test_cz_involution_and_diagonal():
-    rng = np.random.default_rng(10)
-    psi = random_state(rng, 4)
-    twice = cz_network(cz_network(psi, [1, 2, 3]), [1, 2, 3])
-    np.testing.assert_allclose(twice.amps, psi.amps)
-    out = cz_network(psi, [1, 2, 3])
-    np.testing.assert_allclose(np.abs(out.amps), np.abs(psi.amps))
-
-
-def test_cz_fixed_parity_region_stays_unentangled():
-    # region in a fixed-parity state: the network acts as local phases only
-    rng = np.random.default_rng(11)
-    reg = np.zeros(4, dtype=complex)  # 2 qubits, odd parity
-    reg[0b01], reg[0b10] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    reg /= np.linalg.norm(reg)
-    rest = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    rest /= np.linalg.norm(rest)
-    joint = StateVector(np.kron(rest, reg), 4)  # region = sites 3,4 (low bits)
-    out = cz_network(joint, [1, 2, 3, 4]).amps.reshape(4, 4)
-    # region reduced state unchanged up to the factorised phases
-    rho = out.conj().T @ out
-    evals = np.linalg.eigvalsh(rho)
-    assert evals[-1] == pytest.approx(1.0, abs=1e-12)  # still a product state
 
 
 # --- dense Hamiltonian / lindblad / chi -------------------------------------
