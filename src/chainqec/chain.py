@@ -10,7 +10,9 @@ unit probability (and, by mirror symmetry, every site n to site N+1-n).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -106,16 +108,27 @@ def _u_of_t(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * t)) @ evecs.T
 
 
+# the gap ratios of engineered chains are fractions of small denominator; a
+# false match only costs a rejected candidate, since analyze_transfer checks it
+_GAP_DENOMINATOR_MAX = 32
+
+
 def _uniform_gap(evals: np.ndarray, rel_tol: float = 1e-8) -> float | None:
-    """If all eigenvalue gaps are integer multiples of the smallest, return it."""
+    """The common unit of the eigenvalue gaps, if they are commensurate.
+
+    Each gap over the smallest is matched to a fraction of small
+    denominator; the unit is the smallest gap over the lcm of those
+    denominators, so every gap is an integer multiple of it.
+    """
     diffs = np.diff(np.sort(evals))
     diffs = diffs[diffs > 1e-12]
     if diffs.size == 0:
         return None
     g = diffs.min()
     ratios = diffs / g
-    if np.all(np.abs(ratios - np.round(ratios)) < rel_tol * np.max(ratios)):
-        return float(g)
+    fracs = [Fraction(float(r)).limit_denominator(_GAP_DENOMINATOR_MAX) for r in ratios]
+    if np.all(np.abs(ratios - np.array([float(f) for f in fracs])) < rel_tol * np.max(ratios)):
+        return float(g / math.lcm(*(f.denominator for f in fracs)))
     return None
 
 
@@ -123,10 +136,12 @@ def analyze_transfer(spec: ChainSpec, tolerance: float = 1e-10) -> TransferRepor
     """Locate the earliest transfer time and report mirror data.
 
     For a spectrum whose gaps are commensurate (the engineered chains), the
-    candidate t0 = pi / (smallest gap) is checked directly.  Otherwise the
-    end-to-end amplitude is scanned over a bounded window and the best local
-    maximum is refined numerically; chains that never reach 1 - tolerance are
-    reported with is_perfect = False rather than raising.
+    candidate t0 = pi / (common unit of the gaps) is checked directly: it is
+    the earliest time that can make every gap times t0 an odd multiple of
+    pi, as mirror transfer needs.  Otherwise the end-to-end amplitude is
+    scanned over a bounded window and the best local maximum is refined
+    numerically; chains that never reach 1 - tolerance are reported with
+    is_perfect = False rather than raising.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")

@@ -53,9 +53,10 @@ def _add_revival(p: argparse.ArgumentParser, seeded: bool) -> None:
     """Flags of the revival sweeps; only the sweeps that draw random numbers take --seed."""
     _add_chain_args(p)
     _add_common(p)
-    p.add_argument("--code", default="minimal15")
-    p.add_argument("--prune", type=float, default=0.0,
-                   help="branch probability floor (0 = exact tracking)")
+    p.add_argument("--code", choices=("minimal15",), default="minimal15",
+                   help="the code on the whole chain; the revival read-out runs minimal15")
+    p.add_argument("--prune", type=_prune, default=0.0,
+                   help="branch probability floor, finite and >= 0 (0 = exact tracking)")
     if seeded:
         p.add_argument("--seed", type=int, default=0)
 
@@ -68,6 +69,14 @@ def _grid(text: str) -> tuple[float, ...]:
             raise argparse.ArgumentTypeError(f"grid {text!r} has no points")
         return tuple(np.linspace(float(start), float(stop), int(count)))
     return tuple(float(tok) for tok in text.split(","))
+
+
+def _prune(text: str) -> float:
+    """Parse a branch probability floor: finite and nonnegative."""
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"prune {text!r} must be finite and >= 0")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,7 +138,7 @@ def main(argv=None) -> int:
         elif args.command == "single-z":
             summary = exp_single_z(
                 samples=args.samples, seed=args.seed, spec=_chain_from_args(args),
-                code_id=args.code, out_dir=args.out, prune_below=args.prune,
+                out_dir=args.out, prune_below=args.prune,
             )
             _emit(args, {
                 "samples": args.samples,
@@ -139,8 +148,8 @@ def main(argv=None) -> int:
             })
         elif args.command == "timing-sweep":
             curve = exp_timing(
-                delta_grid=args.grid, spec=_chain_from_args(args), code_id=args.code,
-                out_dir=args.out, prune_below=args.prune,
+                delta_grid=args.grid, spec=_chain_from_args(args), out_dir=args.out,
+                prune_below=args.prune,
             )
             _emit(args, {
                 "points": len(curve.deltas),
@@ -150,8 +159,7 @@ def main(argv=None) -> int:
         elif args.command == "coupling-sweep":
             curves = exp_coupling(
                 f_grid=args.grid, instances=args.instances, seed=args.seed,
-                spec=_chain_from_args(args), code_id=args.code, out_dir=args.out,
-                prune_below=args.prune,
+                spec=_chain_from_args(args), out_dir=args.out, prune_below=args.prune,
             )
             _emit(args, {
                 "points": len(curves.fractions),

@@ -94,21 +94,6 @@ class FermionOperator:
     def mode(cls, index: int, n_sites: int) -> "FermionOperator":
         return cls(n_sites, {(index,): 1.0})
 
-    def __add__(self, other: "FermionOperator") -> "FermionOperator":
-        if self.n_sites != other.n_sites:
-            raise ValueError("size mismatch")
-        out = FermionOperator(self.n_sites, self.terms)
-        for m, c in other.terms.items():
-            out._add(m, c)
-        out._prune()
-        return out
-
-    def __sub__(self, other: "FermionOperator") -> "FermionOperator":
-        return self + other.scaled(-1)
-
-    def scaled(self, factor: complex) -> "FermionOperator":
-        return FermionOperator(self.n_sites, {m: c * factor for m, c in self.terms.items()})
-
     def __mul__(self, other: "FermionOperator") -> "FermionOperator":
         if self.n_sites != other.n_sites:
             raise ValueError("size mismatch")
@@ -119,9 +104,6 @@ class FermionOperator:
                 out.terms[modes] = out.terms.get(modes, 0.0) + sign * ca * cb
         out._prune()
         return out
-
-    def monomials(self) -> list[MajoranaMonomial]:
-        return [MajoranaMonomial(c, m) for m, c in sorted(self.terms.items())]
 
     def isclose(self, other: "FermionOperator", tol: float = 1e-10) -> bool:
         keys = set(self.terms) | set(other.terms)

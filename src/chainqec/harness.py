@@ -53,6 +53,8 @@ DEFAULT_TIMING_GRID_POINTS = 21
 DEFAULT_TIMING_GRID_MAX_FRACTION = 0.1  # of t0
 DEFAULT_COUPLING_GRID = tuple(np.linspace(0.0, 0.1, 11))
 DEPHASING_TIME_POINTS = 9  # from 0 to the transfer time
+# re/im of alpha then beta: the revival sweeps hold |+_L> = (|0_L> + |1_L>)/sqrt(2)
+PLUS_LOGICAL = (1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 0.0)
 
 
 def fmt(x: float) -> str:
@@ -76,19 +78,9 @@ class ExperimentManifest:
     grid: tuple[float, ...]
     samples: int
     seed: int
-    logical: tuple[float, float, float, float] = (
-        1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 0.0,
-    )  # re/im of alpha then beta
+    logical: tuple[float, float, float, float] = PLUS_LOGICAL
     prune_below: float = 0.0
     version: str = field(default=__version__)
-
-    @property
-    def alpha(self) -> complex:
-        return self.logical[0] + 1j * self.logical[1]
-
-    @property
-    def beta(self) -> complex:
-        return self.logical[2] + 1j * self.logical[3]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -170,7 +162,10 @@ def _write_csv(out_dir: str | None, name: str, header: list[str], rows: list[lis
 
 
 class RevivalSetup:
-    """Shared machinery for the revival experiments on one chain and code.
+    """Shared machinery for the revival experiments on one chain.
+
+    The read-out is the paper's: the minimal15 code on the whole chain,
+    holding alpha|0_L> + beta|1_L>, corrected at twice the transfer time.
 
     Nothing here diagonalises a sector: every evolution is a Givens
     evolve.  The error-free arrival state e^{-iH duration}|encoded> is
@@ -181,18 +176,13 @@ class RevivalSetup:
     revival state stays in the excitation sectors the encoded state
     occupies, the evaluator's support, so a chunk of samples is scored as
     one (S, support) block of rows, never scattered into a 2^N vector.
-    Every array held here, the evaluator's included, is read-only, so one
-    set-up can serve every sweep of a process (_revival_setup).
+    Every array held here, the evaluator's included, is read-only, and the
+    pruning threshold is an argument of each scoring call, so one set-up
+    serves every sweep of a process on its chain (_revival_setup).
     """
 
-    def __init__(
-        self,
-        spec: ChainSpec,
-        codeobj: StabilizerCode,
-        alpha: complex,
-        beta: complex,
-        prune_below: float = 0.0,
-    ):
+    def __init__(self, spec: ChainSpec, alpha: complex, beta: complex):
+        codeobj = minimal15()
         if codeobj.n_qubits != spec.n_sites:
             raise ValueError("revival experiments need the code on the whole chain")
         self.spec = spec
@@ -202,7 +192,6 @@ class RevivalSetup:
         self.transfer_time = report.transfer_time
         self.duration = 2.0 * report.transfer_time
         self.spectral_bound = report.spectral_bound
-        self.prune_below = float(prune_below)
         self.encoded = encode(codeobj, alpha, beta)
         self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
         # the error-free state at the readout, e^{-iH duration}|encoded>
@@ -210,46 +199,48 @@ class RevivalSetup:
         for state in (self.encoded, self.arrival):
             state.amps.flags.writeable = False
 
-    def success_single_z(self, sites, t_errs) -> tuple[np.ndarray, np.ndarray]:
+    def success_single_z(self, sites, t_errs,
+                         prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """One phase flip per sample: Z on sites[k] at time t_errs[k] of the revival run.
 
-        Returns (success probability, discarded mass) arrays, one entry per sample.
+        Returns (success probability, discarded mass) arrays, one entry per
+        sample; branches below prune_below are discarded (0 = exact).
         """
         taus = np.asarray(t_errs, dtype=float) - self.duration
         blocks = single_z_sectors(self.arrival, self.spec, sites, taus)
         # the sectors, in weight order, are the evaluator's support
         rows = np.concatenate([block for _, block in blocks], axis=1)
-        return self.evaluator.success(rows, self.prune_below)
+        return self.evaluator.success(rows, prune_below)
 
-    def success_timing(self, deltas) -> tuple[np.ndarray, np.ndarray]:
+    def success_timing(self, deltas, prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Readout at twice the transfer time plus each offset; arrays as success_single_z."""
         support = self.evaluator.support
         rows = np.array([
             evolve(self.encoded, self.spec, self.duration + delta, method="givens").amps[support]
             for delta in np.asarray(deltas, dtype=float)
         ])
-        return self.evaluator.success(rows, self.prune_below)
+        return self.evaluator.success(rows, prune_below)
 
-    def success_coupling_instance(self, f: float, draw_seed: int) -> tuple[float, float, float]:
+    def success_coupling_instance(self, f: float, draw_seed: int,
+                                  prune_below: float = 0.0) -> tuple[float, float, float]:
         """(success probability, largest perturbation singular value, discarded mass)."""
         perturbed, zeta = disordered_spec(self.spec, f, draw_seed)
         psi = evolve(self.encoded, perturbed, self.duration, method="givens")
         success, discarded = self.evaluator.success(
-            psi.amps[self.evaluator.support], self.prune_below
+            psi.amps[self.evaluator.support], prune_below
         )
         return success, zeta, discarded
 
 
 @lru_cache(maxsize=4)
-def _revival_setup(
-    spec: ChainSpec, code_id: str, alpha: complex, beta: complex, prune_below: float
-) -> RevivalSetup:
-    """The revival machinery for one chain, code, logical state and pruning.
+def _revival_setup(spec: ChainSpec) -> RevivalSetup:
+    """The revival machinery for one chain, holding |+_L> (PLUS_LOGICAL).
 
-    Built once per process and shared by every sweep with those inputs.
+    Built once per process for each chain and shared by every revival
+    sweep on it, exact or pruned.
     """
-    return RevivalSetup(spec, make_code(code_id), alpha, beta, prune_below)
-
+    re_a, im_a, re_b, im_b = PLUS_LOGICAL
+    return RevivalSetup(spec, complex(re_a, im_a), complex(re_b, im_b))
 
 
 @dataclass
@@ -273,7 +264,6 @@ def exp_single_z(
     samples: int = 1024,
     seed: int = 0,
     spec: ChainSpec | None = None,
-    code_id: str = "minimal15",
     out_dir: str | None = None,
     prune_below: float = 0.0,
 ) -> SingleZSummary:
@@ -282,16 +272,17 @@ def exp_single_z(
         raise ValueError("samples must be nonnegative")
     spec = spec or pst_couplings(15)
     manifest = ExperimentManifest(
-        "single_z", spec, code_id, (), samples, seed, prune_below=prune_below
+        "single_z", spec, "minimal15", (), samples, seed, prune_below=prune_below
     )
-    # an unknown code or chain is refused before anything is written
-    setup = _revival_setup(spec, code_id, manifest.alpha, manifest.beta, prune_below)
+    # a chain of another length or without perfect transfer is refused
+    # before anything is written
+    setup = _revival_setup(spec)
 
     def evaluate(indices):
         draws = [sample_rng(seed, i) for i in indices]
         sites = [int(rng.integers(1, spec.n_sites + 1)) for rng in draws]
         t_errs = [float(rng.uniform(0.0, setup.duration)) for rng in draws]
-        success, discarded = setup.success_single_z(sites, t_errs)
+        success, discarded = setup.success_single_z(sites, t_errs, prune_below)
         return [
             {"site": site, "t_err": t, "success": float(p), "discarded_mass": float(d)}
             for site, t, p, d in zip(sites, t_errs, success, discarded)
@@ -328,14 +319,13 @@ def default_timing_grid(transfer_time: float) -> tuple[float, ...]:
 def exp_timing(
     delta_grid=None,
     spec: ChainSpec | None = None,
-    code_id: str = "minimal15",
     out_dir: str | None = None,
     prune_below: float = 0.0,
 ) -> TimingCurve:
     """Readout-time offsets on the revival setup: a Givens evolve per offset, scored per chunk."""
     spec = spec or pst_couplings(15)
-    manifest = ExperimentManifest("timing", spec, code_id, (), 0, 0, prune_below=prune_below)
-    setup = _revival_setup(spec, code_id, manifest.alpha, manifest.beta, prune_below)
+    manifest = ExperimentManifest("timing", spec, "minimal15", (), 0, 0, prune_below=prune_below)
+    setup = _revival_setup(spec)
     if delta_grid is None:
         delta_grid = default_timing_grid(setup.transfer_time)
     delta_grid = tuple(float(d) for d in delta_grid)
@@ -345,7 +335,7 @@ def exp_timing(
 
     def evaluate(indices):
         deltas = [delta_grid[i] for i in indices]
-        success, discarded = setup.success_timing(deltas)
+        success, discarded = setup.success_timing(deltas, prune_below)
         return [
             {"delta": delta, "success": float(p), "discarded_mass": float(d)}
             for delta, p, d in zip(deltas, success, discarded)
@@ -380,7 +370,6 @@ def exp_coupling(
     instances: int = 1000,
     seed: int = 0,
     spec: ChainSpec | None = None,
-    code_id: str = "minimal15",
     out_dir: str | None = None,
     prune_below: float = 0.0,
 ) -> CouplingCurves:
@@ -389,13 +378,14 @@ def exp_coupling(
     f_grid = DEFAULT_COUPLING_GRID if f_grid is None else tuple(float(f) for f in f_grid)
     if not all(0.0 <= f < 1.0 for f in f_grid):
         raise ValueError("disorder fraction must be finite and in [0, 1)")
-    if instances < 0:
-        raise ValueError("instances must be nonnegative")
+    if instances < 1:
+        raise ValueError("instances must be positive")
     manifest = ExperimentManifest(
-        "coupling", spec, code_id, f_grid, instances, seed, prune_below=prune_below
+        "coupling", spec, "minimal15", f_grid, instances, seed, prune_below=prune_below
     )
-    # an unknown code or chain is refused before anything is written
-    setup = _revival_setup(spec, code_id, manifest.alpha, manifest.beta, prune_below)
+    # a chain of another length or without perfect transfer is refused
+    # before anything is written
+    setup = _revival_setup(spec)
 
     def evaluate(indices):
         for i in indices:  # one record per grid point, checkpointed as it is yielded
@@ -409,13 +399,13 @@ def exp_coupling(
                     sample_rng(seed, i * instances + k).integers(0, 2**63 - 1)
                 )
                 vals[k], zeta_vals[k], discarded[k] = setup.success_coupling_instance(
-                    f_grid[i], draw_seed
+                    f_grid[i], draw_seed, prune_below
                 )
             yield {
                 "f": f_grid[i],
-                "mean": float(np.mean(vals)) if instances else 1.0,
-                "min": float(np.min(vals)) if instances else 1.0,
-                "zeta_mean": float(np.mean(zeta_vals)) if instances else 0.0,
+                "mean": float(np.mean(vals)),
+                "min": float(np.min(vals)),
+                "zeta_mean": float(np.mean(zeta_vals)),
                 "discarded_mass": float(np.sum(discarded)),
             }
 

@@ -49,9 +49,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amps.copy(), self.n_sites)
-
 
 @dataclass
 class DensityMatrix:

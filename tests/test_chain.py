@@ -69,6 +69,17 @@ def test_two_site_analytic():
     np.testing.assert_allclose(rep.global_phase, -1j, atol=1e-10)
 
 
+@pytest.mark.parametrize("j", [0.7, 1.0, 1.3, 2.0])
+def test_transfer_time_from_the_common_unit_of_incommensurate_gaps(j):
+    # a centre field B = J sqrt(8/15) gives gaps 3B/2 and 5B/2: odd multiples
+    # of B/2 but not multiples of the smallest gap, so transfer is at 2 pi / B
+    # (Christandl et al., PRA 71, 032312 (2005))
+    b = j * np.sqrt(8 / 15)
+    rep = analyze_transfer(ChainSpec(3, (j, j), (0.0, b, 0.0)))
+    assert rep.is_perfect
+    np.testing.assert_allclose(rep.transfer_time, 2 * np.pi / b, rtol=1e-12)
+
+
 def test_mirror_property_all_modes():
     # U(t0) sends |n> to a unit-modulus multiple of |N+1-n> for every n
     for n in (5, 12):

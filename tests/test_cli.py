@@ -67,7 +67,9 @@ def test_single_z_cli_refuses_negative_samples(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("bad", [["--grid", "1.5"], ["--grid", "nan"], ["--instances", "-1"]])
+@pytest.mark.parametrize("bad", [
+    ["--grid", "1.5"], ["--grid", "nan"], ["--instances", "-1"], ["--instances", "0"],
+])
 def test_coupling_cli_refuses_bad_input_before_writing(bad, tmp_path, capsys):
     out = tmp_path / "cp"
     assert main(["coupling-sweep", *bad, "--out", str(out)]) == 1
@@ -82,17 +84,40 @@ def test_coupling_cli_refuses_bad_input_before_writing(bad, tmp_path, capsys):
     ["single-z", "--samples", "1"],
     ["coupling-sweep", "--grid", "0.05", "--instances", "1"],
 ])
-@pytest.mark.parametrize("bad", ["code", "chain"])
+@pytest.mark.parametrize("bad", ["code", "chain", "length"])
 def test_unknown_code_or_imperfect_chain_refused_before_writing(sweep, bad, tmp_path, capsys):
     flat = tmp_path / "flat.cfg"  # uniform couplings: no perfect transfer at N = 15
     flat.write_text(f"n_sites = 15\ncouplings = {', '.join(['1.0'] * 14)}\n"
                     f"fields = {', '.join(['0.0'] * 15)}\n")
-    args = {"code": ["--code", "nonsense"], "chain": ["--config", str(flat)]}[bad]
     out = tmp_path / "run"
-    assert main([*sweep, *args, "--out", str(out)]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
-    assert not (out / "manifest.json").exists()
+    if bad == "code":  # the revival read-out runs minimal15 only: the parser refuses
+        with pytest.raises(SystemExit) as exc:
+            main([*sweep, "--code", "nonsense", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+    else:
+        args = {"chain": ["--config", str(flat)], "length": ["--pst", "9"]}[bad]
+        assert main([*sweep, *args, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert {"chain": "transfer perfectly", "length": "whole chain"}[bad] in err["message"]
+        assert not (out / "manifest.json").exists()
     assert main([*sweep, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("sweep", [
+    ["single-z", "--samples", "1"],
+    ["timing-sweep", "--grid", "0"],
+    ["coupling-sweep", "--grid", "0.05", "--instances", "1"],
+])
+@pytest.mark.parametrize("prune", ["nan", "inf", "-1e-3"])
+def test_prune_not_finite_or_negative_refused_by_the_parser(sweep, prune, tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([*sweep, f"--prune={prune}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("empty, valid", [

@@ -483,17 +483,17 @@ def test_revival_mode_on_phaseflip_inner_code():
 # --- success probability end to end: RevivalSetup and trajectories -------------
 
 
-def test_success_probability_noiseless(code15, chain15):
-    setup = RevivalSetup(chain15, code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
+def test_success_probability_noiseless(chain15):
+    setup = RevivalSetup(chain15, 1 / np.sqrt(2), 1 / np.sqrt(2))
     success, discarded = setup.success_timing([0.0])
     assert success[0] == pytest.approx(1.0, abs=1e-9)
     assert discarded[0] == 0.0
 
 
-def test_success_probability_single_z_input_independent(code15, chain15):
+def test_success_probability_single_z_input_independent(chain15):
     s = 1 / np.sqrt(2)
     vals = [
-        RevivalSetup(chain15, code15, *logical).success_single_z([6], [1.1])[0][0]
+        RevivalSetup(chain15, *logical).success_single_z([6], [1.1])[0][0]
         for logical in [(1, 0), (0, 1), (s, s), (s, 1j * s)]
     ]
     for v in vals:
@@ -501,14 +501,14 @@ def test_success_probability_single_z_input_independent(code15, chain15):
     assert max(vals) - min(vals) < 1e-9
 
 
-def test_success_probability_timing_between_zero_and_one(code15, chain15):
-    setup = RevivalSetup(chain15, code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
+def test_success_probability_timing_between_zero_and_one(chain15):
+    setup = RevivalSetup(chain15, 1 / np.sqrt(2), 1 / np.sqrt(2))
     val = setup.success_timing([0.3 / 14])[0][0]
     assert 0.0 < val < 1.0
 
 
-def test_success_probability_coupling_reproducible(code15, chain15):
-    setup = RevivalSetup(chain15, code15, 1, 0)
+def test_success_probability_coupling_reproducible(chain15):
+    setup = RevivalSetup(chain15, 1, 0)
     a = setup.success_coupling_instance(0.02, 11)[0]
     b = setup.success_coupling_instance(0.02, 11)[0]
     assert a == b

@@ -108,7 +108,7 @@ def test_single_z_fixed_case():
     # site 8 at exactly the transfer time
     from chainqec.harness import RevivalSetup
 
-    setup = RevivalSetup(pst_couplings(15), make_code("minimal15"), 2**-0.5, 2**-0.5)
+    setup = RevivalSetup(pst_couplings(15), 2**-0.5, 2**-0.5)
     success, discarded = setup.success_single_z([8], [np.pi / 2])
     assert success[0] >= 1 - 1e-9
     assert discarded[0] == 0.0
@@ -120,7 +120,7 @@ def test_setup_engine_matches_success_probability(code15, chain15):
     from chainqec.noise import inject_single_z
 
     logical = (1 / np.sqrt(2), 1 / np.sqrt(2))
-    setup = RevivalSetup(chain15, code15, *logical)
+    setup = RevivalSetup(chain15, *logical)
     opts = DecodeOptions(mode="revival", alpha=logical[0], beta=logical[1])
     cases = [(4, 0.31), (13, 2.9)]
     fast, _ = setup.success_single_z(*zip(*cases))
@@ -139,7 +139,7 @@ def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15):
     from chainqec.noise import inject_single_z
 
     amp = 1 / np.sqrt(2)
-    setup = RevivalSetup(chain15, code15, amp, amp)
+    setup = RevivalSetup(chain15, amp, amp)
     sites = np.array([1, 15, 7, 7, 3, 12, 9])
     t_errs = np.array([0.0, setup.duration, 0.4, 2.3, 1.7, 0.05, 3.0])
     success, discarded = setup.success_single_z(sites, t_errs)
@@ -167,13 +167,13 @@ def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15):
     np.testing.assert_array_equal(again, success[perm])
 
 
-def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
+def test_single_z_one_mode_matches_expm_oracle(chain15):
     # end sites and the middle, at both ends and a third of the time window
     from chainqec.hilbert import single_z_sectors
     from chainqec.noise import inject_single_z
 
     amp = 1 / np.sqrt(2)
-    setup = RevivalSetup(chain15, code15, amp, amp)
+    setup = RevivalSetup(chain15, amp, amp)
     total = setup.duration
     cases = [(site, t) for site in (1, 8, 15) for t in (0.0, total / 3, total)]
     sites, t_errs = (np.array(col) for col in zip(*cases))
@@ -222,8 +222,7 @@ def _held_arrays(*owners) -> list[np.ndarray]:
 
 
 def test_cached_setup_is_read_only():
-    amp = 1 / np.sqrt(2)
-    setup = harness._revival_setup(pst_couplings(15), "minimal15", amp, amp, 0.0)
+    setup = harness._revival_setup(pst_couplings(15))
     arrays = _held_arrays(setup.evaluator, setup.evaluator.tables)
     arrays += [setup.encoded.amps, setup.arrival.amps]
     # five evaluator arrays, two sparse matrices of three buffers each, four
@@ -236,8 +235,7 @@ def test_cached_setup_is_read_only():
 
 def test_evaluator_holds_no_state_sized_array():
     # the set-up's evaluator works on the encoded sectors, weights {0, 10}
-    amp = 1 / np.sqrt(2)
-    ev = harness._revival_setup(pst_couplings(15), "minimal15", amp, amp, 0.0).evaluator
+    ev = harness._revival_setup(pst_couplings(15)).evaluator
     assert ev.support.size == 1 + 3003
     sizes = [a.size for a in _held_arrays(ev, ev.tables)]
     assert max(sizes) < 2**15
@@ -246,17 +244,16 @@ def test_evaluator_holds_no_state_sized_array():
 def test_row_value_does_not_depend_on_its_chunk(chain15):
     # every product sums each entry in a fixed order, whatever the number of
     # rows; a resumed run re-chunks its missing points
-    amp = 1 / np.sqrt(2)
     rng = np.random.default_rng(64)
     sites = rng.integers(1, 16, 64)
     t_errs = rng.uniform(0.0, 2 * np.pi / 2, 64)
+    setup = harness._revival_setup(chain15)
     for prune in (0.0, 1e-12, 1e-6):
-        setup = harness._revival_setup(chain15, "minimal15", amp, amp, prune)
-        success, discarded = setup.success_single_z(sites, t_errs)
+        success, discarded = setup.success_single_z(sites, t_errs, prune)
         if prune:
             assert discarded.max() > 0
         for k in range(64):
-            alone = setup.success_single_z(sites[k:k + 1], t_errs[k:k + 1])
+            alone = setup.success_single_z(sites[k:k + 1], t_errs[k:k + 1], prune)
             assert (alone[0][0], alone[1][0]) == (success[k], discarded[k]), (prune, k)
 
 
@@ -271,13 +268,12 @@ def test_revival_sweeps_share_one_setup_per_process(monkeypatch):
     monkeypatch.setattr(RevivalSetup, "__init__", counting_init)
     harness._revival_setup.cache_clear()
     exp_single_z(samples=2, seed=1, prune_below=1e-12)
-    exp_single_z(samples=3, seed=2, prune_below=1e-12)
-    exp_timing(delta_grid=(0.0,), prune_below=1e-12)
+    exp_single_z(samples=3, seed=2)  # exact and pruned sweeps share the set-up
+    exp_timing(delta_grid=(0.0,), prune_below=1e-7)
+    exp_coupling(f_grid=(0.05,), instances=1, seed=1)
     assert len(built) == 1
-    exp_single_z(samples=2, seed=1)  # another prune gets its own set-up
+    exp_timing(delta_grid=(0.0,), spec=pst_couplings(15, scale=2.0))  # another chain
     assert len(built) == 2
-    harness._revival_setup(pst_couplings(15), "minimal15", 1.0, 0.0, 0.0)  # another state
-    assert len(built) == 3
 
 
 def test_single_z_csv_and_resume(tmp_path):

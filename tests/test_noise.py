@@ -173,10 +173,10 @@ def test_single_z_time_sweep_always_corrected(code15, chain15, plus_logical15):
         assert report.success_probability >= 1 - 1e-9, t_err
 
 
-def test_coupling_success_converges_as_disorder_vanishes(code15, chain15):
+def test_coupling_success_converges_as_disorder_vanishes(chain15):
     from chainqec.harness import RevivalSetup
 
-    setup = RevivalSetup(chain15, code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    setup = RevivalSetup(chain15, 1 / np.sqrt(2), 1 / np.sqrt(2))
     vals = [setup.success_coupling_instance(f, 3)[0] for f in (3e-3, 1e-3, 3e-4)]
     assert all(np.diff(vals) > 0) or vals[-1] > 1 - 1e-5
     assert vals[-1] > 1 - 1e-4
