@@ -18,11 +18,12 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__
 from .chain import ChainSpec, analyze_transfer, pst_couplings
 from .code import StabilizerCode, encode, minimal15, shor_code
-from .decoder import RevivalEvaluator
+from .decoder import RevivalEvaluator, _state_sums
 from .errors import ResourceLimitError
 from .freefermion import chi_decay
 from .hilbert import (
@@ -31,8 +32,10 @@ from .hilbert import (
     dense_unitary,
     evolve,
     from_density,
+    hop_rows,
     lindblad_evolve,
     sample_rng,
+    single_z_modes,
     single_z_sectors,
 )
 from .noise import disordered_spec
@@ -168,15 +171,20 @@ class RevivalSetup:
     holding alpha|0_L> + beta|1_L>, corrected at twice the transfer time.
 
     Nothing here diagonalises a sector: every evolution is a Givens
-    evolve.  The error-free arrival state e^{-iH duration}|encoded> is
-    computed once; a phase flip on site s at time t then arrives as one
-    rotated fermionic mode about it, so a batch of single-Z samples costs
-    2(N-1) bond rotations per sample on the rows of one block per sector
-    (hilbert.single_z_sectors) instead of two full evolutions.  Every
-    revival state stays in the excitation sectors the encoded state
-    occupies, the evaluator's support, so a chunk of samples is scored as
-    one (S, support) block of rows, never scattered into a 2^N vector.
-    Every array held here, the evaluator's included, is read-only, and the
+    evolve.  The error-free arrival state phi = e^{-iH duration}|encoded>
+    is computed once; a phase flip on site s at time t then arrives as
+    phi - 2 n_v phi, one rotated fermionic mode v about it, instead of two
+    full evolutions.  Every revival state stays in the excitation sectors
+    the encoded state occupies, the evaluator's support, so a chunk of
+    samples is scored on (S, support) blocks, never scattered into a 2^N
+    vector.  Exact scoring needs only rows @ W (W the evaluator's weights),
+    and n_v = sum_ij conj(v_i) v_j c_i^dag c_j, so rows @ W = phi W - 2 q K
+    with q = conj(v) (x) v: `arrival_overlaps` holds phi W and the sparse
+    N^2 x column table `hop_overlaps` holds K, row (i, j) = (c_i^dag c_j phi) W
+    (225 x 304, 35 160 nonzeros on minimal15), and no row is built.  Pruned
+    scoring needs masses quadratic in the rows, so it builds them with
+    2(N-1) bond rotations per sample (hilbert.single_z_sectors).  Every
+    array held here, the evaluator's included, is read-only, and the
     pruning threshold is an argument of each scoring call, so one set-up
     serves every sweep of a process on its chain (_revival_setup).
     """
@@ -196,17 +204,37 @@ class RevivalSetup:
         self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
         # the error-free state at the readout, e^{-iH duration}|encoded>
         self.arrival = evolve(self.encoded, spec, self.duration, method="givens")
-        for state in (self.encoded, self.arrival):
-            state.amps.flags.writeable = False
+        # phi W and K; W reads only a few support positions (154 of 3004 on
+        # minimal15), so K needs the hopped states c_i^dag c_j phi there alone.
+        # A sparse product: the 1 MiB dense one, once freed, left every later
+        # pruned chunk taking about a fifth more page faults (glibc's heap)
+        weights, support = self.evaluator.weights, self.evaluator.support
+        read = np.unique(weights.indices)
+        self.arrival_overlaps = self.arrival.amps[support] @ weights
+        hopped = sp.csr_array(hop_rows(self.arrival, support[read]))
+        self.hop_overlaps = sp.csc_array(hopped @ weights[read])
+        for a in (self.encoded.amps, self.arrival.amps, self.arrival_overlaps,
+                  self.hop_overlaps.data, self.hop_overlaps.indices, self.hop_overlaps.indptr):
+            a.flags.writeable = False
 
     def success_single_z(self, sites, t_errs,
                          prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """One phase flip per sample: Z on sites[k] at time t_errs[k] of the revival run.
 
         Returns (success probability, discarded mass) arrays, one entry per
-        sample; branches below prune_below are discarded (0 = exact).
+        sample; branches below prune_below are discarded (0 = exact).  Each
+        sample's v is one GEMV and K is applied by scipy's CSR kernel, which
+        sums each entry in a fixed order, so a value does not depend on its
+        chunk.
         """
         taus = np.asarray(t_errs, dtype=float) - self.duration
+        if prune_below <= 0.0:
+            # as in the evaluator, at 0 nothing can be dropped, so only rows @ W
+            # is needed: the quadratic form phi W - 2 q K, no row built
+            v = single_z_modes(self.spec, sites, taus)
+            q = (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), v.shape[1] ** 2)
+            overlaps = self.arrival_overlaps[:, None] - 2.0 * (self.hop_overlaps.T @ q.T)
+            return _state_sums(np.abs(overlaps) ** 2), np.zeros(len(v))
         blocks = single_z_sectors(self.arrival, self.spec, sites, taus)
         # the sectors, in weight order, are the evaluator's support
         rows = np.concatenate([block for _, block in blocks], axis=1)

@@ -13,9 +13,13 @@ of the single-particle unitary; method="expm", the default, applies each
 occupied sector's sparse Hamiltonian with scipy's expm_multiply and serves as
 the exact N = 15 oracle.  Neither caches anything that depends on the
 chain's couplings or fields.  A phase flip during transport is one rotated
-mode about the error-free arrival state (single_z_sectors): N - 1 rotations
-carry that mode to site 1, where Z is diagonal, and the inverse rotations
-carry it back.
+mode v about the error-free arrival state phi, read out as phi - 2 n_v phi
+(single_z_modes gives v).  single_z_sectors builds those rows: N - 1
+rotations carry the mode to site 1, where Z is diagonal, and the inverse
+rotations carry it back.  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j, a
+linear read-out of the rows is also a quadratic form in v over the N^2
+hopped states c_i^dag c_j phi (hop_rows), which the revival set-up scores
+exact samples with.
 """
 
 from __future__ import annotations
@@ -161,7 +165,8 @@ def sector_eig(spec: ChainSpec, weight: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _occupied_weights(state: StateVector) -> list[int]:
-    return np.unique(np.bitwise_count(np.flatnonzero(np.abs(state.amps) ** 2 > 0.0))).tolist()
+    # != 0, not |a|^2 > 0: the square of an amplitude below ~1.5e-162 underflows to 0
+    return np.unique(np.bitwise_count(np.flatnonzero(state.amps != 0))).tolist()
 
 
 def _givens_factor(u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,6 +273,49 @@ def _rotate_rows(x: np.ndarray, pair: np.ndarray, g: np.ndarray) -> None:
         flat[idx] = (g @ flat[idx].reshape(x.shape[0], *pair.shape)).ravel()
 
 
+def single_z_modes(spec: ChainSpec, sites, taus) -> np.ndarray:
+    """(S, N) rows v_k = row sites[k] of exp(-i H1 taus[k]): the mode each flip rotates.
+
+    Z_s conjugated by e^{-iH tau} is 1 - 2 n_v with n_v = a_v^dag a_v and
+    a_v = sum_j v_j c_j.  One GEMV per sample, so a row does not depend on
+    the others.  Refuses a site outside 1..N, a non-finite time and
+    anything but one site per time.
+    """
+    n = spec.n_sites
+    sites = np.asarray(sites, dtype=np.int64)
+    taus = np.asarray(taus, dtype=float)
+    if sites.ndim != 1 or sites.shape != taus.shape:
+        raise ValueError("need one site per time")
+    if np.any((sites < 1) | (sites > n)):
+        raise ValueError("site out of range")
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("time must be finite")
+    evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
+    v = np.empty((sites.size, n), dtype=complex)
+    for k, (s, tau) in enumerate(zip(sites, taus)):
+        v[k] = (evecs[s - 1] * np.exp(-1j * evals * tau)) @ evecs.T
+    return v
+
+
+def hop_rows(state: StateVector, support: np.ndarray) -> np.ndarray:
+    """(N^2, support) block: row N i + j holds c_{i+1}^dag c_{j+1} |state> on `support`.
+
+    `support` lists basis indices.  c_i^dag c_i is n_i.  For i != j,
+    c_i^dag c_j takes |x>, site j occupied and site i empty, to
+    (-1)^{|x & sites strictly between i and j|} |x ^ b_i ^ b_j>, so each
+    row is one signed gather from the state.
+    """
+    n = state.n_sites
+    bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))  # b_i of site i + 1
+    b_i, b_j = bits[:, None, None], bits[None, :, None]
+    lo, hi = np.maximum(b_i, b_j), np.minimum(b_i, b_j)
+    between = np.where(lo > hi, lo - 2 * hi, 0)  # the bits strictly between sites i and j
+    y = np.asarray(support, dtype=np.int64)
+    hops = ((y & b_i) != 0) & (((y & b_j) == 0) | (b_i == b_j))
+    signs = 1.0 - 2.0 * (np.bitwise_count(y & between) & 1)
+    return np.where(hops, signs * state.amps[y ^ b_i ^ b_j], 0.0).reshape(n * n, y.size)
+
+
 def single_z_sectors(
     arrival: StateVector, spec: ChainSpec, sites, taus
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -281,30 +329,24 @@ def single_z_sectors(
     exp(-i H1 tau): the N - 1 bond rotations G that carry conj(v) to e_1
     give n_v = G^dag n_1 G, read from the one pair table per sector.  Every
     operation acts within a row, so a sample's value does not depend on
-    the batch it is evaluated in.
+    the batch it is evaluated in.  Pruned scoring reads masses quadratic in
+    these rows and so needs them; exact scoring needs only a linear
+    read-out of them, which the revival set-up takes as a quadratic form in
+    v (hop_rows) without building them.
     """
     n = spec.n_sites
     if arrival.n_sites != n:
         raise ValueError("size mismatch")
-    sites = np.asarray(sites, dtype=np.int64)
-    taus = np.asarray(taus, dtype=float)
-    if sites.ndim != 1 or sites.shape != taus.shape:
-        raise ValueError("need one site per time")
-    if np.any((sites < 1) | (sites > n)):
-        raise ValueError("site out of range")
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("time must be finite")
-    evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
-    g = np.empty((sites.size, n - 1, 2, 2), dtype=complex)
-    for k, (s, tau) in enumerate(zip(sites, taus)):
-        v = (evecs[s - 1] * np.exp(-1j * evals * tau)) @ evecs.T
-        g[k] = _rotations_to_first(v.conj())
+    v = single_z_modes(spec, sites, taus)
+    g = np.empty((len(v), n - 1, 2, 2), dtype=complex)
+    for k, row in enumerate(v):
+        g[k] = _rotations_to_first(row.conj())
     g_inv = g.conj().transpose(0, 1, 3, 2)
     blocks = []
     for w in _occupied_weights(arrival):
         states, pairs = _sector_table(n, w)
         phi = arrival.amps[states]
-        x = np.tile(phi, (sites.size, 1))
+        x = np.tile(phi, (len(v), 1))
         for m in range(n - 2, -1, -1):
             _rotate_rows(x, pairs[m], g[:, m])
         x[:, (states >> (n - 1)) & 1 == 0] = 0.0  # n_1: keep site 1 occupied

@@ -17,8 +17,10 @@ from chainqec.hilbert import (
     dense_hamiltonian,
     dense_unitary,
     evolve,
+    hop_rows,
     sector_indices,
     sector_sparse,
+    single_z_modes,
     single_z_sectors,
 )
 from chainqec.pauli import site_bit
@@ -158,6 +160,25 @@ def test_single_z_update_matches_dense_flip(spec, data):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(spec=chains(max_sites=7), data=st.data())
+def test_single_z_quadratic_form_matches_dense_flip(spec, data):
+    # phi - 2 n_v phi with n_v = sum_ij conj(v_i) v_j c_i^dag c_j, from hop_rows
+    n = spec.n_sites
+    psi = sector_state(np.random.default_rng(data.draw(st.integers(0, 2**32))), n,
+                       data.draw(st.integers(0, n)))
+    total = data.draw(st.floats(0.0, 4.0))
+    t = data.draw(st.floats(0.0, total))
+    site = data.draw(st.integers(1, n))
+    arrival = evolve(psi, spec, total, method="givens")
+    v = single_z_modes(spec, [site], [t - total])[0]
+    hopped = hop_rows(arrival, np.arange(1 << n)).reshape(n, n, 1 << n)
+    n_v = np.einsum("i,j,ijx->x", v.conj(), v, hopped)
+    zsign = np.where(np.arange(1 << n) & site_bit(n, site), -1.0, 1.0)
+    want = dense_unitary(spec, total - t) @ (zsign * (dense_unitary(spec, t) @ psi.amps))
+    np.testing.assert_allclose(arrival.amps - 2.0 * n_v, want, rtol=0, atol=1e-12)
+
+
 def test_single_z_update_rejects_bad_samples():
     spec = ChainSpec(3, (1.0, 1.0), (0.0,) * 3)
     arrival = basis_state(3, [1])
@@ -167,6 +188,8 @@ def test_single_z_update_rejects_bad_samples():
         single_z_sectors(arrival, spec, [1, 2], [0.1])
     with pytest.raises(ValueError, match="finite"):
         single_z_sectors(arrival, spec, [1], [np.inf])
+    with pytest.raises(ValueError, match="site out of range"):
+        single_z_modes(spec, [0], [0.1])  # not site 3 through a negative index
 
 
 @settings(max_examples=40, deadline=None)
@@ -203,9 +226,24 @@ def test_occupied_weights_match_loop():
     rng = np.random.default_rng(8)
     for n in (1, 4, 9):
         amps = rng.standard_normal(1 << n) * (rng.random(1 << n) < 0.3)
-        idx = np.nonzero(np.abs(amps) ** 2 > 0.0)[0]
+        idx = np.nonzero(amps != 0)[0]
         loop = sorted({bin(int(i)).count("1") for i in idx})
         assert _occupied_weights(StateVector(amps, n)) == loop
+    # |a|^2 of 1e-200 underflows to 0, but the sector is occupied
+    tiny = np.zeros(16)
+    tiny[0], tiny[0b1000] = 1.0, 1e-200
+    assert _occupied_weights(StateVector(tiny, 4)) == [0, 1]
+
+
+@pytest.mark.parametrize("method", ["givens", "expm"])
+def test_evolve_moves_amplitudes_whose_square_underflows(method):
+    spec = ChainSpec(4, (1.0, 0.7, 1.2), (0.0, 0.3, 0.0, -0.2))
+    amps = np.zeros(16, dtype=complex)
+    amps[0], amps[0b1000] = 1.0, 1e-200
+    got = evolve(StateVector(amps, 4), spec, 0.9, method=method).amps
+    want = dense_unitary(spec, 0.9) @ amps
+    assert np.all(want[[8, 4, 2, 1]] != 0)  # spread over all four sites
+    np.testing.assert_allclose(got * 1e200, want * 1e200, rtol=0, atol=1e-12)
 
 
 def test_pair_table_is_cached_and_read_only():

@@ -23,6 +23,7 @@ from chainqec.harness import (
     make_code,
     sample_rng,
 )
+from chainqec.hilbert import single_z_modes, single_z_sectors
 from chainqec.pauli import from_sites, pauli_z
 
 
@@ -144,12 +145,11 @@ def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15):
     t_errs = np.array([0.0, setup.duration, 0.4, 2.3, 1.7, 0.05, 3.0])
     success, discarded = setup.success_single_z(sites, t_errs)
     # every single flip is corrected, so also compare the arriving states:
-    # the scored rows on the support, and nothing off it
+    # the rows a pruned sweep scores on the support, and nothing off it
     ev = setup.evaluator
-    decode = ev.success
-    arrived = []
-    ev.success = lambda rows, p: arrived.extend(rows.copy()) or decode(rows, p)
-    setup.success_single_z(sites, t_errs)
+    blocks = single_z_sectors(setup.arrival, chain15, sites, t_errs - setup.duration)
+    arrived = np.concatenate([block for _, block in blocks], axis=1)
+    assert len(arrived) == sites.size
     off_support = np.ones(2**15, dtype=bool)
     off_support[ev.support] = False
     psi0 = encode(code15, amp, amp)
@@ -161,15 +161,15 @@ def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15):
         assert got == pytest.approx(want, abs=1e-11)
     np.testing.assert_array_equal(discarded, 0.0)
     # a sample's value does not depend on its row: resumed runs rely on it
-    del ev.success
     perm = np.random.default_rng(63).permutation(sites.size)
     again, _ = setup.success_single_z(sites[perm], t_errs[perm])
     np.testing.assert_array_equal(again, success[perm])
 
 
-def test_single_z_one_mode_matches_expm_oracle(chain15):
-    # end sites and the middle, at both ends and a third of the time window
-    from chainqec.hilbert import single_z_sectors
+def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
+    # end sites and the middle, at both ends and a third of the time window:
+    # the rotated rows and the exact quadratic-form success
+    from chainqec.decoder import DecodeOptions, decode_pipeline
     from chainqec.noise import inject_single_z
 
     amp = 1 / np.sqrt(2)
@@ -178,12 +178,49 @@ def test_single_z_one_mode_matches_expm_oracle(chain15):
     cases = [(site, t) for site in (1, 8, 15) for t in (0.0, total / 3, total)]
     sites, t_errs = (np.array(col) for col in zip(*cases))
     blocks = single_z_sectors(setup.arrival, chain15, sites, t_errs - total)
+    success, _ = setup.success_single_z(sites, t_errs)
     for k, (site, t_err) in enumerate(cases):
         got = np.zeros_like(setup.encoded.amps)
         for states, rows in blocks:
             got[states] = rows[k]
         want = inject_single_z(setup.encoded, chain15, site, t_err, total)
         np.testing.assert_allclose(got, want.amps, rtol=0, atol=1e-12)
+        oracle = decode_pipeline(want, code15, DecodeOptions(mode="revival"))
+        assert success[k] == pytest.approx(oracle.success_probability, abs=1e-12)
+
+
+def test_exact_single_z_matches_scored_rows(chain15):
+    # the quadratic form phi W - 2 q K against building the rows and scoring them
+    rng = np.random.default_rng(65)
+    sites = rng.integers(1, 16, 64)
+    t_errs = rng.uniform(0.0, np.pi, 64)
+    setup = harness._revival_setup(chain15)
+    success, discarded = setup.success_single_z(sites, t_errs)
+    blocks = single_z_sectors(setup.arrival, chain15, sites, t_errs - setup.duration)
+    rows = np.concatenate([b for _, b in blocks], axis=1)
+    want, _ = setup.evaluator.success(rows)
+    np.testing.assert_allclose(success, want, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(discarded, 0.0)
+    # every single flip is corrected, so the success is blind to a wrong sign
+    # in K: compare the overlaps themselves
+    v = single_z_modes(chain15, sites, t_errs - setup.duration)
+    q = (v.conj()[:, :, None] * v[:, None, :]).reshape(64, -1)
+    overlaps = setup.arrival_overlaps[:, None] - 2.0 * (setup.hop_overlaps.T @ q.T)
+    np.testing.assert_allclose(overlaps, setup.evaluator.weights.T @ rows.T, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("prune", [0.0, 1e-12])
+def test_single_z_refuses_bad_samples_exact_or_pruned(chain15, prune):
+    setup = harness._revival_setup(chain15)
+    bad = [
+        ([0], [0.1], "site out of range"),  # unchecked, evecs[0 - 1] reads site 15
+        ([16], [0.1], "site out of range"),
+        ([3], [np.nan], "finite"),
+        ([1, 2], [0.1], "one site per time"),
+    ]
+    for sites, t_errs, match in bad:
+        with pytest.raises(ValueError, match=match):
+            setup.success_single_z(sites, t_errs, prune)
 
 
 def test_single_z_and_timing_never_diagonalise(monkeypatch):
@@ -214,6 +251,25 @@ def test_pruned_sweeps_never_run_the_pipeline(monkeypatch):
     assert curves.discarded_mass[0] > 0
 
 
+def test_exact_single_z_builds_no_rows(monkeypatch):
+    # exact samples are a quadratic form in the flipped mode; pruned ones
+    # still rotate rows, whose masses have no small table
+    def refuse(*args, **kwargs):
+        raise AssertionError("single_z_sectors called")
+
+    monkeypatch.setattr(harness, "single_z_sectors", refuse)
+    summary = exp_single_z(samples=20, seed=2)
+    assert summary.min_success >= 1 - 1e-8
+    calls = []
+    rotate = single_z_sectors
+    monkeypatch.setattr(
+        harness, "single_z_sectors", lambda *args: calls.append(1) or rotate(*args)
+    )
+    pruned = exp_single_z(samples=20, seed=2, prune_below=1e-12)
+    assert len(calls) == 2  # one per chunk of 16
+    np.testing.assert_allclose(pruned.successes, summary.successes, rtol=0, atol=1e-9)
+
+
 def _held_arrays(*owners) -> list[np.ndarray]:
     """Every array the owners hold, the buffers of their sparse matrices included."""
     held = [value for owner in owners for value in vars(owner).values()]
@@ -223,11 +279,13 @@ def _held_arrays(*owners) -> list[np.ndarray]:
 
 def test_cached_setup_is_read_only():
     setup = harness._revival_setup(pst_couplings(15))
-    arrays = _held_arrays(setup.evaluator, setup.evaluator.tables)
+    arrays = _held_arrays(setup, setup.evaluator, setup.evaluator.tables)
     arrays += [setup.encoded.amps, setup.arrival.amps]
-    # five evaluator arrays, two sparse matrices of three buffers each, four
-    # table arrays, two states
-    assert len(arrays) >= 17
+    # the set-up's phi W and the three buffers of its table K, five evaluator
+    # arrays, two sparse matrices of three buffers each, four table arrays,
+    # two states
+    assert setup.arrival_overlaps.size and setup.hop_overlaps.nnz
+    assert len(arrays) >= 21
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
