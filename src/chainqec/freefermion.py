@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, single_excitation_matrix
 from .errors import ResourceLimitError
 from .pauli import PauliString, identity as pauli_identity, product as pauli_product
 
@@ -185,10 +184,6 @@ def mode_propagator(h1: np.ndarray, t: float) -> ModePropagator:
     sin = (evecs * np.sin(evals * t)) @ evecs.T
     mat = np.block([[cos, sin], [-sin, cos]])
     return ModePropagator(matrix=mat)
-
-
-def mode_propagator_for(spec: ChainSpec, t: float) -> ModePropagator:
-    return mode_propagator(single_excitation_matrix(spec), t)
 
 
 def jordan_wigner(mode: int, n_sites: int) -> PauliString:

@@ -15,7 +15,7 @@ import contextlib
 import json
 import os
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +36,6 @@ from .hilbert import (
     lindblad_evolve,
     sample_rng,
     single_z_modes,
-    single_z_sectors,
 )
 from .noise import disordered_spec
 from .pauli import PauliString
@@ -46,10 +45,11 @@ _BRUTE_FORCE_MAX_SITES = 6
 # chunk are the rows of one block on the evaluator's support, scored in one
 # sparse product.  A point's value must not depend on its chunk, or a
 # resumed run (which re-chunks the missing points) would differ from a
-# fresh one; the chunk, batched-engine and resume tests check this.  16
-# rows keep a chunk's sector blocks in cache across the bond rotations: on
-# the 15-site chain (one BLAS thread, 2-core Xeon) a single-Z sample took
-# about a fifth less time in 16-row chunks than in 64-row ones.
+# fresh one; the chunk, batched-engine and resume tests check this.  On the
+# 15-site chain (one BLAS thread, 2-core Xeon) a pruned single-Z sample took
+# 0.41-0.45 ms in chunks of 8, 16 or 32 rows and about 0.5 ms in chunks of
+# 64, whose (64, 3004) rows and pair overlaps outgrow the cache; an exact
+# one took 0.06-0.12 ms at every size, less in larger chunks.
 _CHUNK = 16
 
 DEFAULT_TIMING_GRID_POINTS = 21
@@ -174,19 +174,22 @@ class RevivalSetup:
     evolve.  The error-free arrival state phi = e^{-iH duration}|encoded>
     is computed once; a phase flip on site s at time t then arrives as
     phi - 2 n_v phi, one rotated fermionic mode v about it, instead of two
-    full evolutions.  Every revival state stays in the excitation sectors
-    the encoded state occupies, the evaluator's support, so a chunk of
-    samples is scored on (S, support) blocks, never scattered into a 2^N
-    vector.  Exact scoring needs only rows @ W (W the evaluator's weights),
-    and n_v = sum_ij conj(v_i) v_j c_i^dag c_j, so rows @ W = phi W - 2 q K
-    with q = conj(v) (x) v: `arrival_overlaps` holds phi W and the sparse
-    N^2 x column table `hop_overlaps` holds K, row (i, j) = (c_i^dag c_j phi) W
-    (225 x 304, 35 160 nonzeros on minimal15), and no row is built.  Pruned
-    scoring needs masses quadratic in the rows, so it builds them with
-    2(N-1) bond rotations per sample (hilbert.single_z_sectors).  Every
-    array held here, the evaluator's included, is read-only, and the
-    pruning threshold is an argument of each scoring call, so one set-up
-    serves every sweep of a process on its chain (_revival_setup).
+    full evolutions.  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that
+    state is a quadratic form in v: with q = conj(v) (x) v the rows on the
+    evaluator's support are phi - 2 q H, H the sparse N^2 x support table
+    of the hopped states c_i^dag c_j phi (hop_rows).  Every revival state
+    stays in the excitation sectors the encoded state occupies, the
+    support, so a chunk of samples is scored on (S, support) blocks, never
+    scattered into a 2^N vector.  Exact scoring needs only rows @ W (W the
+    evaluator's weights), so rows @ W = phi W - 2 q K: `arrival_overlaps`
+    holds phi W and the sparse N^2 x column table `hop_overlaps` holds
+    K = H W (225 x 304, 35 160 nonzeros on minimal15), and no row is
+    built.  Pruned scoring needs masses quadratic in the rows, so it
+    builds them (single_z_rows) from H, `hop_table` (180 180 nonzeros,
+    about 3.4 MiB), which only a pruned call builds.  Every array held
+    here, the evaluator's included, is read-only, and the pruning
+    threshold is an argument of each scoring call, so one set-up serves
+    every sweep of a process on its chain (_revival_setup).
     """
 
     def __init__(self, spec: ChainSpec, alpha: complex, beta: complex):
@@ -211,11 +214,31 @@ class RevivalSetup:
         weights, support = self.evaluator.weights, self.evaluator.support
         read = np.unique(weights.indices)
         self.arrival_overlaps = self.arrival.amps[support] @ weights
-        hopped = sp.csr_array(hop_rows(self.arrival, support[read]))
-        self.hop_overlaps = sp.csc_array(hopped @ weights[read])
+        self.hop_overlaps = sp.csc_array(hop_rows(self.arrival, support[read]) @ weights[read])
         for a in (self.encoded.amps, self.arrival.amps, self.arrival_overlaps,
                   self.hop_overlaps.data, self.hop_overlaps.indices, self.hop_overlaps.indptr):
             a.flags.writeable = False
+
+    @cached_property
+    def hop_table(self) -> sp.csr_array:
+        """H: row (i, j) holds c_i^dag c_j phi on the evaluator's support.
+
+        Built on the first pruned call, not with the set-up: exact and
+        coupling sweeps never read it.
+        """
+        table = hop_rows(self.arrival, self.evaluator.support)
+        for a in (table.data, table.indices, table.indptr):
+            a.flags.writeable = False
+        return table
+
+    def single_z_forms(self, sites, t_errs) -> np.ndarray:
+        """(S, N^2) rows q_k = conj(v_k) (x) v_k, v_k the mode the flip of sample k rotates."""
+        v = single_z_modes(self.spec, sites, np.asarray(t_errs, dtype=float) - self.duration)
+        return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), v.shape[1] ** 2)
+
+    def single_z_rows(self, q: np.ndarray) -> np.ndarray:
+        """(S, support) revival rows phi - 2 q H, one per row of q (single_z_forms)."""
+        return self.arrival.amps[self.evaluator.support] - 2.0 * (q @ self.hop_table)
 
     def success_single_z(self, sites, t_errs,
                          prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -223,22 +246,17 @@ class RevivalSetup:
 
         Returns (success probability, discarded mass) arrays, one entry per
         sample; branches below prune_below are discarded (0 = exact).  Each
-        sample's v is one GEMV and K is applied by scipy's CSR kernel, which
-        sums each entry in a fixed order, so a value does not depend on its
-        chunk.
+        sample's v is one GEMV and K or H is applied by scipy's sparse
+        kernels, which sum each entry in a fixed order, so a value does not
+        depend on its chunk.
         """
-        taus = np.asarray(t_errs, dtype=float) - self.duration
+        q = self.single_z_forms(sites, t_errs)
         if prune_below <= 0.0:
             # as in the evaluator, at 0 nothing can be dropped, so only rows @ W
             # is needed: the quadratic form phi W - 2 q K, no row built
-            v = single_z_modes(self.spec, sites, taus)
-            q = (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), v.shape[1] ** 2)
             overlaps = self.arrival_overlaps[:, None] - 2.0 * (self.hop_overlaps.T @ q.T)
-            return _state_sums(np.abs(overlaps) ** 2), np.zeros(len(v))
-        blocks = single_z_sectors(self.arrival, self.spec, sites, taus)
-        # the sectors, in weight order, are the evaluator's support
-        rows = np.concatenate([block for _, block in blocks], axis=1)
-        return self.evaluator.success(rows, prune_below)
+            return _state_sums(np.abs(overlaps) ** 2), np.zeros(len(q))
+        return self.evaluator.success(self.single_z_rows(q), prune_below)
 
     def success_timing(self, deltas, prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Readout at twice the transfer time plus each offset; arrays as success_single_z."""

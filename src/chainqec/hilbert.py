@@ -14,12 +14,10 @@ occupied sector's sparse Hamiltonian with scipy's expm_multiply and serves as
 the exact N = 15 oracle.  Neither caches anything that depends on the
 chain's couplings or fields.  A phase flip during transport is one rotated
 mode v about the error-free arrival state phi, read out as phi - 2 n_v phi
-(single_z_modes gives v).  single_z_sectors builds those rows: N - 1
-rotations carry the mode to site 1, where Z is diagonal, and the inverse
-rotations carry it back.  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j, a
-linear read-out of the rows is also a quadratic form in v over the N^2
-hopped states c_i^dag c_j phi (hop_rows), which the revival set-up scores
-exact samples with.
+(single_z_modes gives v).  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j,
+that state is a quadratic form in v over the N^2 hopped states
+c_i^dag c_j phi (hop_rows), from which the revival set-up builds pruned
+samples' rows and scores exact samples without building any.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -244,50 +243,24 @@ def evolve(
     return StateVector(amps, state.n_sites)
 
 
-def _rotations_to_first(w: np.ndarray) -> np.ndarray:
-    """SU(2) blocks G_m of bonds (m, m + 1) with G_0 ... G_{N-2} w = e^{i theta} e_1.
-
-    Bond m = N-2 first: each block zeroes entry m + 1 into entry m, as in
-    _givens_factor; an entry already zero gets the identity.
-    """
-    blocks = np.empty((w.size - 1, 2, 2), dtype=complex)
-    y = complex(w[-1])
-    for m in range(w.size - 2, -1, -1):
-        x = complex(w[m])
-        if y == 0:
-            blocks[m] = np.eye(2)
-            y = x
-            continue
-        r = math.hypot(abs(x), abs(y))
-        x, y = x / r, y / r
-        blocks[m] = ((x.conjugate(), y.conjugate()), (-y, x))
-        y = r
-    return blocks
-
-
-def _rotate_rows(x: np.ndarray, pair: np.ndarray, g: np.ndarray) -> None:
-    """Row k of the (S, n_sector) block x: its (|10>, |01>) pairs of one bond times g[k]."""
-    if pair.size:
-        flat = x.reshape(-1)  # 1-D gathers and scatters are far cheaper than x[:, pair]
-        idx = (np.arange(0, flat.size, x.shape[1])[:, None] + pair.reshape(1, -1)).ravel()
-        flat[idx] = (g @ flat[idx].reshape(x.shape[0], *pair.shape)).ravel()
-
-
 def single_z_modes(spec: ChainSpec, sites, taus) -> np.ndarray:
     """(S, N) rows v_k = row sites[k] of exp(-i H1 taus[k]): the mode each flip rotates.
 
     Z_s conjugated by e^{-iH tau} is 1 - 2 n_v with n_v = a_v^dag a_v and
     a_v = sum_j v_j c_j.  One GEMV per sample, so a row does not depend on
-    the others.  Refuses a site outside 1..N, a non-finite time and
-    anything but one site per time.
+    the others.  Refuses a site that is not a whole number in 1..N, a
+    non-finite time and anything but one site per time.
     """
     n = spec.n_sites
-    sites = np.asarray(sites, dtype=np.int64)
+    sites = np.asarray(sites)
     taus = np.asarray(taus, dtype=float)
     if sites.ndim != 1 or sites.shape != taus.shape:
         raise ValueError("need one site per time")
+    if np.any(sites != np.floor(sites)):  # an int64 cast would truncate 1.7 to site 1
+        raise ValueError("site must be a whole number")
     if np.any((sites < 1) | (sites > n)):
         raise ValueError("site out of range")
+    sites = sites.astype(np.int64)
     if not np.all(np.isfinite(taus)):
         raise ValueError("time must be finite")
     evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
@@ -297,63 +270,28 @@ def single_z_modes(spec: ChainSpec, sites, taus) -> np.ndarray:
     return v
 
 
-def hop_rows(state: StateVector, support: np.ndarray) -> np.ndarray:
-    """(N^2, support) block: row N i + j holds c_{i+1}^dag c_{j+1} |state> on `support`.
+def hop_rows(state: StateVector, support: np.ndarray) -> sp.csr_array:
+    """(N^2, support) sparse table: row N i + j holds c_{i+1}^dag c_{j+1} |state> on `support`.
 
     `support` lists basis indices.  c_i^dag c_i is n_i.  For i != j,
     c_i^dag c_j takes |x>, site j occupied and site i empty, to
     (-1)^{|x & sites strictly between i and j|} |x ^ b_i ^ b_j>, so each
-    row is one signed gather from the state.
+    row is one signed gather from the state.  Rows are built one at a time:
+    the whole table at once holds several (N, N, support) temporaries.
     """
     n = state.n_sites
     bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))  # b_i of site i + 1
-    b_i, b_j = bits[:, None, None], bits[None, :, None]
-    lo, hi = np.maximum(b_i, b_j), np.minimum(b_i, b_j)
-    between = np.where(lo > hi, lo - 2 * hi, 0)  # the bits strictly between sites i and j
     y = np.asarray(support, dtype=np.int64)
-    hops = ((y & b_i) != 0) & (((y & b_j) == 0) | (b_i == b_j))
-    signs = 1.0 - 2.0 * (np.bitwise_count(y & between) & 1)
-    return np.where(hops, signs * state.amps[y ^ b_i ^ b_j], 0.0).reshape(n * n, y.size)
-
-
-def single_z_sectors(
-    arrival: StateVector, spec: ChainSpec, sites, taus
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per occupied sector of `arrival`: (basis indices, (S, n_sector) block).
-
-    Row k of a block is e^{iH tau_k} Z_{s_k} e^{-iH tau_k} |arrival>.  With
-    |arrival> = e^{-iHT}|psi> and tau = t - T that is the readout
-    e^{-iH(T-t)} Z_s e^{-iHt}|psi> of a phase flip on site s at time t.
-    H is quadratic and number conserving, so the conjugated flip is
-    1 - 2 n_v with n_v = a_v^dag a_v, a_v = sum_j v_j c_j and v row s of
-    exp(-i H1 tau): the N - 1 bond rotations G that carry conj(v) to e_1
-    give n_v = G^dag n_1 G, read from the one pair table per sector.  Every
-    operation acts within a row, so a sample's value does not depend on
-    the batch it is evaluated in.  Pruned scoring reads masses quadratic in
-    these rows and so needs them; exact scoring needs only a linear
-    read-out of them, which the revival set-up takes as a quadratic form in
-    v (hop_rows) without building them.
-    """
-    n = spec.n_sites
-    if arrival.n_sites != n:
-        raise ValueError("size mismatch")
-    v = single_z_modes(spec, sites, taus)
-    g = np.empty((len(v), n - 1, 2, 2), dtype=complex)
-    for k, row in enumerate(v):
-        g[k] = _rotations_to_first(row.conj())
-    g_inv = g.conj().transpose(0, 1, 3, 2)
-    blocks = []
-    for w in _occupied_weights(arrival):
-        states, pairs = _sector_table(n, w)
-        phi = arrival.amps[states]
-        x = np.tile(phi, (len(v), 1))
-        for m in range(n - 2, -1, -1):
-            _rotate_rows(x, pairs[m], g[:, m])
-        x[:, (states >> (n - 1)) & 1 == 0] = 0.0  # n_1: keep site 1 occupied
-        for m in range(n - 1):
-            _rotate_rows(x, pairs[m], g_inv[:, m])
-        blocks.append((states, phi - 2.0 * x))
-    return blocks
+    cols, vals = [], []
+    for b_i, b_j in product(bits, bits):
+        lo, hi = max(b_i, b_j), min(b_i, b_j)
+        between = lo - 2 * hi if lo > hi else 0  # the bits strictly between sites i and j
+        hit = np.flatnonzero(((y & b_i) != 0) & (((y & b_j) == 0) | (b_i == b_j)))
+        signs = 1.0 - 2.0 * (np.bitwise_count(y[hit] & between) & 1)
+        cols.append(hit)
+        vals.append(signs * state.amps[y[hit] ^ b_i ^ b_j])
+    indptr = np.cumsum([0] + [c.size for c in cols])
+    return sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n * n, y.size))
 
 
 # ---------------------------------------------------------------------------

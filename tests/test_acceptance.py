@@ -13,13 +13,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from chainqec.chain import ChainSpec, pst_couplings
+from chainqec.chain import ChainSpec, pst_couplings, single_excitation_matrix
 from chainqec.code import minimal15, parity_condition, shor_code
 from chainqec.decoder import DecodeOptions, decode_pipeline
 from chainqec.freefermion import (
     MajoranaMonomial,
     fermion_to_pauli,
-    mode_propagator_for,
+    mode_propagator,
     pauli_to_fermion,
     propagate,
 )
@@ -66,7 +66,8 @@ def test_criterion_2_mode_evolution_oracle():
             k = int(rng.integers(1, n))
             p = from_sites(n, ys=(k, k + 1))
         dense = brute_force_conjugate(p, spec, t)
-        ferm = propagate(pauli_to_fermion(p), mode_propagator_for(spec, t)).dense()
+        prop = mode_propagator(single_excitation_matrix(spec), t)
+        ferm = propagate(pauli_to_fermion(p), prop).dense()
         worst = max(worst, float(np.abs(dense - ferm).max()))
     _report(2, "mode-evolution-oracle", worst <= 1e-10, f"worst max-norm gap = {worst:.3e}")
 

@@ -10,7 +10,6 @@ from chainqec.freefermion import (
     fermion_to_pauli,
     jordan_wigner,
     mode_propagator,
-    mode_propagator_for,
     pauli_to_fermion,
     propagate,
 )
@@ -140,14 +139,14 @@ def test_mode_propagator_orthogonal():
     for _ in range(8):
         n = int(rng.integers(2, 7))
         spec = random_chain(rng, n, with_fields=True)
-        o = mode_propagator_for(spec, float(rng.uniform(-3, 3))).matrix
+        o = mode_propagator(single_excitation_matrix(spec), float(rng.uniform(-3, 3))).matrix
         np.testing.assert_allclose(o.T @ o, np.eye(2 * n), atol=1e-10)
 
 
 def test_mode_propagator_mirror_at_transfer_time_odd():
     # odd chains: each mode maps onto its spatial mirror within the same block
     n = 5
-    o = mode_propagator_for(pst_couplings(n), np.pi / 2).matrix
+    o = mode_propagator(single_excitation_matrix(pst_couplings(n)), np.pi / 2).matrix
     perm = np.abs(o)
     for mode in range(1, 2 * n + 1):
         target = n - mode + 1 if mode <= n else 3 * n + 1 - mode
@@ -160,7 +159,7 @@ def test_mode_propagator_mirror_at_transfer_time_odd():
 def test_mode_propagator_mirror_at_transfer_time_even(n):
     # even chains: the arrival exchanges the two mode species as well,
     # giving the full anti-diagonal permutation
-    o = mode_propagator_for(pst_couplings(n), np.pi / 2).matrix
+    o = mode_propagator(single_excitation_matrix(pst_couplings(n)), np.pi / 2).matrix
     perm = np.abs(o)
     for mode in range(1, 2 * n + 1):
         col = perm[:, mode - 1]
@@ -198,7 +197,7 @@ def test_heisenberg_expectation_consistency():
         p = pauli_z(n, int(rng.integers(1, n + 1)))
         moved = evolve(psi, spec, t)
         lhs = np.vdot(moved.amps, apply_pauli(moved, p).amps)
-        op = propagate(pauli_to_fermion(p), mode_propagator_for(spec, -t))
+        op = propagate(pauli_to_fermion(p), mode_propagator(single_excitation_matrix(spec), -t))
         rhs = 0.0
         for coeff, q in op.to_pauli_sum():
             rhs += coeff * np.vdot(psi.amps, apply_pauli(psi, q).amps)
@@ -208,9 +207,10 @@ def test_heisenberg_expectation_consistency():
 def test_propagator_group_property():
     rng = np.random.default_rng(25)
     spec = random_chain(rng, 4, with_fields=True)
-    a = mode_propagator_for(spec, 0.6).matrix
-    b = mode_propagator_for(spec, 1.1).matrix
-    np.testing.assert_allclose(a @ b, mode_propagator_for(spec, 1.7).matrix, atol=1e-10)
+    h1 = single_excitation_matrix(spec)
+    a = mode_propagator(h1, 0.6).matrix
+    b = mode_propagator(h1, 1.1).matrix
+    np.testing.assert_allclose(a @ b, mode_propagator(h1, 1.7).matrix, atol=1e-10)
 
 
 # --- propagation ---------------------------------------------------------------
@@ -218,14 +218,14 @@ def test_propagator_group_property():
 
 def test_propagate_identity():
     spec = pst_couplings(3)
-    prop = mode_propagator_for(spec, 0.9)
+    prop = mode_propagator(single_excitation_matrix(spec), 0.9)
     ident = FermionOperator.identity(3)
     assert propagate(ident, prop).terms == {(): 1.0 + 0j}
 
 
 def test_propagate_single_mode_zero_time():
     spec = pst_couplings(3)
-    prop = mode_propagator_for(spec, 0.0)
+    prop = mode_propagator(single_excitation_matrix(spec), 0.0)
     c1 = FermionOperator.mode(1, 3)
     assert propagate(c1, prop).isclose(c1)
 
@@ -244,7 +244,7 @@ def test_propagate_matches_dense_conjugation():
             from_sites(n, xs=[pair, pair + 1]),
             from_sites(n, ys=[pair, pair + 1]),
         ][rng.integers(0, 3)]
-        prop = mode_propagator_for(spec, t)
+        prop = mode_propagator(single_excitation_matrix(spec), t)
         out = propagate(pauli_to_fermion(p), prop)
         u = dense_unitary(spec, t)
         np.testing.assert_allclose(out.dense(), u @ p.dense() @ u.conj().T, atol=1e-10)
@@ -255,15 +255,17 @@ def test_propagate_homomorphism_on_quadratics():
     spec = random_chain(rng, 4)
     s, t = 0.45, 0.85
     op = FermionOperator(4, {(1, 6): 0.3 + 0.2j, (2, 5): -0.7j, (3, 4): 0.1})
-    once = propagate(op, mode_propagator_for(spec, s + t))
-    twice = propagate(propagate(op, mode_propagator_for(spec, s)), mode_propagator_for(spec, t))
+    h1 = single_excitation_matrix(spec)
+    once = propagate(op, mode_propagator(h1, s + t))
+    twice = propagate(propagate(op, mode_propagator(h1, s)), mode_propagator(h1, t))
     assert once.isclose(twice, tol=1e-10)
 
 
 def test_propagate_quadratic_closure():
     rng = np.random.default_rng(28)
     spec = random_chain(rng, 5)
-    out = propagate(FermionOperator(5, {(2, 7): 1.0}), mode_propagator_for(spec, 1.3))
+    prop = mode_propagator(single_excitation_matrix(spec), 1.3)
+    out = propagate(FermionOperator(5, {(2, 7): 1.0}), prop)
     assert all(len(m) in (0, 2) for m in out.terms)
 
 
@@ -271,7 +273,7 @@ def test_propagate_term_cap():
     spec = pst_couplings(5)
     op = FermionOperator(5, {(1, 2, 3, 4, 5, 6, 7, 8): 1.0})
     with pytest.raises(ResourceLimitError):
-        propagate(op, mode_propagator_for(spec, 0.7), term_cap=10)
+        propagate(op, mode_propagator(single_excitation_matrix(spec), 0.7), term_cap=10)
 
 
 # --- arrival structure -----------------------------------------------------------
@@ -305,8 +307,9 @@ def test_classify_region_restriction():
 def test_propagated_single_z_stays_quadratic():
     # a propagated phase error is at most two modes, so at most two flips
     spec = pst_couplings(6)
+    h1 = single_excitation_matrix(spec)
     for t in (0.3, 1.1, np.pi / 2):
-        out = propagate(pauli_to_fermion(pauli_z(6, 3)), mode_propagator_for(spec, t))
+        out = propagate(pauli_to_fermion(pauli_z(6, 3)), mode_propagator(h1, t))
         assert out.terms and all(len(modes) <= 2 for modes in out.terms)
         assert all(len(_flip_and_z_sites(modes, 6)[0]) <= 2 for modes in out.terms)
 

@@ -4,8 +4,8 @@ import os
 
 import numpy as np
 
-from chainqec.chain import pst_couplings
-from chainqec.freefermion import FermionOperator, mode_propagator_for, pauli_to_fermion, propagate
+from chainqec.chain import pst_couplings, single_excitation_matrix
+from chainqec.freefermion import FermionOperator, mode_propagator, pauli_to_fermion, propagate
 from chainqec.harness import brute_force_conjugate
 from chainqec.hilbert import basis_state, dense_unitary, evolve, state_from_text, state_to_text
 from chainqec.pauli import pauli_z
@@ -15,7 +15,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def test_propagated_operator_golden_bytes():
     spec = pst_couplings(3)
-    op = propagate(pauli_to_fermion(pauli_z(3, 2)), mode_propagator_for(spec, np.pi / 4))
+    prop = mode_propagator(single_excitation_matrix(spec), np.pi / 4)
+    op = propagate(pauli_to_fermion(pauli_z(3, 2)), prop)
     with open(os.path.join(GOLDEN, "z2_pst3_halfway.txt")) as fh:
         assert op.to_text() == fh.read()
 

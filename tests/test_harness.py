@@ -1,5 +1,6 @@
 import json
 import shutil
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import scipy.sparse as sp
 
 import chainqec
 from chainqec import harness
-from chainqec.chain import ChainSpec, pst_couplings
+from chainqec.chain import ChainSpec, pst_couplings, single_excitation_matrix
 from chainqec.errors import ResourceLimitError
-from chainqec.freefermion import mode_propagator_for, pauli_to_fermion, propagate
+from chainqec.freefermion import mode_propagator, pauli_to_fermion, propagate
 from chainqec.harness import (
     ExperimentManifest,
     brute_force_conjugate,
@@ -23,7 +24,6 @@ from chainqec.harness import (
     make_code,
     sample_rng,
 )
-from chainqec.hilbert import single_z_modes, single_z_sectors
 from chainqec.pauli import from_sites, pauli_z
 
 
@@ -147,9 +147,8 @@ def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15):
     # every single flip is corrected, so also compare the arriving states:
     # the rows a pruned sweep scores on the support, and nothing off it
     ev = setup.evaluator
-    blocks = single_z_sectors(setup.arrival, chain15, sites, t_errs - setup.duration)
-    arrived = np.concatenate([block for _, block in blocks], axis=1)
-    assert len(arrived) == sites.size
+    arrived = setup.single_z_rows(setup.single_z_forms(sites, t_errs))
+    assert arrived.shape == (sites.size, ev.support.size)
     off_support = np.ones(2**15, dtype=bool)
     off_support[ev.support] = False
     psi0 = encode(code15, amp, amp)
@@ -168,7 +167,7 @@ def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15):
 
 def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
     # end sites and the middle, at both ends and a third of the time window:
-    # the rotated rows and the exact quadratic-form success
+    # the pruned path's rows and the exact quadratic-form success
     from chainqec.decoder import DecodeOptions, decode_pipeline
     from chainqec.noise import inject_single_z
 
@@ -177,12 +176,11 @@ def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
     total = setup.duration
     cases = [(site, t) for site in (1, 8, 15) for t in (0.0, total / 3, total)]
     sites, t_errs = (np.array(col) for col in zip(*cases))
-    blocks = single_z_sectors(setup.arrival, chain15, sites, t_errs - total)
+    rows = setup.single_z_rows(setup.single_z_forms(sites, t_errs))
     success, _ = setup.success_single_z(sites, t_errs)
     for k, (site, t_err) in enumerate(cases):
         got = np.zeros_like(setup.encoded.amps)
-        for states, rows in blocks:
-            got[states] = rows[k]
+        got[setup.evaluator.support] = rows[k]
         want = inject_single_z(setup.encoded, chain15, site, t_err, total)
         np.testing.assert_allclose(got, want.amps, rtol=0, atol=1e-12)
         oracle = decode_pipeline(want, code15, DecodeOptions(mode="revival"))
@@ -190,21 +188,20 @@ def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
 
 
 def test_exact_single_z_matches_scored_rows(chain15):
-    # the quadratic form phi W - 2 q K against building the rows and scoring them
+    # the quadratic form phi W - 2 q K against building the rows phi - 2 q H
+    # and scoring them; the rows themselves are checked against the expm oracle
     rng = np.random.default_rng(65)
     sites = rng.integers(1, 16, 64)
     t_errs = rng.uniform(0.0, np.pi, 64)
     setup = harness._revival_setup(chain15)
     success, discarded = setup.success_single_z(sites, t_errs)
-    blocks = single_z_sectors(setup.arrival, chain15, sites, t_errs - setup.duration)
-    rows = np.concatenate([b for _, b in blocks], axis=1)
+    q = setup.single_z_forms(sites, t_errs)
+    rows = setup.single_z_rows(q)
     want, _ = setup.evaluator.success(rows)
     np.testing.assert_allclose(success, want, rtol=0, atol=1e-13)
     np.testing.assert_array_equal(discarded, 0.0)
     # every single flip is corrected, so the success is blind to a wrong sign
     # in K: compare the overlaps themselves
-    v = single_z_modes(chain15, sites, t_errs - setup.duration)
-    q = (v.conj()[:, :, None] * v[:, None, :]).reshape(64, -1)
     overlaps = setup.arrival_overlaps[:, None] - 2.0 * (setup.hop_overlaps.T @ q.T)
     np.testing.assert_allclose(overlaps, setup.evaluator.weights.T @ rows.T, rtol=0, atol=1e-13)
 
@@ -217,6 +214,7 @@ def test_single_z_refuses_bad_samples_exact_or_pruned(chain15, prune):
         ([16], [0.1], "site out of range"),
         ([3], [np.nan], "finite"),
         ([1, 2], [0.1], "one site per time"),
+        ([1.7], [0.3], "whole number"),  # unchecked, an int64 cast scores site 1
     ]
     for sites, t_errs, match in bad:
         with pytest.raises(ValueError, match=match):
@@ -253,20 +251,20 @@ def test_pruned_sweeps_never_run_the_pipeline(monkeypatch):
 
 def test_exact_single_z_builds_no_rows(monkeypatch):
     # exact samples are a quadratic form in the flipped mode; pruned ones
-    # still rotate rows, whose masses have no small table
-    def refuse(*args, **kwargs):
-        raise AssertionError("single_z_sectors called")
-
-    monkeypatch.setattr(harness, "single_z_sectors", refuse)
+    # still build rows, whose masses have no small table.  A fresh set-up
+    # cache, so that no earlier pruned call has built H
+    monkeypatch.setattr(harness, "_revival_setup", lru_cache(harness._revival_setup.__wrapped__))
+    build, calls = RevivalSetup.single_z_rows, []
+    monkeypatch.setattr(
+        RevivalSetup, "single_z_rows", lambda self, q: calls.append(len(q)) or build(self, q)
+    )
     summary = exp_single_z(samples=20, seed=2)
     assert summary.min_success >= 1 - 1e-8
-    calls = []
-    rotate = single_z_sectors
-    monkeypatch.setattr(
-        harness, "single_z_sectors", lambda *args: calls.append(1) or rotate(*args)
-    )
+    exp_coupling(f_grid=(0.05,), instances=2, seed=1)
+    assert not calls
+    assert "hop_table" not in vars(harness._revival_setup(pst_couplings(15)))  # H unbuilt
     pruned = exp_single_z(samples=20, seed=2, prune_below=1e-12)
-    assert len(calls) == 2  # one per chunk of 16
+    assert calls == [16, 4]  # one per chunk of 16
     np.testing.assert_allclose(pruned.successes, summary.successes, rtol=0, atol=1e-9)
 
 
@@ -279,13 +277,14 @@ def _held_arrays(*owners) -> list[np.ndarray]:
 
 def test_cached_setup_is_read_only():
     setup = harness._revival_setup(pst_couplings(15))
+    setup.success_single_z([3], [0.4], 1e-12)  # a pruned call builds H
     arrays = _held_arrays(setup, setup.evaluator, setup.evaluator.tables)
     arrays += [setup.encoded.amps, setup.arrival.amps]
-    # the set-up's phi W and the three buffers of its table K, five evaluator
-    # arrays, two sparse matrices of three buffers each, four table arrays,
-    # two states
-    assert setup.arrival_overlaps.size and setup.hop_overlaps.nnz
-    assert len(arrays) >= 21
+    # the set-up's phi W and the three buffers of each of its tables K and H,
+    # five evaluator arrays, two sparse matrices of three buffers each, four
+    # table arrays, two states
+    assert setup.arrival_overlaps.size and setup.hop_overlaps.nnz and setup.hop_table.nnz
+    assert len(arrays) >= 24
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
@@ -571,7 +570,8 @@ def test_brute_force_matches_fermion_propagation():
     spec = ChainSpec(3, (0.9, 1.2), (0.0, 0.0, 0.0))
     t = 1.37
     direct = brute_force_conjugate(pauli_z(3, 2), spec, t)
-    ferm = propagate(pauli_to_fermion(pauli_z(3, 2)), mode_propagator_for(spec, t))
+    prop = mode_propagator(single_excitation_matrix(spec), t)
+    ferm = propagate(pauli_to_fermion(pauli_z(3, 2)), prop)
     np.testing.assert_allclose(direct, ferm.dense(), atol=1e-10)
 
 
