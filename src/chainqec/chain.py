@@ -143,8 +143,8 @@ def analyze_transfer(spec: ChainSpec, tolerance: float = 1e-10) -> TransferRepor
     numerically; chains that never reach 1 - tolerance are reported with
     is_perfect = False rather than raising.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < 1:  # also refuses NaN
+        raise ValueError(f"tolerance must be a number in (0, 1), got {tolerance}")
     h1 = single_excitation_matrix(spec)
     evals, evecs = np.linalg.eigh(h1)
     n = spec.n_sites

@@ -10,9 +10,12 @@ exist elsewhere, is reinterpreted as phase errors on the other two blocks.
 
 These rules live in one place, DecoderTables, built once per code.
 RevivalEvaluator folds them into one fixed sparse weight matrix on the
-excitation sectors the encoded state occupies, so scoring a chunk of
-revival states is one sparse product (and, when pruning, one more for the
-branch and leaf masses); every sweep, pruned or exact, goes through it.
+excitation sectors the encoded state occupies: one column per decodable
+bit-flip key and phase outcome, built with the very correction
+decode_pipeline applies to that leaf (the key's X/trailing-Z string, then
+cross_reference).  Scoring a chunk of revival states is one sparse product
+(and, when pruning, one more for the branch and leaf masses); every sweep,
+pruned or exact, goes through it.
 decode_pipeline is the branch-recording oracle the evaluator is checked
 against: it tracks every syndrome outcome as an explicit branch with its
 Born probability.  The success probability is the probability-weighted
@@ -107,7 +110,6 @@ class DecoderTables:
     correctable: np.ndarray  # bool per bit-flip key
     x_mask: np.ndarray  # X correction per bit-flip key
     z_trail: np.ndarray  # trailing-Z string of the parity rule per bit-flip key
-    flip_blocks: np.ndarray  # bitmask of the blocks holding a flip per bit-flip key
 
     def cross_reference(self, z_key: int, flips) -> tuple[int, ...] | None:
         """Z-correction sites for phase key `z_key` after the X stage found `flips`.
@@ -121,7 +123,7 @@ class DecoderTables:
         blocks = self.code.blocks
         if decoded is None or len(decoded) != 1 or len(blocks) != 3:
             return decoded
-        flip_blocks = {self.block_of[s] for s in flips}
+        flipped = {self.block_of[s] for s in flips}
 
         def block_site(b: int) -> int:
             # put the Z on the block's detected flip when it has one; on the
@@ -129,7 +131,7 @@ class DecoderTables:
             return next((s for s in flips if s in blocks[b]), blocks[b][0])
 
         beta = self.block_of[decoded[0]]
-        if beta not in flip_blocks and flip_blocks:
+        if beta not in flipped and flipped:
             return tuple(block_site(b) for b in range(3) if b != beta)
         if self.code.orientation == "inner-bitflip":
             return (block_site(beta),)
@@ -180,18 +182,14 @@ def decoder_tables(codeobj: StabilizerCode) -> DecoderTables:
     correctable = np.zeros(n_keys, dtype=bool)
     x_mask = np.zeros(n_keys, dtype=np.int64)
     z_trail = np.zeros(n_keys, dtype=np.int64)
-    flip_blocks = np.zeros(n_keys, dtype=np.int64)
     for key, flips in x_table.items():
         correctable[key] = True
         x_mask[key] = mask_of_sites(n, flips)
         z_trail[key] = _trailing_mask(n, flips)
-        for s in flips:
-            flip_blocks[key] |= 1 << block_of[s]
-    for arr in (correctable, x_mask, z_trail, flip_blocks):
+    for arr in (correctable, x_mask, z_trail):
         arr.flags.writeable = False
     return DecoderTables(
-        codeobj, x_table, z_table, MappingProxyType(block_of),
-        correctable, x_mask, z_trail, flip_blocks,
+        codeobj, x_table, z_table, MappingProxyType(block_of), correctable, x_mask, z_trail
     )
 
 
@@ -338,15 +336,18 @@ class RevivalEvaluator:
     every revival state stays in (weights {0, 10}, 3004 of 32768 indices,
     on minimal15); amplitudes off the support are not read.  Column (key,
     o) of the weight matrix W (support x column) folds the X/trailing-Z
-    correction of bit-flip key `key`, the phase projector P_o and the
-    class table's Z correction into one conjugated, corrected copy of the
-    reference, so that without pruning success = sum_c |rows @ W|^2.  The
-    reference has bit-flip key 0, so an undecodable branch overlaps it
-    exactly 0 and W has no column for one.  Pruning reads the branch and
-    leaf masses as one sparse product over the support pairs the phase
-    checks connect.  Every product sums each entry in a fixed order, so a
-    row's value does not depend on the rows scored with it.  Agrees with decode_pipeline,
-    its oracle, to roundoff in both success and discarded mass.
+    correction of bit-flip key `key`, the phase projector P_o and the Z
+    correction cross_reference(o, flips) of the key's own flips into one
+    conjugated, corrected copy of the reference, so that without pruning
+    success = sum_c |rows @ W|^2.  A column is kept when o is the phase
+    syndrome of that Z correction (otherwise P_o annihilates it) and the
+    copy meets the support.  The reference has bit-flip key 0, so an
+    undecodable branch overlaps it exactly 0 and W has no column for one.
+    Pruning reads the branch and leaf masses as one sparse product over the
+    support pairs the phase checks connect.  Every product sums each entry
+    in a fixed order, so a row's value does not depend on the rows scored
+    with it.  Agrees with decode_pipeline, its oracle, to roundoff in both
+    success and discarded mass.
     """
 
     def __init__(self, codeobj: StabilizerCode, alpha: complex, beta: complex, support=None):
@@ -358,7 +359,7 @@ class RevivalEvaluator:
         if any(gen.z_mask or gen.phase != 1 for gen in zgens):
             raise ValueError("phase checks must be plain X-type")
         self.tables = tables = decoder_tables(codeobj)
-        n, blocks = codeobj.n_qubits, codeobj.blocks
+        n = codeobj.n_qubits
         ref = encode(codeobj, alpha, beta)
         if support is None:
             support = np.concatenate([sector_indices(n, w) for w in _occupied_weights(ref)])
@@ -375,37 +376,27 @@ class RevivalEvaluator:
         outcomes = np.arange(n_out)
         leaf_signs = _z_sign(outcomes[:, None] & outcomes)
 
-        # class = bitmask of blocks receiving a Z (representative site each);
-        # on these codes the in-block position is a stabilizer choice, so the
-        # representative acts on the reference exactly like the flip site.
-        # The reference is a +1 eigenstate of every phase check, so P_o C2|ref>
-        # is C2|ref> when o is the phase syndrome of C2 and 0 otherwise.
-        cls_masks = np.zeros(1 << len(blocks), dtype=np.int64)
-        cls_table = np.zeros((cls_masks.size, n_out), dtype=np.int64)
-        for fb in range(cls_masks.size):
-            rep = tuple(blk[0] for b, blk in enumerate(blocks) if fb & (1 << b))
-            cls_masks[fb] = mask_of_sites(n, rep)
-            for o in range(n_out):
-                for s in tables.cross_reference(o, rep) or ():
-                    cls_table[fb, o] |= 1 << tables.block_of[s]
-        cls_syndrome = sum(
-            (np.bitwise_count(cls_masks & gen.x_mask) & 1) << g for g, gen in enumerate(zgens)
-        )
-
         # column (key, o) of W holds C2|ref> at i ^ x_mask[key], conjugated and
         # signed (-1)^{|i & z_trail[key]|}, so rows @ W is <ref|C2 P_o C1|row>
         # with C1 the key's X/trailing-Z correction (the entries all have
-        # bit-flip key `key`: W reads only that branch) and C2 the class's Z
-        keys = np.flatnonzero(tables.correctable)
-        cls = cls_table[tables.flip_blocks[keys]]  # (key, o)
-        k, o = np.nonzero(cls_syndrome[cls] == outcomes)
+        # bit-flip key `key`: W reads only that branch) and C2 the Z correction
+        # decode_pipeline gives leaf (key, o), cross_reference(o, flips).  The
+        # reference is a +1 eigenstate of every phase check, so P_o C2|ref> is
+        # C2|ref> when o is the phase syndrome of C2 and 0 otherwise.
+        columns = []  # (key, o, Z mask of C2)
+        for key, flips in sorted(tables.x_table.items()):
+            for o in range(n_out):
+                c2 = mask_of_sites(n, tables.cross_reference(o, flips) or ())
+                if sum((popcount(c2 & gen.x_mask) & 1) << g for g, gen in enumerate(zgens)) == o:
+                    columns.append((key, o, c2))
+        key, o, c2 = np.array(columns, dtype=np.int64).reshape(-1, 3).T
         ref_ind = np.flatnonzero(ref.amps)
-        ind = ref_ind ^ tables.x_mask[keys[k]][:, None]  # (column, reference entry)
-        vals = np.conj(ref.amps[ref_ind]) * _z_sign(ref_ind & cls_masks[cls[k, o]][:, None])
-        vals *= _z_sign(ind & tables.z_trail[keys[k]][:, None])
+        ind = ref_ind ^ tables.x_mask[key][:, None]  # (column, reference entry)
+        vals = np.conj(ref.amps[ref_ind]) * _z_sign(ref_ind & c2[:, None])
+        vals *= _z_sign(ind & tables.z_trail[key][:, None])
         pos = position[ind]
-        cols = np.broadcast_to((keys[k] * n_out + o)[:, None], ind.shape)
-        inner = pos < support.size
+        cols = np.broadcast_to((key * n_out + o)[:, None], ind.shape)
+        inner = pos < support.size  # columns with no entry on the support go
         used, col = np.unique(cols[inner], return_inverse=True)
         self.weights = sp.csc_array((vals[inner], (pos[inner], col)), (support.size, used.size))
         self.weights.sum_duplicates()  # canonical: each column summed in row order

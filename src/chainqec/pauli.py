@@ -71,12 +71,6 @@ class PauliString:
         k = popcount(self.x_mask & other.z_mask) + popcount(self.z_mask & other.x_mask)
         return k % 2 == 0
 
-    def adjoint(self) -> "PauliString":
-        sign = -1 if popcount(self.x_mask & self.z_mask) & 1 else 1
-        return PauliString(
-            self.n_sites, self.x_mask, self.z_mask, _canon(np.conj(self.phase) * sign)
-        )
-
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0 and self.phase == 1
 
@@ -142,38 +136,6 @@ def pauli_y(n_sites: int, site: int) -> PauliString:
 
 def pauli_z(n_sites: int, site: int) -> PauliString:
     return PauliString(n_sites, 0, site_bit(n_sites, site))
-
-
-def from_label(label: str) -> PauliString:
-    """Parse e.g. "XIZZY" or "-iXYZ" (site 1 leftmost)."""
-    s = label.strip()
-    phase = 1 + 0j
-    if s.startswith(("+", "-")):
-        sign = -1 if s[0] == "-" else 1
-        s = s[1:]
-        if s.startswith("i"):
-            phase = sign * 1j
-            s = s[1:]
-        else:
-            phase = sign + 0j
-    elif s.startswith("i"):
-        phase = 1j
-        s = s[1:]
-    n = len(s)
-    x = z = 0
-    for k, ch in enumerate(s.upper()):
-        b = 1 << (n - 1 - k)
-        if ch == "X":
-            x |= b
-        elif ch == "Z":
-            z |= b
-        elif ch == "Y":
-            x |= b
-            z |= b
-            phase = _canon(phase * 1j)
-        elif ch != "I":
-            raise ValueError(f"bad Pauli letter {ch!r}")
-    return PauliString(n, x, z, phase)
 
 
 def from_sites(n_sites: int, xs=(), ys=(), zs=()) -> PauliString:

@@ -104,6 +104,13 @@ def test_non_pst_chain_flagged():
     assert 0 < rep.mirror_fidelity < 1 - 1e-10
 
 
+@pytest.mark.parametrize("tolerance", [np.inf, np.nan, 0.0, 1.0, 2.0])
+def test_tolerance_outside_unit_interval_refused(tolerance):
+    # a tolerance of 1 or more would call any chain perfect
+    with pytest.raises(ValueError, match="tolerance"):
+        analyze_transfer(ChainSpec(4, (1.0,) * 3, (0.0,) * 4), tolerance)
+
+
 def test_global_phase_alternates_with_length():
     # engineered chain: end-to-end phase is (-i)^(N-1)
     for n in (2, 3, 4, 5, 15):

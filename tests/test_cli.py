@@ -23,6 +23,17 @@ def test_transfer_check_config_file(tmp_path, capsys):
     assert payload["is_perfect"] is True
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "1", "2"])
+def test_transfer_check_refuses_tolerance_outside_unit_interval(tolerance, tmp_path, capsys):
+    # the flat 4-site chain is far from perfect; no tolerance may call it so
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("n_sites = 4\ncouplings = 1, 1, 1\nfields = 0, 0, 0, 0\n")
+    assert main(["transfer-check", "--config", str(cfg), "--tolerance", tolerance]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_code_info(capsys):
     assert main(["code-info", "--code", "shor:4"]) == 0
     out = capsys.readouterr().out

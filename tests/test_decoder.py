@@ -20,7 +20,6 @@ from chainqec.hilbert import StateVector, apply_pauli, basis_state, evolve, traj
 from chainqec.noise import inject_single_z
 from chainqec.pauli import (
     PauliString,
-    from_label,
     from_sites,
     identity,
     mask_of_sites,
@@ -144,11 +143,10 @@ def test_table_entries_reproduce_their_keys(code_id):
     for key, flips in t.x_table.items():
         assert _key(code.x_detecting_generators, from_sites(n, xs=flips)) == key
         assert t.x_mask[key] == mask_of_sites(n, flips)
-        assert t.flip_blocks[key] == sum({1 << t.block_of[s] for s in flips})
     for key, sites in t.z_table.items():
         assert _key(code.z_detecting_generators, from_sites(n, zs=sites)) == key
     np.testing.assert_array_equal(np.flatnonzero(t.correctable), sorted(t.x_table))
-    for arr in (t.correctable, t.x_mask, t.z_trail, t.flip_blocks):
+    for arr in (t.correctable, t.x_mask, t.z_trail):
         assert not arr.flags.writeable
     assert decoder_tables(code) is t
 
@@ -297,7 +295,7 @@ def test_single_mode_errors_corrected_for_any_logical_state(code15):
 
 
 def test_pipeline_deterministic(code15, plus_logical15):
-    noisy = apply_pauli(plus_logical15, from_label("+" + "I" * 6 + "Y" + "I" * 8))
+    noisy = apply_pauli(plus_logical15, from_sites(15, ys=(7,)))
     r1 = decode_pipeline(noisy, code15, _options())
     r2 = decode_pipeline(noisy, code15, _options())
     assert r1.to_json() == r2.to_json()
@@ -348,6 +346,34 @@ def test_evaluator_matches_pipeline(code15, chain15, plus_logical15):
         slow = decode_pipeline(psi, code15, _options()).success_probability
         fast, _ = ev.success(psi.amps)
         assert fast == pytest.approx(slow, abs=1e-11)
+
+
+def test_every_weight_column_matches_the_pipeline(code15):
+    # every decodable flip pattern on the encoded state, plus a Z on one site
+    # of each block (amplitudes 0.3, 0.03, 0.02): all four phase outcomes
+    # occur, and two leaves fall below the 1e-3 threshold.  A reference with
+    # <ref|X_L|ref> != 0, so that no column's overlap vanishes by symmetry
+    alpha, beta = 0.6, 0.48 + 0.64j
+    ref = encode(code15, alpha, beta)
+    ev = RevivalEvaluator(code15, alpha, beta, np.arange(2**15))
+    x_table = decoder_tables(code15).x_table
+    assert len(x_table) == 121
+    z_amps = (0.3, 0.03, 0.02)
+    hit = np.zeros(ev.weights.shape[1], dtype=bool)
+    for key, flips in x_table.items():
+        flipped = apply_pauli(ref, from_sites(15, xs=flips))
+        amps = np.sqrt(1 - sum(a**2 for a in z_amps)) * flipped.amps
+        for blk, a in zip(code15.blocks, z_amps):
+            amps = amps + a * apply_pauli(flipped, pauli_z(15, blk[key % len(blk)])).amps
+        psi = StateVector(amps, 15)
+        hit |= np.abs(ev.weights.T @ amps) > 1e-3
+        for p in (0.0, 1e-3):
+            want = decode_pipeline(psi, code15, _options(alpha, beta, prune_below=p))
+            success, discarded = ev.success(amps, p)
+            assert success == pytest.approx(want.success_probability, abs=1e-12), (flips, p)
+            assert discarded == pytest.approx(want.discarded_mass, abs=1e-12), (flips, p)
+            assert (discarded > 0) == (p > 0), (flips, p)
+    assert hit.all()
 
 
 def test_evaluator_clean(code15, plus_logical15):

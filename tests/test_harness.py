@@ -281,10 +281,10 @@ def test_cached_setup_is_read_only():
     arrays = _held_arrays(setup, setup.evaluator, setup.evaluator.tables)
     arrays += [setup.encoded.amps, setup.arrival.amps]
     # the set-up's phi W and the three buffers of each of its tables K and H,
-    # five evaluator arrays, two sparse matrices of three buffers each, four
+    # five evaluator arrays, two sparse matrices of three buffers each, three
     # table arrays, two states
     assert setup.arrival_overlaps.size and setup.hop_overlaps.nnz and setup.hop_table.nnz
-    assert len(arrays) >= 24
+    assert len(arrays) >= 23
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
