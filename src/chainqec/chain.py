@@ -45,8 +45,23 @@ class ChainSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ChainSpec":
-        d = json.loads(text)
-        return cls(int(d["n_sites"]), tuple(d["couplings"]), tuple(d["fields"]))
+        """The chain of a JSON object with exactly the keys of to_json.
+
+        n_sites must be a JSON integer and couplings and fields lists of
+        JSON numbers.
+        """
+        d = _chain_keys(json.loads(text, object_pairs_hook=_unique_keys))
+        n_sites = d["n_sites"]
+        # int() would read 4.9 as 4 and true as 1
+        if isinstance(n_sites, bool) or not isinstance(n_sites, int):
+            raise ValueError(f"n_sites must be an integer, got {n_sites!r}")
+        for key in ("couplings", "fields"):
+            # tuple() would split the string "12" into two couplings
+            if not isinstance(d[key], list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in d[key]
+            ):
+                raise ValueError(f"{key} must be a list of numbers, got {d[key]!r}")
+        return cls(n_sites, tuple(d["couplings"]), tuple(d["fields"]))
 
     def to_config(self) -> str:
         """Plain key = value form; lists are comma separated."""
@@ -58,7 +73,8 @@ class ChainSpec:
 
     @classmethod
     def from_config(cls, text: str) -> "ChainSpec":
-        vals: dict[str, str] = {}
+        """The chain of the key = value form of to_config: each of its keys once, no other."""
+        pairs = []
         for line in text.splitlines():
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -66,12 +82,35 @@ class ChainSpec:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, _, rhs = line.partition("=")
-            vals[key.strip()] = rhs.strip()
-        for key in ("n_sites", "couplings", "fields"):
-            if key not in vals:
-                raise ValueError(f"config missing key {key!r}")
+            pairs.append((key.strip(), rhs.strip()))
+        vals = _chain_keys(_unique_keys(pairs))
         parse = lambda s: tuple(float(tok) for tok in s.replace(",", " ").split())
         return cls(int(vals["n_sites"]), parse(vals["couplings"]), parse(vals["fields"]))
+
+
+_CHAIN_KEYS = ("n_sites", "couplings", "fields")
+
+
+def _unique_keys(pairs) -> dict:
+    """The (key, value) pairs of a chain file as a dict, refusing a repeated key."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(f"chain file repeats key {key!r}")
+    return dict(pairs)
+
+
+def _chain_keys(d) -> dict:
+    """d itself, once it holds exactly the keys of a chain: none missing and none unknown."""
+    if not isinstance(d, dict):
+        raise ValueError("chain file must hold one object")
+    for key in _CHAIN_KEYS:
+        if key not in d:
+            raise ValueError(f"chain file missing key {key!r}")
+    unknown = sorted(set(d) - set(_CHAIN_KEYS))
+    if unknown:
+        raise ValueError(f"chain file has unknown key {unknown[0]!r}")
+    return d
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,9 @@ from .hilbert import (
     from_density,
     hop_rows,
     lindblad_evolve,
+    minor_plan,
+    mode_minors,
+    mode_unitaries,
     sample_rng,
     single_z_modes,
 )
@@ -42,14 +45,14 @@ from .pauli import PauliString
 
 _BRUTE_FORCE_MAX_SITES = 6
 # points evaluated together: the single-Z samples (or timing offsets) of one
-# chunk are the rows of one block on the evaluator's support, scored in one
-# sparse product.  A point's value must not depend on its chunk, or a
-# resumed run (which re-chunks the missing points) would differ from a
-# fresh one; the chunk, batched-engine and resume tests check this.  On the
-# 15-site chain (one BLAS thread, 2-core Xeon) a pruned single-Z sample took
-# 0.41-0.45 ms in chunks of 8, 16 or 32 rows and about 0.5 ms in chunks of
-# 64, whose (64, 3004) rows and pair overlaps outgrow the cache; an exact
-# one took 0.06-0.12 ms at every size, less in larger chunks.
+# chunk are scored as one block, in one sparse product.  A point's value
+# must not depend on its chunk, or a resumed run (which re-chunks the
+# missing points) would differ from a fresh one; the chunk, batched-engine
+# and resume tests check this.  On the 15-site chain (one BLAS thread,
+# 2-core Xeon) a pruned single-Z sample took 0.41-0.45 ms in chunks of 8,
+# 16 or 32 rows and about 0.5 ms in chunks of 64, whose (64, 3004) rows
+# and pair overlaps outgrow the cache; an exact one took 0.06-0.12 ms at
+# every size, less in larger chunks.
 _CHUNK = 16
 
 DEFAULT_TIMING_GRID_POINTS = 21
@@ -170,12 +173,26 @@ class RevivalSetup:
     The read-out is the paper's: the minimal15 code on the whole chain,
     holding alpha|0_L> + beta|1_L>, corrected at twice the transfer time.
 
-    Nothing here diagonalises a sector: every evolution is a Givens
-    evolve.  The error-free arrival state phi = e^{-iH duration}|encoded>
-    is computed once; a phase flip on site s at time t then arrives as
-    phi - 2 n_v phi, one rotated fermionic mode v about it, instead of two
-    full evolutions.  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that
-    state is a quadratic form in v: with q = conj(v) (x) v the rows on the
+    Nothing here diagonalises a sector.  The chain is quadratic and
+    number-conserving, so an error-free revival state, at a shifted
+    read-out time or on a disordered chain, is Gamma(M)|encoded> for one
+    N x N mode unitary M (mode_unitaries), and W reads only a few of its
+    amplitudes (154 of 3004 on minimal15).  Each is a sum over the
+    encoded state's entries x of c_x <y|Gamma(M)|x> = c_x det M[y, x],
+    read as a minor of size min(w, N - w) (minor_plan): with |+_L> on
+    minimal15, 459 5 x 5 complementary minors (and the vacuum's padded
+    identity) in one np.linalg.det call, and det M.  The table
+    `minor_weights` folds each (read set, source) pair's sign and c_x into
+    its row of W, so exact successes of a stack of M are
+    sum_c |(minors @ minor_weights)_c|^2 (success_mode_unitaries), with no
+    support-sized row and no evolve.  Pruned timing and disorder scoring
+    still build Givens rows and hand them to the evaluator.
+
+    The error-free arrival state phi = e^{-iH duration}|encoded> is
+    computed once, by a Givens evolve; a phase flip on site s at time t
+    then arrives as phi - 2 n_v phi, one rotated fermionic mode v about it,
+    instead of two full evolutions.  Since n_v = sum_ij conj(v_i) v_j
+    c_i^dag c_j, that state is a quadratic form in v: with q = conj(v) (x) v the rows on the
     evaluator's support are phi - 2 q H, H the sparse N^2 x support table
     of the hopped states c_i^dag c_j phi (hop_rows).  Every revival state
     stays in the excitation sectors the encoded state occupies, the
@@ -215,8 +232,19 @@ class RevivalSetup:
         read = np.unique(weights.indices)
         self.arrival_overlaps = self.arrival.amps[support] @ weights
         self.hop_overlaps = sp.csc_array(hop_rows(self.arrival, support[read]) @ weights[read])
+        # row p of minor_weights: pair p's sign and encoded amplitude times its read row of W
+        sources = np.flatnonzero(self.encoded.amps)
+        pairs, self.minor_index, self.minor_complementary, sign = minor_plan(
+            spec.n_sites, support[read], sources
+        )
+        coef = sign * self.encoded.amps[sources[pairs[1]]]
+        self.minor_weights = sp.csc_array(
+            sp.diags_array(coef) @ sp.csr_array(weights)[read[pairs[0]]]
+        )
         for a in (self.encoded.amps, self.arrival.amps, self.arrival_overlaps,
-                  self.hop_overlaps.data, self.hop_overlaps.indices, self.hop_overlaps.indptr):
+                  self.minor_index, self.minor_complementary,
+                  *(buf for m in (self.hop_overlaps, self.minor_weights)
+                    for buf in (m.data, m.indices, m.indptr))):
             a.flags.writeable = False
 
     @cached_property
@@ -258,12 +286,36 @@ class RevivalSetup:
             return _state_sums(np.abs(overlaps) ** 2), np.zeros(len(q))
         return self.evaluator.success(self.single_z_rows(q), prune_below)
 
+    def success_mode_unitaries(self, m) -> np.ndarray:
+        """Exact success of Gamma(M)|encoded>, one per N x N unitary M of the stack m (S, N, N).
+
+        Refuses anything but a stack of finite unitaries on this chain's N
+        sites: the complementary minors hold only for a unitary.  Each
+        member is scored alone (mode_minors, then a sparse product summing
+        each entry in a fixed order), so its value does not depend on the
+        stack.
+        """
+        m = np.asarray(m, dtype=complex)
+        n = self.spec.n_sites
+        if m.ndim != 3 or m.shape[1:] != (n, n):
+            raise ValueError(f"need a stack of {n} x {n} mode unitaries, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("mode unitaries must be finite")
+        if m.size and np.abs(m @ m.conj().transpose(0, 2, 1) - np.eye(n)).max() > 1e-8:
+            raise ValueError("mode matrices must be unitary")
+        minors = mode_minors(m, self.minor_index, self.minor_complementary)
+        return _state_sums(np.abs(self.minor_weights.T @ minors.T) ** 2)
+
     def success_timing(self, deltas, prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Readout at twice the transfer time plus each offset; arrays as success_single_z."""
+        deltas = np.asarray(deltas, dtype=float)
+        if prune_below <= 0.0:
+            m = mode_unitaries(self.spec, self.duration + deltas)
+            return self.success_mode_unitaries(m), np.zeros(len(deltas))
         support = self.evaluator.support
         rows = np.array([
             evolve(self.encoded, self.spec, self.duration + delta, method="givens").amps[support]
-            for delta in np.asarray(deltas, dtype=float)
+            for delta in deltas
         ])
         return self.evaluator.success(rows, prune_below)
 
@@ -271,6 +323,9 @@ class RevivalSetup:
                                   prune_below: float = 0.0) -> tuple[float, float, float]:
         """(success probability, largest perturbation singular value, discarded mass)."""
         perturbed, zeta = disordered_spec(self.spec, f, draw_seed)
+        if prune_below <= 0.0:
+            m = mode_unitaries(perturbed, [self.duration])
+            return float(self.success_mode_unitaries(m)[0]), zeta, 0.0
         psi = evolve(self.encoded, perturbed, self.duration, method="givens")
         success, discarded = self.evaluator.success(
             psi.amps[self.evaluator.support], prune_below
@@ -368,7 +423,11 @@ def exp_timing(
     out_dir: str | None = None,
     prune_below: float = 0.0,
 ) -> TimingCurve:
-    """Readout-time offsets on the revival setup: a Givens evolve per offset, scored per chunk."""
+    """Readout-time offsets on the revival setup, scored per chunk.
+
+    Exact runs score one mode unitary U(2T + delta) per offset, pruned runs
+    a Givens evolve per offset.
+    """
     spec = spec or pst_couplings(15)
     manifest = ExperimentManifest("timing", spec, "minimal15", (), 0, 0, prune_below=prune_below)
     setup = _revival_setup(spec)

@@ -12,12 +12,15 @@ method="givens" rotates each occupied sector through the Givens factorisation
 of the single-particle unitary; method="expm", the default, applies each
 occupied sector's sparse Hamiltonian with scipy's expm_multiply and serves as
 the exact N = 15 oracle.  Neither caches anything that depends on the
-chain's couplings or fields.  A phase flip during transport is one rotated
-mode v about the error-free arrival state phi, read out as phi - 2 n_v phi
-(single_z_modes gives v).  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j,
-that state is a quadratic form in v over the N^2 hopped states
-c_i^dag c_j phi (hop_rows), from which the revival set-up builds pruned
-samples' rows and scores exact samples without building any.
+chain's couplings or fields.  An exact revival state needs no evolution
+at all: e^{-iHt} = Gamma(U(t)) for the single-particle unitary U(t)
+(mode_unitaries), and each amplitude the decoder reads is a sum of
+minors of U(t) (minor_plan, mode_minors).  A phase flip during transport
+is one rotated mode v about the error-free arrival state phi, read out as
+phi - 2 n_v phi (single_z_modes gives v).  Since n_v = sum_ij conj(v_i)
+v_j c_i^dag c_j, that state is a quadratic form in v over the N^2 hopped
+states c_i^dag c_j phi (hop_rows), from which the revival set-up builds
+pruned samples' rows and scores exact samples without building any.
 """
 
 from __future__ import annotations
@@ -231,8 +234,7 @@ def evolve(
         finally:
             np.random.set_state(rng_state)
     else:
-        evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
-        modes, blocks, phases = _givens_factor(_u_of_t(evals, evecs, t))
+        modes, blocks, phases = _givens_factor(mode_unitaries(spec, [t])[0])
         for w in _occupied_weights(state):
             states, pairs = _sector_table(spec.n_sites, w)
             sub = amps[states] * np.exp(1j * _occupation_sum(np.angle(phases), states))
@@ -268,6 +270,78 @@ def single_z_modes(spec: ChainSpec, sites, taus) -> np.ndarray:
     for k, (s, tau) in enumerate(zip(sites, taus)):
         v[k] = (evecs[s - 1] * np.exp(-1j * evals * tau)) @ evecs.T
     return v
+
+
+def mode_unitaries(spec: ChainSpec, times) -> np.ndarray:
+    """(S, N, N) single-particle unitaries exp(-i H1 t), one per time, from one eigh.
+
+    evolve(method="givens") factors these, and Gamma(M)|psi> =
+    e^{-iHt}|psi> for each (minor_plan).  Refuses a non-finite time.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("need a 1-D array of times")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time must be finite")
+    n = spec.n_sites
+    evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
+    return np.array([_u_of_t(evals, evecs, t) for t in times], dtype=complex).reshape(-1, n, n)
+
+
+def minor_plan(n_sites: int, targets, sources) -> tuple[np.ndarray, ...]:
+    """How to read <y|Gamma(M)|x> for every target y and source x of equal weight.
+
+    Gamma(M) is the number-conserving Gaussian unitary with Gamma(M) c_j^dag
+    Gamma(M)^dag = sum_i M_ij c_i^dag, so <y|Gamma(M)|x> = det M[y, x],
+    sites ascending (the sign convention of hop_rows; Knill,
+    quant-ph/0108033; Terhal & DiVincenzo, PRA 65, 032325 (2002)).  For
+    weight w > N - w, Jacobi's complementary-minor identity for unitary M,
+    det M[y, x] = (-1)^{sum y + sum x} det M conj(det M[y^c, x^c]), keeps
+    every minor at size min(w, N - w).  A minor smaller than the largest,
+    K, is padded to K x K with an identity block: every pair is one K x K
+    determinant of one stack.  Returns, per pair, (target, source)
+    positions (2, P), the (P, K, K) index into M flattened and extended by
+    a 1 and a 0 (positions N^2 and N^2 + 1), whether the pair is read from
+    its complement (P,) and the sign (-1)^{sum y + sum x} there (P,).
+    """
+    n = n_sites
+    bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))  # b_i of site i + 1
+    targets, sources = np.asarray(targets, dtype=np.int64), np.asarray(sources, dtype=np.int64)
+    target, source = np.nonzero(np.bitwise_count(targets)[:, None] == np.bitwise_count(sources))
+    occ_y = (targets[target, None] & bits) != 0  # (pair, site)
+    occ_x = (sources[source, None] & bits) != 0
+    weight = occ_y.sum(axis=1)
+    complementary = weight > n - weight
+    site_sums = occ_y @ np.arange(n) + occ_x @ np.arange(n)
+    sign = np.where(complementary, 1.0 - 2.0 * (site_sums & 1), 1.0)
+    occ_y ^= complementary[:, None]
+    occ_x ^= complementary[:, None]
+    k = occ_y.sum(axis=1)
+    size = int(k.max(initial=0))
+    # each pair's rows and columns in ascending site order, unused sites after them
+    rows = np.argsort(~occ_y, axis=1, kind="stable")[:, :size]
+    cols = np.argsort(~occ_x, axis=1, kind="stable")[:, :size]
+    inside = np.arange(size) < k[:, None]
+    index = np.where(
+        inside[:, :, None] & inside[:, None, :],
+        rows[:, :, None] * n + cols[:, None, :],
+        np.where(np.eye(size, dtype=bool), n * n, n * n + 1),
+    )
+    return np.stack([target, source]), index, complementary, sign
+
+
+def mode_minors(m: np.ndarray, index: np.ndarray, complementary: np.ndarray) -> np.ndarray:
+    """(S, P) amplitudes det M[y, x] of the pairs minor_plan planned, per unitary of the stack m.
+
+    One LU determinant per pair, never an inverse: at M = U(2T) most
+    blocks are exactly singular, and a determinant stays accurate in
+    absolute terms there since no entry of a unitary exceeds 1 in modulus.
+    Each member's values are computed alone, whatever the stack.
+    """
+    s, n = m.shape[0], m.shape[1]
+    flat = np.concatenate([m.reshape(s, n * n), np.ones((s, 1)), np.zeros((s, 1))], axis=1)
+    minors = np.linalg.det(flat[:, index])
+    return np.where(complementary, np.linalg.det(m)[:, None] * minors.conj(), minors)
 
 
 def hop_rows(state: StateVector, support: np.ndarray) -> sp.csr_array:

@@ -3,8 +3,8 @@
 Each scenario produces the exact evolved state (or the perturbed chain)
 handed to the decoder: a single phase flip injected mid-transfer or a
 disorder instance of the couplings.  A timing offset on the readout is
-hilbert.evolve to the shifted time, and one stochastic dephasing trajectory
-is hilbert.trajectory_sample.  Disorder instances are reproducible from
+the single-particle unitary of the shifted time (hilbert.mode_unitaries),
+and one stochastic dephasing trajectory is hilbert.trajectory_sample.  Disorder instances are reproducible from
 their seed.
 """
 

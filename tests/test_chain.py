@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,46 @@ def test_config_roundtrip():
 def test_config_parsing_errors():
     with pytest.raises(ValueError):
         ChainSpec.from_config("n_sites = 3\ncouplings = 1, 1\n")  # fields missing
+
+
+@pytest.mark.parametrize("n_sites", [4.9, 4.0, True, "4", None])
+def test_json_n_sites_must_be_an_integer(n_sites):
+    # int() once read 4.9 as a 4-site chain and true as 1
+    d = json.loads(pst_couplings(4).to_json())
+    d["n_sites"] = n_sites
+    with pytest.raises(ValueError, match="n_sites must be an integer"):
+        ChainSpec.from_json(json.dumps(d))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("couplings", "12"), ("couplings", [1.0, True]), ("fields", [0, 0, "0"]), ("fields", None),
+])
+def test_json_lists_must_hold_numbers(key, value):
+    # tuple("12") once read as the couplings (1.0, 2.0), true as 1.0
+    d = {"n_sites": 3, "couplings": [1.0, 2.0], "fields": [0.0, 0.0, 0.0], key: value}
+    with pytest.raises(ValueError, match=f"{key} must be a list of numbers"):
+        ChainSpec.from_json(json.dumps(d))
+
+
+def test_json_keys_checked():
+    d = json.loads(pst_couplings(4).to_json())
+    with pytest.raises(ValueError, match="unknown key 'bogus'"):
+        ChainSpec.from_json(json.dumps({**d, "bogus": 3}))
+    with pytest.raises(ValueError, match="missing key 'fields'"):
+        ChainSpec.from_json(json.dumps({k: v for k, v in d.items() if k != "fields"}))
+    repeated = json.dumps(d)[:-1] + ', "n_sites": 5}'
+    with pytest.raises(ValueError, match="repeats key 'n_sites'"):
+        ChainSpec.from_json(repeated)
+    with pytest.raises(ValueError, match="one object"):
+        ChainSpec.from_json(json.dumps([d]))
+
+
+def test_config_keys_checked():
+    text = pst_couplings(4).to_config()
+    with pytest.raises(ValueError, match="unknown key 'bogus'"):
+        ChainSpec.from_config(text + "bogus = 3\n")
+    # a repeated key once silently won over the first
+    with pytest.raises(ValueError, match="repeats key 'fields'"):
+        ChainSpec.from_config(text + "fields = 1, 1, 1, 1\n")
+    with pytest.raises(ValueError):
+        ChainSpec.from_config(text.replace("n_sites = 4", "n_sites = 4.9"))

@@ -23,6 +23,22 @@ def test_transfer_check_config_file(tmp_path, capsys):
     assert payload["is_perfect"] is True
 
 
+@pytest.mark.parametrize("name, text", [
+    # int() once read this as a perfect 4-site chain, exit code 0
+    ("chain.json", '{"n_sites": 4.9, "couplings": [1.7320508075688772, 2.0, 1.7320508075688772],'
+                   ' "fields": [0.0, 0.0, 0.0, 0.0]}'),
+    ("chain.cfg", "n_sites = 2\ncouplings = 1.0\nfields = 0.0, 0.0\nbogus = 3\n"),
+    ("chain.cfg", "n_sites = 2\ncouplings = 1.0\nfields = 0.0, 0.0\ncouplings = 0.5\n"),
+], ids=["json-fractional-n_sites", "config-unknown-key", "config-repeated-key"])
+def test_transfer_check_refuses_loose_chain_files(name, text, tmp_path, capsys):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    assert main(["transfer-check", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "1", "2"])
 def test_transfer_check_refuses_tolerance_outside_unit_interval(tolerance, tmp_path, capsys):
     # the flat 4-site chain is far from perfect; no tolerance may call it so

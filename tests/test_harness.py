@@ -24,6 +24,8 @@ from chainqec.harness import (
     make_code,
     sample_rng,
 )
+from chainqec.hilbert import apply_pauli, evolve, mode_unitaries
+from chainqec.noise import disordered_spec
 from chainqec.pauli import from_sites, pauli_z
 
 
@@ -280,11 +282,13 @@ def test_cached_setup_is_read_only():
     setup.success_single_z([3], [0.4], 1e-12)  # a pruned call builds H
     arrays = _held_arrays(setup, setup.evaluator, setup.evaluator.tables)
     arrays += [setup.encoded.amps, setup.arrival.amps]
-    # the set-up's phi W and the three buffers of each of its tables K and H,
-    # five evaluator arrays, two sparse matrices of three buffers each, three
-    # table arrays, two states
+    # the set-up's phi W, minor index and complementary mask, and the three
+    # buffers of each of its tables K, H and minor_weights, five evaluator
+    # arrays, two sparse matrices of three buffers each, three table arrays,
+    # two states
     assert setup.arrival_overlaps.size and setup.hop_overlaps.nnz and setup.hop_table.nnz
-    assert len(arrays) >= 23
+    assert setup.minor_index.shape == (460, 5, 5) and setup.minor_weights.nnz
+    assert len(arrays) >= 28
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
@@ -398,6 +402,157 @@ def test_single_z_resume_refuses_older_version(tmp_path):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+# --- exact scoring from minors of the mode unitary -------------------------------
+
+# |0_L> and |1_L> occupy weights 0, 5, 10 and 15, |+_L> only 0 and 10
+LOGICALS = {"zero": (1, 0), "one": (0, 1), "plus": (2**-0.5, 2**-0.5), "mixed": (0.6, 0.8j)}
+
+
+@pytest.fixture(scope="module", params=list(LOGICALS))
+def logical_setup(request):
+    return RevivalSetup(pst_couplings(15), *LOGICALS[request.param])
+
+
+def _jump_product(spec, duration, jumps) -> np.ndarray:
+    """U(D - t_k) R_k ... R_1 U(t_1) with R = I - 2 e_s e_s^T, the mode matrix of Z_s."""
+    times = np.diff([0.0, *(t for t, _ in jumps), duration])
+    steps = mode_unitaries(spec, times)
+    m = steps[0]
+    for (_, site), step in zip(jumps, steps[1:]):
+        m = step @ (m * np.where(np.arange(1, spec.n_sites + 1) == site, -1.0, 1.0)[:, None])
+    return m
+
+
+def _givens_row(setup, spec, duration, jumps=()) -> np.ndarray:
+    """The revival state on the support: Givens evolves between the jumps' phase flips."""
+    psi, prev = setup.encoded, 0.0
+    for t, site in jumps:
+        psi = evolve(psi, spec, t - prev, method="givens")
+        psi = apply_pauli(psi, pauli_z(spec.n_sites, site))
+        prev = t
+    return evolve(psi, spec, duration - prev, method="givens").amps[setup.evaluator.support]
+
+
+def _assert_matches_givens(setup, stack, rows):
+    got = setup.success_mode_unitaries(stack)
+    want, _ = setup.evaluator.success(np.array(rows))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_minors_match_givens_at_timing_offsets(logical_setup, chain15):
+    s = logical_setup
+    deltas = np.array([-0.3, -0.01, 0.002, 0.05, 0.2])
+    rows = [_givens_row(s, chain15, s.duration + d) for d in deltas]
+    _assert_matches_givens(s, mode_unitaries(chain15, s.duration + deltas), rows)
+    got, discarded = s.success_timing(deltas)
+    np.testing.assert_array_equal(
+        got, s.success_mode_unitaries(mode_unitaries(chain15, s.duration + deltas))
+    )
+    np.testing.assert_array_equal(discarded, 0.0)
+
+
+def test_minors_match_givens_on_disordered_chains(logical_setup, chain15):
+    s = logical_setup
+    for f in (0.01, 0.1, 0.3):
+        for draw in (3, 4):
+            perturbed, zeta = disordered_spec(chain15, f, draw)
+            row = _givens_row(s, perturbed, s.duration)
+            _assert_matches_givens(s, mode_unitaries(perturbed, [s.duration]), [row])
+            got = s.success_coupling_instance(f, draw)
+            assert got == (s.success_mode_unitaries(mode_unitaries(perturbed, [s.duration]))[0],
+                           zeta, 0.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_minors_match_givens_on_jump_products(logical_setup, chain15, k):
+    s = logical_setup
+    rng = np.random.default_rng(70 + k)
+    trajectories = [
+        tuple(zip(np.sort(rng.uniform(0.0, s.duration, k)), rng.integers(1, 16, k)))
+        for _ in range(3)
+    ]
+    stack = np.array([_jump_product(chain15, s.duration, jumps) for jumps in trajectories])
+    rows = [_givens_row(s, chain15, s.duration, jumps) for jumps in trajectories]
+    _assert_matches_givens(s, stack, rows)
+
+
+def test_minors_at_the_revival_time_read_the_encoded_state(logical_setup, chain15):
+    # U(2T) is the identity up to roundoff: most 5 x 5 blocks are singular there
+    s = logical_setup
+    for m in (mode_unitaries(chain15, [s.duration]), np.eye(15)[None]):
+        assert s.success_mode_unitaries(m)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_minors_match_expm_and_pipeline(code15, chain15):
+    from chainqec.decoder import DecodeOptions, decode_pipeline
+
+    setup = harness._revival_setup(chain15)
+    opts = DecodeOptions(mode="revival")
+    deltas = (0.013, -0.07)
+    got, _ = setup.success_timing(deltas)
+    cases = [(value, chain15, setup.duration + delta) for delta, value in zip(deltas, got)]
+    for f, draw in ((0.05, 11), (0.2, 12)):
+        value = setup.success_coupling_instance(f, draw)[0]
+        cases.append((value, disordered_spec(chain15, f, draw)[0], setup.duration))
+    for value, spec, t in cases:
+        psi = evolve(setup.encoded, spec, t, method="expm")
+        want = decode_pipeline(psi, code15, opts).success_probability
+        assert value == pytest.approx(want, abs=1e-10)
+
+
+def test_stack_member_does_not_depend_on_its_stack(chain15):
+    setup = harness._revival_setup(chain15)
+    rng = np.random.default_rng(71)
+    stack = np.concatenate([
+        mode_unitaries(chain15, setup.duration + rng.uniform(-0.3, 0.3, 5)),
+        mode_unitaries(disordered_spec(chain15, 0.1, 5)[0], [setup.duration]),
+        [_jump_product(chain15, setup.duration, ((0.4, 3), (2.2, 9)))],
+    ])
+    whole = setup.success_mode_unitaries(stack)
+    for k in range(len(stack)):
+        assert setup.success_mode_unitaries(stack[k:k + 1])[0] == whole[k]
+    deltas = rng.uniform(-0.3, 0.3, 7)
+    whole, _ = setup.success_timing(deltas)
+    np.testing.assert_array_equal([setup.success_timing([d])[0][0] for d in deltas], whole)
+
+
+def test_mode_unitary_scoring_refuses_bad_input(chain15):
+    setup = harness._revival_setup(chain15)
+    u = mode_unitaries(chain15, [setup.duration])
+    with pytest.raises(ValueError, match="finite"):
+        setup.success_timing([np.nan])  # _u_of_t would turn it into a NaN success
+    with pytest.raises(ValueError, match="finite"):
+        setup.success_timing([0.0, np.inf])
+    for bad in (u[0], u[:, :14, :14], np.ones((1, 15, 16))):
+        with pytest.raises(ValueError, match="stack of 15 x 15"):
+            setup.success_mode_unitaries(bad)
+    with pytest.raises(ValueError, match="finite"):
+        setup.success_mode_unitaries(np.where(np.eye(15), np.nan, u))
+    with pytest.raises(ValueError, match="unitary"):
+        setup.success_mode_unitaries(2.0 * u)
+
+
+def test_exact_timing_and_coupling_never_evolve(monkeypatch):
+    # once the set-up (whose arrival state is a Givens evolve) is cached,
+    # exact sweeps read minors of the mode unitary: no evolve, no scored row
+    harness._revival_setup(pst_couplings(15))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was evolved or a row scored")
+
+    monkeypatch.setattr(harness, "evolve", refuse)
+    monkeypatch.setattr(harness.RevivalEvaluator, "success", refuse)
+    assert exp_timing(delta_grid=(0.0, 0.01)).successes[0] == pytest.approx(1.0, abs=1e-12)
+    assert exp_coupling(f_grid=(0.0, 0.05), instances=2, seed=1).mean_success[0] == pytest.approx(
+        1.0, abs=1e-12
+    )
+    # pruned scoring keeps its Givens rows
+    with pytest.raises(AssertionError, match="evolved"):
+        exp_timing(delta_grid=(0.01,), prune_below=1e-7)
+    with pytest.raises(AssertionError, match="evolved"):
+        exp_coupling(f_grid=(0.05,), instances=1, seed=1, prune_below=1e-12)
+
+
 # --- timing --------------------------------------------------------------------
 
 
@@ -452,6 +607,20 @@ def test_timing_csv(tmp_path):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[2]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_timing_resume_across_chunk_boundary(tmp_path):
+    # the default 21 offsets span two chunks; resuming after 7 re-chunks the
+    # other 14 into one, and neither file may notice
+    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+    exp_timing(out_dir=str(full_dir))
+    shutil.copytree(full_dir, part_dir)
+    points = (part_dir / "points.jsonl").read_text().splitlines(keepends=True)
+    (part_dir / "points.jsonl").write_text("".join(points[:7]))
+    (part_dir / "timing.csv").unlink()
+    exp_timing(out_dir=str(part_dir))
+    for name in ("timing.csv", "points.jsonl"):
+        assert (part_dir / name).read_bytes() == (full_dir / name).read_bytes()
 
 
 # --- coupling ------------------------------------------------------------------
