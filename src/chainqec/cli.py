@@ -16,6 +16,7 @@ from . import __version__
 from .chain import ChainSpec, analyze_transfer, pst_couplings
 from .code import parity_condition
 from .harness import (
+    check_prune,
     exp_coupling,
     exp_dephasing,
     exp_single_z,
@@ -72,11 +73,11 @@ def _grid(text: str) -> tuple[float, ...]:
 
 
 def _prune(text: str) -> float:
-    """Parse a branch probability floor: finite and nonnegative."""
-    value = float(text)
-    if not 0.0 <= value < np.inf:
-        raise argparse.ArgumentTypeError(f"prune {text!r} must be finite and >= 0")
-    return value
+    """Parse a branch probability floor (harness.check_prune)."""
+    try:
+        return check_prune(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,6 +28,8 @@ from .errors import ResourceLimitError
 from .freefermion import chi_decay
 from .hilbert import (
     StateVector,
+    apply_mode_unitary,
+    check_mode_unitaries,
     chi,
     dense_unitary,
     evolve,
@@ -87,6 +89,9 @@ class ExperimentManifest:
     logical: tuple[float, float, float, float] = PLUS_LOGICAL
     prune_below: float = 0.0
     version: str = field(default=__version__)
+
+    def __post_init__(self):
+        object.__setattr__(self, "prune_below", check_prune(self.prune_below))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -185,8 +190,9 @@ class RevivalSetup:
     `minor_weights` folds each (read set, source) pair's sign and c_x into
     its row of W, so exact successes of a stack of M are
     sum_c |(minors @ minor_weights)_c|^2 (success_mode_unitaries), with no
-    support-sized row and no evolve.  Pruned timing and disorder scoring
-    still build Givens rows and hand them to the evaluator.
+    support-sized row and no evolve.  Pruned scoring needs masses quadratic
+    in the rows, so there each member's row is Gamma(M)|encoded> on the
+    support (apply_mode_unitary), handed to the evaluator.
 
     The error-free arrival state phi = e^{-iH duration}|encoded> is
     computed once, by a Givens evolve; a phase flip on site s at time t
@@ -286,51 +292,36 @@ class RevivalSetup:
             return _state_sums(np.abs(overlaps) ** 2), np.zeros(len(q))
         return self.evaluator.success(self.single_z_rows(q), prune_below)
 
-    def success_mode_unitaries(self, m) -> np.ndarray:
-        """Exact success of Gamma(M)|encoded>, one per N x N unitary M of the stack m (S, N, N).
+    def success_mode_unitaries(self, m,
+                               prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Success of Gamma(M)|encoded> per N x N unitary M of the stack m (S, N, N).
 
+        Returns (success probability, discarded mass) arrays, as
+        success_single_z does.  A timing offset is M = U(2T + delta), a
+        disorder instance the perturbed chain's U'(2T) and a run with phase
+        flips a jump_unitary.
         Refuses anything but a stack of finite unitaries on this chain's N
-        sites: the complementary minors hold only for a unitary.  Each
-        member is scored alone (mode_minors, then a sparse product summing
-        each entry in a fixed order), so its value does not depend on the
-        stack.
+        sites: the complementary minors hold only for a unitary.  Exact
+        members are read from minors (mode_minors, then a sparse product
+        summing each entry in a fixed order), pruned members from their
+        rows Gamma(M)|encoded> (apply_mode_unitary), so a member's values
+        do not depend on the stack.
         """
-        m = np.asarray(m, dtype=complex)
-        n = self.spec.n_sites
-        if m.ndim != 3 or m.shape[1:] != (n, n):
-            raise ValueError(f"need a stack of {n} x {n} mode unitaries, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("mode unitaries must be finite")
-        if m.size and np.abs(m @ m.conj().transpose(0, 2, 1) - np.eye(n)).max() > 1e-8:
-            raise ValueError("mode matrices must be unitary")
-        minors = mode_minors(m, self.minor_index, self.minor_complementary)
-        return _state_sums(np.abs(self.minor_weights.T @ minors.T) ** 2)
-
-    def success_timing(self, deltas, prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Readout at twice the transfer time plus each offset; arrays as success_single_z."""
-        deltas = np.asarray(deltas, dtype=float)
+        m = check_mode_unitaries(m, self.spec.n_sites)
         if prune_below <= 0.0:
-            m = mode_unitaries(self.spec, self.duration + deltas)
-            return self.success_mode_unitaries(m), np.zeros(len(deltas))
+            minors = mode_minors(m, self.minor_index, self.minor_complementary)
+            return _state_sums(np.abs(self.minor_weights.T @ minors.T) ** 2), np.zeros(len(m))
         support = self.evaluator.support
-        rows = np.array([
-            evolve(self.encoded, self.spec, self.duration + delta, method="givens").amps[support]
-            for delta in deltas
-        ])
-        return self.evaluator.success(rows, prune_below)
+        rows = np.array([apply_mode_unitary(self.encoded, u).amps[support] for u in m])
+        return self.evaluator.success(rows.reshape(len(m), support.size), prune_below)
 
     def success_coupling_instance(self, f: float, draw_seed: int,
                                   prune_below: float = 0.0) -> tuple[float, float, float]:
         """(success probability, largest perturbation singular value, discarded mass)."""
         perturbed, zeta = disordered_spec(self.spec, f, draw_seed)
-        if prune_below <= 0.0:
-            m = mode_unitaries(perturbed, [self.duration])
-            return float(self.success_mode_unitaries(m)[0]), zeta, 0.0
-        psi = evolve(self.encoded, perturbed, self.duration, method="givens")
-        success, discarded = self.evaluator.success(
-            psi.amps[self.evaluator.support], prune_below
-        )
-        return success, zeta, discarded
+        m = mode_unitaries(perturbed, [self.duration])
+        success, discarded = self.success_mode_unitaries(m, prune_below)
+        return float(success[0]), zeta, float(discarded[0])
 
 
 @lru_cache(maxsize=4)
@@ -359,6 +350,17 @@ class SingleZSummary:
     @property
     def mean_success(self) -> float:
         return float(np.mean(self.successes)) if self.successes else float("nan")
+
+
+def check_prune(prune_below: float) -> float:
+    """The branch probability floor of a sweep: finite and >= 0, with 0 exact.
+
+    A sweep's manifest records it, so one threshold has one record: -0.0
+    is returned as 0.0.
+    """
+    if not 0.0 <= prune_below < np.inf:
+        raise ValueError(f"prune {prune_below!r} must be finite and >= 0")
+    return float(prune_below) + 0.0
 
 
 def exp_single_z(
@@ -425,8 +427,8 @@ def exp_timing(
 ) -> TimingCurve:
     """Readout-time offsets on the revival setup, scored per chunk.
 
-    Exact runs score one mode unitary U(2T + delta) per offset, pruned runs
-    a Givens evolve per offset.
+    Each offset is the mode unitary U(2T + delta), scored by
+    RevivalSetup.success_mode_unitaries, exact or pruned.
     """
     spec = spec or pst_couplings(15)
     manifest = ExperimentManifest("timing", spec, "minimal15", (), 0, 0, prune_below=prune_below)
@@ -440,7 +442,8 @@ def exp_timing(
 
     def evaluate(indices):
         deltas = [delta_grid[i] for i in indices]
-        success, discarded = setup.success_timing(deltas, prune_below)
+        m = mode_unitaries(spec, setup.duration + np.array(deltas))
+        success, discarded = setup.success_mode_unitaries(m, prune_below)
         return [
             {"delta": delta, "success": float(p), "discarded_mass": float(d)}
             for delta, p, d in zip(deltas, success, discarded)

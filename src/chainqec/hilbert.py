@@ -7,20 +7,24 @@ used throughout couples the field B_n to the local excitation number
 matrix of chain.single_excitation_matrix exactly and keeps the fermionic
 mode evolution of the freefermion module exact for nonzero fields.
 
-Evolution is excitation-number resolved and reads one pair table per sector.
-method="givens" rotates each occupied sector through the Givens factorisation
-of the single-particle unitary; method="expm", the default, applies each
-occupied sector's sparse Hamiltonian with scipy's expm_multiply and serves as
-the exact N = 15 oracle.  Neither caches anything that depends on the
-chain's couplings or fields.  An exact revival state needs no evolution
-at all: e^{-iHt} = Gamma(U(t)) for the single-particle unitary U(t)
-(mode_unitaries), and each amplitude the decoder reads is a sum of
-minors of U(t) (minor_plan, mode_minors).  A phase flip during transport
-is one rotated mode v about the error-free arrival state phi, read out as
-phi - 2 n_v phi (single_z_modes gives v).  Since n_v = sum_ij conj(v_i)
-v_j c_i^dag c_j, that state is a quadratic form in v over the N^2 hopped
-states c_i^dag c_j phi (hop_rows), from which the revival set-up builds
-pruned samples' rows and scores exact samples without building any.
+The chain is quadratic and number-conserving, so every noiseless or
+phase-flipped run is Gamma(M) for one N x N single-particle unitary M:
+exp(-i H1 t) for an evolution (mode_unitaries), and a product of those
+and reflections for a run with phase flips (jump_unitary).
+apply_mode_unitary applies Gamma(M) to a state through the Givens
+factorisation of M, reading one pair table per excitation sector; it is
+evolve's method="givens" and trajectory_sample's engine.
+method="expm", the default of evolve, applies each occupied sector's
+sparse Hamiltonian with scipy's expm_multiply and serves as the exact
+N = 15 oracle.  Neither caches anything that depends on the chain's
+couplings or fields.  Exact revival scoring builds no state at all:
+each amplitude the decoder reads is a sum of minors of M (minor_plan,
+mode_minors).  A single phase flip during transport is one rotated mode
+v about the error-free arrival state phi, read out as phi - 2 n_v phi
+(single_z_modes gives v).  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j,
+that state is a quadratic form in v over the N^2 hopped states
+c_i^dag c_j phi (hop_rows), from which the revival set-up builds pruned
+samples' rows and scores exact samples without building any.
 """
 
 from __future__ import annotations
@@ -211,10 +215,7 @@ def evolve(
     scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
     (2011)); it keeps no cache and never factorises the single-particle
     unitary, so it serves as an oracle independent of the Givens engine.
-    method="givens" is O(N^2 * sector size) with no set-up: with
-    exp(-i H1 t) = G_1^dag ... G_K^dag D, basis states take D's phases on their
-    occupied sites, then each G_k^dag on modes (m, m+1) mixes the (|10>, |01>)
-    amplitude pairs by its 2x2 block (|11> takes det G_k = 1; no JW signs).
+    method="givens" is apply_mode_unitary with M = exp(-i H1 t).
     """
     if spec.n_sites != state.n_sites:
         raise ValueError("size mismatch")
@@ -222,27 +223,58 @@ def evolve(
         raise ValueError("time must be finite")
     if method not in ("expm", "givens"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "givens":
+        return apply_mode_unitary(state, mode_unitaries(spec, [t])[0])
     amps = state.amps.copy()
-    if method == "expm":
-        # expm_multiply's norm estimates (onenormest) draw from numpy's global
-        # legacy generator; restore it so the caller's np.random stream is untouched
-        rng_state = np.random.get_state()
-        try:
-            for w in _occupied_weights(state):
-                states = _sector_table(spec.n_sites, w)[0]
-                amps[states] = expm_multiply(-1j * t * sector_sparse(spec, w), amps[states])
-        finally:
-            np.random.set_state(rng_state)
-    else:
-        modes, blocks, phases = _givens_factor(mode_unitaries(spec, [t])[0])
+    # expm_multiply's norm estimates (onenormest) draw from numpy's global
+    # legacy generator; restore it so the caller's np.random stream is untouched
+    rng_state = np.random.get_state()
+    try:
         for w in _occupied_weights(state):
-            states, pairs = _sector_table(spec.n_sites, w)
-            sub = amps[states] * np.exp(1j * _occupation_sum(np.angle(phases), states))
-            for m, g in zip(modes[::-1], blocks[::-1].conj().transpose(0, 2, 1)):
-                if pairs[m].size:
-                    sub[pairs[m]] = g @ sub[pairs[m]]
-            amps[states] = sub
+            states = _sector_table(spec.n_sites, w)[0]
+            amps[states] = expm_multiply(-1j * t * sector_sparse(spec, w), amps[states])
+    finally:
+        np.random.set_state(rng_state)
     return StateVector(amps, state.n_sites)
+
+
+def check_mode_unitaries(m, n: int) -> np.ndarray:
+    """m as a complex stack (S, N, N), refused unless every member is a finite N x N unitary."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (n, n):
+        raise ValueError(f"size mismatch: need a stack of {n} x {n} mode unitaries, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("mode unitaries must be finite")
+    if m.size and np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(n)).max() > 1e-8:
+        raise ValueError("mode matrices must be unitary")
+    return m
+
+
+def apply_mode_unitary(state: StateVector, m) -> StateVector:
+    """Return Gamma(M)|psi> for one N x N single-particle unitary M on the state's N sites.
+
+    Gamma(M) is the number-conserving Gaussian unitary with Gamma(M) c_j^dag
+    Gamma(M)^dag = sum_i M_ij c_i^dag (minor_plan), so Gamma(exp(-i H1 t)) =
+    e^{-iHt} and Gamma(R) = Z_s for the reflection R = I - 2 e_s e_s^T
+    (jump_unitary).  O(N^2 * sector size) with no set-up: with M =
+    G_1^dag ... G_K^dag D (_givens_factor), basis states take D's phases on
+    their occupied sites, then each G_k^dag on modes (m, m+1) mixes the
+    (|10>, |01>) amplitude pairs by its 2x2 block (|11> takes det G_k = 1;
+    no JW signs).  Refuses an M of another size, or one that is not a
+    finite unitary: the factorisation would silently rotate the wrong modes
+    or drop the non-unitary part.
+    """
+    n = state.n_sites
+    modes, blocks, phases = _givens_factor(check_mode_unitaries([m], n)[0])
+    amps = state.amps.copy()
+    for w in _occupied_weights(state):
+        states, pairs = _sector_table(n, w)
+        sub = amps[states] * np.exp(1j * _occupation_sum(np.angle(phases), states))
+        for k, g in zip(modes[::-1], blocks[::-1].conj().transpose(0, 2, 1)):
+            if pairs[k].size:
+                sub[pairs[k]] = g @ sub[pairs[k]]
+        amps[states] = sub
+    return StateVector(amps, n)
 
 
 def single_z_modes(spec: ChainSpec, sites, taus) -> np.ndarray:
@@ -275,8 +307,8 @@ def single_z_modes(spec: ChainSpec, sites, taus) -> np.ndarray:
 def mode_unitaries(spec: ChainSpec, times) -> np.ndarray:
     """(S, N, N) single-particle unitaries exp(-i H1 t), one per time, from one eigh.
 
-    evolve(method="givens") factors these, and Gamma(M)|psi> =
-    e^{-iHt}|psi> for each (minor_plan).  Refuses a non-finite time.
+    Gamma(M)|psi> = e^{-iHt}|psi> for each (apply_mode_unitary,
+    minor_plan).  Refuses a non-finite time.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -286,6 +318,28 @@ def mode_unitaries(spec: ChainSpec, times) -> np.ndarray:
     n = spec.n_sites
     evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
     return np.array([_u_of_t(evals, evecs, t) for t in times], dtype=complex).reshape(-1, n, n)
+
+
+def jump_unitary(spec: ChainSpec, duration: float, jumps) -> np.ndarray:
+    """U(D - t_k) R_k ... U(t_2 - t_1) R_1 U(t_1): the mode unitary of a run with phase flips.
+
+    `jumps` lists (t, site) pairs, 0 <= t_1 <= ... <= t_k <= D = duration;
+    U(t) = exp(-i H1 t) (mode_unitaries) and R = I - 2 e_s e_s^T is the
+    mode matrix of Z_s = exp(i pi n_s), so Gamma of the product is the
+    chain's evolution with Z on site s_j at time t_j.  Refuses a site that
+    is not a whole number in 1..N and times out of order or outside [0, D].
+    """
+    times = np.array([0.0, *(t for t, _ in jumps), duration], dtype=float)
+    sites = np.array([s for _, s in jumps], dtype=float)
+    if np.any((sites < 1) | (sites > spec.n_sites) | (sites != np.floor(sites))):
+        raise ValueError("jump site must be a whole number in 1..N")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("jump times must be ordered within [0, duration]")
+    steps = mode_unitaries(spec, np.diff(times))
+    m = steps[0]
+    for site, step in zip(sites, steps[1:]):
+        m = step @ (m * np.where(np.arange(1, spec.n_sites + 1) == site, -1.0, 1.0)[:, None])
+    return m
 
 
 def minor_plan(n_sites: int, targets, sources) -> tuple[np.ndarray, ...]:
@@ -486,8 +540,9 @@ def trajectory_sample(
 ) -> tuple[StateVector, tuple[tuple[float, int], ...]]:
     """One stochastic unravelling of the dephasing channel.
 
-    Each site flips phase at Poisson rate gamma; unitary evolution (the
-    Givens engine) runs between jumps.  Averaging over seeds converges to
+    Each site flips phase at Poisson rate gamma over [0, duration].  The
+    run, jumps included, is one mode unitary (jump_unitary), applied once
+    by the Givens engine.  Averaging over seeds converges to
     lindblad_evolve.
     """
     if not (np.isfinite(gamma) and np.isfinite(duration)):
@@ -502,16 +557,7 @@ def trajectory_sample(
         for t_j in rng.uniform(0, duration, rng.poisson(gamma * duration)):
             events.append((float(t_j), site))
     events.sort()
-    psi = state
-    t_prev = 0.0
-    for t_j, site in events:
-        if t_j > t_prev:
-            psi = evolve(psi, spec, t_j - t_prev, method="givens")
-        psi = apply_pauli(psi, PauliString(spec.n_sites, 0, site_bit(spec.n_sites, site)))
-        t_prev = t_j
-    if duration > t_prev:
-        psi = evolve(psi, spec, duration - t_prev, method="givens")
-    return psi, tuple(events)
+    return apply_mode_unitary(state, jump_unitary(spec, duration, events)), tuple(events)
 
 
 # ---------------------------------------------------------------------------

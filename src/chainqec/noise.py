@@ -1,11 +1,14 @@
 """Error-scenario generators.
 
 Each scenario produces the exact evolved state (or the perturbed chain)
-handed to the decoder: a single phase flip injected mid-transfer or a
-disorder instance of the couplings.  A timing offset on the readout is
-the single-particle unitary of the shifted time (hilbert.mode_unitaries),
-and one stochastic dephasing trajectory is hilbert.trajectory_sample.  Disorder instances are reproducible from
-their seed.
+handed to the decoder: a single phase flip injected mid-transfer, the
+expm oracle for the single-Z read-out, or a disorder instance of the
+couplings, reproducible from its seed.  The other scenarios are mode
+unitaries in hilbert: a timing offset on the readout is the
+single-particle unitary of the shifted time (mode_unitaries), and a run
+with phase flips, such as one stochastic dephasing trajectory
+(trajectory_sample), is one product of those and reflections
+(jump_unitary).
 """
 
 from __future__ import annotations

@@ -16,7 +16,14 @@ from chainqec.decoder import (
 )
 from chainqec.freefermion import MajoranaMonomial, fermion_to_pauli, jordan_wigner
 from chainqec.harness import RevivalSetup
-from chainqec.hilbert import StateVector, apply_pauli, basis_state, evolve, trajectory_sample
+from chainqec.hilbert import (
+    StateVector,
+    apply_pauli,
+    basis_state,
+    evolve,
+    mode_unitaries,
+    trajectory_sample,
+)
 from chainqec.noise import inject_single_z
 from chainqec.pauli import (
     PauliString,
@@ -511,7 +518,7 @@ def test_revival_mode_on_phaseflip_inner_code():
 
 def test_success_probability_noiseless(chain15):
     setup = RevivalSetup(chain15, 1 / np.sqrt(2), 1 / np.sqrt(2))
-    success, discarded = setup.success_timing([0.0])
+    success, discarded = setup.success_mode_unitaries(mode_unitaries(chain15, [setup.duration]))
     assert success[0] == pytest.approx(1.0, abs=1e-9)
     assert discarded[0] == 0.0
 
@@ -529,7 +536,7 @@ def test_success_probability_single_z_input_independent(chain15):
 
 def test_success_probability_timing_between_zero_and_one(chain15):
     setup = RevivalSetup(chain15, 1 / np.sqrt(2), 1 / np.sqrt(2))
-    val = setup.success_timing([0.3 / 14])[0][0]
+    val = setup.success_mode_unitaries(mode_unitaries(chain15, [setup.duration + 0.3 / 14]))[0][0]
     assert 0.0 < val < 1.0
 
 

@@ -1,4 +1,5 @@
-"""The free-fermion Givens engine, the quadratic-form single-Z read-out and the shared pair table."""
+"""The free-fermion Givens engine and jump unitaries, the quadratic-form single-Z read-out
+and the shared pair table."""
 
 from itertools import combinations
 
@@ -7,22 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainqec.chain import ChainSpec, _u_of_t, single_excitation_matrix
+from chainqec.chain import ChainSpec, _u_of_t, pst_couplings, single_excitation_matrix
+from chainqec.code import encode, minimal15
 from chainqec.hilbert import (
     StateVector,
     _givens_factor,
     _occupied_weights,
     _sector_table,
+    apply_mode_unitary,
+    apply_pauli,
     basis_state,
     dense_hamiltonian,
     dense_unitary,
     evolve,
     hop_rows,
+    jump_unitary,
+    sample_rng,
     sector_indices,
     sector_sparse,
     single_z_modes,
+    trajectory_sample,
 )
-from chainqec.pauli import site_bit
+from chainqec.pauli import pauli_z, site_bit
 
 
 def random_chain(rng, n, with_fields):
@@ -156,6 +163,93 @@ def test_single_z_quadratic_form_matches_dense_flip(spec, data):
     zsign = np.where(np.arange(1 << n) & site_bit(n, site), -1.0, 1.0)
     want = dense_unitary(spec, total - t) @ (zsign * (dense_unitary(spec, t) @ psi.amps))
     np.testing.assert_allclose(arrival.amps - 2.0 * n_v, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=chains(max_sites=7), data=st.data())
+def test_jump_unitary_applied_once_matches_expm_between_flips(spec, data):
+    # Gamma(U(D - t_k) R_k ... R_1 U(t_1)) against expm evolutions and Z_s between them
+    n = spec.n_sites
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    weight = data.draw(st.integers(-1, n))  # -1: a state over every weight at once
+    if weight < 0:
+        v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        psi = StateVector(v / np.linalg.norm(v), n)
+    else:
+        psi = sector_state(rng, n, weight)
+    duration = data.draw(st.floats(0.0, 4.0))
+    k = data.draw(st.integers(0, 3))
+    times = sorted(data.draw(st.lists(st.floats(0.0, duration), min_size=k, max_size=k)))
+    jumps = list(zip(times, data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k))))
+    want, prev = psi, 0.0
+    for t, site in jumps:
+        want = apply_pauli(evolve(want, spec, t - prev, method="expm"), pauli_z(n, site))
+        prev = t
+    want = evolve(want, spec, duration - prev, method="expm")
+    got = apply_mode_unitary(psi, jump_unitary(spec, duration, jumps))
+    np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-12)
+
+
+def _trajectory_loop(state, gamma, duration, rng_seed, spec):
+    """trajectory_sample as it once ran: Givens evolves between the jumps' phase flips."""
+    rng = sample_rng(rng_seed, 0)
+    events = []
+    for site in range(1, spec.n_sites + 1):
+        for t_j in rng.uniform(0, duration, rng.poisson(gamma * duration)):
+            events.append((float(t_j), site))
+    events.sort()
+    psi, t_prev = state, 0.0
+    for t_j, site in events:
+        if t_j > t_prev:
+            psi = evolve(psi, spec, t_j - t_prev, method="givens")
+        psi = apply_pauli(psi, pauli_z(spec.n_sites, site))
+        t_prev = t_j
+    if duration > t_prev:
+        psi = evolve(psi, spec, duration - t_prev, method="givens")
+    return psi, tuple(events)
+
+
+def test_trajectory_is_the_loop_between_jumps():
+    # same Poisson draws, so the same events; one Gamma(M) in place of k + 1 evolves
+    spec = pst_couplings(15)
+    psi = encode(minimal15(), 2**-0.5, 2**-0.5)
+    counts = set()
+    for seed in range(12):
+        got, events = trajectory_sample(psi, 0.05, np.pi, seed, spec)
+        want, want_events = _trajectory_loop(psi, 0.05, np.pi, seed, spec)
+        assert events == want_events, seed
+        np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-12, err_msg=str(seed))
+        counts.add(len(events))
+    assert len(counts) >= 3  # trajectories with several jump counts, zero included
+    assert 0 in counts
+
+
+def test_mode_unitary_engine_refuses_bad_input():
+    spec = ChainSpec(3, (1.0, 1.0), (0.0,) * 3)
+    psi = basis_state(3, [1])
+    u = jump_unitary(spec, 1.0, [])
+    # a smaller M would rotate the first modes of the state and leave the rest
+    for bad in (u[:2, :2], np.eye(4), u[None]):
+        with pytest.raises(ValueError, match="size mismatch"):
+            apply_mode_unitary(psi, bad)
+    with pytest.raises(ValueError, match="finite"):
+        apply_mode_unitary(psi, np.where(np.eye(3), np.nan, u))
+    with pytest.raises(ValueError, match="unitary"):
+        apply_mode_unitary(psi, 2.0 * u)
+    for site in (0, 4, 1.5):
+        with pytest.raises(ValueError, match="whole number in 1..N"):
+            jump_unitary(spec, 1.0, [(0.5, site)])
+    for jumps in ([(0.6, 1), (0.2, 2)], [(-0.1, 1)], [(1.2, 1)]):
+        with pytest.raises(ValueError, match="ordered within"):
+            jump_unitary(spec, 1.0, jumps)
+    with pytest.raises(ValueError, match="ordered within"):
+        jump_unitary(spec, -1.0, [])
+    with pytest.raises(ValueError, match="finite"):
+        jump_unitary(spec, 1.0, [(np.nan, 1)])
+    # a trajectory on a chain of another length, with or without jumps
+    for gamma in (0.0, 5.0):
+        with pytest.raises(ValueError, match="size mismatch"):
+            trajectory_sample(basis_state(4, [1]), gamma, 1.0, 0, spec)
 
 
 def test_single_z_update_rejects_bad_samples():

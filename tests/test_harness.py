@@ -24,7 +24,7 @@ from chainqec.harness import (
     make_code,
     sample_rng,
 )
-from chainqec.hilbert import apply_pauli, evolve, mode_unitaries
+from chainqec.hilbert import apply_pauli, evolve, jump_unitary, mode_unitaries
 from chainqec.noise import disordered_spec
 from chainqec.pauli import from_sites, pauli_z
 
@@ -413,16 +413,6 @@ def logical_setup(request):
     return RevivalSetup(pst_couplings(15), *LOGICALS[request.param])
 
 
-def _jump_product(spec, duration, jumps) -> np.ndarray:
-    """U(D - t_k) R_k ... R_1 U(t_1) with R = I - 2 e_s e_s^T, the mode matrix of Z_s."""
-    times = np.diff([0.0, *(t for t, _ in jumps), duration])
-    steps = mode_unitaries(spec, times)
-    m = steps[0]
-    for (_, site), step in zip(jumps, steps[1:]):
-        m = step @ (m * np.where(np.arange(1, spec.n_sites + 1) == site, -1.0, 1.0)[:, None])
-    return m
-
-
 def _givens_row(setup, spec, duration, jumps=()) -> np.ndarray:
     """The revival state on the support: Givens evolves between the jumps' phase flips."""
     psi, prev = setup.encoded, 0.0
@@ -434,9 +424,14 @@ def _givens_row(setup, spec, duration, jumps=()) -> np.ndarray:
 
 
 def _assert_matches_givens(setup, stack, rows):
-    got = setup.success_mode_unitaries(stack)
-    want, _ = setup.evaluator.success(np.array(rows))
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # exact members from minors, pruned ones from one Givens application of M each
+    for prune in (0.0, 1e-12):
+        got, discarded = setup.success_mode_unitaries(stack, prune)
+        want, want_discarded = setup.evaluator.success(np.array(rows), prune)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(discarded, want_discarded, rtol=0, atol=1e-12)
+        if not prune:
+            np.testing.assert_array_equal(discarded, 0.0)
 
 
 def test_minors_match_givens_at_timing_offsets(logical_setup, chain15):
@@ -444,11 +439,6 @@ def test_minors_match_givens_at_timing_offsets(logical_setup, chain15):
     deltas = np.array([-0.3, -0.01, 0.002, 0.05, 0.2])
     rows = [_givens_row(s, chain15, s.duration + d) for d in deltas]
     _assert_matches_givens(s, mode_unitaries(chain15, s.duration + deltas), rows)
-    got, discarded = s.success_timing(deltas)
-    np.testing.assert_array_equal(
-        got, s.success_mode_unitaries(mode_unitaries(chain15, s.duration + deltas))
-    )
-    np.testing.assert_array_equal(discarded, 0.0)
 
 
 def test_minors_match_givens_on_disordered_chains(logical_setup, chain15):
@@ -458,9 +448,12 @@ def test_minors_match_givens_on_disordered_chains(logical_setup, chain15):
             perturbed, zeta = disordered_spec(chain15, f, draw)
             row = _givens_row(s, perturbed, s.duration)
             _assert_matches_givens(s, mode_unitaries(perturbed, [s.duration]), [row])
-            got = s.success_coupling_instance(f, draw)
-            assert got == (s.success_mode_unitaries(mode_unitaries(perturbed, [s.duration]))[0],
-                           zeta, 0.0)
+            for prune in (0.0, 1e-12):
+                success, discarded = s.success_mode_unitaries(
+                    mode_unitaries(perturbed, [s.duration]), prune
+                )
+                got = s.success_coupling_instance(f, draw, prune)
+                assert got == (success[0], zeta, discarded[0])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -471,7 +464,7 @@ def test_minors_match_givens_on_jump_products(logical_setup, chain15, k):
         tuple(zip(np.sort(rng.uniform(0.0, s.duration, k)), rng.integers(1, 16, k)))
         for _ in range(3)
     ]
-    stack = np.array([_jump_product(chain15, s.duration, jumps) for jumps in trajectories])
+    stack = np.array([jump_unitary(chain15, s.duration, jumps) for jumps in trajectories])
     rows = [_givens_row(s, chain15, s.duration, jumps) for jumps in trajectories]
     _assert_matches_givens(s, stack, rows)
 
@@ -480,7 +473,22 @@ def test_minors_at_the_revival_time_read_the_encoded_state(logical_setup, chain1
     # U(2T) is the identity up to roundoff: most 5 x 5 blocks are singular there
     s = logical_setup
     for m in (mode_unitaries(chain15, [s.duration]), np.eye(15)[None]):
-        assert s.success_mode_unitaries(m)[0] == pytest.approx(1.0, abs=1e-12)
+        assert s.success_mode_unitaries(m)[0][0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_single_z_matches_its_jump_unitary(logical_setup, chain15):
+    # the two production read-outs of one phase flip: the quadratic form in
+    # the flipped mode, and minors (or Givens rows) of U(D - t) R_s U(t)
+    s = logical_setup
+    rng = np.random.default_rng(72)
+    sites = np.array([1, 15, 8, *rng.integers(1, 16, 5)])
+    t_errs = np.array([0.0, s.duration, 1.1, *rng.uniform(0.0, s.duration, 5)])
+    stack = np.array([jump_unitary(chain15, s.duration, [(t, site)])
+                      for site, t in zip(sites, t_errs)])
+    for prune in (0.0, 1e-12):
+        got = s.success_single_z(sites, t_errs, prune)
+        want = s.success_mode_unitaries(stack, prune)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(prune))
 
 
 def test_minors_match_expm_and_pipeline(code15, chain15):
@@ -489,7 +497,8 @@ def test_minors_match_expm_and_pipeline(code15, chain15):
     setup = harness._revival_setup(chain15)
     opts = DecodeOptions(mode="revival")
     deltas = (0.013, -0.07)
-    got, _ = setup.success_timing(deltas)
+    m = mode_unitaries(chain15, setup.duration + np.array(deltas))
+    got, _ = setup.success_mode_unitaries(m)
     cases = [(value, chain15, setup.duration + delta) for delta, value in zip(deltas, got)]
     for f, draw in ((0.05, 11), (0.2, 12)):
         value = setup.success_coupling_instance(f, draw)[0]
@@ -506,30 +515,39 @@ def test_stack_member_does_not_depend_on_its_stack(chain15):
     stack = np.concatenate([
         mode_unitaries(chain15, setup.duration + rng.uniform(-0.3, 0.3, 5)),
         mode_unitaries(disordered_spec(chain15, 0.1, 5)[0], [setup.duration]),
-        [_jump_product(chain15, setup.duration, ((0.4, 3), (2.2, 9)))],
+        [jump_unitary(chain15, setup.duration, ((0.4, 3), (2.2, 9)))],
     ])
-    whole = setup.success_mode_unitaries(stack)
-    for k in range(len(stack)):
-        assert setup.success_mode_unitaries(stack[k:k + 1])[0] == whole[k]
-    deltas = rng.uniform(-0.3, 0.3, 7)
-    whole, _ = setup.success_timing(deltas)
-    np.testing.assert_array_equal([setup.success_timing([d])[0][0] for d in deltas], whole)
+    for prune in (0.0, 1e-12):
+        success, discarded = setup.success_mode_unitaries(stack, prune)
+        if prune:
+            assert discarded.max() > 0
+        for k in range(len(stack)):
+            alone = setup.success_mode_unitaries(stack[k:k + 1], prune)
+            assert (alone[0][0], alone[1][0]) == (success[k], discarded[k]), (prune, k)
+    # nor does a mode unitary depend on the other times it is built with
+    times = setup.duration + rng.uniform(-0.3, 0.3, 7)
+    whole, _ = setup.success_mode_unitaries(mode_unitaries(chain15, times))
+    alone = [setup.success_mode_unitaries(mode_unitaries(chain15, [t]))[0][0] for t in times]
+    np.testing.assert_array_equal(alone, whole)
 
 
 def test_mode_unitary_scoring_refuses_bad_input(chain15):
     setup = harness._revival_setup(chain15)
     u = mode_unitaries(chain15, [setup.duration])
     with pytest.raises(ValueError, match="finite"):
-        setup.success_timing([np.nan])  # _u_of_t would turn it into a NaN success
+        mode_unitaries(chain15, [np.nan])  # _u_of_t would turn it into a NaN success
     with pytest.raises(ValueError, match="finite"):
-        setup.success_timing([0.0, np.inf])
-    for bad in (u[0], u[:, :14, :14], np.ones((1, 15, 16))):
-        with pytest.raises(ValueError, match="stack of 15 x 15"):
-            setup.success_mode_unitaries(bad)
-    with pytest.raises(ValueError, match="finite"):
-        setup.success_mode_unitaries(np.where(np.eye(15), np.nan, u))
-    with pytest.raises(ValueError, match="unitary"):
-        setup.success_mode_unitaries(2.0 * u)
+        mode_unitaries(chain15, setup.duration + np.array([0.0, np.inf]))
+    with pytest.raises(ValueError, match="grid must be finite"):
+        exp_timing(delta_grid=(0.0, np.nan))
+    for prune in (0.0, 1e-12):  # exact and pruned members are checked alike
+        for bad in (u[0], u[:, :14, :14], np.ones((1, 15, 16))):
+            with pytest.raises(ValueError, match="stack of 15 x 15"):
+                setup.success_mode_unitaries(bad, prune)
+        with pytest.raises(ValueError, match="finite"):
+            setup.success_mode_unitaries(np.where(np.eye(15), np.nan, u), prune)
+        with pytest.raises(ValueError, match="unitary"):
+            setup.success_mode_unitaries(2.0 * u, prune)
 
 
 def test_exact_timing_and_coupling_never_evolve(monkeypatch):
@@ -541,12 +559,13 @@ def test_exact_timing_and_coupling_never_evolve(monkeypatch):
         raise AssertionError("a state was evolved or a row scored")
 
     monkeypatch.setattr(harness, "evolve", refuse)
+    monkeypatch.setattr(harness, "apply_mode_unitary", refuse)
     monkeypatch.setattr(harness.RevivalEvaluator, "success", refuse)
     assert exp_timing(delta_grid=(0.0, 0.01)).successes[0] == pytest.approx(1.0, abs=1e-12)
     assert exp_coupling(f_grid=(0.0, 0.05), instances=2, seed=1).mean_success[0] == pytest.approx(
         1.0, abs=1e-12
     )
-    # pruned scoring keeps its Givens rows
+    # pruned scoring applies each mode unitary to the encoded state once
     with pytest.raises(AssertionError, match="evolved"):
         exp_timing(delta_grid=(0.01,), prune_below=1e-7)
     with pytest.raises(AssertionError, match="evolved"):
@@ -576,6 +595,27 @@ def test_timing_quartic_onset():
     infid = 1.0 - np.array(curve.successes)
     slope = np.polyfit(np.log(deltas), np.log(infid), 1)[0]
     assert slope >= 3.5
+
+
+@pytest.mark.parametrize("prune", [np.inf, np.nan, -1e-3])
+@pytest.mark.parametrize("sweep", ["single_z", "timing", "coupling"])
+def test_sweeps_refuse_a_prune_floor_the_cli_refuses(sweep, prune, tmp_path):
+    # inf once scored every point 0, nan wrote a manifest that is not JSON,
+    # and a negative floor ran exactly under another manifest
+    run = {
+        "single_z": lambda **kw: exp_single_z(samples=1, **kw),
+        "timing": lambda **kw: exp_timing(delta_grid=(0.0,), **kw),
+        "coupling": lambda **kw: exp_coupling(f_grid=(0.05,), instances=1, **kw),
+    }[sweep]
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        run(out_dir=str(tmp_path / "bad"), prune_below=prune)
+    assert not (tmp_path / "bad").exists()
+    if prune < 0:  # while -0.0 is the exact run, and records its manifest
+        run(out_dir=str(tmp_path / "zero"), prune_below=-0.0)
+        run(out_dir=str(tmp_path / "exact"))
+        for name in ("manifest.json", "points.jsonl"):
+            zero, exact = (tmp_path / run_dir / name for run_dir in ("zero", "exact"))
+            assert zero.read_bytes() == exact.read_bytes()
 
 
 def test_timing_with_pruning_close_to_exact():
