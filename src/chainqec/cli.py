@@ -15,8 +15,8 @@ import numpy as np
 from . import __version__
 from .chain import ChainSpec, analyze_transfer, pst_couplings
 from .code import parity_condition
+from .decoder import check_prune
 from .harness import (
-    check_prune,
     exp_coupling,
     exp_dephasing,
     exp_single_z,
@@ -73,7 +73,7 @@ def _grid(text: str) -> tuple[float, ...]:
 
 
 def _prune(text: str) -> float:
-    """Parse a branch probability floor (harness.check_prune)."""
+    """Parse a branch probability floor (decoder.check_prune)."""
     try:
         return check_prune(float(text))
     except ValueError as exc:

@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from .code import StabilizerCode, encode
 from .hilbert import StateVector, _occupied_weights, sector_indices
-from .pauli import PauliString, mask_of_sites, popcount
+from .pauli import PauliString, mask_of_sites, z_sign
 
 _EXACT_ZERO = 0.0
 _MAX_X_CHECKS = 20  # the per-key arrays hold 2^(number of bit-flip checks) entries
@@ -89,6 +89,17 @@ class DecodeOptions:
     reference: StateVector | None = None  # expected state of the code qubits
 
 
+def check_prune(prune_below: float) -> float:
+    """The branch probability floor: finite and >= 0, with 0 exact.
+
+    A sweep's manifest records it, so one threshold has one record: -0.0
+    is returned as 0.0.
+    """
+    if not 0.0 <= prune_below < np.inf:
+        raise ValueError(f"prune {prune_below!r} must be finite and >= 0")
+    return float(prune_below) + 0.0
+
+
 # ---------------------------------------------------------------------------
 # decode tables: the rule set, built once per code
 # ---------------------------------------------------------------------------
@@ -138,6 +149,14 @@ class DecoderTables:
         return decoded
 
 
+def _syndrome_keys(check_masks, masks) -> np.ndarray:
+    """Syndrome key of each mask: bit g set iff it meets check_masks[g] an odd number of times."""
+    masks, check_masks = np.asarray(masks, dtype=np.int64), np.asarray(check_masks, dtype=np.int64)
+    # the parity is uint8: cast before the shift, or bits past the eighth are lost
+    odd = (np.bitwise_count(masks[..., None] & check_masks) & 1).astype(np.int64)
+    return (odd << np.arange(check_masks.size)).sum(axis=-1)
+
+
 def _trailing_mask(n_sites: int, flips) -> int:
     """Z-mask of the parity rule: Z wherever an odd number of flips lies below."""
     return mask_of_sites(
@@ -159,21 +178,21 @@ def decoder_tables(codeobj: StabilizerCode) -> DecoderTables:
     n_x = len(codeobj.x_detecting_generators)
     if n_x > _MAX_X_CHECKS:
         raise ValueError(f"decode tables sized for at most {_MAX_X_CHECKS} bit-flip checks")
+    if any(gen.x_mask for gen in codeobj.x_detecting_generators):
+        raise ValueError("bit-flip checks must be Z-type (diagonal)")
     n = codeobj.n_qubits
     tables = []
-    for gens, distance, x_error in (
-        (codeobj.x_detecting_generators, codeobj.dx, True),
-        (codeobj.z_detecting_generators, codeobj.dz, False),
+    # an X error is seen by the checks' Z part, a Z error by their X part
+    for checks, distance in (
+        ([gen.z_mask for gen in codeobj.x_detecting_generators], codeobj.dx),
+        ([gen.x_mask for gen in codeobj.z_detecting_generators], codeobj.dz),
     ):
-        # an X error is seen by the checks' Z part, a Z error by their X part
+        patterns = [sites for w in range(1, (distance - 1) // 2 + 1)
+                    for sites in combinations(range(1, n + 1), w)]
+        keys = _syndrome_keys(checks, [mask_of_sites(n, sites) for sites in patterns])
         table: dict[int, tuple[int, ...]] = {0: ()}
-        for w in range(1, (distance - 1) // 2 + 1):
-            for sites in combinations(range(1, n + 1), w):
-                mask = mask_of_sites(n, sites)
-                key = 0
-                for g, gen in enumerate(gens):
-                    key |= (popcount(mask & (gen.z_mask if x_error else gen.x_mask)) & 1) << g
-                table.setdefault(key, sites)
+        for key, sites in zip(keys.tolist(), patterns):
+            table.setdefault(key, sites)
         tables.append(MappingProxyType(table))
     x_table, z_table = tables
     block_of = {s: b for b, blk in enumerate(codeobj.blocks) for s in blk}
@@ -196,15 +215,6 @@ def decoder_tables(codeobj: StabilizerCode) -> DecoderTables:
 # ---------------------------------------------------------------------------
 # full pipeline (sparse branch engine; the evaluator's oracle)
 # ---------------------------------------------------------------------------
-
-
-def _syndrome_keys_for_indices(gens, idx: np.ndarray) -> np.ndarray:
-    keys = np.zeros(idx.shape, dtype=np.int64)
-    for g, gen in enumerate(gens):
-        if gen.x_mask:
-            raise ValueError("bit-flip checks must be Z-type (diagonal)")
-        keys |= (np.bitwise_count(idx & gen.z_mask) & 1).astype(np.int64) << g
-    return keys
 
 
 def _z_outcome_split(ind: np.ndarray, amp: np.ndarray, gen: PauliString):
@@ -239,6 +249,7 @@ def decode_pipeline(
         )
     if state.n_sites != n_qubits:
         raise ValueError("revival mode needs the state on exactly the code qubits")
+    prune_below = check_prune(opt.prune_below)
     tables = decoder_tables(codeobj)
     psi = state.amps
     ref = (opt.reference or encode(codeobj, opt.alpha, opt.beta)).amps
@@ -246,7 +257,7 @@ def decode_pipeline(
     zgens = codeobj.z_detecting_generators
 
     nz = np.nonzero(np.abs(psi) ** 2 > _EXACT_ZERO)[0].astype(np.int64)
-    keys = _syndrome_keys_for_indices(xgens, nz)
+    keys = _syndrome_keys([gen.z_mask for gen in xgens], nz)
     order = np.argsort(keys, kind="stable")
     nz, keys = nz[order], keys[order]
     cuts = np.nonzero(np.diff(keys))[0] + 1
@@ -264,7 +275,7 @@ def decode_pipeline(
         amp = psi[ind]
         key = int(keys[grp[0]])
         p_branch = float(np.sum(np.abs(amp) ** 2))
-        if p_branch < opt.prune_below:
+        if p_branch < prune_below:
             discarded += p_branch
             continue
         x_out = tuple((key >> g) & 1 for g in range(len(xgens)))
@@ -279,7 +290,7 @@ def decode_pipeline(
             continue
         x_mask, z_mask = int(tables.x_mask[key]), int(tables.z_trail[key])
         corr_x = PauliString(n_qubits, x_mask, z_mask)
-        ind2, amp2 = ind ^ x_mask, amp * _z_sign(ind & z_mask)
+        ind2, amp2 = ind ^ x_mask, amp * z_sign(ind & z_mask)
         srt = np.argsort(ind2)
         stack = [((), ind2[srt], amp2[srt])]
         for gen in zgens:
@@ -294,7 +305,7 @@ def decode_pipeline(
             stack = nxt
         for z_out, bi, ba in stack:
             p_leaf = float(np.sum(np.abs(ba) ** 2))
-            if p_leaf < opt.prune_below:
+            if p_leaf < prune_below:
                 discarded += p_leaf
                 continue
             zkey = 0
@@ -310,7 +321,7 @@ def decode_pipeline(
                 )
                 continue
             zc_mask = mask_of_sites(n_qubits, zc_sites)
-            ba_corr = ba * _z_sign(bi & zc_mask)
+            ba_corr = ba * z_sign(bi & zc_mask)
             fid = leaf_overlap(bi, ba_corr) / p_leaf
             records.append(
                 BranchRecord(
@@ -374,7 +385,7 @@ class RevivalEvaluator:
         for g, gen in enumerate(zgens):
             check_masks[1 << g:2 << g] = check_masks[:1 << g] ^ gen.x_mask
         outcomes = np.arange(n_out)
-        leaf_signs = _z_sign(outcomes[:, None] & outcomes)
+        leaf_signs = z_sign(outcomes[:, None] & outcomes)
 
         # column (key, o) of W holds C2|ref> at i ^ x_mask[key], conjugated and
         # signed (-1)^{|i & z_trail[key]|}, so rows @ W is <ref|C2 P_o C1|row>
@@ -383,17 +394,16 @@ class RevivalEvaluator:
         # decode_pipeline gives leaf (key, o), cross_reference(o, flips).  The
         # reference is a +1 eigenstate of every phase check, so P_o C2|ref> is
         # C2|ref> when o is the phase syndrome of C2 and 0 otherwise.
-        columns = []  # (key, o, Z mask of C2)
-        for key, flips in sorted(tables.x_table.items()):
-            for o in range(n_out):
-                c2 = mask_of_sites(n, tables.cross_reference(o, flips) or ())
-                if sum((popcount(c2 & gen.x_mask) & 1) << g for g, gen in enumerate(zgens)) == o:
-                    columns.append((key, o, c2))
-        key, o, c2 = np.array(columns, dtype=np.int64).reshape(-1, 3).T
+        columns = np.array([  # (key, o, Z mask of C2)
+            (key, o, mask_of_sites(n, tables.cross_reference(o, flips) or ()))
+            for key, flips in sorted(tables.x_table.items()) for o in range(n_out)
+        ], dtype=np.int64).reshape(-1, 3)
+        syndromes = _syndrome_keys([gen.x_mask for gen in zgens], columns[:, 2])
+        key, o, c2 = columns[syndromes == columns[:, 1]].T
         ref_ind = np.flatnonzero(ref.amps)
         ind = ref_ind ^ tables.x_mask[key][:, None]  # (column, reference entry)
-        vals = np.conj(ref.amps[ref_ind]) * _z_sign(ref_ind & c2[:, None])
-        vals *= _z_sign(ind & tables.z_trail[key][:, None])
+        vals = np.conj(ref.amps[ref_ind]) * z_sign(ref_ind & c2[:, None])
+        vals *= z_sign(ind & tables.z_trail[key][:, None])
         pos = position[ind]
         cols = np.broadcast_to((key * n_out + o)[:, None], ind.shape)
         inner = pos < support.size  # columns with no entry on the support go
@@ -406,7 +416,7 @@ class RevivalEvaluator:
         # leaving the support read zero amplitudes and are left out): one
         # column per bit-flip key on the support for its branch mass (the
         # S = 0 pairs), then n_out per decodable key for its leaf masses
-        support_keys = _syndrome_keys_for_indices(codeobj.x_detecting_generators, support)
+        support_keys = _syndrome_keys([g.z_mask for g in codeobj.x_detecting_generators], support)
         present, key_col = np.unique(support_keys, return_inverse=True)
         self.leaf_keys = np.flatnonzero(tables.correctable[present])  # positions in present
         leaf_col = np.full(present.size, -1)
@@ -417,7 +427,7 @@ class RevivalEvaluator:
         leaf = leaf_col[key_col[p]]
         own, dec = np.flatnonzero(check == 0), np.flatnonzero(leaf >= 0)
         # the correction commutes with X_S up to (-1)^{|m_S & trail|}
-        trail = _z_sign(tables.z_trail[support_keys[p[dec]]] & check_masks[check[dec]])
+        trail = z_sign(tables.z_trail[support_keys[p[dec]]] & check_masks[check[dec]])
         data = [np.ones(own.size), (leaf_signs[check[dec]] * trail[:, None]).ravel() / n_out]
         pair = [own, np.repeat(dec, n_out)]
         col = [key_col[p[own]], present.size + (leaf[dec][:, None] * n_out + outcomes).ravel()]
@@ -442,6 +452,7 @@ class RevivalEvaluator:
         split; in a kept decodable branch each phase leaf with mass below
         `prune_below` is discarded.
         """
+        prune_below = check_prune(prune_below)
         xt = np.ascontiguousarray(np.atleast_2d(rows).T)  # (support, state)
         mass = np.abs(self.weights.T @ xt) ** 2  # (column of W, state)
         discarded = np.zeros(xt.shape[1])
@@ -479,11 +490,6 @@ class RevivalEvaluator:
         col_key = self.col_key
         kept = branch_kept[self.leaf_keys[col_key]] & ~leaf_dropped[col_key, self.col_out]
         return kept, discarded
-
-
-def _z_sign(masked: np.ndarray) -> np.ndarray:
-    """(-1)^{popcount}: the sign a Z string picks up on the basis states `masked` by it."""
-    return 1.0 - 2.0 * (np.bitwise_count(masked) & 1)
 
 
 def _state_sums(a: np.ndarray) -> np.ndarray:

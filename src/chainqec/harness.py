@@ -23,13 +23,14 @@ import scipy.sparse as sp
 from . import __version__
 from .chain import ChainSpec, analyze_transfer, pst_couplings
 from .code import StabilizerCode, encode, minimal15, shor_code
-from .decoder import RevivalEvaluator, _state_sums
+from .decoder import RevivalEvaluator, _state_sums, check_prune
 from .errors import ResourceLimitError
 from .freefermion import chi_decay
 from .hilbert import (
     StateVector,
     apply_mode_unitary,
     check_mode_unitaries,
+    check_sites,
     chi,
     dense_unitary,
     evolve,
@@ -40,7 +41,6 @@ from .hilbert import (
     mode_minors,
     mode_unitaries,
     sample_rng,
-    single_z_modes,
 )
 from .noise import disordered_spec
 from .pauli import PauliString
@@ -197,9 +197,12 @@ class RevivalSetup:
     The error-free arrival state phi = e^{-iH duration}|encoded> is
     computed once, by a Givens evolve; a phase flip on site s at time t
     then arrives as phi - 2 n_v phi, one rotated fermionic mode v about it,
-    instead of two full evolutions.  Since n_v = sum_ij conj(v_i) v_j
-    c_i^dag c_j, that state is a quadratic form in v: with q = conj(v) (x) v the rows on the
-    evaluator's support are phi - 2 q H, H the sparse N^2 x support table
+    instead of two full evolutions: v is row s of the mode unitary
+    U(t - duration), from the same mode_unitaries that serves every other
+    scenario (single_z_forms).  Since n_v = sum_ij conj(v_i) v_j
+    c_i^dag c_j, that state is a quadratic form in v: with
+    q = conj(v) (x) v the rows on the evaluator's support are
+    phi - 2 q H, H the sparse N^2 x support table
     of the hopped states c_i^dag c_j phi (hop_rows).  Every revival state
     stays in the excitation sectors the encoded state occupies, the
     support, so a chunk of samples is scored on (S, support) blocks, never
@@ -266,8 +269,18 @@ class RevivalSetup:
         return table
 
     def single_z_forms(self, sites, t_errs) -> np.ndarray:
-        """(S, N^2) rows q_k = conj(v_k) (x) v_k, v_k the mode the flip of sample k rotates."""
-        v = single_z_modes(self.spec, sites, np.asarray(t_errs, dtype=float) - self.duration)
+        """(S, N^2) rows q_k = conj(v_k) (x) v_k, v_k the mode the flip of sample k rotates.
+
+        Z_s conjugated by U(tau) = exp(-i H1 tau) is 1 - 2 n_v with v row s
+        of U(tau) (mode_unitaries), tau = t_err - duration.  Refuses
+        anything but one site per time, a site that is not a whole number
+        in 1..N (check_sites) and a non-finite time.
+        """
+        t_errs = np.asarray(t_errs, dtype=float)
+        if t_errs.ndim != 1 or np.shape(sites) != t_errs.shape:
+            raise ValueError("need one site per time")
+        rows = check_sites(self.spec.n_sites, sites) - 1
+        v = mode_unitaries(self.spec, t_errs - self.duration)[np.arange(rows.size), rows]
         return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), v.shape[1] ** 2)
 
     def single_z_rows(self, q: np.ndarray) -> np.ndarray:
@@ -280,9 +293,9 @@ class RevivalSetup:
 
         Returns (success probability, discarded mass) arrays, one entry per
         sample; branches below prune_below are discarded (0 = exact).  Each
-        sample's v is one GEMV and K or H is applied by scipy's sparse
-        kernels, which sum each entry in a fixed order, so a value does not
-        depend on its chunk.
+        sample's v is a row of its own U(tau), and K or H is applied by
+        scipy's sparse kernels, which sum each entry in a fixed order, so a
+        value does not depend on its chunk.
         """
         q = self.single_z_forms(sites, t_errs)
         if prune_below <= 0.0:
@@ -350,17 +363,6 @@ class SingleZSummary:
     @property
     def mean_success(self) -> float:
         return float(np.mean(self.successes)) if self.successes else float("nan")
-
-
-def check_prune(prune_below: float) -> float:
-    """The branch probability floor of a sweep: finite and >= 0, with 0 exact.
-
-    A sweep's manifest records it, so one threshold has one record: -0.0
-    is returned as 0.0.
-    """
-    if not 0.0 <= prune_below < np.inf:
-        raise ValueError(f"prune {prune_below!r} must be finite and >= 0")
-    return float(prune_below) + 0.0
 
 
 def exp_single_z(

@@ -20,11 +20,14 @@ N = 15 oracle.  Neither caches anything that depends on the chain's
 couplings or fields.  Exact revival scoring builds no state at all:
 each amplitude the decoder reads is a sum of minors of M (minor_plan,
 mode_minors).  A single phase flip during transport is one rotated mode
-v about the error-free arrival state phi, read out as phi - 2 n_v phi
-(single_z_modes gives v).  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j,
-that state is a quadratic form in v over the N^2 hopped states
-c_i^dag c_j phi (hop_rows), from which the revival set-up builds pruned
-samples' rows and scores exact samples without building any.
+v about the error-free arrival state phi, read out as phi - 2 n_v phi,
+with v the flipped site's row of a mode unitary (mode_unitaries).  Since
+n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that state is a quadratic form
+in v over the N^2 hopped states c_i^dag c_j phi (hop_rows), from which
+the revival set-up builds pruned samples' rows and scores exact samples
+without building any.  Both exact oracles (evolve's "expm" and
+lindblad_evolve) leave a state unchanged when no entry of their
+generator times t reaches the smallest normal float (_expm_apply).
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from .chain import ChainSpec, _u_of_t, single_excitation_matrix
+from .chain import ChainSpec, single_excitation_matrix
 from .errors import ResourceLimitError
-from .pauli import PauliString, site_bit
+from .pauli import PauliString, site_bit, z_sign
 
 _DENSITY_MATRIX_MAX_SITES = 8
 _DENSE_H_MAX_SITES = 12
@@ -98,9 +101,8 @@ def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
     if p.n_sites != state.n_sites:
         raise ValueError("size mismatch")
     idx = np.arange(state.amps.size, dtype=np.int64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z_mask) & 1)
     out = np.empty_like(state.amps)
-    out[idx ^ p.x_mask] = p.phase * signs * state.amps
+    out[idx ^ p.x_mask] = p.phase * z_sign(idx & p.z_mask) * state.amps
     return StateVector(out, state.n_sites)
 
 
@@ -232,10 +234,24 @@ def evolve(
     try:
         for w in _occupied_weights(state):
             states = _sector_table(spec.n_sites, w)[0]
-            amps[states] = expm_multiply(-1j * t * sector_sparse(spec, w), amps[states])
+            amps[states] = _expm_apply(-1j * t * sector_sparse(spec, w), amps[states])
     finally:
         np.random.set_state(rng_state)
     return StateVector(amps, state.n_sites)
+
+
+def _expm_apply(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """e^A v by scipy's expm_multiply, or v copied when no entry of A reaches the smallest normal.
+
+    There (A = -iHt at t = 0 included) ||A||_1 < dim * 2.2e-308, so no
+    entry of v moves by more than that, and expm_multiply, at a subnormal
+    ||A||_1, would take zero steps and divide by that count (a
+    RuntimeWarning).  The largest entry, not the 1-norm, is tested: it is
+    one pass over the stored values, where the sparse 1-norm builds |A|.
+    """
+    if np.abs(a.data).max(initial=0.0) < np.finfo(float).tiny:
+        return v.copy()
+    return expm_multiply(a, v)
 
 
 def check_mode_unitaries(m, n: int) -> np.ndarray:
@@ -277,47 +293,33 @@ def apply_mode_unitary(state: StateVector, m) -> StateVector:
     return StateVector(amps, n)
 
 
-def single_z_modes(spec: ChainSpec, sites, taus) -> np.ndarray:
-    """(S, N) rows v_k = row sites[k] of exp(-i H1 taus[k]): the mode each flip rotates.
+def check_sites(n_sites: int, sites) -> np.ndarray:
+    """sites as int64, refused unless each is a whole number in 1..N.
 
-    Z_s conjugated by e^{-iH tau} is 1 - 2 n_v with n_v = a_v^dag a_v and
-    a_v = sum_j v_j c_j.  One GEMV per sample, so a row does not depend on
-    the others.  Refuses a site that is not a whole number in 1..N, a
-    non-finite time and anything but one site per time.
+    An int64 cast alone would read 1.7 as site 1, and an index of 0 would
+    read site N through a negative index.
     """
-    n = spec.n_sites
-    sites = np.asarray(sites)
-    taus = np.asarray(taus, dtype=float)
-    if sites.ndim != 1 or sites.shape != taus.shape:
-        raise ValueError("need one site per time")
-    if np.any(sites != np.floor(sites)):  # an int64 cast would truncate 1.7 to site 1
-        raise ValueError("site must be a whole number")
-    if np.any((sites < 1) | (sites > n)):
-        raise ValueError("site out of range")
-    sites = sites.astype(np.int64)
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("time must be finite")
-    evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
-    v = np.empty((sites.size, n), dtype=complex)
-    for k, (s, tau) in enumerate(zip(sites, taus)):
-        v[k] = (evecs[s - 1] * np.exp(-1j * evals * tau)) @ evecs.T
-    return v
+    sites = np.asarray(sites, dtype=float)
+    if np.any((sites < 1) | (sites > n_sites) | (sites != np.floor(sites))):
+        raise ValueError("site out of range: need a whole number in 1..N")
+    return sites.astype(np.int64)
 
 
 def mode_unitaries(spec: ChainSpec, times) -> np.ndarray:
     """(S, N, N) single-particle unitaries exp(-i H1 t), one per time, from one eigh.
 
     Gamma(M)|psi> = e^{-iHt}|psi> for each (apply_mode_unitary,
-    minor_plan).  Refuses a non-finite time.
+    minor_plan).  One stacked product, in which numpy multiplies each
+    member alone (the GEMM chain._u_of_t makes), so a member does not
+    depend on the stack.  Refuses a non-finite time.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("need a 1-D array of times")
     if not np.all(np.isfinite(times)):
         raise ValueError("time must be finite")
-    n = spec.n_sites
     evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
-    return np.array([_u_of_t(evals, evecs, t) for t in times], dtype=complex).reshape(-1, n, n)
+    return (evecs * np.exp(-1j * evals * times[:, None])[:, None, :]) @ evecs.T
 
 
 def jump_unitary(spec: ChainSpec, duration: float, jumps) -> np.ndarray:
@@ -327,12 +329,11 @@ def jump_unitary(spec: ChainSpec, duration: float, jumps) -> np.ndarray:
     U(t) = exp(-i H1 t) (mode_unitaries) and R = I - 2 e_s e_s^T is the
     mode matrix of Z_s = exp(i pi n_s), so Gamma of the product is the
     chain's evolution with Z on site s_j at time t_j.  Refuses a site that
-    is not a whole number in 1..N and times out of order or outside [0, D].
+    is not a whole number in 1..N (check_sites) and times out of order or
+    outside [0, D].
     """
     times = np.array([0.0, *(t for t, _ in jumps), duration], dtype=float)
-    sites = np.array([s for _, s in jumps], dtype=float)
-    if np.any((sites < 1) | (sites > spec.n_sites) | (sites != np.floor(sites))):
-        raise ValueError("jump site must be a whole number in 1..N")
+    sites = check_sites(spec.n_sites, [s for _, s in jumps])
     if np.any(np.diff(times) < 0):
         raise ValueError("jump times must be ordered within [0, duration]")
     steps = mode_unitaries(spec, np.diff(times))
@@ -415,9 +416,8 @@ def hop_rows(state: StateVector, support: np.ndarray) -> sp.csr_array:
         lo, hi = max(b_i, b_j), min(b_i, b_j)
         between = lo - 2 * hi if lo > hi else 0  # the bits strictly between sites i and j
         hit = np.flatnonzero(((y & b_i) != 0) & (((y & b_j) == 0) | (b_i == b_j)))
-        signs = 1.0 - 2.0 * (np.bitwise_count(y[hit] & between) & 1)
         cols.append(hit)
-        vals.append(signs * state.amps[y[hit] ^ b_i ^ b_j])
+        vals.append(z_sign(y[hit] & between) * state.amps[y[hit] ^ b_i ^ b_j])
     indptr = np.cumsum([0] + [c.size for c in cols])
     return sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n * n, y.size))
 
@@ -478,14 +478,12 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, t: float)
         raise ValueError("gamma must be nonnegative")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        return DensityMatrix(rho.mat.copy(), n)
     h = sp.csr_matrix(dense_hamiltonian(spec))
     eye = sp.identity(1 << n, format="csr")
     idx = np.arange(1 << n, dtype=np.int64)
     flips = np.bitwise_count(idx[:, None] ^ idx[None, :]).ravel()
     liouvillian = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) - sp.diags(2.0 * gamma * flips)
-    vec = expm_multiply(liouvillian.tocsr() * t, rho.mat.ravel())
+    vec = _expm_apply(liouvillian.tocsr() * t, rho.mat.ravel())
     return DensityMatrix(vec.reshape(rho.mat.shape), n)
 
 
@@ -515,8 +513,7 @@ def chi(rho: DensityMatrix, spec: ChainSpec, n: int, t: float) -> complex:
     rho_int = u.conj().T @ rho.mat @ u
     c = jordan_wigner(mirror_mode(spec.n_sites, n), spec.n_sites)
     idx = np.arange(rho_int.shape[0], dtype=np.int64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & c.z_mask) & 1)
-    return complex(c.phase * np.sum(rho_int[idx, idx ^ c.x_mask] * signs))
+    return complex(c.phase * np.sum(rho_int[idx, idx ^ c.x_mask] * z_sign(idx & c.z_mask)))
 
 
 def sample_rng(*words: int) -> np.random.Generator:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import ChainSpec, single_excitation_matrix
-from .hilbert import StateVector, apply_pauli, evolve, sample_rng
-from .pauli import PauliString, site_bit
+from .hilbert import StateVector, apply_pauli, check_sites, evolve, sample_rng
+from .pauli import pauli_z
 
 
 def inject_single_z(
@@ -30,14 +30,14 @@ def inject_single_z(
     """Evolve to t_err, flip the phase of one site, evolve out to total_time.
 
     The oracle for single-Z samples: both evolutions are hilbert.evolve's
-    exact "expm" method, independent of the free-fermion engine.
+    exact "expm" method, independent of the free-fermion engine.  Refuses a
+    site that is not a whole number in 1..N (check_sites).
     """
-    if not 1 <= site <= spec.n_sites:
-        raise ValueError("site out of range")
+    site = int(check_sites(spec.n_sites, site))
     if not 0 <= t_err <= total_time:
         raise ValueError("need 0 <= t_err <= total_time")
     psi = evolve(state, spec, t_err, method="expm")
-    psi = apply_pauli(psi, PauliString(spec.n_sites, 0, site_bit(spec.n_sites, site)))
+    psi = apply_pauli(psi, pauli_z(spec.n_sites, site))
     return evolve(psi, spec, total_time - t_err, method="expm")
 
 

@@ -41,6 +41,11 @@ def popcount(v: int) -> int:
     return int(v).bit_count()
 
 
+def z_sign(masked: np.ndarray) -> np.ndarray:
+    """(-1)^{popcount}: the sign a Z string picks up on the basis states `masked` by it."""
+    return 1.0 - 2.0 * (np.bitwise_count(masked) & 1)
+
+
 @dataclass(frozen=True)
 class PauliString:
     n_sites: int

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -472,6 +473,30 @@ def test_expm_and_givens_agree_at_scale(code15, chain15, plus_logical15):
         a = evolve(plus_logical15, chain15, t, method="expm")
         b = evolve(plus_logical15, chain15, t, method="givens")
         assert np.abs(a.amps - b.amps).max() < 1e-10
+
+
+def test_pipeline_and_evaluator_refuse_bad_prune_floors(code15, plus_logical15):
+    # inf once discarded every branch, nan silently ran exactly
+    evaluator = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    row = plus_logical15.amps[evaluator.support]
+    for prune in (np.inf, np.nan, -1e-3):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            decode_pipeline(plus_logical15, code15, _options(prune_below=prune))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            evaluator.success(row, prune)
+    for prune in (0.0, -0.0, 1e-12):
+        report = decode_pipeline(plus_logical15, code15, _options(prune_below=prune))
+        assert report.success_probability == pytest.approx(1.0, abs=1e-12)
+        assert evaluator.success(row, prune)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pipeline_and_evaluator_refuse_x_type_bit_flip_checks(code15, plus_logical15):
+    checks = code15.x_detecting_generators[:-1] + (from_sites(15, xs=(14, 15)),)
+    code = replace(code15, x_detecting_generators=checks)
+    with pytest.raises(ValueError, match="Z-type"):
+        decode_pipeline(plus_logical15, code, _options())
+    with pytest.raises(ValueError, match="Z-type"):
+        RevivalEvaluator(code, 1 / np.sqrt(2), 1 / np.sqrt(2))
 
 
 def test_pipeline_rejects_reference_of_wrong_size(code15, plus_logical15):

@@ -23,10 +23,10 @@ from chainqec.hilbert import (
     evolve,
     hop_rows,
     jump_unitary,
+    mode_unitaries,
     sample_rng,
     sector_indices,
     sector_sparse,
-    single_z_modes,
     trajectory_sample,
 )
 from chainqec.pauli import pauli_z, site_bit
@@ -157,7 +157,7 @@ def test_single_z_quadratic_form_matches_dense_flip(spec, data):
     t = data.draw(st.floats(0.0, total))
     site = data.draw(st.integers(1, n))
     arrival = evolve(psi, spec, total, method="givens")
-    v = single_z_modes(spec, [site], [t - total])[0]
+    v = mode_unitaries(spec, [t - total])[0, site - 1]
     hopped = hop_rows(arrival, np.arange(1 << n)).toarray().reshape(n, n, 1 << n)
     n_v = np.einsum("i,j,ijx->x", v.conj(), v, hopped)
     zsign = np.where(np.arange(1 << n) & site_bit(n, site), -1.0, 1.0)
@@ -250,20 +250,6 @@ def test_mode_unitary_engine_refuses_bad_input():
     for gamma in (0.0, 5.0):
         with pytest.raises(ValueError, match="size mismatch"):
             trajectory_sample(basis_state(4, [1]), gamma, 1.0, 0, spec)
-
-
-def test_single_z_update_rejects_bad_samples():
-    spec = ChainSpec(3, (1.0, 1.0), (0.0,) * 3)
-    with pytest.raises(ValueError, match="site out of range"):
-        single_z_modes(spec, [4], [0.1])
-    with pytest.raises(ValueError, match="one site per time"):
-        single_z_modes(spec, [1, 2], [0.1])
-    with pytest.raises(ValueError, match="finite"):
-        single_z_modes(spec, [1], [np.inf])
-    with pytest.raises(ValueError, match="site out of range"):
-        single_z_modes(spec, [0], [0.1])  # not site 3 through a negative index
-    with pytest.raises(ValueError, match="whole number"):
-        single_z_modes(spec, [1.7], [0.1])  # not site 1 through an int64 cast
 
 
 @settings(max_examples=40, deadline=None)

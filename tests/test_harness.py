@@ -215,6 +215,7 @@ def test_single_z_refuses_bad_samples_exact_or_pruned(chain15, prune):
         ([0], [0.1], "site out of range"),  # unchecked, evecs[0 - 1] reads site 15
         ([16], [0.1], "site out of range"),
         ([3], [np.nan], "finite"),
+        ([3], [np.inf], "finite"),
         ([1, 2], [0.1], "one site per time"),
         ([1.7], [0.3], "whole number"),  # unchecked, an int64 cast scores site 1
     ]

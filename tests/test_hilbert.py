@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -228,6 +230,19 @@ def test_lindblad_guard(monkeypatch):
     rho = DensityMatrix(np.eye(512) / 512, 9)
     with pytest.raises(ResourceLimitError):
         lindblad_evolve(rho, spec, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_exact_oracles_at_a_subnormal_time_return_the_state_without_warning(gamma):
+    # expm_multiply took zero steps there and warned of a 0 / 0
+    spec = pst_couplings(2)
+    psi = StateVector(np.full(4, 0.5), 2)
+    rho = from_density(psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (5e-324, 1e-323, 1e-321):
+            np.testing.assert_array_equal(lindblad_evolve(rho, spec, gamma, t).mat, rho.mat)
+            np.testing.assert_array_equal(evolve(psi, spec, t, method="expm").amps, psi.amps)
 
 
 def test_lindblad_rejects_non_finite_and_negative(monkeypatch):

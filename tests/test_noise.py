@@ -62,8 +62,11 @@ def test_inject_single_z_at_start():
 def test_inject_single_z_range_checks():
     spec = pst_couplings(3)
     psi = basis_state(3)
-    with pytest.raises(ValueError):
-        inject_single_z(psi, spec, 4, 0.1, 1.0)
+    # the site rule of every single-Z entry: 1.7 is not truncated to site 1,
+    # nor 0 read as site N through a negative index
+    for site in (1.7, 0, 4):
+        with pytest.raises(ValueError, match="whole number in 1..N"):
+            inject_single_z(psi, spec, site, 0.1, 1.0)
     with pytest.raises(ValueError):
         inject_single_z(psi, spec, 1, 2.0, 1.0)
 
