@@ -47,6 +47,7 @@ from .pauli import PauliString, site_bit, z_sign
 
 _DENSITY_MATRIX_MAX_SITES = 8
 _DENSE_H_MAX_SITES = 12
+_LINDBLAD_MAX_WORK = 1e7
 
 
 @dataclass
@@ -457,34 +458,83 @@ def dense_unitary(spec: ChainSpec, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
-def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, t: float) -> DensityMatrix:
-    """Exact solution of drho/dt = -i[H,rho] - N gamma rho + gamma sum_n Z_n rho Z_n.
+def check_lindblad_work(spec: ChainSpec, gamma: float, t: float) -> None:
+    """Refuse a Lindblad run up to time t whose work bound is not finite or above the limit.
 
+    ||L||_1 <= 2 (sum |J| + sum |B| + gamma N): a column of H holds at most
+    one hop per bond and one sum of fields, and the dissipator is at most
+    2 gamma N on the diagonal.  expm_multiply's step count grows linearly
+    with ||L t||_1, so the bound times t measures the work before any
+    matrix is built.  Measured (one BLAS thread, 2-core Xeon) from
+    |0...0+>, the dephasing sweep's start, at gamma = 1e2 and 1e3 on
+    N = 2..8: 18-48 microseconds per unit of the bound times t (about 90
+    from a full-rank rho on N = 5), linear in it (the N = 5 sweep at
+    gamma = 1e4 and 3e4 ran 4.6 and 12 s).  So the limit of 1e7 refuses
+    only calls that would run for about 3 minutes or more, and a sweep at
+    gamma = 1e4 still runs.
+    """
+    norm = sum(map(abs, spec.couplings)) + sum(map(abs, spec.fields)) + gamma * spec.n_sites
+    work = 2.0 * norm * t
+    if not work <= _LINDBLAD_MAX_WORK:
+        raise ResourceLimitError(
+            f"Lindblad work bound ||L||_1 t = {work:.3g} exceeds {_LINDBLAD_MAX_WORK:.0e}"
+        )
+
+
+def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) -> list[DensityMatrix]:
+    """Exact solutions of drho/dt = -i[H,rho] - N gamma rho + gamma sum_n Z_n rho Z_n, one per time.
+
+    `times` is a nondecreasing list of times >= 0, as for mode_unitaries.
     On the row-major vec(rho) the Liouvillian is the sparse 4^N x 4^N matrix
     L = -i(H (x) I - I (x) H^T) - 2 gamma diag(popcount(i ^ j)): the
     dissipator is diagonal on |i><j|, where sum_n z_n(i) z_n(j) - N counts
-    -2 per site that differs.  vec(rho(t)) = e^{Lt} vec(rho) is applied by
-    scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-    (2011)), which picks its own Taylor degree and step count.
+    -2 per site that differs.  H conserves the excitation number, so L is
+    block-diagonal on the weight pairs (|i|, |j|), and a block on which rho
+    is zero stays exactly zero.  L is built once per call and restricted to
+    the positions (i, j) of the weight pairs where rho has a nonzero entry
+    (36 of 1024 from |0...0+> on N = 5), and that shorter vector is
+    stepped through the time differences by scipy's expm_multiply
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), which picks
+    its own Taylor degree and step count.  Refuses a run whose work bound
+    is not finite or too large (check_lindblad_work) before H is built.
     """
     n = rho.n_sites
     if n != spec.n_sites:
         raise ValueError("size mismatch")
     if n > _DENSITY_MATRIX_MAX_SITES:
         raise ResourceLimitError(f"Lindblad evolution limited to N <= {_DENSITY_MATRIX_MAX_SITES}")
-    if not (np.isfinite(gamma) and np.isfinite(t)):
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("need a 1-D array of times")
+    if not (np.isfinite(gamma) and np.all(np.isfinite(times))):
         raise ValueError("gamma and t must be finite")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if t < 0:
+    if np.any(times < 0):
         raise ValueError("t must be nonnegative")
+    steps = np.diff(times, prepend=0.0)
+    if np.any(steps < 0):
+        raise ValueError("t must be nondecreasing")
+    check_lindblad_work(spec, gamma, times.max(initial=0.0))
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    weight = np.bitwise_count(idx)
+    occupied = np.zeros((n + 1, n + 1), dtype=bool)
+    rows, cols = np.nonzero(rho.mat)
+    occupied[weight[rows], weight[cols]] = True
+    keep = np.flatnonzero(occupied[weight[:, None], weight[None, :]])
     h = sp.csr_matrix(dense_hamiltonian(spec))
-    eye = sp.identity(1 << n, format="csr")
-    idx = np.arange(1 << n, dtype=np.int64)
+    eye = sp.identity(dim, format="csr")
     flips = np.bitwise_count(idx[:, None] ^ idx[None, :]).ravel()
     liouvillian = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) - sp.diags(2.0 * gamma * flips)
-    vec = _expm_apply(liouvillian.tocsr() * t, rho.mat.ravel())
-    return DensityMatrix(vec.reshape(rho.mat.shape), n)
+    liouvillian = liouvillian.tocsr()[keep][:, keep]
+    vec, out = rho.mat.ravel()[keep], []
+    for dt in steps:
+        vec = _expm_apply(liouvillian * dt, vec)
+        full = np.zeros(dim * dim, dtype=complex)
+        full[keep] = vec
+        out.append(DensityMatrix(full.reshape(dim, dim), n))
+    return out
 
 
 def mirror_mode(n_sites: int, mode: int) -> int:
@@ -496,24 +546,29 @@ def mirror_mode(n_sites: int, mode: int) -> int:
     raise ValueError("mode out of range")
 
 
-def chi(rho: DensityMatrix, spec: ChainSpec, n: int, t: float) -> complex:
-    """Coherence of the mode that is headed for position n at the readout.
+def chi(rho: DensityMatrix, spec: ChainSpec, t: float) -> np.ndarray:
+    """(2N,) coherences: entry n - 1 is that of the mode headed for position n at the readout.
 
-    Computed as Tr(rho_int c_{N+1-n}) with rho_int the interaction-picture
+    Entry n - 1 is Tr(rho_int c_{N+1-n}) with rho_int the interaction-picture
     state e^{iHt} rho e^{-iHt}; equivalently the expectation of the
     Heisenberg mode e^{-iHt} c_{N+1-n} e^{iHt} in rho.  Written this way the
     unitary dynamics drop out exactly, which is what makes the closed-form
-    dephasing decay hold for every mode and initial state.  The mode is a
-    Pauli string, c|i> = phase (-1)^|i & z| |i ^ x>, so the trace is one
-    gather: phase * sum_i rho_int[i, i ^ x] (-1)^|i & z|.
+    dephasing decay hold for every mode and initial state.  Each mode is a
+    Pauli string, c|i> = phase (-1)^|i & z| |i ^ x>, so each trace is one
+    row of a single gather from one rho_int:
+    phase * sum_i rho_int[i, i ^ x] (-1)^|i & z|.
     """
     from .freefermion import jordan_wigner
 
+    n = spec.n_sites
     u = dense_unitary(spec, t)
     rho_int = u.conj().T @ rho.mat @ u
-    c = jordan_wigner(mirror_mode(spec.n_sites, n), spec.n_sites)
+    modes = [jordan_wigner(mirror_mode(n, m), n) for m in range(1, 2 * n + 1)]
+    x = np.array([c.x_mask for c in modes], dtype=np.int64)[:, None]
+    z = np.array([c.z_mask for c in modes], dtype=np.int64)[:, None]
     idx = np.arange(rho_int.shape[0], dtype=np.int64)
-    return complex(c.phase * np.sum(rho_int[idx, idx ^ c.x_mask] * z_sign(idx & c.z_mask)))
+    gathered = rho_int[idx, idx ^ x] * z_sign(idx & z)
+    return np.array([c.phase for c in modes]) * np.sum(gathered, axis=1)
 
 
 def sample_rng(*words: int) -> np.random.Generator:

@@ -24,10 +24,14 @@ _I = np.eye(2, dtype=complex)
 
 
 def site_bit(n_sites: int, site: int) -> int:
-    """Mask bit for a 1-based site index (site 1 = MSB)."""
-    if not 1 <= site <= n_sites:
-        raise ValueError(f"site {site} out of range 1..{n_sites}")
-    return 1 << (n_sites - site)
+    """Mask bit for a 1-based site index (site 1 = MSB).
+
+    The site rule of hilbert.check_sites, as a scalar check: a whole number
+    in 1..N, so 2.0 is site 2, while 1.7, NaN and inf are refused.
+    """
+    if not (1 <= site <= n_sites and site == int(site)):
+        raise ValueError(f"site {site} out of range: need a whole number in 1..{n_sites}")
+    return 1 << (n_sites - int(site))
 
 
 def mask_of_sites(n_sites: int, sites) -> int:

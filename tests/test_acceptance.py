@@ -23,7 +23,14 @@ from chainqec.freefermion import (
     pauli_to_fermion,
     propagate,
 )
-from chainqec.harness import brute_force_conjugate, exp_coupling, exp_dephasing, exp_single_z, exp_timing
+from chainqec.harness import (
+    _revival_setup,
+    brute_force_conjugate,
+    exp_coupling,
+    exp_dephasing,
+    exp_single_z,
+    exp_timing,
+)
 from chainqec.hilbert import StateVector, apply_pauli, basis_state, evolve, trajectory_sample
 from chainqec.noise import inject_single_z
 from chainqec.pauli import from_sites, pauli_z, symplectic_rank
@@ -79,6 +86,45 @@ def test_criterion_3_single_z_1024_samples():
         3, "single-z-1024", worst >= 1 - 1e-8,
         f"min success over 1024 samples = 1 - {1 - worst:.3e}",
     )
+
+
+def test_criterion_3_every_site_on_the_exact_time_grid():
+    # 1 - success(s, t) is a trigonometric polynomial of degree <= 28 in t
+    # with period D (the gaps of the spectrum -14, -12, ..., 14), so its
+    # values at 57 equispaced times fix it: every flip at every time, not a sample
+    setup = _revival_setup(pst_couplings(15))
+    n, d = 15, setup.duration
+    sites = np.repeat(np.arange(1, n + 1), 57)
+    success, _ = setup.success_single_z(sites, np.tile(np.arange(57) * d / 57, n))
+    worst = float(np.abs(1 - success).max())
+    _report(3, "single-z-every-site-grid", worst <= 1e-13, f"max |1 - success| on 15 x 57 = {worst:.3e}")
+
+
+def test_criterion_3_grid_degree_claim():
+    # the overlaps phi W - 2 q K are of degree <= 14 in t: interpolation from
+    # 29 equispaced times predicts any time, and from 27 it does not
+    setup = _revival_setup(pst_couplings(15))
+    d = setup.duration
+    rng = np.random.default_rng(3)
+
+    def overlaps(site, times):
+        q = setup.single_z_forms(np.full(len(times), site), times)
+        return setup.arrival_overlaps[None, :] - 2.0 * (setup.hop_overlaps.T @ q.T).T
+
+    def worst_miss(points):
+        worst = 0.0
+        for site in range(1, 16):
+            grid = overlaps(site, np.arange(points) * d / points)
+            assert np.abs(grid - grid[0]).max() > 0.5  # the overlaps do move with t
+            coef = np.fft.fft(grid, axis=0) / points
+            freq = np.fft.fftfreq(points, 1 / points)
+            t = rng.uniform(0, d, 40)
+            pred = np.exp(2j * np.pi * np.outer(t, freq) / d) @ coef
+            worst = max(worst, float(np.abs(pred - overlaps(site, t)).max()))
+        return worst
+
+    assert worst_miss(29) <= 1e-12
+    assert worst_miss(27) > 1e-3
 
 
 def test_criterion_4_mode_decay_closed_form():

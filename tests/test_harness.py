@@ -731,7 +731,9 @@ def test_dephasing_small_chain_closed_form():
 
 def test_dephasing_nan_coherence_is_reported(monkeypatch):
     # max(0.0, nan) is 0.0: a fold through max() would report a perfect check
-    monkeypatch.setattr("chainqec.harness.chi", lambda rho, spec, m, t: np.nan if t else 1.0)
+    monkeypatch.setattr(
+        "chainqec.harness.chi", lambda rho, spec, t: np.full(2 * spec.n_sites, np.nan if t else 1.0)
+    )
     report = exp_dephasing(pst_couplings(3), (0.1,))
     assert np.isnan(report.max_deviation[0])
 
@@ -757,6 +759,17 @@ def test_dephasing_resume_reuses_points(tmp_path, monkeypatch):
 def test_dephasing_guard():
     with pytest.raises(ResourceLimitError):
         exp_dephasing(pst_couplings(7))
+
+
+@pytest.mark.parametrize("gamma, scale", [(1e308, 1.0), (0.05, 1e-300)])
+def test_dephasing_refuses_a_run_past_the_work_bound_before_writing(tmp_path, monkeypatch, gamma, scale):
+    # each gamma's Lindblad work bound is checked before the checkpoint opens,
+    # so a refused run leaves no directory that would block a later one
+    monkeypatch.setattr("chainqec.hilbert.dense_hamiltonian", lambda spec: pytest.fail("H built"))
+    out = tmp_path / "d"
+    with pytest.raises(ResourceLimitError, match="work bound"):
+        exp_dephasing(pst_couplings(5, scale=scale), (0.01, gamma), out_dir=str(out))
+    assert not out.exists()
 
 
 # --- brute-force oracle ----------------------------------------------------------

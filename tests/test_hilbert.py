@@ -196,7 +196,7 @@ def test_lindblad_gamma_zero_is_unitary():
     rng = np.random.default_rng(13)
     spec = random_chain(rng, 3)
     psi = random_state(rng, 3)
-    rho = lindblad_evolve(from_density(psi), spec, 0.0, 0.8)
+    (rho,) = lindblad_evolve(from_density(psi), spec, 0.0, [0.8])
     expected = from_density(evolve(psi, spec, 0.8)).mat
     np.testing.assert_allclose(rho.mat, expected, atol=1e-8)
 
@@ -206,7 +206,7 @@ def test_lindblad_single_qubit_dephasing():
     spec = ChainSpec(2, (0.0,), (0.0, 0.0))
     plus = StateVector(np.array([1, 0, 1, 0]) / np.sqrt(2), 2)  # qubit1 |+>, qubit2 |0>
     gamma, t = 0.3, 0.7
-    rho = lindblad_evolve(from_density(plus), spec, gamma, t)
+    (rho,) = lindblad_evolve(from_density(plus), spec, gamma, [t])
     np.testing.assert_allclose(rho.mat[0, 2], 0.5 * np.exp(-2 * gamma * t), atol=1e-9)
     rho.validate(tol=1e-8)
 
@@ -214,7 +214,7 @@ def test_lindblad_single_qubit_dephasing():
 def test_lindblad_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(14)
     spec = random_chain(rng, 4, with_fields=True)
-    rho = lindblad_evolve(from_density(random_state(rng, 4)), spec, 0.12, 1.1)
+    (rho,) = lindblad_evolve(from_density(random_state(rng, 4)), spec, 0.12, [1.1])
     assert abs(np.trace(rho.mat) - 1) < 1e-8
     assert np.abs(rho.mat - rho.mat.conj().T).max() < 1e-8
 
@@ -229,7 +229,7 @@ def test_lindblad_guard(monkeypatch):
     spec = pst_couplings(9)
     rho = DensityMatrix(np.eye(512) / 512, 9)
     with pytest.raises(ResourceLimitError):
-        lindblad_evolve(rho, spec, 0.1, 0.1)
+        lindblad_evolve(rho, spec, 0.1, [0.1])
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.1])
@@ -241,7 +241,7 @@ def test_exact_oracles_at_a_subnormal_time_return_the_state_without_warning(gamm
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in (5e-324, 1e-323, 1e-321):
-            np.testing.assert_array_equal(lindblad_evolve(rho, spec, gamma, t).mat, rho.mat)
+            np.testing.assert_array_equal(lindblad_evolve(rho, spec, gamma, [t])[0].mat, rho.mat)
             np.testing.assert_array_equal(evolve(psi, spec, t, method="expm").amps, psi.amps)
 
 
@@ -251,11 +251,60 @@ def test_lindblad_rejects_non_finite_and_negative(monkeypatch):
     rho = from_density(basis_state(3, [1]))
     for gamma, t in ((np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)):
         with pytest.raises(ValueError, match="finite"):
-            lindblad_evolve(rho, spec, gamma, t)
+            lindblad_evolve(rho, spec, gamma, [t])
     with pytest.raises(ValueError, match="gamma"):
-        lindblad_evolve(rho, spec, -0.1, 1.0)
-    with pytest.raises(ValueError, match="t must"):
-        lindblad_evolve(rho, spec, 0.1, -1.0)
+        lindblad_evolve(rho, spec, -0.1, [1.0])
+    for times in ([-1.0], [0.5, 0.2]):  # negative, then decreasing
+        with pytest.raises(ValueError, match="t must"):
+            lindblad_evolve(rho, spec, 0.1, times)
+    with pytest.raises(ValueError, match="1-D"):
+        lindblad_evolve(rho, spec, 0.1, 1.0)
+
+
+def test_lindblad_times_list_steps_through_the_differences():
+    rng = np.random.default_rng(18)
+    spec = random_chain(rng, 3, with_fields=True)
+    rho = from_density(random_state(rng, 3))
+    first, second, again = lindblad_evolve(rho, spec, 0.2, [0.4, 1.3, 1.3])
+    (alone,) = lindblad_evolve(rho, spec, 0.2, [1.3])
+    np.testing.assert_allclose(second.mat, alone.mat, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(again.mat, second.mat)  # a repeated time is a zero step
+    np.testing.assert_allclose(first.mat, lindblad_evolve(rho, spec, 0.2, [0.4])[0].mat, atol=1e-12)
+    assert lindblad_evolve(rho, spec, 0.2, []) == []
+
+
+@pytest.mark.parametrize(
+    "gamma, scale",
+    [
+        (1e308, 1.0),  # 2 gamma N overflows; inf * 0 once gave NaN inside expm_multiply
+        (1e300, 1.0),  # onenormest divided inf by inf (a RuntimeWarning)
+        (0.05, 1e-300),  # no perfect transfer: the scanned T is about 6.3e10
+    ],
+)
+def test_lindblad_work_guard_refuses_before_building(monkeypatch, gamma, scale):
+    from chainqec.chain import analyze_transfer
+
+    monkeypatch.setattr("chainqec.hilbert.dense_hamiltonian", _unbuilt)
+    spec = pst_couplings(5, scale=scale)
+    amps = np.zeros(32, dtype=complex)
+    amps[0] = amps[1] = 1 / np.sqrt(2)
+    t = analyze_transfer(spec).transfer_time
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResourceLimitError, match="work bound"):
+            lindblad_evolve(from_density(StateVector(amps, 5)), spec, gamma, [t / 2, t])
+
+
+def test_lindblad_work_guard_admits_the_measured_side():
+    # gamma = 1e4 on the dephasing sweep's chain: a bound of 1.6e5, well
+    # under the limit, and measured at 4.6 s for the whole sweep
+    from chainqec.hilbert import check_lindblad_work
+
+    check_lindblad_work(pst_couplings(5), 1e4, np.pi / 2)
+    with pytest.raises(ResourceLimitError):
+        check_lindblad_work(pst_couplings(5), 1e4 * 100, np.pi / 2)
+    with pytest.raises(ResourceLimitError):
+        check_lindblad_work(pst_couplings(5), 1e308, 0.0)  # the bound itself is infinite
 
 
 _PAULI = {
@@ -273,19 +322,10 @@ def _on_sites(n, ops):
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 4),
-    data=st.data(),
-    gamma=st.floats(0.0, 0.5),
-    t=st.floats(0.0, 2.0),
-)
-def test_lindblad_matches_pauli_built_superoperator(n, data, gamma, t):
-    # independent oracle: H and the jump terms from Pauli products, the
-    # row-major superoperator from them, dense Pade expm
+def _drawn_chain_and_superoperator(n, data, gamma):
+    """A drawn chain, and its row-major superoperator from Pauli-built H and jump terms."""
     js = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=n - 1, max_size=n - 1))
     bs = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
-    spec = ChainSpec(n, tuple(js), tuple(bs))
     dim = 1 << n
     eye = np.eye(dim)
     h = sum(
@@ -296,13 +336,61 @@ def test_lindblad_matches_pauli_built_superoperator(n, data, gamma, t):
         np.kron(_on_sites(n, {k: "Z"}), _on_sites(n, {k: "Z"})) - np.eye(dim * dim)
         for k in range(1, n + 1)
     )
+    return ChainSpec(n, tuple(js), tuple(bs)), sup
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    data=st.data(),
+    gamma=st.floats(0.0, 0.5),
+    t=st.floats(0.0, 2.0),
+)
+def test_lindblad_matches_pauli_built_superoperator(n, data, gamma, t):
+    # independent oracle: H and the jump terms from Pauli products, the
+    # row-major superoperator from them, dense Pade expm; a full-rank rho
+    # keeps every weight-pair block
+    spec, sup = _drawn_chain_and_superoperator(n, data, gamma)
+    dim = 1 << n
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho0 = g @ g.conj().T
     rho0 /= np.trace(rho0)
     want = (scipy.linalg.expm(sup * t) @ rho0.ravel()).reshape(dim, dim)
-    got = lindblad_evolve(DensityMatrix(rho0, n), spec, gamma, t).mat
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    (got,) = lindblad_evolve(DensityMatrix(rho0, n), spec, gamma, [t])
+    np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    data=st.data(),
+    gamma=st.floats(0.0, 0.5),
+    t=st.floats(0.0, 2.0),
+)
+def test_lindblad_on_occupied_sectors_matches_superoperator(n, data, gamma, t):
+    # a pure state on a few excitation sectors keeps only their weight-pair
+    # blocks: the kept ones match the dense oracle, the dropped ones stay 0
+    spec, sup = _drawn_chain_and_superoperator(n, data, gamma)
+    dim = 1 << n
+    weight = np.bitwise_count(np.arange(dim))
+    if data.draw(st.booleans()):
+        sectors = {0, 1}
+        psi = np.zeros(dim, dtype=complex)
+        psi[0] = psi[1] = 1 / np.sqrt(2)  # |0...0+>
+    else:
+        sectors = data.draw(st.sets(st.integers(0, n), min_size=1, max_size=n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        psi = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * np.isin(weight, list(sectors))
+        psi /= np.linalg.norm(psi)
+    rho0 = np.outer(psi, psi.conj())
+    want = (scipy.linalg.expm(sup * t) @ rho0.ravel()).reshape(dim, dim)
+    (got,) = lindblad_evolve(DensityMatrix(rho0, n), spec, gamma, [t])
+    np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-12)
+    inside = np.isin(weight, list(sectors))
+    dropped = ~np.outer(inside, inside)
+    assert dropped.any()
+    assert np.all(got.mat[dropped] == 0)
 
 
 def test_chi_initial_values():
@@ -312,9 +400,9 @@ def test_chi_initial_values():
     amps = np.zeros(1 << n, dtype=complex)
     amps[0b0000] = amps[0b0001] = 1 / np.sqrt(2)
     rho = from_density(StateVector(amps, n))
-    assert chi(rho, spec, 1, 0.0) == pytest.approx(1.0)  # mode c_N via mirror
+    assert chi(rho, spec, 0.0)[0] == pytest.approx(1.0)  # mode c_N via mirror
     mixed = DensityMatrix(np.eye(1 << n) / (1 << n), n)
-    assert abs(chi(mixed, spec, 2, 0.4)) < 1e-12
+    assert np.abs(chi(mixed, spec, 0.4)).max() < 1e-12
 
 
 def test_chi_plus_on_first_site():
@@ -323,7 +411,7 @@ def test_chi_plus_on_first_site():
     amps = np.zeros(8, dtype=complex)
     amps[0b000] = amps[0b100] = 1 / np.sqrt(2)  # qubit 1 in |+>
     rho = from_density(StateVector(amps, n))
-    assert chi(rho, spec, n, 0.0) == pytest.approx(1.0)  # n=N picks mode c_1 = X_1
+    assert chi(rho, spec, 0.0)[n - 1] == pytest.approx(1.0)  # n=N picks mode c_1 = X_1
 
 
 def test_chi_matches_dense_trace_exactly():
@@ -340,9 +428,11 @@ def test_chi_matches_dense_trace_exactly():
             for t in (0.0, 0.7):
                 u = dense_unitary(spec, t)
                 rho_int = u.conj().T @ rho.mat @ u
+                got = chi(rho, spec, t)
+                assert got.shape == (2 * n,)
                 for mode in range(1, 2 * n + 1):
                     c = jordan_wigner(mirror_mode(n, mode), n).dense()
-                    assert chi(rho, spec, mode, t) == complex(np.trace(rho_int @ c))
+                    assert got[mode - 1] == complex(np.trace(rho_int @ c))
 
 
 def test_chi_dephasing_decay_small_chain():
@@ -352,11 +442,9 @@ def test_chi_dephasing_decay_small_chain():
     rng = np.random.default_rng(15)
     psi = random_state(rng, n)
     rho0 = from_density(psi)
-    for t in (0.4, 1.1):
-        rho_t = lindblad_evolve(rho0, spec, gamma, t)
-        for mode in (1, 3, 6):
-            expected = np.exp(-2 * gamma * t) * chi(rho0, spec, mode, 0.0)
-            assert abs(chi(rho_t, spec, mode, t) - expected) < 1e-7
+    for t, rho_t in zip((0.4, 1.1), lindblad_evolve(rho0, spec, gamma, [0.4, 1.1])):
+        expected = np.exp(-2 * gamma * t) * chi(rho0, spec, 0.0)
+        assert np.abs(chi(rho_t, spec, t) - expected).max() < 1e-7
 
 
 # --- trajectories ----------------------------------------------------------
@@ -394,7 +482,7 @@ def test_trajectory_average_matches_lindblad():
         out, _ = trajectory_sample(psi, gamma, t, seed, spec)
         acc += np.outer(out.amps, out.amps.conj())
     acc /= n_traj
-    direct = lindblad_evolve(from_density(psi), spec, gamma, t).mat
+    direct = lindblad_evolve(from_density(psi), spec, gamma, [t])[0].mat
     assert np.abs(acc - direct).max() < 2e-2
 
 

@@ -11,6 +11,7 @@ from chainqec.pauli import (
     pauli_y,
     pauli_z,
     product,
+    site_bit,
     symplectic_rank,
 )
 
@@ -113,3 +114,22 @@ def test_bad_phase_rejected():
 def test_mask_range_checked():
     with pytest.raises(ValueError):
         PauliString(2, 1 << 2, 0)
+
+
+@pytest.mark.parametrize("site", [0, 1, 1.7, 2.0, 4, 5, np.nan, np.inf])
+def test_site_bit_follows_the_check_sites_rule(site):
+    # a fractional site once failed on the shift with a TypeError
+    from chainqec.hilbert import basis_state, check_sites
+
+    try:
+        want = 1 << (4 - int(check_sites(4, [site])[0]))
+    except ValueError:
+        with pytest.raises(ValueError, match="site"):
+            site_bit(4, site)
+        with pytest.raises(ValueError, match="site"):
+            pauli_z(4, site)
+        with pytest.raises(ValueError, match="site"):
+            basis_state(4, [site])
+        return
+    assert site_bit(4, site) == want and type(site_bit(4, site)) is int
+    assert pauli_z(4, site) == pauli_z(4, int(site))
