@@ -185,15 +185,19 @@ class RevivalSetup:
     N x N mode unitary M (mode_unitaries), and W reads only a few of its
     amplitudes (154 of 3004 on minimal15).  Each is a sum over the
     encoded state's entries x of c_x <y|Gamma(M)|x> = c_x det M[y, x],
-    read as a minor of size min(w, N - w) (minor_plan): with |+_L> on
-    minimal15, 459 5 x 5 complementary minors (and the vacuum's padded
-    identity) in one np.linalg.det call, and det M.  The table
-    `minor_weights` folds each (read set, source) pair's sign and c_x into
-    its row of W, so exact successes of a stack of M are
-    sum_c |(minors @ minor_weights)_c|^2 (success_mode_unitaries), with no
-    support-sized row and no evolve.  Pruned scoring needs masses quadratic
-    in the rows, so there each member's row is Gamma(M)|encoded> on the
-    support (apply_mode_unitary), handed to the evaluator.
+    read as a minor of size min(w, N - w).  `plan` (minor_plan, built
+    once here) expands them all along their last columns as one graph of
+    shared sub-minors: with |+_L> on minimal15, 459 5 x 5 complementary
+    minors (and the vacuum's constant 1) from 45, 315, 990, 945 and 459
+    sub-minors of sizes 1..5, evaluated elementwise for a whole stack of M
+    (mode_minors), with det M.  The table `minor_weights` folds each
+    (read set, source) pair's sign and c_x into its row of W, held
+    transposed (W column x pair) as the product reads it, so exact
+    successes of a stack of M are sum_c |(minor_weights @ minors^T)_c|^2
+    (success_mode_unitaries), with no support-sized row and no evolve.
+    Pruned scoring needs masses quadratic in the rows, so there each
+    member's row is Gamma(M)|encoded> on the support (apply_mode_unitary),
+    handed to the evaluator.
 
     The error-free arrival state phi = e^{-iH duration}|encoded> is
     computed once, by a Givens evolve; a phase flip on site s at time t
@@ -211,10 +215,12 @@ class RevivalSetup:
     evaluator's weights), so rows @ W = phi W - 2 q K: `arrival_overlaps`
     holds phi W and the sparse N^2 x column table `hop_overlaps` holds
     K = H W (225 x 304, 35 160 nonzeros on minimal15), and no row is
-    built.  Pruned scoring needs masses quadratic in the rows, so it
-    builds them (single_z_rows) from H, `hop_table` (180 180 nonzeros,
-    about 3.4 MiB), which only a pruned call builds.  Every array held
-    here, the evaluator's included, is read-only, and the pruning
+    built; both are built on the first exact single-Z call, so a process
+    that runs only timing or coupling sweeps never builds them.  Pruned
+    scoring needs masses quadratic in the rows, so it builds them
+    (single_z_rows) from H, `hop_table` (180 180 nonzeros, about 3.4 MiB),
+    which only a pruned call builds.  Every array held here, the
+    evaluator's and the plan's included, is read-only, and the pruning
     threshold is an argument of each scoring call, so one set-up serves
     every sweep of a process on its chain (_revival_setup).
     """
@@ -234,28 +240,44 @@ class RevivalSetup:
         self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
         # the error-free state at the readout, e^{-iH duration}|encoded>
         self.arrival = evolve(self.encoded, spec, self.duration, method="givens")
-        # phi W and K; W reads only a few support positions (154 of 3004 on
-        # minimal15), so K needs the hopped states c_i^dag c_j phi there alone.
-        # A sparse product: the 1 MiB dense one, once freed, left every later
-        # pruned chunk taking about a fifth more page faults (glibc's heap)
+        # row p of minor_weights^T: pair p's sign and encoded amplitude times
+        # its read row of W
         weights, support = self.evaluator.weights, self.evaluator.support
         read = np.unique(weights.indices)
-        self.arrival_overlaps = self.arrival.amps[support] @ weights
-        self.hop_overlaps = sp.csc_array(hop_rows(self.arrival, support[read]) @ weights[read])
-        # row p of minor_weights: pair p's sign and encoded amplitude times its read row of W
         sources = np.flatnonzero(self.encoded.amps)
-        pairs, self.minor_index, self.minor_complementary, sign = minor_plan(
-            spec.n_sites, support[read], sources
-        )
-        coef = sign * self.encoded.amps[sources[pairs[1]]]
+        self.plan = minor_plan(spec.n_sites, support[read], sources)
+        target, source = self.plan.pairs
+        coef = self.plan.sign * self.encoded.amps[sources[source]]
         self.minor_weights = sp.csc_array(
-            sp.diags_array(coef) @ sp.csr_array(weights)[read[pairs[0]]]
-        )
-        for a in (self.encoded.amps, self.arrival.amps, self.arrival_overlaps,
-                  self.minor_index, self.minor_complementary,
-                  *(buf for m in (self.hop_overlaps, self.minor_weights)
-                    for buf in (m.data, m.indices, m.indptr))):
+            sp.diags_array(coef) @ sp.csr_array(weights)[read[target]]
+        ).T
+        for a in (self.encoded.amps, self.arrival.amps, self.minor_weights.data,
+                  self.minor_weights.indices, self.minor_weights.indptr):
             a.flags.writeable = False
+
+    @cached_property
+    def arrival_overlaps(self) -> np.ndarray:
+        """phi W, built on the first exact single-Z call."""
+        weights, support = self.evaluator.weights, self.evaluator.support
+        overlaps = self.arrival.amps[support] @ weights
+        overlaps.flags.writeable = False
+        return overlaps
+
+    @cached_property
+    def hop_overlaps(self) -> sp.csc_array:
+        """K = H W, built on the first exact single-Z call.
+
+        W reads only a few support positions (154 of 3004 on minimal15), so
+        K needs the hopped states c_i^dag c_j phi there alone.  A sparse
+        product: the 1 MiB dense one, once freed, left every later pruned
+        chunk taking about a fifth more page faults (glibc's heap).
+        """
+        weights, support = self.evaluator.weights, self.evaluator.support
+        read = np.unique(weights.indices)
+        table = sp.csc_array(hop_rows(self.arrival, support[read]) @ weights[read])
+        for a in (table.data, table.indices, table.indptr):
+            a.flags.writeable = False
+        return table
 
     @cached_property
     def hop_table(self) -> sp.csr_array:
@@ -323,15 +345,19 @@ class RevivalSetup:
         """
         m = check_mode_unitaries(m, self.spec.n_sites)
         if prune_below <= 0.0:
-            minors = mode_minors(m, self.minor_index, self.minor_complementary)
-            return _state_sums(np.abs(self.minor_weights.T @ minors.T) ** 2), np.zeros(len(m))
+            minors = mode_minors(m, self.plan)
+            return _state_sums(np.abs(self.minor_weights @ minors.T) ** 2), np.zeros(len(m))
         support = self.evaluator.support
         rows = np.array([apply_mode_unitary(self.encoded, u).amps[support] for u in m])
         return self.evaluator.success(rows.reshape(len(m), support.size), prune_below)
 
     def success_coupling_instance(self, f: float, draw_seed: int,
                                   prune_below: float = 0.0) -> tuple[float, float, float]:
-        """(success probability, largest perturbation singular value, discarded mass)."""
+        """(success probability, largest perturbation singular value, discarded mass).
+
+        One disorder instance alone; exp_coupling scores its instances in
+        stacks through success_mode_unitaries instead, to the same values.
+        """
         perturbed, zeta = disordered_spec(self.spec, f, draw_seed)
         m = mode_unitaries(perturbed, [self.duration])
         success, discarded = self.success_mode_unitaries(m, prune_below)
@@ -484,7 +510,12 @@ def exp_coupling(
     out_dir: str | None = None,
     prune_below: float = 0.0,
 ) -> CouplingCurves:
-    """Static coupling disorder: per fraction, success over random instances."""
+    """Static coupling disorder: per fraction, success over random instances.
+
+    Each instance is the perturbed chain's mode unitary U'(2T), scored by
+    RevivalSetup.success_mode_unitaries, exact or pruned, in stacks that
+    may straddle grid points: a member's value does not depend on its stack.
+    """
     spec = spec or pst_couplings(15)
     f_grid = DEFAULT_COUPLING_GRID if f_grid is None else tuple(float(f) for f in f_grid)
     if not all(0.0 <= f < 1.0 for f in f_grid):
@@ -499,26 +530,35 @@ def exp_coupling(
     setup = _revival_setup(spec)
 
     def evaluate(indices):
-        for i in indices:  # one record per grid point, checkpointed as it is yielded
-            vals = np.empty(instances)
-            zeta_vals = np.empty(instances)
-            discarded = np.empty(instances)
-            for k in range(instances):
+        # the chunk's (point, instance) jobs in order, scored in stacks of at
+        # most _CHUNK mode unitaries; a point's record is yielded, and so
+        # checkpointed, as soon as its last instance is scored
+        jobs = [(i, k) for i in indices for k in range(instances)]
+        vals, zeta_vals, discarded = (np.empty((len(indices), instances)) for _ in range(3))
+        done = 0
+        for start in range(0, len(jobs), _CHUNK):
+            stack = []
+            for j, (i, k) in enumerate(jobs[start:start + _CHUNK], start):
                 # derive the per-instance key from the master seed, the grid
                 # point and the instance index so draws are order-independent
                 draw_seed = int(
                     sample_rng(seed, i * instances + k).integers(0, 2**63 - 1)
                 )
-                vals[k], zeta_vals[k], discarded[k] = setup.success_coupling_instance(
-                    f_grid[i], draw_seed, prune_below
-                )
-            yield {
-                "f": f_grid[i],
-                "mean": float(np.mean(vals)),
-                "min": float(np.min(vals)),
-                "zeta_mean": float(np.mean(zeta_vals)),
-                "discarded_mass": float(np.sum(discarded)),
-            }
+                perturbed, zeta_vals.flat[j] = disordered_spec(spec, f_grid[i], draw_seed)
+                stack.append(mode_unitaries(perturbed, [setup.duration])[0])
+            scored = slice(start, start + len(stack))
+            vals.flat[scored], discarded.flat[scored] = setup.success_mode_unitaries(
+                np.array(stack), prune_below
+            )
+            while done < len(indices) and (done + 1) * instances <= scored.stop:
+                yield {
+                    "f": f_grid[indices[done]],
+                    "mean": float(np.mean(vals[done])),
+                    "min": float(np.min(vals[done])),
+                    "zeta_mean": float(np.mean(zeta_vals[done])),
+                    "discarded_mass": float(np.sum(discarded[done])),
+                }
+                done += 1
 
     recs = _fill(out_dir, manifest, len(f_grid), evaluate)
     means = [float(r["mean"]) for r in recs]

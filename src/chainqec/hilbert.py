@@ -18,10 +18,12 @@ method="expm", the default of evolve, applies each occupied sector's
 sparse Hamiltonian with scipy's expm_multiply and serves as the exact
 N = 15 oracle.  Neither caches anything that depends on the chain's
 couplings or fields.  Exact revival scoring builds no state at all:
-each amplitude the decoder reads is a sum of minors of M (minor_plan,
-mode_minors).  A single phase flip during transport is one rotated mode
-v about the error-free arrival state phi, read out as phi - 2 n_v phi,
-with v the flipped site's row of a mode unitary (mode_unitaries).  Since
+each amplitude the decoder reads is a sum of minors of M, planned once
+as one Laplace expansion over shared sub-minors (minor_plan) and
+evaluated elementwise for a whole stack of M (mode_minors).  A single
+phase flip during transport is one rotated mode v about the error-free
+arrival state phi, read out as phi - 2 n_v phi, with v the flipped
+site's row of a mode unitary (mode_unitaries).  Since
 n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that state is a quadratic form
 in v over the N^2 hopped states c_i^dag c_j phi (hop_rows), from which
 the revival set-up builds pruned samples' rows and scores exact samples
@@ -344,8 +346,34 @@ def jump_unitary(spec: ChainSpec, duration: float, jumps) -> np.ndarray:
     return m
 
 
-def minor_plan(n_sites: int, targets, sources) -> tuple[np.ndarray, ...]:
-    """How to read <y|Gamma(M)|x> for every target y and source x of equal weight.
+@dataclass(frozen=True)
+class MinorPlan:
+    """How to read <y|Gamma(M)|x> for the pairs of minor_plan, every array read-only.
+
+    pairs (2, P): target and source positions of each pair;
+    complementary (P,): whether the pair is read from its complement, and
+    sign (P,): (-1)^{sum y + sum x} there, 1 elsewhere;
+    entries[l - 1], children[l - 1] (n_l, l): per sub-minor of level l,
+    the flat index r N + c into M and the child node of level l - 1 of
+    each term of its expansion; node (P,): each pair's node among levels
+    0..K stacked (level 0 is the one constant 1).
+    """
+
+    pairs: np.ndarray
+    complementary: np.ndarray
+    sign: np.ndarray
+    entries: tuple[np.ndarray, ...]
+    children: tuple[np.ndarray, ...]
+    node: np.ndarray
+
+
+def _set_sites(masks: np.ndarray, n: int, count: int) -> np.ndarray:
+    """(len(masks), count) positions of the set bits of each mask, ascending; each has count."""
+    return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(-1, count)
+
+
+def minor_plan(n_sites: int, targets, sources) -> MinorPlan:
+    """Plan <y|Gamma(M)|x> for every target y and source x of equal weight.
 
     Gamma(M) is the number-conserving Gaussian unitary with Gamma(M) c_j^dag
     Gamma(M)^dag = sum_i M_ij c_i^dag, so <y|Gamma(M)|x> = det M[y, x],
@@ -353,14 +381,23 @@ def minor_plan(n_sites: int, targets, sources) -> tuple[np.ndarray, ...]:
     quant-ph/0108033; Terhal & DiVincenzo, PRA 65, 032325 (2002)).  For
     weight w > N - w, Jacobi's complementary-minor identity for unitary M,
     det M[y, x] = (-1)^{sum y + sum x} det M conj(det M[y^c, x^c]), keeps
-    every minor at size min(w, N - w).  A minor smaller than the largest,
-    K, is padded to K x K with an identity block: every pair is one K x K
-    determinant of one stack.  Returns, per pair, (target, source)
-    positions (2, P), the (P, K, K) index into M flattened and extended by
-    a 1 and a 0 (positions N^2 and N^2 + 1), whether the pair is read from
-    its complement (P,) and the sign (-1)^{sum y + sum x} there (P,).
+    every minor at size min(w, N - w).
+
+    Each minor is expanded along its last column (Laplace), and so is each
+    sub-minor in turn: a node of level l is a sub-minor det M[R, C], R a
+    set of l rows and C the first l columns of some pair's column list, and
+    its value is sum_i (-1)^{i + l} M[r_i, c_l] det M[R - r_i, C - c_l]
+    over its rows r_1 < ... < r_l.  Pairs that share a sub-minor share its
+    node, so the plan holds each once (45, 315, 990, 945 and 459 nodes at
+    levels 1..5 for the revival set-up's 460 pairs).  The sign of term i is
+    the same at every node of a level, so it is not stored.  Built with bit
+    masks, np.unique and searchsorted, never a loop over pairs or nodes
+    (about 2-3 ms for those 460 pairs); refuses N > 31, where a node's key
+    outgrows an int64.
     """
     n = n_sites
+    if n > 31:
+        raise ValueError("minor_plan keys a sub-minor by 2N bits of an int64: need N <= 31")
     bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))  # b_i of site i + 1
     targets, sources = np.asarray(targets, dtype=np.int64), np.asarray(sources, dtype=np.int64)
     target, source = np.nonzero(np.bitwise_count(targets)[:, None] == np.bitwise_count(sources))
@@ -372,32 +409,83 @@ def minor_plan(n_sites: int, targets, sources) -> tuple[np.ndarray, ...]:
     sign = np.where(complementary, 1.0 - 2.0 * (site_sums & 1), 1.0)
     occ_y ^= complementary[:, None]
     occ_x ^= complementary[:, None]
-    k = occ_y.sum(axis=1)
-    size = int(k.max(initial=0))
-    # each pair's rows and columns in ascending site order, unused sites after them
-    rows = np.argsort(~occ_y, axis=1, kind="stable")[:, :size]
-    cols = np.argsort(~occ_x, axis=1, kind="stable")[:, :size]
-    inside = np.arange(size) < k[:, None]
-    index = np.where(
-        inside[:, :, None] & inside[:, None, :],
-        rows[:, :, None] * n + cols[:, None, :],
-        np.where(np.eye(size, dtype=bool), n * n, n * n + 1),
-    )
-    return np.stack([target, source]), index, complementary, sign
+    size = occ_y.sum(axis=1)
+    # node (R, C) as the key R << N | C, bit s of R or C for site s + 1
+    place = np.int64(1) << np.arange(n, dtype=np.int64)
+    pair_keys = ((occ_y @ place) << n) | (occ_x @ place)
+    low = (np.int64(1) << n) - 1
+    keys, entries, child_keys = [], [], []
+    wanted = np.empty(0, dtype=np.int64)  # the children the level above reads
+    for level in range(int(size.max(initial=0)), 0, -1):
+        key = np.unique(np.concatenate([pair_keys[size == level], wanted]))
+        r, c = key >> n, key & low
+        rows = _set_sites(r, n, level)
+        last = _set_sites(c, n, level)[:, -1]
+        # term i drops row r_i and the last column
+        child = ((r[:, None] ^ (1 << rows)) << n) | (c ^ (1 << last))[:, None]
+        keys.append(key)
+        entries.append(rows * n + last[:, None])
+        child_keys.append(child)
+        wanted = child.ravel()
+    keys.append(np.zeros(1, dtype=np.int64))  # level 0, the empty minor
+    keys, entries, child_keys = keys[::-1], entries[::-1], child_keys[::-1]
+    children = [np.searchsorted(keys[level], child) for level, child in enumerate(child_keys)]
+    offsets = np.cumsum([0] + [k.size for k in keys])
+    node = np.empty(size.size, dtype=np.int64)
+    for level, key in enumerate(keys):
+        at = size == level
+        node[at] = offsets[level] + np.searchsorted(key, pair_keys[at])
+    plan = MinorPlan(np.stack([target, source]), complementary, sign,
+                     tuple(entries), tuple(children), node)
+    for a in (plan.pairs, plan.complementary, plan.sign, plan.node, *plan.entries, *plan.children):
+        a.flags.writeable = False
+    return plan
 
 
-def mode_minors(m: np.ndarray, index: np.ndarray, complementary: np.ndarray) -> np.ndarray:
-    """(S, P) amplitudes det M[y, x] of the pairs minor_plan planned, per unitary of the stack m.
+def mode_minors(m: np.ndarray, plan: MinorPlan) -> np.ndarray:
+    """(S, P) amplitudes det M[y, x] of the pairs the plan holds, per unitary of the stack m.
 
-    One LU determinant per pair, never an inverse: at M = U(2T) most
-    blocks are exactly singular, and a determinant stays accurate in
-    absolute terms there since no entry of a unitary exceeds 1 in modulus.
-    Each member's values are computed alone, whatever the stack.
+    Level by level from the constant 1 of level 0: a node of level l is l
+    gathered products M[r_i, c_l] times a node of level l - 1, added in a
+    fixed order (last row first), and a complementary pair takes det M
+    (one LU per member) times the conjugate of its minor.
+
+    All of it is elementwise across the stack, so each member's values are
+    computed alone, whatever the stack.  Each complex product multiplies
+    two contiguous arrays of one shape into a fresh output: numpy rounds a
+    product with a broadcast operand, or one written over an operand (as
+    its temporary elision does to a product of two large temporaries), with
+    another kernel, so a member's value would change with S.
+
+    No pivot, no division: at M = U(2T) most minors are exactly singular,
+    and the expansion stays accurate in absolute terms there.  Every
+    sub-minor of a unitary has modulus <= 1 (Hadamard), and the entries of
+    one column of M have squared moduli summing to <= 1, so with u = 2^-53
+    the error of a level-l node is at most sqrt(l) times that of level
+    l - 1 plus (l + 1.3) sqrt(l) u: at most about 130 u (1.5e-14) at level
+    5, before det M's own rounding in a complementary pair; 3.3e-16 was
+    measured against np.linalg.det.
     """
     s, n = m.shape[0], m.shape[1]
-    flat = np.concatenate([m.reshape(s, n * n), np.ones((s, 1)), np.zeros((s, 1))], axis=1)
-    minors = np.linalg.det(flat[:, index])
-    return np.where(complementary, np.linalg.det(m)[:, None] * minors.conj(), minors)
+    flat = np.ascontiguousarray(m.reshape(s, n * n).T)  # (N^2, S): a gather takes whole rows
+    below = np.ones((1, s), dtype=complex)
+    levels = [below]
+    for entry, child in zip(plan.entries, plan.children):
+        last = entry.shape[1] - 1
+        node, term = np.empty((2, len(entry), s), dtype=complex)
+        np.multiply(flat[entry[:, last]], below[child[:, last]], out=node)
+        for i in range(last - 1, -1, -1):
+            np.multiply(flat[entry[:, i]], below[child[:, i]], out=term)
+            if (last - i) % 2:
+                node -= term
+            else:
+                node += term
+        levels.append(node)
+        below = node
+    minors = np.concatenate(levels)[plan.node]  # (P, S)
+    det = np.repeat(np.linalg.det(m)[None, :], len(minors), axis=0)
+    jacobi = np.multiply(det, minors.conj(), out=np.empty_like(minors))
+    return np.where(plan.complementary[:, None], jacobi, minors).T
 
 
 def hop_rows(state: StateVector, support: np.ndarray) -> sp.csr_array:
@@ -546,6 +634,24 @@ def mirror_mode(n_sites: int, mode: int) -> int:
     raise ValueError("mode out of range")
 
 
+@lru_cache(maxsize=8)
+def _mode_strings(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x masks (2N, 1), z masks (2N, 1), phases (2N,)) of the modes chi reads, read-only.
+
+    Row n - 1 is the Jordan-Wigner string of c_{N+1-n} (mirror_mode); they
+    depend on N alone, so chi builds them once per chain length.
+    """
+    from .freefermion import jordan_wigner
+
+    modes = [jordan_wigner(mirror_mode(n_sites, m), n_sites) for m in range(1, 2 * n_sites + 1)]
+    x = np.array([c.x_mask for c in modes], dtype=np.int64)[:, None]
+    z = np.array([c.z_mask for c in modes], dtype=np.int64)[:, None]
+    phase = np.array([c.phase for c in modes])
+    for a in (x, z, phase):
+        a.flags.writeable = False
+    return x, z, phase
+
+
 def chi(rho: DensityMatrix, spec: ChainSpec, t: float) -> np.ndarray:
     """(2N,) coherences: entry n - 1 is that of the mode headed for position n at the readout.
 
@@ -554,21 +660,16 @@ def chi(rho: DensityMatrix, spec: ChainSpec, t: float) -> np.ndarray:
     Heisenberg mode e^{-iHt} c_{N+1-n} e^{iHt} in rho.  Written this way the
     unitary dynamics drop out exactly, which is what makes the closed-form
     dephasing decay hold for every mode and initial state.  Each mode is a
-    Pauli string, c|i> = phase (-1)^|i & z| |i ^ x>, so each trace is one
-    row of a single gather from one rho_int:
+    Pauli string, c|i> = phase (-1)^|i & z| |i ^ x> (_mode_strings), so
+    each trace is one row of a single gather from one rho_int:
     phase * sum_i rho_int[i, i ^ x] (-1)^|i & z|.
     """
-    from .freefermion import jordan_wigner
-
-    n = spec.n_sites
     u = dense_unitary(spec, t)
     rho_int = u.conj().T @ rho.mat @ u
-    modes = [jordan_wigner(mirror_mode(n, m), n) for m in range(1, 2 * n + 1)]
-    x = np.array([c.x_mask for c in modes], dtype=np.int64)[:, None]
-    z = np.array([c.z_mask for c in modes], dtype=np.int64)[:, None]
+    x, z, phase = _mode_strings(spec.n_sites)
     idx = np.arange(rho_int.shape[0], dtype=np.int64)
     gathered = rho_int[idx, idx ^ x] * z_sign(idx & z)
-    return np.array([c.phase for c in modes]) * np.sum(gathered, axis=1)
+    return phase * np.sum(gathered, axis=1)
 
 
 def sample_rng(*words: int) -> np.random.Generator:

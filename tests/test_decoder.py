@@ -25,7 +25,7 @@ from chainqec.hilbert import (
     mode_unitaries,
     trajectory_sample,
 )
-from chainqec.noise import inject_single_z
+from chainqec.noise import disordered_spec, inject_single_z
 from chainqec.pauli import (
     PauliString,
     from_sites,
@@ -567,8 +567,12 @@ def test_success_probability_timing_between_zero_and_one(chain15):
 
 def test_success_probability_coupling_reproducible(chain15):
     setup = RevivalSetup(chain15, 1, 0)
-    a = setup.success_coupling_instance(0.02, 11)[0]
-    b = setup.success_coupling_instance(0.02, 11)[0]
+    a, b = (
+        setup.success_mode_unitaries(
+            mode_unitaries(disordered_spec(chain15, 0.02, 11)[0], [setup.duration])
+        )[0][0]
+        for _ in range(2)
+    )
     assert a == b
     assert 0.0 < a <= 1.0
 

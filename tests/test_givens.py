@@ -1,5 +1,5 @@
-"""The free-fermion Givens engine and jump unitaries, the quadratic-form single-Z read-out
-and the shared pair table."""
+"""The free-fermion Givens engine and jump unitaries, the quadratic-form single-Z read-out,
+the shared pair table and the planned minors of a mode unitary."""
 
 from itertools import combinations
 
@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainqec.chain import ChainSpec, _u_of_t, pst_couplings, single_excitation_matrix
+from chainqec.chain import (
+    ChainSpec,
+    _u_of_t,
+    analyze_transfer,
+    pst_couplings,
+    single_excitation_matrix,
+)
 from chainqec.code import encode, minimal15
 from chainqec.hilbert import (
     StateVector,
@@ -23,6 +29,8 @@ from chainqec.hilbert import (
     evolve,
     hop_rows,
     jump_unitary,
+    minor_plan,
+    mode_minors,
     mode_unitaries,
     sample_rng,
     sector_indices,
@@ -313,3 +321,67 @@ def test_pair_table_is_cached_and_read_only():
         a[0][0] = 0
     with pytest.raises(ValueError):
         a[1][0][0, 0] = 0
+
+
+# --- planned minors ----------------------------------------------------------------
+
+
+def _haar(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _direct_minors(m, n, targets, sources, pairs):
+    """det M[y, x] per pair, one np.linalg.det call per weight."""
+    occ = lambda states: (states[:, None] >> (n - 1 - np.arange(n))) & 1 == 1  # noqa: E731
+    occ_y, occ_x = occ(targets[pairs[0]]), occ(sources[pairs[1]])
+    weight = occ_y.sum(axis=1)
+    out = np.ones(pairs.shape[1], dtype=complex)
+    for w in range(1, n + 1):
+        at = np.flatnonzero(weight == w)
+        if at.size:
+            rows = np.nonzero(occ_y[at])[1].reshape(-1, w)
+            cols = np.nonzero(occ_x[at])[1].reshape(-1, w)
+            out[at] = np.linalg.det(m[rows[:, :, None], cols[:, None, :]])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_planned_minors_match_direct_determinants(n, seed, data):
+    # every equal-weight pair, read directly and (for w > N - w) from its
+    # complement; at U(2T) and the identity most minors are exactly singular
+    states = st.lists(st.integers(0, 2**n - 1), min_size=1, unique=True)
+    everything = data.draw(st.booleans())
+    targets = np.arange(2**n) if everything else np.array(data.draw(states))
+    sources = np.arange(2**n) if everything else np.array(data.draw(states))
+    plan = minor_plan(n, targets, sources)
+    spec = pst_couplings(n)
+    stack = np.array([
+        _haar(np.random.default_rng(seed), n),
+        mode_unitaries(spec, [2 * analyze_transfer(spec).transfer_time])[0],
+        np.eye(n),
+    ])
+    got = mode_minors(stack, plan)
+    assert got.shape == (3, plan.pairs.shape[1])
+    for k, m in enumerate(stack):
+        want = _direct_minors(m, n, targets, sources, plan.pairs)
+        np.testing.assert_allclose(plan.sign * got[k], want, rtol=0, atol=1e-13)
+        # each member is computed alone, whatever the stack
+        np.testing.assert_array_equal(mode_minors(stack[k:k + 1], plan)[0], got[k])
+
+
+def test_minor_plan_shares_sub_minors_and_is_read_only():
+    # all 36 pairs of weight 2 on 4 sites: a level-1 node is (row, first
+    # column), shared by every pair with that first column, and the first of
+    # two columns is never site 4, so 4 x 3 nodes; level 2 is one per pair
+    states = sector_indices(4, 2)
+    plan = minor_plan(4, states, states)
+    assert [e.shape for e in plan.entries] == [(12, 1), (36, 2)]
+    assert sorted(plan.node) == list(range(1 + 12, 1 + 12 + 36))
+    assert not plan.complementary.any() and np.all(plan.sign == 1.0)
+    for a in (plan.pairs, plan.complementary, plan.sign, plan.node, *plan.entries, *plan.children):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+    with pytest.raises(ValueError, match="N <= 31"):
+        minor_plan(32, [0], [0])

@@ -280,16 +280,21 @@ def _held_arrays(*owners) -> list[np.ndarray]:
 
 def test_cached_setup_is_read_only():
     setup = harness._revival_setup(pst_couplings(15))
+    setup.success_single_z([3], [0.4])  # an exact call builds phi W and K
     setup.success_single_z([3], [0.4], 1e-12)  # a pruned call builds H
+    plan = setup.plan
     arrays = _held_arrays(setup, setup.evaluator, setup.evaluator.tables)
     arrays += [setup.encoded.amps, setup.arrival.amps]
-    # the set-up's phi W, minor index and complementary mask, and the three
-    # buffers of each of its tables K, H and minor_weights, five evaluator
-    # arrays, two sparse matrices of three buffers each, three table arrays,
-    # two states
+    arrays += [plan.pairs, plan.complementary, plan.sign, plan.node, *plan.entries, *plan.children]
+    # the set-up's phi W and the three buffers of each of its tables K, H and
+    # minor_weights, five evaluator arrays, two sparse matrices of three
+    # buffers each, three table arrays, two states, and the minor plan's
+    # four arrays and two tables for each of its five levels
     assert setup.arrival_overlaps.size and setup.hop_overlaps.nnz and setup.hop_table.nnz
-    assert setup.minor_index.shape == (460, 5, 5) and setup.minor_weights.nnz
-    assert len(arrays) >= 28
+    assert [e.shape for e in plan.entries] == [(45, 1), (315, 2), (990, 3), (945, 4), (459, 5)]
+    assert [c.shape for c in plan.children] == [e.shape for e in plan.entries]
+    assert plan.node.shape == (460,) and setup.minor_weights.nnz
+    assert len(arrays) >= 40
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
@@ -502,8 +507,9 @@ def test_minors_match_expm_and_pipeline(code15, chain15):
     got, _ = setup.success_mode_unitaries(m)
     cases = [(value, chain15, setup.duration + delta) for delta, value in zip(deltas, got)]
     for f, draw in ((0.05, 11), (0.2, 12)):
-        value = setup.success_coupling_instance(f, draw)[0]
-        cases.append((value, disordered_spec(chain15, f, draw)[0], setup.duration))
+        perturbed = disordered_spec(chain15, f, draw)[0]
+        value = setup.success_mode_unitaries(mode_unitaries(perturbed, [setup.duration]))[0][0]
+        cases.append((value, perturbed, setup.duration))
     for value, spec, t in cases:
         psi = evolve(setup.encoded, spec, t, method="expm")
         want = decode_pipeline(psi, code15, opts).success_probability
@@ -702,6 +708,36 @@ def test_coupling_pruned_mass_reported(tmp_path):
     assert curves.discarded_mass[1] > 0
     header = (tmp_path / "coupling.csv").read_text().splitlines()[0]
     assert header == "f,mean_success,min_success,zeta_max_mean"
+
+
+def test_coupling_resume_across_a_stack_boundary(tmp_path):
+    # 3 points x 7 instances are 21 jobs, scored in stacks of 16 and 5 that
+    # straddle point 2; resuming after point 0 scores the other 14 jobs as
+    # one stack, and neither file may notice
+    assert harness._CHUNK == 16
+    grid, instances, seed = (0.02, 0.05, 0.1), 7, 4
+    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+    curves = exp_coupling(f_grid=grid, instances=instances, seed=seed, out_dir=str(full_dir))
+    shutil.copytree(full_dir, part_dir)
+    points = (part_dir / "points.jsonl").read_text().splitlines(keepends=True)
+    (part_dir / "points.jsonl").write_text(points[0])
+    (part_dir / "coupling.csv").unlink()
+    exp_coupling(f_grid=grid, instances=instances, seed=seed, out_dir=str(part_dir))
+    for name in ("coupling.csv", "points.jsonl"):
+        assert (part_dir / name).read_bytes() == (full_dir / name).read_bytes()
+    # each point is the mean over its instances scored one at a time
+    setup = harness._revival_setup(pst_couplings(15))
+    for i, f in enumerate(grid):
+        alone, zetas = [], []
+        for k in range(instances):
+            draw = int(sample_rng(seed, i * instances + k).integers(0, 2**63 - 1))
+            perturbed, zeta = disordered_spec(pst_couplings(15), f, draw)
+            m = mode_unitaries(perturbed, [setup.duration])
+            alone.append(setup.success_mode_unitaries(m)[0][0])
+            zetas.append(zeta)
+        assert curves.mean_success[i] == float(np.mean(alone))
+        assert curves.min_success[i] == min(alone)
+        assert curves.zeta_max_mean[i] == float(np.mean(zetas))
 
 
 def test_coupling_resume_refuses_older_version(tmp_path):

@@ -16,9 +16,10 @@ from chainqec.hilbert import (
     basis_state,
     evolve,
     fidelity,
+    mode_unitaries,
     trajectory_sample,
 )
-from chainqec.noise import coupling_disorder, inject_single_z
+from chainqec.noise import coupling_disorder, disordered_spec, inject_single_z
 from chainqec.pauli import pauli_z
 
 
@@ -180,7 +181,12 @@ def test_coupling_success_converges_as_disorder_vanishes(chain15):
     from chainqec.harness import RevivalSetup
 
     setup = RevivalSetup(chain15, 1 / np.sqrt(2), 1 / np.sqrt(2))
-    vals = [setup.success_coupling_instance(f, 3)[0] for f in (3e-3, 1e-3, 3e-4)]
+    vals = [
+        setup.success_mode_unitaries(
+            mode_unitaries(disordered_spec(chain15, f, 3)[0], [setup.duration])
+        )[0][0]
+        for f in (3e-3, 1e-3, 3e-4)
+    ]
     assert all(np.diff(vals) > 0) or vals[-1] > 1 - 1e-5
     assert vals[-1] > 1 - 1e-4
 
