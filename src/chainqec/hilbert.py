@@ -27,9 +27,15 @@ site's row of a mode unitary (mode_unitaries).  Since
 n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that state is a quadratic form
 in v over the N^2 hopped states c_i^dag c_j phi (hop_rows), from which
 the revival set-up builds pruned samples' rows and scores exact samples
-without building any.  Both exact oracles (evolve's "expm" and
-lindblad_evolve) leave a state unchanged when no entry of their
-generator times t reaches the smallest normal float (_expm_apply).
+without building any.  lindblad_evolve, the exact dephasing oracle,
+keeps only the Liouvillian's blocks that the state occupies; up to
+_DENSE_LIOUVILLIAN_MAX_DIM kept positions it gathers them densely and
+exponentiates each distinct time step once by scaling-and-squaring Pade
+(scipy.linalg.expm), and above that it steps a sparse Liouvillian with
+expm_multiply.  Both exact oracles (evolve's "expm" and lindblad_evolve)
+leave a state unchanged when no entry of their generator times t reaches
+the smallest normal float (_negligible), and neither moves numpy's global
+random state (_expm_apply).
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
@@ -50,6 +57,7 @@ from .pauli import PauliString, site_bit, z_sign
 _DENSITY_MATRIX_MAX_SITES = 8
 _DENSE_H_MAX_SITES = 12
 _LINDBLAD_MAX_WORK = 1e7
+_DENSE_LIOUVILLIAN_MAX_DIM = 100
 
 
 @dataclass
@@ -231,30 +239,41 @@ def evolve(
     if method == "givens":
         return apply_mode_unitary(state, mode_unitaries(spec, [t])[0])
     amps = state.amps.copy()
-    # expm_multiply's norm estimates (onenormest) draw from numpy's global
-    # legacy generator; restore it so the caller's np.random stream is untouched
-    rng_state = np.random.get_state()
-    try:
-        for w in _occupied_weights(state):
-            states = _sector_table(spec.n_sites, w)[0]
-            amps[states] = _expm_apply(-1j * t * sector_sparse(spec, w), amps[states])
-    finally:
-        np.random.set_state(rng_state)
+    for w in _occupied_weights(state):
+        states = _sector_table(spec.n_sites, w)[0]
+        amps[states] = _expm_apply(-1j * t * sector_sparse(spec, w), amps[states])
     return StateVector(amps, state.n_sites)
 
 
-def _expm_apply(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
-    """e^A v by scipy's expm_multiply, or v copied when no entry of A reaches the smallest normal.
+def _negligible(a) -> bool:
+    """True when no entry of the generator A (-iHt or Lt) reaches the smallest normal.
 
-    There (A = -iHt at t = 0 included) ||A||_1 < dim * 2.2e-308, so no
-    entry of v moves by more than that, and expm_multiply, at a subnormal
-    ||A||_1, would take zero steps and divide by that count (a
-    RuntimeWarning).  The largest entry, not the 1-norm, is tested: it is
-    one pass over the stored values, where the sparse 1-norm builds |A|.
+    There (A at t = 0 included) ||A||_1 < dim * 2.2e-308, so no entry of
+    e^A v differs from v by more than that, and both exact oracles leave v
+    as it is: a repeated time stays exact, and expm_multiply, at a
+    subnormal ||A||_1, would take zero steps and divide by that count (a
+    RuntimeWarning).  The largest entry, not the 1-norm, is tested: on a
+    sparse A it is one pass over the stored values, where the sparse
+    1-norm builds |A|.
     """
-    if np.abs(a.data).max(initial=0.0) < np.finfo(float).tiny:
+    entries = a.data if sp.issparse(a) else a
+    return np.abs(entries).max(initial=0.0) < np.finfo(float).tiny
+
+
+def _expm_apply(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """e^A v by scipy's expm_multiply, or v copied when A is negligible (_negligible).
+
+    expm_multiply's norm estimates (onenormest, at large ||A||_1) draw from
+    numpy's global legacy generator; its state is restored so the caller's
+    np.random stream is untouched.
+    """
+    if _negligible(a):
         return v.copy()
-    return expm_multiply(a, v)
+    rng_state = np.random.get_state()
+    try:
+        return expm_multiply(a, v)
+    finally:
+        np.random.set_state(rng_state)
 
 
 def check_mode_unitaries(m, n: int) -> np.ndarray:
@@ -552,14 +571,16 @@ def check_lindblad_work(spec: ChainSpec, gamma: float, t: float) -> None:
     ||L||_1 <= 2 (sum |J| + sum |B| + gamma N): a column of H holds at most
     one hop per bond and one sum of fields, and the dissipator is at most
     2 gamma N on the diagonal.  expm_multiply's step count grows linearly
-    with ||L t||_1, so the bound times t measures the work before any
-    matrix is built.  Measured (one BLAS thread, 2-core Xeon) from
-    |0...0+>, the dephasing sweep's start, at gamma = 1e2 and 1e3 on
-    N = 2..8: 18-48 microseconds per unit of the bound times t (about 90
-    from a full-rank rho on N = 5), linear in it (the N = 5 sweep at
-    gamma = 1e4 and 3e4 ran 4.6 and 12 s).  So the limit of 1e7 refuses
-    only calls that would run for about 3 minutes or more, and a sweep at
-    gamma = 1e4 still runs.
+    with ||L t||_1, so the bound times t measures the sparse path's work
+    before any matrix is built; the dense path's grows only with
+    log ||L dt|| and stays far below it.  Measured on the sparse path (one
+    BLAS thread, 2-core Xeon) at gamma = 1e2 and 1e3 from full-rank rho on
+    N = 4 and 5 and from pure states on two or three excitation sectors
+    (N = 4 and 6, 121 to 1024 kept positions): 37-84 microseconds per unit
+    of the bound times t, linear in it.  So the limit of 1e7 refuses only
+    calls that would run for about 6 minutes or more there.  The dense
+    path runs the N = 5 sweep from |0...0+> in about 4 ms per gamma from
+    1e4 up to 6e5, the largest the limit admits.
     """
     norm = sum(map(abs, spec.couplings)) + sum(map(abs, spec.fields)) + gamma * spec.n_sites
     work = 2.0 * norm * t
@@ -578,13 +599,32 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     dissipator is diagonal on |i><j|, where sum_n z_n(i) z_n(j) - N counts
     -2 per site that differs.  H conserves the excitation number, so L is
     block-diagonal on the weight pairs (|i|, |j|), and a block on which rho
-    is zero stays exactly zero.  L is built once per call and restricted to
+    is zero stays exactly zero.  L is built once per call, restricted to
     the positions (i, j) of the weight pairs where rho has a nonzero entry
     (36 of 1024 from |0...0+> on N = 5), and that shorter vector is
-    stepped through the time differences by scipy's expm_multiply
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), which picks
-    its own Taylor degree and step count.  Refuses a run whose work bound
-    is not finite or too large (check_lindblad_work) before H is built.
+    stepped through the time differences on one of two paths, chosen by
+    the kept dimension alone:
+
+    - up to _DENSE_LIOUVILLIAN_MAX_DIM positions, L is gathered densely
+      on them from the dense Hamiltonian (_kept_liouvillian), e^{L dt} is
+      computed once per distinct step dt by scipy.linalg.expm
+      (scaling-and-squaring Pade; Al-Mohy & Higham, SIAM J. Matrix Anal.
+      Appl. 31, 970 (2009)) and multiplied into the vector.  Only steps
+      equal as floats share an exponential: the steps of a linspace differ
+      in their last bits.  Its cost grows with log ||L dt||, not ||L dt||.
+    - above it, L is the sparse restriction of the Kronecker form, applied
+      by scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+      488 (2011)), which picks its own Taylor degree and step count per
+      step.  It is the only path that runs a large kept dimension: over
+      eight steps from a full-rank rho on N = 5 (1024 positions) dense
+      Pade took 6.9 s against 24 ms, and at 4^8 it cannot allocate L.
+
+    The limit is the measured break-even (one BLAS thread, 2-core Xeon,
+    sweep-like steps): dense won at 100 kept positions (2.8 against
+    4.4 ms for one step) and lost at 121 (4.6 against 3.3 ms).  A step
+    whose generator L dt is negligible (_negligible) leaves the vector as
+    it is on both paths.  Refuses a run whose work bound is not finite or
+    too large (check_lindblad_work) before H is built.
     """
     n = rho.n_sites
     if n != spec.n_sites:
@@ -611,18 +651,45 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     rows, cols = np.nonzero(rho.mat)
     occupied[weight[rows], weight[cols]] = True
     keep = np.flatnonzero(occupied[weight[:, None], weight[None, :]])
-    h = sp.csr_matrix(dense_hamiltonian(spec))
-    eye = sp.identity(dim, format="csr")
-    flips = np.bitwise_count(idx[:, None] ^ idx[None, :]).ravel()
-    liouvillian = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) - sp.diags(2.0 * gamma * flips)
-    liouvillian = liouvillian.tocsr()[keep][:, keep]
+    if keep.size <= _DENSE_LIOUVILLIAN_MAX_DIM:
+        liouvillian = _kept_liouvillian(dense_hamiltonian(spec), gamma, keep)
+        expms = {}
+        for dt in np.unique(steps):
+            if not _negligible(a := liouvillian * dt):
+                expms[dt] = scipy.linalg.expm(a)
+
+        def advance(dt, vec):
+            return expms[dt] @ vec if dt in expms else vec
+    else:
+        h = sp.csr_matrix(dense_hamiltonian(spec))
+        eye = sp.identity(dim, format="csr")
+        flips = np.bitwise_count(idx[:, None] ^ idx[None, :]).ravel()
+        liouvillian = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) - sp.diags(2.0 * gamma * flips)
+        liouvillian = liouvillian.tocsr()[keep][:, keep]
+
+        def advance(dt, vec):
+            return _expm_apply(liouvillian * dt, vec)
     vec, out = rho.mat.ravel()[keep], []
     for dt in steps:
-        vec = _expm_apply(liouvillian * dt, vec)
+        vec = advance(dt, vec)
         full = np.zeros(dim * dim, dtype=complex)
         full[keep] = vec
         out.append(DensityMatrix(full.reshape(dim, dim), n))
     return out
+
+
+def _kept_liouvillian(h: np.ndarray, gamma: float, keep: np.ndarray) -> np.ndarray:
+    """The dense Liouvillian of lindblad_evolve on the kept row-major positions (i, j).
+
+    L[(i,j),(k,l)] = -i(h[i,k] delta[j,l] - delta[i,k] h[l,j])
+    - 2 gamma popcount(i ^ j) delta[(i,j),(k,l)], gathered from the dense
+    2^N x 2^N Hamiltonian h without building the 4^N x 4^N operator.
+    """
+    i, j = np.divmod(keep, len(h))
+    same_i, same_j = i[:, None] == i[None, :], j[:, None] == j[None, :]
+    liouvillian = -1j * (h[np.ix_(i, i)] * same_j - same_i * h[np.ix_(j, j)].T)
+    liouvillian[np.diag_indices_from(liouvillian)] -= 2.0 * gamma * np.bitwise_count(i ^ j)
+    return liouvillian
 
 
 def mirror_mode(n_sites: int, mode: int) -> int:

@@ -273,6 +273,67 @@ def test_lindblad_times_list_steps_through_the_differences():
     assert lindblad_evolve(rho, spec, 0.2, []) == []
 
 
+def _full_rank(rng, n):
+    g = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho), n)
+
+
+def test_lindblad_leaves_global_rng_alone():
+    # full rank on N = 4 keeps all 256 positions, so it steps by expm_multiply,
+    # whose onenormest draws np.random once ||L t||_1 is large (gamma = 100)
+    rho = _full_rank(np.random.default_rng(21), 4)
+    np.random.seed(0)
+    want = np.random.random()
+    np.random.seed(0)
+    lindblad_evolve(rho, pst_couplings(4), 100.0, [1.0])
+    assert np.random.random() == want
+
+
+def _plus_last(n):
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = amps[1] = 1 / np.sqrt(2)  # |0...0+>: the dephasing sweep's start
+    return from_density(StateVector(amps, n))
+
+
+def _refuse(*args):
+    pytest.fail("the other path ran")
+
+
+@pytest.mark.parametrize("rho", [_full_rank(np.random.default_rng(22), 3), _plus_last(5)])
+def test_lindblad_dense_and_sparse_paths_agree(monkeypatch, rho):
+    # The kept dimension picks the path: a dense Pade exponential per distinct
+    # step up to _DENSE_LIOUVILLIAN_MAX_DIM positions, expm_multiply above it.
+    # The two inputs here keep 64 and 36 positions; each side is forced.  Of
+    # the hypothesis oracle tests above, full rank on n = 2 and 3 (16 and 64
+    # positions) lands on the dense path, n = 4 (256) on the sparse one.
+    from chainqec import hilbert
+
+    assert 64 <= hilbert._DENSE_LIOUVILLIAN_MAX_DIM < 256
+    spec = random_chain(np.random.default_rng(23), rho.n_sites, with_fields=True)
+    times = [0.3, 0.3, 1.1, 1.1, 1.7]
+    got = {}
+    for side, cap, other in (("dense", 10**9, "_expm_apply"), ("sparse", 0, "_kept_liouvillian")):
+        with monkeypatch.context() as m:
+            m.setattr(hilbert, "_DENSE_LIOUVILLIAN_MAX_DIM", cap)
+            m.setattr(hilbert, other, _refuse)
+            got[side] = [r.mat for r in lindblad_evolve(rho, spec, 0.3, times)]
+            assert lindblad_evolve(rho, spec, 0.3, []) == []
+        np.testing.assert_array_equal(got[side][1], got[side][0])  # a repeated time is a zero step
+        np.testing.assert_array_equal(got[side][3], got[side][2])
+    np.testing.assert_allclose(got["dense"], got["sparse"], rtol=0, atol=1e-13)
+
+
+def test_dephasing_sweep_at_large_gamma_stays_at_roundoff():
+    # ||L dt|| up to about 1e5: expm's scaling and squaring branch
+    from chainqec.harness import exp_dephasing
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        devs = exp_dephasing(pst_couplings(5), (1e4, 1e5)).max_deviation
+    assert np.all(np.isfinite(devs)) and max(devs) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "gamma, scale",
     [
@@ -286,18 +347,17 @@ def test_lindblad_work_guard_refuses_before_building(monkeypatch, gamma, scale):
 
     monkeypatch.setattr("chainqec.hilbert.dense_hamiltonian", _unbuilt)
     spec = pst_couplings(5, scale=scale)
-    amps = np.zeros(32, dtype=complex)
-    amps[0] = amps[1] = 1 / np.sqrt(2)
     t = analyze_transfer(spec).transfer_time
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ResourceLimitError, match="work bound"):
-            lindblad_evolve(from_density(StateVector(amps, 5)), spec, gamma, [t / 2, t])
+            lindblad_evolve(_plus_last(5), spec, gamma, [t / 2, t])
 
 
 def test_lindblad_work_guard_admits_the_measured_side():
     # gamma = 1e4 on the dephasing sweep's chain: a bound of 1.6e5, well
-    # under the limit, and measured at 4.6 s for the whole sweep
+    # under the limit; the sweep keeps 36 positions, so it takes the dense
+    # path and runs in about 4 ms (one BLAS thread, 2-core Xeon)
     from chainqec.hilbert import check_lindblad_work
 
     check_lindblad_work(pst_couplings(5), 1e4, np.pi / 2)
@@ -352,10 +412,7 @@ def test_lindblad_matches_pauli_built_superoperator(n, data, gamma, t):
     # keeps every weight-pair block
     spec, sup = _drawn_chain_and_superoperator(n, data, gamma)
     dim = 1 << n
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho0 = g @ g.conj().T
-    rho0 /= np.trace(rho0)
+    rho0 = _full_rank(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n).mat
     want = (scipy.linalg.expm(sup * t) @ rho0.ravel()).reshape(dim, dim)
     (got,) = lindblad_evolve(DensityMatrix(rho0, n), spec, gamma, [t])
     np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-12)
