@@ -28,17 +28,16 @@ from .errors import ResourceLimitError
 from .freefermion import chi_decay
 from .hilbert import (
     StateVector,
-    apply_mode_unitary,
+    amplitude_plan,
     check_lindblad_work,
     check_mode_unitaries,
     check_sites,
     chi,
     dense_unitary,
-    evolve,
+    evolve,  # noqa: F401  unused here, but perfbench/spans.py traces harness.evolve
     from_density,
     hop_rows,
     lindblad_evolve,
-    minor_plan,
     mode_minors,
     mode_unitaries,
     sample_rng,
@@ -179,35 +178,39 @@ class RevivalSetup:
     The read-out is the paper's: the minimal15 code on the whole chain,
     holding alpha|0_L> + beta|1_L>, corrected at twice the transfer time.
 
-    Nothing here diagonalises a sector.  The chain is quadratic and
-    number-conserving, so an error-free revival state, at a shifted
-    read-out time or on a disordered chain, is Gamma(M)|encoded> for one
-    N x N mode unitary M (mode_unitaries), and W reads only a few of its
-    amplitudes (154 of 3004 on minimal15).  Each is a sum over the
-    encoded state's entries x of c_x <y|Gamma(M)|x> = c_x det M[y, x],
-    read as a minor of size min(w, N - w).  `plan` (minor_plan, built
-    once here) expands them all along their last columns as one graph of
-    shared sub-minors: with |+_L> on minimal15, 459 5 x 5 complementary
-    minors (and the vacuum's constant 1) from 45, 315, 990, 945 and 459
-    sub-minors of sizes 1..5, evaluated elementwise for a whole stack of M
-    (mode_minors), with det M.  The table `minor_weights` folds each
-    (read set, source) pair's sign and c_x into its row of W, held
-    transposed (W column x pair) as the product reads it, so exact
-    successes of a stack of M are sum_c |(minor_weights @ minors^T)_c|^2
-    (success_mode_unitaries), with no support-sized row and no evolve.
-    Pruned scoring needs masses quadratic in the rows, so there each
-    member's row is Gamma(M)|encoded> on the support (apply_mode_unitary),
-    handed to the evaluator.
+    Nothing here diagonalises a sector or evolves a state.  The chain is
+    quadratic and number-conserving, so an error-free revival state, at a
+    shifted read-out time or on a disordered chain, is Gamma(M)|encoded>
+    for one N x N mode unitary M (mode_unitaries), and each of its
+    amplitudes is a sum over the encoded state's entries x of
+    c_x <y|Gamma(M)|x> = c_x det M[y, x], read as a minor of size
+    min(w, N - w).  A minor plan (minor_plan) expands a set of them along
+    their last columns as one graph of shared sub-minors, evaluated
+    elementwise for a whole stack of M (mode_minors), and its fold
+    (amplitude_plan) puts each pair's sign and c_x in its target's column.
+    Two plans serve every call:
 
-    The error-free arrival state phi = e^{-iH duration}|encoded> is
-    computed once, by a Givens evolve; a phase flip on site s at time t
-    then arrives as phi - 2 n_v phi, one rotated fermionic mode v about it,
-    instead of two full evolutions: v is row s of the mode unitary
-    U(t - duration), from the same mode_unitaries that serves every other
-    scenario (single_z_forms).  Since n_v = sum_ij conj(v_i) v_j
-    c_i^dag c_j, that state is a quadratic form in v: with
-    q = conj(v) (x) v the rows on the evaluator's support are
-    phi - 2 q H, H the sparse N^2 x support table
+    - `plan`, built here, holds only the amplitudes W reads (154 of 3004
+      on minimal15): with |+_L>, 459 5 x 5 complementary minors and the
+      vacuum's constant 1, from 45, 315, 990, 945 and 459 sub-minors of
+      sizes 1..5.  Its fold times W is `minor_weights`, held transposed
+      (W column x pair) as the product reads it, so exact successes of a
+      stack of M are sum_c |(minor_weights @ minors^T)_c|^2
+      (success_mode_unitaries), with no support-sized row.
+    - the support plan, built on first use (support_rows), holds the whole
+      support: 9010 pairs with |+_L>.  Pruned scoring needs masses
+      quadratic in the rows, so a pruned stack's rows are its minors times
+      that fold, handed to the evaluator, and the arrival state is the
+      same product at M = U(duration).
+
+    A phase flip on site s at time t arrives as phi - 2 n_v phi, one
+    rotated fermionic mode v about the error-free arrival state
+    phi = Gamma(U(duration))|encoded> (`arrival`), instead of a new plan:
+    v is row s of the mode unitary U(t - duration), from the same
+    mode_unitaries that serves every other scenario (single_z_forms).
+    Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that state is a
+    quadratic form in v: with q = conj(v) (x) v the rows on the
+    evaluator's support are phi - 2 q H, H the sparse N^2 x support table
     of the hopped states c_i^dag c_j phi (hop_rows).  Every revival state
     stays in the excitation sectors the encoded state occupies, the
     support, so a chunk of samples is scored on (S, support) blocks, never
@@ -215,14 +218,15 @@ class RevivalSetup:
     evaluator's weights), so rows @ W = phi W - 2 q K: `arrival_overlaps`
     holds phi W and the sparse N^2 x column table `hop_overlaps` holds
     K = H W (225 x 304, 35 160 nonzeros on minimal15), and no row is
-    built; both are built on the first exact single-Z call, so a process
-    that runs only timing or coupling sweeps never builds them.  Pruned
-    scoring needs masses quadratic in the rows, so it builds them
-    (single_z_rows) from H, `hop_table` (180 180 nonzeros, about 3.4 MiB),
-    which only a pruned call builds.  Every array held here, the
-    evaluator's and the plan's included, is read-only, and the pruning
-    threshold is an argument of each scoring call, so one set-up serves
-    every sweep of a process on its chain (_revival_setup).
+    built.  The arrival, phi W and K are built on the first single-Z
+    call, so a process that runs only exact timing or coupling sweeps
+    builds neither the support plan nor the arrival.  Pruned scoring
+    needs masses quadratic in the rows, so it builds them (single_z_rows)
+    from H, `hop_table` (180 180 nonzeros, about 3.4 MiB), which only a
+    pruned call builds.  Every array held here, the evaluator's and the
+    plans' included, is read-only, and the pruning threshold is an
+    argument of each scoring call, so one set-up serves every sweep of a
+    process on its chain (_revival_setup).
     """
 
     def __init__(self, spec: ChainSpec, alpha: complex, beta: complex):
@@ -238,22 +242,40 @@ class RevivalSetup:
         self.spectral_bound = report.spectral_bound
         self.encoded = encode(codeobj, alpha, beta)
         self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
-        # the error-free state at the readout, e^{-iH duration}|encoded>
-        self.arrival = evolve(self.encoded, spec, self.duration, method="givens")
         # row p of minor_weights^T: pair p's sign and encoded amplitude times
         # its read row of W
         weights, support = self.evaluator.weights, self.evaluator.support
         read = np.unique(weights.indices)
-        sources = np.flatnonzero(self.encoded.amps)
-        self.plan = minor_plan(spec.n_sites, support[read], sources)
-        target, source = self.plan.pairs
-        coef = self.plan.sign * self.encoded.amps[sources[source]]
-        self.minor_weights = sp.csc_array(
-            sp.diags_array(coef) @ sp.csr_array(weights)[read[target]]
-        ).T
-        for a in (self.encoded.amps, self.arrival.amps, self.minor_weights.data,
+        self.plan, fold = amplitude_plan(spec.n_sites, support[read], self.encoded.amps)
+        self.minor_weights = sp.csc_array(fold @ sp.csr_array(weights)[read]).T
+        for a in (self.encoded.amps, self.minor_weights.data,
                   self.minor_weights.indices, self.minor_weights.indptr):
             a.flags.writeable = False
+
+    @cached_property
+    def support_plan(self) -> tuple:
+        """(minor plan, fold) of the whole support from the encoded state (amplitude_plan).
+
+        Built on first use: exact timing and coupling sweeps never read it.
+        """
+        return amplitude_plan(self.spec.n_sites, self.evaluator.support, self.encoded.amps)
+
+    def support_rows(self, m: np.ndarray) -> np.ndarray:
+        """(S, support) rows Gamma(M)|encoded> on the support, one per member of the stack m."""
+        plan, fold = self.support_plan
+        return mode_minors(m, plan) @ fold
+
+    @cached_property
+    def arrival(self) -> StateVector:
+        """phi = Gamma(U(duration))|encoded>, the error-free state at the read-out.
+
+        Built on the first single-Z call, from the support plan.
+        """
+        amps = np.zeros_like(self.encoded.amps)
+        m = mode_unitaries(self.spec, [self.duration])
+        amps[self.evaluator.support] = self.support_rows(m)[0]
+        amps.flags.writeable = False
+        return StateVector(amps, self.spec.n_sites)
 
     @cached_property
     def arrival_overlaps(self) -> np.ndarray:
@@ -338,18 +360,16 @@ class RevivalSetup:
         flips a jump_unitary.
         Refuses anything but a stack of finite unitaries on this chain's N
         sites: the complementary minors hold only for a unitary.  Exact
-        members are read from minors (mode_minors, then a sparse product
-        summing each entry in a fixed order), pruned members from their
-        rows Gamma(M)|encoded> (apply_mode_unitary), so a member's values
-        do not depend on the stack.
+        members are read from the minors W reads (mode_minors, then a
+        sparse product summing each entry in a fixed order), pruned members
+        from their rows Gamma(M)|encoded> (support_rows, the same), so a
+        member's values do not depend on the stack.
         """
         m = check_mode_unitaries(m, self.spec.n_sites)
         if prune_below <= 0.0:
             minors = mode_minors(m, self.plan)
             return _state_sums(np.abs(self.minor_weights @ minors.T) ** 2), np.zeros(len(m))
-        support = self.evaluator.support
-        rows = np.array([apply_mode_unitary(self.encoded, u).amps[support] for u in m])
-        return self.evaluator.success(rows.reshape(len(m), support.size), prune_below)
+        return self.evaluator.success(self.support_rows(m), prune_below)
 
     def success_coupling_instance(self, f: float, draw_seed: int,
                                   prune_below: float = 0.0) -> tuple[float, float, float]:

@@ -10,20 +10,21 @@ mode evolution of the freefermion module exact for nonzero fields.
 The chain is quadratic and number-conserving, so every noiseless or
 phase-flipped run is Gamma(M) for one N x N single-particle unitary M:
 exp(-i H1 t) for an evolution (mode_unitaries), and a product of those
-and reflections for a run with phase flips (jump_unitary).
-apply_mode_unitary applies Gamma(M) to a state through the Givens
-factorisation of M, reading one pair table per excitation sector; it is
-evolve's method="givens" and trajectory_sample's engine.
-method="expm", the default of evolve, applies each occupied sector's
-sparse Hamiltonian with scipy's expm_multiply and serves as the exact
-N = 15 oracle.  Neither caches anything that depends on the chain's
-couplings or fields.  Exact revival scoring builds no state at all:
-each amplitude the decoder reads is a sum of minors of M, planned once
-as one Laplace expansion over shared sub-minors (minor_plan) and
-evaluated elementwise for a whole stack of M (mode_minors).  A single
-phase flip during transport is one rotated mode v about the error-free
-arrival state phi, read out as phi - 2 n_v phi, with v the flipped
-site's row of a mode unitary (mode_unitaries).  Since
+and reflections for a run with phase flips (jump_unitary).  One engine
+computes Gamma(M)|psi>: each amplitude <y|Gamma(M)|psi> is
+sum_x c_x det M[y, x] (Terhal & DiVincenzo, PRA 65, 032325 (2002)), a sum
+of minors of M planned once for a set of targets and sources as one
+Laplace expansion over shared sub-minors (minor_plan), evaluated
+elementwise for a whole stack of M (mode_minors) and folded with the
+sources' amplitudes (amplitude_plan).  apply_mode_unitary plans the whole
+occupied sectors of one state, and the revival set-up plans once either
+the few amplitudes the decoder reads or the whole support.  evolve
+applies each occupied sector's sparse Hamiltonian with scipy's
+expm_multiply and serves as the exact N = 15 oracle, independent of the
+minors.  Neither caches anything that depends on the chain's couplings
+or fields.  A single phase flip during transport is one rotated mode v
+about the error-free arrival state phi, read out as phi - 2 n_v phi,
+with v the flipped site's row of a mode unitary (mode_unitaries).  Since
 n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that state is a quadratic form
 in v over the N^2 hopped states c_i^dag c_j phi (hop_rows), from which
 the revival set-up builds pruned samples' rows and scores exact samples
@@ -31,16 +32,16 @@ without building any.  lindblad_evolve, the exact dephasing oracle,
 keeps only the Liouvillian's blocks that the state occupies; up to
 _DENSE_LIOUVILLIAN_MAX_DIM kept positions it gathers them densely and
 exponentiates each distinct time step once by scaling-and-squaring Pade
-(scipy.linalg.expm), and above that it steps a sparse Liouvillian with
-expm_multiply.  Both exact oracles (evolve's "expm" and lindblad_evolve)
-leave a state unchanged when no entry of their generator times t reaches
-the smallest normal float (_negligible), and neither moves numpy's global
-random state (_expm_apply).
+(scipy.linalg.expm), and above that it steps a sparse Liouvillian, built
+block by block from the sector Hamiltonians, with expm_multiply.  Both
+exact oracles (evolve and lindblad_evolve) leave a state unchanged when
+no entry of their generator times t reaches the smallest normal float
+(_negligible), and neither moves numpy's global random state
+(_expm_apply).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -58,6 +59,10 @@ _DENSITY_MATRIX_MAX_SITES = 8
 _DENSE_H_MAX_SITES = 12
 _LINDBLAD_MAX_WORK = 1e7
 _DENSE_LIOUVILLIAN_MAX_DIM = 100
+# a dense N = 10 state to itself is 184 756 pairs: a 220 ms plan peaking at
+# 36 MiB (one BLAS thread, 2-core Xeon), the largest the limit admits; the
+# revival set-up's support plan is 9010
+_MINOR_PLAN_MAX_PAIRS = 200_000
 
 
 @dataclass
@@ -188,56 +193,18 @@ def _occupied_weights(state: StateVector) -> list[int]:
     return np.unique(np.bitwise_count(np.flatnonzero(state.amps != 0))).tolist()
 
 
-def _givens_factor(u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reck factorisation u1 = G_1^dag ... G_K^dag D; returns (m_k, blocks G_k, diag D).
+def evolve(state: StateVector, spec: ChainSpec, t: float) -> StateVector:
+    """Return e^{-iHt}|psi>, the exact oracle independent of the minors engine.
 
-    Column by column from the left, each lower-triangle entry is zeroed from the
-    bottom up by an SU(2) rotation G_k of rows (m_k, m_k + 1), leaving the
-    diagonal D.  Entries already zero get none, so K <= N(N-1)/2.
-    """
-    rows = [[complex(v) for v in row] for row in u1]
-    n = len(rows)
-    modes, blocks = [], []
-    for j in range(n - 1):
-        for i in range(n - 1, j, -1):
-            top, bot = rows[i - 1], rows[i]
-            x, y = top[j], bot[j]
-            if y == 0:
-                continue
-            r = math.hypot(abs(x), abs(y))
-            xc, yc, x, y = x.conjugate() / r, y.conjugate() / r, x / r, y / r
-            for k in range(j + 1, n):
-                top[k], bot[k] = xc * top[k] + yc * bot[k], x * bot[k] - y * top[k]
-            top[j], bot[j] = r, 0j
-            modes.append(i - 1)
-            blocks.append(((xc, yc), (-y, x)))
-    return np.array(modes, dtype=np.int64), np.array(blocks).reshape(-1, 2, 2), np.diag(rows)
-
-
-def evolve(
-    state: StateVector,
-    spec: ChainSpec,
-    t: float,
-    method: str = "expm",
-) -> StateVector:
-    """Return e^{-iHt}|psi>.
-
-    Excitation-sector weights are preserved identically because each sector
-    is propagated in isolation.
-    method="expm" applies each occupied sector's sparse Hamiltonian with
-    scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-    (2011)); it keeps no cache and never factorises the single-particle
-    unitary, so it serves as an oracle independent of the Givens engine.
-    method="givens" is apply_mode_unitary with M = exp(-i H1 t).
+    Each occupied sector's sparse Hamiltonian is applied with scipy's
+    expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)),
+    so excitation-sector weights are preserved identically; it keeps no
+    cache and never reads the single-particle unitary or its minors.
     """
     if spec.n_sites != state.n_sites:
         raise ValueError("size mismatch")
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    if method not in ("expm", "givens"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "givens":
-        return apply_mode_unitary(state, mode_unitaries(spec, [t])[0])
     amps = state.amps.copy()
     for w in _occupied_weights(state):
         states = _sector_table(spec.n_sites, w)[0]
@@ -294,24 +261,20 @@ def apply_mode_unitary(state: StateVector, m) -> StateVector:
     Gamma(M) is the number-conserving Gaussian unitary with Gamma(M) c_j^dag
     Gamma(M)^dag = sum_i M_ij c_i^dag (minor_plan), so Gamma(exp(-i H1 t)) =
     e^{-iHt} and Gamma(R) = Z_s for the reflection R = I - 2 e_s e_s^T
-    (jump_unitary).  O(N^2 * sector size) with no set-up: with M =
-    G_1^dag ... G_K^dag D (_givens_factor), basis states take D's phases on
-    their occupied sites, then each G_k^dag on modes (m, m+1) mixes the
-    (|10>, |01>) amplitude pairs by its 2x2 block (|11> takes det G_k = 1;
-    no JW signs).  Refuses an M of another size, or one that is not a
-    finite unitary: the factorisation would silently rotate the wrong modes
-    or drop the non-unitary part.
+    (jump_unitary).  Each amplitude of the occupied sectors is
+    sum_x c_x det M[y, x] over the state's nonzero entries x: one plan for
+    those targets and their fold (amplitude_plan), times the minors
+    (mode_minors).  Refuses an M of another size, or one that is not a
+    finite unitary (the complementary minors hold only for a unitary), and
+    a state whose plan outgrows the pair limit (minor_plan).
     """
     n = state.n_sites
-    modes, blocks, phases = _givens_factor(check_mode_unitaries([m], n)[0])
-    amps = state.amps.copy()
-    for w in _occupied_weights(state):
-        states, pairs = _sector_table(n, w)
-        sub = amps[states] * np.exp(1j * _occupation_sum(np.angle(phases), states))
-        for k, g in zip(modes[::-1], blocks[::-1].conj().transpose(0, 2, 1)):
-            if pairs[k].size:
-                sub[pairs[k]] = g @ sub[pairs[k]]
-        amps[states] = sub
+    m = check_mode_unitaries([m], n)
+    weight = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+    targets = np.flatnonzero(np.isin(weight, weight[state.amps != 0]))
+    plan, fold = amplitude_plan(n, targets, state.amps)
+    amps = np.zeros_like(state.amps)
+    amps[targets] = (mode_minors(m, plan) @ fold)[0]
     return StateVector(amps, n)
 
 
@@ -412,14 +375,22 @@ def minor_plan(n_sites: int, targets, sources) -> MinorPlan:
     the same at every node of a level, so it is not stored.  Built with bit
     masks, np.unique and searchsorted, never a loop over pairs or nodes
     (about 2-3 ms for those 460 pairs); refuses N > 31, where a node's key
-    outgrows an int64.
+    outgrows an int64, and, with ResourceLimitError, more pairs than
+    _MINOR_PLAN_MAX_PAIRS, counted from the two weight histograms before
+    the (targets x sources) comparison is allocated.
     """
     n = n_sites
     if n > 31:
         raise ValueError("minor_plan keys a sub-minor by 2N bits of an int64: need N <= 31")
     bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))  # b_i of site i + 1
     targets, sources = np.asarray(targets, dtype=np.int64), np.asarray(sources, dtype=np.int64)
-    target, source = np.nonzero(np.bitwise_count(targets)[:, None] == np.bitwise_count(sources))
+    weight_y, weight_x = np.bitwise_count(targets), np.bitwise_count(sources)
+    count = int(np.bincount(weight_y, minlength=65) @ np.bincount(weight_x, minlength=65))
+    if count > _MINOR_PLAN_MAX_PAIRS:
+        raise ResourceLimitError(
+            f"minor plan of {count} pairs exceeds the limit of {_MINOR_PLAN_MAX_PAIRS}"
+        )
+    target, source = np.nonzero(weight_y[:, None] == weight_x)
     occ_y = (targets[target, None] & bits) != 0  # (pair, site)
     occ_x = (sources[source, None] & bits) != 0
     weight = occ_y.sum(axis=1)
@@ -505,6 +476,26 @@ def mode_minors(m: np.ndarray, plan: MinorPlan) -> np.ndarray:
     det = np.repeat(np.linalg.det(m)[None, :], len(minors), axis=0)
     jacobi = np.multiply(det, minors.conj(), out=np.empty_like(minors))
     return np.where(plan.complementary[:, None], jacobi, minors).T
+
+
+def amplitude_plan(n_sites: int, targets, amps: np.ndarray) -> tuple[MinorPlan, sp.csr_array]:
+    """The minor plan of <y|Gamma(M)|psi> for each target y, and its fold, read-only.
+
+    psi is the 2^N amplitudes `amps`; the plan (minor_plan) pairs each
+    target with the nonzero entries x of psi of its weight, and the fold is
+    a sparse (pair x target) table whose row p holds sign_p c_x in target
+    y's column.  So mode_minors(m, plan) @ fold is sum_x c_x det M[y, x]
+    per member and target, each target summed over its pairs in plan
+    order, a fixed order: a member's amplitudes do not depend on its stack.
+    """
+    sources = np.flatnonzero(amps)
+    plan = minor_plan(n_sites, targets, sources)
+    target, source = plan.pairs
+    fold = sp.csr_array((plan.sign * amps[sources[source]], (np.arange(target.size), target)),
+                        shape=(target.size, len(targets)))
+    for a in (fold.data, fold.indices, fold.indptr):
+        a.flags.writeable = False
+    return plan, fold
 
 
 def hop_rows(state: StateVector, support: np.ndarray) -> sp.csr_array:
@@ -612,12 +603,14 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
       Appl. 31, 970 (2009)) and multiplied into the vector.  Only steps
       equal as floats share an exponential: the steps of a linspace differ
       in their last bits.  Its cost grows with log ||L dt||, not ||L dt||.
-    - above it, L is the sparse restriction of the Kronecker form, applied
-      by scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-      488 (2011)), which picks its own Taylor degree and step count per
-      step.  It is the only path that runs a large kept dimension: over
-      eight steps from a full-rank rho on N = 5 (1024 positions) dense
-      Pade took 6.9 s against 24 ms, and at 4^8 it cannot allocate L.
+    - above it, L is built sparse on the kept positions, one Kronecker sum
+      of sector Hamiltonians per occupied weight pair
+      (_sector_liouvillian), and applied by scipy's expm_multiply
+      (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), which picks
+      its own Taylor degree and step count per step.  It is the only path
+      that runs a large kept dimension: over eight steps from a full-rank
+      rho on N = 5 (1024 positions) dense Pade took 6.9 s against 24 ms,
+      and at 4^8 it cannot allocate L.
 
     The limit is the measured break-even (one BLAS thread, 2-core Xeon,
     sweep-like steps): dense won at 100 kept positions (2.8 against
@@ -661,11 +654,7 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
         def advance(dt, vec):
             return expms[dt] @ vec if dt in expms else vec
     else:
-        h = sp.csr_matrix(dense_hamiltonian(spec))
-        eye = sp.identity(dim, format="csr")
-        flips = np.bitwise_count(idx[:, None] ^ idx[None, :]).ravel()
-        liouvillian = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) - sp.diags(2.0 * gamma * flips)
-        liouvillian = liouvillian.tocsr()[keep][:, keep]
+        keep, liouvillian = _sector_liouvillian(spec, gamma, occupied)
 
         def advance(dt, vec):
             return _expm_apply(liouvillian * dt, vec)
@@ -676,6 +665,26 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
         full[keep] = vec
         out.append(DensityMatrix(full.reshape(dim, dim), n))
     return out
+
+
+def _sector_liouvillian(spec: ChainSpec, gamma: float,
+                        occupied: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
+    """(kept row-major positions, sparse Liouvillian on them) of lindblad_evolve, block by block.
+
+    The positions (i, j) of each occupied weight pair (a, b), i-major, hold
+    one block: the Kronecker sum -i(H_a (x) I - I (x) H_b^T) of the sector
+    Hamiltonians (sector_sparse) minus 2 gamma popcount(i ^ j) on the
+    diagonal, which is _kept_liouvillian's formula on those positions.  No
+    4^N x 4^N operator is built.
+    """
+    n, keep, blocks = spec.n_sites, [], []
+    for a, b in zip(*np.nonzero(occupied)):
+        (s_a, h_a), (s_b, h_b) = ((_sector_table(n, w)[0], sector_sparse(spec, w)) for w in (a, b))
+        hamiltonian = sp.kron(h_a, sp.identity(s_b.size)) - sp.kron(sp.identity(s_a.size), h_b.T)
+        flips = np.bitwise_count(s_a[:, None] ^ s_b).ravel()
+        blocks.append(-1j * hamiltonian - sp.diags(2.0 * gamma * flips))
+        keep.append(((s_a[:, None] << n) | s_b).ravel())
+    return np.concatenate(keep), sp.block_diag(blocks, format="csr")
 
 
 def _kept_liouvillian(h: np.ndarray, gamma: float, keep: np.ndarray) -> np.ndarray:
@@ -762,8 +771,8 @@ def trajectory_sample(
 
     Each site flips phase at Poisson rate gamma over [0, duration].  The
     run, jumps included, is one mode unitary (jump_unitary), applied once
-    by the Givens engine.  Averaging over seeds converges to
-    lindblad_evolve.
+    from its minors (apply_mode_unitary).  Averaging over seeds converges
+    to lindblad_evolve.
     """
     if not (np.isfinite(gamma) and np.isfinite(duration)):
         raise ValueError("gamma and duration must be finite")

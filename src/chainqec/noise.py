@@ -2,7 +2,7 @@
 
 Each scenario produces the exact evolved state (or the perturbed chain)
 handed to the decoder: a single phase flip injected mid-transfer, the
-expm oracle for the single-Z read-out, or a disorder instance of the
+exact oracle for the single-Z read-out, or a disorder instance of the
 couplings, reproducible from its seed.  The other scenarios are mode
 unitaries in hilbert: a timing offset on the readout is the
 single-particle unitary of the shifted time (mode_unitaries), and a run
@@ -29,16 +29,16 @@ def inject_single_z(
 ) -> StateVector:
     """Evolve to t_err, flip the phase of one site, evolve out to total_time.
 
-    The oracle for single-Z samples: both evolutions are hilbert.evolve's
-    exact "expm" method, independent of the free-fermion engine.  Refuses a
-    site that is not a whole number in 1..N (check_sites).
+    The oracle for single-Z samples: both evolutions are hilbert.evolve,
+    exact and independent of the minors engine.  Refuses a site that is not
+    a whole number in 1..N (check_sites).
     """
     site = int(check_sites(spec.n_sites, site))
     if not 0 <= t_err <= total_time:
         raise ValueError("need 0 <= t_err <= total_time")
-    psi = evolve(state, spec, t_err, method="expm")
+    psi = evolve(state, spec, t_err)
     psi = apply_pauli(psi, pauli_z(spec.n_sites, site))
-    return evolve(psi, spec, total_time - t_err, method="expm")
+    return evolve(psi, spec, total_time - t_err)
 
 
 def disordered_spec(spec: ChainSpec, f: float, rng_seed: int) -> tuple[ChainSpec, float]:

@@ -19,6 +19,7 @@ from chainqec.freefermion import MajoranaMonomial, fermion_to_pauli, jordan_wign
 from chainqec.harness import RevivalSetup
 from chainqec.hilbert import (
     StateVector,
+    apply_mode_unitary,
     apply_pauli,
     basis_state,
     evolve,
@@ -394,7 +395,7 @@ def test_evaluator_matches_pipeline_on_disorder_state(code15, chain15, plus_logi
     from chainqec.noise import coupling_disorder
 
     perturbed, _ = coupling_disorder(chain15, 0.06, 17)
-    psi = evolve(plus_logical15, perturbed, np.pi, method="givens")
+    psi = apply_mode_unitary(plus_logical15, mode_unitaries(perturbed, [np.pi])[0])
     ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
     slow = decode_pipeline(psi, code15, _options()).success_probability
     assert ev.success(psi.amps[ev.support])[0] == pytest.approx(slow, abs=1e-10)
@@ -438,8 +439,8 @@ def test_pruned_evaluator_matches_pipeline(code15, chain15, plus_logical15):
     )
     states = {
         "single_z": inject_single_z(plus_logical15, chain15, 6, 2.1, 2 * T0),
-        "timing": evolve(plus_logical15, chain15, 2 * T0 + 0.05, method="givens"),
-        "coupling": evolve(plus_logical15, perturbed, 2 * T0, method="givens"),
+        "timing": apply_mode_unitary(plus_logical15, mode_unitaries(chain15, [2 * T0 + 0.05])[0]),
+        "coupling": apply_mode_unitary(plus_logical15, mode_unitaries(perturbed, [2 * T0])[0]),
         "constructed": constructed,
     }
     # the constructed state's X flips leave the encoded sectors; the others
@@ -468,10 +469,10 @@ def test_pruned_evaluator_matches_pipeline(code15, chain15, plus_logical15):
 
 
 def test_expm_and_givens_agree_at_scale(code15, chain15, plus_logical15):
-    # both production evolution paths on the full 15-site encoded state
+    # the expm oracle and the minors engine on the full 15-site encoded state
     for t in (1.1, -0.4, 2 * np.pi):
-        a = evolve(plus_logical15, chain15, t, method="expm")
-        b = evolve(plus_logical15, chain15, t, method="givens")
+        a = evolve(plus_logical15, chain15, t)
+        b = apply_mode_unitary(plus_logical15, mode_unitaries(chain15, [t])[0])
         assert np.abs(a.amps - b.amps).max() < 1e-10
 
 

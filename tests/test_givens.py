@@ -1,6 +1,13 @@
-"""The free-fermion Givens engine and jump unitaries, the quadratic-form single-Z read-out,
-the shared pair table and the planned minors of a mode unitary."""
+"""The free-fermion engine Gamma(M)|psi> from planned minors (apply_mode_unitary) and jump
+unitaries, checked against the exact expm and dense oracles; the quadratic-form single-Z
+read-out, the shared pair table and the planned minors of a mode unitary.
 
+"givens" in a test name or parameter is apply_mode_unitary, the mode-unitary engine,
+named for the Givens factorisation it was first built on.
+"""
+
+import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -16,9 +23,9 @@ from chainqec.chain import (
     single_excitation_matrix,
 )
 from chainqec.code import encode, minimal15
+from chainqec.errors import ResourceLimitError
 from chainqec.hilbert import (
     StateVector,
-    _givens_factor,
     _occupied_weights,
     _sector_table,
     apply_mode_unitary,
@@ -59,17 +66,6 @@ def single_particle_unitary(spec, t):
     return _u_of_t(evals, evecs, t)
 
 
-def rebuild(modes, blocks, phases):
-    """G_1^dag ... G_K^dag D as a dense matrix."""
-    n = phases.size
-    out = np.diag(phases)
-    for m, g in zip(modes[::-1], blocks[::-1]):
-        full = np.eye(n, dtype=complex)
-        full[m:m + 2, m:m + 2] = g.conj().T
-        out = full @ out
-    return out
-
-
 # --- oracles -------------------------------------------------------------------
 
 
@@ -82,26 +78,10 @@ def test_givens_matches_dense_unitary_every_weight(n):
             u = dense_unitary(spec, t)
             for weight in range(n + 1):
                 psi = sector_state(rng, n, weight)
-                for method in ("expm", "givens"):
-                    got = evolve(psi, spec, t, method=method).amps
-                    np.testing.assert_allclose(got, u @ psi.amps, atol=1e-12, err_msg=method)
-
-
-def test_factor_skips_entries_already_zero():
-    modes, blocks, phases = _givens_factor(np.eye(5))
-    assert modes.size == 0 and blocks.shape == (0, 2, 2)
-    np.testing.assert_array_equal(phases, np.ones(5))
-    # a unitary that mixes only modes 2 and 3 needs one rotation on them
-    u = np.diag(np.exp(1j * np.arange(4)))
-    u[2:, 2:] = [[0.6, 0.8j], [0.8j, 0.6]]
-    modes, blocks, phases = _givens_factor(u)
-    assert modes.tolist() == [2]
-    np.testing.assert_allclose(rebuild(modes, blocks, phases), u, atol=1e-15)
-
-
-def test_givens_rejects_unknown_method():
-    with pytest.raises(ValueError, match="unknown method"):
-        evolve(basis_state(3, [1]), ChainSpec(3, (1.0, 1.0), (0.0,) * 3), 0.1, method="cheb")
+                m = mode_unitaries(spec, [t])[0]
+                for name, got in (("expm", evolve(psi, spec, t)),
+                                  ("givens", apply_mode_unitary(psi, m))):
+                    np.testing.assert_allclose(got.amps, u @ psi.amps, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -129,29 +109,15 @@ def chains(draw, max_sites=10):
     return ChainSpec(n, tuple(js), tuple(bs))
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=chains(), t=st.floats(-6.0, 6.0, allow_nan=False))
-def test_factor_rebuilds_single_particle_unitary(spec, t):
-    u1 = single_particle_unitary(spec, t)
-    modes, blocks, phases = _givens_factor(u1)
-    n = spec.n_sites
-    assert modes.size <= n * (n - 1) // 2
-    assert np.all((modes >= 0) & (modes < n - 1))
-    np.testing.assert_allclose(np.linalg.det(blocks), 1.0, atol=1e-12)
-    np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-12)
-    np.testing.assert_allclose(rebuild(modes, blocks, phases), u1, atol=1e-12)
-
-
 @settings(max_examples=40, deadline=None)
 @given(spec=chains(max_sites=8), t=st.floats(-6.0, 6.0, allow_nan=False))
 def test_single_excitation_block_is_single_particle_unitary(spec, t):
     n = spec.n_sites
     states = sector_indices(n, 1)  # site k is states[k - 1]
-    block = np.column_stack([
-        evolve(basis_state(n, [k]), spec, t, method="givens").amps[states]
-        for k in range(1, n + 1)
-    ])
-    np.testing.assert_allclose(block, single_particle_unitary(spec, t), atol=1e-12)
+    m = mode_unitaries(spec, [t])[0]
+    for engine in (lambda psi: apply_mode_unitary(psi, m), lambda psi: evolve(psi, spec, t)):
+        block = np.column_stack([engine(basis_state(n, [k])).amps[states] for k in range(1, n + 1)])
+        np.testing.assert_allclose(block, single_particle_unitary(spec, t), atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +130,7 @@ def test_single_z_quadratic_form_matches_dense_flip(spec, data):
     total = data.draw(st.floats(0.0, 4.0))
     t = data.draw(st.floats(0.0, total))
     site = data.draw(st.integers(1, n))
-    arrival = evolve(psi, spec, total, method="givens")
+    arrival = apply_mode_unitary(psi, mode_unitaries(spec, [total])[0])
     v = mode_unitaries(spec, [t - total])[0, site - 1]
     hopped = hop_rows(arrival, np.arange(1 << n)).toarray().reshape(n, n, 1 << n)
     n_v = np.einsum("i,j,ijx->x", v.conj(), v, hopped)
@@ -191,15 +157,15 @@ def test_jump_unitary_applied_once_matches_expm_between_flips(spec, data):
     jumps = list(zip(times, data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k))))
     want, prev = psi, 0.0
     for t, site in jumps:
-        want = apply_pauli(evolve(want, spec, t - prev, method="expm"), pauli_z(n, site))
+        want = apply_pauli(evolve(want, spec, t - prev), pauli_z(n, site))
         prev = t
-    want = evolve(want, spec, duration - prev, method="expm")
+    want = evolve(want, spec, duration - prev)
     got = apply_mode_unitary(psi, jump_unitary(spec, duration, jumps))
     np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-12)
 
 
 def _trajectory_loop(state, gamma, duration, rng_seed, spec):
-    """trajectory_sample as it once ran: Givens evolves between the jumps' phase flips."""
+    """trajectory_sample as it once ran, on the expm oracle: evolves between the jumps' flips."""
     rng = sample_rng(rng_seed, 0)
     events = []
     for site in range(1, spec.n_sites + 1):
@@ -209,11 +175,11 @@ def _trajectory_loop(state, gamma, duration, rng_seed, spec):
     psi, t_prev = state, 0.0
     for t_j, site in events:
         if t_j > t_prev:
-            psi = evolve(psi, spec, t_j - t_prev, method="givens")
+            psi = evolve(psi, spec, t_j - t_prev)
         psi = apply_pauli(psi, pauli_z(spec.n_sites, site))
         t_prev = t_j
     if duration > t_prev:
-        psi = evolve(psi, spec, duration - t_prev, method="givens")
+        psi = evolve(psi, spec, duration - t_prev)
     return psi, tuple(events)
 
 
@@ -303,12 +269,16 @@ def test_occupied_weights_match_loop():
     assert _occupied_weights(StateVector(tiny, 4)) == [0, 1]
 
 
-@pytest.mark.parametrize("method", ["givens", "expm"])
-def test_evolve_moves_amplitudes_whose_square_underflows(method):
+@pytest.mark.parametrize("engine", ["givens", "expm"])
+def test_evolve_moves_amplitudes_whose_square_underflows(engine):
     spec = ChainSpec(4, (1.0, 0.7, 1.2), (0.0, 0.3, 0.0, -0.2))
     amps = np.zeros(16, dtype=complex)
     amps[0], amps[0b1000] = 1.0, 1e-200
-    got = evolve(StateVector(amps, 4), spec, 0.9, method=method).amps
+    psi = StateVector(amps, 4)
+    if engine == "givens":
+        got = apply_mode_unitary(psi, mode_unitaries(spec, [0.9])[0]).amps
+    else:
+        got = evolve(psi, spec, 0.9).amps
     want = dense_unitary(spec, 0.9) @ amps
     assert np.all(want[[8, 4, 2, 1]] != 0)  # spread over all four sites
     np.testing.assert_allclose(got * 1e200, want * 1e200, rtol=0, atol=1e-12)
@@ -385,3 +355,27 @@ def test_minor_plan_shares_sub_minors_and_is_read_only():
             a.flat[0] = 0
     with pytest.raises(ValueError, match="N <= 31"):
         minor_plan(32, [0], [0])
+
+
+def test_minor_plan_refuses_too_many_pairs_before_allocating():
+    # dense N = 12 is C(24, 12) = 2 704 156 pairs, whose (targets x sources)
+    # comparison alone is 16 MiB; the revival set-up's support plan is 9010
+    everything = np.arange(1 << 12)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="2704156 pairs"):
+            minor_plan(12, everything, everything)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and elapsed < 0.5
+    with pytest.raises(ResourceLimitError):  # the spread weight-10 sector of N = 15, to itself
+        minor_plan(15, sector_indices(15, 10), sector_indices(15, 10))
+    psi = encode(minimal15(), 2**-0.5, 2**-0.5)
+    support = np.concatenate([sector_indices(15, 0), sector_indices(15, 10)])
+    assert minor_plan(15, support, np.flatnonzero(psi.amps)).pairs.shape == (2, 9010)
+    # apply_mode_unitary plans a state's whole occupied sectors, so it is refused alike
+    with pytest.raises(ResourceLimitError):
+        apply_mode_unitary(StateVector(np.ones(1 << 12), 12), np.eye(12))

@@ -24,7 +24,7 @@ from chainqec.harness import (
     make_code,
     sample_rng,
 )
-from chainqec.hilbert import apply_pauli, evolve, jump_unitary, mode_unitaries
+from chainqec.hilbert import apply_mode_unitary, apply_pauli, evolve, jump_unitary, mode_unitaries
 from chainqec.noise import disordered_spec
 from chainqec.pauli import from_sites, pauli_z
 
@@ -283,13 +283,16 @@ def test_cached_setup_is_read_only():
     setup.success_single_z([3], [0.4])  # an exact call builds phi W and K
     setup.success_single_z([3], [0.4], 1e-12)  # a pruned call builds H
     plan = setup.plan
+    support_plan, support_table = setup.support_plan  # built with the arrival
     arrays = _held_arrays(setup, setup.evaluator, setup.evaluator.tables)
     arrays += [setup.encoded.amps, setup.arrival.amps]
-    arrays += [plan.pairs, plan.complementary, plan.sign, plan.node, *plan.entries, *plan.children]
+    for p in (plan, support_plan):
+        arrays += [p.pairs, p.complementary, p.sign, p.node, *p.entries, *p.children]
+    arrays += [support_table.data, support_table.indices, support_table.indptr]
     # the set-up's phi W and the three buffers of each of its tables K, H and
     # minor_weights, five evaluator arrays, two sparse matrices of three
-    # buffers each, three table arrays, two states, and the minor plan's
-    # four arrays and two tables for each of its five levels
+    # buffers each, three table arrays, two states, each minor plan's four
+    # arrays and two tables per level, and the support plan's fold
     assert setup.arrival_overlaps.size and setup.hop_overlaps.nnz and setup.hop_table.nnz
     assert [e.shape for e in plan.entries] == [(45, 1), (315, 2), (990, 3), (945, 4), (459, 5)]
     assert [c.shape for c in plan.children] == [e.shape for e in plan.entries]
@@ -419,18 +422,19 @@ def logical_setup(request):
     return RevivalSetup(pst_couplings(15), *LOGICALS[request.param])
 
 
-def _givens_row(setup, spec, duration, jumps=()) -> np.ndarray:
-    """The revival state on the support: Givens evolves between the jumps' phase flips."""
+def _expm_row(setup, spec, duration, jumps=()) -> np.ndarray:
+    """The revival state on the support: expm evolves between the jumps' phase flips."""
     psi, prev = setup.encoded, 0.0
     for t, site in jumps:
-        psi = evolve(psi, spec, t - prev, method="givens")
+        psi = evolve(psi, spec, t - prev)
         psi = apply_pauli(psi, pauli_z(spec.n_sites, site))
         prev = t
-    return evolve(psi, spec, duration - prev, method="givens").amps[setup.evaluator.support]
+    return evolve(psi, spec, duration - prev).amps[setup.evaluator.support]
 
 
-def _assert_matches_givens(setup, stack, rows):
-    # exact members from minors, pruned ones from one Givens application of M each
+def _assert_matches_rows(setup, stack, rows):
+    # exact members from the minors W reads, pruned ones from rows of the
+    # whole support's minors, both against the oracle's rows
     for prune in (0.0, 1e-12):
         got, discarded = setup.success_mode_unitaries(stack, prune)
         want, want_discarded = setup.evaluator.success(np.array(rows), prune)
@@ -443,8 +447,8 @@ def _assert_matches_givens(setup, stack, rows):
 def test_minors_match_givens_at_timing_offsets(logical_setup, chain15):
     s = logical_setup
     deltas = np.array([-0.3, -0.01, 0.002, 0.05, 0.2])
-    rows = [_givens_row(s, chain15, s.duration + d) for d in deltas]
-    _assert_matches_givens(s, mode_unitaries(chain15, s.duration + deltas), rows)
+    rows = [_expm_row(s, chain15, s.duration + d) for d in deltas]
+    _assert_matches_rows(s, mode_unitaries(chain15, s.duration + deltas), rows)
 
 
 def test_minors_match_givens_on_disordered_chains(logical_setup, chain15):
@@ -452,8 +456,8 @@ def test_minors_match_givens_on_disordered_chains(logical_setup, chain15):
     for f in (0.01, 0.1, 0.3):
         for draw in (3, 4):
             perturbed, zeta = disordered_spec(chain15, f, draw)
-            row = _givens_row(s, perturbed, s.duration)
-            _assert_matches_givens(s, mode_unitaries(perturbed, [s.duration]), [row])
+            row = _expm_row(s, perturbed, s.duration)
+            _assert_matches_rows(s, mode_unitaries(perturbed, [s.duration]), [row])
             for prune in (0.0, 1e-12):
                 success, discarded = s.success_mode_unitaries(
                     mode_unitaries(perturbed, [s.duration]), prune
@@ -471,8 +475,8 @@ def test_minors_match_givens_on_jump_products(logical_setup, chain15, k):
         for _ in range(3)
     ]
     stack = np.array([jump_unitary(chain15, s.duration, jumps) for jumps in trajectories])
-    rows = [_givens_row(s, chain15, s.duration, jumps) for jumps in trajectories]
-    _assert_matches_givens(s, stack, rows)
+    rows = [_expm_row(s, chain15, s.duration, jumps) for jumps in trajectories]
+    _assert_matches_rows(s, stack, rows)
 
 
 def test_minors_at_the_revival_time_read_the_encoded_state(logical_setup, chain15):
@@ -484,7 +488,7 @@ def test_minors_at_the_revival_time_read_the_encoded_state(logical_setup, chain1
 
 def test_single_z_matches_its_jump_unitary(logical_setup, chain15):
     # the two production read-outs of one phase flip: the quadratic form in
-    # the flipped mode, and minors (or Givens rows) of U(D - t) R_s U(t)
+    # the flipped mode, and minors (or rows from minors) of U(D - t) R_s U(t)
     s = logical_setup
     rng = np.random.default_rng(72)
     sites = np.array([1, 15, 8, *rng.integers(1, 16, 5)])
@@ -511,7 +515,7 @@ def test_minors_match_expm_and_pipeline(code15, chain15):
         value = setup.success_mode_unitaries(mode_unitaries(perturbed, [setup.duration]))[0][0]
         cases.append((value, perturbed, setup.duration))
     for value, spec, t in cases:
-        psi = evolve(setup.encoded, spec, t, method="expm")
+        psi = evolve(setup.encoded, spec, t)
         want = decode_pipeline(psi, code15, opts).success_probability
         assert value == pytest.approx(want, abs=1e-10)
 
@@ -531,11 +535,30 @@ def test_stack_member_does_not_depend_on_its_stack(chain15):
         for k in range(len(stack)):
             alone = setup.success_mode_unitaries(stack[k:k + 1], prune)
             assert (alone[0][0], alone[1][0]) == (success[k], discarded[k]), (prune, k)
+    # pruned members are scored from rows of one mode_minors call on the
+    # support plan: each member's row is computed alone too
+    rows = setup.support_rows(stack)
+    for k in range(len(stack)):
+        np.testing.assert_array_equal(setup.support_rows(stack[k:k + 1])[0], rows[k])
     # nor does a mode unitary depend on the other times it is built with
     times = setup.duration + rng.uniform(-0.3, 0.3, 7)
     whole, _ = setup.success_mode_unitaries(mode_unitaries(chain15, times))
     alone = [setup.success_mode_unitaries(mode_unitaries(chain15, [t]))[0][0] for t in times]
     np.testing.assert_array_equal(alone, whole)
+
+
+def test_arrival_is_the_expm_evolution_built_on_first_use(chain15):
+    setup = RevivalSetup(chain15, 2**-0.5, 2**-0.5)
+    # exact scoring reads only the minors W reads: no support plan, no arrival
+    setup.success_mode_unitaries(mode_unitaries(chain15, [setup.duration + 0.01]))
+    assert "support_plan" not in vars(setup) and "arrival" not in vars(setup)
+    want = evolve(setup.encoded, chain15, setup.duration).amps
+    assert np.abs(setup.arrival.amps - want).max() <= 1e-13
+    plan, table = setup.support_plan
+    assert plan.pairs.shape == (2, 9010) and table.shape == (9010, setup.evaluator.support.size)
+    # the support plan is apply_mode_unitary's plan of the same state, in another target order
+    engine = apply_mode_unitary(setup.encoded, mode_unitaries(chain15, [setup.duration])[0])
+    np.testing.assert_array_equal(engine.amps, setup.arrival.amps)
 
 
 def test_mode_unitary_scoring_refuses_bad_input(chain15):
@@ -558,21 +581,21 @@ def test_mode_unitary_scoring_refuses_bad_input(chain15):
 
 
 def test_exact_timing_and_coupling_never_evolve(monkeypatch):
-    # once the set-up (whose arrival state is a Givens evolve) is cached,
-    # exact sweeps read minors of the mode unitary: no evolve, no scored row
+    # once the set-up is cached, exact sweeps read the minors W reads: no
+    # evolve, no support row built and none scored
     harness._revival_setup(pst_couplings(15))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a state was evolved or a row scored")
 
     monkeypatch.setattr(harness, "evolve", refuse)
-    monkeypatch.setattr(harness, "apply_mode_unitary", refuse)
+    monkeypatch.setattr(harness.RevivalSetup, "support_rows", refuse)
     monkeypatch.setattr(harness.RevivalEvaluator, "success", refuse)
     assert exp_timing(delta_grid=(0.0, 0.01)).successes[0] == pytest.approx(1.0, abs=1e-12)
     assert exp_coupling(f_grid=(0.0, 0.05), instances=2, seed=1).mean_success[0] == pytest.approx(
         1.0, abs=1e-12
     )
-    # pruned scoring applies each mode unitary to the encoded state once
+    # pruned scoring builds each mode unitary's row on the support once
     with pytest.raises(AssertionError, match="evolved"):
         exp_timing(delta_grid=(0.01,), prune_below=1e-7)
     with pytest.raises(AssertionError, match="evolved"):

@@ -11,6 +11,7 @@ from chainqec.errors import ResourceLimitError
 from chainqec.hilbert import (
     DensityMatrix,
     StateVector,
+    apply_mode_unitary,
     apply_pauli,
     basis_state,
     chi,
@@ -20,6 +21,7 @@ from chainqec.hilbert import (
     fidelity,
     from_density,
     lindblad_evolve,
+    mode_unitaries,
     state_from_text,
     state_to_text,
     trajectory_sample,
@@ -103,7 +105,7 @@ def test_evolve_matches_dense_unitary():
             expected = dense_unitary(spec, t) @ psi.amps
             np.testing.assert_allclose(evolve(psi, spec, t).amps, expected, atol=1e-10)
             np.testing.assert_allclose(
-                evolve(psi, spec, t, method="givens").amps, expected, atol=1e-9
+                apply_mode_unitary(psi, mode_unitaries(spec, [t])[0]).amps, expected, atol=1e-9
             )
 
 
@@ -169,7 +171,7 @@ def test_expm_evolve_leaves_global_rng_alone(chain15, plus_logical15):
     np.random.seed(0)
     want = np.random.random()
     np.random.seed(0)
-    evolve(plus_logical15, chain15, 1.234, method="expm")
+    evolve(plus_logical15, chain15, 1.234)
     assert np.random.random() == want
 
 
@@ -242,7 +244,7 @@ def test_exact_oracles_at_a_subnormal_time_return_the_state_without_warning(gamm
         warnings.simplefilter("error")
         for t in (5e-324, 1e-323, 1e-321):
             np.testing.assert_array_equal(lindblad_evolve(rho, spec, gamma, [t])[0].mat, rho.mat)
-            np.testing.assert_array_equal(evolve(psi, spec, t, method="expm").amps, psi.amps)
+            np.testing.assert_array_equal(evolve(psi, spec, t).amps, psi.amps)
 
 
 def test_lindblad_rejects_non_finite_and_negative(monkeypatch):
@@ -322,6 +324,26 @@ def test_lindblad_dense_and_sparse_paths_agree(monkeypatch, rho):
         np.testing.assert_array_equal(got[side][1], got[side][0])  # a repeated time is a zero step
         np.testing.assert_array_equal(got[side][3], got[side][2])
     np.testing.assert_allclose(got["dense"], got["sparse"], rtol=0, atol=1e-13)
+
+
+def test_sparse_liouvillian_is_the_dense_gather_without_the_full_operator(monkeypatch):
+    # block by block from the sector Hamiltonians: _kept_liouvillian's values
+    # on the same positions, with no 2^N x 2^N Hamiltonian behind them
+    from chainqec import hilbert
+
+    n, gamma = 5, 0.4
+    spec = random_chain(np.random.default_rng(29), n, with_fields=True)
+    occupied = np.zeros((n + 1, n + 1), dtype=bool)
+    occupied[[1, 2, 2, 0], [2, 2, 1, 3]] = True
+    dense = hilbert.dense_hamiltonian(spec)
+    with monkeypatch.context() as m:
+        m.setattr(hilbert, "dense_hamiltonian", lambda spec: pytest.fail("2^N x 2^N H built"))
+        keep, sparse = hilbert._sector_liouvillian(spec, gamma, occupied)
+    weight = np.bitwise_count(np.arange(1 << n))
+    order = np.argsort(keep)
+    np.testing.assert_array_equal(keep[order], np.flatnonzero(occupied[weight[:, None], weight]))
+    want = hilbert._kept_liouvillian(dense, gamma, keep[order])
+    np.testing.assert_array_equal(sparse.toarray()[np.ix_(order, order)], want)
 
 
 def test_dephasing_sweep_at_large_gamma_stays_at_roundoff():

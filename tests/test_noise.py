@@ -140,16 +140,14 @@ _COLD_DEFAULT = """
 import json
 import numpy as np
 from chainqec import encode, inject_single_z, minimal15, pst_couplings
-from chainqec.hilbert import apply_pauli, evolve
-from chainqec.pauli import pauli_z
+from chainqec.hilbert import apply_mode_unitary, jump_unitary
 
 spec = pst_couplings(15)
 psi = encode(minimal15(), 1 / np.sqrt(2), 1 / np.sqrt(2))
 noisy = inject_single_z(psi, spec, site=7, t_err=1.1, total_time=np.pi)
 with open("/proc/self/status") as fh:
     peak_kib = int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
-mid = apply_pauli(evolve(psi, spec, 1.1, method="givens"), pauli_z(15, 7))
-fast = evolve(mid, spec, np.pi - 1.1, method="givens")
+fast = apply_mode_unitary(psi, jump_unitary(spec, np.pi, [(1.1, 7)]))
 print(json.dumps({"peak_kib": peak_kib, "diff": float(np.abs(noisy.amps - fast.amps).max())}))
 """
 
