@@ -137,14 +137,35 @@ def pst_couplings(n_sites: int, scale: float = 1.0) -> ChainSpec:
 
 def single_excitation_matrix(spec: ChainSpec) -> np.ndarray:
     """Symmetric tridiagonal matrix: fields on the diagonal, couplings off it."""
-    m = np.diag(np.array(spec.fields, dtype=float))
-    for n in range(spec.n_sites - 1):
-        m[n, n + 1] = m[n + 1, n] = spec.couplings[n]
+    return tridiagonal(spec.fields, spec.couplings)
+
+
+def tridiagonal(diagonal, off) -> np.ndarray:
+    """Symmetric tridiagonal matrices (..., N, N), built as one stack.
+
+    `diagonal` (..., N) is the diagonal and `off` (..., N - 1) the entries
+    beside it; their leading axes broadcast.  Every other entry is +0.
+    """
+    diagonal, off = np.asarray(diagonal, dtype=float), np.asarray(off, dtype=float)
+    n = diagonal.shape[-1]
+    m = np.zeros((*np.broadcast_shapes(diagonal.shape[:-1], off.shape[:-1]), n, n))
+    i = np.arange(n)
+    m[..., i, i] = diagonal
+    m[..., i[:-1], i[1:]] = m[..., i[1:], i[:-1]] = off
     return m
 
 
-def _u_of_t(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.T
+def _u_of_t(evals: np.ndarray, evecs: np.ndarray, t) -> np.ndarray:
+    """V e^{-i lambda t} V^T from the eigenpairs (evals, evecs) of real symmetric H1.
+
+    The one formula of every single-particle unitary: evals (..., N), evecs
+    (..., N, N) and t, a time or an array broadcasting with evals, so a stack
+    of times on one chain (hilbert.mode_unitaries) or one time on a stack of
+    chains (hilbert.stack_mode_unitaries) is one stacked product.  numpy
+    multiplies each member of a stacked product alone (one GEMM per member),
+    so a member does not depend on its stack.
+    """
+    return (evecs * np.exp(-1j * evals * t)[..., None, :]) @ np.swapaxes(evecs, -1, -2)
 
 
 # the gap ratios of engineered chains are fractions of small denominator; a

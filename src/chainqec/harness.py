@@ -41,8 +41,9 @@ from .hilbert import (
     mode_minors,
     mode_unitaries,
     sample_rng,
+    stack_mode_unitaries,
 )
-from .noise import disordered_spec
+from .noise import disorder_stack, disordered_spec
 from .pauli import PauliString
 
 _BRUTE_FORCE_MAX_SITES = 6
@@ -375,8 +376,9 @@ class RevivalSetup:
                                   prune_below: float = 0.0) -> tuple[float, float, float]:
         """(success probability, largest perturbation singular value, discarded mass).
 
-        One disorder instance alone; exp_coupling scores its instances in
-        stacks through success_mode_unitaries instead, to the same values.
+        One disorder instance alone; exp_coupling builds and scores its
+        instances in stacks (disorder_stack, stack_mode_unitaries,
+        success_mode_unitaries) instead, to the same values.
         """
         perturbed, zeta = disordered_spec(self.spec, f, draw_seed)
         m = mode_unitaries(perturbed, [self.duration])
@@ -431,9 +433,11 @@ def exp_single_z(
     setup = _revival_setup(spec)
 
     def evaluate(indices):
-        draws = [sample_rng(seed, i) for i in indices]
-        sites = [int(rng.integers(1, spec.n_sites + 1)) for rng in draws]
-        t_errs = [float(rng.uniform(0.0, setup.duration)) for rng in draws]
+        sites, t_errs, rng = [], [], None
+        for i in indices:  # one generator, re-keyed by (seed, i) for each sample
+            rng = sample_rng(seed, i, reuse=rng)
+            sites.append(int(rng.integers(1, spec.n_sites + 1)))
+            t_errs.append(float(rng.uniform(0.0, setup.duration)))
         success, discarded = setup.success_single_z(sites, t_errs, prune_below)
         return [
             {"site": site, "t_err": t, "success": float(p), "discarded_mass": float(d)}
@@ -533,8 +537,15 @@ def exp_coupling(
     """Static coupling disorder: per fraction, success over random instances.
 
     Each instance is the perturbed chain's mode unitary U'(2T), scored by
-    RevivalSetup.success_mode_unitaries, exact or pruned, in stacks that
-    may straddle grid points: a member's value does not depend on its stack.
+    RevivalSetup.success_mode_unitaries, exact or pruned.  Instances are
+    built and scored in stacks of up to _CHUNK (point, instance) jobs,
+    which may straddle grid points: instance k of point i draws its seed
+    from the key (seed, i * instances + k), and its coupling factors from
+    (that draw seed, 1), through one generator re-keyed for every draw
+    (sample_rng); the stack's matrices and zeta come from disorder_stack
+    and its mode unitaries from one stacked eigh (stack_mode_unitaries).
+    A member's values do not depend on its stack: each equals what
+    disordered_spec and mode_unitaries give that instance alone.
     """
     spec = spec or pst_couplings(15)
     f_grid = DEFAULT_COUPLING_GRID if f_grid is None else tuple(float(f) for f in f_grid)
@@ -555,20 +566,21 @@ def exp_coupling(
         # checkpointed, as soon as its last instance is scored
         jobs = [(i, k) for i in indices for k in range(instances)]
         vals, zeta_vals, discarded = (np.empty((len(indices), instances)) for _ in range(3))
-        done = 0
+        done, rng = 0, None
         for start in range(0, len(jobs), _CHUNK):
-            stack = []
-            for j, (i, k) in enumerate(jobs[start:start + _CHUNK], start):
-                # derive the per-instance key from the master seed, the grid
-                # point and the instance index so draws are order-independent
-                draw_seed = int(
-                    sample_rng(seed, i * instances + k).integers(0, 2**63 - 1)
-                )
-                perturbed, zeta_vals.flat[j] = disordered_spec(spec, f_grid[i], draw_seed)
-                stack.append(mode_unitaries(perturbed, [setup.duration])[0])
-            scored = slice(start, start + len(stack))
+            batch = jobs[start:start + _CHUNK]
+            draw_seeds = []
+            for i, k in batch:
+                # the per-instance key: the master seed, the grid point and the
+                # instance index, so draws are order-independent
+                rng = sample_rng(seed, i * instances + k, reuse=rng)
+                draw_seeds.append(int(rng.integers(0, 2**63 - 1)))
+            scored = slice(start, start + len(batch))
+            h1, zeta_vals.flat[scored] = disorder_stack(
+                spec, [f_grid[i] for i, _ in batch], draw_seeds, rng
+            )
             vals.flat[scored], discarded.flat[scored] = setup.success_mode_unitaries(
-                np.array(stack), prune_below
+                stack_mode_unitaries(h1, setup.duration), prune_below
             )
             while done < len(indices) and (done + 1) * instances <= scored.stop:
                 yield {

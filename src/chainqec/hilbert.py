@@ -9,16 +9,18 @@ mode evolution of the freefermion module exact for nonzero fields.
 
 The chain is quadratic and number-conserving, so every noiseless or
 phase-flipped run is Gamma(M) for one N x N single-particle unitary M:
-exp(-i H1 t) for an evolution (mode_unitaries), and a product of those
-and reflections for a run with phase flips (jump_unitary).  One engine
+exp(-i H1 t) for an evolution (mode_unitaries, or stack_mode_unitaries
+for one time on a stack of chains), and a product of those and
+reflections for a run with phase flips (jump_unitary).  One engine
 computes Gamma(M)|psi>: each amplitude <y|Gamma(M)|psi> is
 sum_x c_x det M[y, x] (Terhal & DiVincenzo, PRA 65, 032325 (2002)), a sum
 of minors of M planned once for a set of targets and sources as one
 Laplace expansion over shared sub-minors (minor_plan), evaluated
 elementwise for a whole stack of M (mode_minors) and folded with the
-sources' amplitudes (amplitude_plan).  apply_mode_unitary plans the whole
-occupied sectors of one state, and the revival set-up plans once either
-the few amplitudes the decoder reads or the whole support.  evolve
+sources' amplitudes (amplitude_plan, which keeps the last few plans).
+apply_mode_unitary plans the whole occupied sectors of one state, and the
+revival set-up plans once either the few amplitudes the decoder reads or
+the whole support.  evolve
 applies each occupied sector's sparse Hamiltonian with scipy's
 expm_multiply and serves as the exact N = 15 oracle, independent of the
 minors.  Neither caches anything that depends on the chain's couplings
@@ -42,7 +44,7 @@ no entry of their generator times t reaches the smallest normal float
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -51,7 +53,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from .chain import ChainSpec, single_excitation_matrix
+from .chain import ChainSpec, _u_of_t, single_excitation_matrix
 from .errors import ResourceLimitError
 from .pauli import PauliString, site_bit, z_sign
 
@@ -294,9 +296,10 @@ def mode_unitaries(spec: ChainSpec, times) -> np.ndarray:
     """(S, N, N) single-particle unitaries exp(-i H1 t), one per time, from one eigh.
 
     Gamma(M)|psi> = e^{-iHt}|psi> for each (apply_mode_unitary,
-    minor_plan).  One stacked product, in which numpy multiplies each
-    member alone (the GEMM chain._u_of_t makes), so a member does not
-    depend on the stack.  Refuses a non-finite time.
+    minor_plan).  One stacked product (chain._u_of_t, the formula
+    stack_mode_unitaries shares), in which numpy multiplies each member
+    alone, so a member does not depend on the stack.  Refuses a non-finite
+    time.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -304,7 +307,25 @@ def mode_unitaries(spec: ChainSpec, times) -> np.ndarray:
     if not np.all(np.isfinite(times)):
         raise ValueError("time must be finite")
     evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
-    return (evecs * np.exp(-1j * evals * times[:, None])[:, None, :]) @ evecs.T
+    return _u_of_t(evals, evecs, times[:, None])
+
+
+def stack_mode_unitaries(h1: np.ndarray, t: float) -> np.ndarray:
+    """(S, N, N) single-particle unitaries exp(-i H1_k t), one per matrix of the stack h1.
+
+    h1 holds S real symmetric single-excitation matrices (S, N, N), such as
+    the disorder instances of noise.disorder_stack.  One stacked eigh and
+    one stacked product (chain._u_of_t, the formula mode_unitaries
+    shares); numpy runs LAPACK and GEMM per member, so member k equals
+    mode_unitaries(chain_k, [t])[0] bit for bit, whatever the stack.
+    Refuses a non-finite time.
+    """
+    if not np.isfinite(t):
+        raise ValueError("time must be finite")
+    evals, evecs = np.linalg.eigh(h1)
+    # t as an (S, 1) array, as mode_unitaries passes times[:, None]: the
+    # phases then come from the same broadcast product, to the same bits
+    return _u_of_t(evals, evecs, np.full((len(h1), 1), float(t)))
 
 
 def jump_unitary(spec: ChainSpec, duration: float, jumps) -> np.ndarray:
@@ -330,7 +351,7 @@ def jump_unitary(spec: ChainSpec, duration: float, jumps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinorPlan:
-    """How to read <y|Gamma(M)|x> for the pairs of minor_plan, every array read-only.
+    """How to read <y|Gamma(M)|x> for the pairs of minor_plan, every planned array read-only.
 
     pairs (2, P): target and source positions of each pair;
     complementary (P,): whether the pair is read from its complement, and
@@ -339,6 +360,14 @@ class MinorPlan:
     the flat index r N + c into M and the child node of level l - 1 of
     each term of its expansion; node (P,): each pair's node among levels
     0..K stacked (level 0 is the one constant 1).
+
+    `work` holds mode_minors' writable work buffers (_work_array): one
+    per name, sized by the largest stack seen, reused by every later call,
+    so a warm call maps no fresh memory.  For the revival set-up's 460-pair
+    plan they come to about 1.4 MiB at S = 16, and about 10 MiB for its
+    9010-pair support plan, which only pruned stacks use.  So a plan is not
+    for concurrent use: two threads evaluating one plan at once would
+    write over each other's levels.
     """
 
     pairs: np.ndarray
@@ -347,6 +376,19 @@ class MinorPlan:
     entries: tuple[np.ndarray, ...]
     children: tuple[np.ndarray, ...]
     node: np.ndarray
+    work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _work_array(plan: MinorPlan, name: str, rows: int, cols: int) -> np.ndarray:
+    """A contiguous complex (rows, cols) view of the plan's work buffer `name`.
+
+    The buffer is grown to the largest size asked and never shrunk, so a
+    plan holds one buffer per name, sized by its largest stack.
+    """
+    buf = plan.work.get(name)
+    if buf is None or buf.size < rows * cols:
+        buf = plan.work[name] = np.empty(rows * cols, dtype=complex)
+    return buf[:rows * cols].reshape(rows, cols)
 
 
 def _set_sites(masks: np.ndarray, n: int, count: int) -> np.ndarray:
@@ -442,10 +484,16 @@ def mode_minors(m: np.ndarray, plan: MinorPlan) -> np.ndarray:
 
     All of it is elementwise across the stack, so each member's values are
     computed alone, whatever the stack.  Each complex product multiplies
-    two contiguous arrays of one shape into a fresh output: numpy rounds a
-    product with a broadcast operand, or one written over an operand (as
-    its temporary elision does to a product of two large temporaries), with
-    another kernel, so a member's value would change with S.
+    two contiguous arrays of one shape into a contiguous output of that
+    shape that overlaps neither: numpy rounds a product with a broadcast
+    operand, or one written over an operand (as its temporary elision does
+    to a product of two large temporaries), with another kernel, so a
+    member's value would change with S.  The levels, the gathered operands
+    (np.take into a buffer) and M's transposed entries live in the plan's
+    work buffers (MinorPlan), so a warm call allocates only its (P, S)
+    result and a few small arrays: no call maps fresh pages for its
+    temporaries, and a call after one with another S reads the buffers'
+    leading parts, to the same values.
 
     No pivot, no division: at M = U(2T) most minors are exactly singular,
     and the expansion stays accurate in absolute terms there.  Every
@@ -457,25 +505,45 @@ def mode_minors(m: np.ndarray, plan: MinorPlan) -> np.ndarray:
     measured against np.linalg.det.
     """
     s, n = m.shape[0], m.shape[1]
-    flat = np.ascontiguousarray(m.reshape(s, n * n).T)  # (N^2, S): a gather takes whole rows
-    below = np.ones((1, s), dtype=complex)
-    levels = [below]
-    for entry, child in zip(plan.entries, plan.children):
+    counts = [len(entry) for entry in plan.entries]
+    nodes = _work_array(plan, "nodes", 1 + sum(counts), s)  # levels 0..K stacked
+    flat = _work_array(plan, "flat", n * n, s)  # (N^2, S): a gather takes whole rows
+    flat[...] = m.reshape(s, n * n).T
+    nodes[0] = 1.0
+    below, start = nodes[:1], 1
+    for entry, child, count in zip(plan.entries, plan.children, counts):
+        node = nodes[start:start + count]
+        a, b, term = (_work_array(plan, name, count, s) for name in ("a", "b", "term"))
         last = entry.shape[1] - 1
-        node, term = np.empty((2, len(entry), s), dtype=complex)
-        np.multiply(flat[entry[:, last]], below[child[:, last]], out=node)
-        for i in range(last - 1, -1, -1):
-            np.multiply(flat[entry[:, i]], below[child[:, i]], out=term)
+        for i in range(last, -1, -1):
+            # mode="clip": with the default, take buffers its out= afresh
+            np.take(flat, entry[:, i], axis=0, out=a, mode="clip")
+            np.take(below, child[:, i], axis=0, out=b, mode="clip")
+            if i == last:
+                np.multiply(a, b, out=node)
+                continue
+            np.multiply(a, b, out=term)
             if (last - i) % 2:
                 node -= term
             else:
                 node += term
-        levels.append(node)
-        below = node
-    minors = np.concatenate(levels)[plan.node]  # (P, S)
-    det = np.repeat(np.linalg.det(m)[None, :], len(minors), axis=0)
-    jacobi = np.multiply(det, minors.conj(), out=np.empty_like(minors))
-    return np.where(plan.complementary[:, None], jacobi, minors).T
+        below, start = node, start + count
+    minors = np.take(nodes, plan.node, axis=0)  # (P, S), the result
+    # the gather and term buffers are free again: they hold det M, the
+    # conjugated minors and their products
+    det, conj, jacobi = (_work_array(plan, name, len(minors), s) for name in ("a", "b", "term"))
+    det[...] = np.linalg.det(m)
+    np.conjugate(minors, out=conj)
+    np.multiply(det, conj, out=jacobi)
+    np.copyto(minors, jacobi, where=plan.complementary[:, None])
+    return minors.T
+
+
+@lru_cache(maxsize=4)
+def _cached_minor_plan(n_sites: int, targets: bytes, sources: bytes) -> MinorPlan:
+    """minor_plan of int64 targets and sources given as bytes, kept for the last 4 keys."""
+    return minor_plan(n_sites, np.frombuffer(targets, dtype=np.int64),
+                      np.frombuffer(sources, dtype=np.int64))
 
 
 def amplitude_plan(n_sites: int, targets, amps: np.ndarray) -> tuple[MinorPlan, sp.csr_array]:
@@ -487,9 +555,16 @@ def amplitude_plan(n_sites: int, targets, amps: np.ndarray) -> tuple[MinorPlan, 
     y's column.  So mode_minors(m, plan) @ fold is sum_x c_x det M[y, x]
     per member and target, each target summed over its pairs in plan
     order, a fixed order: a member's amplitudes do not depend on its stack.
+
+    The plan depends only on (N, targets, sources), so it is kept for the
+    last few of those (_cached_minor_plan): applying Gamma(M) to states of
+    one nonzero pattern, as trajectory_sample does, plans once (the
+    9010-pair plan of |+_L> on 15 sites takes about 15 ms).  Callers share
+    a cached plan and its work buffers (MinorPlan).
     """
     sources = np.flatnonzero(amps)
-    plan = minor_plan(n_sites, targets, sources)
+    targets = np.asarray(targets, dtype=np.int64)
+    plan = _cached_minor_plan(n_sites, targets.tobytes(), sources.tobytes())
     target, source = plan.pairs
     fold = sp.csr_array((plan.sign * amps[sources[source]], (np.arange(target.size), target)),
                         shape=(target.size, len(targets)))
@@ -748,16 +823,35 @@ def chi(rho: DensityMatrix, spec: ChainSpec, t: float) -> np.ndarray:
     return phase * np.sum(gathered, axis=1)
 
 
-def sample_rng(*words: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, counter, ...), each word taken mod 2^64.
+def sample_rng(*words: int, reuse: np.random.Generator | None = None) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, counter), each word taken mod 2^64.
 
     Draws for one key do not depend on any other key, so samples are
     order-independent.  The key is built as a uint64 array: numpy reads a
     Python list holding a word of 2^63 or more through float64, which maps
     every seed in [-1024, -1] to key word 0.
+
+    With `reuse`, a generator this function built, that generator is
+    re-keyed in place and returned instead: its Philox state is set to the
+    key with counter 0 and an empty buffer, as a new one starts, so it
+    draws what sample_rng(*words) would.  A batch of keyed draws then
+    builds one generator, not one per key (about 3 us a key against 16 us,
+    most of which is an OS-entropy SeedSequence that the key replaces).
     """
     key = np.array([int(w) & (2**64 - 1) for w in words], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    if key.size != 2:  # as Philox(key=) refuses it
+        raise ValueError("key must have 2 elements when using array form")
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse
 
 
 def trajectory_sample(

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import chainqec
 from chainqec import harness
 from chainqec.chain import ChainSpec, pst_couplings, single_excitation_matrix
+from chainqec.code import logical_readout, minimal15
 from chainqec.errors import ResourceLimitError
 from chainqec.freefermion import mode_propagator, pauli_to_fermion, propagate
 from chainqec.harness import (
@@ -60,6 +61,23 @@ def test_sample_rng_order_independent():
     b = sample_rng(5, 100).random(3)
     np.testing.assert_array_equal(a, b)
     assert not np.allclose(sample_rng(5, 101).random(3), a)
+
+
+def test_rekeyed_generator_draws_what_a_new_one_draws():
+    # re-keying resets the counter, the buffered words and the half word a
+    # bounded 32-bit draw leaves behind
+    rng = sample_rng(9, 9)
+    rng.random(3)
+    for word in (-1, 0, 2**63 + 5):
+        for key in ((word, 1), (4, word)):
+            fresh = sample_rng(*key)
+            assert sample_rng(*key, reuse=rng) is rng
+            assert rng.integers(1, 16) == fresh.integers(1, 16), key
+            assert rng.integers(0, 2**63 - 1) == fresh.integers(0, 2**63 - 1), key
+            np.testing.assert_array_equal(rng.uniform(0.9, 1.1, 14), fresh.uniform(0.9, 1.1, 14))
+            assert rng.integers(0, 5) == fresh.integers(0, 5), key  # leaves a half word
+    with pytest.raises(ValueError, match="2 elements"):
+        sample_rng(3, reuse=rng)
 
 
 @pytest.mark.filterwarnings("error")
@@ -422,14 +440,33 @@ def logical_setup(request):
     return RevivalSetup(pst_couplings(15), *LOGICALS[request.param])
 
 
+@lru_cache(maxsize=None)
+def _expm_codewords(spec, duration, jumps) -> tuple[np.ndarray, ...]:
+    """|0_L> and |1_L> evolved by expm between the jumps' phase flips, once per scenario.
+
+    Every logical set-up of a scenario combines these two, so the N = 15
+    sector evolutions are not repeated per set-up.
+    """
+    out = []
+    for psi in minimal15().codewords():
+        prev = 0.0
+        for t, site in jumps:
+            psi = evolve(psi, spec, t - prev)
+            psi = apply_pauli(psi, pauli_z(spec.n_sites, site))
+            prev = t
+        out.append(evolve(psi, spec, duration - prev).amps)
+    return tuple(out)
+
+
 def _expm_row(setup, spec, duration, jumps=()) -> np.ndarray:
-    """The revival state on the support: expm evolves between the jumps' phase flips."""
-    psi, prev = setup.encoded, 0.0
-    for t, site in jumps:
-        psi = evolve(psi, spec, t - prev)
-        psi = apply_pauli(psi, pauli_z(spec.n_sites, site))
-        prev = t
-    return evolve(psi, spec, duration - prev).amps[setup.evaluator.support]
+    """The revival state on the support: expm evolves between the jumps' phase flips.
+
+    Evolution is linear, so the state is alpha and beta times the evolved
+    codewords (_expm_codewords), alpha and beta read from the encoded state.
+    """
+    alpha, beta, _ = logical_readout(minimal15(), setup.encoded)
+    zero, one = _expm_codewords(spec, float(duration), tuple(jumps))
+    return (alpha * zero + beta * one)[setup.evaluator.support]
 
 
 def _assert_matches_rows(setup, stack, rows):
@@ -444,6 +481,8 @@ def _assert_matches_rows(setup, stack, rows):
             np.testing.assert_array_equal(discarded, 0.0)
 
 
+# "givens" in the three test names below is historical: their oracle rows
+# come from expm (_expm_row), and the names stay so that the test ids do
 def test_minors_match_givens_at_timing_offsets(logical_setup, chain15):
     s = logical_setup
     deltas = np.array([-0.3, -0.01, 0.002, 0.05, 0.2])
@@ -761,6 +800,55 @@ def test_coupling_resume_across_a_stack_boundary(tmp_path):
         assert curves.mean_success[i] == float(np.mean(alone))
         assert curves.min_success[i] == min(alone)
         assert curves.zeta_max_mean[i] == float(np.mean(zetas))
+
+
+def test_coupling_instances_are_built_as_stacks(monkeypatch):
+    # 3 points x 7 instances in one checkpoint chunk: one generator for all
+    # 42 keyed draws, no ChainSpec and no mode_unitaries call per instance
+    from chainqec import noise
+
+    built = []
+
+    def counting(*words, reuse=None):
+        if reuse is None:
+            built.append(words)
+        return sample_rng(*words, reuse=reuse)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was built alone")
+
+    harness._revival_setup(pst_couplings(15))
+    monkeypatch.setattr(harness, "sample_rng", counting)
+    monkeypatch.setattr(noise, "sample_rng", counting)
+    monkeypatch.setattr(harness, "disordered_spec", refuse)
+    monkeypatch.setattr(harness, "mode_unitaries", refuse)
+    curves = exp_coupling(f_grid=(0.02, 0.05, 0.1), instances=7, seed=4)
+    assert len(built) == 1
+    assert curves.min_success[2] < curves.mean_success[2] < 1.0
+
+
+def test_warm_mode_minors_maps_no_fresh_pages(chain15):
+    # the revival set-up's 460-pair plan keeps its levels, gathers and
+    # transposed M in work buffers: a warm 16-member call maps no fresh
+    # pages (fresh per-call temporaries took 144 to 439 minor faults a call)
+    resource = pytest.importorskip("resource")
+    from chainqec.hilbert import minor_plan, mode_minors
+
+    setup = harness._revival_setup(chain15)
+    stack = mode_unitaries(chain15, setup.duration + np.linspace(-0.3, 0.3, 16))
+    got = mode_minors(stack, setup.plan)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    mode_minors(stack, setup.plan)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 20, faults
+    # a call after one with another S reads the buffers' leading parts, to
+    # the values a fresh plan gives
+    read = np.unique(setup.evaluator.weights.indices)
+    targets, sources = setup.evaluator.support[read], np.flatnonzero(setup.encoded.amps)
+    for size in (5, 1, 16):
+        fresh = mode_minors(stack[:size], minor_plan(15, targets, sources))
+        np.testing.assert_array_equal(mode_minors(stack[:size], setup.plan), fresh)
+        np.testing.assert_array_equal(fresh, got[:size])
 
 
 def test_coupling_resume_refuses_older_version(tmp_path):

@@ -17,9 +17,11 @@ from chainqec.hilbert import (
     evolve,
     fidelity,
     mode_unitaries,
+    sample_rng,
+    stack_mode_unitaries,
     trajectory_sample,
 )
-from chainqec.noise import coupling_disorder, disordered_spec, inject_single_z
+from chainqec.noise import coupling_disorder, disorder_stack, disordered_spec, inject_single_z
 from chainqec.pauli import pauli_z
 
 
@@ -131,6 +133,44 @@ def test_coupling_disorder_zeta_matches_matrix_norm():
     perturbed, zeta = coupling_disorder(spec, 0.05, 7)
     dh = single_excitation_matrix(perturbed) - single_excitation_matrix(spec)
     np.testing.assert_allclose(zeta, np.max(np.abs(np.linalg.eigvalsh(dh))), atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 5, 16])
+def test_disorder_stack_member_is_its_one_member_call(size):
+    # fractions change inside the stack, as when a stack straddles grid points
+    spec = pst_couplings(15)
+    rng = np.random.default_rng(size)
+    fractions = rng.choice([0.0, 0.02, 0.1, 0.3], size)
+    seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size)]
+    seeds[0] = -1
+    duration = np.pi
+    # a generator re-keyed per instance, already used for other draws
+    reused = sample_rng(7, 7)
+    reused.integers(1, 16)
+    for gen in (None, reused):
+        h1, zeta = disorder_stack(spec, fractions, seeds, gen)
+        m = stack_mode_unitaries(h1, duration)
+        assert h1.shape == m.shape == (size, 15, 15) and zeta.shape == (size,)
+        for k in range(size):
+            perturbed, z = disordered_spec(spec, fractions[k], seeds[k])
+            assert z == zeta[k], k
+            # the draw rule: coupling factors from a fresh generator keyed (seed, 1)
+            f = fractions[k]
+            factors = sample_rng(seeds[k], 1).uniform(1 - f, 1 + f, spec.n_sites - 1)
+            assert perturbed.couplings == tuple(np.array(spec.couplings) * factors)
+            np.testing.assert_array_equal(single_excitation_matrix(perturbed), h1[k])
+            np.testing.assert_array_equal(mode_unitaries(perturbed, [duration])[0], m[k])
+
+
+def test_disorder_stack_refuses_bad_fractions():
+    spec = pst_couplings(4)
+    for fractions in ([0.1, 1.0], [-0.1], [np.nan]):
+        with pytest.raises(ValueError, match=r"in \[0, 1\)"):
+            disorder_stack(spec, fractions, [0] * len(fractions))
+    with pytest.raises(ValueError):  # one draw seed per fraction
+        disorder_stack(spec, [0.1, 0.2], [0])
+    with pytest.raises(ValueError, match="finite"):
+        stack_mode_unitaries(disorder_stack(spec, [0.1], [0])[0], np.inf)
 
 
 # ru_maxrss is no use here: on Linux a spawned child inherits the spawning
