@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -192,6 +193,7 @@ def _uniform_gap(evals: np.ndarray, rel_tol: float = 1e-8) -> float | None:
     return None
 
 
+@lru_cache(maxsize=16)
 def analyze_transfer(spec: ChainSpec, tolerance: float = 1e-10) -> TransferReport:
     """Locate the earliest transfer time and report mirror data.
 
@@ -201,7 +203,9 @@ def analyze_transfer(spec: ChainSpec, tolerance: float = 1e-10) -> TransferRepor
     pi, as mirror transfer needs.  Otherwise the end-to-end amplitude is
     scanned over a bounded window and the best local maximum is refined
     numerically; chains that never reach 1 - tolerance are reported with
-    is_perfect = False rather than raising.
+    is_perfect = False rather than raising.  The report is frozen and
+    kept for the last 16 (chain, tolerance) keys, so repeated sweeps on one
+    chain analyse it once.
     """
     if not 0 < tolerance < 1:  # also refuses NaN
         raise ValueError(f"tolerance must be a number in (0, 1), got {tolerance}")

@@ -27,12 +27,14 @@ from .decoder import RevivalEvaluator, _state_sums, check_prune
 from .errors import ResourceLimitError
 from .freefermion import chi_decay
 from .hilbert import (
+    DensityMatrix,
     StateVector,
     amplitude_plan,
     check_lindblad_work,
     check_mode_unitaries,
     check_sites,
     chi,
+    chi_support,
     dense_unitary,
     evolve,  # noqa: F401  unused here, but perfbench/spans.py traces harness.evolve
     from_density,
@@ -628,7 +630,12 @@ def exp_dephasing(
     lindblad_evolve call per gamma across DEPHASING_TIME_POINTS times up to
     the transfer time, and reports, per gamma, the worst deviation of the
     2N mode coherences (one chi call per time) from e^{-2 gamma t}
-    (freefermion.chi_decay) times their initial values.  Every gamma's
+    (freefermion.chi_decay) times their initial values.  Only the part of
+    the state that chi reads is evolved: its weight-pair blocks one
+    excitation apart (chi_support), 10 of the 36 Liouvillian positions the
+    state occupies at N = 5.  The master equation is linear and keeps each
+    weight-pair block apart, so the coherences are those of the whole
+    state's evolution.  Every gamma's
     work bound is checked (check_lindblad_work) before the checkpoint
     opens.  One checkpointed record per gamma; a NaN deviation propagates
     into the report.
@@ -648,11 +655,12 @@ def exp_dephasing(
     amps[0] = amps[1] = 1 / np.sqrt(2)  # last site in |+>, rest |00..0>
     rho0 = from_density(StateVector(amps, n))
     chi0 = chi(rho0, spec, 0.0)
+    read = DensityMatrix(rho0.mat * chi_support(n), n)
 
     def evaluate(indices):
         for i in indices:  # one record per gamma, checkpointed as it is yielded
             gamma = gamma_grid[i]
-            states = lindblad_evolve(rho0, spec, gamma, times[1:])
+            states = lindblad_evolve(read, spec, gamma, times[1:])
             dev = [np.abs(chi(rho, spec, t) - chi_decay(gamma, t)[0] * chi0)
                    for rho, t in zip(states, times[1:])]
             yield {"gamma": gamma, "max_abs_deviation": float(np.max(dev))}

@@ -24,11 +24,14 @@ the whole support.  evolve
 applies each occupied sector's sparse Hamiltonian with scipy's
 expm_multiply and serves as the exact N = 15 oracle, independent of the
 minors.  Neither caches anything that depends on the chain's couplings
-or fields.  A single phase flip during transport is one rotated mode v
-about the error-free arrival state phi, read out as phi - 2 n_v phi,
-with v the flipped site's row of a mode unitary (mode_unitaries).  Since
-n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that state is a quadratic form
-in v over the N^2 hopped states c_i^dag c_j phi (hop_rows), from which
+or fields; in this module only the dense oracle dense_unitary does (its
+eigendecomposition and its unitaries, in bounded caches that
+clear_evolution_cache drops).  A single phase flip during transport is
+one rotated mode v about the error-free arrival state phi, read out as
+phi - 2 n_v phi, with v the flipped site's row of a mode unitary
+(mode_unitaries).  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that
+state is a quadratic form in v over the N^2 hopped states
+c_i^dag c_j phi (hop_rows), from which
 the revival set-up builds pruned samples' rows and scores exact samples
 without building any.  lindblad_evolve, the exact dephasing oracle,
 keeps only the Liouvillian's blocks that the state occupies; up to
@@ -61,6 +64,7 @@ _DENSITY_MATRIX_MAX_SITES = 8
 _DENSE_H_MAX_SITES = 12
 _LINDBLAD_MAX_WORK = 1e7
 _DENSE_LIOUVILLIAN_MAX_DIM = 100
+_UNITARY_CACHE_BYTES = 16 << 20
 # a dense N = 10 state to itself is 184 756 pairs: a 220 ms plan peaking at
 # 36 MiB (one BLAS thread, 2-core Xeon), the largest the limit admits; the
 # revival set-up's support plan is 9010
@@ -180,8 +184,9 @@ def sector_sparse(spec: ChainSpec, weight: int) -> sp.csr_matrix:
 
 
 def clear_evolution_cache() -> None:
-    """Drop the cached dense eigendecompositions behind dense_unitary."""
+    """Drop dense_unitary's cached unitaries and the dense eigendecompositions behind them."""
     _dense_eig.cache_clear()
+    _unitaries.clear()
 
 
 def sector_eig(spec: ChainSpec, weight: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -626,9 +631,30 @@ def _dense_eig(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(dense_hamiltonian(spec))
 
 
+# dense_unitary's results by (chain, time), least recently used first
+_unitaries: dict[tuple[ChainSpec, float], np.ndarray] = {}
+
+
 def dense_unitary(spec: ChainSpec, t: float) -> np.ndarray:
-    evals, evecs = _dense_eig(spec)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    """e^{-iHt} on the full 2^N-dimensional space, read-only, from a bounded cache.
+
+    Built from the chain's cached dense eigendecomposition (_dense_eig) and
+    kept by (chain, time) while the kept unitaries total at most
+    _UNITARY_CACHE_BYTES, least recently used dropped first: 16 unitaries
+    at N = 8 (1 MiB each), the largest chi reads, and none at N >= 11.  A
+    dephasing sweep reads the same few times on every chi call.
+    clear_evolution_cache drops them.
+    """
+    key = (spec, float(t))
+    u = _unitaries.pop(key, None)
+    if u is None:
+        evals, evecs = _dense_eig(spec)
+        u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+        u.flags.writeable = False
+    _unitaries[key] = u
+    while sum(v.nbytes for v in _unitaries.values()) > _UNITARY_CACHE_BYTES:
+        del _unitaries[next(iter(_unitaries))]
+    return u
 
 
 def check_lindblad_work(spec: ChainSpec, gamma: float, t: float) -> None:
@@ -645,8 +671,9 @@ def check_lindblad_work(spec: ChainSpec, gamma: float, t: float) -> None:
     (N = 4 and 6, 121 to 1024 kept positions): 37-84 microseconds per unit
     of the bound times t, linear in it.  So the limit of 1e7 refuses only
     calls that would run for about 6 minutes or more there.  The dense
-    path runs the N = 5 sweep from |0...0+> in about 4 ms per gamma from
-    1e4 up to 6e5, the largest the limit admits.
+    path evolves all 36 positions of |0...0+> on N = 5 in about 0.5 ms
+    per call at every gamma from 1e4 up to 6e5, the largest the limit
+    admits, and the 10 the dephasing sweep keeps in about 0.25 ms.
     """
     norm = sum(map(abs, spec.couplings)) + sum(map(abs, spec.fields)) + gamma * spec.n_sites
     work = 2.0 * norm * t
@@ -660,6 +687,10 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     """Exact solutions of drho/dt = -i[H,rho] - N gamma rho + gamma sum_n Z_n rho Z_n, one per time.
 
     `times` is a nondecreasing list of times >= 0, as for mode_unitaries.
+    The map rho -> rho(t) is linear, and `rho` may hold any 2^N x 2^N
+    operator, not only a density matrix: a traceless, non-Hermitian part
+    of a state (the weight-pair blocks chi reads, chi_support) evolves as
+    it would inside the whole state.
     On the row-major vec(rho) the Liouvillian is the sparse 4^N x 4^N matrix
     L = -i(H (x) I - I (x) H^T) - 2 gamma diag(popcount(i ^ j)): the
     dissipator is diagonal on |i><j|, where sum_n z_n(i) z_n(j) - N counts
@@ -667,9 +698,9 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     block-diagonal on the weight pairs (|i|, |j|), and a block on which rho
     is zero stays exactly zero.  L is built once per call, restricted to
     the positions (i, j) of the weight pairs where rho has a nonzero entry
-    (36 of 1024 from |0...0+> on N = 5), and that shorter vector is
-    stepped through the time differences on one of two paths, chosen by
-    the kept dimension alone:
+    (36 of 1024 from |0...0+> on N = 5, 10 from the part of it that chi
+    reads), and that shorter vector is stepped through the time
+    differences on one of two paths, chosen by the kept dimension alone:
 
     - up to _DENSE_LIOUVILLIAN_MAX_DIM positions, L is gathered densely
       on them from the dense Hamiltonian (_kept_liouvillian), e^{L dt} is
@@ -803,6 +834,22 @@ def _mode_strings(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, z, phase
 
 
+def chi_support(n_sites: int) -> np.ndarray:
+    """(2^N, 2^N) mask of the entries chi reads: those (i, j) whose weights differ by one.
+
+    Each mode flips one site (its x mask has one bit), so chi reads
+    rho_int[i, i ^ x] only across weights w(i) - w(j) = +-1, and e^{-iHt}
+    conserves the weight, so chi(rho * mask) equals chi(rho) for every
+    2^N x 2^N operator rho and time, up to roundoff: eigh mixes the
+    sectors of degenerate eigenvalues, so the computed dense_unitary links
+    weights at up to about 2.5e-15 (N = 5 to 8).  The weights are made
+    signed before they are subtracted: np.bitwise_count returns uint8,
+    whose difference wraps and would drop the (w - 1, w) blocks.
+    """
+    w = np.bitwise_count(np.arange(1 << n_sites)).astype(np.int64)
+    return np.abs(w[:, None] - w[None, :]) == 1
+
+
 def chi(rho: DensityMatrix, spec: ChainSpec, t: float) -> np.ndarray:
     """(2N,) coherences: entry n - 1 is that of the mode headed for position n at the readout.
 
@@ -813,7 +860,8 @@ def chi(rho: DensityMatrix, spec: ChainSpec, t: float) -> np.ndarray:
     dephasing decay hold for every mode and initial state.  Each mode is a
     Pauli string, c|i> = phase (-1)^|i & z| |i ^ x> (_mode_strings), so
     each trace is one row of a single gather from one rho_int:
-    phase * sum_i rho_int[i, i ^ x] (-1)^|i & z|.
+    phase * sum_i rho_int[i, i ^ x] (-1)^|i & z|.  It reads only the
+    entries of rho in chi_support.
     """
     u = dense_unitary(spec, t)
     rho_int = u.conj().T @ rho.mat @ u

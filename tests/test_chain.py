@@ -52,6 +52,15 @@ def test_equally_spaced_spectrum():
         np.testing.assert_allclose(evals, np.arange(-(n - 1), n, 2), atol=1e-10)
 
 
+def test_transfer_report_is_cached_and_frozen():
+    spec = pst_couplings(6)
+    rep = analyze_transfer(spec)
+    assert analyze_transfer(spec) is rep
+    assert analyze_transfer(spec, 1e-6) is not rep  # another tolerance, another key
+    with pytest.raises(AttributeError):
+        rep.transfer_time = 0.0
+
+
 @pytest.mark.parametrize("n", range(2, 21))
 def test_transfer_time_is_pi_over_two(n):
     rep = analyze_transfer(pst_couplings(n))

@@ -666,6 +666,16 @@ def test_timing_quartic_onset():
     assert slope >= 3.5
 
 
+def test_timing_failure_is_625_delta_to_the_fourth():
+    # U(2T) = I and the read-out corrects H psi, so 1 - success is
+    # Q(H^2 psi) delta^4 / 4 + O(delta^6) with Q(H^2 psi) = 2500; the delta^6
+    # term accounts for the relative gaps (2.7e-5 to 2.0e-4)
+    deltas = (-1e-3, 1e-3, 2e-3)
+    curve = exp_timing(delta_grid=deltas)
+    np.testing.assert_allclose(1.0 - np.array(curve.successes), 625 * np.array(deltas) ** 4,
+                               rtol=3e-4, atol=0)
+
+
 @pytest.mark.parametrize("prune", [np.inf, np.nan, -1e-3])
 @pytest.mark.parametrize("sweep", ["single_z", "timing", "coupling"])
 def test_sweeps_refuse_a_prune_floor_the_cli_refuses(sweep, prune, tmp_path):
@@ -901,6 +911,25 @@ def test_dephasing_resume_reuses_points(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="different run"):
         exp_dephasing(pst_couplings(3), (0.05,), out_dir=str(tmp_path))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_dephasing_evolves_only_the_blocks_chi_reads(monkeypatch):
+    # |0...0+> on N = 5 occupies 36 Liouvillian positions, the blocks of
+    # weights (0, 0), (0, 1), (1, 0) and (1, 1); chi reads the 10 of (0, 1)
+    # and (1, 0)
+    from chainqec import hilbert
+
+    kept = []
+
+    def spy(h, gamma, keep):
+        kept.append(keep.size)
+        return liouvillian(h, gamma, keep)
+
+    liouvillian = hilbert._kept_liouvillian
+    monkeypatch.setattr(hilbert, "_kept_liouvillian", spy)
+    report = exp_dephasing(pst_couplings(5), (0.05,))
+    assert kept == [10]
+    assert report.max_deviation[0] <= 1e-12
 
 
 def test_dephasing_guard():

@@ -15,6 +15,8 @@ from chainqec.hilbert import (
     apply_pauli,
     basis_state,
     chi,
+    chi_support,
+    clear_evolution_cache,
     dense_hamiltonian,
     dense_unitary,
     evolve,
@@ -378,8 +380,8 @@ def test_lindblad_work_guard_refuses_before_building(monkeypatch, gamma, scale):
 
 def test_lindblad_work_guard_admits_the_measured_side():
     # gamma = 1e4 on the dephasing sweep's chain: a bound of 1.6e5, well
-    # under the limit; the sweep keeps 36 positions, so it takes the dense
-    # path and runs in about 4 ms (one BLAS thread, 2-core Xeon)
+    # under the limit; the sweep keeps 10 positions, so it takes the dense
+    # path and runs in about 0.25 ms a gamma (one BLAS thread, 2-core Xeon)
     from chainqec.hilbert import check_lindblad_work
 
     check_lindblad_work(pst_couplings(5), 1e4, np.pi / 2)
@@ -449,27 +451,105 @@ def test_lindblad_matches_pauli_built_superoperator(n, data, gamma, t):
 )
 def test_lindblad_on_occupied_sectors_matches_superoperator(n, data, gamma, t):
     # a pure state on a few excitation sectors keeps only their weight-pair
-    # blocks: the kept ones match the dense oracle, the dropped ones stay 0
+    # blocks: the kept ones match the dense oracle, the dropped ones stay 0.
+    # lindblad_evolve is linear and takes any operator, so the third input is
+    # traceless and non-Hermitian: the blocks chi reads, as exp_dephasing
+    # evolves them
     spec, sup = _drawn_chain_and_superoperator(n, data, gamma)
     dim = 1 << n
     weight = np.bitwise_count(np.arange(dim))
-    if data.draw(st.booleans()):
-        sectors = {0, 1}
-        psi = np.zeros(dim, dtype=complex)
-        psi[0] = psi[1] = 1 / np.sqrt(2)  # |0...0+>
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    case = data.draw(st.sampled_from(["plus", "sectors", "coherences"]))
+    if case == "coherences":
+        kept = chi_support(n)
+        rho0 = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) * kept
+        assert np.trace(rho0) == 0 and np.abs(rho0 - rho0.conj().T).max() > 0.1
     else:
-        sectors = data.draw(st.sets(st.integers(0, n), min_size=1, max_size=n))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        psi = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * np.isin(weight, list(sectors))
-        psi /= np.linalg.norm(psi)
-    rho0 = np.outer(psi, psi.conj())
+        if case == "plus":
+            sectors = {0, 1}
+            psi = np.zeros(dim, dtype=complex)
+            psi[0] = psi[1] = 1 / np.sqrt(2)  # |0...0+>
+        else:
+            sectors = data.draw(st.sets(st.integers(0, n), min_size=1, max_size=n))
+            psi = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * np.isin(weight, list(sectors))
+            psi /= np.linalg.norm(psi)
+        rho0 = np.outer(psi, psi.conj())
+        inside = np.isin(weight, list(sectors))
+        kept = np.outer(inside, inside)
     want = (scipy.linalg.expm(sup * t) @ rho0.ravel()).reshape(dim, dim)
     (got,) = lindblad_evolve(DensityMatrix(rho0, n), spec, gamma, [t])
     np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-12)
-    inside = np.isin(weight, list(sectors))
-    dropped = ~np.outer(inside, inside)
-    assert dropped.any()
-    assert np.all(got.mat[dropped] == 0)
+    assert (~kept).any()
+    assert np.all(got.mat[~kept] == 0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lindblad_commutes_with_the_chi_support_projection(n):
+    # L keeps every weight-pair block apart, so projecting before or after
+    # the evolution agrees; N = 3 takes the dense path, N = 4 the sparse one
+    rng = np.random.default_rng(50 + n)
+    spec = random_chain(rng, n, with_fields=True)
+    dim, mask = 1 << n, chi_support(n)
+    op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    times = [0.3, 1.1]
+    whole = lindblad_evolve(DensityMatrix(op, n), spec, 0.2, times)
+    part = lindblad_evolve(DensityMatrix(op * mask, n), spec, 0.2, times)
+    for a, b in zip(whole, part):
+        np.testing.assert_allclose(b.mat, a.mat * mask, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_chi_support_keeps_both_blocks_one_weight_apart(n):
+    # np.bitwise_count is uint8: an unsigned w(i) - w(j) wraps, and |.| == 1
+    # would then keep (w, w - 1) but drop (w - 1, w)
+    weight = [bin(i).count("1") for i in range(1 << n)]
+    want = np.array([[abs(a - b) == 1 for b in weight] for a in weight])
+    mask = chi_support(n)
+    assert mask.dtype == bool
+    np.testing.assert_array_equal(mask, want)
+    assert np.array_equal(mask, mask.T)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_chi_reads_only_its_support(n):
+    rng = np.random.default_rng(60 + n)
+    spec = random_chain(rng, n, with_fields=True)
+    dim, mask = 1 << n, chi_support(n)
+    for _ in range(3):
+        op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for t in (0.0, 0.8):
+            whole = chi(DensityMatrix(op, n), spec, t)
+            np.testing.assert_allclose(chi(DensityMatrix(op * mask, n), spec, t), whole,
+                                       rtol=0, atol=1e-13)
+            assert np.abs(chi(DensityMatrix(op * ~mask, n), spec, t)).max() <= 1e-13
+
+
+def test_dense_unitary_cache_is_read_only_and_rebuilt_bit_identically():
+    spec = pst_couplings(5)
+    u = dense_unitary(spec, 0.7)
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0
+    assert dense_unitary(spec, 0.7) is u
+    clear_evolution_cache()
+    again = dense_unitary(spec, 0.7)
+    assert again is not u
+    np.testing.assert_array_equal(again, u)
+
+
+def test_dense_unitary_cache_is_bounded_in_bytes():
+    from chainqec import hilbert
+
+    clear_evolution_cache()
+    spec = pst_couplings(8)  # 1 MiB a unitary: 16 fit
+    first = dense_unitary(spec, 0.0)
+    for k in range(1, 17):
+        dense_unitary(spec, 0.1 * k)
+    assert sum(u.nbytes for u in hilbert._unitaries.values()) <= hilbert._UNITARY_CACHE_BYTES
+    assert len(hilbert._unitaries) == 16
+    assert dense_unitary(spec, 0.0) is not first  # the least recently used went first
+    clear_evolution_cache()
+    assert not hilbert._unitaries
 
 
 def test_chi_initial_values():
