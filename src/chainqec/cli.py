@@ -73,6 +73,14 @@ def _grid(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
 
 
+def _count(text: str) -> int:
+    """Parse a sample or instance count of at least 1: a sweep of none has no mean to report."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"count {text!r} is below 1")
+    return count
+
+
 def _prune(text: str) -> float:
     """Parse a branch probability floor (decoder.check_prune)."""
     try:
@@ -94,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("single-z", help="random single phase flips on the revival setup")
     _add_revival(p, seeded=True)
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=_count, default=1024)
 
     p = sub.add_parser("timing-sweep", help="readout-offset sweep")
     _add_revival(p, seeded=False)
@@ -105,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_revival(p, seeded=True)
     p.add_argument("--grid", type=_grid, default=None,
                    help='disorder fractions (default 0..0.1, 11 points)')
-    p.add_argument("--instances", type=int, default=1000)
+    p.add_argument("--instances", type=_count, default=1000)
 
     p = sub.add_parser("dephasing", help="master-equation mode-decay check")
     _add_chain_args(p, default_n=5)

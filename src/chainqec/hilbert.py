@@ -42,7 +42,11 @@ block by block from the sector Hamiltonians, with expm_multiply.  Both
 exact oracles (evolve and lindblad_evolve) leave a state unchanged when
 no entry of their generator times t reaches the smallest normal float
 (_negligible), and neither moves numpy's global random state
-(_expm_apply).
+(_expm_apply).  Of scipy, only scipy.sparse loads with this module: the
+oracles import what they call where they call it, scipy.sparse.linalg in
+_expm_apply (evolve, the sparse Lindblad path) and scipy.linalg on the
+dense Lindblad path, so a revival sweep, which runs neither, loads
+neither.
 """
 
 from __future__ import annotations
@@ -52,9 +56,7 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .chain import ChainSpec, _u_of_t, single_excitation_matrix
 from .errors import ResourceLimitError
@@ -243,6 +245,8 @@ def _expm_apply(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
     """
     if _negligible(a):
         return v.copy()
+    from scipy.sparse.linalg import expm_multiply  # here, not at load: 0.05 s on a 2-core Xeon
+
     rng_state = np.random.get_state()
     try:
         return expm_multiply(a, v)
@@ -723,7 +727,9 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     4.4 ms for one step) and lost at 121 (4.6 against 3.3 ms).  A step
     whose generator L dt is negligible (_negligible) leaves the vector as
     it is on both paths.  Refuses a run whose work bound is not finite or
-    too large (check_lindblad_work) before H is built.
+    too large (check_lindblad_work) before H is built.  Each path imports
+    its scipy module on its first call: scipy.linalg for the dense one,
+    scipy.sparse.linalg (_expm_apply) for the sparse one.
     """
     n = rho.n_sites
     if n != spec.n_sites:
@@ -751,6 +757,8 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     occupied[weight[rows], weight[cols]] = True
     keep = np.flatnonzero(occupied[weight[:, None], weight[None, :]])
     if keep.size <= _DENSE_LIOUVILLIAN_MAX_DIM:
+        import scipy.linalg  # here, not at load: 0.04 s on a 2-core Xeon
+
         liouvillian = _kept_liouvillian(dense_hamiltonian(spec), gamma, keep)
         expms = {}
         for dt in np.unique(steps):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainqec
 from chainqec.cli import main
 
 
@@ -85,18 +90,26 @@ def test_single_z_cli_json(tmp_path, capsys):
     assert "different run" in err["message"]
 
 
-def test_single_z_cli_refuses_negative_samples(tmp_path, capsys):
-    out = tmp_path / "sz"
-    assert main(["single-z", "--samples", "-3", "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
-    assert "samples" in err["message"]
-    assert not (out / "manifest.json").exists()
+@pytest.mark.parametrize("sweep, flag", [
+    (["single-z"], "--samples"),
+    (["coupling-sweep", "--grid", "0.05"], "--instances"),
+], ids=["samples", "instances"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_count_below_one_refused_by_the_parser(sweep, flag, count, tmp_path, capsys):
+    # --samples 0 once ran, printed a NaN mean as JSON (not valid JSON) and
+    # left a manifest and an empty CSV behind
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([*sweep, flag, count, "--out", str(out), "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag}: count '{count}' is below 1" in captured.err
+    assert not out.exists()
+    assert main([*sweep, flag, "1", "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("bad", [
-    ["--grid", "1.5"], ["--grid", "nan"], ["--instances", "-1"], ["--instances", "0"],
-])
+@pytest.mark.parametrize("bad", [["--grid", "1.5"], ["--grid", "nan"]])
 def test_coupling_cli_refuses_bad_input_before_writing(bad, tmp_path, capsys):
     out = tmp_path / "cp"
     assert main(["coupling-sweep", *bad, "--out", str(out)]) == 1
@@ -223,3 +236,55 @@ def test_timing_cli_grid_parsing(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["points"] == 3
     assert payload["success_at_zero"] == pytest.approx(1.0, abs=1e-9)
+
+
+# scipy modules that only some paths call, each imported where it runs: the
+# package's own import loads numpy and scipy.sparse alone
+DEFERRED = ("scipy.optimize", "scipy.linalg", "scipy.sparse.linalg")
+_LOADED_AFTER_MAIN = """
+import json, sys
+from chainqec.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "loaded": [m for m in %r if m in sys.modules]}))
+""" % (DEFERRED,)
+
+
+def _fresh_main(argv, tmp_path) -> dict:
+    """cli.main(argv) in a new interpreter: its exit code and the DEFERRED modules it loaded."""
+    if argv[0] not in ("transfer-check", "code-info"):
+        argv = [*argv, "--out", str(tmp_path / "run")]
+    src = str(Path(chainqec.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv], capture_output=True, text=True,
+        check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    lines = run.stdout.splitlines()
+    out = json.loads(lines[-1])
+    assert out["rc"] == 0, run.stderr
+    if argv[0] == "transfer-check":
+        out["report"] = json.loads(lines[0])
+    return out
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["single-z", "--samples", "2"], []),
+    (["single-z", "--samples", "2", "--prune", "1e-12"], []),
+    (["timing-sweep", "--grid", "0,0.01"], []),
+    (["coupling-sweep", "--grid", "0.05", "--instances", "1"], []),
+    (["dephasing", "--pst", "5"], ["scipy.linalg"]),  # its dense Pade steps
+    (["transfer-check", "--pst", "6"], []),
+    (["code-info"], []),
+], ids=["single-z", "single-z-pruned", "timing-sweep", "coupling-sweep", "dephasing",
+        "transfer-check", "code-info"])
+def test_subcommand_loads_only_the_scipy_it_calls(argv, loaded, tmp_path):
+    # a fresh interpreter: this one has imported scipy.linalg for other tests
+    assert _fresh_main(argv, tmp_path)["loaded"] == loaded
+
+
+def test_transfer_scan_fallback_loads_its_optimizer(tmp_path):
+    # a uniform chain's spectrum is not commensurate, so analyze_transfer scans
+    cfg = tmp_path / "uniform6.cfg"
+    cfg.write_text("n_sites = 6\ncouplings = 1, 1, 1, 1, 1\nfields = 0, 0, 0, 0, 0, 0\n")
+    out = _fresh_main(["transfer-check", "--config", str(cfg)], tmp_path)
+    assert out["report"]["is_perfect"] is False
+    assert "scipy.optimize" in out["loaded"]

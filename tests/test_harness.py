@@ -25,7 +25,15 @@ from chainqec.harness import (
     make_code,
     sample_rng,
 )
-from chainqec.hilbert import apply_mode_unitary, apply_pauli, evolve, jump_unitary, mode_unitaries
+from chainqec.hilbert import (
+    apply_mode_unitary,
+    apply_pauli,
+    evolve,
+    jump_unitary,
+    mode_unitaries,
+    sector_indices,
+    sector_sparse,
+)
 from chainqec.noise import disordered_spec
 from chainqec.pauli import from_sites, pauli_z
 
@@ -123,6 +131,18 @@ def test_single_z_zero_samples():
     summary = exp_single_z(samples=0, seed=1)
     assert summary.successes == ()
     assert np.isnan(summary.min_success)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda out: exp_single_z(samples=-3, out_dir=out), "samples must be nonnegative"),
+    (lambda out: exp_coupling(f_grid=(0.05,), instances=0, out_dir=out), "instances must be positive"),
+    (lambda out: exp_coupling(f_grid=(0.05,), instances=-1, out_dir=out), "instances must be positive"),
+], ids=["samples-3", "instances0", "instances-1"])
+def test_sweeps_refuse_counts_before_writing(run, message, tmp_path):
+    # the CLI's parser refuses these first; library callers meet this check
+    with pytest.raises(ValueError, match=message):
+        run(str(tmp_path / "bad"))
+    assert not (tmp_path / "bad").exists()
 
 
 def test_single_z_fixed_case():
@@ -664,6 +684,31 @@ def test_timing_quartic_onset():
     infid = 1.0 - np.array(curve.successes)
     slope = np.polyfit(np.log(deltas), np.log(infid), 1)[0]
     assert slope >= 3.5
+
+
+def test_timing_quadratic_form_corrects_first_order():
+    # Q(v) = |v|^2 - sum_c |v W_c|^2 is the failure a state v contributes;
+    # U(2T) = I, so the timing offset's first-order term is H psi, which the
+    # read-out corrects (Q = 0), and its second-order Q(H^2 psi) = 2500 sets
+    # the 625 delta^4 below
+    spec = pst_couplings(15)
+    setup = harness._revival_setup(spec)
+    weights, support = setup.evaluator.weights, setup.evaluator.support
+
+    def apply_h(v):
+        out = np.zeros_like(v)
+        for w in (0, 10):  # the sectors |+_L> occupies
+            states = sector_indices(spec.n_sites, w)
+            out[states] = sector_sparse(spec, w) @ v[states]
+        return out
+
+    def q(v):
+        return np.vdot(v, v).real - np.sum(np.abs(v[support] @ weights) ** 2)
+
+    h_psi = apply_h(setup.encoded.amps)
+    assert q(h_psi) <= 1e-12
+    assert q(apply_h(h_psi)) == pytest.approx(2500, rel=1e-9)
+    assert np.vdot(h_psi, h_psi).real == pytest.approx(50, rel=1e-12)
 
 
 def test_timing_failure_is_625_delta_to_the_fourth():
