@@ -64,20 +64,33 @@ def _add_revival(p: argparse.ArgumentParser, seeded: bool) -> None:
 
 
 def _grid(text: str) -> tuple[float, ...]:
-    """Parse "a,b,c" or "start:stop:count" into a float grid of at least one point."""
-    if ":" in text:
+    """Parse "a,b,c" or "start:stop:count" into a float grid of at least one point.
+
+    A malformed grid is refused with the rule it breaks, not with this
+    function's name (argparse's message for a ValueError).
+    """
+    try:
+        if ":" not in text:
+            return tuple(float(tok) for tok in text.split(","))
         start, stop, count = text.split(":")
-        if int(count) < 1:
-            raise argparse.ArgumentTypeError(f"grid {text!r} has no points")
-        return tuple(np.linspace(float(start), float(stop), int(count)))
-    return tuple(float(tok) for tok in text.split(","))
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f'grid {text!r} is malformed: need "a,b,c" or "start:stop:count", count a whole number'
+        ) from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has no points")
+    return tuple(np.linspace(start, stop, count))
 
 
 def _count(text: str) -> int:
     """Parse a sample or instance count of at least 1: a sweep of none has no mean to report."""
-    count = int(text)
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"count {text!r} is not a whole number >= 1") from None
     if count < 1:
-        raise argparse.ArgumentTypeError(f"count {text!r} is below 1")
+        raise argparse.ArgumentTypeError(f"count {text!r} is below 1: need a whole number >= 1")
     return count
 
 

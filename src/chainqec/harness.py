@@ -629,16 +629,19 @@ def exp_dephasing(
     evolves it exactly under the dephasing master equation, one
     lindblad_evolve call per gamma across DEPHASING_TIME_POINTS times up to
     the transfer time, and reports, per gamma, the worst deviation of the
-    2N mode coherences (one chi call per time) from e^{-2 gamma t}
-    (freefermion.chi_decay) times their initial values.  Only the part of
-    the state that chi reads is evolved: its weight-pair blocks one
-    excitation apart (chi_support), 10 of the 36 Liouvillian positions the
-    state occupies at N = 5.  The master equation is linear and keeps each
+    2N mode coherences from e^{-2 gamma t} (freefermion.chi_decay) times
+    their initial values.  One chi call per gamma reads the coherences of
+    all its times, each as the single-particle rotation of the state's
+    bare ones, so no 2^N x 2^N unitary is built.  Only the part of the
+    state that chi reads is evolved: its weight-pair blocks one excitation
+    apart (chi_support), 10 of the 36 Liouvillian positions the state
+    occupies at N = 5.  The master equation is linear and keeps each
     weight-pair block apart, so the coherences are those of the whole
-    state's evolution.  Every gamma's
-    work bound is checked (check_lindblad_work) before the checkpoint
-    opens.  One checkpointed record per gamma; a NaN deviation propagates
-    into the report.
+    state's evolution; the Liouvillian's Hamiltonian part on those
+    positions is gathered once per chain and shared by every gamma
+    (lindblad_evolve).  Every gamma's work bound is checked
+    (check_lindblad_work) before the checkpoint opens.  One checkpointed
+    record per gamma; a NaN deviation propagates into the report.
     """
     spec = spec or pst_couplings(5)
     n = spec.n_sites
@@ -654,15 +657,15 @@ def exp_dephasing(
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = amps[1] = 1 / np.sqrt(2)  # last site in |+>, rest |00..0>
     rho0 = from_density(StateVector(amps, n))
-    chi0 = chi(rho0, spec, 0.0)
+    chi0 = chi([rho0], spec, [0.0])[0]
     read = DensityMatrix(rho0.mat * chi_support(n), n)
 
     def evaluate(indices):
         for i in indices:  # one record per gamma, checkpointed as it is yielded
             gamma = gamma_grid[i]
             states = lindblad_evolve(read, spec, gamma, times[1:])
-            dev = [np.abs(chi(rho, spec, t) - chi_decay(gamma, t)[0] * chi0)
-                   for rho, t in zip(states, times[1:])]
+            decay = np.array([chi_decay(gamma, t)[0] for t in times[1:]])
+            dev = np.abs(chi(states, spec, times[1:]) - decay[:, None] * chi0)
             yield {"gamma": gamma, "max_abs_deviation": float(np.max(dev))}
 
     recs = _fill(out_dir, manifest, len(gamma_grid), evaluate)

@@ -24,9 +24,10 @@ the whole support.  evolve
 applies each occupied sector's sparse Hamiltonian with scipy's
 expm_multiply and serves as the exact N = 15 oracle, independent of the
 minors.  Neither caches anything that depends on the chain's couplings
-or fields; in this module only the dense oracle dense_unitary does (its
-eigendecomposition and its unitaries, in bounded caches that
-clear_evolution_cache drops).  A single phase flip during transport is
+or fields; in this module only the dense oracle dense_unitary (its
+eigendecomposition) and lindblad_evolve's dense path (the Hamiltonian
+part of its Liouvillian) do, in bounded caches that
+clear_evolution_cache drops.  A single phase flip during transport is
 one rotated mode v about the error-free arrival state phi, read out as
 phi - 2 n_v phi, with v the flipped site's row of a mode unitary
 (mode_unitaries).  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that
@@ -35,10 +36,14 @@ c_i^dag c_j phi (hop_rows), from which
 the revival set-up builds pruned samples' rows and scores exact samples
 without building any.  lindblad_evolve, the exact dephasing oracle,
 keeps only the Liouvillian's blocks that the state occupies; up to
-_DENSE_LIOUVILLIAN_MAX_DIM kept positions it gathers them densely and
-exponentiates each distinct time step once by scaling-and-squaring Pade
-(scipy.linalg.expm), and above that it steps a sparse Liouvillian, built
-block by block from the sector Hamiltonians, with expm_multiply.  Both
+_DENSE_LIOUVILLIAN_MAX_DIM kept positions it gathers them densely (the
+Hamiltonian part once per chain and kept positions, the dissipator per
+gamma) and exponentiates every distinct time step in one stacked
+scaling-and-squaring Pade call (scipy.linalg.expm), and above that it
+steps a sparse Liouvillian, built block by block from the sector
+Hamiltonians, with expm_multiply.  chi reads the mode coherences of a
+stack of states as the single-particle rotation of their bare ones, so
+the dephasing sweep builds no 2^N x 2^N unitary.  Both
 exact oracles (evolve and lindblad_evolve) leave a state unchanged when
 no entry of their generator times t reaches the smallest normal float
 (_negligible), and neither moves numpy's global random state
@@ -66,7 +71,6 @@ _DENSITY_MATRIX_MAX_SITES = 8
 _DENSE_H_MAX_SITES = 12
 _LINDBLAD_MAX_WORK = 1e7
 _DENSE_LIOUVILLIAN_MAX_DIM = 100
-_UNITARY_CACHE_BYTES = 16 << 20
 # a dense N = 10 state to itself is 184 756 pairs: a 220 ms plan peaking at
 # 36 MiB (one BLAS thread, 2-core Xeon), the largest the limit admits; the
 # revival set-up's support plan is 9010
@@ -186,9 +190,13 @@ def sector_sparse(spec: ChainSpec, weight: int) -> sp.csr_matrix:
 
 
 def clear_evolution_cache() -> None:
-    """Drop dense_unitary's cached unitaries and the dense eigendecompositions behind them."""
+    """Drop the caches that depend on a chain's couplings and fields.
+
+    Those are dense_unitary's eigendecompositions (_dense_eig) and
+    lindblad_evolve's Hamiltonian parts (_kept_hamiltonian).
+    """
     _dense_eig.cache_clear()
-    _unitaries.clear()
+    _kept_hamiltonian.cache_clear()
 
 
 def sector_eig(spec: ChainSpec, weight: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,7 +229,7 @@ def evolve(state: StateVector, spec: ChainSpec, t: float) -> StateVector:
     return StateVector(amps, state.n_sites)
 
 
-def _negligible(a) -> bool:
+def _negligible(a, axis=None):
     """True when no entry of the generator A (-iHt or Lt) reaches the smallest normal.
 
     There (A at t = 0 included) ||A||_1 < dim * 2.2e-308, so no entry of
@@ -230,10 +238,11 @@ def _negligible(a) -> bool:
     subnormal ||A||_1, would take zero steps and divide by that count (a
     RuntimeWarning).  The largest entry, not the 1-norm, is tested: on a
     sparse A it is one pass over the stored values, where the sparse
-    1-norm builds |A|.
+    1-norm builds |A|.  With `axis`, a dense stack of generators is tested
+    member by member.
     """
     entries = a.data if sp.issparse(a) else a
-    return np.abs(entries).max(initial=0.0) < np.finfo(float).tiny
+    return np.abs(entries).max(axis=axis, initial=0.0) < np.finfo(float).tiny
 
 
 def _expm_apply(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
@@ -635,30 +644,14 @@ def _dense_eig(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(dense_hamiltonian(spec))
 
 
-# dense_unitary's results by (chain, time), least recently used first
-_unitaries: dict[tuple[ChainSpec, float], np.ndarray] = {}
-
-
 def dense_unitary(spec: ChainSpec, t: float) -> np.ndarray:
-    """e^{-iHt} on the full 2^N-dimensional space, read-only, from a bounded cache.
+    """e^{-iHt} on the full 2^N-dimensional space: the dense oracle of the tests.
 
-    Built from the chain's cached dense eigendecomposition (_dense_eig) and
-    kept by (chain, time) while the kept unitaries total at most
-    _UNITARY_CACHE_BYTES, least recently used dropped first: 16 unitaries
-    at N = 8 (1 MiB each), the largest chi reads, and none at N >= 11.  A
-    dephasing sweep reads the same few times on every chi call.
-    clear_evolution_cache drops them.
+    Built from the chain's cached dense eigendecomposition (_dense_eig);
+    no sweep calls it.
     """
-    key = (spec, float(t))
-    u = _unitaries.pop(key, None)
-    if u is None:
-        evals, evecs = _dense_eig(spec)
-        u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-        u.flags.writeable = False
-    _unitaries[key] = u
-    while sum(v.nbytes for v in _unitaries.values()) > _UNITARY_CACHE_BYTES:
-        del _unitaries[next(iter(_unitaries))]
-    return u
+    evals, evecs = _dense_eig(spec)
+    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
 def check_lindblad_work(spec: ChainSpec, gamma: float, t: float) -> None:
@@ -707,12 +700,17 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     differences on one of two paths, chosen by the kept dimension alone:
 
     - up to _DENSE_LIOUVILLIAN_MAX_DIM positions, L is gathered densely
-      on them from the dense Hamiltonian (_kept_liouvillian), e^{L dt} is
-      computed once per distinct step dt by scipy.linalg.expm
-      (scaling-and-squaring Pade; Al-Mohy & Higham, SIAM J. Matrix Anal.
-      Appl. 31, 970 (2009)) and multiplied into the vector.  Only steps
-      equal as floats share an exponential: the steps of a linspace differ
-      in their last bits.  Its cost grows with log ||L dt||, not ||L dt||.
+      on them (_kept_liouvillian): its Hamiltonian part comes from the
+      dense Hamiltonian once per chain and kept positions and is cached
+      read-only (_kept_hamiltonian), and each call adds only the
+      dissipator's diagonal, so every gamma of a sweep shares one gather.
+      e^{L dt} is computed once per distinct step dt, all steps in one
+      stacked scipy.linalg.expm call (scaling-and-squaring Pade; Al-Mohy
+      & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)), which gives
+      each step the bits of its own call, and multiplied into the vector.
+      Only steps equal as floats share an exponential: the steps of a
+      linspace differ in their last bits.  Its cost grows with
+      log ||L dt||, not ||L dt||.
     - above it, L is built sparse on the kept positions, one Kronecker sum
       of sector Hamiltonians per occupied weight pair
       (_sector_liouvillian), and applied by scipy's expm_multiply
@@ -759,11 +757,10 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     if keep.size <= _DENSE_LIOUVILLIAN_MAX_DIM:
         import scipy.linalg  # here, not at load: 0.04 s on a 2-core Xeon
 
-        liouvillian = _kept_liouvillian(dense_hamiltonian(spec), gamma, keep)
-        expms = {}
-        for dt in np.unique(steps):
-            if not _negligible(a := liouvillian * dt):
-                expms[dt] = scipy.linalg.expm(a)
+        dts = np.unique(steps)
+        generators = _kept_liouvillian(spec, gamma, keep) * dts[:, None, None]
+        live = ~_negligible(generators, axis=(1, 2))
+        expms = dict(zip(dts[live], scipy.linalg.expm(generators[live])))
 
         def advance(dt, vec):
             return expms[dt] @ vec if dt in expms else vec
@@ -801,17 +798,36 @@ def _sector_liouvillian(spec: ChainSpec, gamma: float,
     return np.concatenate(keep), sp.block_diag(blocks, format="csr")
 
 
-def _kept_liouvillian(h: np.ndarray, gamma: float, keep: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _kept_hamiltonian(spec: ChainSpec, keep: bytes) -> np.ndarray:
+    """-i(H (x) I - I (x) H^T) on the kept row-major positions (i, j) given as int64 bytes, read-only.
+
+    The part of _kept_liouvillian that gamma does not touch:
+    L[(i,j),(k,l)] = -i(h[i,k] delta[j,l] - delta[i,k] h[l,j]), gathered
+    from the dense 2^N x 2^N Hamiltonian h without building the 4^N x 4^N
+    operator.  Kept for the last 8 (chain, positions): each is at most
+    _DENSE_LIOUVILLIAN_MAX_DIM^2 entries (160 KiB), and a dephasing sweep
+    reads one per chain for all its gammas.  clear_evolution_cache drops
+    them.
+    """
+    h = dense_hamiltonian(spec)
+    i, j = np.divmod(np.frombuffer(keep, dtype=np.int64), len(h))
+    same_i, same_j = i[:, None] == i[None, :], j[:, None] == j[None, :]
+    part = -1j * (h[np.ix_(i, i)] * same_j - same_i * h[np.ix_(j, j)].T)
+    part.flags.writeable = False
+    return part
+
+
+def _kept_liouvillian(spec: ChainSpec, gamma: float, keep: np.ndarray) -> np.ndarray:
     """The dense Liouvillian of lindblad_evolve on the kept row-major positions (i, j).
 
-    L[(i,j),(k,l)] = -i(h[i,k] delta[j,l] - delta[i,k] h[l,j])
-    - 2 gamma popcount(i ^ j) delta[(i,j),(k,l)], gathered from the dense
-    2^N x 2^N Hamiltonian h without building the 4^N x 4^N operator.
+    The cached Hamiltonian part (_kept_hamiltonian), copied, minus
+    2 gamma popcount(i ^ j) on the diagonal: the dissipator.
     """
-    i, j = np.divmod(keep, len(h))
-    same_i, same_j = i[:, None] == i[None, :], j[:, None] == j[None, :]
-    liouvillian = -1j * (h[np.ix_(i, i)] * same_j - same_i * h[np.ix_(j, j)].T)
-    liouvillian[np.diag_indices_from(liouvillian)] -= 2.0 * gamma * np.bitwise_count(i ^ j)
+    keep = np.asarray(keep, dtype=np.int64)
+    liouvillian = _kept_hamiltonian(spec, keep.tobytes()).copy()
+    i, j = np.divmod(keep, 1 << spec.n_sites)
+    liouvillian.flat[::keep.size + 1] -= 2.0 * gamma * np.bitwise_count(i ^ j)
     return liouvillian
 
 
@@ -825,58 +841,81 @@ def mirror_mode(n_sites: int, mode: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _mode_strings(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x masks (2N, 1), z masks (2N, 1), phases (2N,)) of the modes chi reads, read-only.
+def _mode_gathers(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat positions (2N, 2^N), signs (2N, 2^N), phases (2N,)) of Tr(rho c_m), read-only.
 
-    Row n - 1 is the Jordan-Wigner string of c_{N+1-n} (mirror_mode); they
-    depend on N alone, so chi builds them once per chain length.
+    Row m - 1 reads the Majorana mode c_m, a Jordan-Wigner Pauli string
+    with c|i> = phase (-1)^|i & z| |i ^ x>, so Tr(rho c_m) is
+    phase * sum_i rho[i, i ^ x] (-1)^|i & z|: the flat C-order positions
+    i 2^N + (i ^ x) and their signs.  They depend on N alone, so chi
+    builds them once per chain length.
     """
     from .freefermion import jordan_wigner
 
-    modes = [jordan_wigner(mirror_mode(n_sites, m), n_sites) for m in range(1, 2 * n_sites + 1)]
+    modes = [jordan_wigner(m, n_sites) for m in range(1, 2 * n_sites + 1)]
     x = np.array([c.x_mask for c in modes], dtype=np.int64)[:, None]
     z = np.array([c.z_mask for c in modes], dtype=np.int64)[:, None]
-    phase = np.array([c.phase for c in modes])
-    for a in (x, z, phase):
+    idx = np.arange(1 << n_sites, dtype=np.int64)
+    at, sign, phase = (idx << n_sites) | (idx ^ x), z_sign(idx & z), np.array([c.phase for c in modes])
+    for a in (at, sign, phase):
         a.flags.writeable = False
-    return x, z, phase
+    return at, sign, phase
 
 
 def chi_support(n_sites: int) -> np.ndarray:
     """(2^N, 2^N) mask of the entries chi reads: those (i, j) whose weights differ by one.
 
     Each mode flips one site (its x mask has one bit), so chi reads
-    rho_int[i, i ^ x] only across weights w(i) - w(j) = +-1, and e^{-iHt}
-    conserves the weight, so chi(rho * mask) equals chi(rho) for every
-    2^N x 2^N operator rho and time, up to roundoff: eigh mixes the
-    sectors of degenerate eigenvalues, so the computed dense_unitary links
-    weights at up to about 2.5e-15 (N = 5 to 8).  The weights are made
-    signed before they are subtracted: np.bitwise_count returns uint8,
-    whose difference wraps and would drop the (w - 1, w) blocks.
+    rho[i, i ^ x] only across weights w(i) - w(j) = +-1, and chi(rho * mask)
+    equals chi(rho) exactly for every 2^N x 2^N operator rho and time.  The
+    weights are made signed before they are subtracted: np.bitwise_count
+    returns uint8, whose difference wraps and would drop the (w - 1, w)
+    blocks.
     """
     w = np.bitwise_count(np.arange(1 << n_sites)).astype(np.int64)
     return np.abs(w[:, None] - w[None, :]) == 1
 
 
-def chi(rho: DensityMatrix, spec: ChainSpec, t: float) -> np.ndarray:
-    """(2N,) coherences: entry n - 1 is that of the mode headed for position n at the readout.
+def chi(rhos, spec: ChainSpec, times) -> np.ndarray:
+    """(S, 2N) coherences of a stack of S states at their times; entry n - 1 is the mode headed for n.
 
-    Entry n - 1 is Tr(rho_int c_{N+1-n}) with rho_int the interaction-picture
-    state e^{iHt} rho e^{-iHt}; equivalently the expectation of the
-    Heisenberg mode e^{-iHt} c_{N+1-n} e^{iHt} in rho.  Written this way the
-    unitary dynamics drop out exactly, which is what makes the closed-form
-    dephasing decay hold for every mode and initial state.  Each mode is a
-    Pauli string, c|i> = phase (-1)^|i & z| |i ^ x> (_mode_strings), so
-    each trace is one row of a single gather from one rho_int:
-    phase * sum_i rho_int[i, i ^ x] (-1)^|i & z|.  It reads only the
-    entries of rho in chi_support.
+    rhos is a sequence of S DensityMatrix and times S finite times.  Entry
+    (s, n - 1) is Tr(rho_int c_k), k = mirror_mode(N, n) (c_{N+1-n} for
+    n <= N), with rho_int the interaction-picture state e^{iHt} rho e^{-iHt};
+    equivalently the expectation of the Heisenberg mode
+    e^{-iHt} c_k e^{iHt} in rho.  Written this way the unitary dynamics
+    drop out exactly, which is what makes the closed-form dephasing decay
+    hold for every mode and initial state.
+
+    The chain is quadratic, so the Heisenberg Majorana modes are a real
+    rotation of the bare ones by the single-particle unitary
+    U = exp(-i H1 t) (mode_unitaries; Christandl et al., PRL 92, 187902
+    (2004)): e^{-iHt} c_k e^{iHt} = sum_m O_km c_m with
+    O = [[Re U, Im U], [-Im U, Re U]].  So the 2N coherences of a state
+    are O times its 2N bare ones Tr(rho c_m), and no 2^N x 2^N unitary is
+    built.  Each mode is a Pauli string, c|i> = phase (-1)^|i & z| |i ^ x>,
+    so the bare ones are one gather per state (_mode_gathers):
+    phase * sum_i rho[i, i ^ x] (-1)^|i & z|.  It reads only the entries of
+    rho in chi_support.  Every step is per member of the stack, so a
+    state's coherences do not depend on the stack.  Refuses states of
+    another size, a count of times other than the count of states, and a
+    non-finite time.
     """
-    u = dense_unitary(spec, t)
-    rho_int = u.conj().T @ rho.mat @ u
-    x, z, phase = _mode_strings(spec.n_sites)
-    idx = np.arange(rho_int.shape[0], dtype=np.int64)
-    gathered = rho_int[idx, idx ^ x] * z_sign(idx & z)
-    return phase * np.sum(gathered, axis=1)
+    n = spec.n_sites
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(rhos) != times.size:
+        raise ValueError("need one time per state")
+    if any(rho.n_sites != n for rho in rhos):
+        raise ValueError("size mismatch")
+    # rows reversed: row n - 1 is the mode headed for position n
+    u = mode_unitaries(spec, times)[:, ::-1]
+    rotation = np.concatenate([np.concatenate([u.real, u.imag], 2),
+                               np.concatenate([-u.imag, u.real], 2)], 1)
+    at, sign, phase = _mode_gathers(n)
+    # take's (S, 2N, 2^N) result is C-contiguous, so the sum runs alike for every S
+    gathered = np.take(np.stack([rho.mat.ravel() for rho in rhos]), at, axis=1)
+    bare = phase * np.sum(gathered * sign, axis=2)
+    return (rotation @ bare[..., None])[..., 0]
 
 
 def sample_rng(*words: int, reuse: np.random.Generator | None = None) -> np.random.Generator:

@@ -177,6 +177,27 @@ def test_empty_grid_refused_by_the_parser(empty, valid, tmp_path, capsys):
     assert main([*valid, "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("argv, rule", [
+    (["single-z", "--samples", "x"], "whole number >= 1"),
+    (["single-z", "--samples", "2.5"], "whole number >= 1"),
+    (["coupling-sweep", "--grid", "0.05", "--instances", "many"], "whole number >= 1"),
+    (["timing-sweep", "--grid", "0:1"], '"start:stop:count"'),
+    (["timing-sweep", "--grid", "0:0.1:x"], '"start:stop:count"'),
+    (["dephasing", "--pst", "3", "--gammas", "a"], '"a,b,c"'),
+])
+def test_malformed_count_or_grid_names_the_rule(argv, rule, tmp_path, capsys):
+    # argparse names a type callable that raised ValueError ("invalid _count
+    # value"), a name the user cannot act on
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert rule in err
+    assert "_count" not in err and "_grid" not in err
+    assert not out.exists()
+
+
 def test_coupling_cli_reports_discarded_mass(tmp_path, capsys):
     rc = main([
         "coupling-sweep", "--grid", "0.05", "--instances", "2", "--prune", "1e-12",

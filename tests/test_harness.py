@@ -933,9 +933,10 @@ def test_dephasing_small_chain_closed_form():
 
 def test_dephasing_nan_coherence_is_reported(monkeypatch):
     # max(0.0, nan) is 0.0: a fold through max() would report a perfect check
-    monkeypatch.setattr(
-        "chainqec.harness.chi", lambda rho, spec, t: np.full(2 * spec.n_sites, np.nan if t else 1.0)
-    )
+    def chi(rhos, spec, times):
+        return np.where(np.asarray(times)[:, None] != 0, np.nan, np.ones(2 * spec.n_sites))
+
+    monkeypatch.setattr("chainqec.harness.chi", chi)
     report = exp_dephasing(pst_couplings(3), (0.1,))
     assert np.isnan(report.max_deviation[0])
 
@@ -975,6 +976,17 @@ def test_dephasing_evolves_only_the_blocks_chi_reads(monkeypatch):
     report = exp_dephasing(pst_couplings(5), (0.05,))
     assert kept == [10]
     assert report.max_deviation[0] <= 1e-12
+
+
+def test_dephasing_sweep_runs_no_dense_eigendecomposition(monkeypatch):
+    # chi rotates the bare coherences by the N x N single-particle unitary,
+    # so no 2^N x 2^N eigendecomposition is left on the sweep's path
+    from chainqec import hilbert
+
+    monkeypatch.setattr(hilbert, "_dense_eig", lambda spec: pytest.fail("2^N eigh on the sweep"))
+    for n in (3, 5):
+        report = exp_dephasing(pst_couplings(n), (0.01, 0.1))
+        assert max(report.max_deviation) <= 1e-12
 
 
 def test_dephasing_guard():

@@ -337,15 +337,54 @@ def test_sparse_liouvillian_is_the_dense_gather_without_the_full_operator(monkey
     spec = random_chain(np.random.default_rng(29), n, with_fields=True)
     occupied = np.zeros((n + 1, n + 1), dtype=bool)
     occupied[[1, 2, 2, 0], [2, 2, 1, 3]] = True
-    dense = hilbert.dense_hamiltonian(spec)
     with monkeypatch.context() as m:
         m.setattr(hilbert, "dense_hamiltonian", lambda spec: pytest.fail("2^N x 2^N H built"))
         keep, sparse = hilbert._sector_liouvillian(spec, gamma, occupied)
     weight = np.bitwise_count(np.arange(1 << n))
     order = np.argsort(keep)
     np.testing.assert_array_equal(keep[order], np.flatnonzero(occupied[weight[:, None], weight]))
-    want = hilbert._kept_liouvillian(dense, gamma, keep[order])
+    want = hilbert._kept_liouvillian(spec, gamma, keep[order])
     np.testing.assert_array_equal(sparse.toarray()[np.ix_(order, order)], want)
+
+
+def test_lindblad_hamiltonian_part_is_cached_read_only_and_bit_identical():
+    # the dense path gathers -i(H (x) I - I (x) H^T) once per (chain, kept
+    # positions) and adds only the dissipator per gamma, then exponentiates
+    # every distinct step in one stacked expm: a gamma after another on the
+    # same chain gives the bits of a cold-cache run, and those of one expm
+    # per step of the whole Liouvillian
+    from chainqec import hilbert
+
+    n = 5
+    spec = random_chain(np.random.default_rng(31), n, with_fields=True)
+    rho = _plus_last(n)
+    times = [0.2, 0.2, 0.7, 1.3, 1.3, 1.9]
+    clear_evolution_cache()
+    cold = [r.mat.tobytes() for r in lindblad_evolve(rho, spec, 0.3, times)]
+    lindblad_evolve(rho, spec, 0.05, times)
+    hits = hilbert._kept_hamiltonian.cache_info().hits
+    warm = [r.mat.tobytes() for r in lindblad_evolve(rho, spec, 0.3, times)]
+    assert hilbert._kept_hamiltonian.cache_info().hits == hits + 1
+    assert warm == cold
+
+    weight = np.bitwise_count(np.arange(1 << n))
+    keep = np.flatnonzero((weight[:, None] <= 1) & (weight[None, :] <= 1))
+    assert keep.size == 36
+    liouvillian = hilbert._kept_liouvillian(spec, 0.3, keep)
+    vec, want = rho.mat.ravel()[keep], []
+    for dt in np.diff(times, prepend=0.0):
+        if dt:
+            vec = scipy.linalg.expm(liouvillian * dt) @ vec
+        want.append(vec.tobytes())
+    assert [np.frombuffer(c, dtype=complex)[keep].tobytes() for c in cold] == want
+
+    part = hilbert._kept_hamiltonian(spec, keep.tobytes())
+    assert not part.flags.writeable
+    with pytest.raises(ValueError):
+        part[0, 0] = 0
+    assert liouvillian.flags.writeable and not np.shares_memory(liouvillian, part)
+    clear_evolution_cache()
+    assert hilbert._kept_hamiltonian.cache_info().currsize == 0
 
 
 def test_dephasing_sweep_at_large_gamma_stays_at_roundoff():
@@ -512,44 +551,17 @@ def test_chi_support_keeps_both_blocks_one_weight_apart(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_chi_reads_only_its_support(n):
+    # every bare coherence is a gather inside the support, so the parts
+    # inside and outside it give exactly the whole and exactly 0
     rng = np.random.default_rng(60 + n)
     spec = random_chain(rng, n, with_fields=True)
     dim, mask = 1 << n, chi_support(n)
+    times = [0.0, 0.8]
     for _ in range(3):
         op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for t in (0.0, 0.8):
-            whole = chi(DensityMatrix(op, n), spec, t)
-            np.testing.assert_allclose(chi(DensityMatrix(op * mask, n), spec, t), whole,
-                                       rtol=0, atol=1e-13)
-            assert np.abs(chi(DensityMatrix(op * ~mask, n), spec, t)).max() <= 1e-13
-
-
-def test_dense_unitary_cache_is_read_only_and_rebuilt_bit_identically():
-    spec = pst_couplings(5)
-    u = dense_unitary(spec, 0.7)
-    assert not u.flags.writeable
-    with pytest.raises(ValueError):
-        u[0, 0] = 0
-    assert dense_unitary(spec, 0.7) is u
-    clear_evolution_cache()
-    again = dense_unitary(spec, 0.7)
-    assert again is not u
-    np.testing.assert_array_equal(again, u)
-
-
-def test_dense_unitary_cache_is_bounded_in_bytes():
-    from chainqec import hilbert
-
-    clear_evolution_cache()
-    spec = pst_couplings(8)  # 1 MiB a unitary: 16 fit
-    first = dense_unitary(spec, 0.0)
-    for k in range(1, 17):
-        dense_unitary(spec, 0.1 * k)
-    assert sum(u.nbytes for u in hilbert._unitaries.values()) <= hilbert._UNITARY_CACHE_BYTES
-    assert len(hilbert._unitaries) == 16
-    assert dense_unitary(spec, 0.0) is not first  # the least recently used went first
-    clear_evolution_cache()
-    assert not hilbert._unitaries
+        whole = chi([DensityMatrix(op, n)] * 2, spec, times)
+        np.testing.assert_array_equal(chi([DensityMatrix(op * mask, n)] * 2, spec, times), whole)
+        np.testing.assert_array_equal(chi([DensityMatrix(op * ~mask, n)] * 2, spec, times), 0.0)
 
 
 def test_chi_initial_values():
@@ -559,9 +571,9 @@ def test_chi_initial_values():
     amps = np.zeros(1 << n, dtype=complex)
     amps[0b0000] = amps[0b0001] = 1 / np.sqrt(2)
     rho = from_density(StateVector(amps, n))
-    assert chi(rho, spec, 0.0)[0] == pytest.approx(1.0)  # mode c_N via mirror
+    assert chi([rho], spec, [0.0])[0, 0] == pytest.approx(1.0)  # mode c_N via mirror
     mixed = DensityMatrix(np.eye(1 << n) / (1 << n), n)
-    assert np.abs(chi(mixed, spec, 0.4)).max() < 1e-12
+    assert np.abs(chi([mixed], spec, [0.4])).max() < 1e-12
 
 
 def test_chi_plus_on_first_site():
@@ -570,28 +582,46 @@ def test_chi_plus_on_first_site():
     amps = np.zeros(8, dtype=complex)
     amps[0b000] = amps[0b100] = 1 / np.sqrt(2)  # qubit 1 in |+>
     rho = from_density(StateVector(amps, n))
-    assert chi(rho, spec, 0.0)[n - 1] == pytest.approx(1.0)  # n=N picks mode c_1 = X_1
+    assert chi([rho], spec, [0.0])[0, n - 1] == pytest.approx(1.0)  # n=N picks mode c_1 = X_1
 
 
-def test_chi_matches_dense_trace_exactly():
-    # the gather against Tr(rho_int c) with c the dense Jordan-Wigner matrix
+def test_chi_matches_dense_trace_on_chains_with_fields():
+    # the single-particle rotation against Tr(rho_int c), rho_int conjugated
+    # by the dense unitary and c the dense Jordan-Wigner matrix.  Both sides
+    # round differently, so the bound is roundoff: 8.3e-16 was the worst
+    # measured for unit-trace rho on 100 such chains (20 per N = 2 to 6)
     from chainqec.freefermion import jordan_wigner
     from chainqec.hilbert import mirror_mode
 
     rng = np.random.default_rng(41)
-    for n in (2, 3, 4):
-        spec = pst_couplings(n)
-        for _ in range(3):
-            a = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
-            rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T), n)
-            for t in (0.0, 0.7):
+    times = [0.0, 0.7, 3.1]
+    for n in range(2, 7):
+        modes = [jordan_wigner(mirror_mode(n, mode), n).dense() for mode in range(1, 2 * n + 1)]
+        for _ in range(2):
+            spec = random_chain(rng, n, with_fields=True)
+            rho = _full_rank(rng, n)
+            got = chi([rho] * len(times), spec, times)
+            assert got.shape == (len(times), 2 * n)
+            for t, row in zip(times, got):
                 u = dense_unitary(spec, t)
                 rho_int = u.conj().T @ rho.mat @ u
-                got = chi(rho, spec, t)
-                assert got.shape == (2 * n,)
-                for mode in range(1, 2 * n + 1):
-                    c = jordan_wigner(mirror_mode(n, mode), n).dense()
-                    assert got[mode - 1] == complex(np.trace(rho_int @ c))
+                want = [np.trace(rho_int @ c) for c in modes]
+                assert np.abs(row - want).max() <= 1e-14
+                # a member of the stack is the one-member call, bit for bit
+                np.testing.assert_array_equal(chi([rho], spec, [t])[0], row)
+
+
+def test_chi_refuses_mismatched_stacks():
+    spec = pst_couplings(3)
+    rho = from_density(basis_state(3, [1]))
+    with pytest.raises(ValueError, match="one time per state"):
+        chi([rho, rho], spec, [0.1])
+    with pytest.raises(ValueError, match="one time per state"):
+        chi([rho], spec, 0.1)
+    with pytest.raises(ValueError, match="size mismatch"):
+        chi([from_density(basis_state(4, [1]))], spec, [0.1])
+    with pytest.raises(ValueError, match="finite"):
+        chi([rho], spec, [np.nan])
 
 
 def test_chi_dephasing_decay_small_chain():
@@ -601,9 +631,10 @@ def test_chi_dephasing_decay_small_chain():
     rng = np.random.default_rng(15)
     psi = random_state(rng, n)
     rho0 = from_density(psi)
-    for t, rho_t in zip((0.4, 1.1), lindblad_evolve(rho0, spec, gamma, [0.4, 1.1])):
-        expected = np.exp(-2 * gamma * t) * chi(rho0, spec, 0.0)
-        assert np.abs(chi(rho_t, spec, t) - expected).max() < 1e-7
+    times = [0.4, 1.1]
+    got = chi(lindblad_evolve(rho0, spec, gamma, times), spec, times)
+    expected = np.exp(-2 * gamma * np.array(times))[:, None] * chi([rho0], spec, [0.0])
+    assert np.abs(got - expected).max() < 1e-7
 
 
 # --- trajectories ----------------------------------------------------------
