@@ -176,10 +176,12 @@ def main(argv=None) -> int:
                 delta_grid=args.grid, spec=_chain_from_args(args), out_dir=args.out,
                 prune_below=args.prune,
             )
+            # the success at the grid's delta = 0 point, None on a grid without one
+            at_zero = next((p for d, p in zip(curve.deltas, curve.successes) if d == 0.0), None)
             _emit(args, {
                 "points": len(curve.deltas),
                 "min_success": min(curve.successes),
-                "success_at_zero": curve.successes[0],
+                "success_at_zero": at_zero,
             })
         elif args.command == "coupling-sweep":
             curves = exp_coupling(

@@ -13,9 +13,10 @@ RevivalEvaluator folds them into one fixed sparse weight matrix on the
 excitation sectors the encoded state occupies: one column per decodable
 bit-flip key and phase outcome, built with the very correction
 decode_pipeline applies to that leaf (the key's X/trailing-Z string, then
-cross_reference).  Scoring a chunk of revival states is one sparse product
-(and, when pruning, one more for the branch and leaf masses); every sweep,
-pruned or exact, goes through it.
+cross_reference).  Scoring a chunk of revival states is one fixed-order
+product with it (hilbert.FixedOrderTable, numpy) and, when pruning, one
+scipy sparse product for the branch and leaf masses; every sweep, pruned
+or exact, goes through it.
 decode_pipeline is the branch-recording oracle the evaluator is checked
 against: it tracks every syndrome outcome as an explicit branch with its
 Born probability.  The success probability is the probability-weighted
@@ -27,15 +28,14 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse as sp
 
 from .code import StabilizerCode, encode
-from .hilbert import StateVector, _occupied_weights, sector_indices
+from .hilbert import FixedOrderTable, StateVector, _occupied_weights, _work_array, sector_indices
 from .pauli import PauliString, mask_of_sites, z_sign
 
 _EXACT_ZERO = 0.0
@@ -335,12 +335,12 @@ def decode_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# sparse revival evaluator (no per-branch records; serves every sweep)
+# revival evaluator (no per-branch records; serves every sweep)
 # ---------------------------------------------------------------------------
 
 
 class RevivalEvaluator:
-    """Success probability and pruned mass of the revival-mode pipeline, as sparse products.
+    """Success probability and pruned mass of the revival-mode pipeline, as fixed-order products.
 
     Scores rows of amplitudes on `support`, a fixed list of basis indices:
     by default the excitation sectors the encoded reference occupies, which
@@ -354,11 +354,14 @@ class RevivalEvaluator:
     syndrome of that Z correction (otherwise P_o annihilates it) and the
     copy meets the support.  The reference has bit-flip key 0, so an
     undecodable branch overlaps it exactly 0 and W has no column for one.
-    Pruning reads the branch and leaf masses as one sparse product over the
-    support pairs the phase checks connect.  Every product sums each entry
-    in a fixed order, so a row's value does not depend on the rows scored
-    with it.  Agrees with decode_pipeline, its oracle, to roundoff in both
-    success and discarded mass.
+    W is a numpy table (FixedOrderTable) with at most 4 entries a column
+    on minimal15, each column summed in support order.  Pruning reads the
+    branch and leaf masses as one scipy sparse product over the support
+    pairs the phase checks connect; those tables (_prune_tables) are built
+    on the first pruned call, so exact scoring never imports scipy.  Every
+    product sums each entry in a fixed order, so a row's value does not
+    depend on the rows scored with it.  Agrees with decode_pipeline, its
+    oracle, to roundoff in both success and discarded mass.
     """
 
     def __init__(self, codeobj: StabilizerCode, alpha: complex, beta: complex, support=None):
@@ -375,17 +378,13 @@ class RevivalEvaluator:
         if support is None:
             support = np.concatenate([sector_indices(n, w) for w in _occupied_weights(ref)])
         self.support = support = np.array(support, dtype=np.int64)
-        position = np.full(1 << n, support.size)  # of each basis index; support.size off it
-        position[support] = np.arange(support.size)
+        position = self._positions()
 
         n_out = self.n_out = 1 << len(zgens)
-        # check_masks[S]: X mask of the product of the phase checks in S;
-        # leaf_signs[S, o] = (-1)^{|o & S|}, so P_o = 2^-n_z sum_S leaf_signs[S, o] X_S
-        check_masks = np.zeros(n_out, dtype=np.int64)
+        # check_masks[S]: X mask of the product of the phase checks in S
+        self.check_masks = check_masks = np.zeros(n_out, dtype=np.int64)
         for g, gen in enumerate(zgens):
             check_masks[1 << g:2 << g] = check_masks[:1 << g] ^ gen.x_mask
-        outcomes = np.arange(n_out)
-        leaf_signs = z_sign(outcomes[:, None] & outcomes)
 
         # column (key, o) of W holds C2|ref> at i ^ x_mask[key], conjugated and
         # signed (-1)^{|i & z_trail[key]|}, so rows @ W is <ref|C2 P_o C1|row>
@@ -407,40 +406,69 @@ class RevivalEvaluator:
         pos = position[ind]
         cols = np.broadcast_to((key * n_out + o)[:, None], ind.shape)
         inner = pos < support.size  # columns with no entry on the support go
-        used, col = np.unique(cols[inner], return_inverse=True)
-        self.weights = sp.csc_array((vals[inner], (pos[inner], col)), (support.size, used.size))
-        self.weights.sum_duplicates()  # canonical: each column summed in row order
+        # self.columns: the (key * n_out + o) of each column of W
+        self.columns, col = np.unique(cols[inner], return_inverse=True)
+        # distinct reference entries sit at distinct positions of a column,
+        # so each (position, column) is one entry; stored in support order
+        order = np.lexsort((pos[inner], col))
+        self.weights = FixedOrderTable(pos[inner][order], col[order], vals[inner][order],
+                                       (support.size, self.columns.size))
+        self._work: dict = {}  # _pruned's gather buffers (hilbert._work_array)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
-        # branch and leaf masses (see _pruned) from the overlaps of pairs (p, q)
-        # of support positions with support[q] = support[p] ^ m_S (pairs
-        # leaving the support read zero amplitudes and are left out): one
-        # column per bit-flip key on the support for its branch mass (the
-        # S = 0 pairs), then n_out per decodable key for its leaf masses
-        support_keys = _syndrome_keys([g.z_mask for g in codeobj.x_detecting_generators], support)
+    def _positions(self) -> np.ndarray:
+        """Each basis index's position on the support; support.size off it."""
+        position = np.full(1 << self.tables.code.n_qubits, self.support.size)
+        position[self.support] = np.arange(self.support.size)
+        return position
+
+    @cached_property
+    def _prune_tables(self) -> tuple:
+        """(pairs, leaf_keys, mass_weights, col_key, col_out) of _pruned, built on its first call.
+
+        The branch and leaf masses come from the overlaps of pairs (p, q) of
+        support positions with support[q] = support[p] ^ m_S (pairs leaving
+        the support read zero amplitudes and are left out): mass_weights has
+        one column per bit-flip key on the support for its branch mass (the
+        S = 0 pairs), then n_out per decodable key (leaf_keys, positions
+        among the keys present) for its leaf masses, with
+        leaf_signs[S, o] = (-1)^{|o & S|}, so P_o = 2^-n_z sum_S
+        leaf_signs[S, o] X_S.  col_key and col_out are each W column's
+        decodable key and phase outcome.  Only this imports scipy.sparse.
+        """
+        import scipy.sparse as sp  # here, not at load: 0.17-0.24 s on a 2-core Xeon
+
+        tables, support, n_out = self.tables, self.support, self.n_out
+        outcomes = np.arange(n_out)
+        leaf_signs = z_sign(outcomes[:, None] & outcomes)
+        checks = [g.z_mask for g in tables.code.x_detecting_generators]
+        support_keys = _syndrome_keys(checks, support)
         present, key_col = np.unique(support_keys, return_inverse=True)
-        self.leaf_keys = np.flatnonzero(tables.correctable[present])  # positions in present
+        leaf_keys = np.flatnonzero(tables.correctable[present])
         leaf_col = np.full(present.size, -1)
-        leaf_col[self.leaf_keys] = np.arange(self.leaf_keys.size)
-        partner = position[support[:, None] ^ check_masks]  # (p, S)
+        leaf_col[leaf_keys] = np.arange(leaf_keys.size)
+        partner = self._positions()[support[:, None] ^ self.check_masks]  # (p, S)
         p, check = np.nonzero(partner < support.size)
-        self.pairs = np.stack([p, partner[p, check]])
+        pairs = np.stack([p, partner[p, check]])
         leaf = leaf_col[key_col[p]]
         own, dec = np.flatnonzero(check == 0), np.flatnonzero(leaf >= 0)
         # the correction commutes with X_S up to (-1)^{|m_S & trail|}
-        trail = z_sign(tables.z_trail[support_keys[p[dec]]] & check_masks[check[dec]])
+        trail = z_sign(tables.z_trail[support_keys[p[dec]]] & self.check_masks[check[dec]])
         data = [np.ones(own.size), (leaf_signs[check[dec]] * trail[:, None]).ravel() / n_out]
         pair = [own, np.repeat(dec, n_out)]
         col = [key_col[p[own]], present.size + (leaf[dec][:, None] * n_out + outcomes).ravel()]
-        self.mass_weights = sp.csc_array(
+        mass_weights = sp.csc_array(
             (np.concatenate(data), (np.concatenate(pair), np.concatenate(col))),
-            (p.size, present.size + self.leaf_keys.size * n_out),
+            (p.size, present.size + leaf_keys.size * n_out),
         )
-        self.col_key = leaf_col[np.searchsorted(present, used // n_out)]  # decodable key
-        self.col_out = used % n_out
-        for value in vars(self).values():
-            for a in (value.data, value.indices, value.indptr) if sp.issparse(value) else (value,):
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
+        col_key = leaf_col[np.searchsorted(present, self.columns // n_out)]  # decodable key
+        col_out = self.columns % n_out
+        for a in (pairs, leaf_keys, col_key, col_out,
+                  mass_weights.data, mass_weights.indices, mass_weights.indptr):
+            a.flags.writeable = False
+        return pairs, leaf_keys, mass_weights, col_key, col_out
 
     def success(self, rows: np.ndarray, prune_below: float = 0.0):
         """(success probability, discarded mass) of decode_pipeline on each row.
@@ -453,8 +481,8 @@ class RevivalEvaluator:
         `prune_below` is discarded.
         """
         prune_below = check_prune(prune_below)
-        xt = np.ascontiguousarray(np.atleast_2d(rows).T)  # (support, state)
-        mass = np.abs(self.weights.T @ xt) ** 2  # (column of W, state)
+        xt = np.ascontiguousarray(np.atleast_2d(rows).T, dtype=complex)  # (support, state)
+        mass = np.abs((xt.T @ self.weights).T) ** 2  # (column of W, state)
         discarded = np.zeros(xt.shape[1])
         if prune_below > 0.0:  # at 0 nothing can be dropped, so the masses are not needed
             kept, discarded = self._pruned(xt, prune_below)
@@ -474,21 +502,30 @@ class RevivalEvaluator:
         to the sign (-1)^{|m_S & trail|}: <x|X_S|x> is that sign times
         <psi_key|X_S|psi_key>, a sum of Re(conj(psi_q) psi_p) over the
         support pairs X_S connects.  Branch and leaf masses are therefore
-        one sparse product of those pair overlaps.
+        one sparse product of those pair overlaps (_prune_tables).  The
+        pair gathers and their products go into the evaluator's work
+        buffers, grown to the largest chunk and reused, so a warm call maps
+        no fresh pages for them; not for concurrent use.
         """
-        p, q = self.pairs
-        overlap = (np.conj(xt[q]) * xt[p]).real  # (pair, state)
-        masses = self.mass_weights.T @ overlap
-        n_keys = len(masses) - self.leaf_keys.size * self.n_out
+        pairs, leaf_keys, mass_weights, col_key, col_out = self._prune_tables
+        p, q = pairs
+        conj_q, at_p, overlap = (_work_array(self._work, name, p.size, xt.shape[1])
+                                 for name in ("q", "p", "overlap"))
+        # mode="clip": with the default, take buffers its out= afresh
+        np.take(xt, q, axis=0, out=conj_q, mode="clip")
+        np.conjugate(conj_q, out=conj_q)
+        np.take(xt, p, axis=0, out=at_p, mode="clip")
+        np.multiply(conj_q, at_p, out=overlap)
+        masses = mass_weights.T @ overlap.real  # (pair, state) overlaps in, masses out
+        n_keys = len(masses) - leaf_keys.size * self.n_out
         branch = masses[:n_keys]  # [key, state]
         # a leaf mass is a squared norm: clip the roundoff of empty leaves at 0;
         # leaf[decodable key, o, state]
-        leaf = np.maximum(masses[n_keys:].reshape(self.leaf_keys.size, self.n_out, xt.shape[1]), 0)
+        leaf = np.maximum(masses[n_keys:].reshape(leaf_keys.size, self.n_out, xt.shape[1]), 0)
         branch_kept = branch >= prune_below
-        leaf_dropped = branch_kept[self.leaf_keys][:, None] & (leaf < prune_below)
+        leaf_dropped = branch_kept[leaf_keys][:, None] & (leaf < prune_below)
         discarded = _state_sums(branch * ~branch_kept) + _state_sums(leaf * leaf_dropped)
-        col_key = self.col_key
-        kept = branch_kept[self.leaf_keys[col_key]] & ~leaf_dropped[col_key, self.col_out]
+        kept = branch_kept[leaf_keys[col_key]] & ~leaf_dropped[col_key, col_out]
         return kept, discarded
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
 from .chain import ChainSpec, analyze_transfer, pst_couplings
@@ -28,7 +27,9 @@ from .errors import ResourceLimitError
 from .freefermion import chi_decay
 from .hilbert import (
     DensityMatrix,
+    FixedOrderTable,
     StateVector,
+    _complex_product,
     amplitude_plan,
     check_lindblad_work,
     check_mode_unitaries,
@@ -39,6 +40,7 @@ from .hilbert import (
     evolve,  # noqa: F401  unused here, but perfbench/spans.py traces harness.evolve
     from_density,
     hop_rows,
+    hop_rows_dense,
     lindblad_evolve,
     mode_minors,
     mode_unitaries,
@@ -50,7 +52,7 @@ from .pauli import PauliString
 
 _BRUTE_FORCE_MAX_SITES = 6
 # points evaluated together: the single-Z samples (or timing offsets) of one
-# chunk are scored as one block, in one sparse product.  A point's value
+# chunk are scored as one block, in one fixed-order product.  A point's value
 # must not depend on its chunk, or a resumed run (which re-chunks the
 # missing points) would differ from a fresh one; the chunk, batched-engine
 # and resume tests check this.  On the 15-site chain (one BLAS thread,
@@ -196,9 +198,9 @@ class RevivalSetup:
     - `plan`, built here, holds only the amplitudes W reads (154 of 3004
       on minimal15): with |+_L>, 459 5 x 5 complementary minors and the
       vacuum's constant 1, from 45, 315, 990, 945 and 459 sub-minors of
-      sizes 1..5.  Its fold times W is `minor_weights`, held transposed
-      (W column x pair) as the product reads it, so exact successes of a
-      stack of M are sum_c |(minor_weights @ minors^T)_c|^2
+      sizes 1..5.  Its fold times W is `minor_weights` (pair x W column,
+      6 to 10 entries a column, each one product), so exact successes of
+      a stack of M are sum_c |(minors @ minor_weights)_c|^2
       (success_mode_unitaries), with no support-sized row.
     - the support plan, built on first use (support_rows), holds the whole
       support: 9010 pairs with |+_L>.  Pruned scoring needs masses
@@ -219,17 +221,23 @@ class RevivalSetup:
     support, so a chunk of samples is scored on (S, support) blocks, never
     scattered into a 2^N vector.  Exact scoring needs only rows @ W (W the
     evaluator's weights), so rows @ W = phi W - 2 q K: `arrival_overlaps`
-    holds phi W and the sparse N^2 x column table `hop_overlaps` holds
-    K = H W (225 x 304, 35 160 nonzeros on minimal15), and no row is
-    built.  The arrival, phi W and K are built on the first single-Z
-    call, so a process that runs only exact timing or coupling sweeps
-    builds neither the support plan nor the arrival.  Pruned scoring
-    needs masses quadratic in the rows, so it builds them (single_z_rows)
-    from H, `hop_table` (180 180 nonzeros, about 3.4 MiB), which only a
-    pruned call builds.  Every array held here, the evaluator's and the
-    plans' included, is read-only, and the pruning threshold is an
-    argument of each scoring call, so one set-up serves every sweep of a
-    process on its chain (_revival_setup).
+    holds phi W and the dense N^2 x column array `hop_overlaps` holds
+    K = H W (225 x 304, 1 MiB, 35 160 entries nonzero on minimal15), and
+    no row is built.  The arrival, phi W and K are built on the first
+    single-Z call, so a process that runs only exact timing or coupling
+    sweeps builds neither the support plan nor the arrival.  Pruned
+    scoring needs masses quadratic in the rows, so it builds them
+    (single_z_rows) from H, `hop_table` (scipy sparse, 180 180 nonzeros,
+    about 3.4 MiB), which only a pruned call builds.
+
+    minor_weights, W and the folds are FixedOrderTables, numpy entry
+    arrays whose products keep the bits scipy's sparse products gave
+    them, and K is applied one sample at a time, so exact scoring loads
+    no scipy; pruned scoring imports scipy.sparse on its first call (H
+    and the evaluator's mass tables).  Every array held here, the
+    evaluator's and the plans' included, is read-only, and the pruning
+    threshold is an argument of each scoring call, so one set-up serves
+    every sweep of a process on its chain (_revival_setup).
     """
 
     def __init__(self, spec: ChainSpec, alpha: complex, beta: complex):
@@ -245,15 +253,19 @@ class RevivalSetup:
         self.spectral_bound = report.spectral_bound
         self.encoded = encode(codeobj, alpha, beta)
         self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
-        # row p of minor_weights^T: pair p's sign and encoded amplitude times
-        # its read row of W
+        # row p of minor_weights: pair p's sign and encoded amplitude (its one
+        # fold entry) times its target's row of W, each entry one product
+        # added to 0, the fold times W as scipy's sparse product formed it
         weights, support = self.evaluator.weights, self.evaluator.support
-        read = np.unique(weights.indices)
+        read = np.unique(weights.row)
         self.plan, fold = amplitude_plan(spec.n_sites, support[read], self.encoded.amps)
-        self.minor_weights = sp.csc_array(fold @ sp.csr_array(weights)[read]).T
-        for a in (self.encoded.amps, self.minor_weights.data,
-                  self.minor_weights.indices, self.minor_weights.indptr):
-            a.flags.writeable = False
+        w_read = weights.toarray(read)
+        by_pair = np.argsort(fold.row)  # each column of minor_weights sums in pair order
+        pair, target, amp = fold.row[by_pair], fold.col[by_pair], fold.value[by_pair]
+        entry, col = np.nonzero(w_read[target])
+        value = _complex_product(amp[entry], w_read[target[entry], col]) + 0.0
+        self.minor_weights = FixedOrderTable(pair[entry], col, value, (pair.size, weights.shape[1]))
+        self.encoded.amps.flags.writeable = False
 
     @cached_property
     def support_plan(self) -> tuple:
@@ -289,27 +301,26 @@ class RevivalSetup:
         return overlaps
 
     @cached_property
-    def hop_overlaps(self) -> sp.csc_array:
-        """K = H W, built on the first exact single-Z call.
+    def hop_overlaps(self) -> np.ndarray:
+        """K = H W, dense (N^2, column of W), built on the first exact single-Z call.
 
         W reads only a few support positions (154 of 3004 on minimal15), so
-        K needs the hopped states c_i^dag c_j phi there alone.  A sparse
-        product: the 1 MiB dense one, once freed, left every later pruned
-        chunk taking about a fifth more page faults (glibc's heap).
+        K needs the hopped states c_i^dag c_j phi there alone
+        (hop_rows_dense), times W's rows there: 225 x 304 on minimal15,
+        about half of it nonzero.
         """
         weights, support = self.evaluator.weights, self.evaluator.support
-        read = np.unique(weights.indices)
-        table = sp.csc_array(hop_rows(self.arrival, support[read]) @ weights[read])
-        for a in (table.data, table.indices, table.indptr):
-            a.flags.writeable = False
+        read = np.unique(weights.row)
+        table = hop_rows_dense(self.arrival, support[read]) @ weights.toarray(read)
+        table.flags.writeable = False
         return table
 
     @cached_property
-    def hop_table(self) -> sp.csr_array:
-        """H: row (i, j) holds c_i^dag c_j phi on the evaluator's support.
+    def hop_table(self):
+        """H, a scipy sparse table: row (i, j) holds c_i^dag c_j phi on the evaluator's support.
 
         Built on the first pruned call, not with the set-up: exact and
-        coupling sweeps never read it.
+        coupling sweeps never read it (hop_rows, which imports scipy.sparse).
         """
         table = hop_rows(self.arrival, self.evaluator.support)
         for a in (table.data, table.indices, table.indptr):
@@ -332,7 +343,7 @@ class RevivalSetup:
         return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), v.shape[1] ** 2)
 
     def single_z_rows(self, q: np.ndarray) -> np.ndarray:
-        """(S, support) revival rows phi - 2 q H, one per row of q (single_z_forms)."""
+        """(S, support) revival rows phi - 2 q H, one per row of q (single_z_forms); pruned only."""
         return self.arrival.amps[self.evaluator.support] - 2.0 * (q @ self.hop_table)
 
     def success_single_z(self, sites, t_errs,
@@ -341,16 +352,19 @@ class RevivalSetup:
 
         Returns (success probability, discarded mass) arrays, one entry per
         sample; branches below prune_below are discarded (0 = exact).  Each
-        sample's v is a row of its own U(tau), and K or H is applied by
-        scipy's sparse kernels, which sum each entry in a fixed order, so a
-        value does not depend on its chunk.
+        sample's v is a row of its own U(tau); K is applied to each
+        sample alone, and H by scipy's sparse kernels, which sum each entry
+        in a fixed order, so a value does not depend on its chunk.
         """
         q = self.single_z_forms(sites, t_errs)
         if prune_below <= 0.0:
             # as in the evaluator, at 0 nothing can be dropped, so only rows @ W
-            # is needed: the quadratic form phi W - 2 q K, no row built
-            overlaps = self.arrival_overlaps[:, None] - 2.0 * (self.hop_overlaps.T @ q.T)
-            return _state_sums(np.abs(overlaps) ** 2), np.zeros(len(q))
+            # is needed: the quadratic form phi W - 2 q K, no row built.  One
+            # product per sample (numpy runs one GEMM per member), so a
+            # sample's overlaps do not depend on its chunk
+            qk = np.matmul(q[:, None, :], self.hop_overlaps)[:, 0]
+            overlaps = self.arrival_overlaps - 2.0 * qk  # (sample, column of W)
+            return _state_sums(np.abs(overlaps.T) ** 2), np.zeros(len(q))
         return self.evaluator.success(self.single_z_rows(q), prune_below)
 
     def success_mode_unitaries(self, m,
@@ -363,15 +377,15 @@ class RevivalSetup:
         flips a jump_unitary.
         Refuses anything but a stack of finite unitaries on this chain's N
         sites: the complementary minors hold only for a unitary.  Exact
-        members are read from the minors W reads (mode_minors, then a
-        sparse product summing each entry in a fixed order), pruned members
-        from their rows Gamma(M)|encoded> (support_rows, the same), so a
-        member's values do not depend on the stack.
+        members are read from the minors W reads (mode_minors, then the
+        fixed-order product with minor_weights), pruned members from their
+        rows Gamma(M)|encoded> (support_rows, the same), so a member's
+        values do not depend on the stack.
         """
         m = check_mode_unitaries(m, self.spec.n_sites)
         if prune_below <= 0.0:
-            minors = mode_minors(m, self.plan)
-            return _state_sums(np.abs(self.minor_weights @ minors.T) ** 2), np.zeros(len(m))
+            overlaps = mode_minors(m, self.plan) @ self.minor_weights  # (member, column of W)
+            return _state_sums(np.abs(overlaps.T) ** 2), np.zeros(len(m))
         return self.evaluator.success(self.support_rows(m), prune_below)
 
     def success_coupling_instance(self, f: float, draw_seed: int,

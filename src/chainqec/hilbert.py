@@ -20,11 +20,15 @@ elementwise for a whole stack of M (mode_minors) and folded with the
 sources' amplitudes (amplitude_plan, which keeps the last few plans).
 apply_mode_unitary plans the whole occupied sectors of one state, and the
 revival set-up plans once either the few amplitudes the decoder reads or
-the whole support.  evolve
-applies each occupied sector's sparse Hamiltonian with scipy's
-expm_multiply and serves as the exact N = 15 oracle, independent of the
-minors.  Neither caches anything that depends on the chain's couplings
-or fields; in this module only the dense oracle dense_unitary (its
+the whole support.  The fold, like every sparse table an exact sweep
+reads, is a FixedOrderTable: numpy entry arrays whose product sums each
+column in stored order and rounds each complex product as scipy's
+sparse kernels do, so it keeps their bits and computes each member of a
+stack alone.  evolve applies each occupied sector's sparse Hamiltonian
+with scipy's expm_multiply and serves as the exact N = 15 oracle,
+independent of the minors.  Neither caches anything that depends on the
+chain's couplings or fields; in this module only mode_unitaries (H1's
+eigendecomposition), the dense oracle dense_unitary (its
 eigendecomposition) and lindblad_evolve's dense path (the Hamiltonian
 part of its Liouvillian) do, in bounded caches that
 clear_evolution_cache drops.  A single phase flip during transport is
@@ -32,14 +36,14 @@ one rotated mode v about the error-free arrival state phi, read out as
 phi - 2 n_v phi, with v the flipped site's row of a mode unitary
 (mode_unitaries).  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that
 state is a quadratic form in v over the N^2 hopped states
-c_i^dag c_j phi (hop_rows), from which
+c_i^dag c_j phi (hop_rows, hop_rows_dense), from which
 the revival set-up builds pruned samples' rows and scores exact samples
 without building any.  lindblad_evolve, the exact dephasing oracle,
 keeps only the Liouvillian's blocks that the state occupies; up to
 _DENSE_LIOUVILLIAN_MAX_DIM kept positions it gathers them densely (the
 Hamiltonian part once per chain and kept positions, the dissipator per
 gamma) and exponentiates every distinct time step in one stacked
-scaling-and-squaring Pade call (scipy.linalg.expm), and above that it
+scaling-and-squaring [13/13] Pade (_expm, in numpy), and above that it
 steps a sparse Liouvillian, built block by block from the sector
 Hamiltonians, with expm_multiply.  chi reads the mode coherences of a
 stack of states as the single-particle rotation of their bare ones, so
@@ -47,11 +51,12 @@ the dephasing sweep builds no 2^N x 2^N unitary.  Both
 exact oracles (evolve and lindblad_evolve) leave a state unchanged when
 no entry of their generator times t reaches the smallest normal float
 (_negligible), and neither moves numpy's global random state
-(_expm_apply).  Of scipy, only scipy.sparse loads with this module: the
-oracles import what they call where they call it, scipy.sparse.linalg in
-_expm_apply (evolve, the sparse Lindblad path) and scipy.linalg on the
-dense Lindblad path, so a revival sweep, which runs neither, loads
-neither.
+(_expm_apply).  No scipy loads with this module: the code that calls it
+imports it where it runs, scipy.sparse in sector_sparse, hop_rows and
+_sector_liouvillian (the oracles, pruned scoring), and
+scipy.sparse.linalg in _expm_apply (evolve, the sparse Lindblad path).
+So the exact revival sweeps and the dephasing sweep, which run neither
+path, load numpy alone: scipy.sparse costs 0.17-0.24 s to import.
 """
 
 from __future__ import annotations
@@ -59,9 +64,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .chain import ChainSpec, _u_of_t, single_excitation_matrix
 from .errors import ResourceLimitError
@@ -75,6 +80,9 @@ _DENSE_LIOUVILLIAN_MAX_DIM = 100
 # 36 MiB (one BLAS thread, 2-core Xeon), the largest the limit admits; the
 # revival set-up's support plan is 9010
 _MINOR_PLAN_MAX_PAIRS = 200_000
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -182,6 +190,8 @@ def _occupation_sum(values, states: np.ndarray) -> np.ndarray:
 
 def sector_sparse(spec: ChainSpec, weight: int) -> sp.csr_matrix:
     """The chain Hamiltonian restricted to one excitation sector."""
+    import scipy.sparse as sp  # here, not at load: 0.17-0.24 s on a 2-core Xeon
+
     states, pairs = _sector_table(spec.n_sites, weight)
     both = np.hstack(pairs)
     hops = np.tile(np.repeat(spec.couplings, [p.shape[1] for p in pairs]), 2)
@@ -192,9 +202,11 @@ def sector_sparse(spec: ChainSpec, weight: int) -> sp.csr_matrix:
 def clear_evolution_cache() -> None:
     """Drop the caches that depend on a chain's couplings and fields.
 
-    Those are dense_unitary's eigendecompositions (_dense_eig) and
-    lindblad_evolve's Hamiltonian parts (_kept_hamiltonian).
+    Those are mode_unitaries' eigendecompositions of H1 (_h1_eigh),
+    dense_unitary's (_dense_eig) and lindblad_evolve's Hamiltonian parts
+    (_kept_hamiltonian).
     """
+    _h1_eigh.cache_clear()
     _dense_eig.cache_clear()
     _kept_hamiltonian.cache_clear()
 
@@ -236,13 +248,12 @@ def _negligible(a, axis=None):
     e^A v differs from v by more than that, and both exact oracles leave v
     as it is: a repeated time stays exact, and expm_multiply, at a
     subnormal ||A||_1, would take zero steps and divide by that count (a
-    RuntimeWarning).  The largest entry, not the 1-norm, is tested: on a
-    sparse A it is one pass over the stored values, where the sparse
-    1-norm builds |A|.  With `axis`, a dense stack of generators is tested
-    member by member.
+    RuntimeWarning).  The largest entry, not the 1-norm, is tested: a
+    sparse A passes its stored values (_expm_apply), one pass where the
+    sparse 1-norm builds |A|.  With `axis`, a dense stack of generators is
+    tested member by member.
     """
-    entries = a.data if sp.issparse(a) else a
-    return np.abs(entries).max(axis=axis, initial=0.0) < np.finfo(float).tiny
+    return np.abs(a).max(axis=axis, initial=0.0) < np.finfo(float).tiny
 
 
 def _expm_apply(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
@@ -252,9 +263,9 @@ def _expm_apply(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
     numpy's global legacy generator; its state is restored so the caller's
     np.random stream is untouched.
     """
-    if _negligible(a):
+    if _negligible(a.data):
         return v.copy()
-    from scipy.sparse.linalg import expm_multiply  # here, not at load: 0.05 s on a 2-core Xeon
+    from scipy.sparse.linalg import expm_multiply  # here, not at load: 0.05 s after scipy.sparse
 
     rng_state = np.random.get_state()
     try:
@@ -310,22 +321,37 @@ def check_sites(n_sites: int, sites) -> np.ndarray:
     return sites.astype(np.int64)
 
 
+@lru_cache(maxsize=8)
+def _h1_eigh(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of the chain's H1, read-only, kept for the last 8 chains.
+
+    eigh of one matrix returns the same bits on every call, so a cached
+    pair gives mode_unitaries the values of a fresh one.
+    clear_evolution_cache drops them.
+    """
+    evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
+    for a in (evals, evecs):
+        a.flags.writeable = False
+    return evals, evecs
+
+
 def mode_unitaries(spec: ChainSpec, times) -> np.ndarray:
-    """(S, N, N) single-particle unitaries exp(-i H1 t), one per time, from one eigh.
+    """(S, N, N) single-particle unitaries exp(-i H1 t), one per time, from H1's cached eigh.
 
     Gamma(M)|psi> = e^{-iHt}|psi> for each (apply_mode_unitary,
     minor_plan).  One stacked product (chain._u_of_t, the formula
     stack_mode_unitaries shares), in which numpy multiplies each member
-    alone, so a member does not depend on the stack.  Refuses a non-finite
-    time.
+    alone, so a member does not depend on the stack.  The
+    eigendecomposition is computed once per chain (_h1_eigh): a dephasing
+    sweep and every single-Z chunk call this on one chain.  Refuses a
+    non-finite time.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("need a 1-D array of times")
     if not np.all(np.isfinite(times)):
         raise ValueError("time must be finite")
-    evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
-    return _u_of_t(evals, evecs, times[:, None])
+    return _u_of_t(*_h1_eigh(spec), times[:, None])
 
 
 def stack_mode_unitaries(h1: np.ndarray, t: float) -> np.ndarray:
@@ -397,15 +423,16 @@ class MinorPlan:
     work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _work_array(plan: MinorPlan, name: str, rows: int, cols: int) -> np.ndarray:
-    """A contiguous complex (rows, cols) view of the plan's work buffer `name`.
+def _work_array(work: dict, name: str, rows: int, cols: int) -> np.ndarray:
+    """A contiguous complex (rows, cols) view of the work buffer `name` in `work`.
 
-    The buffer is grown to the largest size asked and never shrunk, so a
-    plan holds one buffer per name, sized by its largest stack.
+    The buffer is grown to the largest size asked and never shrunk, so its
+    owner (a MinorPlan, a FixedOrderTable, the revival evaluator) holds one
+    buffer per name, sized by its largest stack.
     """
-    buf = plan.work.get(name)
+    buf = work.get(name)
     if buf is None or buf.size < rows * cols:
-        buf = plan.work[name] = np.empty(rows * cols, dtype=complex)
+        buf = work[name] = np.empty(rows * cols, dtype=complex)
     return buf[:rows * cols].reshape(rows, cols)
 
 
@@ -524,14 +551,14 @@ def mode_minors(m: np.ndarray, plan: MinorPlan) -> np.ndarray:
     """
     s, n = m.shape[0], m.shape[1]
     counts = [len(entry) for entry in plan.entries]
-    nodes = _work_array(plan, "nodes", 1 + sum(counts), s)  # levels 0..K stacked
-    flat = _work_array(plan, "flat", n * n, s)  # (N^2, S): a gather takes whole rows
+    nodes = _work_array(plan.work, "nodes", 1 + sum(counts), s)  # levels 0..K stacked
+    flat = _work_array(plan.work, "flat", n * n, s)  # (N^2, S): a gather takes whole rows
     flat[...] = m.reshape(s, n * n).T
     nodes[0] = 1.0
     below, start = nodes[:1], 1
     for entry, child, count in zip(plan.entries, plan.children, counts):
         node = nodes[start:start + count]
-        a, b, term = (_work_array(plan, name, count, s) for name in ("a", "b", "term"))
+        a, b, term = (_work_array(plan.work, name, count, s) for name in ("a", "b", "term"))
         last = entry.shape[1] - 1
         for i in range(last, -1, -1):
             # mode="clip": with the default, take buffers its out= afresh
@@ -549,7 +576,8 @@ def mode_minors(m: np.ndarray, plan: MinorPlan) -> np.ndarray:
     minors = np.take(nodes, plan.node, axis=0)  # (P, S), the result
     # the gather and term buffers are free again: they hold det M, the
     # conjugated minors and their products
-    det, conj, jacobi = (_work_array(plan, name, len(minors), s) for name in ("a", "b", "term"))
+    det, conj, jacobi = (_work_array(plan.work, name, len(minors), s)
+                         for name in ("a", "b", "term"))
     det[...] = np.linalg.det(m)
     np.conjugate(minors, out=conj)
     np.multiply(det, conj, out=jacobi)
@@ -564,15 +592,132 @@ def _cached_minor_plan(n_sites: int, targets: bytes, sources: bytes) -> MinorPla
                       np.frombuffer(sources, dtype=np.int64))
 
 
-def amplitude_plan(n_sites: int, targets, amps: np.ndarray) -> tuple[MinorPlan, sp.csr_array]:
+def _complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b as (ac - bd) + i(ad + bc), rounded part by part in real arithmetic.
+
+    scipy's sparse kernels form a complex product this way.  numpy's own
+    complex multiply fuses it (FMA) in kernels chosen by the operands'
+    layout, so its bits differ from scipy's and can change with a stack's
+    size; real products and sums are exact IEEE operations in every kernel.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+class FixedOrderTable:
+    """A sparse (n_in, n_out) matrix B as numpy entry arrays, read-only; x @ B adds in stored order.
+
+    Built from its entries (row, col, value); each column keeps its entries
+    in the order given (a stable sort by column), the stored order.  x @ B,
+    for x of shape (n_in,) or (S, n_in), is per row of x and column c the
+    sum from 0 of value * x[row] over column c's entries in stored order,
+    each complex product formed as _complex_product forms it.  That is how
+    scipy's sparse products compute it, so x @ B equals scipy's product of
+    the same matrix, entries in the same order, bit for bit, and every
+    step is elementwise across the rows of x: a row's result does not
+    depend on the rows computed with it.
+
+    The product gathers x once for all entries, as interleaved real and
+    imaginary parts, and multiplies them by the values tiled to the same
+    shape: a product of two arrays of one shape runs numpy's fastest loop
+    (one with a broadcast operand took two to four times as long).  The
+    imaginary parts of the values take a second such product, with x's
+    parts swapped, which a table of real values skips: its terms are
+    exact zeros.  Internally the entries are held slot-major: slot j holds
+    the j-th entry of each column with more than j, the columns ranked by
+    entry count, most first, so the columns a slot adds to are a leading
+    block of that ranking, and the sums are taken slot by slot into
+    contiguous slices.  The gathers, products and tiled values live in
+    work buffers (_work_array), so a warm call maps no fresh pages for
+    them: a table is not for concurrent use.
+    """
+
+    __array_ufunc__ = None  # so that ndarray @ table calls __rmatmul__
+
+    def __init__(self, row, col, value, shape: tuple[int, int]):
+        order = np.argsort(np.asarray(col, dtype=np.int64), kind="stable")
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.row = np.asarray(row, dtype=np.int64)[order]
+        self.col = np.asarray(col, dtype=np.int64)[order]
+        self.value = np.asarray(value, dtype=complex)[order]
+        counts = np.bincount(self.col, minlength=self.shape[1])
+        self._place = np.argsort(np.argsort(-counts, kind="stable"))  # each column's rank
+        slot = np.arange(self.col.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        major = np.lexsort((self._place[self.col], slot))
+        self._gather = self.row[major]
+        value = self.value[major]
+        # per entry, what multiplies its (re, im) and its swapped (im, re)
+        self._scale = np.stack([value.real, value.real], axis=1)
+        self._cross = np.stack([-value.imag, value.imag], axis=1) if value.imag.any() else None
+        widths = np.bincount(slot, minlength=int(counts.max(initial=0)))  # entries per slot
+        self._ends = tuple(np.cumsum(widths).tolist())
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        self._work: dict = {}
+
+    @property
+    def nnz(self) -> int:
+        return self.col.size
+
+    def toarray(self, rows=None) -> np.ndarray:
+        """Dense (len(rows), n_out) on the input rows `rows`, sorted and holding every entry's row.
+
+        All rows by default; repeated entries are summed.
+        """
+        rows = np.arange(self.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
+        out = np.zeros((rows.size, self.shape[1]), dtype=complex)
+        np.add.at(out, (np.searchsorted(rows, self.row), self.col), self.value)
+        return out
+
+    def _tiled(self, name: str, parts: np.ndarray, s: int) -> np.ndarray:
+        """(nnz, 2 s) float: each entry's two parts repeated for s members, kept for the last s."""
+        tiled = self._work.get(name)
+        if tiled is None or tiled.shape[1] != 2 * s:
+            tiled = self._work[name] = np.tile(parts, s)
+        return tiled
+
+    def __rmatmul__(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.ndim > 2 or x.shape[-1] != self.shape[0]:
+            raise ValueError(f"size mismatch: need (S, {self.shape[0]}) rows, got {x.shape}")
+        xt = np.ascontiguousarray(np.atleast_2d(x).T, dtype=complex)  # (n_in, S)
+        n, s = self.nnz, xt.shape[1]
+        gathered, prod = (_work_array(self._work, name, n, s) for name in ("gathered", "prod"))
+        # mode="clip": with the default, take buffers its out= afresh
+        np.take(xt, self._gather, axis=0, out=gathered, mode="clip")
+        # (re, im) of each entry's product, as _complex_product forms it
+        scale = self._tiled("scale", self._scale, s)
+        np.multiply(scale, gathered.view(float), out=prod.view(float))
+        if self._cross is not None:
+            swapped = _work_array(self._work, "swapped", len(xt), s)
+            swapped.real, swapped.imag = xt.imag, xt.real
+            np.take(swapped, self._gather, axis=0, out=gathered, mode="clip")
+            term = _work_array(self._work, "term", n, s)
+            np.multiply(self._tiled("cross", self._cross, s), gathered.view(float),
+                        out=term.view(float))
+            prod += term
+        sums = np.zeros((self.shape[1], s), dtype=complex)
+        start = 0
+        for end in self._ends:
+            sums[:end - start] += prod[start:end]
+            start = end
+        out = sums[self._place]  # (n_out, S), columns in place
+        return out.T if x.ndim == 2 else out[:, 0]
+
+
+def amplitude_plan(n_sites: int, targets, amps: np.ndarray) -> tuple[MinorPlan, FixedOrderTable]:
     """The minor plan of <y|Gamma(M)|psi> for each target y, and its fold, read-only.
 
     psi is the 2^N amplitudes `amps`; the plan (minor_plan) pairs each
     target with the nonzero entries x of psi of its weight, and the fold is
-    a sparse (pair x target) table whose row p holds sign_p c_x in target
-    y's column.  So mode_minors(m, plan) @ fold is sum_x c_x det M[y, x]
-    per member and target, each target summed over its pairs in plan
-    order, a fixed order: a member's amplitudes do not depend on its stack.
+    a (pair x target) table whose row p holds sign_p c_x in target y's
+    column.  So mode_minors(m, plan) @ fold is sum_x c_x det M[y, x] per
+    member and target, each target summed over its pairs in plan order
+    (FixedOrderTable): a member's amplitudes do not depend on its stack.
 
     The plan depends only on (N, targets, sources), so it is kept for the
     last few of those (_cached_minor_plan): applying Gamma(M) to states of
@@ -584,22 +729,13 @@ def amplitude_plan(n_sites: int, targets, amps: np.ndarray) -> tuple[MinorPlan, 
     targets = np.asarray(targets, dtype=np.int64)
     plan = _cached_minor_plan(n_sites, targets.tobytes(), sources.tobytes())
     target, source = plan.pairs
-    fold = sp.csr_array((plan.sign * amps[sources[source]], (np.arange(target.size), target)),
-                        shape=(target.size, len(targets)))
-    for a in (fold.data, fold.indices, fold.indptr):
-        a.flags.writeable = False
+    fold = FixedOrderTable(np.arange(target.size), target, plan.sign * amps[sources[source]],
+                           (target.size, len(targets)))
     return plan, fold
 
 
-def hop_rows(state: StateVector, support: np.ndarray) -> sp.csr_array:
-    """(N^2, support) sparse table: row N i + j holds c_{i+1}^dag c_{j+1} |state> on `support`.
-
-    `support` lists basis indices.  c_i^dag c_i is n_i.  For i != j,
-    c_i^dag c_j takes |x>, site j occupied and site i empty, to
-    (-1)^{|x & sites strictly between i and j|} |x ^ b_i ^ b_j>, so each
-    row is one signed gather from the state.  Rows are built one at a time:
-    the whole table at once holds several (N, N, support) temporaries.
-    """
+def _hop_entries(state: StateVector, support) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, positions, values) of hop_rows' table in CSR form: row by row, positions ascending."""
     n = state.n_sites
     bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))  # b_i of site i + 1
     y = np.asarray(support, dtype=np.int64)
@@ -611,7 +747,32 @@ def hop_rows(state: StateVector, support: np.ndarray) -> sp.csr_array:
         cols.append(hit)
         vals.append(z_sign(y[hit] & between) * state.amps[y[hit] ^ b_i ^ b_j])
     indptr = np.cumsum([0] + [c.size for c in cols])
-    return sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr), shape=(n * n, y.size))
+    return indptr, np.concatenate(cols), np.concatenate(vals)
+
+
+def hop_rows_dense(state: StateVector, support: np.ndarray) -> np.ndarray:
+    """Dense (N^2, support) hop_rows: row N i + j holds c_{i+1}^dag c_{j+1} |state> on `support`."""
+    indptr, col, val = _hop_entries(state, support)
+    out = np.zeros((state.n_sites**2, len(support)), dtype=complex)
+    out[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), col] = val
+    return out
+
+
+def hop_rows(state: StateVector, support: np.ndarray) -> sp.csr_array:
+    """(N^2, support) sparse table: row N i + j holds c_{i+1}^dag c_{j+1} |state> on `support`.
+
+    `support` lists basis indices.  c_i^dag c_i is n_i.  For i != j,
+    c_i^dag c_j takes |x>, site j occupied and site i empty, to
+    (-1)^{|x & sites strictly between i and j|} |x ^ b_i ^ b_j>, so each
+    row is one signed gather from the state (_hop_entries).  Rows are built
+    one at a time: the whole table at once holds several (N, N, support)
+    temporaries.  hop_rows_dense is the same table dense, without scipy.
+    """
+    import scipy.sparse as sp  # here, not at load: 0.17-0.24 s on a 2-core Xeon
+
+    n = state.n_sites
+    indptr, col, val = _hop_entries(state, support)
+    return sp.csr_array((val, col, indptr), shape=(n * n, len(support)))
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +866,10 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
       read-only (_kept_hamiltonian), and each call adds only the
       dissipator's diagonal, so every gamma of a sweep shares one gather.
       e^{L dt} is computed once per distinct step dt, all steps in one
-      stacked scipy.linalg.expm call (scaling-and-squaring Pade; Al-Mohy
-      & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)), which gives
-      each step the bits of its own call, and multiplied into the vector.
+      stacked numpy scaling-and-squaring [13/13] Pade (_expm; Higham,
+      SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), which gives each step
+      the bits of its own call, and multiplied into the vector.
+      scipy.linalg.expm is its oracle in the tests.
       Only steps equal as floats share an exponential: the steps of a
       linspace differ in their last bits.  Its cost grows with
       log ||L dt||, not ||L dt||.
@@ -725,9 +887,9 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     4.4 ms for one step) and lost at 121 (4.6 against 3.3 ms).  A step
     whose generator L dt is negligible (_negligible) leaves the vector as
     it is on both paths.  Refuses a run whose work bound is not finite or
-    too large (check_lindblad_work) before H is built.  Each path imports
-    its scipy module on its first call: scipy.linalg for the dense one,
-    scipy.sparse.linalg (_expm_apply) for the sparse one.
+    too large (check_lindblad_work) before H is built.  The dense path
+    runs on numpy alone; the sparse one imports scipy.sparse and
+    scipy.sparse.linalg (_expm_apply) on its first call.
     """
     n = rho.n_sites
     if n != spec.n_sites:
@@ -755,12 +917,10 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     occupied[weight[rows], weight[cols]] = True
     keep = np.flatnonzero(occupied[weight[:, None], weight[None, :]])
     if keep.size <= _DENSE_LIOUVILLIAN_MAX_DIM:
-        import scipy.linalg  # here, not at load: 0.04 s on a 2-core Xeon
-
         dts = np.unique(steps)
         generators = _kept_liouvillian(spec, gamma, keep) * dts[:, None, None]
         live = ~_negligible(generators, axis=(1, 2))
-        expms = dict(zip(dts[live], scipy.linalg.expm(generators[live])))
+        expms = dict(zip(dts[live], _expm(generators[live])))
 
         def advance(dt, vec):
             return expms[dt] @ vec if dt in expms else vec
@@ -778,6 +938,42 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     return out
 
 
+# [13/13] Pade coefficients b_0..b_13 and the 1-norm up to which that
+# approximant is accurate to double precision (Higham 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^A for each member of a stack (K, n, n): scaling and squaring with the [13/13] Pade.
+
+    Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005): each member is
+    scaled by 2^-s, s the least >= 0 that brings its 1-norm to _THETA13 or
+    below, its Pade approximant is one solve of (V - U) X = V + U, and X
+    is squared s times.  Scaling by a power of two and multiplying by a
+    real coefficient are exact, and numpy runs LAPACK and GEMM per member,
+    so a member's result does not depend on its stack.
+    """
+    b = _PADE13
+    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    s = np.ceil(np.log2(np.maximum(norm, np.finfo(float).tiny) / _THETA13)).clip(0).astype(np.int64)
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+             + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    x = np.linalg.solve(v - u, v + u)
+    for i in range(int(s.max(initial=0))):
+        squared = s > i
+        x[squared] = x[squared] @ x[squared]
+    return x
+
+
 def _sector_liouvillian(spec: ChainSpec, gamma: float,
                         occupied: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
     """(kept row-major positions, sparse Liouvillian on them) of lindblad_evolve, block by block.
@@ -788,6 +984,8 @@ def _sector_liouvillian(spec: ChainSpec, gamma: float,
     diagonal, which is _kept_liouvillian's formula on those positions.  No
     4^N x 4^N operator is built.
     """
+    import scipy.sparse as sp  # here, not at load: 0.17-0.24 s on a 2-core Xeon
+
     n, keep, blocks = spec.n_sites, [], []
     for a, b in zip(*np.nonzero(occupied)):
         (s_a, h_a), (s_b, h_b) = ((_sector_table(n, w)[0], sector_sparse(spec, w)) for w in (a, b))

@@ -259,19 +259,35 @@ def test_timing_cli_grid_parsing(capsys):
     assert payload["success_at_zero"] == pytest.approx(1.0, abs=1e-9)
 
 
-# scipy modules that only some paths call, each imported where it runs: the
-# package's own import loads numpy and scipy.sparse alone
-DEFERRED = ("scipy.optimize", "scipy.linalg", "scipy.sparse.linalg")
+def test_timing_success_at_zero_reads_the_zero_offset(capsys):
+    # the grid's first point is delta = -0.2, whose success is about 0.789
+    assert main(["timing-sweep", "--grid=-0.2,0,0.2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["success_at_zero"] == pytest.approx(1.0, abs=1e-12)
+    assert payload["min_success"] < 0.8
+    # a grid without delta = 0 has no success there: null, not another point's
+    assert main(["timing-sweep", "--grid", "0.01,0.02", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["points"] == 2 and payload["success_at_zero"] is None
+    assert main(["timing-sweep", "--grid", "0.01,0.02"]) == 0
+    assert "success_at_zero: None" in capsys.readouterr().out
+
+
+# the scipy a process loads after cli.main: every scipy module, and the
+# scipy packages among them that are not private (scipy.sparse, scipy.linalg)
 _LOADED_AFTER_MAIN = """
 import json, sys
 from chainqec.cli import main
 rc = main(sys.argv[1:])
-print(json.dumps({"rc": rc, "loaded": [m for m in %r if m in sys.modules]}))
-""" % (DEFERRED,)
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+packages = [m for m in scipy if hasattr(sys.modules[m], "__path__")
+            and not any(part.startswith("_") for part in m.split("."))]
+print(json.dumps({"rc": rc, "scipy": scipy, "packages": packages}))
+"""
 
 
 def _fresh_main(argv, tmp_path) -> dict:
-    """cli.main(argv) in a new interpreter: its exit code and the DEFERRED modules it loaded."""
+    """cli.main(argv) in a new interpreter: its exit code and the scipy modules it loaded."""
     if argv[0] not in ("transfer-check", "code-info"):
         argv = [*argv, "--out", str(tmp_path / "run")]
     src = str(Path(chainqec.__file__).resolve().parents[1])
@@ -287,19 +303,23 @@ def _fresh_main(argv, tmp_path) -> dict:
     return out
 
 
-@pytest.mark.parametrize("argv, loaded", [
+@pytest.mark.parametrize("argv, packages", [
     (["single-z", "--samples", "2"], []),
-    (["single-z", "--samples", "2", "--prune", "1e-12"], []),
+    # pruned masses are one scipy.sparse product (RevivalEvaluator._prune_tables)
+    (["single-z", "--samples", "2", "--prune", "1e-12"], ["scipy", "scipy.sparse"]),
     (["timing-sweep", "--grid", "0,0.01"], []),
     (["coupling-sweep", "--grid", "0.05", "--instances", "1"], []),
-    (["dephasing", "--pst", "5"], ["scipy.linalg"]),  # its dense Pade steps
+    (["dephasing", "--pst", "5"], []),  # its dense Pade steps are numpy's
     (["transfer-check", "--pst", "6"], []),
     (["code-info"], []),
 ], ids=["single-z", "single-z-pruned", "timing-sweep", "coupling-sweep", "dephasing",
         "transfer-check", "code-info"])
-def test_subcommand_loads_only_the_scipy_it_calls(argv, loaded, tmp_path):
-    # a fresh interpreter: this one has imported scipy.linalg for other tests
-    assert _fresh_main(argv, tmp_path)["loaded"] == loaded
+def test_subcommand_loads_only_the_scipy_it_calls(argv, packages, tmp_path):
+    # a fresh interpreter: this one has imported scipy for other tests
+    out = _fresh_main(argv, tmp_path)
+    assert out["packages"] == packages
+    if not packages:  # no scipy module at all, private ones included
+        assert out["scipy"] == []
 
 
 def test_transfer_scan_fallback_loads_its_optimizer(tmp_path):
@@ -308,4 +328,4 @@ def test_transfer_scan_fallback_loads_its_optimizer(tmp_path):
     cfg.write_text("n_sites = 6\ncouplings = 1, 1, 1, 1, 1\nfields = 0, 0, 0, 0, 0, 0\n")
     out = _fresh_main(["transfer-check", "--config", str(cfg)], tmp_path)
     assert out["report"]["is_perfect"] is False
-    assert "scipy.optimize" in out["loaded"]
+    assert "scipy.optimize" in out["packages"]

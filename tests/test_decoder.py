@@ -357,6 +357,28 @@ def test_evaluator_matches_pipeline(code15, chain15, plus_logical15):
         assert fast == pytest.approx(slow, abs=1e-11)
 
 
+def test_complex_weights_product_is_scipys_bit_for_bit(code15):
+    # a complex reference gives W complex values, so its table takes the
+    # cross term of the complex product; the product keeps scipy's bits on
+    # the same matrix, and a row alone equals the same row in a stack of 16
+    import scipy.sparse as sp
+
+    ev = RevivalEvaluator(code15, 0.6, 0.48 + 0.64j)
+    w = ev.weights
+    assert np.abs(w.value.imag).max() > 0
+    scipy_w = sp.csc_array((w.value, (w.row, w.col)), w.shape)
+    scipy_w.sum_duplicates()
+    rng = np.random.default_rng(67)
+    rows = rng.normal(size=(16, ev.support.size)) + 1j * rng.normal(size=(16, ev.support.size))
+    whole = rows @ w
+    assert whole.tobytes() == (scipy_w.T @ np.ascontiguousarray(rows.T)).T.tobytes()
+    np.testing.assert_array_equal(w.toarray(), scipy_w.toarray())
+    for k in range(16):
+        assert (rows[k] @ w).tobytes() == whole[k].tobytes()
+    with pytest.raises(ValueError, match="size mismatch"):
+        rows[:, 1:] @ w
+
+
 def test_every_weight_column_matches_the_pipeline(code15):
     # every decodable flip pattern on the encoded state, plus a Z on one site
     # of each block (amplitudes 0.3, 0.03, 0.02): all four phase outcomes
@@ -375,7 +397,7 @@ def test_every_weight_column_matches_the_pipeline(code15):
         for blk, a in zip(code15.blocks, z_amps):
             amps = amps + a * apply_pauli(flipped, pauli_z(15, blk[key % len(blk)])).amps
         psi = StateVector(amps, 15)
-        hit |= np.abs(ev.weights.T @ amps) > 1e-3
+        hit |= np.abs(amps @ ev.weights) > 1e-3
         for p in (0.0, 1e-3):
             want = decode_pipeline(psi, code15, _options(alpha, beta, prune_below=p))
             success, discarded = ev.success(amps, p)

@@ -26,10 +26,13 @@ from chainqec.harness import (
     sample_rng,
 )
 from chainqec.hilbert import (
+    FixedOrderTable,
+    amplitude_plan,
     apply_mode_unitary,
     apply_pauli,
     evolve,
     jump_unitary,
+    mode_minors,
     mode_unitaries,
     sector_indices,
     sector_sparse,
@@ -242,8 +245,8 @@ def test_exact_single_z_matches_scored_rows(chain15):
     np.testing.assert_array_equal(discarded, 0.0)
     # every single flip is corrected, so the success is blind to a wrong sign
     # in K: compare the overlaps themselves
-    overlaps = setup.arrival_overlaps[:, None] - 2.0 * (setup.hop_overlaps.T @ q.T)
-    np.testing.assert_allclose(overlaps, setup.evaluator.weights.T @ rows.T, rtol=0, atol=1e-13)
+    overlaps = setup.arrival_overlaps - 2.0 * (q @ setup.hop_overlaps)
+    np.testing.assert_allclose(overlaps, rows @ setup.evaluator.weights, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("prune", [0.0, 1e-12])
@@ -310,10 +313,11 @@ def test_exact_single_z_builds_no_rows(monkeypatch):
 
 
 def _held_arrays(*owners) -> list[np.ndarray]:
-    """Every array the owners hold, the buffers of their sparse matrices included."""
+    """Every array the owners hold, those of their tables and sparse matrices included."""
     held = [value for owner in owners for value in vars(owner).values()]
-    sparse = [buf for m in held if sp.issparse(m) for buf in (m.data, m.indices, m.indptr)]
-    return [a for a in held if isinstance(a, np.ndarray)] + sparse
+    held += [a for m in held if isinstance(m, FixedOrderTable) for a in vars(m).values()]
+    held += [buf for m in held if sp.issparse(m) for buf in (m.data, m.indices, m.indptr)]
+    return [a for a in held if isinstance(a, np.ndarray)]
 
 
 def test_cached_setup_is_read_only():
@@ -322,20 +326,24 @@ def test_cached_setup_is_read_only():
     setup.success_single_z([3], [0.4], 1e-12)  # a pruned call builds H
     plan = setup.plan
     support_plan, support_table = setup.support_plan  # built with the arrival
-    arrays = _held_arrays(setup, setup.evaluator, setup.evaluator.tables)
+    arrays = _held_arrays(setup, setup.evaluator, setup.evaluator.tables, support_table)
     arrays += [setup.encoded.amps, setup.arrival.amps]
     for p in (plan, support_plan):
         arrays += [p.pairs, p.complementary, p.sign, p.node, *p.entries, *p.children]
-    arrays += [support_table.data, support_table.indices, support_table.indptr]
-    # the set-up's phi W and the three buffers of each of its tables K, H and
-    # minor_weights, five evaluator arrays, two sparse matrices of three
-    # buffers each, three table arrays, two states, each minor plan's four
-    # arrays and two tables per level, and the support plan's fold
-    assert setup.arrival_overlaps.size and setup.hop_overlaps.nnz and setup.hop_table.nnz
+    pruning = setup.evaluator._prune_tables  # built by the pruned call
+    arrays += [a for a in pruning if isinstance(a, np.ndarray)]
+    arrays += [pruning[2].data, pruning[2].indices, pruning[2].indptr]
+    # the set-up's phi W and K, the three buffers of H, minor_weights' and
+    # W's table arrays, the evaluator's arrays, its pruning tables (four
+    # arrays and a sparse matrix), three decode-table arrays, two states,
+    # each minor plan's four arrays and two tables per level, and the
+    # support plan's fold
+    assert setup.arrival_overlaps.size and np.count_nonzero(setup.hop_overlaps)
+    assert setup.hop_table.nnz
     assert [e.shape for e in plan.entries] == [(45, 1), (315, 2), (990, 3), (945, 4), (459, 5)]
     assert [c.shape for c in plan.children] == [e.shape for e in plan.entries]
     assert plan.node.shape == (460,) and setup.minor_weights.nnz
-    assert len(arrays) >= 40
+    assert len(arrays) >= 60
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
@@ -721,6 +729,86 @@ def test_timing_failure_is_625_delta_to_the_fourth():
                                rtol=3e-4, atol=0)
 
 
+def test_timing_quartic_coefficient_by_spectral_differentiation(chain15):
+    # U(t) has period pi (spectrum -14, -12, ..., 14), so success(2T + delta)
+    # is a trigonometric polynomial of period pi in delta: 101 equispaced
+    # offsets give its Taylor coefficients at 0 from the FFT.  The read-out
+    # corrects the first order, so the delta^2 term vanishes and the
+    # delta^4 term is -Q(H^2 psi) / 4 = -625 (measured -625.0000000007)
+    setup = harness._revival_setup(chain15)
+    points = 101
+    deltas = np.arange(points) * np.pi / points
+    success, _ = setup.success_mode_unitaries(mode_unitaries(chain15, setup.duration + deltas))
+    coef = np.fft.fft(success) / points
+    omega = 2.0 * np.fft.fftfreq(points, 1 / points)  # angular frequencies in delta
+    second = np.sum(coef * -(omega**2)).real / 2
+    fourth = np.sum(coef * omega**4).real / 24
+    assert abs(second) <= 1e-9
+    assert fourth == pytest.approx(-625, abs=1e-6)
+
+
+def test_fixed_order_products_are_scipys_bit_for_bit(chain15):
+    # minor_weights, W and the support fold were scipy sparse matrices; their
+    # numpy tables add each column's entries in scipy's stored order and
+    # form each complex product as scipy does, so the products keep scipy's
+    # bits, which keeps the exact timing and coupling CSVs byte-identical
+    import scipy.sparse as sp
+
+    setup = harness._revival_setup(chain15)
+    stack = mode_unitaries(chain15, setup.duration + np.linspace(-0.3, 0.3, 16))
+    minors = mode_minors(stack, setup.plan)
+    mw = setup.minor_weights
+    # as the parent built it: (C x P) CSR, rows in pair order
+    scipy_mw = sp.csc_array((mw.value, (mw.row, mw.col)), mw.shape).T
+    assert (minors @ mw).tobytes() == (scipy_mw @ minors.T).T.tobytes()
+    w = setup.evaluator.weights
+    scipy_w = sp.csc_array((w.value, (w.row, w.col)), w.shape)
+    scipy_w.sum_duplicates()
+    rows = setup.support_rows(stack)
+    xt = np.ascontiguousarray(rows.T)
+    assert (rows @ w).tobytes() == (scipy_w.T @ xt).T.tobytes()
+    plan, fold = setup.support_plan
+    scipy_fold = sp.csr_array((fold.value, (fold.row, fold.col)), fold.shape)
+    support_minors = mode_minors(stack, plan)
+    assert (support_minors @ fold).tobytes() == (support_minors @ scipy_fold).tobytes()
+    # minor_weights is the fold of the minors W reads times W, one product an
+    # entry, as scipy's sparse product made it
+    read = np.unique(w.row)
+    _, read_fold = amplitude_plan(15, setup.evaluator.support[read], setup.encoded.amps)
+    scipy_read_fold = sp.csr_array((read_fold.value, (read_fold.row, read_fold.col)),
+                                   read_fold.shape)
+    want = sp.csc_array(scipy_read_fold @ sp.csr_array(scipy_w)[read]).T
+    want.sort_indices()
+    assert mw.nnz == want.nnz
+    got = sp.csr_array((mw.value, (mw.col, mw.row)), want.shape)
+    got.sort_indices()
+    for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_every_replaced_product_scores_a_member_alone_as_in_its_stack(chain15):
+    # the fixed-order tables and the dense K, applied per member: a member of a
+    # stack of 16 and the same member alone (a one-row stack, a 1-D row) agree
+    # bit for bit
+    setup = harness._revival_setup(chain15)
+    rng = np.random.default_rng(66)
+    stack = mode_unitaries(chain15, setup.duration + rng.uniform(-0.3, 0.3, 16))
+    plan, fold = setup.support_plan
+    cases = [(mode_minors(stack, setup.plan), setup.minor_weights),
+             (setup.support_rows(stack), setup.evaluator.weights),
+             (mode_minors(stack, plan), fold)]
+    for x, table in cases:
+        whole = x @ table
+        for k in range(16):
+            assert (x[k:k + 1] @ table)[0].tobytes() == whole[k].tobytes()
+            assert (x[k] @ table).tobytes() == whole[k].tobytes()
+    q = setup.single_z_forms(rng.integers(1, 16, 16), rng.uniform(0, setup.duration, 16))
+    k_table = setup.hop_overlaps
+    whole = np.matmul(q[:, None, :], k_table)[:, 0]
+    for k in range(16):
+        assert np.matmul(q[k:k + 1, None, :], k_table)[0, 0].tobytes() == whole[k].tobytes()
+
+
 @pytest.mark.parametrize("prune", [np.inf, np.nan, -1e-3])
 @pytest.mark.parametrize("sweep", ["single_z", "timing", "coupling"])
 def test_sweeps_refuse_a_prune_floor_the_cli_refuses(sweep, prune, tmp_path):
@@ -898,7 +986,7 @@ def test_warm_mode_minors_maps_no_fresh_pages(chain15):
     assert faults < 20, faults
     # a call after one with another S reads the buffers' leading parts, to
     # the values a fresh plan gives
-    read = np.unique(setup.evaluator.weights.indices)
+    read = np.unique(setup.evaluator.weights.row)
     targets, sources = setup.evaluator.support[read], np.flatnonzero(setup.encoded.amps)
     for size in (5, 1, 16):
         fresh = mode_minors(stack[:size], minor_plan(15, targets, sources))

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainqec.chain import ChainSpec, pst_couplings
+from chainqec.chain import ChainSpec, analyze_transfer, pst_couplings
 from chainqec.errors import ResourceLimitError
 from chainqec.hilbert import (
     DensityMatrix,
@@ -352,7 +352,7 @@ def test_lindblad_hamiltonian_part_is_cached_read_only_and_bit_identical():
     # positions) and adds only the dissipator per gamma, then exponentiates
     # every distinct step in one stacked expm: a gamma after another on the
     # same chain gives the bits of a cold-cache run, and those of one expm
-    # per step of the whole Liouvillian
+    # per step of the whole Liouvillian (scipy's expm, its oracle, to roundoff)
     from chainqec import hilbert
 
     n = 5
@@ -372,10 +372,13 @@ def test_lindblad_hamiltonian_part_is_cached_read_only_and_bit_identical():
     assert keep.size == 36
     liouvillian = hilbert._kept_liouvillian(spec, 0.3, keep)
     vec, want = rho.mat.ravel()[keep], []
+    oracle = vec
     for dt in np.diff(times, prepend=0.0):
         if dt:
-            vec = scipy.linalg.expm(liouvillian * dt) @ vec
+            vec = hilbert._expm((liouvillian * dt)[None])[0] @ vec
+            oracle = scipy.linalg.expm(liouvillian * dt) @ oracle
         want.append(vec.tobytes())
+        np.testing.assert_allclose(vec, oracle, rtol=0, atol=1e-15)
     assert [np.frombuffer(c, dtype=complex)[keep].tobytes() for c in cold] == want
 
     part = hilbert._kept_hamiltonian(spec, keep.tobytes())
@@ -387,8 +390,102 @@ def test_lindblad_hamiltonian_part_is_cached_read_only_and_bit_identical():
     assert hilbert._kept_hamiltonian.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_fixed_order_table_is_scipys_product_on_random_tables(seed):
+    # random shapes and entry counts, empty columns, repeated (row, column)
+    # entries, real or complex values: x @ table equals scipy's CSC product
+    # of the same stored entries bit for bit, for 1-D x and any stack size
+    import scipy.sparse as sp
+
+    from chainqec.hilbert import FixedOrderTable
+
+    rng = np.random.default_rng(seed)
+    n_in, n_out, nnz = (int(k) for k in rng.integers(1, 30, 3))
+    row, col = rng.integers(0, n_in, nnz), rng.integers(0, n_out, nnz)
+    value = rng.normal(size=nnz) + (1j * rng.normal(size=nnz) if seed % 2 else 0)
+    table = FixedOrderTable(row, col, value, (n_in, n_out))
+    # the same entries in the same stored order: stable by column
+    order = np.argsort(col, kind="stable")
+    indptr = np.searchsorted(col[order], np.arange(n_out + 1))
+    want = sp.csc_array((value[order], row[order], indptr), shape=(n_in, n_out))
+    np.testing.assert_array_equal(table.toarray(), want.toarray())
+    assert table.nnz == nnz
+    for s in (1, 3, 16):
+        x = rng.normal(size=(s, n_in)) + 1j * rng.normal(size=(s, n_in))
+        got = x @ table
+        assert got.tobytes() == (want.T @ np.ascontiguousarray(x.T)).T.tobytes()
+        assert (x[0] @ table).tobytes() == got[0].tobytes()
+
+
+def test_mode_unitaries_reuse_one_eigendecomposition_per_chain():
+    # a dephasing sweep and every exact single-Z chunk call mode_unitaries on
+    # one chain: H1's eigh runs once per chain, is held read-only, and the
+    # unitaries keep the bits of a fresh eigh
+    from chainqec import hilbert
+    from chainqec.chain import _u_of_t, single_excitation_matrix
+    from chainqec.harness import exp_dephasing
+
+    spec = random_chain(np.random.default_rng(33), 6, with_fields=True)
+    times = [0.0, 0.4, 1.7]
+    clear_evolution_cache()
+    first = mode_unitaries(spec, times)
+    assert mode_unitaries(spec, times).tobytes() == first.tobytes()
+    assert hilbert._h1_eigh.cache_info()[:2] == (1, 1)  # hits, misses
+    evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
+    assert _u_of_t(evals, evecs, np.array(times)[:, None]).tobytes() == first.tobytes()
+    assert not any(a.flags.writeable for a in hilbert._h1_eigh(spec))
+    clear_evolution_cache()
+    assert hilbert._h1_eigh.cache_info().currsize == 0
+    exp_dephasing(pst_couplings(5), (0.01, 0.1))  # three chi calls, one eigh
+    assert hilbert._h1_eigh.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pade_matches_scipy_expm_on_the_dephasing_sweeps_generators(n):
+    # the dense Lindblad steps exponentiate with numpy's [13/13] Pade; on
+    # every generator a dephasing sweep builds (the chi support of |0...0+>,
+    # the sweep's eight times) it agrees with scipy's expm, its oracle, to
+    # 1e-15 (measured at most 3.3e-16), and a member alone equals its stack
+    from chainqec import hilbert
+
+    spec = pst_couplings(n)
+    times = np.linspace(0.0, analyze_transfer(spec).transfer_time, 9)[1:]
+    mat = _plus_last(n).mat * chi_support(n)
+    weight = np.bitwise_count(np.arange(1 << n))
+    occupied = np.zeros((n + 1, n + 1), dtype=bool)
+    rows, cols = np.nonzero(mat)
+    occupied[weight[rows], weight[cols]] = True
+    keep = np.flatnonzero(occupied[weight[:, None], weight[None, :]])
+    dts = np.unique(np.diff(times, prepend=0.0))
+    for gamma in (0.0, 0.01, 0.1, 1.0, 1e2, 1e4, 1e5):
+        generators = hilbert._kept_liouvillian(spec, gamma, keep) * dts[:, None, None]
+        got = hilbert._expm(generators)
+        np.testing.assert_allclose(got, scipy.linalg.expm(generators), rtol=0, atol=1e-15)
+        for k in range(len(dts)):
+            assert hilbert._expm(generators[k:k + 1])[0].tobytes() == got[k].tobytes()
+
+
+def test_pade_matches_scipy_expm_on_random_dissipative_generators():
+    # G = -iA - D, A Hermitian and D >= 0 diagonal, dimension 2 to 100 and
+    # ||G||_1 from 1e-3 to 1e3: relative agreement 1e-14 up to ||G||_1 = 100
+    # (measured at most 3.9e-15) and 1e-16 ||G||_1 above it, the relative
+    # condition of e^G there (measured at most 0.45 of that bound, 1.8e-14
+    # at ||G||_1 = 399; scipy itself is off a 60-digit reference by ~1e-14)
+    from chainqec import hilbert
+
+    rng = np.random.default_rng(68)
+    for _ in range(200):
+        d = int(rng.integers(2, 101))
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        g = -0.5j * (a + a.conj().T) - np.diag(rng.uniform(0.0, 1.0, d))
+        norm = 10 ** rng.uniform(-3, 3)
+        g *= norm / np.abs(g).sum(axis=0).max()
+        got, want = hilbert._expm(g[None])[0], scipy.linalg.expm(g)
+        assert np.linalg.norm(got - want) <= 1e-16 * max(100.0, norm) * np.linalg.norm(want)
+
+
 def test_dephasing_sweep_at_large_gamma_stays_at_roundoff():
-    # ||L dt|| up to about 1e5: expm's scaling and squaring branch
+    # ||L dt|| up to about 1e5: the Pade's scaling and squaring
     from chainqec.harness import exp_dephasing
 
     with warnings.catch_warnings():
