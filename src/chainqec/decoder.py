@@ -15,8 +15,8 @@ bit-flip key and phase outcome, built with the very correction
 decode_pipeline applies to that leaf (the key's X/trailing-Z string, then
 cross_reference).  Scoring a chunk of revival states is one fixed-order
 product with it (hilbert.FixedOrderTable, numpy) and, when pruning, one
-scipy sparse product for the branch and leaf masses; every sweep, pruned
-or exact, goes through it.
+more, in real arithmetic, for the branch and leaf masses; every sweep,
+pruned or exact, goes through it.
 decode_pipeline is the branch-recording oracle the evaluator is checked
 against: it tracks every syndrome outcome as an explicit branch with its
 Born probability.  The success probability is the probability-weighted
@@ -35,7 +35,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .code import StabilizerCode, encode
-from .hilbert import FixedOrderTable, StateVector, _occupied_weights, _work_array, sector_indices
+from .hilbert import (FixedOrderTable, StateVector, _occupied_weights, _read_only, _work_array,
+                      sector_indices)
 from .pauli import PauliString, mask_of_sites, z_sign
 
 _EXACT_ZERO = 0.0
@@ -205,8 +206,7 @@ def decoder_tables(codeobj: StabilizerCode) -> DecoderTables:
         correctable[key] = True
         x_mask[key] = mask_of_sites(n, flips)
         z_trail[key] = _trailing_mask(n, flips)
-    for arr in (correctable, x_mask, z_trail):
-        arr.flags.writeable = False
+    _read_only(correctable, x_mask, z_trail)
     return DecoderTables(
         codeobj, x_table, z_table, MappingProxyType(block_of), correctable, x_mask, z_trail
     )
@@ -356,9 +356,9 @@ class RevivalEvaluator:
     undecodable branch overlaps it exactly 0 and W has no column for one.
     W is a numpy table (FixedOrderTable) with at most 4 entries a column
     on minimal15, each column summed in support order.  Pruning reads the
-    branch and leaf masses as one scipy sparse product over the support
-    pairs the phase checks connect; those tables (_prune_tables) are built
-    on the first pruned call, so exact scoring never imports scipy.  Every
+    branch and leaf masses as one real FixedOrderTable product over the
+    support pairs the phase checks connect; those tables (_prune_tables)
+    are built on the first pruned call.  No scoring imports scipy.  Every
     product sums each entry in a fixed order, so a row's value does not
     depend on the rows scored with it.  Agrees with decode_pipeline, its
     oracle, to roundoff in both success and discarded mass.
@@ -414,9 +414,7 @@ class RevivalEvaluator:
         self.weights = FixedOrderTable(pos[inner][order], col[order], vals[inner][order],
                                        (support.size, self.columns.size))
         self._work: dict = {}  # _pruned's gather buffers (hilbert._work_array)
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+        _read_only(*(value for value in vars(self).values() if isinstance(value, np.ndarray)))
 
     def _positions(self) -> np.ndarray:
         """Each basis index's position on the support; support.size off it."""
@@ -436,10 +434,10 @@ class RevivalEvaluator:
         among the keys present) for its leaf masses, with
         leaf_signs[S, o] = (-1)^{|o & S|}, so P_o = 2^-n_z sum_S
         leaf_signs[S, o] X_S.  col_key and col_out are each W column's
-        decodable key and phase outcome.  Only this imports scipy.sparse.
+        decodable key and phase outcome.  mass_weights is a real
+        FixedOrderTable whose columns sum their pairs in ascending order, so
+        its masses are scipy's CSC product of the same entries, bit for bit.
         """
-        import scipy.sparse as sp  # here, not at load: 0.17-0.24 s on a 2-core Xeon
-
         tables, support, n_out = self.tables, self.support, self.n_out
         outcomes = np.arange(n_out)
         leaf_signs = z_sign(outcomes[:, None] & outcomes)
@@ -459,15 +457,11 @@ class RevivalEvaluator:
         data = [np.ones(own.size), (leaf_signs[check[dec]] * trail[:, None]).ravel() / n_out]
         pair = [own, np.repeat(dec, n_out)]
         col = [key_col[p[own]], present.size + (leaf[dec][:, None] * n_out + outcomes).ravel()]
-        mass_weights = sp.csc_array(
-            (np.concatenate(data), (np.concatenate(pair), np.concatenate(col))),
-            (p.size, present.size + leaf_keys.size * n_out),
-        )
+        mass_weights = FixedOrderTable(np.concatenate(pair), np.concatenate(col), np.concatenate(data),
+                                       (p.size, present.size + leaf_keys.size * n_out))
         col_key = leaf_col[np.searchsorted(present, self.columns // n_out)]  # decodable key
         col_out = self.columns % n_out
-        for a in (pairs, leaf_keys, col_key, col_out,
-                  mass_weights.data, mass_weights.indices, mass_weights.indptr):
-            a.flags.writeable = False
+        _read_only(pairs, leaf_keys, col_key, col_out)
         return pairs, leaf_keys, mass_weights, col_key, col_out
 
     def success(self, rows: np.ndarray, prune_below: float = 0.0):
@@ -502,21 +496,23 @@ class RevivalEvaluator:
         to the sign (-1)^{|m_S & trail|}: <x|X_S|x> is that sign times
         <psi_key|X_S|psi_key>, a sum of Re(conj(psi_q) psi_p) over the
         support pairs X_S connects.  Branch and leaf masses are therefore
-        one sparse product of those pair overlaps (_prune_tables).  The
-        pair gathers and their products go into the evaluator's work
-        buffers, grown to the largest chunk and reused, so a warm call maps
-        no fresh pages for them; not for concurrent use.
+        one real product of those pair overlaps (_prune_tables), each
+        overlap formed as re re + im im in real arithmetic.  The two pair
+        gathers (complex) and the overlaps (float) go into the evaluator's
+        work buffers, grown to the largest chunk and reused, so a warm call
+        maps no fresh pages for them; not for concurrent use.
         """
         pairs, leaf_keys, mass_weights, col_key, col_out = self._prune_tables
         p, q = pairs
-        conj_q, at_p, overlap = (_work_array(self._work, name, p.size, xt.shape[1])
-                                 for name in ("q", "p", "overlap"))
+        at_q, at_p = (_work_array(self._work, name, p.size, xt.shape[1]) for name in ("q", "p"))
+        overlap = _work_array(self._work, "overlap", p.size, xt.shape[1], float)
         # mode="clip": with the default, take buffers its out= afresh
-        np.take(xt, q, axis=0, out=conj_q, mode="clip")
-        np.conjugate(conj_q, out=conj_q)
+        np.take(xt, q, axis=0, out=at_q, mode="clip")
         np.take(xt, p, axis=0, out=at_p, mode="clip")
-        np.multiply(conj_q, at_p, out=overlap)
-        masses = mass_weights.T @ overlap.real  # (pair, state) overlaps in, masses out
+        # Re(conj(x_q) x_p) = re re + im im, each product and the sum rounded alone
+        np.multiply(at_q.view(float), at_p.view(float), out=at_q.view(float))
+        np.add(at_q.real, at_q.imag, out=overlap)
+        masses = (overlap.T @ mass_weights).T  # (pair, state) overlaps in, masses out
         n_keys = len(masses) - leaf_keys.size * self.n_out
         branch = masses[:n_keys]  # [key, state]
         # a leaf mass is a squared norm: clip the roundoff of empty leaves at 0;

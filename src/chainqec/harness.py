@@ -30,6 +30,7 @@ from .hilbert import (
     FixedOrderTable,
     StateVector,
     _complex_product,
+    _read_only,
     amplitude_plan,
     check_lindblad_work,
     check_mode_unitaries,
@@ -38,9 +39,9 @@ from .hilbert import (
     chi_support,
     dense_unitary,
     evolve,  # noqa: F401  unused here, but perfbench/spans.py traces harness.evolve
+    apply_hops,
     from_density,
-    hop_rows,
-    hop_rows_dense,
+    hop_plan,
     lindblad_evolve,
     mode_minors,
     mode_unitaries,
@@ -55,11 +56,11 @@ _BRUTE_FORCE_MAX_SITES = 6
 # chunk are scored as one block, in one fixed-order product.  A point's value
 # must not depend on its chunk, or a resumed run (which re-chunks the
 # missing points) would differ from a fresh one; the chunk, batched-engine
-# and resume tests check this.  On the 15-site chain (one BLAS thread,
-# 2-core Xeon) a pruned single-Z sample took 0.41-0.45 ms in chunks of 8,
-# 16 or 32 rows and about 0.5 ms in chunks of 64, whose (64, 3004) rows
-# and pair overlaps outgrow the cache; an exact one took 0.06-0.12 ms at
-# every size, less in larger chunks.
+# and resume tests check this.  On the 15-site chain a pruned single-Z
+# sample costs least in chunks of 16 to 32 rows and about a quarter more in
+# chunks of 64, whose (64, 3004) rows, hop gathers and pair overlaps
+# outgrow the cache; an exact one costs a little less in larger chunks
+# (CHANGES.md records the timings).
 _CHUNK = 16
 
 DEFAULT_TIMING_GRID_POINTS = 21
@@ -212,32 +213,32 @@ class RevivalSetup:
     rotated fermionic mode v about the error-free arrival state
     phi = Gamma(U(duration))|encoded> (`arrival`), instead of a new plan:
     v is row s of the mode unitary U(t - duration), from the same
-    mode_unitaries that serves every other scenario (single_z_forms).
-    Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that state is a
-    quadratic form in v: with q = conj(v) (x) v the rows on the
-    evaluator's support are phi - 2 q H, H the sparse N^2 x support table
-    of the hopped states c_i^dag c_j phi (hop_rows).  Every revival state
+    mode_unitaries that serves every other scenario.  Every revival state
     stays in the excitation sectors the encoded state occupies, the
     support, so a chunk of samples is scored on (S, support) blocks, never
     scattered into a 2^N vector.  Exact scoring needs only rows @ W (W the
-    evaluator's weights), so rows @ W = phi W - 2 q K: `arrival_overlaps`
-    holds phi W and the dense N^2 x column array `hop_overlaps` holds
-    K = H W (225 x 304, 1 MiB, 35 160 entries nonzero on minimal15), and
-    no row is built.  The arrival, phi W and K are built on the first
-    single-Z call, so a process that runs only exact timing or coupling
-    sweeps builds neither the support plan nor the arrival.  Pruned
-    scoring needs masses quadratic in the rows, so it builds them
-    (single_z_rows) from H, `hop_table` (scipy sparse, 180 180 nonzeros,
-    about 3.4 MiB), which only a pruned call builds.
+    evaluator's weights), and n_v = sum_ij conj(v_i) v_j c_i^dag c_j, so
+    rows @ W = phi W - 2 q K with q = conj(v) (x) v (single_z_forms):
+    `arrival_overlaps` holds phi W and the dense N^2 x column array
+    `hop_overlaps` holds K = H W, H the hopped states c_i^dag c_j phi at
+    the support positions W reads (225 x 304, 1 MiB, 35 160 entries
+    nonzero on minimal15), and no row is built.  The arrival, phi W and
+    K are built on the first single-Z call, so a process that runs only
+    exact timing or coupling sweeps builds neither the support plan nor
+    the arrival.  Pruned scoring needs masses quadratic in the rows, so
+    it builds them (single_z_rows) with `hops`, phi's hop_plan on the
+    whole support, which only a pruned call builds: n_v phi on weight
+    10 is |v|^2 phi - c_v c_v^dag phi through weight 11, and 0 on the
+    vacuum (apply_hops).
 
-    minor_weights, W and the folds are FixedOrderTables, numpy entry
-    arrays whose products keep the bits scipy's sparse products gave
-    them, and K is applied one sample at a time, so exact scoring loads
-    no scipy; pruned scoring imports scipy.sparse on its first call (H
-    and the evaluator's mass tables).  Every array held here, the
-    evaluator's and the plans' included, is read-only, and the pruning
-    threshold is an argument of each scoring call, so one set-up serves
-    every sweep of a process on its chain (_revival_setup).
+    minor_weights, W, the folds and the evaluator's mass table are
+    FixedOrderTables, numpy entry arrays whose products keep the bits
+    scipy's sparse products gave them, and K and the hop plan's table
+    are applied to each sample alone; no scoring loads scipy.  Every
+    array held here, the evaluator's and the plans' included, is
+    read-only, and the pruning threshold is an argument of each scoring
+    call, so one set-up serves every sweep of a process on its chain
+    (_revival_setup).
     """
 
     def __init__(self, spec: ChainSpec, alpha: complex, beta: complex):
@@ -265,7 +266,8 @@ class RevivalSetup:
         entry, col = np.nonzero(w_read[target])
         value = _complex_product(amp[entry], w_read[target[entry], col]) + 0.0
         self.minor_weights = FixedOrderTable(pair[entry], col, value, (pair.size, weights.shape[1]))
-        self.encoded.amps.flags.writeable = False
+        _read_only(self.encoded.amps)
+        self._work: dict = {}  # single_z_rows' work buffers (hilbert._work_array)
 
     @cached_property
     def support_plan(self) -> tuple:
@@ -289,62 +291,59 @@ class RevivalSetup:
         amps = np.zeros_like(self.encoded.amps)
         m = mode_unitaries(self.spec, [self.duration])
         amps[self.evaluator.support] = self.support_rows(m)[0]
-        amps.flags.writeable = False
-        return StateVector(amps, self.spec.n_sites)
+        return StateVector(_read_only(amps), self.spec.n_sites)
 
     @cached_property
     def arrival_overlaps(self) -> np.ndarray:
         """phi W, built on the first exact single-Z call."""
-        weights, support = self.evaluator.weights, self.evaluator.support
-        overlaps = self.arrival.amps[support] @ weights
-        overlaps.flags.writeable = False
-        return overlaps
+        return _read_only(self.arrival.amps[self.evaluator.support] @ self.evaluator.weights)
 
     @cached_property
     def hop_overlaps(self) -> np.ndarray:
         """K = H W, dense (N^2, column of W), built on the first exact single-Z call.
 
-        W reads only a few support positions (154 of 3004 on minimal15), so
-        K needs the hopped states c_i^dag c_j phi there alone
-        (hop_rows_dense), times W's rows there: 225 x 304 on minimal15,
-        about half of it nonzero.
+        Row N i + j of H is c_{i+1}^dag c_{j+1} phi, needed only at the
+        support positions W reads (154 of 3004 on minimal15): apply_hops at
+        those positions for the N^2 pairs of unit vectors, times W's rows
+        there, 225 x 304 on minimal15, about half of it nonzero.
         """
         weights, support = self.evaluator.weights, self.evaluator.support
         read = np.unique(weights.row)
-        table = hop_rows_dense(self.arrival, support[read]) @ weights.toarray(read)
-        table.flags.writeable = False
-        return table
+        plan, work = hop_plan(self.arrival, support[read]), {}
+        eye = np.eye(self.spec.n_sites, dtype=complex)
+        # rows N i .. N i + N - 1 of H: the N pairs (e_i, e_j), one call each i
+        hopped = np.vstack([apply_hops(plan, np.repeat(eye[i:i + 1], len(eye), axis=0), eye, work).T
+                            for i in range(len(eye))])
+        return _read_only(hopped @ weights.toarray(read))
 
     @cached_property
-    def hop_table(self):
-        """H, a scipy sparse table: row (i, j) holds c_i^dag c_j phi on the evaluator's support.
+    def hops(self) -> tuple:
+        """hop_plan of phi on the evaluator's support, built on the first pruned single-Z call."""
+        return hop_plan(self.arrival, self.evaluator.support)
 
-        Built on the first pruned call, not with the set-up: exact and
-        coupling sweeps never read it (hop_rows, which imports scipy.sparse).
-        """
-        table = hop_rows(self.arrival, self.evaluator.support)
-        for a in (table.data, table.indices, table.indptr):
-            a.flags.writeable = False
-        return table
-
-    def single_z_forms(self, sites, t_errs) -> np.ndarray:
-        """(S, N^2) rows q_k = conj(v_k) (x) v_k, v_k the mode the flip of sample k rotates.
+    def _modes(self, sites, t_errs) -> np.ndarray:
+        """(S, N) modes v_k the flip of sample k rotates: row s of U(t_err - duration).
 
         Z_s conjugated by U(tau) = exp(-i H1 tau) is 1 - 2 n_v with v row s
-        of U(tau) (mode_unitaries), tau = t_err - duration.  Refuses
-        anything but one site per time, a site that is not a whole number
-        in 1..N (check_sites) and a non-finite time.
+        of U(tau) (mode_unitaries).  Refuses anything but one site per
+        time, a site that is not a whole number in 1..N (check_sites) and
+        a non-finite time.
         """
         t_errs = np.asarray(t_errs, dtype=float)
         if t_errs.ndim != 1 or np.shape(sites) != t_errs.shape:
             raise ValueError("need one site per time")
         rows = check_sites(self.spec.n_sites, sites) - 1
-        v = mode_unitaries(self.spec, t_errs - self.duration)[np.arange(rows.size), rows]
+        return mode_unitaries(self.spec, t_errs - self.duration)[np.arange(rows.size), rows]
+
+    def single_z_forms(self, sites, t_errs) -> np.ndarray:
+        """(S, N^2) rows q_k = conj(v_k) (x) v_k, v_k the mode the flip of sample k rotates."""
+        v = self._modes(sites, t_errs)
         return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), v.shape[1] ** 2)
 
-    def single_z_rows(self, q: np.ndarray) -> np.ndarray:
-        """(S, support) revival rows phi - 2 q H, one per row of q (single_z_forms); pruned only."""
-        return self.arrival.amps[self.evaluator.support] - 2.0 * (q @ self.hop_table)
+    def single_z_rows(self, sites, t_errs) -> np.ndarray:
+        """(S, support) revival rows phi - 2 n_v phi, one per sample (apply_hops); pruned only."""
+        v = self._modes(sites, t_errs)
+        return apply_hops(self.hops, -2.0 * v.conj(), v, self._work, shift=1.0).T
 
     def success_single_z(self, sites, t_errs,
                          prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -352,12 +351,12 @@ class RevivalSetup:
 
         Returns (success probability, discarded mass) arrays, one entry per
         sample; branches below prune_below are discarded (0 = exact).  Each
-        sample's v is a row of its own U(tau); K is applied to each
-        sample alone, and H by scipy's sparse kernels, which sum each entry
-        in a fixed order, so a value does not depend on its chunk.
+        sample's v is a row of its own U(tau), and K (exact) or the hop
+        plan (pruned, apply_hops) is applied to each sample alone, so a
+        value does not depend on its chunk.
         """
-        q = self.single_z_forms(sites, t_errs)
         if prune_below <= 0.0:
+            q = self.single_z_forms(sites, t_errs)
             # as in the evaluator, at 0 nothing can be dropped, so only rows @ W
             # is needed: the quadratic form phi W - 2 q K, no row built.  One
             # product per sample (numpy runs one GEMM per member), so a
@@ -365,7 +364,7 @@ class RevivalSetup:
             qk = np.matmul(q[:, None, :], self.hop_overlaps)[:, 0]
             overlaps = self.arrival_overlaps - 2.0 * qk  # (sample, column of W)
             return _state_sums(np.abs(overlaps.T) ** 2), np.zeros(len(q))
-        return self.evaluator.success(self.single_z_rows(q), prune_below)
+        return self.evaluator.success(self.single_z_rows(sites, t_errs), prune_below)
 
     def success_mode_unitaries(self, m,
                                prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

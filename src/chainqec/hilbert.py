@@ -34,11 +34,12 @@ part of its Liouvillian) do, in bounded caches that
 clear_evolution_cache drops.  A single phase flip during transport is
 one rotated mode v about the error-free arrival state phi, read out as
 phi - 2 n_v phi, with v the flipped site's row of a mode unitary
-(mode_unitaries).  Since n_v = sum_ij conj(v_i) v_j c_i^dag c_j, that
-state is a quadratic form in v over the N^2 hopped states
-c_i^dag c_j phi (hop_rows, hop_rows_dense), from which
-the revival set-up builds pruned samples' rows and scores exact samples
-without building any.  lindblad_evolve, the exact dephasing oracle,
+(mode_unitaries).  n_v = sum_ij conj(v_i) v_j c_i^dag c_j, and apply_hops
+applies any such sum_ij a_i b_j c_i^dag c_j to a fixed state on a
+support, per member of a stack, by a route through a neighbouring
+excitation weight that hop_plan tables once: the revival set-up builds
+pruned samples' rows with it, and the hopped states c_i^dag c_j phi at
+the positions its exact scoring reads.  lindblad_evolve, the exact dephasing oracle,
 keeps only the Liouvillian's blocks that the state occupies; up to
 _DENSE_LIOUVILLIAN_MAX_DIM kept positions it gathers them densely (the
 Hamiltonian part once per chain and kept positions, the dissipator per
@@ -52,18 +53,17 @@ exact oracles (evolve and lindblad_evolve) leave a state unchanged when
 no entry of their generator times t reaches the smallest normal float
 (_negligible), and neither moves numpy's global random state
 (_expm_apply).  No scipy loads with this module: the code that calls it
-imports it where it runs, scipy.sparse in sector_sparse, hop_rows and
-_sector_liouvillian (the oracles, pruned scoring), and
-scipy.sparse.linalg in _expm_apply (evolve, the sparse Lindblad path).
-So the exact revival sweeps and the dephasing sweep, which run neither
-path, load numpy alone: scipy.sparse costs 0.17-0.24 s to import.
+imports it where it runs, scipy.sparse in sector_sparse and
+_sector_liouvillian and scipy.sparse.linalg in _expm_apply, all of them
+oracles (evolve, the sparse Lindblad path).  So the revival sweeps,
+exact or pruned, and the dephasing sweep, which run neither path, load
+numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -117,6 +117,13 @@ class DensityMatrix:
             raise ValueError("density matrix trace != 1")
         if np.linalg.eigvalsh(self.mat).min() < -tol:
             raise ValueError("density matrix not positive")
+
+
+def _read_only(*arrays):
+    """The arrays, each marked read-only: one array alone, several as a tuple."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0] if len(arrays) == 1 else arrays
 
 
 def basis_state(n_sites: int, excited_sites=()) -> StateVector:
@@ -174,8 +181,7 @@ def _sector_table(n_sites: int, weight: int) -> tuple[np.ndarray, tuple[np.ndarr
         lo = np.nonzero((states & b1 != 0) & (states & b2 == 0))[0]
         hi = states.size - 1 - np.searchsorted(states[::-1], states[lo] ^ (b1 | b2))
         pairs.append(np.stack([lo, hi]))
-    for a in (states, *pairs):
-        a.flags.writeable = False
+    _read_only(states, *pairs)
     return states, tuple(pairs)
 
 
@@ -329,10 +335,7 @@ def _h1_eigh(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     pair gives mode_unitaries the values of a fresh one.
     clear_evolution_cache drops them.
     """
-    evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
-    for a in (evals, evecs):
-        a.flags.writeable = False
-    return evals, evecs
+    return _read_only(*np.linalg.eigh(single_excitation_matrix(spec)))
 
 
 def mode_unitaries(spec: ChainSpec, times) -> np.ndarray:
@@ -423,16 +426,17 @@ class MinorPlan:
     work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _work_array(work: dict, name: str, rows: int, cols: int) -> np.ndarray:
-    """A contiguous complex (rows, cols) view of the work buffer `name` in `work`.
+def _work_array(work: dict, name: str, rows: int, cols: int, dtype=complex) -> np.ndarray:
+    """A contiguous (rows, cols) view, complex by default, of the work buffer `name` in `work`.
 
     The buffer is grown to the largest size asked and never shrunk, so its
     owner (a MinorPlan, a FixedOrderTable, the revival evaluator) holds one
-    buffer per name, sized by its largest stack.
+    buffer per name, sized by its largest stack; asked for another dtype,
+    it is replaced.
     """
     buf = work.get(name)
-    if buf is None or buf.size < rows * cols:
-        buf = work[name] = np.empty(rows * cols, dtype=complex)
+    if buf is None or buf.size < rows * cols or buf.dtype != dtype:
+        buf = work[name] = np.empty(rows * cols, dtype=dtype)
     return buf[:rows * cols].reshape(rows, cols)
 
 
@@ -446,7 +450,7 @@ def minor_plan(n_sites: int, targets, sources) -> MinorPlan:
 
     Gamma(M) is the number-conserving Gaussian unitary with Gamma(M) c_j^dag
     Gamma(M)^dag = sum_i M_ij c_i^dag, so <y|Gamma(M)|x> = det M[y, x],
-    sites ascending (the sign convention of hop_rows; Knill,
+    sites ascending (the sign convention of hop_plan; Knill,
     quant-ph/0108033; Terhal & DiVincenzo, PRA 65, 032325 (2002)).  For
     weight w > N - w, Jacobi's complementary-minor identity for unitary M,
     det M[y, x] = (-1)^{sum y + sum x} det M conj(det M[y^c, x^c]), keeps
@@ -514,8 +518,7 @@ def minor_plan(n_sites: int, targets, sources) -> MinorPlan:
         node[at] = offsets[level] + np.searchsorted(key, pair_keys[at])
     plan = MinorPlan(np.stack([target, source]), complementary, sign,
                      tuple(entries), tuple(children), node)
-    for a in (plan.pairs, plan.complementary, plan.sign, plan.node, *plan.entries, *plan.children):
-        a.flags.writeable = False
+    _read_only(plan.pairs, plan.complementary, plan.sign, plan.node, *plan.entries, *plan.children)
     return plan
 
 
@@ -626,11 +629,13 @@ class FixedOrderTable:
     (one with a broadcast operand took two to four times as long).  The
     imaginary parts of the values take a second such product, with x's
     parts swapped, which a table of real values skips: its terms are
-    exact zeros.  Internally the entries are held slot-major: slot j holds
-    the j-th entry of each column with more than j, the columns ranked by
-    entry count, most first, so the columns a slot adds to are a leading
-    block of that ranking, and the sums are taken slot by slot into
-    contiguous slices.  The gathers, products and tiled values live in
+    exact zeros.  A real x times a table of real values is computed in
+    real arithmetic and returned real, as scipy's real product is.
+    Internally the entries are held slot-major: slot j holds the j-th
+    entry of each column with more than j, the columns ranked by entry
+    count, most first, so the columns a slot adds to are a leading block
+    of that ranking, and the sums are taken slot by slot into contiguous
+    slices.  The gathers, products and tiled values live in
     work buffers (_work_array), so a warm call maps no fresh pages for
     them: a table is not for concurrent use.
     """
@@ -654,9 +659,7 @@ class FixedOrderTable:
         self._cross = np.stack([-value.imag, value.imag], axis=1) if value.imag.any() else None
         widths = np.bincount(slot, minlength=int(counts.max(initial=0)))  # entries per slot
         self._ends = tuple(np.cumsum(widths).tolist())
-        for a in vars(self).values():
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
+        _read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
         self._work: dict = {}
 
     @property
@@ -674,9 +677,9 @@ class FixedOrderTable:
         return out
 
     def _tiled(self, name: str, parts: np.ndarray, s: int) -> np.ndarray:
-        """(nnz, 2 s) float: each entry's two parts repeated for s members, kept for the last s."""
+        """(nnz, k s) float: each entry's k parts repeated for s members, kept for the last s."""
         tiled = self._work.get(name)
-        if tiled is None or tiled.shape[1] != 2 * s:
+        if tiled is None or tiled.shape[1] != parts.shape[1] * s:
             tiled = self._work[name] = np.tile(parts, s)
         return tiled
 
@@ -684,13 +687,14 @@ class FixedOrderTable:
         x = np.asarray(x)
         if x.ndim > 2 or x.shape[-1] != self.shape[0]:
             raise ValueError(f"size mismatch: need (S, {self.shape[0]}) rows, got {x.shape}")
-        xt = np.ascontiguousarray(np.atleast_2d(x).T, dtype=complex)  # (n_in, S)
+        dtype = float if self._cross is None and not np.iscomplexobj(x) else complex
+        xt = np.ascontiguousarray(np.atleast_2d(x).T, dtype=dtype)  # (n_in, S)
         n, s = self.nnz, xt.shape[1]
-        gathered, prod = (_work_array(self._work, name, n, s) for name in ("gathered", "prod"))
+        gathered, prod = (_work_array(self._work, name, n, s, dtype) for name in ("gathered", "prod"))
         # mode="clip": with the default, take buffers its out= afresh
         np.take(xt, self._gather, axis=0, out=gathered, mode="clip")
         # (re, im) of each entry's product, as _complex_product forms it
-        scale = self._tiled("scale", self._scale, s)
+        scale = self._tiled("scale", self._scale if dtype is complex else self._scale[:, :1], s)
         np.multiply(scale, gathered.view(float), out=prod.view(float))
         if self._cross is not None:
             swapped = _work_array(self._work, "swapped", len(xt), s)
@@ -700,7 +704,7 @@ class FixedOrderTable:
             np.multiply(self._tiled("cross", self._cross, s), gathered.view(float),
                         out=term.view(float))
             prod += term
-        sums = np.zeros((self.shape[1], s), dtype=complex)
+        sums = np.zeros((self.shape[1], s), dtype=dtype)
         start = 0
         for end in self._ends:
             sums[:end - start] += prod[start:end]
@@ -734,45 +738,78 @@ def amplitude_plan(n_sites: int, targets, amps: np.ndarray) -> tuple[MinorPlan, 
     return plan, fold
 
 
-def _hop_entries(state: StateVector, support) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, positions, values) of hop_rows' table in CSR form: row by row, positions ascending."""
+def hop_plan(state: StateVector, support: np.ndarray) -> tuple:
+    """Read-only tables of sum_ij a_i b_j c_i^dag c_j |state> on `support`, for apply_hops.
+
+    `support` is an int64 array of basis indices, in any order.  Each
+    excitation weight w of it takes the route with min(w, N - w) gathers a
+    position, as minor_plan does: for w > N - w the anticommutator,
+    sum_ij a_i b_j c_i^dag c_j = sum_i a_i b_i - (sum_j b_j c_j)(sum_i
+    a_i c_i^dag), through weight w + 1, and otherwise (sum_i a_i c_i^dag)
+    (sum_j b_j c_j) through weight w - 1, so the vacuum reads 0.  One
+    group per weight: (its positions on the support, whether it goes
+    through w + 1, the (N, intermediate) table of c_i^dag |state> or c_i
+    |state> on the intermediate states its positions reach, the state's
+    amplitudes at its positions, and two (slots, positions) arrays: slot
+    k of a position y is its k-th empty (through w + 1) or occupied site
+    i, read at y ^ b_i's column of the table and multiplied by row i or
+    N + i of the stacked factors [f; -f], f = b through w + 1 and a
+    through w - 1, as the sign of c_i, (-1)^{|y & sites before i|}, and
+    the anticommutator's minus require).  The tables hold the state's
+    amplitudes with exact signs, so for unit a and b every entry is the
+    state's to the bit, and c_i^dag c_i through w + 1 is phi - phi = 0
+    or phi - 0 = phi exactly.
+    """
     n = state.n_sites
     bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))  # b_i of site i + 1
-    y = np.asarray(support, dtype=np.int64)
-    cols, vals = [], []
-    for b_i, b_j in product(bits, bits):
-        lo, hi = max(b_i, b_j), min(b_i, b_j)
-        between = lo - 2 * hi if lo > hi else 0  # the bits strictly between sites i and j
-        hit = np.flatnonzero(((y & b_i) != 0) & (((y & b_j) == 0) | (b_i == b_j)))
-        cols.append(hit)
-        vals.append(z_sign(y[hit] & between) * state.amps[y[hit] ^ b_i ^ b_j])
-    indptr = np.cumsum([0] + [c.size for c in cols])
-    return indptr, np.concatenate(cols), np.concatenate(vals)
+    before = ~((bits << 1) - 1)  # the sites before site i + 1
+    weights = np.bitwise_count(support)
+    plan = []
+    for w in np.unique(weights).tolist():
+        at = np.flatnonzero(weights == w)
+        y, create = support[at], w > n - w
+        site = np.nonzero(((y[:, None] & bits) != 0) != create)[1].reshape(y.size, -1).T
+        mid = np.unique(y ^ bits[site])[:, None]  # the intermediate states the slots read
+        table = np.where(((mid & bits) != 0) == create, z_sign(mid & before) * state.amps[mid ^ bits], 0)
+        factor = site + n * ((z_sign(y & before[site]) < 0) != create)
+        pos = np.searchsorted(mid[:, 0], y ^ bits[site])
+        plan.append((at, create, *_read_only(table.T.copy(), state.amps[y], pos, factor)))
+    return tuple(plan)
 
 
-def hop_rows_dense(state: StateVector, support: np.ndarray) -> np.ndarray:
-    """Dense (N^2, support) hop_rows: row N i + j holds c_{i+1}^dag c_{j+1} |state> on `support`."""
-    indptr, col, val = _hop_entries(state, support)
-    out = np.zeros((state.n_sites**2, len(support)), dtype=complex)
-    out[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), col] = val
-    return out
+def apply_hops(plan: tuple, a: np.ndarray, b: np.ndarray, work: dict,
+               shift: float = 0.0) -> np.ndarray:
+    """(support, S): (shift + sum_ij a_i b_j c_i^dag c_j)|state> per row of the (S, N) a and b.
 
-
-def hop_rows(state: StateVector, support: np.ndarray) -> sp.csr_array:
-    """(N^2, support) sparse table: row N i + j holds c_{i+1}^dag c_{j+1} |state> on `support`.
-
-    `support` lists basis indices.  c_i^dag c_i is n_i.  For i != j,
-    c_i^dag c_j takes |x>, site j occupied and site i empty, to
-    (-1)^{|x & sites strictly between i and j|} |x ^ b_i ^ b_j>, so each
-    row is one signed gather from the state (_hop_entries).  Rows are built
-    one at a time: the whole table at once holds several (N, N, support)
-    temporaries.  hop_rows_dense is the same table dense, without scipy.
+    `plan` is the state's hop_plan.  With a = conj(v) and b = v the sum
+    is n_v, so a = -2 conj(v), b = v and shift 1 give (1 - 2 n_v)|state>
+    (scaling by -2 is exact).  Per group, the table times each member's
+    factor is one stacked np.matmul (a GEMV per member), and the slots
+    are elementwise gathers, products and sums in slot order, so a
+    member's values do not depend on its stack.  The (positions, S)
+    intermediates live in `work`'s buffers (_work_array), which the caller
+    keeps across calls, so they are not for concurrent use; beyond them
+    only the result and a few (S, N)-sized arrays are allocated.
     """
-    import scipy.sparse as sp  # here, not at load: 0.17-0.24 s on a 2-core Xeon
-
-    n = state.n_sites
-    indptr, col, val = _hop_entries(state, support)
-    return sp.csr_array((val, col, indptr), shape=(n * n, len(support)))
+    s, n = a.shape
+    norm = _complex_product(a, b).sum(axis=1)  # sum_i a_i b_i: {c_i, c_i^dag} = 1
+    out = np.empty((sum(group[0].size for group in plan), s), dtype=complex)
+    for at, create, table, amps, pos, factor in plan:
+        coef, other = (a, b) if create else (b, a)
+        mid, mid_t = (_work_array(work, name, table.shape[1], s) for name in ("mid", "mid_t"))
+        np.matmul(coef[:, None, :], table, out=mid.reshape(s, 1, table.shape[1]))  # a GEMV each
+        mid_t[...] = mid.reshape(s, table.shape[1]).T
+        signed = np.concatenate([other.T, -other.T])  # (2N, S)
+        acc, x, f, term = (_work_array(work, name, at.size, s) for name in ("acc", "x", "f", "term"))
+        np.multiply(amps[:, None], norm * create + shift, out=acc)
+        for p, g in zip(pos, factor):
+            # mode="clip": with the default, take buffers its out= afresh
+            np.take(mid_t, p, axis=0, out=x, mode="clip")
+            np.take(signed, g, axis=0, out=f, mode="clip")
+            np.multiply(x, f, out=term)
+            acc += term
+        out[at] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1011,9 +1048,7 @@ def _kept_hamiltonian(spec: ChainSpec, keep: bytes) -> np.ndarray:
     h = dense_hamiltonian(spec)
     i, j = np.divmod(np.frombuffer(keep, dtype=np.int64), len(h))
     same_i, same_j = i[:, None] == i[None, :], j[:, None] == j[None, :]
-    part = -1j * (h[np.ix_(i, i)] * same_j - same_i * h[np.ix_(j, j)].T)
-    part.flags.writeable = False
-    return part
+    return _read_only(-1j * (h[np.ix_(i, i)] * same_j - same_i * h[np.ix_(j, j)].T))
 
 
 def _kept_liouvillian(spec: ChainSpec, gamma: float, keep: np.ndarray) -> np.ndarray:
@@ -1055,9 +1090,7 @@ def _mode_gathers(n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     z = np.array([c.z_mask for c in modes], dtype=np.int64)[:, None]
     idx = np.arange(1 << n_sites, dtype=np.int64)
     at, sign, phase = (idx << n_sites) | (idx ^ x), z_sign(idx & z), np.array([c.phase for c in modes])
-    for a in (at, sign, phase):
-        a.flags.writeable = False
-    return at, sign, phase
+    return _read_only(at, sign, phase)
 
 
 def chi_support(n_sites: int) -> np.ndarray:

@@ -305,15 +305,17 @@ def _fresh_main(argv, tmp_path) -> dict:
 
 @pytest.mark.parametrize("argv, packages", [
     (["single-z", "--samples", "2"], []),
-    # pruned masses are one scipy.sparse product (RevivalEvaluator._prune_tables)
-    (["single-z", "--samples", "2", "--prune", "1e-12"], ["scipy", "scipy.sparse"]),
+    # pruned rows (hop_plan) and masses (RevivalEvaluator._prune_tables) are numpy's
+    (["single-z", "--samples", "2", "--prune", "1e-12"], []),
     (["timing-sweep", "--grid", "0,0.01"], []),
+    (["timing-sweep", "--grid", "0,0.01", "--prune", "1e-7"], []),
     (["coupling-sweep", "--grid", "0.05", "--instances", "1"], []),
+    (["coupling-sweep", "--grid", "0.05", "--instances", "1", "--prune", "1e-7"], []),
     (["dephasing", "--pst", "5"], []),  # its dense Pade steps are numpy's
     (["transfer-check", "--pst", "6"], []),
     (["code-info"], []),
-], ids=["single-z", "single-z-pruned", "timing-sweep", "coupling-sweep", "dephasing",
-        "transfer-check", "code-info"])
+], ids=["single-z", "single-z-pruned", "timing-sweep", "timing-sweep-pruned", "coupling-sweep",
+        "coupling-sweep-pruned", "dephasing", "transfer-check", "code-info"])
 def test_subcommand_loads_only_the_scipy_it_calls(argv, packages, tmp_path):
     # a fresh interpreter: this one has imported scipy for other tests
     out = _fresh_main(argv, tmp_path)

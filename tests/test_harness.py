@@ -4,7 +4,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import chainqec
 from chainqec import harness
@@ -28,6 +27,7 @@ from chainqec.harness import (
 from chainqec.hilbert import (
     FixedOrderTable,
     amplitude_plan,
+    apply_hops,
     apply_mode_unitary,
     apply_pauli,
     evolve,
@@ -190,7 +190,7 @@ def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15):
     # every single flip is corrected, so also compare the arriving states:
     # the rows a pruned sweep scores on the support, and nothing off it
     ev = setup.evaluator
-    arrived = setup.single_z_rows(setup.single_z_forms(sites, t_errs))
+    arrived = setup.single_z_rows(sites, t_errs)
     assert arrived.shape == (sites.size, ev.support.size)
     off_support = np.ones(2**15, dtype=bool)
     off_support[ev.support] = False
@@ -219,7 +219,7 @@ def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
     total = setup.duration
     cases = [(site, t) for site in (1, 8, 15) for t in (0.0, total / 3, total)]
     sites, t_errs = (np.array(col) for col in zip(*cases))
-    rows = setup.single_z_rows(setup.single_z_forms(sites, t_errs))
+    rows = setup.single_z_rows(sites, t_errs)
     success, _ = setup.success_single_z(sites, t_errs)
     for k, (site, t_err) in enumerate(cases):
         got = np.zeros_like(setup.encoded.amps)
@@ -231,7 +231,7 @@ def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
 
 
 def test_exact_single_z_matches_scored_rows(chain15):
-    # the quadratic form phi W - 2 q K against building the rows phi - 2 q H
+    # the quadratic form phi W - 2 q K against building the rows phi - 2 n_v phi
     # and scoring them; the rows themselves are checked against the expm oracle
     rng = np.random.default_rng(65)
     sites = rng.integers(1, 16, 64)
@@ -239,7 +239,7 @@ def test_exact_single_z_matches_scored_rows(chain15):
     setup = harness._revival_setup(chain15)
     success, discarded = setup.success_single_z(sites, t_errs)
     q = setup.single_z_forms(sites, t_errs)
-    rows = setup.single_z_rows(q)
+    rows = setup.single_z_rows(sites, t_errs)
     want, _ = setup.evaluator.success(rows)
     np.testing.assert_allclose(success, want, rtol=0, atol=1e-13)
     np.testing.assert_array_equal(discarded, 0.0)
@@ -247,6 +247,46 @@ def test_exact_single_z_matches_scored_rows(chain15):
     # in K: compare the overlaps themselves
     overlaps = setup.arrival_overlaps - 2.0 * (q @ setup.hop_overlaps)
     np.testing.assert_allclose(overlaps, rows @ setup.evaluator.weights, rtol=0, atol=1e-13)
+
+
+def _hop_rows_dense(state, support):
+    """Row N i + j: c_{i+1}^dag c_{j+1} |state> on `support`, each entry one signed read.
+
+    c_i^dag c_i is n_i; for i != j, c_i^dag c_j takes |x>, site j occupied
+    and site i empty, to (-1)^{|x & sites strictly between i and j|}
+    |x ^ b_i ^ b_j>.  The direct construction, independent of hop_plan's
+    routes through the neighbouring weights.
+    """
+    from chainqec.pauli import z_sign
+
+    n, y = state.n_sites, np.asarray(support)
+    bits = [1 << (n - 1 - i) for i in range(n)]
+    out = np.zeros((n * n, y.size), dtype=complex)
+    for i, b_i in enumerate(bits):
+        for j, b_j in enumerate(bits):
+            lo, hi = max(b_i, b_j), min(b_i, b_j)
+            between = lo - 2 * hi if lo > hi else 0  # the bits strictly between
+            hit = ((y & b_i) != 0) & (((y & b_j) == 0) | (i == j))
+            out[n * i + j, hit] = z_sign(y[hit] & between) * state.amps[y[hit] ^ b_i ^ b_j]
+    return out
+
+
+def test_hop_plan_reads_the_hopped_states_bit_for_bit(chain15):
+    # K = H W from apply_hops at W's read positions equals K from the direct
+    # construction of H byte for byte (exact single-Z CSVs keep their bytes),
+    # and so does H on the whole support: each entry is a state amplitude
+    # with an exact sign, and c_i^dag c_i phi through weight 11 is phi - phi
+    # = 0 or phi - 0 = phi exactly
+    setup = harness._revival_setup(chain15)
+    weights, support = setup.evaluator.weights, setup.evaluator.support
+    read = np.unique(weights.row)
+    want = _hop_rows_dense(setup.arrival, support[read]) @ weights.toarray(read)
+    assert np.array_equal(setup.hop_overlaps, want)
+    assert setup.hop_overlaps.tobytes() == want.tobytes()
+    want, eye = _hop_rows_dense(setup.arrival, support), np.eye(15, dtype=complex)
+    for i in range(15):  # rows 15 i .. 15 i + 14: the pairs (e_i, e_j)
+        hopped = apply_hops(setup.hops, np.repeat(eye[i:i + 1], 15, axis=0), eye, {})
+        assert np.array_equal(hopped.T, want[15 * i:15 * i + 15])
 
 
 @pytest.mark.parametrize("prune", [0.0, 1e-12])
@@ -296,34 +336,34 @@ def test_pruned_sweeps_never_run_the_pipeline(monkeypatch):
 def test_exact_single_z_builds_no_rows(monkeypatch):
     # exact samples are a quadratic form in the flipped mode; pruned ones
     # still build rows, whose masses have no small table.  A fresh set-up
-    # cache, so that no earlier pruned call has built H
+    # cache, so that no earlier pruned call has built the hop plan
     monkeypatch.setattr(harness, "_revival_setup", lru_cache(harness._revival_setup.__wrapped__))
     build, calls = RevivalSetup.single_z_rows, []
     monkeypatch.setattr(
-        RevivalSetup, "single_z_rows", lambda self, q: calls.append(len(q)) or build(self, q)
+        RevivalSetup, "single_z_rows",
+        lambda self, sites, t_errs: calls.append(len(sites)) or build(self, sites, t_errs),
     )
     summary = exp_single_z(samples=20, seed=2)
     assert summary.min_success >= 1 - 1e-8
     exp_coupling(f_grid=(0.05,), instances=2, seed=1)
     assert not calls
-    assert "hop_table" not in vars(harness._revival_setup(pst_couplings(15)))  # H unbuilt
+    assert "hops" not in vars(harness._revival_setup(pst_couplings(15)))  # hop plan unbuilt
     pruned = exp_single_z(samples=20, seed=2, prune_below=1e-12)
     assert calls == [16, 4]  # one per chunk of 16
     np.testing.assert_allclose(pruned.successes, summary.successes, rtol=0, atol=1e-9)
 
 
 def _held_arrays(*owners) -> list[np.ndarray]:
-    """Every array the owners hold, those of their tables and sparse matrices included."""
+    """Every array the owners hold, those of their tables included."""
     held = [value for owner in owners for value in vars(owner).values()]
     held += [a for m in held if isinstance(m, FixedOrderTable) for a in vars(m).values()]
-    held += [buf for m in held if sp.issparse(m) for buf in (m.data, m.indices, m.indptr)]
     return [a for a in held if isinstance(a, np.ndarray)]
 
 
 def test_cached_setup_is_read_only():
     setup = harness._revival_setup(pst_couplings(15))
     setup.success_single_z([3], [0.4])  # an exact call builds phi W and K
-    setup.success_single_z([3], [0.4], 1e-12)  # a pruned call builds H
+    setup.success_single_z([3], [0.4], 1e-12)  # a pruned call builds the hop plan
     plan = setup.plan
     support_plan, support_table = setup.support_plan  # built with the arrival
     arrays = _held_arrays(setup, setup.evaluator, setup.evaluator.tables, support_table)
@@ -331,15 +371,18 @@ def test_cached_setup_is_read_only():
     for p in (plan, support_plan):
         arrays += [p.pairs, p.complementary, p.sign, p.node, *p.entries, *p.children]
     pruning = setup.evaluator._prune_tables  # built by the pruned call
-    arrays += [a for a in pruning if isinstance(a, np.ndarray)]
-    arrays += [pruning[2].data, pruning[2].indices, pruning[2].indptr]
-    # the set-up's phi W and K, the three buffers of H, minor_weights' and
-    # W's table arrays, the evaluator's arrays, its pruning tables (four
-    # arrays and a sparse matrix), three decode-table arrays, two states,
-    # each minor plan's four arrays and two tables per level, and the
-    # support plan's fold
+    arrays += [a for a in pruning if isinstance(a, np.ndarray)] + _held_arrays(pruning[2])
+    # the hop plan's tables, amplitudes and slots (the vacuum's table and
+    # slots are empty: nothing in them can be written)
+    arrays += [a for group in setup.hops for a in group[2:] if a.size]
+    # the set-up's phi W and K, the hop plan, minor_weights' and W's table
+    # arrays, the evaluator's arrays, its pruning tables (four arrays and a
+    # table), three decode-table arrays, two states, each minor plan's four
+    # arrays and two tables per level, and the support plan's fold
     assert setup.arrival_overlaps.size and np.count_nonzero(setup.hop_overlaps)
-    assert setup.hop_table.nnz
+    # the vacuum through weight -1 (no slot), weight 10 through weight 11
+    assert [(group[0].size, group[1], group[2].shape) for group in setup.hops] == [
+        (1, False, (15, 0)), (3003, True, (15, 1365))]
     assert [e.shape for e in plan.entries] == [(45, 1), (315, 2), (990, 3), (945, 4), (459, 5)]
     assert [c.shape for c in plan.children] == [e.shape for e in plan.entries]
     assert plan.node.shape == (460,) and setup.minor_weights.nnz
@@ -807,6 +850,33 @@ def test_every_replaced_product_scores_a_member_alone_as_in_its_stack(chain15):
     whole = np.matmul(q[:, None, :], k_table)[:, 0]
     for k in range(16):
         assert np.matmul(q[k:k + 1, None, :], k_table)[0, 0].tobytes() == whole[k].tobytes()
+    # the pruned rows phi - 2 n_v phi (apply_hops) and the pruning masses
+    sites, t_errs = rng.integers(1, 16, 16), rng.uniform(0, setup.duration, 16)
+    rows = setup.single_z_rows(sites, t_errs)
+    masses = setup.evaluator._prune_tables[2]
+    overlaps = rng.standard_normal((16, masses.shape[0]))
+    whole = overlaps @ masses
+    for k in range(16):
+        assert setup.single_z_rows(sites[k:k + 1], t_errs[k:k + 1])[0].tobytes() == rows[k].tobytes()
+        assert (overlaps[k] @ masses).tobytes() == whole[k].tobytes()
+
+
+def test_pruning_masses_are_scipys_bit_for_bit(chain15):
+    # the branch and leaf masses were a scipy CSC product with the real pair
+    # overlaps; the numpy table sums each mass over its pairs in the same
+    # order in real arithmetic, so it keeps scipy's bits
+    import scipy.sparse as sp
+
+    ev = harness._revival_setup(chain15).evaluator
+    pairs, _, masses, _, _ = ev._prune_tables
+    assert not masses.value.imag.any()
+    old = sp.csc_array((masses.value.real, (masses.row, masses.col)), masses.shape)
+    rng = np.random.default_rng(68)
+    for s in (1, 5, 16):
+        overlaps = rng.standard_normal((pairs.shape[1], s))  # (pair, state), as _pruned forms them
+        got = overlaps.T @ masses
+        assert got.dtype == float
+        assert np.ascontiguousarray(got.T).tobytes() == (old.T @ overlaps).tobytes()
 
 
 @pytest.mark.parametrize("prune", [np.inf, np.nan, -1e-3])

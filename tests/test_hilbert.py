@@ -394,7 +394,9 @@ def test_lindblad_hamiltonian_part_is_cached_read_only_and_bit_identical():
 def test_fixed_order_table_is_scipys_product_on_random_tables(seed):
     # random shapes and entry counts, empty columns, repeated (row, column)
     # entries, real or complex values: x @ table equals scipy's CSC product
-    # of the same stored entries bit for bit, for 1-D x and any stack size
+    # of the same stored entries bit for bit, for 1-D x and any stack size,
+    # and a real x times real values is summed in real arithmetic, as scipy's
+    # real product is
     import scipy.sparse as sp
 
     from chainqec.hilbert import FixedOrderTable
@@ -415,6 +417,11 @@ def test_fixed_order_table_is_scipys_product_on_random_tables(seed):
         got = x @ table
         assert got.tobytes() == (want.T @ np.ascontiguousarray(x.T)).T.tobytes()
         assert (x[0] @ table).tobytes() == got[0].tobytes()
+        real = x.real.copy()
+        got = real @ table
+        assert got.dtype == (float if seed % 2 == 0 else complex)
+        assert got.tobytes() == (want.T @ np.ascontiguousarray(real.T)).T.tobytes()
+        assert (real[0] @ table).tobytes() == got[0].tobytes()
 
 
 def test_mode_unitaries_reuse_one_eigendecomposition_per_chain():
