@@ -345,10 +345,12 @@ class RevivalEvaluator:
     Scores rows of amplitudes on `support`, a fixed list of basis indices:
     by default the excitation sectors the encoded reference occupies, which
     every revival state stays in (weights {0, 10}, 3004 of 32768 indices,
-    on minimal15); amplitudes off the support are not read.  Column (key,
-    o) of the weight matrix W (support x column) folds the X/trailing-Z
-    correction of bit-flip key `key`, the phase projector P_o and the Z
-    correction cross_reference(o, flips) of the key's own flips into one
+    on minimal15); amplitudes off the support are not read.  A support
+    that is not distinct whole numbers in [0, 2^N), in any order, is
+    refused before any table is built.  Column (key, o) of the weight
+    matrix W (support x column) folds the X/trailing-Z correction of
+    bit-flip key `key`, the phase projector P_o and the Z correction
+    cross_reference(o, flips) of the key's own flips into one
     conjugated, corrected copy of the reference, so that without pruning
     success = sum_c |rows @ W|^2.  A column is kept when o is the phase
     syndrome of that Z correction (otherwise P_o annihilates it) and the
@@ -377,7 +379,13 @@ class RevivalEvaluator:
         ref = encode(codeobj, alpha, beta)
         if support is None:
             support = np.concatenate([sector_indices(n, w) for w in _occupied_weights(ref)])
-        self.support = support = np.array(support, dtype=np.int64)
+        # a negative index would read from the end of the position table, and
+        # a repeated one overwrite another's position
+        given = np.asarray(support, dtype=float)
+        if (given.ndim != 1 or np.any((given < 0) | (given >= 1 << n) | (given != np.floor(given)))
+                or np.unique(given).size != given.size):
+            raise ValueError(f"support must be distinct whole numbers in [0, 2^N), N = {n}")
+        self.support = support = given.astype(np.int64)
         position = self._positions()
 
         n_out = self.n_out = 1 << len(zgens)

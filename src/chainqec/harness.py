@@ -22,14 +22,12 @@ import numpy as np
 from . import __version__
 from .chain import ChainSpec, analyze_transfer, pst_couplings
 from .code import StabilizerCode, encode, minimal15, shor_code
-from .decoder import RevivalEvaluator, _state_sums, check_prune
+from .decoder import RevivalEvaluator, check_prune
 from .errors import ResourceLimitError
 from .freefermion import chi_decay
 from .hilbert import (
     DensityMatrix,
-    FixedOrderTable,
     StateVector,
-    _complex_product,
     _read_only,
     amplitude_plan,
     check_lindblad_work,
@@ -53,14 +51,10 @@ from .pauli import PauliString
 
 _BRUTE_FORCE_MAX_SITES = 6
 # points evaluated together: the single-Z samples (or timing offsets) of one
-# chunk are scored as one block, in one fixed-order product.  A point's value
+# chunk are scored as one block, in one evaluator call.  A point's value
 # must not depend on its chunk, or a resumed run (which re-chunks the
 # missing points) would differ from a fresh one; the chunk, batched-engine
-# and resume tests check this.  On the 15-site chain a pruned single-Z
-# sample costs least in chunks of 16 to 32 rows and about a quarter more in
-# chunks of 64, whose (64, 3004) rows, hop gathers and pair overlaps
-# outgrow the cache; an exact one costs a little less in larger chunks
-# (CHANGES.md records the timings).
+# and resume tests check this.  CHANGES.md records what a chunk costs.
 _CHUNK = 16
 
 DEFAULT_TIMING_GRID_POINTS = 21
@@ -194,51 +188,36 @@ class RevivalSetup:
     their last columns as one graph of shared sub-minors, evaluated
     elementwise for a whole stack of M (mode_minors), and its fold
     (amplitude_plan) puts each pair's sign and c_x in its target's column.
-    Two plans serve every call:
-
-    - `plan`, built here, holds only the amplitudes W reads (154 of 3004
-      on minimal15): with |+_L>, 459 5 x 5 complementary minors and the
-      vacuum's constant 1, from 45, 315, 990, 945 and 459 sub-minors of
-      sizes 1..5.  Its fold times W is `minor_weights` (pair x W column,
-      6 to 10 entries a column, each one product), so exact successes of
-      a stack of M are sum_c |(minors @ minor_weights)_c|^2
-      (success_mode_unitaries), with no support-sized row.
-    - the support plan, built on first use (support_rows), holds the whole
-      support: 9010 pairs with |+_L>.  Pruned scoring needs masses
-      quadratic in the rows, so a pruned stack's rows are its minors times
-      that fold, handed to the evaluator, and the arrival state is the
-      same product at M = U(duration).
-
     A phase flip on site s at time t arrives as phi - 2 n_v phi, one
     rotated fermionic mode v about the error-free arrival state
-    phi = Gamma(U(duration))|encoded> (`arrival`), instead of a new plan:
-    v is row s of the mode unitary U(t - duration), from the same
-    mode_unitaries that serves every other scenario.  Every revival state
-    stays in the excitation sectors the encoded state occupies, the
-    support, so a chunk of samples is scored on (S, support) blocks, never
-    scattered into a 2^N vector.  Exact scoring needs only rows @ W (W the
-    evaluator's weights), and n_v = sum_ij conj(v_i) v_j c_i^dag c_j, so
-    rows @ W = phi W - 2 q K with q = conj(v) (x) v (single_z_forms):
-    `arrival_overlaps` holds phi W and the dense N^2 x column array
-    `hop_overlaps` holds K = H W, H the hopped states c_i^dag c_j phi at
-    the support positions W reads (225 x 304, 1 MiB, 35 160 entries
-    nonzero on minimal15), and no row is built.  The arrival, phi W and
-    K are built on the first single-Z call, so a process that runs only
-    exact timing or coupling sweeps builds neither the support plan nor
-    the arrival.  Pruned scoring needs masses quadratic in the rows, so
-    it builds them (single_z_rows) with `hops`, phi's hop_plan on the
-    whole support, which only a pruned call builds: n_v phi on weight
-    10 is |v|^2 phi - c_v c_v^dag phi through weight 11, and 0 on the
-    vacuum (apply_hops).
+    phi = Gamma(U(duration))|encoded> (`arrival`): v is row s of the mode
+    unitary U(t - duration), and a hop plan of phi (hop_plan, apply_hops)
+    builds the rows.  Every revival state stays in the excitation sectors
+    the encoded state occupies, the support, so a chunk is scored as
+    (S, positions) rows, never scattered into a 2^N vector.
 
-    minor_weights, W, the folds and the evaluator's mass table are
-    FixedOrderTables, numpy entry arrays whose products keep the bits
-    scipy's sparse products gave them, and K and the hop plan's table
-    are applied to each sample alone; no scoring loads scipy.  Every
-    array held here, the evaluator's and the plans' included, is
-    read-only, and the pruning threshold is an argument of each scoring
-    call, so one set-up serves every sweep of a process on its chain
-    (_revival_setup).
+    Every score, exact or pruned, is one RevivalEvaluator.success call on
+    such rows; the pruning threshold only picks the positions:
+
+    - exact: the 154 support positions the weights W read (on minimal15),
+      scored by `read_evaluator`, which is W restricted to them, with the
+      same columns, entries and stored order.  The rows are the minors of
+      `plan` (459 5 x 5 complementary minors and the vacuum's 1, with
+      |+_L>) times `read_fold`, built here, or apply_hops on `read_hops`,
+      phi's hop plan at those positions, built on the first exact
+      single-Z call.
+    - pruned: the whole support (3004 positions), scored by `evaluator`,
+      since the branch and leaf masses are quadratic in the rows.  The
+      rows are the minors of the support plan (9010 pairs with |+_L>)
+      times its fold (support_rows), or apply_hops on `hops`; both plans
+      are built on first use.
+
+    The arrival is support_rows at M = U(duration), built on the first
+    single-Z call, so exact timing and coupling sweeps build neither it
+    nor the support plan.  No scoring loads scipy.  Every array held
+    here, the evaluators' and the plans' included, is read-only, and the
+    pruning threshold is an argument of each scoring call, so one set-up
+    serves every sweep of a process on its chain (_revival_setup).
     """
 
     def __init__(self, spec: ChainSpec, alpha: complex, beta: complex):
@@ -254,20 +233,14 @@ class RevivalSetup:
         self.spectral_bound = report.spectral_bound
         self.encoded = encode(codeobj, alpha, beta)
         self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
-        # row p of minor_weights: pair p's sign and encoded amplitude (its one
-        # fold entry) times its target's row of W, each entry one product
-        # added to 0, the fold times W as scipy's sparse product formed it
-        weights, support = self.evaluator.weights, self.evaluator.support
-        read = np.unique(weights.row)
-        self.plan, fold = amplitude_plan(spec.n_sites, support[read], self.encoded.amps)
-        w_read = weights.toarray(read)
-        by_pair = np.argsort(fold.row)  # each column of minor_weights sums in pair order
-        pair, target, amp = fold.row[by_pair], fold.col[by_pair], fold.value[by_pair]
-        entry, col = np.nonzero(w_read[target])
-        value = _complex_product(amp[entry], w_read[target[entry], col]) + 0.0
-        self.minor_weights = FixedOrderTable(pair[entry], col, value, (pair.size, weights.shape[1]))
+        # W at the support positions it reads, with the same columns, entries
+        # and stored order: it scores a row there as the evaluator scores any
+        # row that agrees with it at those positions
+        read = self.evaluator.support[np.unique(self.evaluator.weights.row)]
+        self.read_evaluator = RevivalEvaluator(codeobj, alpha, beta, support=read)
+        self.plan, self.read_fold = amplitude_plan(spec.n_sites, read, self.encoded.amps)
         _read_only(self.encoded.amps)
-        self._work: dict = {}  # single_z_rows' work buffers (hilbert._work_array)
+        self._work: dict = {}  # apply_hops' work buffers for both hop plans (hilbert._work_array)
 
     @cached_property
     def support_plan(self) -> tuple:
@@ -294,27 +267,9 @@ class RevivalSetup:
         return StateVector(_read_only(amps), self.spec.n_sites)
 
     @cached_property
-    def arrival_overlaps(self) -> np.ndarray:
-        """phi W, built on the first exact single-Z call."""
-        return _read_only(self.arrival.amps[self.evaluator.support] @ self.evaluator.weights)
-
-    @cached_property
-    def hop_overlaps(self) -> np.ndarray:
-        """K = H W, dense (N^2, column of W), built on the first exact single-Z call.
-
-        Row N i + j of H is c_{i+1}^dag c_{j+1} phi, needed only at the
-        support positions W reads (154 of 3004 on minimal15): apply_hops at
-        those positions for the N^2 pairs of unit vectors, times W's rows
-        there, 225 x 304 on minimal15, about half of it nonzero.
-        """
-        weights, support = self.evaluator.weights, self.evaluator.support
-        read = np.unique(weights.row)
-        plan, work = hop_plan(self.arrival, support[read]), {}
-        eye = np.eye(self.spec.n_sites, dtype=complex)
-        # rows N i .. N i + N - 1 of H: the N pairs (e_i, e_j), one call each i
-        hopped = np.vstack([apply_hops(plan, np.repeat(eye[i:i + 1], len(eye), axis=0), eye, work).T
-                            for i in range(len(eye))])
-        return _read_only(hopped @ weights.toarray(read))
+    def read_hops(self) -> tuple:
+        """hop_plan of phi at the positions W reads, built on the first exact single-Z call."""
+        return hop_plan(self.arrival, self.read_evaluator.support)
 
     @cached_property
     def hops(self) -> tuple:
@@ -335,11 +290,6 @@ class RevivalSetup:
         rows = check_sites(self.spec.n_sites, sites) - 1
         return mode_unitaries(self.spec, t_errs - self.duration)[np.arange(rows.size), rows]
 
-    def single_z_forms(self, sites, t_errs) -> np.ndarray:
-        """(S, N^2) rows q_k = conj(v_k) (x) v_k, v_k the mode the flip of sample k rotates."""
-        v = self._modes(sites, t_errs)
-        return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), v.shape[1] ** 2)
-
     def single_z_rows(self, sites, t_errs) -> np.ndarray:
         """(S, support) revival rows phi - 2 n_v phi, one per sample (apply_hops); pruned only."""
         v = self._modes(sites, t_errs)
@@ -351,19 +301,16 @@ class RevivalSetup:
 
         Returns (success probability, discarded mass) arrays, one entry per
         sample; branches below prune_below are discarded (0 = exact).  Each
-        sample's v is a row of its own U(tau), and K (exact) or the hop
-        plan (pruned, apply_hops) is applied to each sample alone, so a
-        value does not depend on its chunk.
+        sample's v is a row of its own U(tau), and its row phi - 2 n_v phi
+        is built alone (apply_hops), at the positions W reads when exact
+        (read_hops, scored by read_evaluator) and on the whole support when
+        pruned (single_z_rows, scored by evaluator), so a value does not
+        depend on its chunk.
         """
         if prune_below <= 0.0:
-            q = self.single_z_forms(sites, t_errs)
-            # as in the evaluator, at 0 nothing can be dropped, so only rows @ W
-            # is needed: the quadratic form phi W - 2 q K, no row built.  One
-            # product per sample (numpy runs one GEMM per member), so a
-            # sample's overlaps do not depend on its chunk
-            qk = np.matmul(q[:, None, :], self.hop_overlaps)[:, 0]
-            overlaps = self.arrival_overlaps - 2.0 * qk  # (sample, column of W)
-            return _state_sums(np.abs(overlaps.T) ** 2), np.zeros(len(q))
+            v = self._modes(sites, t_errs)
+            rows = apply_hops(self.read_hops, -2.0 * v.conj(), v, self._work, shift=1.0).T
+            return self.read_evaluator.success(rows)
         return self.evaluator.success(self.single_z_rows(sites, t_errs), prune_below)
 
     def success_mode_unitaries(self, m,
@@ -375,16 +322,16 @@ class RevivalSetup:
         disorder instance the perturbed chain's U'(2T) and a run with phase
         flips a jump_unitary.
         Refuses anything but a stack of finite unitaries on this chain's N
-        sites: the complementary minors hold only for a unitary.  Exact
-        members are read from the minors W reads (mode_minors, then the
-        fixed-order product with minor_weights), pruned members from their
-        rows Gamma(M)|encoded> (support_rows, the same), so a member's
-        values do not depend on the stack.
+        sites: the complementary minors hold only for a unitary.  A
+        member's row Gamma(M)|encoded> is its minors times a fold
+        (mode_minors): exact, at the positions W reads (plan, read_fold,
+        scored by read_evaluator); pruned, on the whole support
+        (support_rows, scored by evaluator).  Every step is per member, so
+        a member's values do not depend on the stack.
         """
         m = check_mode_unitaries(m, self.spec.n_sites)
         if prune_below <= 0.0:
-            overlaps = mode_minors(m, self.plan) @ self.minor_weights  # (member, column of W)
-            return _state_sums(np.abs(overlaps.T) ** 2), np.zeros(len(m))
+            return self.read_evaluator.success(mode_minors(m, self.plan) @ self.read_fold)
         return self.evaluator.success(self.support_rows(m), prune_below)
 
     def success_coupling_instance(self, f: float, draw_seed: int,

@@ -666,14 +666,10 @@ class FixedOrderTable:
     def nnz(self) -> int:
         return self.col.size
 
-    def toarray(self, rows=None) -> np.ndarray:
-        """Dense (len(rows), n_out) on the input rows `rows`, sorted and holding every entry's row.
-
-        All rows by default; repeated entries are summed.
-        """
-        rows = np.arange(self.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
-        out = np.zeros((rows.size, self.shape[1]), dtype=complex)
-        np.add.at(out, (np.searchsorted(rows, self.row), self.col), self.value)
+    def toarray(self) -> np.ndarray:
+        """Dense (n_in, n_out); repeated entries are summed."""
+        out = np.zeros(self.shape, dtype=complex)
+        np.add.at(out, (self.row, self.col), self.value)
         return out
 
     def _tiled(self, name: str, parts: np.ndarray, s: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from chainqec.harness import (
     exp_single_z,
     exp_timing,
 )
-from chainqec.hilbert import StateVector, apply_pauli, basis_state, evolve, trajectory_sample
+from chainqec.hilbert import StateVector, apply_hops, apply_pauli, basis_state, evolve, trajectory_sample
 from chainqec.noise import inject_single_z
 from chainqec.pauli import from_sites, pauli_z, symplectic_rank
 
@@ -101,26 +101,28 @@ def test_criterion_3_every_site_on_the_exact_time_grid():
 
 
 def test_criterion_3_grid_degree_claim():
-    # the overlaps phi W - 2 q K are of degree <= 14 in t: interpolation from
-    # 29 equispaced times predicts any time, and from 27 it does not
+    # the rows phi - 2 n_v phi that the read evaluator scores are of degree
+    # <= 14 in t: interpolation from 29 equispaced times predicts any time,
+    # and from 27 it does not
     setup = _revival_setup(pst_couplings(15))
     d = setup.duration
     rng = np.random.default_rng(3)
 
-    def overlaps(site, times):
-        q = setup.single_z_forms(np.full(len(times), site), times)
-        return setup.arrival_overlaps[None, :] - 2.0 * (setup.hop_overlaps.T @ q.T).T
+    def rows(site, times):
+        # the rows at W's read positions, as success_single_z builds them
+        v = setup._modes(np.full(len(times), site), times)
+        return apply_hops(setup.read_hops, -2.0 * v.conj(), v, {}, shift=1.0).T
 
     def worst_miss(points):
         worst = 0.0
         for site in range(1, 16):
-            grid = overlaps(site, np.arange(points) * d / points)
-            assert np.abs(grid - grid[0]).max() > 0.5  # the overlaps do move with t
+            grid = rows(site, np.arange(points) * d / points)
+            assert np.abs(grid - grid[0]).max() > 0.5  # the rows do move with t
             coef = np.fft.fft(grid, axis=0) / points
             freq = np.fft.fftfreq(points, 1 / points)
             t = rng.uniform(0, d, 40)
             pred = np.exp(2j * np.pi * np.outer(t, freq) / d) @ coef
-            worst = max(worst, float(np.abs(pred - overlaps(site, t)).max()))
+            worst = max(worst, float(np.abs(pred - rows(site, t)).max()))
         return worst
 
     assert worst_miss(29) <= 1e-12

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -208,6 +209,40 @@ def test_coupling_cli_reports_discarded_mass(tmp_path, capsys):
     rec = json.loads((tmp_path / "points.jsonl").read_text())
     assert payload["discarded_mass"] == rec["discarded_mass"] > 0
     assert payload["points"] == 1
+
+
+def _csv_column(path: Path, name: str) -> list[float]:
+    with open(path) as fh:
+        return [float(r[name]) for r in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("argv, prune, csv_name, column, points", [
+    (["single-z", "--samples", "40", "--seed", "3"], "1e-12", "single_z.csv",
+     "success_probability", 40),
+    (["coupling-sweep", "--grid", "0.02,0.1", "--instances", "3", "--seed", "2"], "1e-12",
+     "coupling.csv", "mean_success", 2),
+    (["timing-sweep", "--grid", "0,0.01"], "1e-7", "timing.csv", "success_probability", 2),
+], ids=["single-z", "coupling-sweep", "timing-sweep"])
+def test_exact_and_pruned_runs_read_out_the_same_states(argv, prune, csv_name, column, points,
+                                                        tmp_path):
+    # exact runs score rows at the positions W reads, pruned ones rows on the
+    # whole support: their successes differ only by the pruned mass.  That is
+    # far below 1e-9 for single-Z samples and disorder instances; at the
+    # timing floor it is 5.8e-8 at delta = 0.01, so there each gap is bounded
+    # by the point's recorded discarded mass instead
+    assert main([*argv, "--out", str(tmp_path / "exact")]) == 0
+    assert main([*argv, "--prune", prune, "--out", str(tmp_path / "pruned")]) == 0
+    exact, pruned = (_csv_column(tmp_path / run / csv_name, column) for run in ("exact", "pruned"))
+    assert len(exact) == len(pruned) == points
+    if argv[0] != "timing-sweep":
+        gap = max(abs(a - b) for a, b in zip(exact, pruned))
+        assert gap <= 1e-9, gap
+        return
+    with open(tmp_path / "pruned" / "points.jsonl") as fh:
+        lost = [json.loads(line)["discarded_mass"] for line in fh]
+    assert len(lost) == points
+    for a, b, mass in zip(exact, pruned, lost):
+        assert -1e-12 <= a - b <= mass + 1e-12, (a, b, mass)
 
 
 def test_dephasing_cli(tmp_path, capsys):

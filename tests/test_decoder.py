@@ -522,6 +522,36 @@ def test_pipeline_and_evaluator_refuse_x_type_bit_flip_checks(code15, plus_logic
         RevivalEvaluator(code, 1 / np.sqrt(2), 1 / np.sqrt(2))
 
 
+@pytest.mark.parametrize("support", [
+    [-1, 0],  # once read as basis index 2^15 - 1 through a negative index
+    [0, 0, 5],  # the second 0 once took the first one's position
+    [0, 2**15],  # once a bare IndexError
+    [0, 2.5],
+    [[0, 5]],
+], ids=["negative", "repeated", "past-the-end", "fraction", "not-flat"])
+def test_evaluator_refuses_a_bad_support_before_building_tables(code15, support, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(RevivalEvaluator, "_positions", refuse)
+    monkeypatch.setattr(decoder, "FixedOrderTable", refuse)
+    with pytest.raises(ValueError, match=r"distinct whole numbers in \[0, 2\^N\), N = 15"):
+        RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2), support=support)
+
+
+def test_evaluator_on_a_support_in_any_order_scores_as_on_the_default(code15, plus_logical15):
+    # the default support is descending within each sector: order is not part
+    # of the rule, and a reordered support scores the same state alike
+    ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    shuffled = np.random.default_rng(7).permutation(ev.support)
+    other = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2), support=shuffled.astype(float))
+    assert other.support.dtype == np.int64
+    rng = np.random.default_rng(8)
+    amps = rng.standard_normal(2**15) + 1j * rng.standard_normal(2**15)
+    want = ev.success(amps[ev.support])[0]
+    assert other.success(amps[other.support])[0] == pytest.approx(want, rel=1e-12)
+
+
 def test_pipeline_rejects_reference_of_wrong_size(code15, plus_logical15):
     # a 16-qubit reference for the 15-qubit code
     with pytest.raises(ValueError, match="reference"):

@@ -230,23 +230,53 @@ def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
         assert success[k] == pytest.approx(oracle.success_probability, abs=1e-12)
 
 
+def _read_rows(setup, sites, t_errs):
+    """(S, 154) exact single-Z rows phi - 2 n_v phi at the positions W reads, as scored."""
+    v = setup._modes(sites, t_errs)
+    return apply_hops(setup.read_hops, -2.0 * v.conj(), v, {}, shift=1.0).T
+
+
 def test_exact_single_z_matches_scored_rows(chain15):
-    # the quadratic form phi W - 2 q K against building the rows phi - 2 n_v phi
-    # and scoring them; the rows themselves are checked against the expm oracle
+    # the rows at W's read positions, scored by the read evaluator, against
+    # the rows phi - 2 n_v phi on the whole support scored by the evaluator;
+    # the whole-support rows themselves are checked against the expm oracle
     rng = np.random.default_rng(65)
     sites = rng.integers(1, 16, 64)
     t_errs = rng.uniform(0.0, np.pi, 64)
     setup = harness._revival_setup(chain15)
     success, discarded = setup.success_single_z(sites, t_errs)
-    q = setup.single_z_forms(sites, t_errs)
+    read = _read_rows(setup, sites, t_errs)
+    assert success.tobytes() == setup.read_evaluator.success(read)[0].tobytes()
     rows = setup.single_z_rows(sites, t_errs)
     want, _ = setup.evaluator.success(rows)
     np.testing.assert_allclose(success, want, rtol=0, atol=1e-13)
     np.testing.assert_array_equal(discarded, 0.0)
     # every single flip is corrected, so the success is blind to a wrong sign
-    # in K: compare the overlaps themselves
-    overlaps = setup.arrival_overlaps - 2.0 * (q @ setup.hop_overlaps)
-    np.testing.assert_allclose(overlaps, rows @ setup.evaluator.weights, rtol=0, atol=1e-13)
+    # in a hopped state: compare the rows and their overlaps themselves
+    at_read = np.unique(setup.evaluator.weights.row)  # read_evaluator.support = support[at_read]
+    np.testing.assert_allclose(read, rows[:, at_read], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(read @ setup.read_evaluator.weights, rows @ setup.evaluator.weights,
+                               rtol=0, atol=1e-13)
+
+
+def test_read_evaluator_is_the_evaluator_at_the_positions_w_reads(chain15):
+    # the same columns, entries and stored order on the 154 read positions,
+    # so an exact score of a row there equals, bit for bit, the
+    # whole-support evaluator's on any row agreeing with it there
+    setup = harness._revival_setup(chain15)
+    ev, read_ev = setup.evaluator, setup.read_evaluator
+    read = np.unique(ev.weights.row)
+    assert read.size == read_ev.support.size == 154
+    assert np.array_equal(read_ev.support, ev.support[read])
+    assert np.array_equal(read_ev.columns, ev.columns)
+    w, rw = ev.weights, read_ev.weights
+    assert np.array_equal(read[rw.row], w.row) and np.array_equal(rw.col, w.col)
+    assert rw.value.tobytes() == w.value.tobytes()
+    rng = np.random.default_rng(69)
+    for s in (1, 5, 16):
+        rows = rng.standard_normal((s, ev.support.size)) + 1j * rng.standard_normal((s, ev.support.size))
+        success, _ = ev.success(rows)
+        assert read_ev.success(rows[:, read])[0].tobytes() == success.tobytes()
 
 
 def _hop_rows_dense(state, support):
@@ -272,21 +302,19 @@ def _hop_rows_dense(state, support):
 
 
 def test_hop_plan_reads_the_hopped_states_bit_for_bit(chain15):
-    # K = H W from apply_hops at W's read positions equals K from the direct
-    # construction of H byte for byte (exact single-Z CSVs keep their bytes),
-    # and so does H on the whole support: each entry is a state amplitude
-    # with an exact sign, and c_i^dag c_i phi through weight 11 is phi - phi
-    # = 0 or phi - 0 = phi exactly
+    # the hopped states c_i^dag c_j phi from apply_hops equal their direct
+    # construction byte for byte, at W's read positions (read_hops, which
+    # the exact samples use) and on the whole support (hops, the pruned
+    # ones): each entry is a state amplitude with an exact sign, and
+    # c_i^dag c_i phi through weight 11 is phi - phi = 0 or phi - 0 = phi exactly
     setup = harness._revival_setup(chain15)
-    weights, support = setup.evaluator.weights, setup.evaluator.support
-    read = np.unique(weights.row)
-    want = _hop_rows_dense(setup.arrival, support[read]) @ weights.toarray(read)
-    assert np.array_equal(setup.hop_overlaps, want)
-    assert setup.hop_overlaps.tobytes() == want.tobytes()
-    want, eye = _hop_rows_dense(setup.arrival, support), np.eye(15, dtype=complex)
-    for i in range(15):  # rows 15 i .. 15 i + 14: the pairs (e_i, e_j)
-        hopped = apply_hops(setup.hops, np.repeat(eye[i:i + 1], 15, axis=0), eye, {})
-        assert np.array_equal(hopped.T, want[15 * i:15 * i + 15])
+    eye = np.eye(15, dtype=complex)
+    for hops, support in ((setup.read_hops, setup.read_evaluator.support),
+                          (setup.hops, setup.evaluator.support)):
+        want = _hop_rows_dense(setup.arrival, support)
+        for i in range(15):  # rows 15 i .. 15 i + 14: the pairs (e_i, e_j)
+            hopped = apply_hops(hops, np.repeat(eye[i:i + 1], 15, axis=0), eye, {})
+            assert hopped.T.tobytes() == want[15 * i:15 * i + 15].tobytes()
 
 
 @pytest.mark.parametrize("prune", [0.0, 1e-12])
@@ -334,20 +362,25 @@ def test_pruned_sweeps_never_run_the_pipeline(monkeypatch):
 
 
 def test_exact_single_z_builds_no_rows(monkeypatch):
-    # exact samples are a quadratic form in the flipped mode; pruned ones
-    # still build rows, whose masses have no small table.  A fresh set-up
-    # cache, so that no earlier pruned call has built the hop plan
+    # exact rows are built at the 154 positions W reads; only pruned rows,
+    # whose masses read the whole support, are built on it.  A fresh set-up
+    # cache, so that no earlier call has built the arrival or a hop plan
     monkeypatch.setattr(harness, "_revival_setup", lru_cache(harness._revival_setup.__wrapped__))
     build, calls = RevivalSetup.single_z_rows, []
     monkeypatch.setattr(
         RevivalSetup, "single_z_rows",
         lambda self, sites, t_errs: calls.append(len(sites)) or build(self, sites, t_errs),
     )
+    exp_timing(delta_grid=(0.0, 0.01))
+    exp_coupling(f_grid=(0.05,), instances=2, seed=1)
+    setup = harness._revival_setup(pst_couplings(15))
+    # exact M scoring: no support plan, no arrival, no hop plan
+    assert not {"support_plan", "arrival", "read_hops", "hops"} & set(vars(setup))
     summary = exp_single_z(samples=20, seed=2)
     assert summary.min_success >= 1 - 1e-8
-    exp_coupling(f_grid=(0.05,), instances=2, seed=1)
     assert not calls
-    assert "hops" not in vars(harness._revival_setup(pst_couplings(15)))  # hop plan unbuilt
+    assert "read_hops" in vars(setup) and "hops" not in vars(setup)  # no whole-support hop plan
+    assert [group[0].size for group in setup.read_hops] == [1, 153]
     pruned = exp_single_z(samples=20, seed=2, prune_below=1e-12)
     assert calls == [16, 4]  # one per chunk of 16
     np.testing.assert_allclose(pruned.successes, summary.successes, rtol=0, atol=1e-9)
@@ -362,30 +395,31 @@ def _held_arrays(*owners) -> list[np.ndarray]:
 
 def test_cached_setup_is_read_only():
     setup = harness._revival_setup(pst_couplings(15))
-    setup.success_single_z([3], [0.4])  # an exact call builds phi W and K
+    setup.success_single_z([3], [0.4])  # an exact call builds the arrival and read_hops
     setup.success_single_z([3], [0.4], 1e-12)  # a pruned call builds the hop plan
     plan = setup.plan
     support_plan, support_table = setup.support_plan  # built with the arrival
-    arrays = _held_arrays(setup, setup.evaluator, setup.evaluator.tables, support_table)
+    arrays = _held_arrays(setup, setup.evaluator, setup.read_evaluator, setup.evaluator.tables,
+                          setup.read_fold, support_table)
     arrays += [setup.encoded.amps, setup.arrival.amps]
     for p in (plan, support_plan):
         arrays += [p.pairs, p.complementary, p.sign, p.node, *p.entries, *p.children]
     pruning = setup.evaluator._prune_tables  # built by the pruned call
     arrays += [a for a in pruning if isinstance(a, np.ndarray)] + _held_arrays(pruning[2])
-    # the hop plan's tables, amplitudes and slots (the vacuum's table and
+    # both hop plans' tables, amplitudes and slots (the vacuum's table and
     # slots are empty: nothing in them can be written)
-    arrays += [a for group in setup.hops for a in group[2:] if a.size]
-    # the set-up's phi W and K, the hop plan, minor_weights' and W's table
-    # arrays, the evaluator's arrays, its pruning tables (four arrays and a
-    # table), three decode-table arrays, two states, each minor plan's four
-    # arrays and two tables per level, and the support plan's fold
-    assert setup.arrival_overlaps.size and np.count_nonzero(setup.hop_overlaps)
+    arrays += [a for hops in (setup.read_hops, setup.hops) for group in hops for a in group[2:] if a.size]
+    # the evaluators' arrays and W's table arrays, the read fold's, the
+    # pruning tables (four arrays and a table), three decode-table arrays,
+    # two states, each minor plan's four arrays and two tables per level,
+    # the support plan's fold and both hop plans
     # the vacuum through weight -1 (no slot), weight 10 through weight 11
     assert [(group[0].size, group[1], group[2].shape) for group in setup.hops] == [
         (1, False, (15, 0)), (3003, True, (15, 1365))]
+    assert [(group[0].size, group[1]) for group in setup.read_hops] == [(1, False), (153, True)]
     assert [e.shape for e in plan.entries] == [(45, 1), (315, 2), (990, 3), (945, 4), (459, 5)]
     assert [c.shape for c in plan.children] == [e.shape for e in plan.entries]
-    assert plan.node.shape == (460,) and setup.minor_weights.nnz
+    assert plan.node.shape == (460,) and setup.read_fold.shape == (460, 154)
     assert len(arrays) >= 60
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -692,19 +726,24 @@ def test_mode_unitary_scoring_refuses_bad_input(chain15):
 
 def test_exact_timing_and_coupling_never_evolve(monkeypatch):
     # once the set-up is cached, exact sweeps read the minors W reads: no
-    # evolve, no support row built and none scored
-    harness._revival_setup(pst_couplings(15))
+    # evolve, no support row built, and the rows at W's read positions are
+    # scored by the read evaluator, never by the whole-support one
+    setup = harness._revival_setup(pst_couplings(15))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a state was evolved or a row scored")
 
     monkeypatch.setattr(harness, "evolve", refuse)
     monkeypatch.setattr(harness.RevivalSetup, "support_rows", refuse)
-    monkeypatch.setattr(harness.RevivalEvaluator, "success", refuse)
+    monkeypatch.setattr(setup.evaluator, "success", refuse)
+    scored, score = [], setup.read_evaluator.success
+    monkeypatch.setattr(setup.read_evaluator, "success",
+                        lambda rows: scored.append(rows.shape) or score(rows))
     assert exp_timing(delta_grid=(0.0, 0.01)).successes[0] == pytest.approx(1.0, abs=1e-12)
     assert exp_coupling(f_grid=(0.0, 0.05), instances=2, seed=1).mean_success[0] == pytest.approx(
         1.0, abs=1e-12
     )
+    assert scored == [(2, 154), (4, 154)]  # one call per chunk of each sweep
     # pruned scoring builds each mode unitary's row on the support once
     with pytest.raises(AssertionError, match="evolved"):
         exp_timing(delta_grid=(0.01,), prune_below=1e-7)
@@ -791,53 +830,37 @@ def test_timing_quartic_coefficient_by_spectral_differentiation(chain15):
 
 
 def test_fixed_order_products_are_scipys_bit_for_bit(chain15):
-    # minor_weights, W and the support fold were scipy sparse matrices; their
+    # W and the read and support folds were scipy sparse matrices; their
     # numpy tables add each column's entries in scipy's stored order and
     # form each complex product as scipy does, so the products keep scipy's
-    # bits, which keeps the exact timing and coupling CSVs byte-identical
+    # bits
     import scipy.sparse as sp
 
     setup = harness._revival_setup(chain15)
     stack = mode_unitaries(chain15, setup.duration + np.linspace(-0.3, 0.3, 16))
-    minors = mode_minors(stack, setup.plan)
-    mw = setup.minor_weights
-    # as the parent built it: (C x P) CSR, rows in pair order
-    scipy_mw = sp.csc_array((mw.value, (mw.row, mw.col)), mw.shape).T
-    assert (minors @ mw).tobytes() == (scipy_mw @ minors.T).T.tobytes()
     w = setup.evaluator.weights
     scipy_w = sp.csc_array((w.value, (w.row, w.col)), w.shape)
     scipy_w.sum_duplicates()
     rows = setup.support_rows(stack)
     xt = np.ascontiguousarray(rows.T)
     assert (rows @ w).tobytes() == (scipy_w.T @ xt).T.tobytes()
-    plan, fold = setup.support_plan
-    scipy_fold = sp.csr_array((fold.value, (fold.row, fold.col)), fold.shape)
-    support_minors = mode_minors(stack, plan)
-    assert (support_minors @ fold).tobytes() == (support_minors @ scipy_fold).tobytes()
-    # minor_weights is the fold of the minors W reads times W, one product an
-    # entry, as scipy's sparse product made it
-    read = np.unique(w.row)
-    _, read_fold = amplitude_plan(15, setup.evaluator.support[read], setup.encoded.amps)
-    scipy_read_fold = sp.csr_array((read_fold.value, (read_fold.row, read_fold.col)),
-                                   read_fold.shape)
-    want = sp.csc_array(scipy_read_fold @ sp.csr_array(scipy_w)[read]).T
-    want.sort_indices()
-    assert mw.nnz == want.nnz
-    got = sp.csr_array((mw.value, (mw.col, mw.row)), want.shape)
-    got.sort_indices()
-    for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
-        assert a.tobytes() == b.tobytes()
+    for plan, fold in (setup.support_plan, (setup.plan, setup.read_fold)):
+        scipy_fold = sp.csr_array((fold.value, (fold.row, fold.col)), fold.shape)
+        minors = mode_minors(stack, plan)
+        assert (minors @ fold).tobytes() == (minors @ scipy_fold).tobytes()
 
 
 def test_every_replaced_product_scores_a_member_alone_as_in_its_stack(chain15):
-    # the fixed-order tables and the dense K, applied per member: a member of a
-    # stack of 16 and the same member alone (a one-row stack, a 1-D row) agree
-    # bit for bit
+    # the fixed-order tables, the hop plans and both evaluators, applied per
+    # member: a member of a stack of 16 and the same member alone (a one-row
+    # stack, a 1-D row) agree bit for bit
     setup = harness._revival_setup(chain15)
     rng = np.random.default_rng(66)
     stack = mode_unitaries(chain15, setup.duration + rng.uniform(-0.3, 0.3, 16))
     plan, fold = setup.support_plan
-    cases = [(mode_minors(stack, setup.plan), setup.minor_weights),
+    read_rows = mode_minors(stack, setup.plan) @ setup.read_fold
+    cases = [(mode_minors(stack, setup.plan), setup.read_fold),
+             (read_rows, setup.read_evaluator.weights),
              (setup.support_rows(stack), setup.evaluator.weights),
              (mode_minors(stack, plan), fold)]
     for x, table in cases:
@@ -845,19 +868,21 @@ def test_every_replaced_product_scores_a_member_alone_as_in_its_stack(chain15):
         for k in range(16):
             assert (x[k:k + 1] @ table)[0].tobytes() == whole[k].tobytes()
             assert (x[k] @ table).tobytes() == whole[k].tobytes()
-    q = setup.single_z_forms(rng.integers(1, 16, 16), rng.uniform(0, setup.duration, 16))
-    k_table = setup.hop_overlaps
-    whole = np.matmul(q[:, None, :], k_table)[:, 0]
-    for k in range(16):
-        assert np.matmul(q[k:k + 1, None, :], k_table)[0, 0].tobytes() == whole[k].tobytes()
-    # the pruned rows phi - 2 n_v phi (apply_hops) and the pruning masses
+    # the exact and pruned rows phi - 2 n_v phi (apply_hops on read_hops and
+    # hops), the exact scores and the pruning masses
     sites, t_errs = rng.integers(1, 16, 16), rng.uniform(0, setup.duration, 16)
-    rows = setup.single_z_rows(sites, t_errs)
+    rows, flips = setup.single_z_rows(sites, t_errs), _read_rows(setup, sites, t_errs)
+    for x in (read_rows, flips):
+        success, _ = setup.read_evaluator.success(x)
+        for k in range(16):
+            assert setup.read_evaluator.success(x[k])[0] == success[k]
+            assert setup.read_evaluator.success(x[k:k + 1])[0].tobytes() == success[k:k + 1].tobytes()
     masses = setup.evaluator._prune_tables[2]
     overlaps = rng.standard_normal((16, masses.shape[0]))
     whole = overlaps @ masses
     for k in range(16):
         assert setup.single_z_rows(sites[k:k + 1], t_errs[k:k + 1])[0].tobytes() == rows[k].tobytes()
+        assert _read_rows(setup, sites[k:k + 1], t_errs[k:k + 1])[0].tobytes() == flips[k].tobytes()
         assert (overlaps[k] @ masses).tobytes() == whole[k].tobytes()
 
 
