@@ -224,7 +224,7 @@ def analyze_transfer(spec: ChainSpec, tolerance: float = 1e-10) -> TransferRepor
         if abs(end_amp(cand)) >= 1 - tolerance:
             t0 = cand
     if t0 is None:
-        from scipy.optimize import minimize_scalar  # here, not at load: 0.5-0.7 s on a 2-core Xeon
+        from scipy.optimize import minimize_scalar  # here, not at load: only this fallback needs it
 
         spread = max(float(evals[-1] - evals[0]), 1e-12)
         window = 8 * np.pi * n / spread

@@ -35,8 +35,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .code import StabilizerCode, encode
-from .hilbert import (FixedOrderTable, StateVector, _occupied_weights, _read_only, _work_array,
-                      sector_indices)
+from .hilbert import (FixedOrderTable, StateVector, _occupied_weights, _read_only, _sorted_unique,
+                      _work_array, sector_indices)
 from .pauli import PauliString, mask_of_sites, z_sign
 
 _EXACT_ZERO = 0.0
@@ -383,7 +383,7 @@ class RevivalEvaluator:
         # a repeated one overwrite another's position
         given = np.asarray(support, dtype=float)
         if (given.ndim != 1 or np.any((given < 0) | (given >= 1 << n) | (given != np.floor(given)))
-                or np.unique(given).size != given.size):
+                or _sorted_unique(given).size != given.size):
             raise ValueError(f"support must be distinct whole numbers in [0, 2^N), N = {n}")
         self.support = support = given.astype(np.int64)
         position = self._positions()
@@ -423,6 +423,29 @@ class RevivalEvaluator:
                                        (support.size, self.columns.size))
         self._work: dict = {}  # _pruned's gather buffers (hilbert._work_array)
         _read_only(*(value for value in vars(self).values() if isinstance(value, np.ndarray)))
+
+    def restricted(self) -> RevivalEvaluator:
+        """This evaluator on the support positions W reads, sharing its tables and columns.
+
+        W keeps its columns, entries and stored order, each entry's row
+        renumbered to its position among the kept ones, so the result is
+        RevivalEvaluator(code, alpha, beta, support=support[read]) with
+        `read` the positions W reads, built without re-encoding the
+        reference or rebuilding a column.  Unpruned, it scores a row on
+        those positions bit for bit as this evaluator scores any row that
+        agrees with it there; pruned masses read the whole support, so a
+        pruned score needs this evaluator.
+        """
+        w = self.weights
+        read = _sorted_unique(w.row)
+        sub = object.__new__(type(self))
+        sub.tables, sub.n_out, sub.check_masks, sub.columns = (
+            self.tables, self.n_out, self.check_masks, self.columns)
+        sub.support = _read_only(self.support[read])
+        sub.weights = FixedOrderTable(np.searchsorted(read, w.row), w.col, w.value,
+                                      (read.size, w.shape[1]))
+        sub._work = {}
+        return sub
 
     def _positions(self) -> np.ndarray:
         """Each basis index's position on the support; support.size off it."""

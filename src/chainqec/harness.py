@@ -40,6 +40,7 @@ from .hilbert import (
     apply_hops,
     from_density,
     hop_plan,
+    hop_reach,
     lindblad_evolve,
     mode_minors,
     mode_unitaries,
@@ -200,22 +201,25 @@ class RevivalSetup:
     such rows; the pruning threshold only picks the positions:
 
     - exact: the 154 support positions the weights W read (on minimal15),
-      scored by `read_evaluator`, which is W restricted to them, with the
-      same columns, entries and stored order.  The rows are the minors of
-      `plan` (459 5 x 5 complementary minors and the vacuum's 1, with
-      |+_L>) times `read_fold`, built here, or apply_hops on `read_hops`,
-      phi's hop plan at those positions, built on the first exact
-      single-Z call.
+      scored by `read_evaluator`, the evaluator restricted to them
+      (RevivalEvaluator.restricted): it shares the evaluator's decode
+      tables and columns and keeps W's entries and stored order, so one
+      set-up builds W once.  The rows are the minors of `plan` (459 5 x 5
+      complementary minors and the vacuum's 1, with |+_L>) times
+      `read_fold`, built here, or apply_hops on `read_hops`, phi's hop
+      plan at those positions, built on the first exact single-Z call
+      from phi on their one-hop reach alone (hop_reach, 1504 positions).
     - pruned: the whole support (3004 positions), scored by `evaluator`,
       since the branch and leaf masses are quadratic in the rows.  The
       rows are the minors of the support plan (9010 pairs with |+_L>)
-      times its fold (support_rows), or apply_hops on `hops`; both plans
-      are built on first use.
+      times its fold (support_rows), or apply_hops on `hops`, phi's hop
+      plan on the whole support; each is built on first use.
 
-    The arrival is support_rows at M = U(duration), built on the first
-    single-Z call, so exact timing and coupling sweeps build neither it
-    nor the support plan.  No scoring loads scipy.  Every array held
-    here, the evaluators' and the plans' included, is read-only, and the
+    phi is built by one routine (_arrival_at) on the positions a hop plan
+    reads, and phi on the whole support (`arrival`) only on the first
+    pruned single-Z call, so no exact sweep builds it or the support
+    plan.  No scoring loads scipy or numpy.ma.  Every array held here,
+    the evaluators' and the plans' included, is read-only, and the
     pruning threshold is an argument of each scoring call, so one set-up
     serves every sweep of a process on its chain (_revival_setup).
     """
@@ -233,12 +237,9 @@ class RevivalSetup:
         self.spectral_bound = report.spectral_bound
         self.encoded = encode(codeobj, alpha, beta)
         self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
-        # W at the support positions it reads, with the same columns, entries
-        # and stored order: it scores a row there as the evaluator scores any
-        # row that agrees with it at those positions
-        read = self.evaluator.support[np.unique(self.evaluator.weights.row)]
-        self.read_evaluator = RevivalEvaluator(codeobj, alpha, beta, support=read)
-        self.plan, self.read_fold = amplitude_plan(spec.n_sites, read, self.encoded.amps)
+        self.read_evaluator = self.evaluator.restricted()
+        self.plan, self.read_fold = amplitude_plan(spec.n_sites, self.read_evaluator.support,
+                                                   self.encoded.amps)
         _read_only(self.encoded.amps)
         self._work: dict = {}  # apply_hops' work buffers for both hop plans (hilbert._work_array)
 
@@ -255,21 +256,35 @@ class RevivalSetup:
         plan, fold = self.support_plan
         return mode_minors(m, plan) @ fold
 
-    @cached_property
-    def arrival(self) -> StateVector:
-        """phi = Gamma(U(duration))|encoded>, the error-free state at the read-out.
+    def _arrival_at(self, positions: np.ndarray) -> StateVector:
+        """phi = Gamma(U(duration))|encoded> at the basis indices `positions`, 0 elsewhere.
 
-        Built on the first single-Z call, from the support plan.
+        phi's amplitude at an index does not depend on the positions built
+        with it (amplitude_plan), so phi agrees, bit for bit, wherever two
+        calls both build it.
         """
         amps = np.zeros_like(self.encoded.amps)
-        m = mode_unitaries(self.spec, [self.duration])
-        amps[self.evaluator.support] = self.support_rows(m)[0]
+        plan, fold = amplitude_plan(self.spec.n_sites, positions, self.encoded.amps)
+        amps[positions] = (mode_minors(mode_unitaries(self.spec, [self.duration]), plan) @ fold)[0]
         return StateVector(_read_only(amps), self.spec.n_sites)
 
     @cached_property
+    def arrival(self) -> StateVector:
+        """phi, the error-free state at the read-out, on the whole support (_arrival_at).
+
+        Built on the first pruned single-Z call.
+        """
+        return self._arrival_at(self.evaluator.support)
+
+    @cached_property
     def read_hops(self) -> tuple:
-        """hop_plan of phi at the positions W reads, built on the first exact single-Z call."""
-        return hop_plan(self.arrival, self.read_evaluator.support)
+        """hop_plan of phi at the positions W reads, built on the first exact single-Z call.
+
+        phi is built only where that plan reads it (hop_reach), not on the
+        whole support, and is not kept.
+        """
+        n, read = self.spec.n_sites, self.read_evaluator.support
+        return hop_plan(self._arrival_at(hop_reach(n, read)), read)
 
     @cached_property
     def hops(self) -> tuple:

@@ -19,7 +19,8 @@ Laplace expansion over shared sub-minors (minor_plan), evaluated
 elementwise for a whole stack of M (mode_minors) and folded with the
 sources' amplitudes (amplitude_plan, which keeps the last few plans).
 apply_mode_unitary plans the whole occupied sectors of one state, and the
-revival set-up plans once either the few amplitudes the decoder reads or
+revival set-up plans once each set of amplitudes it reads: those the
+decoder reads, the arrival state on their one-hop reach (hop_reach) or
 the whole support.  The fold, like every sparse table an exact sweep
 reads, is a FixedOrderTable: numpy entry arrays whose product sums each
 column in stored order and rounds each complex product as scipy's
@@ -126,6 +127,18 @@ def _read_only(*arrays):
     return arrays[0] if len(arrays) == 1 else arrays
 
 
+def _sorted_unique(a) -> np.ndarray:
+    """The distinct values of `a`, flattened and ascending: np.unique(a) for values without NaN.
+
+    np.unique without return_* arguments asks whether `a` is masked, which
+    imports numpy.ma; nothing here uses it, so no sweep loads it.
+    """
+    a = np.sort(np.ravel(a))
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def basis_state(n_sites: int, excited_sites=()) -> StateVector:
     amps = np.zeros(1 << n_sites, dtype=complex)
     idx = 0
@@ -196,7 +209,7 @@ def _occupation_sum(values, states: np.ndarray) -> np.ndarray:
 
 def sector_sparse(spec: ChainSpec, weight: int) -> sp.csr_matrix:
     """The chain Hamiltonian restricted to one excitation sector."""
-    import scipy.sparse as sp  # here, not at load: 0.17-0.24 s on a 2-core Xeon
+    import scipy.sparse as sp  # here, not at load: only the oracles need it
 
     states, pairs = _sector_table(spec.n_sites, weight)
     both = np.hstack(pairs)
@@ -225,7 +238,7 @@ def sector_eig(spec: ChainSpec, weight: int) -> tuple[np.ndarray, np.ndarray, np
 
 def _occupied_weights(state: StateVector) -> list[int]:
     # != 0, not |a|^2 > 0: the square of an amplitude below ~1.5e-162 underflows to 0
-    return np.unique(np.bitwise_count(np.flatnonzero(state.amps != 0))).tolist()
+    return _sorted_unique(np.bitwise_count(np.flatnonzero(state.amps != 0))).tolist()
 
 
 def evolve(state: StateVector, spec: ChainSpec, t: float) -> StateVector:
@@ -410,11 +423,10 @@ class MinorPlan:
 
     `work` holds mode_minors' writable work buffers (_work_array): one
     per name, sized by the largest stack seen, reused by every later call,
-    so a warm call maps no fresh memory.  For the revival set-up's 460-pair
-    plan they come to about 1.4 MiB at S = 16, and about 10 MiB for its
-    9010-pair support plan, which only pruned stacks use.  So a plan is not
-    for concurrent use: two threads evaluating one plan at once would
-    write over each other's levels.
+    so a warm call maps no fresh memory.  They grow with the plan's node
+    count times the stack size.  So a plan is not for concurrent use: two
+    threads evaluating one plan at once would write over each other's
+    levels.
     """
 
     pairs: np.ndarray
@@ -464,11 +476,11 @@ def minor_plan(n_sites: int, targets, sources) -> MinorPlan:
     node, so the plan holds each once (45, 315, 990, 945 and 459 nodes at
     levels 1..5 for the revival set-up's 460 pairs).  The sign of term i is
     the same at every node of a level, so it is not stored.  Built with bit
-    masks, np.unique and searchsorted, never a loop over pairs or nodes
-    (about 2-3 ms for those 460 pairs); refuses N > 31, where a node's key
-    outgrows an int64, and, with ResourceLimitError, more pairs than
-    _MINOR_PLAN_MAX_PAIRS, counted from the two weight histograms before
-    the (targets x sources) comparison is allocated.
+    masks, sorting and searchsorted, never a loop over pairs or nodes;
+    refuses N > 31, where a node's key outgrows an int64, and, with
+    ResourceLimitError, more pairs than _MINOR_PLAN_MAX_PAIRS, counted
+    from the two weight histograms before the (targets x sources)
+    comparison is allocated.
     """
     n = n_sites
     if n > 31:
@@ -498,7 +510,7 @@ def minor_plan(n_sites: int, targets, sources) -> MinorPlan:
     keys, entries, child_keys = [], [], []
     wanted = np.empty(0, dtype=np.int64)  # the children the level above reads
     for level in range(int(size.max(initial=0)), 0, -1):
-        key = np.unique(np.concatenate([pair_keys[size == level], wanted]))
+        key = _sorted_unique(np.concatenate([pair_keys[size == level], wanted]))
         r, c = key >> n, key & low
         rows = _set_sites(r, n, level)
         last = _set_sites(c, n, level)[:, -1]
@@ -721,9 +733,8 @@ def amplitude_plan(n_sites: int, targets, amps: np.ndarray) -> tuple[MinorPlan, 
 
     The plan depends only on (N, targets, sources), so it is kept for the
     last few of those (_cached_minor_plan): applying Gamma(M) to states of
-    one nonzero pattern, as trajectory_sample does, plans once (the
-    9010-pair plan of |+_L> on 15 sites takes about 15 ms).  Callers share
-    a cached plan and its work buffers (MinorPlan).
+    one nonzero pattern, as trajectory_sample does, plans once.  Callers
+    share a cached plan and its work buffers (MinorPlan).
     """
     sources = np.flatnonzero(amps)
     targets = np.asarray(targets, dtype=np.int64)
@@ -761,16 +772,29 @@ def hop_plan(state: StateVector, support: np.ndarray) -> tuple:
     before = ~((bits << 1) - 1)  # the sites before site i + 1
     weights = np.bitwise_count(support)
     plan = []
-    for w in np.unique(weights).tolist():
+    for w in _sorted_unique(weights).tolist():
         at = np.flatnonzero(weights == w)
         y, create = support[at], w > n - w
         site = np.nonzero(((y[:, None] & bits) != 0) != create)[1].reshape(y.size, -1).T
-        mid = np.unique(y ^ bits[site])[:, None]  # the intermediate states the slots read
+        mid = _sorted_unique(y ^ bits[site])[:, None]  # the intermediate states the slots read
         table = np.where(((mid & bits) != 0) == create, z_sign(mid & before) * state.amps[mid ^ bits], 0)
         factor = site + n * ((z_sign(y & before[site]) < 0) != create)
         pos = np.searchsorted(mid[:, 0], y ^ bits[site])
         plan.append((at, create, *_read_only(table.T.copy(), state.amps[y], pos, factor)))
     return tuple(plan)
+
+
+def hop_reach(n_sites: int, support) -> np.ndarray:
+    """The basis indices, ascending, whose amplitudes hop_plan(state, support) puts in its tables.
+
+    Those are the support's own indices and every index one hop
+    c_i^dag c_j from one of them, one particle moved, so two states that
+    agree there have the same hop plan on `support`, bit for bit.
+    """
+    bits = 1 << (n_sites - 1 - np.arange(n_sites, dtype=np.int64))
+    y = np.asarray(support, dtype=np.int64)
+    moved = y[:, None, None] ^ bits[:, None] ^ bits  # (position, i, j): y ^ b_i ^ b_j
+    return _sorted_unique(moved[np.bitwise_count(moved) == np.bitwise_count(y)[:, None, None]])
 
 
 def apply_hops(plan: tuple, a: np.ndarray, b: np.ndarray, work: dict,
@@ -950,7 +974,7 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
     occupied[weight[rows], weight[cols]] = True
     keep = np.flatnonzero(occupied[weight[:, None], weight[None, :]])
     if keep.size <= _DENSE_LIOUVILLIAN_MAX_DIM:
-        dts = np.unique(steps)
+        dts = _sorted_unique(steps)
         generators = _kept_liouvillian(spec, gamma, keep) * dts[:, None, None]
         live = ~_negligible(generators, axis=(1, 2))
         expms = dict(zip(dts[live], _expm(generators[live])))
@@ -1017,7 +1041,7 @@ def _sector_liouvillian(spec: ChainSpec, gamma: float,
     diagonal, which is _kept_liouvillian's formula on those positions.  No
     4^N x 4^N operator is built.
     """
-    import scipy.sparse as sp  # here, not at load: 0.17-0.24 s on a 2-core Xeon
+    import scipy.sparse as sp  # here, not at load: only the oracles need it
 
     n, keep, blocks = spec.n_sites, [], []
     for a, b in zip(*np.nonzero(occupied)):

@@ -317,12 +317,13 @@ rc = main(sys.argv[1:])
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 packages = [m for m in scipy if hasattr(sys.modules[m], "__path__")
             and not any(part.startswith("_") for part in m.split("."))]
-print(json.dumps({"rc": rc, "scipy": scipy, "packages": packages}))
+print(json.dumps({"rc": rc, "scipy": scipy, "packages": packages,
+                  "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
 def _fresh_main(argv, tmp_path) -> dict:
-    """cli.main(argv) in a new interpreter: its exit code and the scipy modules it loaded."""
+    """cli.main(argv) in a new interpreter: its exit code and what it loaded (scipy, numpy.ma)."""
     if argv[0] not in ("transfer-check", "code-info"):
         argv = [*argv, "--out", str(tmp_path / "run")]
     src = str(Path(chainqec.__file__).resolve().parents[1])
@@ -355,6 +356,8 @@ def test_subcommand_loads_only_the_scipy_it_calls(argv, packages, tmp_path):
     # a fresh interpreter: this one has imported scipy for other tests
     out = _fresh_main(argv, tmp_path)
     assert out["packages"] == packages
+    # np.unique(a) alone loads numpy.ma, which no subcommand uses
+    assert out["numpy_ma"] is False
     if not packages:  # no scipy module at all, private ones included
         assert out["scipy"] == []
 

@@ -36,6 +36,7 @@ from chainqec.hilbert import (
     dense_unitary,
     evolve,
     hop_plan,
+    hop_reach,
     jump_unitary,
     minor_plan,
     mode_minors,
@@ -144,6 +145,28 @@ def test_single_z_quadratic_form_matches_dense_flip(spec, data):
     zsign = np.where(np.arange(1 << n) & site_bit(n, site), -1.0, 1.0)
     want = dense_unitary(spec, total - t) @ (zsign * (dense_unitary(spec, t) @ psi.amps))
     np.testing.assert_allclose(arrival.amps[support] - 2.0 * n_v, want[support], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_hop_plan_reads_the_state_only_on_its_hop_reach(n, data):
+    # hop_reach is each support index and every one-particle move of it, and
+    # a state that agrees with another there has the same hop plan, bit for
+    # bit: the revival set-up builds phi only there for its exact rows
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    support = rng.permutation(1 << n)[:data.draw(st.integers(1, 1 << n))]
+    reach = hop_reach(n, support)
+    moves = {y ^ (1 << i) ^ (1 << j) for y in support.tolist() for i in range(n) for j in range(n)
+             if i == j or (y >> i & 1) != (y >> j & 1)}
+    assert reach.tolist() == sorted(moves)
+    agreeing = np.where(np.isin(np.arange(1 << n), reach), amps, rng.standard_normal(1 << n))
+    full, part = hop_plan(StateVector(amps, n), support), hop_plan(StateVector(agreeing, n), support)
+    assert len(full) == len(part)
+    for group, other in zip(full, part):
+        for a, b in zip(group, other):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -259,12 +259,22 @@ def test_exact_single_z_matches_scored_rows(chain15):
                                rtol=0, atol=1e-13)
 
 
-def test_read_evaluator_is_the_evaluator_at_the_positions_w_reads(chain15):
+def test_read_evaluator_is_the_evaluator_at_the_positions_w_reads(chain15, monkeypatch):
     # the same columns, entries and stored order on the 154 read positions,
     # so an exact score of a row there equals, bit for bit, the
-    # whole-support evaluator's on any row agreeing with it there
-    setup = harness._revival_setup(chain15)
+    # whole-support evaluator's on any row agreeing with it there.  It is
+    # derived from the evaluator (restricted), not built: one
+    # RevivalEvaluator.__init__ per set-up
+    from chainqec.decoder import RevivalEvaluator
+
+    init, built = RevivalEvaluator.__init__, []
+    monkeypatch.setattr(RevivalEvaluator, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+    amp = 1 / np.sqrt(2)
+    setup = RevivalSetup(chain15, amp, amp)
+    assert len(built) == 1
     ev, read_ev = setup.evaluator, setup.read_evaluator
+    assert read_ev.tables is ev.tables and read_ev.columns is ev.columns
     read = np.unique(ev.weights.row)
     assert read.size == read_ev.support.size == 154
     assert np.array_equal(read_ev.support, ev.support[read])
@@ -272,11 +282,23 @@ def test_read_evaluator_is_the_evaluator_at_the_positions_w_reads(chain15):
     w, rw = ev.weights, read_ev.weights
     assert np.array_equal(read[rw.row], w.row) and np.array_equal(rw.col, w.col)
     assert rw.value.tobytes() == w.value.tobytes()
+    # a fresh evaluator built on those positions: the same support, columns,
+    # W entries in the same stored order, and the same bits
+    fresh = RevivalEvaluator(minimal15(), amp, amp, support=read_ev.support)
+    assert set(vars(fresh)) == set(vars(read_ev))
+    assert fresh.support.tobytes() == read_ev.support.tobytes()
+    assert fresh.columns.tobytes() == read_ev.columns.tobytes()
+    fw = fresh.weights
+    assert fw.shape == rw.shape
+    for name in ("row", "col", "value", "_gather", "_scale", "_place"):
+        assert getattr(fw, name).tobytes() == getattr(rw, name).tobytes(), name
+    assert fw._ends == rw._ends and fw._cross is None and rw._cross is None
     rng = np.random.default_rng(69)
     for s in (1, 5, 16):
         rows = rng.standard_normal((s, ev.support.size)) + 1j * rng.standard_normal((s, ev.support.size))
         success, _ = ev.success(rows)
         assert read_ev.success(rows[:, read])[0].tobytes() == success.tobytes()
+        assert fresh.success(rows[:, read])[0].tobytes() == success.tobytes()
 
 
 def _hop_rows_dense(state, support):
@@ -362,15 +384,19 @@ def test_pruned_sweeps_never_run_the_pipeline(monkeypatch):
 
 
 def test_exact_single_z_builds_no_rows(monkeypatch):
-    # exact rows are built at the 154 positions W reads; only pruned rows,
-    # whose masses read the whole support, are built on it.  A fresh set-up
-    # cache, so that no earlier call has built the arrival or a hop plan
+    # exact rows are built at the 154 positions W reads, from phi on their
+    # one-hop reach (1504 positions); only pruned rows, whose masses read the
+    # whole support, are built on it, and only they build phi there.  A fresh
+    # set-up cache, so that no earlier call has built the arrival or a hop plan
     monkeypatch.setattr(harness, "_revival_setup", lru_cache(harness._revival_setup.__wrapped__))
     build, calls = RevivalSetup.single_z_rows, []
     monkeypatch.setattr(
         RevivalSetup, "single_z_rows",
         lambda self, sites, t_errs: calls.append(len(sites)) or build(self, sites, t_errs),
     )
+    plan, planned = harness.amplitude_plan, []  # the targets of each amplitude plan
+    monkeypatch.setattr(harness, "amplitude_plan",
+                        lambda n, targets, amps: planned.append(len(targets)) or plan(n, targets, amps))
     exp_timing(delta_grid=(0.0, 0.01))
     exp_coupling(f_grid=(0.05,), instances=2, seed=1)
     setup = harness._revival_setup(pst_couplings(15))
@@ -380,9 +406,13 @@ def test_exact_single_z_builds_no_rows(monkeypatch):
     assert summary.min_success >= 1 - 1e-8
     assert not calls
     assert "read_hops" in vars(setup) and "hops" not in vars(setup)  # no whole-support hop plan
+    # neither the support plan nor phi on the whole support
+    assert not {"support_plan", "arrival"} & set(vars(setup))
+    assert planned == [154, 1504]  # the read fold at set-up, then phi on the reach
     assert [group[0].size for group in setup.read_hops] == [1, 153]
     pruned = exp_single_z(samples=20, seed=2, prune_below=1e-12)
     assert calls == [16, 4]  # one per chunk of 16
+    assert "arrival" in vars(setup) and planned == [154, 1504, 3004]
     np.testing.assert_allclose(pruned.successes, summary.successes, rtol=0, atol=1e-9)
 
 
@@ -398,10 +428,12 @@ def test_cached_setup_is_read_only():
     setup.success_single_z([3], [0.4])  # an exact call builds the arrival and read_hops
     setup.success_single_z([3], [0.4], 1e-12)  # a pruned call builds the hop plan
     plan = setup.plan
-    support_plan, support_table = setup.support_plan  # built with the arrival
+    support_plan, support_table = setup.support_plan  # built here: no single-Z call reads it
     arrays = _held_arrays(setup, setup.evaluator, setup.read_evaluator, setup.evaluator.tables,
                           setup.read_fold, support_table)
     arrays += [setup.encoded.amps, setup.arrival.amps]
+    # the read evaluator's support and W, derived from the evaluator's (restricted)
+    arrays += [setup.read_evaluator.support, *_held_arrays(setup.read_evaluator.weights)]
     for p in (plan, support_plan):
         arrays += [p.pairs, p.complementary, p.sign, p.node, *p.entries, *p.children]
     pruning = setup.evaluator._prune_tables  # built by the pruned call

@@ -11,6 +11,7 @@ from chainqec.errors import ResourceLimitError
 from chainqec.hilbert import (
     DensityMatrix,
     StateVector,
+    _sorted_unique,
     apply_mode_unitary,
     apply_pauli,
     basis_state,
@@ -422,6 +423,27 @@ def test_fixed_order_table_is_scipys_product_on_random_tables(seed):
         assert got.dtype == (float if seed % 2 == 0 else complex)
         assert got.tobytes() == (want.T @ np.ascontiguousarray(real.T)).T.tobytes()
         assert (real[0] @ table).tobytes() == got[0].tobytes()
+
+
+def test_sorted_unique_is_numpys_unique():
+    # np.unique(a) alone imports numpy.ma; its replacement gives the same values
+    rng = np.random.default_rng(12)
+    cases = [
+        np.empty(0, dtype=np.int64),
+        np.array([7]),
+        rng.integers(-5, 5, 40),
+        rng.integers(0, 2**40, (6, 7)),  # flattened, as np.unique flattens
+        np.bitwise_count(rng.integers(0, 2**15, 300)),  # uint8
+        np.round(rng.uniform(0.0, 1.0, 50), 1),
+        np.array([0.0, -0.0, 0.5, 0.0]),
+    ]
+    for a in cases:
+        got, want = _sorted_unique(a), np.unique(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    a = rng.integers(0, 9, 20)
+    before = a.copy()
+    _sorted_unique(a)
+    assert np.array_equal(a, before)  # the input is not sorted in place
 
 
 def test_mode_unitaries_reuse_one_eigendecomposition_per_chain():
