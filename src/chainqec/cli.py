@@ -104,7 +104,7 @@ def _prune(text: str) -> float:
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process (about 1.2 ms) and shared: do not modify it."""
+    """The CLI's parser, built once per process and shared: do not modify it."""
     ap = argparse.ArgumentParser(prog="chainqec", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)

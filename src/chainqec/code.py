@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResourceLimitError
-from .hilbert import StateVector
+from .hilbert import StateVector, _read_only
 from .pauli import PauliString, from_sites, symplectic_rank
 
 _ENCODE_MAX_QUBITS = 20
@@ -37,7 +37,9 @@ class StabilizerCode:
     dx: int  # distance against X errors
     dz: int  # distance against Z errors
     orientation: str  # "inner-bitflip" or "inner-phaseflip"
-    codeword_builder: Callable[[], tuple[np.ndarray, np.ndarray]] = field(
+    # (basis indices ascending, |0_L> values, |1_L> values) on the union of
+    # the two codewords' supports
+    codeword_builder: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         repr=False, compare=False, default=None
     )
 
@@ -69,8 +71,10 @@ class StabilizerCode:
             raise ResourceLimitError(
                 f"dense codewords limited to {_ENCODE_MAX_QUBITS} qubits"
             )
-        zero, one = self.codeword_builder()
-        return StateVector(zero, self.n_qubits), StateVector(one, self.n_qubits)
+        indices, zero, one = self.codeword_builder()
+        dense = np.zeros((2, 1 << self.n_qubits), dtype=complex)
+        dense[:, indices] = zero, one
+        return StateVector(dense[0], self.n_qubits), StateVector(dense[1], self.n_qubits)
 
     def to_tableau(self) -> str:
         """Text tableau: sign then x/z masks in hex, one operator per line."""
@@ -104,6 +108,23 @@ def _ghz_block(size: int, sign: int) -> np.ndarray:
     return v
 
 
+def _block_product(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indices, |0_L> values, |1_L> values) of a product of blocks, indices ascending.
+
+    Each block is (its number of sites, its basis indices ascending, the
+    |0_L> and |1_L> factors' values there), the first block on the
+    leftmost sites.  The values are multiplied pairwise as np.kron
+    multiplies the dense factors, so each equals the dense product's at
+    its index, bit for bit.
+    """
+    indices, zero = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+    one = zero
+    for size, block, block_zero, block_one in blocks:
+        indices = ((indices[:, None] << size) | block).ravel()
+        zero, one = np.kron(zero, block_zero), np.kron(one, block_one)
+    return indices, zero, one
+
+
 def minimal15() -> StabilizerCode:
     """The 15-qubit working example: 3 blocks of 5, sites numbered left to right.
 
@@ -120,11 +141,10 @@ def minimal15() -> StabilizerCode:
     )
 
     def build():
-        zero = one = np.ones(1, dtype=complex)
-        for _ in range(3):
-            zero = np.kron(zero, _ghz_block(5, +1))
-            one = np.kron(one, _ghz_block(5, -1))
-        return zero, one
+        # each block holds (|00000> +/- |11111>)/sqrt(2): two entries
+        ends = np.array([0, 31])
+        zero, one = (_ghz_block(5, sign)[ends] for sign in (+1, -1))
+        return _block_product([(5, ends, zero, one)] * 3)
 
     return StabilizerCode(
         n_qubits=n,
@@ -166,11 +186,8 @@ def shor_code(d: int) -> StabilizerCode:
         hd = np.ones((1, 1), dtype=complex)
         for _ in range(d):
             hd = np.kron(hd, had)
-        zero = one = np.ones(1, dtype=complex)
-        for _ in range(d):
-            zero = np.kron(zero, hd @ _ghz_block(d, +1))
-            one = np.kron(one, hd @ _ghz_block(d, -1))
-        return zero, one
+        block = np.arange(1 << d)
+        return _block_product([(d, block, hd @ _ghz_block(d, +1), hd @ _ghz_block(d, -1))] * d)
 
     return StabilizerCode(
         n_qubits=n,
@@ -196,12 +213,36 @@ def parity_condition(codeobj: StabilizerCode) -> bool:
     return all(p.x_weight() % 2 == 0 for p in ops)
 
 
+def encode_entries(codeobj: StabilizerCode, alpha: complex,
+                   beta: complex) -> tuple[np.ndarray, np.ndarray]:
+    """alpha |0_L> + beta |1_L> as its nonzero entries, (basis indices ascending, amplitudes).
+
+    Built from the codewords' entries (codeword_builder), never from a 2^N
+    array, and read-only.  Each amplitude is alpha z + beta o of the
+    codewords' values z and o, the products and sum numpy forms on the
+    dense codewords; those values are real, so each complex product is one
+    rounded real product plus exact zeros in every kernel, and the entries
+    are the dense sum's nonzero ones, bit for bit.  Refuses amplitudes
+    that are not finite or not normalised.
+    """
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-12:  # False for NaN too
+        raise ValueError(
+            "logical amplitudes must be finite and normalised: |alpha|^2 + |beta|^2 = 1"
+        )
+    indices, zero, one = codeobj.codeword_builder()
+    amps = alpha * zero + beta * one
+    keep = amps != 0
+    return _read_only(indices[keep], amps[keep])
+
+
 def encode(codeobj: StabilizerCode, alpha: complex, beta: complex) -> StateVector:
-    """Return alpha |0_L> + beta |1_L>."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-12:
-        raise ValueError("logical amplitudes must be normalised")
-    zero, one = codeobj.codewords()
-    return StateVector(alpha * zero.amps + beta * one.amps, codeobj.n_qubits)
+    """Return alpha |0_L> + beta |1_L>: encode_entries scattered into a 2^N vector."""
+    indices, values = encode_entries(codeobj, alpha, beta)
+    if codeobj.n_qubits > _ENCODE_MAX_QUBITS:
+        raise ResourceLimitError(f"dense codewords limited to {_ENCODE_MAX_QUBITS} qubits")
+    amps = np.zeros(1 << codeobj.n_qubits, dtype=complex)
+    amps[indices] = values
+    return StateVector(amps, codeobj.n_qubits)
 
 
 def logical_readout(

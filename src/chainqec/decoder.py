@@ -34,9 +34,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .code import StabilizerCode, encode
-from .hilbert import (FixedOrderTable, StateVector, _occupied_weights, _read_only, _sorted_unique,
-                      _work_array, sector_indices)
+from .code import StabilizerCode, encode, encode_entries
+from .hilbert import (FixedOrderTable, StateVector, _lookup, _read_only, _sorted_unique, _work_array,
+                      sector_indices)
 from .pauli import PauliString, mask_of_sites, z_sign
 
 _EXACT_ZERO = 0.0
@@ -342,12 +342,18 @@ def decode_pipeline(
 class RevivalEvaluator:
     """Success probability and pruned mass of the revival-mode pipeline, as fixed-order products.
 
-    Scores rows of amplitudes on `support`, a fixed list of basis indices:
-    by default the excitation sectors the encoded reference occupies, which
-    every revival state stays in (weights {0, 10}, 3004 of 32768 indices,
-    on minimal15); amplitudes off the support are not read.  A support
-    that is not distinct whole numbers in [0, 2^N), in any order, is
-    refused before any table is built.  Column (key, o) of the weight
+    The reference alpha|0_L> + beta|1_L> is built and held as its nonzero
+    entries, `reference` = (basis indices ascending, amplitudes)
+    (code.encode_entries), never as a 2^N vector, and RevivalSetup reads
+    it from here.  Scores rows of amplitudes on `support`, a fixed list of
+    basis indices: by default the excitation sectors the reference
+    occupies, which every revival state stays in (weights {0, 10}, 3004
+    of 32768 indices, on minimal15; hilbert.sector_indices, which builds
+    no 2^N array either); amplitudes off the support are not read.  A
+    support that is not distinct whole numbers in [0, 2^N), in any order,
+    is refused before any table is built.  A basis index's position on
+    the support is a lookup on the sorted support (_positions), so no
+    table over all 2^N indices is built.  Column (key, o) of the weight
     matrix W (support x column) folds the X/trailing-Z correction of
     bit-flip key `key`, the phase projector P_o and the Z correction
     cross_reference(o, flips) of the key's own flips into one
@@ -376,17 +382,16 @@ class RevivalEvaluator:
             raise ValueError("phase checks must be plain X-type")
         self.tables = tables = decoder_tables(codeobj)
         n = codeobj.n_qubits
-        ref = encode(codeobj, alpha, beta)
+        self.reference = ref_ind, ref_amps = encode_entries(codeobj, alpha, beta)
         if support is None:
-            support = np.concatenate([sector_indices(n, w) for w in _occupied_weights(ref)])
-        # a negative index would read from the end of the position table, and
-        # a repeated one overwrite another's position
+            weights = _sorted_unique(np.bitwise_count(ref_ind)).tolist()
+            support = np.concatenate([sector_indices(n, w) for w in weights])
+        # a negative or repeated index would have no one position on the support
         given = np.asarray(support, dtype=float)
         if (given.ndim != 1 or np.any((given < 0) | (given >= 1 << n) | (given != np.floor(given)))
                 or _sorted_unique(given).size != given.size):
             raise ValueError(f"support must be distinct whole numbers in [0, 2^N), N = {n}")
         self.support = support = given.astype(np.int64)
-        position = self._positions()
 
         n_out = self.n_out = 1 << len(zgens)
         # check_masks[S]: X mask of the product of the phase checks in S
@@ -407,11 +412,10 @@ class RevivalEvaluator:
         ], dtype=np.int64).reshape(-1, 3)
         syndromes = _syndrome_keys([gen.x_mask for gen in zgens], columns[:, 2])
         key, o, c2 = columns[syndromes == columns[:, 1]].T
-        ref_ind = np.flatnonzero(ref.amps)
         ind = ref_ind ^ tables.x_mask[key][:, None]  # (column, reference entry)
-        vals = np.conj(ref.amps[ref_ind]) * z_sign(ref_ind & c2[:, None])
+        vals = np.conj(ref_amps) * z_sign(ref_ind & c2[:, None])
         vals *= z_sign(ind & tables.z_trail[key][:, None])
-        pos = position[ind]
+        pos = self._positions(ind)
         cols = np.broadcast_to((key * n_out + o)[:, None], ind.shape)
         inner = pos < support.size  # columns with no entry on the support go
         # self.columns: the (key * n_out + o) of each column of W
@@ -428,7 +432,8 @@ class RevivalEvaluator:
         """This evaluator on the support positions W reads, sharing its tables and columns.
 
         W keeps its columns, entries and stored order, each entry's row
-        renumbered to its position among the kept ones, so the result is
+        renumbered to its position among the kept ones, and the reference's
+        entries are shared too, so the result is
         RevivalEvaluator(code, alpha, beta, support=support[read]) with
         `read` the positions W reads, built without re-encoding the
         reference or rebuilding a column.  Unpruned, it scores a row on
@@ -439,19 +444,21 @@ class RevivalEvaluator:
         w = self.weights
         read = _sorted_unique(w.row)
         sub = object.__new__(type(self))
-        sub.tables, sub.n_out, sub.check_masks, sub.columns = (
-            self.tables, self.n_out, self.check_masks, self.columns)
+        sub.tables, sub.reference, sub.n_out, sub.check_masks, sub.columns = (
+            self.tables, self.reference, self.n_out, self.check_masks, self.columns)
         sub.support = _read_only(self.support[read])
         sub.weights = FixedOrderTable(np.searchsorted(read, w.row), w.col, w.value,
                                       (read.size, w.shape[1]))
         sub._work = {}
         return sub
 
-    def _positions(self) -> np.ndarray:
-        """Each basis index's position on the support; support.size off it."""
-        position = np.full(1 << self.tables.code.n_qubits, self.support.size)
-        position[self.support] = np.arange(self.support.size)
-        return position
+    def _positions(self, indices) -> np.ndarray:
+        """Each of the basis indices' position on the support, support.size where it is off it.
+
+        A lookup on the sorted support (hilbert._lookup): no table over all
+        2^N indices is built.
+        """
+        return _lookup(self.support, np.arange(self.support.size), indices, self.support.size)
 
     @cached_property
     def _prune_tables(self) -> tuple:
@@ -478,7 +485,7 @@ class RevivalEvaluator:
         leaf_keys = np.flatnonzero(tables.correctable[present])
         leaf_col = np.full(present.size, -1)
         leaf_col[leaf_keys] = np.arange(leaf_keys.size)
-        partner = self._positions()[support[:, None] ^ self.check_masks]  # (p, S)
+        partner = self._positions(support[:, None] ^ self.check_masks)  # (p, S)
         p, check = np.nonzero(partner < support.size)
         pairs = np.stack([p, partner[p, check]])
         leaf = leaf_col[key_col[p]]
@@ -512,7 +519,7 @@ class RevivalEvaluator:
         if prune_below > 0.0:  # at 0 nothing can be dropped, so the masses are not needed
             kept, discarded = self._pruned(xt, prune_below)
             mass[~kept] = 0.0
-        success = _state_sums(mass)
+        success = _state_sums(mass, self._work)
         if np.ndim(rows) == 1:
             return float(success[0]), float(discarded[0])
         return success, discarded
@@ -529,9 +536,12 @@ class RevivalEvaluator:
         support pairs X_S connects.  Branch and leaf masses are therefore
         one real product of those pair overlaps (_prune_tables), each
         overlap formed as re re + im im in real arithmetic.  The two pair
-        gathers (complex) and the overlaps (float) go into the evaluator's
-        work buffers, grown to the largest chunk and reused, so a warm call
-        maps no fresh pages for them; not for concurrent use.
+        gathers (complex), the overlaps (float) and the state-major copies
+        the discarded sums read go into the evaluator's work buffers, grown
+        to the largest chunk and reused, and the masses are clipped and
+        masked in place, so a warm call maps no fresh pages for them (a
+        call's fresh arrays then stay below what glibc's dynamic thresholds
+        map or trim on every call); not for concurrent use.
         """
         pairs, leaf_keys, mass_weights, col_key, col_out = self._prune_tables
         p, q = pairs
@@ -548,14 +558,24 @@ class RevivalEvaluator:
         branch = masses[:n_keys]  # [key, state]
         # a leaf mass is a squared norm: clip the roundoff of empty leaves at 0;
         # leaf[decodable key, o, state]
-        leaf = np.maximum(masses[n_keys:].reshape(leaf_keys.size, self.n_out, xt.shape[1]), 0)
+        leaf = masses[n_keys:].reshape(leaf_keys.size, self.n_out, xt.shape[1])
+        np.maximum(leaf, 0, out=leaf)
         branch_kept = branch >= prune_below
         leaf_dropped = branch_kept[leaf_keys][:, None] & (leaf < prune_below)
-        discarded = _state_sums(branch * ~branch_kept) + _state_sums(leaf * leaf_dropped)
+        # the dropped masses, in place: masses is this call's own array
+        np.multiply(branch, ~branch_kept, out=branch)
+        np.multiply(leaf, leaf_dropped, out=leaf)
+        discarded = _state_sums(branch, self._work) + _state_sums(leaf, self._work)
         kept = branch_kept[leaf_keys[col_key]] & ~leaf_dropped[col_key, col_out]
         return kept, discarded
 
 
-def _state_sums(a: np.ndarray) -> np.ndarray:
-    """Per-state sums of a (..., state) array, added in an order independent of the state count."""
-    return np.ascontiguousarray(a.reshape(-1 if a.size else 0, a.shape[-1]).T).sum(axis=1)
+def _state_sums(a: np.ndarray, work: dict) -> np.ndarray:
+    """Per-state sums of a real (..., state) array, added in an order independent of the state count.
+
+    The sums read a state-major copy, made in `work`'s buffer (_work_array).
+    """
+    rows = a.reshape(-1 if a.size else 0, a.shape[-1])
+    state_major = _work_array(work, "state_major", rows.shape[1], rows.shape[0], float)
+    np.copyto(state_major, rows.T)
+    return state_major.sum(axis=1)

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainSpec, analyze_transfer, pst_couplings
-from .code import StabilizerCode, encode, minimal15, shor_code
+from .code import StabilizerCode, minimal15, shor_code
+from .code import encode  # noqa: F401  unused here, but perfbench/spans.py traces harness.encode
 from .decoder import RevivalEvaluator, check_prune
 from .errors import ResourceLimitError
 from .freefermion import chi_decay
@@ -57,6 +58,9 @@ _BRUTE_FORCE_MAX_SITES = 6
 # missing points) would differ from a fresh one; the chunk, batched-engine
 # and resume tests check this.  CHANGES.md records what a chunk costs.
 _CHUNK = 16
+# phi is planned in this many blocks of positions, so that no one plan of all
+# their pairs is held at once (RevivalSetup._arrival_at)
+_ARRIVAL_BLOCKS = 4
 
 DEFAULT_TIMING_GRID_POINTS = 21
 DEFAULT_TIMING_GRID_MAX_FRACTION = 0.1  # of t0
@@ -179,7 +183,11 @@ class RevivalSetup:
     The read-out is the paper's: the minimal15 code on the whole chain,
     holding alpha|0_L> + beta|1_L>, corrected at twice the transfer time.
 
-    Nothing here diagonalises a sector or evolves a state.  The chain is
+    Nothing here diagonalises a sector, evolves a state or holds an array
+    with 2^N entries.  The encoded state is held as its nonzero entries,
+    `reference` = (basis indices ascending, amplitudes): the evaluator's
+    reference (code.encode_entries, 4 entries for |+_L>), so one set-up
+    encodes once and never densely.  The chain is
     quadratic and number-conserving, so an error-free revival state, at a
     shifted read-out time or on a disordered chain, is Gamma(M)|encoded>
     for one N x N mode unitary M (mode_unitaries), and each of its
@@ -215,13 +223,17 @@ class RevivalSetup:
       times its fold (support_rows), or apply_hops on `hops`, phi's hop
       plan on the whole support; each is built on first use.
 
-    phi is built by one routine (_arrival_at) on the positions a hop plan
-    reads, and phi on the whole support (`arrival`) only on the first
-    pruned single-Z call, so no exact sweep builds it or the support
-    plan.  No scoring loads scipy or numpy.ma.  Every array held here,
-    the evaluators' and the plans' included, is read-only, and the
-    pruning threshold is an argument of each scoring call, so one set-up
-    serves every sweep of a process on its chain (_revival_setup).
+    phi is built by one routine (_arrival_at) as its values on the
+    positions a hop plan reads, never as a 2^N vector, from plans made in
+    blocks and freed, so no plan of the reach or of the whole support is
+    kept; phi on the whole support (`arrival`) is built only on the first
+    pruned single-Z call, so no exact sweep builds it or the support plan.
+    Support positions are found by lookups on the sorted support, not a
+    2^N table (RevivalEvaluator).  No scoring loads scipy or numpy.ma.
+    Every array held here, the evaluators' and the plans' included, is
+    read-only, and the pruning threshold is an argument of each scoring
+    call, so one set-up serves every sweep of a process on its chain
+    (_revival_setup).
     """
 
     def __init__(self, spec: ChainSpec, alpha: complex, beta: complex):
@@ -235,12 +247,11 @@ class RevivalSetup:
         self.transfer_time = report.transfer_time
         self.duration = 2.0 * report.transfer_time
         self.spectral_bound = report.spectral_bound
-        self.encoded = encode(codeobj, alpha, beta)
         self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
+        self.reference = self.evaluator.reference  # the encoded state's (indices, amplitudes)
         self.read_evaluator = self.evaluator.restricted()
         self.plan, self.read_fold = amplitude_plan(spec.n_sites, self.read_evaluator.support,
-                                                   self.encoded.amps)
-        _read_only(self.encoded.amps)
+                                                   self.reference)
         self._work: dict = {}  # apply_hops' work buffers for both hop plans (hilbert._work_array)
 
     @cached_property
@@ -249,28 +260,31 @@ class RevivalSetup:
 
         Built on first use: exact timing and coupling sweeps never read it.
         """
-        return amplitude_plan(self.spec.n_sites, self.evaluator.support, self.encoded.amps)
+        return amplitude_plan(self.spec.n_sites, self.evaluator.support, self.reference)
 
     def support_rows(self, m: np.ndarray) -> np.ndarray:
         """(S, support) rows Gamma(M)|encoded> on the support, one per member of the stack m."""
         plan, fold = self.support_plan
         return mode_minors(m, plan) @ fold
 
-    def _arrival_at(self, positions: np.ndarray) -> StateVector:
-        """phi = Gamma(U(duration))|encoded> at the basis indices `positions`, 0 elsewhere.
+    def _arrival_at(self, positions: np.ndarray) -> np.ndarray:
+        """phi = Gamma(U(duration))|encoded> at the basis indices `positions`, read-only.
 
-        phi's amplitude at an index does not depend on the positions built
-        with it (amplitude_plan), so phi agrees, bit for bit, wherever two
-        calls both build it.
+        The positions are planned in _ARRIVAL_BLOCKS blocks, each plan the
+        block's alone and freed once it is read (amplitude_plan), so no plan
+        of all their pairs is held at once.  A target's amplitude does not
+        depend on the targets planned with it, so phi has, at every index,
+        the bits any one plan gives it.
         """
-        amps = np.zeros_like(self.encoded.amps)
-        plan, fold = amplitude_plan(self.spec.n_sites, positions, self.encoded.amps)
-        amps[positions] = (mode_minors(mode_unitaries(self.spec, [self.duration]), plan) @ fold)[0]
-        return StateVector(_read_only(amps), self.spec.n_sites)
+        m = mode_unitaries(self.spec, [self.duration])
+        blocks = (amplitude_plan(self.spec.n_sites, block, self.reference)
+                  for block in np.array_split(positions, _ARRIVAL_BLOCKS))
+        return _read_only(np.concatenate([(mode_minors(m, plan) @ fold)[0]
+                                          for plan, fold in blocks]))
 
     @cached_property
-    def arrival(self) -> StateVector:
-        """phi, the error-free state at the read-out, on the whole support (_arrival_at).
+    def arrival(self) -> np.ndarray:
+        """phi, the error-free state at the read-out, on the evaluator's support (_arrival_at).
 
         Built on the first pruned single-Z call.
         """
@@ -280,16 +294,18 @@ class RevivalSetup:
     def read_hops(self) -> tuple:
         """hop_plan of phi at the positions W reads, built on the first exact single-Z call.
 
-        phi is built only where that plan reads it (hop_reach), not on the
-        whole support, and is not kept.
+        phi is built only where that plan reads it, on their one-hop reach
+        (hop_reach), and is not kept.
         """
         n, read = self.spec.n_sites, self.read_evaluator.support
-        return hop_plan(self._arrival_at(hop_reach(n, read)), read)
+        reach = hop_reach(n, read)
+        return hop_plan(n, (reach, self._arrival_at(reach)), read)
 
     @cached_property
     def hops(self) -> tuple:
         """hop_plan of phi on the evaluator's support, built on the first pruned single-Z call."""
-        return hop_plan(self.arrival, self.evaluator.support)
+        support = self.evaluator.support
+        return hop_plan(self.spec.n_sites, (support, self.arrival), support)
 
     def _modes(self, sites, t_errs) -> np.ndarray:
         """(S, N) modes v_k the flip of sample k rotates: row s of U(t_err - duration).

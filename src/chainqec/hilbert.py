@@ -17,15 +17,16 @@ sum_x c_x det M[y, x] (Terhal & DiVincenzo, PRA 65, 032325 (2002)), a sum
 of minors of M planned once for a set of targets and sources as one
 Laplace expansion over shared sub-minors (minor_plan), evaluated
 elementwise for a whole stack of M (mode_minors) and folded with the
-sources' amplitudes (amplitude_plan, which keeps the last few plans).
-apply_mode_unitary plans the whole occupied sectors of one state, and the
-revival set-up plans once each set of amplitudes it reads: those the
-decoder reads, the arrival state on their one-hop reach (hop_reach) or
-the whole support.  The fold, like every sparse table an exact sweep
-reads, is a FixedOrderTable: numpy entry arrays whose product sums each
-column in stored order and rounds each complex product as scipy's
-sparse kernels do, so it keeps their bits and computes each member of a
-stack alone.  evolve applies each occupied sector's sparse Hamiltonian
+sources' amplitudes (amplitude_plan, from the state's nonzero entries:
+no 2^N array).  apply_mode_unitary plans the whole occupied sectors of
+one state, keeping the last few plans, and the revival set-up plans each
+set of amplitudes it reads: those the decoder reads and the whole
+support, kept, and the arrival state on their one-hop reach (hop_reach)
+or the whole support, in blocks freed once read.  The fold, like every
+sparse table an exact sweep reads, is a FixedOrderTable: numpy entry
+arrays whose product sums each column in stored order and rounds each
+complex product as scipy's sparse kernels do, so it keeps their bits and
+computes each member of a stack alone.  evolve applies each occupied sector's sparse Hamiltonian
 with scipy's expm_multiply and serves as the exact N = 15 oracle,
 independent of the minors.  Neither caches anything that depends on the
 chain's couplings or fields; in this module only mode_unitaries (H1's
@@ -77,9 +78,8 @@ _DENSITY_MATRIX_MAX_SITES = 8
 _DENSE_H_MAX_SITES = 12
 _LINDBLAD_MAX_WORK = 1e7
 _DENSE_LIOUVILLIAN_MAX_DIM = 100
-# a dense N = 10 state to itself is 184 756 pairs: a 220 ms plan peaking at
-# 36 MiB (one BLAS thread, 2-core Xeon), the largest the limit admits; the
-# revival set-up's support plan is 9010
+# a dense N = 10 state to itself is 184 756 pairs, the largest plan the limit
+# admits; the revival set-up's support plan is 9010
 _MINOR_PLAN_MAX_PAIRS = 200_000
 
 if TYPE_CHECKING:
@@ -139,6 +139,20 @@ def _sorted_unique(a) -> np.ndarray:
     return a[keep]
 
 
+def _lookup(keys: np.ndarray, values: np.ndarray, at, default) -> np.ndarray:
+    """values[k] where keys[k] equals `at`, elementwise, and `default` where no key does.
+
+    `keys` are distinct, in any order; found by searchsorted on their
+    sorted order, so no table over the key range is built.
+    """
+    at = np.asarray(at)
+    if not keys.size:
+        return np.full(at.shape, default, dtype=values.dtype)
+    order = np.argsort(keys)
+    k = order[np.minimum(np.searchsorted(keys, at, sorter=order), keys.size - 1)]
+    return np.where(keys[k] == at, values[k], default)
+
+
 def basis_state(n_sites: int, excited_sites=()) -> StateVector:
     amps = np.zeros(1 << n_sites, dtype=complex)
     idx = 0
@@ -175,9 +189,20 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def sector_indices(n_sites: int, weight: int) -> np.ndarray:
-    """Basis indices with `weight` excited sites, descending (ascending combination order)."""
-    idx = np.arange((1 << n_sites) - 1, -1, -1, dtype=np.int64)
-    return idx[np.bitwise_count(idx) == weight]
+    """Basis indices with `weight` excited sites, descending (ascending combination order).
+
+    Built from the last site up: weight k on the last m + 1 sites is the
+    first of them occupied over weight k - 1 on the rest, then empty over
+    weight k, each part descending.  Only the weights the sites still to
+    come can complete are kept, so no array holds all 2^N indices.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    rows = {0: np.zeros(1, dtype=np.int64)}  # weight -> indices on the sites built so far
+    for m in range(n_sites):
+        bit = np.int64(1) << m
+        rows = {k: np.concatenate([bit | rows.get(k - 1, empty), rows.get(k, empty)])
+                for k in range(max(weight - (n_sites - 1 - m), 0), min(m + 1, weight) + 1)}
+    return rows.get(weight, empty)
 
 
 @lru_cache(maxsize=None)
@@ -313,16 +338,18 @@ def apply_mode_unitary(state: StateVector, m) -> StateVector:
     e^{-iHt} and Gamma(R) = Z_s for the reflection R = I - 2 e_s e_s^T
     (jump_unitary).  Each amplitude of the occupied sectors is
     sum_x c_x det M[y, x] over the state's nonzero entries x: one plan for
-    those targets and their fold (amplitude_plan), times the minors
-    (mode_minors).  Refuses an M of another size, or one that is not a
-    finite unitary (the complementary minors hold only for a unitary), and
-    a state whose plan outgrows the pair limit (minor_plan).
+    those targets and their fold (amplitude_plan, which keeps the plans
+    of the last few nonzero patterns), times the minors (mode_minors).
+    Refuses an M of another size, or one that is not a finite unitary (the
+    complementary minors hold only for a unitary), and a state whose plan
+    outgrows the pair limit (minor_plan).
     """
     n = state.n_sites
     m = check_mode_unitaries([m], n)
     weight = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
     targets = np.flatnonzero(np.isin(weight, weight[state.amps != 0]))
-    plan, fold = amplitude_plan(n, targets, state.amps)
+    sources = np.flatnonzero(state.amps)
+    plan, fold = amplitude_plan(n, targets, (sources, state.amps[sources]), keep=True)
     amps = np.zeros_like(state.amps)
     amps[targets] = (mode_minors(m, plan) @ fold)[0]
     return StateVector(amps, n)
@@ -452,9 +479,17 @@ def _work_array(work: dict, name: str, rows: int, cols: int, dtype=complex) -> n
     return buf[:rows * cols].reshape(rows, cols)
 
 
-def _set_sites(masks: np.ndarray, n: int, count: int) -> np.ndarray:
-    """(len(masks), count) positions of the set bits of each mask, ascending; each has count."""
-    return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(-1, count)
+def _set_sites(masks: np.ndarray, count: int) -> np.ndarray:
+    """(len(masks), count) positions of the set bits of each mask, ascending; each has count.
+
+    Lowest bit first, one (len(masks),) step per bit: no (masks x N) array.
+    """
+    sites = np.empty((masks.size, count), dtype=np.int64)
+    for k in range(count):
+        low = masks & -masks
+        sites[:, k] = np.bitwise_count(low - 1)
+        masks = masks ^ low
+    return sites
 
 
 def minor_plan(n_sites: int, targets, sources) -> MinorPlan:
@@ -476,7 +511,9 @@ def minor_plan(n_sites: int, targets, sources) -> MinorPlan:
     node, so the plan holds each once (45, 315, 990, 945 and 459 nodes at
     levels 1..5 for the revival set-up's 460 pairs).  The sign of term i is
     the same at every node of a level, so it is not stored.  Built with bit
-    masks, sorting and searchsorted, never a loop over pairs or nodes;
+    masks, sorting and searchsorted, never a loop over pairs or nodes nor
+    a (pairs x N) array, and each level's child keys are resolved and
+    freed before the level below is expanded;
     refuses N > 31, where a node's key outgrows an int64, and, with
     ResourceLimitError, more pairs than _MINOR_PLAN_MAX_PAIRS, counted
     from the two weight histograms before the (targets x sources)
@@ -494,35 +531,40 @@ def minor_plan(n_sites: int, targets, sources) -> MinorPlan:
             f"minor plan of {count} pairs exceeds the limit of {_MINOR_PLAN_MAX_PAIRS}"
         )
     target, source = np.nonzero(weight_y[:, None] == weight_x)
-    occ_y = (targets[target, None] & bits) != 0  # (pair, site)
-    occ_x = (sources[source, None] & bits) != 0
-    weight = occ_y.sum(axis=1)
-    complementary = weight > n - weight
-    site_sums = occ_y @ np.arange(n) + occ_x @ np.arange(n)
-    sign = np.where(complementary, 1.0 - 2.0 * (site_sums & 1), 1.0)
-    occ_y ^= complementary[:, None]
-    occ_x ^= complementary[:, None]
-    size = occ_y.sum(axis=1)
-    # node (R, C) as the key R << N | C, bit s of R or C for site s + 1
+    # per target and per source, not per pair: the sum of its site numbers
+    # less one, and its mask with bit s for site s + 1
     place = np.int64(1) << np.arange(n, dtype=np.int64)
-    pair_keys = ((occ_y @ place) << n) | (occ_x @ place)
+    occ_y, occ_x = ((idx[:, None] & bits) != 0 for idx in (targets, sources))  # (index, site)
+    sum_y, sum_x = occ_y @ np.arange(n), occ_x @ np.arange(n)
+    mask_y, mask_x = occ_y @ place, occ_x @ place
+    weight = weight_y[target].astype(np.int64)
+    complementary = weight > n - weight
+    site_sums = sum_y[target] + sum_x[source]
+    sign = np.where(complementary, 1.0 - 2.0 * (site_sums & 1), 1.0)
+    size = np.where(complementary, n - weight, weight)
+    # node (R, C) as the key R << N | C, bit s of R or C for site s + 1; a
+    # complementary pair takes the complements
     low = (np.int64(1) << n) - 1
-    keys, entries, child_keys = [], [], []
-    wanted = np.empty(0, dtype=np.int64)  # the children the level above reads
-    for level in range(int(size.max(initial=0)), 0, -1):
-        key = _sorted_unique(np.concatenate([pair_keys[size == level], wanted]))
-        r, c = key >> n, key & low
-        rows = _set_sites(r, n, level)
-        last = _set_sites(c, n, level)[:, -1]
-        # term i drops row r_i and the last column
-        child = ((r[:, None] ^ (1 << rows)) << n) | (c ^ (1 << last))[:, None]
+    flip = np.where(complementary, low, 0)
+    pair_keys = ((mask_y[target] ^ flip) << n) | (mask_x[source] ^ flip)
+    keys, entries, children = [], [], []
+    wanted = np.empty((0, 0), dtype=np.int64)  # the keys of the children the level above reads
+    for level in range(int(size.max(initial=0)), -1, -1):
+        if level:
+            key = _sorted_unique(np.concatenate([pair_keys[size == level], wanted.ravel()]))
+        else:
+            key = np.zeros(1, dtype=np.int64)  # level 0, the empty minor
+        if keys:  # the level above's children, as positions among this level's nodes
+            children.append(np.searchsorted(key, wanted))
         keys.append(key)
-        entries.append(rows * n + last[:, None])
-        child_keys.append(child)
-        wanted = child.ravel()
-    keys.append(np.zeros(1, dtype=np.int64))  # level 0, the empty minor
-    keys, entries, child_keys = keys[::-1], entries[::-1], child_keys[::-1]
-    children = [np.searchsorted(keys[level], child) for level, child in enumerate(child_keys)]
+        if level:
+            r, c = key >> n, key & low
+            rows = _set_sites(r, level)
+            last = _set_sites(c, level)[:, -1]
+            entries.append(rows * n + last[:, None])
+            # term i drops row r_i and the last column
+            wanted = ((r[:, None] ^ (1 << rows)) << n) | (c ^ (1 << last))[:, None]
+    keys, entries, children = keys[::-1], entries[::-1], children[::-1]
     offsets = np.cumsum([0] + [k.size for k in keys])
     node = np.empty(size.size, dtype=np.int64)
     for level, key in enumerate(keys):
@@ -647,9 +689,9 @@ class FixedOrderTable:
     entry of each column with more than j, the columns ranked by entry
     count, most first, so the columns a slot adds to are a leading block
     of that ranking, and the sums are taken slot by slot into contiguous
-    slices.  The gathers, products and tiled values live in
-    work buffers (_work_array), so a warm call maps no fresh pages for
-    them: a table is not for concurrent use.
+    slices.  The gathers, products, tiled values and sums live in work
+    buffers (_work_array), so a warm call maps no fresh pages for them and
+    allocates only its result: a table is not for concurrent use.
     """
 
     __array_ufunc__ = None  # so that ndarray @ table calls __rmatmul__
@@ -712,7 +754,8 @@ class FixedOrderTable:
             np.multiply(self._tiled("cross", self._cross, s), gathered.view(float),
                         out=term.view(float))
             prod += term
-        sums = np.zeros((self.shape[1], s), dtype=dtype)
+        sums = _work_array(self._work, "sums", self.shape[1], s, dtype)
+        sums[...] = 0
         start = 0
         for end in self._ends:
             sums[:end - start] += prod[start:end]
@@ -721,33 +764,45 @@ class FixedOrderTable:
         return out.T if x.ndim == 2 else out[:, 0]
 
 
-def amplitude_plan(n_sites: int, targets, amps: np.ndarray) -> tuple[MinorPlan, FixedOrderTable]:
+def amplitude_plan(n_sites: int, targets, entries,
+                   keep: bool = False) -> tuple[MinorPlan, FixedOrderTable]:
     """The minor plan of <y|Gamma(M)|psi> for each target y, and its fold, read-only.
 
-    psi is the 2^N amplitudes `amps`; the plan (minor_plan) pairs each
-    target with the nonzero entries x of psi of its weight, and the fold is
-    a (pair x target) table whose row p holds sign_p c_x in target y's
-    column.  So mode_minors(m, plan) @ fold is sum_x c_x det M[y, x] per
-    member and target, each target summed over its pairs in plan order
-    (FixedOrderTable): a member's amplitudes do not depend on its stack.
+    psi is given by its nonzero entries, `entries` = (basis indices
+    ascending, amplitudes), as code.encode_entries gives them: no 2^N
+    array is read.  The plan (minor_plan) pairs each target with the
+    entries x of its weight, and the fold is a (pair x target) table whose
+    row p holds sign_p c_x in target y's column.  So mode_minors(m, plan)
+    @ fold is sum_x c_x det M[y, x] per member and target, each target
+    summed over its pairs in plan order (FixedOrderTable): a member's
+    amplitudes do not depend on its stack, and a target's do not depend
+    on the targets planned with it.
 
-    The plan depends only on (N, targets, sources), so it is kept for the
-    last few of those (_cached_minor_plan): applying Gamma(M) to states of
-    one nonzero pattern, as trajectory_sample does, plans once.  Callers
-    share a cached plan and its work buffers (MinorPlan).
+    The plan depends only on (N, targets, sources).  With `keep` it is
+    taken from, and left in, a cache of the last few (_cached_minor_plan):
+    applying Gamma(M) to states of one nonzero pattern, as
+    trajectory_sample does, plans once, and its callers share the plan and
+    its work buffers (MinorPlan).  Without it the plan is the caller's
+    alone and is freed with it.
     """
-    sources = np.flatnonzero(amps)
+    sources, values = (np.asarray(a) for a in entries)
     targets = np.asarray(targets, dtype=np.int64)
-    plan = _cached_minor_plan(n_sites, targets.tobytes(), sources.tobytes())
+    if keep:
+        plan = _cached_minor_plan(n_sites, targets.tobytes(), sources.astype(np.int64).tobytes())
+    else:
+        plan = minor_plan(n_sites, targets, sources)
     target, source = plan.pairs
-    fold = FixedOrderTable(np.arange(target.size), target, plan.sign * amps[sources[source]],
+    fold = FixedOrderTable(np.arange(target.size), target, plan.sign * values[source],
                            (target.size, len(targets)))
     return plan, fold
 
 
-def hop_plan(state: StateVector, support: np.ndarray) -> tuple:
+def hop_plan(n_sites: int, entries, support: np.ndarray) -> tuple:
     """Read-only tables of sum_ij a_i b_j c_i^dag c_j |state> on `support`, for apply_hops.
 
+    The state is given by `entries` = (basis indices, amplitudes), the
+    indices distinct and in any order, and is 0 off them (_lookup): no
+    2^N array is read, and entries on its hop reach (hop_reach) suffice.
     `support` is an int64 array of basis indices, in any order.  Each
     excitation weight w of it takes the route with min(w, N - w) gathers a
     position, as minor_plan does: for w > N - w the anticommutator,
@@ -767,7 +822,7 @@ def hop_plan(state: StateVector, support: np.ndarray) -> tuple:
     state's to the bit, and c_i^dag c_i through w + 1 is phi - phi = 0
     or phi - 0 = phi exactly.
     """
-    n = state.n_sites
+    n, (keys, values) = n_sites, (np.asarray(a) for a in entries)
     bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))  # b_i of site i + 1
     before = ~((bits << 1) - 1)  # the sites before site i + 1
     weights = np.bitwise_count(support)
@@ -777,10 +832,12 @@ def hop_plan(state: StateVector, support: np.ndarray) -> tuple:
         y, create = support[at], w > n - w
         site = np.nonzero(((y[:, None] & bits) != 0) != create)[1].reshape(y.size, -1).T
         mid = _sorted_unique(y ^ bits[site])[:, None]  # the intermediate states the slots read
-        table = np.where(((mid & bits) != 0) == create, z_sign(mid & before) * state.amps[mid ^ bits], 0)
+        hopped = _lookup(keys, values, mid ^ bits, 0)
+        table = np.where(((mid & bits) != 0) == create, z_sign(mid & before) * hopped, 0)
+        amps = _lookup(keys, values, y, 0)
         factor = site + n * ((z_sign(y & before[site]) < 0) != create)
         pos = np.searchsorted(mid[:, 0], y ^ bits[site])
-        plan.append((at, create, *_read_only(table.T.copy(), state.amps[y], pos, factor)))
+        plan.append((at, create, *_read_only(table.T.copy(), amps, pos, factor)))
     return tuple(plan)
 
 

@@ -141,7 +141,8 @@ def test_single_z_quadratic_form_matches_dense_flip(spec, data):
     arrival = apply_mode_unitary(psi, mode_unitaries(spec, [total])[0])
     v = mode_unitaries(spec, [t - total])[0, site - 1]
     support = rng.permutation(1 << n)
-    n_v = apply_hops(hop_plan(arrival, support), v.conj()[None], v[None], {})[:, 0]
+    plan = hop_plan(n, (np.arange(1 << n), arrival.amps), support)
+    n_v = apply_hops(plan, v.conj()[None], v[None], {})[:, 0]
     zsign = np.where(np.arange(1 << n) & site_bit(n, site), -1.0, 1.0)
     want = dense_unitary(spec, total - t) @ (zsign * (dense_unitary(spec, t) @ psi.amps))
     np.testing.assert_allclose(arrival.amps[support] - 2.0 * n_v, want[support], rtol=0, atol=1e-12)
@@ -152,7 +153,8 @@ def test_single_z_quadratic_form_matches_dense_flip(spec, data):
 def test_hop_plan_reads_the_state_only_on_its_hop_reach(n, data):
     # hop_reach is each support index and every one-particle move of it, and
     # a state that agrees with another there has the same hop plan, bit for
-    # bit: the revival set-up builds phi only there for its exact rows
+    # bit, as has its entries there alone: the revival set-up builds phi only
+    # there for its exact rows
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     support = rng.permutation(1 << n)[:data.draw(st.integers(1, 1 << n))]
@@ -161,12 +163,16 @@ def test_hop_plan_reads_the_state_only_on_its_hop_reach(n, data):
              if i == j or (y >> i & 1) != (y >> j & 1)}
     assert reach.tolist() == sorted(moves)
     agreeing = np.where(np.isin(np.arange(1 << n), reach), amps, rng.standard_normal(1 << n))
-    full, part = hop_plan(StateVector(amps, n), support), hop_plan(StateVector(agreeing, n), support)
-    assert len(full) == len(part)
-    for group, other in zip(full, part):
-        for a, b in zip(group, other):
-            a, b = np.asarray(a), np.asarray(b)
-            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    everywhere = np.arange(1 << n)
+    full = hop_plan(n, (everywhere, amps), support)
+    for part in (hop_plan(n, (everywhere, agreeing), support),
+                 hop_plan(n, (reach, amps[reach]), support),
+                 hop_plan(n, (reach[::-1], amps[reach[::-1]]), support)):  # entries in any order
+        assert len(full) == len(part)
+        for group, other in zip(full, part):
+            for a, b in zip(group, other):
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,6 +290,9 @@ def test_sector_indices_match_combination_loop(n):
             for combo in combinations(range(1, n + 1), weight)
         ]
         np.testing.assert_array_equal(sector_indices(n, weight), np.array(loop, dtype=np.int64))
+    for weight in (-1, n + 1):  # no such sector
+        got = sector_indices(n, weight)
+        assert got.dtype == np.int64 and got.size == 0
 
 
 def test_occupied_weights_match_loop():

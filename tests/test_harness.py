@@ -26,6 +26,7 @@ from chainqec.harness import (
 )
 from chainqec.hilbert import (
     FixedOrderTable,
+    StateVector,
     amplitude_plan,
     apply_hops,
     apply_mode_unitary,
@@ -36,9 +37,26 @@ from chainqec.hilbert import (
     mode_unitaries,
     sector_indices,
     sector_sparse,
+    stack_mode_unitaries,
 )
 from chainqec.noise import disordered_spec
 from chainqec.pauli import from_sites, pauli_z
+
+
+def _encoded(setup) -> StateVector:
+    """The set-up's encoded state as a dense 2^N vector, scattered from its entries (reference)."""
+    indices, values = setup.reference
+    amps = np.zeros(1 << setup.spec.n_sites, dtype=complex)
+    amps[indices] = values
+    return StateVector(amps, setup.spec.n_sites)
+
+
+def _on_support(setup, rows) -> np.ndarray:
+    """(S, 2^N) rows on the evaluator's support scattered into dense vectors, 0 off it."""
+    rows = np.atleast_2d(rows)
+    dense = np.zeros((len(rows), 1 << setup.spec.n_sites), dtype=complex)
+    dense[:, setup.evaluator.support] = rows
+    return dense
 
 
 def test_manifest_json_records_every_field():
@@ -169,7 +187,7 @@ def test_setup_engine_matches_success_probability(code15, chain15):
     cases = [(4, 0.31), (13, 2.9)]
     fast, _ = setup.success_single_z(*zip(*cases))
     for (site, t_err), got in zip(cases, fast):
-        noisy = inject_single_z(setup.encoded, chain15, site, t_err, setup.duration)
+        noisy = inject_single_z(_encoded(setup), chain15, site, t_err, setup.duration)
         want = decode_pipeline(noisy, code15, opts).success_probability
         assert got == pytest.approx(want, abs=1e-11)
 
@@ -222,9 +240,8 @@ def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
     rows = setup.single_z_rows(sites, t_errs)
     success, _ = setup.success_single_z(sites, t_errs)
     for k, (site, t_err) in enumerate(cases):
-        got = np.zeros_like(setup.encoded.amps)
-        got[setup.evaluator.support] = rows[k]
-        want = inject_single_z(setup.encoded, chain15, site, t_err, total)
+        got = _on_support(setup, rows[k])[0]
+        want = inject_single_z(_encoded(setup), chain15, site, t_err, total)
         np.testing.assert_allclose(got, want.amps, rtol=0, atol=1e-12)
         oracle = decode_pipeline(want, code15, DecodeOptions(mode="revival"))
         assert success[k] == pytest.approx(oracle.success_probability, abs=1e-12)
@@ -333,7 +350,7 @@ def test_hop_plan_reads_the_hopped_states_bit_for_bit(chain15):
     eye = np.eye(15, dtype=complex)
     for hops, support in ((setup.read_hops, setup.read_evaluator.support),
                           (setup.hops, setup.evaluator.support)):
-        want = _hop_rows_dense(setup.arrival, support)
+        want = _hop_rows_dense(StateVector(_on_support(setup, setup.arrival)[0], 15), support)
         for i in range(15):  # rows 15 i .. 15 i + 14: the pairs (e_i, e_j)
             hopped = apply_hops(hops, np.repeat(eye[i:i + 1], 15, axis=0), eye, {})
             assert hopped.T.tobytes() == want[15 * i:15 * i + 15].tobytes()
@@ -408,11 +425,14 @@ def test_exact_single_z_builds_no_rows(monkeypatch):
     assert "read_hops" in vars(setup) and "hops" not in vars(setup)  # no whole-support hop plan
     # neither the support plan nor phi on the whole support
     assert not {"support_plan", "arrival"} & set(vars(setup))
-    assert planned == [154, 1504]  # the read fold at set-up, then phi on the reach
+    # the read fold at set-up, then phi on the reach, 1504 targets in 4 blocks
+    assert planned == [154, 376, 376, 376, 376]
     assert [group[0].size for group in setup.read_hops] == [1, 153]
     pruned = exp_single_z(samples=20, seed=2, prune_below=1e-12)
     assert calls == [16, 4]  # one per chunk of 16
-    assert "arrival" in vars(setup) and planned == [154, 1504, 3004]
+    # phi on the whole support, 3004 targets in 4 blocks, and still no support plan
+    assert "arrival" in vars(setup) and "support_plan" not in vars(setup)
+    assert planned == [154, 376, 376, 376, 376, 751, 751, 751, 751]
     np.testing.assert_allclose(pruned.successes, summary.successes, rtol=0, atol=1e-9)
 
 
@@ -431,7 +451,7 @@ def test_cached_setup_is_read_only():
     support_plan, support_table = setup.support_plan  # built here: no single-Z call reads it
     arrays = _held_arrays(setup, setup.evaluator, setup.read_evaluator, setup.evaluator.tables,
                           setup.read_fold, support_table)
-    arrays += [setup.encoded.amps, setup.arrival.amps]
+    arrays += [*setup.reference, setup.arrival]
     # the read evaluator's support and W, derived from the evaluator's (restricted)
     arrays += [setup.read_evaluator.support, *_held_arrays(setup.read_evaluator.weights)]
     for p in (plan, support_plan):
@@ -577,6 +597,134 @@ def logical_setup(request):
     return RevivalSetup(pst_couplings(15), *LOGICALS[request.param])
 
 
+class _NoStateSizedArrays:
+    """numpy as a module sees it, refusing any function result with an axis of 2^n entries.
+
+    Every array is made by a numpy function (a constructor, a gather, a
+    sort) or derived from arrays that were, by arithmetic or indexing that
+    keeps their axes, so an array over all 2^n basis indices shows here.
+    Types and ufuncs pass through unwrapped: a ufunc's axes are its
+    operands'.
+    """
+
+    def __init__(self, n: int):
+        self.dim = 1 << n
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, (type, np.ufunc)):
+            return attr
+
+        def guarded(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            for a in out if isinstance(out, tuple) else (out,):
+                assert not (isinstance(a, np.ndarray) and self.dim in a.shape), (name, a.shape)
+            return out
+
+        return guarded
+
+
+def test_revival_setup_holds_and_builds_no_state_sized_array(chain15, monkeypatch):
+    # the set-up is built from the encoded state's nonzero entries: no 2^N
+    # vector, position table or arrival buffer, and the reach's minor plans
+    # are freed, not cached.  The traced peak of a fresh set-up was 2.51 MiB
+    # with a dense encoded state (twice) and position table; 0.45 MiB here
+    import sys
+    import tracemalloc
+
+    from chainqec import hilbert
+
+    RevivalSetup(chain15, 2**-0.5, 2**-0.5)  # the per-chain and per-code caches, warm
+    tracemalloc.start()
+    try:
+        setup = RevivalSetup(chain15, 2**-0.5, 2**-0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, peak
+    guard = _NoStateSizedArrays(chain15.n_sites)
+    for module in [m for name, m in sys.modules.items() if name.startswith("chainqec")]:
+        if getattr(module, "np", None) is np:
+            monkeypatch.setattr(module, "np", guard)
+    cached = hilbert._cached_minor_plan.cache_info()
+    fresh = RevivalSetup(chain15, 2**-0.5, 2**-0.5)
+    rng = np.random.default_rng(73)
+    sites, t_errs = rng.integers(1, 16, 16), rng.uniform(0.0, fresh.duration, 16)
+    success, _ = fresh.success_single_z(sites, t_errs)  # the first exact chunk builds read_hops
+    m = mode_unitaries(chain15, fresh.duration + np.linspace(-0.1, 0.1, 16))
+    stacked, _ = fresh.success_mode_unitaries(m)
+    monkeypatch.undo()
+    # no reach plan (or any other) was left in the cache of minor plans
+    assert hilbert._cached_minor_plan.cache_info() == cached
+    assert success.tobytes() == setup.success_single_z(sites, t_errs)[0].tobytes()
+    assert stacked.tobytes() == setup.success_mode_unitaries(m)[0].tobytes()
+    assert not any(isinstance(value, StateVector) for value in vars(fresh).values())
+
+
+@pytest.mark.parametrize("logical", list(LOGICALS))
+def test_revival_setup_encodes_nothing_and_reads_the_encoded_entries(chain15, code15, logical,
+                                                                     monkeypatch):
+    # one set-up builds the encoded state's entries once (in its evaluator)
+    # and never the dense state: code.encode ran twice per set-up, once for
+    # the set-up's state and once for the evaluator's reference
+    from chainqec import code, decoder
+    from chainqec.code import encode, encode_entries
+    from chainqec.decoder import RevivalEvaluator
+    from chainqec.pauli import mask_of_sites, z_sign
+
+    alpha, beta = LOGICALS[logical]
+    calls = []
+    for module in (code, decoder, harness):
+        monkeypatch.setattr(module, "encode", lambda *args: calls.append(args) or encode(*args),
+                            raising=False)
+    setup = RevivalSetup(chain15, alpha, beta)
+    assert calls == []
+    monkeypatch.undo()
+    # the entries are the dense state's nonzero ones, and the codewords', byte for byte
+    dense = encode(code15, alpha, beta).amps
+    zero, one = code15.codewords()
+    formula = alpha * zero.amps + beta * one.amps  # as encode once formed the dense state
+    for indices, values in (setup.reference, encode_entries(code15, alpha, beta)):
+        assert indices.dtype == np.int64 and values.dtype == complex
+        assert indices.tobytes() == np.flatnonzero(dense).tobytes() == np.flatnonzero(formula).tobytes()
+        assert values.tobytes() == dense[indices].tobytes() == formula[indices].tobytes()
+    # the set-up's evaluator is RevivalEvaluator(code, alpha, beta), entry for entry
+    ev, fresh = setup.evaluator, RevivalEvaluator(code15, alpha, beta)
+    assert ev.support.tobytes() == fresh.support.tobytes()
+    assert ev.columns.tobytes() == fresh.columns.tobytes()
+    for name in ("row", "col", "value", "_gather", "_scale", "_place"):
+        assert getattr(ev.weights, name).tobytes() == getattr(fresh.weights, name).tobytes(), name
+    # and each W entry is the dense reference's conjugated, corrected amplitude:
+    # row y of column (key, o) reads source y ^ x_mask[key], signed by the
+    # key's trailing Z at y and the column's Z correction at the source
+    tables, n_out = ev.tables, ev.n_out
+    key, o = ev.columns[ev.weights.col] // n_out, ev.columns[ev.weights.col] % n_out
+    y = ev.support[ev.weights.row]
+    source = y ^ tables.x_mask[key]
+    c2 = np.array([mask_of_sites(15, tables.cross_reference(int(b), tables.x_table[int(k)]) or ())
+                   for k, b in zip(key, o)], dtype=np.int64)
+    want = np.conj(dense[source]) * z_sign(source & c2) * z_sign(y & tables.z_trail[key])
+    assert ev.weights.value.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 0.0), (0.0, np.nan), (complex(1, np.nan), 0.0),
+                                         (np.inf, 0.0), (1.0, 0.5)])
+def test_every_entry_point_refuses_logical_amplitudes_that_are_not_normalised(chain15, code15,
+                                                                               alpha, beta):
+    # a NaN amplitude once passed the normalisation check: encode returned a
+    # NaN state, decode_pipeline a NaN success, and RevivalSetup died on a
+    # minor plan of every basis index of the NaN state
+    from chainqec.code import encode, encode_entries
+    from chainqec.decoder import DecodeOptions, decode_pipeline
+
+    state = encode(code15, 2**-0.5, 2**-0.5)
+    for call in (lambda: encode(code15, alpha, beta), lambda: encode_entries(code15, alpha, beta),
+                 lambda: decode_pipeline(state, code15, DecodeOptions(alpha=alpha, beta=beta)),
+                 lambda: RevivalSetup(chain15, alpha, beta)):
+        with pytest.raises(ValueError, match=r"normalised: \|alpha\|\^2 \+ \|beta\|\^2 = 1"):
+            call()
+
+
 @lru_cache(maxsize=None)
 def _expm_codewords(spec, duration, jumps) -> tuple[np.ndarray, ...]:
     """|0_L> and |1_L> evolved by expm between the jumps' phase flips, once per scenario.
@@ -601,7 +749,7 @@ def _expm_row(setup, spec, duration, jumps=()) -> np.ndarray:
     Evolution is linear, so the state is alpha and beta times the evolved
     codewords (_expm_codewords), alpha and beta read from the encoded state.
     """
-    alpha, beta, _ = logical_readout(minimal15(), setup.encoded)
+    alpha, beta, _ = logical_readout(minimal15(), _encoded(setup))
     zero, one = _expm_codewords(spec, float(duration), tuple(jumps))
     return (alpha * zero + beta * one)[setup.evaluator.support]
 
@@ -691,7 +839,7 @@ def test_minors_match_expm_and_pipeline(code15, chain15):
         value = setup.success_mode_unitaries(mode_unitaries(perturbed, [setup.duration]))[0][0]
         cases.append((value, perturbed, setup.duration))
     for value, spec, t in cases:
-        psi = evolve(setup.encoded, spec, t)
+        psi = evolve(_encoded(setup), spec, t)
         want = decode_pipeline(psi, code15, opts).success_probability
         assert value == pytest.approx(want, abs=1e-10)
 
@@ -728,13 +876,14 @@ def test_arrival_is_the_expm_evolution_built_on_first_use(chain15):
     # exact scoring reads only the minors W reads: no support plan, no arrival
     setup.success_mode_unitaries(mode_unitaries(chain15, [setup.duration + 0.01]))
     assert "support_plan" not in vars(setup) and "arrival" not in vars(setup)
-    want = evolve(setup.encoded, chain15, setup.duration).amps
-    assert np.abs(setup.arrival.amps - want).max() <= 1e-13
+    want = evolve(_encoded(setup), chain15, setup.duration).amps
+    # phi on the support, and 0 off it
+    assert np.abs(_on_support(setup, setup.arrival)[0] - want).max() <= 1e-13
     plan, table = setup.support_plan
     assert plan.pairs.shape == (2, 9010) and table.shape == (9010, setup.evaluator.support.size)
     # the support plan is apply_mode_unitary's plan of the same state, in another target order
-    engine = apply_mode_unitary(setup.encoded, mode_unitaries(chain15, [setup.duration])[0])
-    np.testing.assert_array_equal(engine.amps, setup.arrival.amps)
+    engine = apply_mode_unitary(_encoded(setup), mode_unitaries(chain15, [setup.duration])[0])
+    np.testing.assert_array_equal(engine.amps, _on_support(setup, setup.arrival)[0])
 
 
 def test_mode_unitary_scoring_refuses_bad_input(chain15):
@@ -827,7 +976,7 @@ def test_timing_quadratic_form_corrects_first_order():
     def q(v):
         return np.vdot(v, v).real - np.sum(np.abs(v[support] @ weights) ** 2)
 
-    h_psi = apply_h(setup.encoded.amps)
+    h_psi = apply_h(_encoded(setup).amps)
     assert q(h_psi) <= 1e-12
     assert q(apply_h(h_psi)) == pytest.approx(2500, rel=1e-9)
     assert np.vdot(h_psi, h_psi).real == pytest.approx(50, rel=1e-12)
@@ -859,6 +1008,61 @@ def test_timing_quartic_coefficient_by_spectral_differentiation(chain15):
     fourth = np.sum(coef * omega**4).real / 24
     assert abs(second) <= 1e-9
     assert fourth == pytest.approx(-625, abs=1e-6)
+
+
+def _coupling_failures(setup, h1) -> np.ndarray:
+    """1 - success per single-excitation matrix of the stack h1, scored in stacks of 16."""
+    return np.concatenate([
+        1.0 - setup.success_mode_unitaries(stack_mode_unitaries(h1[k:k + 16], setup.duration))[0]
+        for k in range(0, len(h1), 16)
+    ])
+
+
+def test_coupling_failure_is_c_c_f_to_the_fourth(chain15):
+    # F(h v), the failure with J_i -> J_i (1 + h v_i), is quartic: the read-out
+    # corrects first order, so [F(h e_i) + F(-h e_i)] / 2h^2 falls as h^2.
+    # Q(v), the Richardson limit of [F(hv) + F(-hv)] / 2h^4 over h = 0.01,
+    # 0.005 and 0.0025, on the 14 directions e_i and the 182 e_i +/- e_j gives
+    # the mean over uniform factors in [1 - f, 1 + f]: c_C f^4 with c_C =
+    # sum_i Q(e_i) E[u^4] + sum_{i<j} C_ij E[u^2]^2, where E[u^4] = 1/5,
+    # E[u^2]^2 = 1/9 and 2 C_ij = Q(e_i + e_j) + Q(e_i - e_j) - 2 Q(e_i) -
+    # 2 Q(e_j) (measured 1803.8373 and 1803.8404 at the first Richardson
+    # step, 1803.8406 at the second)
+    from chainqec.chain import tridiagonal
+    from chainqec.noise import disorder_stack
+
+    setup = harness._revival_setup(chain15)
+    bonds = chain15.n_sites - 1
+    eye = np.eye(bonds)
+    pairs = [(i, j) for i in range(bonds) for j in range(i + 1, bonds)]
+    directions = np.concatenate([eye, [eye[i] + sign * eye[j] for i, j in pairs for sign in (1, -1)]])
+    hs = np.array([0.01, 0.005, 0.0025])
+    steps = hs[:, None, None, None] * np.array([1.0, -1.0])[:, None, None] * directions
+    couplings = np.array(chain15.couplings) * (1.0 + steps.reshape(-1, bonds))
+    failure = _coupling_failures(setup, tridiagonal(chain15.fields, couplings)).reshape(3, 2, -1)
+    q = failure.sum(axis=1) / (2 * hs[:, None] ** 4)  # (h, direction)
+    quadratic = q[:, :bonds] * hs[:, None] ** 2  # per bond, halving h quarters it (3.9955-4.0000)
+    assert np.all(np.abs(quadratic[:-1] / quadratic[1:] - 4) <= 0.01)
+    first = (4 * q[1:] - q[:-1]) / 3  # the h^2 terms cancel
+    q = (16 * first[1] - first[0]) / 15  # and the h^4 terms
+    single, both = q[:bonds], q[bonds:].reshape(-1, 2)
+    cross = [both[k].sum() - 2 * single[i] - 2 * single[j] for k, (i, j) in enumerate(pairs)]
+    c_c = single.sum() / 5 + sum(cross) / 18
+    assert abs(c_c - 1803.84) <= 1e-2
+    # 1000 keyed instances, each keyed as the sweep keys instance k of its
+    # one point, (seed 0, k): the mean failure lies within 3 standard errors
+    # of c_C f^4 (measured z = -0.05 at f = 0.005 and -0.22 at 0.01), and is
+    # the sweep's own mean
+    draw_seeds, rng = [], None
+    for k in range(1000):
+        rng = sample_rng(0, k, reuse=rng)
+        draw_seeds.append(int(rng.integers(0, 2**63 - 1)))
+    for f in (0.005, 0.01):
+        failures = _coupling_failures(setup, disorder_stack(chain15, [f] * 1000, draw_seeds)[0])
+        z = (failures.mean() - c_c * f**4) / (failures.std(ddof=1) / np.sqrt(failures.size))
+        assert abs(z) <= 3, (f, z)
+        swept = exp_coupling(f_grid=(f,), instances=1000, seed=0)
+        assert 1.0 - swept.mean_success[0] == pytest.approx(failures.mean(), rel=1e-9)
 
 
 def test_fixed_order_products_are_scipys_bit_for_bit(chain15):
@@ -1114,11 +1318,49 @@ def test_warm_mode_minors_maps_no_fresh_pages(chain15):
     # a call after one with another S reads the buffers' leading parts, to
     # the values a fresh plan gives
     read = np.unique(setup.evaluator.weights.row)
-    targets, sources = setup.evaluator.support[read], np.flatnonzero(setup.encoded.amps)
+    targets, sources = setup.evaluator.support[read], setup.reference[0]
     for size in (5, 1, 16):
         fresh = mode_minors(stack[:size], minor_plan(15, targets, sources))
         np.testing.assert_array_equal(mode_minors(stack[:size], setup.plan), fresh)
         np.testing.assert_array_equal(fresh, got[:size])
+
+
+_WARM_PRUNED_FAULTS = """
+import resource, sys
+import numpy as np
+from chainqec.chain import pst_couplings
+from chainqec.harness import RevivalSetup
+setup = RevivalSetup(pst_couplings(15), 2**-0.5, 2**-0.5)
+rng = np.random.default_rng(74)
+sites, t_errs = rng.integers(1, 16, 16), rng.uniform(0.0, setup.duration, 16)
+for _ in range(3):
+    setup.success_single_z(sites, t_errs, 1e-12)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    setup.success_single_z(sites, t_errs, 1e-12)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def test_warm_pruned_single_z_maps_no_fresh_pages():
+    # in a fresh process, whose allocator has seen no larger transient than
+    # the sweep's own: a warm pruned 16-sample chunk once took about 480
+    # minor faults a call (its fresh arrays, about 2 MB, were trimmed from
+    # the heap after each call and mapped again), 0 with the evaluator's
+    # and tables' internal temporaries in work buffers
+    import os
+    import platform
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    pytest.importorskip("resource")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the fault count is a property of glibc's allocator")
+    src = str(Path(chainqec.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _WARM_PRUNED_FAULTS], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert float(run.stdout) < 20, run.stdout
 
 
 def test_coupling_resume_refuses_older_version(tmp_path):
