@@ -426,6 +426,7 @@ class RevivalEvaluator:
         self.weights = FixedOrderTable(pos[inner][order], col[order], vals[inner][order],
                                        (support.size, self.columns.size))
         self._work: dict = {}  # _pruned's gather buffers (hilbert._work_array)
+        self.restricted_from = None  # the whole-support evaluator of restricted(), else None
         _read_only(*(value for value in vars(self).values() if isinstance(value, np.ndarray)))
 
     def restricted(self) -> RevivalEvaluator:
@@ -438,8 +439,8 @@ class RevivalEvaluator:
         `read` the positions W reads, built without re-encoding the
         reference or rebuilding a column.  Unpruned, it scores a row on
         those positions bit for bit as this evaluator scores any row that
-        agrees with it there; pruned masses read the whole support, so a
-        pruned score needs this evaluator.
+        agrees with it there.  Pruned masses read the whole support, so it
+        refuses a pruned call, and `restricted_from` is this evaluator.
         """
         w = self.weights
         read = _sorted_unique(w.row)
@@ -449,7 +450,7 @@ class RevivalEvaluator:
         sub.support = _read_only(self.support[read])
         sub.weights = FixedOrderTable(np.searchsorted(read, w.row), w.col, w.value,
                                       (read.size, w.shape[1]))
-        sub._work = {}
+        sub._work, sub.restricted_from = {}, self
         return sub
 
     def _positions(self, indices) -> np.ndarray:
@@ -510,9 +511,13 @@ class RevivalEvaluator:
         follows decode_pipeline: a bit-flip branch with mass below
         `prune_below` is discarded whole; an undecodable branch is never
         split; in a kept decodable branch each phase leaf with mass below
-        `prune_below` is discarded.
+        `prune_below` is discarded.  The masses read the whole support, so
+        a restricted evaluator (restricted) refuses a positive
+        `prune_below`.
         """
         prune_below = check_prune(prune_below)
+        if prune_below > 0.0 and self.restricted_from is not None:
+            raise ValueError("a restricted evaluator scores exact calls only: prune with restricted_from")
         xt = np.ascontiguousarray(np.atleast_2d(rows).T, dtype=complex)  # (support, state)
         mass = np.abs((xt.T @ self.weights).T) ** 2  # (column of W, state)
         discarded = np.zeros(xt.shape[1])

@@ -59,7 +59,7 @@ _BRUTE_FORCE_MAX_SITES = 6
 # and resume tests check this.  CHANGES.md records what a chunk costs.
 _CHUNK = 16
 # phi is planned in this many blocks of positions, so that no one plan of all
-# their pairs is held at once (RevivalSetup._arrival_at)
+# their pairs is held at once (Readout._arrival_at)
 _ARRIVAL_BLOCKS = 4
 
 DEFAULT_TIMING_GRID_POINTS = 21
@@ -177,6 +177,55 @@ def _write_csv(out_dir: str | None, name: str, header: list[str], rows: list[lis
             fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+@dataclass(eq=False)
+class Readout:
+    """The positions a revival state is read at, its evaluator there, and two ways to build rows.
+
+    `evaluator` scores (S, support) rows at its support positions, and
+    each way to build those rows is planned for them alone, on first use:
+
+    - `amplitudes`, the minor plan and fold of Gamma(M)|encoded> there
+      (amplitude_plan), for a stack of mode unitaries M;
+    - `hops`, the hop plan of phi = Gamma(U(duration))|encoded> there
+      (hop_plan), for rows phi - 2 n_v phi.  phi is built only where that
+      plan reads it, on the positions' one-hop reach (hop_reach), and is
+      not kept.
+
+    `transport` is U(duration) as a one-member (1, N, N) stack.
+    """
+
+    evaluator: RevivalEvaluator
+    transport: np.ndarray
+
+    @cached_property
+    def amplitudes(self) -> tuple:
+        """(minor plan, fold) of Gamma(M)|encoded> at the evaluator's support (amplitude_plan)."""
+        ev = self.evaluator
+        return amplitude_plan(self.transport.shape[-1], ev.support, ev.reference)
+
+    @cached_property
+    def hops(self) -> tuple:
+        """hop_plan of phi at the evaluator's support, from phi on their one-hop reach."""
+        n, support = self.transport.shape[-1], self.evaluator.support
+        reach = hop_reach(n, support)
+        return hop_plan(n, (reach, self._arrival_at(reach)), support)
+
+    def _arrival_at(self, positions: np.ndarray) -> np.ndarray:
+        """phi = Gamma(U(duration))|encoded> at the basis indices `positions`, read-only.
+
+        The positions are planned in _ARRIVAL_BLOCKS blocks, each plan the
+        block's alone and freed once it is read (amplitude_plan), so no plan
+        of all their pairs is held at once.  A target's amplitude does not
+        depend on the targets planned with it, so phi has, at every index,
+        the bits any one plan gives it.
+        """
+        n, reference = self.transport.shape[-1], self.evaluator.reference
+        blocks = (amplitude_plan(n, block, reference)
+                  for block in np.array_split(positions, _ARRIVAL_BLOCKS))
+        return _read_only(np.concatenate([(mode_minors(self.transport, plan) @ fold)[0]
+                                          for plan, fold in blocks]))
+
+
 class RevivalSetup:
     """Shared machinery for the revival experiments on one chain.
 
@@ -199,35 +248,29 @@ class RevivalSetup:
     (amplitude_plan) puts each pair's sign and c_x in its target's column.
     A phase flip on site s at time t arrives as phi - 2 n_v phi, one
     rotated fermionic mode v about the error-free arrival state
-    phi = Gamma(U(duration))|encoded> (`arrival`): v is row s of the mode
-    unitary U(t - duration), and a hop plan of phi (hop_plan, apply_hops)
-    builds the rows.  Every revival state stays in the excitation sectors
-    the encoded state occupies, the support, so a chunk is scored as
+    phi = Gamma(U(duration))|encoded>: v is row s of the mode unitary
+    U(t - duration), and a hop plan of phi (hop_plan, apply_hops) builds
+    the rows.  Every revival state stays in the excitation sectors the
+    encoded state occupies, the support, so a chunk is scored as
     (S, positions) rows, never scattered into a 2^N vector.
 
-    Every score, exact or pruned, is one RevivalEvaluator.success call on
-    such rows; the pruning threshold only picks the positions:
+    Every score, exact or pruned, builds such rows through one Readout
+    and is one call of its evaluator; the pruning threshold only picks
+    the read-out:
 
-    - exact: the 154 support positions the weights W read (on minimal15),
-      scored by `read_evaluator`, the evaluator restricted to them
-      (RevivalEvaluator.restricted): it shares the evaluator's decode
-      tables and columns and keeps W's entries and stored order, so one
-      set-up builds W once.  The rows are the minors of `plan` (459 5 x 5
-      complementary minors and the vacuum's 1, with |+_L>) times
-      `read_fold`, built here, or apply_hops on `read_hops`, phi's hop
-      plan at those positions, built on the first exact single-Z call
-      from phi on their one-hop reach alone (hop_reach, 1504 positions).
-    - pruned: the whole support (3004 positions), scored by `evaluator`,
-      since the branch and leaf masses are quadratic in the rows.  The
-      rows are the minors of the support plan (9010 pairs with |+_L>)
-      times its fold (support_rows), or apply_hops on `hops`, phi's hop
-      plan on the whole support; each is built on first use.
+    - `exact`, on the 154 support positions the weights W read (on
+      minimal15), with the evaluator restricted to them
+      (RevivalEvaluator.restricted): it shares the whole-support
+      evaluator's decode tables and columns and keeps W's entries and
+      stored order, so one set-up builds W once.  Its minor plan has 459
+      5 x 5 complementary minors and the vacuum's 1 (with |+_L>), and phi
+      for its hop plan is built on their one-hop reach, 1504 positions.
+    - `pruned`, on the whole support (3004 positions), since the branch
+      and leaf masses are quadratic in the rows.  Its minor plan has 9010
+      pairs (with |+_L>), and its hop reach is the support itself.
 
-    phi is built by one routine (_arrival_at) as its values on the
-    positions a hop plan reads, never as a 2^N vector, from plans made in
-    blocks and freed, so no plan of the reach or of the whole support is
-    kept; phi on the whole support (`arrival`) is built only on the first
-    pruned single-Z call, so no exact sweep builds it or the support plan.
+    Each read-out builds its plans on first use, so no exact sweep builds
+    a plan on the whole support and no single-Z sweep a minor plan.
     Support positions are found by lookups on the sorted support, not a
     2^N table (RevivalEvaluator).  No scoring loads scipy or numpy.ma.
     Every array held here, the evaluators' and the plans' included, is
@@ -247,65 +290,12 @@ class RevivalSetup:
         self.transfer_time = report.transfer_time
         self.duration = 2.0 * report.transfer_time
         self.spectral_bound = report.spectral_bound
-        self.evaluator = RevivalEvaluator(codeobj, alpha, beta)
-        self.reference = self.evaluator.reference  # the encoded state's (indices, amplitudes)
-        self.read_evaluator = self.evaluator.restricted()
-        self.plan, self.read_fold = amplitude_plan(spec.n_sites, self.read_evaluator.support,
-                                                   self.reference)
+        evaluator = RevivalEvaluator(codeobj, alpha, beta)
+        self.reference = evaluator.reference  # the encoded state's (indices, amplitudes)
+        transport = _read_only(mode_unitaries(spec, [self.duration]))
+        self.exact = Readout(evaluator.restricted(), transport)
+        self.pruned = Readout(evaluator, transport)
         self._work: dict = {}  # apply_hops' work buffers for both hop plans (hilbert._work_array)
-
-    @cached_property
-    def support_plan(self) -> tuple:
-        """(minor plan, fold) of the whole support from the encoded state (amplitude_plan).
-
-        Built on first use: exact timing and coupling sweeps never read it.
-        """
-        return amplitude_plan(self.spec.n_sites, self.evaluator.support, self.reference)
-
-    def support_rows(self, m: np.ndarray) -> np.ndarray:
-        """(S, support) rows Gamma(M)|encoded> on the support, one per member of the stack m."""
-        plan, fold = self.support_plan
-        return mode_minors(m, plan) @ fold
-
-    def _arrival_at(self, positions: np.ndarray) -> np.ndarray:
-        """phi = Gamma(U(duration))|encoded> at the basis indices `positions`, read-only.
-
-        The positions are planned in _ARRIVAL_BLOCKS blocks, each plan the
-        block's alone and freed once it is read (amplitude_plan), so no plan
-        of all their pairs is held at once.  A target's amplitude does not
-        depend on the targets planned with it, so phi has, at every index,
-        the bits any one plan gives it.
-        """
-        m = mode_unitaries(self.spec, [self.duration])
-        blocks = (amplitude_plan(self.spec.n_sites, block, self.reference)
-                  for block in np.array_split(positions, _ARRIVAL_BLOCKS))
-        return _read_only(np.concatenate([(mode_minors(m, plan) @ fold)[0]
-                                          for plan, fold in blocks]))
-
-    @cached_property
-    def arrival(self) -> np.ndarray:
-        """phi, the error-free state at the read-out, on the evaluator's support (_arrival_at).
-
-        Built on the first pruned single-Z call.
-        """
-        return self._arrival_at(self.evaluator.support)
-
-    @cached_property
-    def read_hops(self) -> tuple:
-        """hop_plan of phi at the positions W reads, built on the first exact single-Z call.
-
-        phi is built only where that plan reads it, on their one-hop reach
-        (hop_reach), and is not kept.
-        """
-        n, read = self.spec.n_sites, self.read_evaluator.support
-        reach = hop_reach(n, read)
-        return hop_plan(n, (reach, self._arrival_at(reach)), read)
-
-    @cached_property
-    def hops(self) -> tuple:
-        """hop_plan of phi on the evaluator's support, built on the first pruned single-Z call."""
-        support = self.evaluator.support
-        return hop_plan(self.spec.n_sites, (support, self.arrival), support)
 
     def _modes(self, sites, t_errs) -> np.ndarray:
         """(S, N) modes v_k the flip of sample k rotates: row s of U(t_err - duration).
@@ -321,11 +311,6 @@ class RevivalSetup:
         rows = check_sites(self.spec.n_sites, sites) - 1
         return mode_unitaries(self.spec, t_errs - self.duration)[np.arange(rows.size), rows]
 
-    def single_z_rows(self, sites, t_errs) -> np.ndarray:
-        """(S, support) revival rows phi - 2 n_v phi, one per sample (apply_hops); pruned only."""
-        v = self._modes(sites, t_errs)
-        return apply_hops(self.hops, -2.0 * v.conj(), v, self._work, shift=1.0).T
-
     def success_single_z(self, sites, t_errs,
                          prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """One phase flip per sample: Z on sites[k] at time t_errs[k] of the revival run.
@@ -333,16 +318,13 @@ class RevivalSetup:
         Returns (success probability, discarded mass) arrays, one entry per
         sample; branches below prune_below are discarded (0 = exact).  Each
         sample's v is a row of its own U(tau), and its row phi - 2 n_v phi
-        is built alone (apply_hops), at the positions W reads when exact
-        (read_hops, scored by read_evaluator) and on the whole support when
-        pruned (single_z_rows, scored by evaluator), so a value does not
-        depend on its chunk.
+        is built alone (apply_hops on the read-out's hop plan), so a value
+        does not depend on its chunk.
         """
-        if prune_below <= 0.0:
-            v = self._modes(sites, t_errs)
-            rows = apply_hops(self.read_hops, -2.0 * v.conj(), v, self._work, shift=1.0).T
-            return self.read_evaluator.success(rows)
-        return self.evaluator.success(self.single_z_rows(sites, t_errs), prune_below)
+        v = self._modes(sites, t_errs)
+        out = self.pruned if prune_below > 0.0 else self.exact
+        rows = apply_hops(out.hops, -2.0 * v.conj(), v, self._work, shift=1.0).T
+        return out.evaluator.success(rows, prune_below)
 
     def success_mode_unitaries(self, m,
                                prune_below: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -354,16 +336,14 @@ class RevivalSetup:
         flips a jump_unitary.
         Refuses anything but a stack of finite unitaries on this chain's N
         sites: the complementary minors hold only for a unitary.  A
-        member's row Gamma(M)|encoded> is its minors times a fold
-        (mode_minors): exact, at the positions W reads (plan, read_fold,
-        scored by read_evaluator); pruned, on the whole support
-        (support_rows, scored by evaluator).  Every step is per member, so
-        a member's values do not depend on the stack.
+        member's row Gamma(M)|encoded> is its minors times the read-out's
+        fold (mode_minors, amplitudes).  Every step is per member, so a
+        member's values do not depend on the stack.
         """
         m = check_mode_unitaries(m, self.spec.n_sites)
-        if prune_below <= 0.0:
-            return self.read_evaluator.success(mode_minors(m, self.plan) @ self.read_fold)
-        return self.evaluator.success(self.support_rows(m), prune_below)
+        out = self.pruned if prune_below > 0.0 else self.exact
+        plan, fold = out.amplitudes
+        return out.evaluator.success(mode_minors(m, plan) @ fold, prune_below)
 
     def success_coupling_instance(self, f: float, draw_seed: int,
                                   prune_below: float = 0.0) -> tuple[float, float, float]:

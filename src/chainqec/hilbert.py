@@ -19,10 +19,10 @@ Laplace expansion over shared sub-minors (minor_plan), evaluated
 elementwise for a whole stack of M (mode_minors) and folded with the
 sources' amplitudes (amplitude_plan, from the state's nonzero entries:
 no 2^N array).  apply_mode_unitary plans the whole occupied sectors of
-one state, keeping the last few plans, and the revival set-up plans each
-set of amplitudes it reads: those the decoder reads and the whole
-support, kept, and the arrival state on their one-hop reach (hop_reach)
-or the whole support, in blocks freed once read.  The fold, like every
+one state, keeping the last few plans, and each revival read-out plans
+the amplitudes at its positions (those the decoder reads, or the whole
+support), kept, and the arrival state on their one-hop reach
+(hop_reach), in blocks freed once read.  The fold, like every
 sparse table an exact sweep reads, is a FixedOrderTable: numpy entry
 arrays whose product sums each column in stored order and rounds each
 complex product as scipy's sparse kernels do, so it keeps their bits and
@@ -39,9 +39,8 @@ phi - 2 n_v phi, with v the flipped site's row of a mode unitary
 (mode_unitaries).  n_v = sum_ij conj(v_i) v_j c_i^dag c_j, and apply_hops
 applies any such sum_ij a_i b_j c_i^dag c_j to a fixed state on a
 support, per member of a stack, by a route through a neighbouring
-excitation weight that hop_plan tables once: the revival set-up builds
-pruned samples' rows with it, and the hopped states c_i^dag c_j phi at
-the positions its exact scoring reads.  lindblad_evolve, the exact dephasing oracle,
+excitation weight that hop_plan tables once: each revival read-out
+builds its single-Z rows with it, at its own positions.  lindblad_evolve, the exact dephasing oracle,
 keeps only the Liouvillian's blocks that the state occupies; up to
 _DENSE_LIOUVILLIAN_MAX_DIM kept positions it gathers them densely (the
 Hamiltonian part once per chain and kept positions, the dissipator per
@@ -846,12 +845,19 @@ def hop_reach(n_sites: int, support) -> np.ndarray:
 
     Those are the support's own indices and every index one hop
     c_i^dag c_j from one of them, one particle moved, so two states that
-    agree there have the same hop plan on `support`, bit for bit.
+    agree there have the same hop plan on `support`, bit for bit.  Built
+    site by site: the moves off each occupied site j, to every empty site
+    i, are merged into the sorted reach, so no (position, i, j) array is
+    made.
     """
     bits = 1 << (n_sites - 1 - np.arange(n_sites, dtype=np.int64))
     y = np.asarray(support, dtype=np.int64)
-    moved = y[:, None, None] ^ bits[:, None] ^ bits  # (position, i, j): y ^ b_i ^ b_j
-    return _sorted_unique(moved[np.bitwise_count(moved) == np.bitwise_count(y)[:, None, None]])
+    reach = _sorted_unique(y)
+    for b_j in bits:
+        emptied = y[(y & b_j) != 0, None] ^ b_j  # (position, 1): site j emptied
+        moved = emptied | bits  # (position, i): a move where site i was empty, j giving y back
+        reach = _sorted_unique(np.concatenate([reach, moved[moved != emptied]]))
+    return reach
 
 
 def apply_hops(plan: tuple, a: np.ndarray, b: np.ndarray, work: dict,

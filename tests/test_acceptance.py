@@ -101,7 +101,7 @@ def test_criterion_3_every_site_on_the_exact_time_grid():
 
 
 def test_criterion_3_grid_degree_claim():
-    # the rows phi - 2 n_v phi that the read evaluator scores are of degree
+    # the rows phi - 2 n_v phi that the exact evaluator scores are of degree
     # <= 14 in t: interpolation from 29 equispaced times predicts any time,
     # and from 27 it does not
     setup = _revival_setup(pst_couplings(15))
@@ -111,7 +111,7 @@ def test_criterion_3_grid_degree_claim():
     def rows(site, times):
         # the rows at W's read positions, as success_single_z builds them
         v = setup._modes(np.full(len(times), site), times)
-        return apply_hops(setup.read_hops, -2.0 * v.conj(), v, {}, shift=1.0).T
+        return apply_hops(setup.exact.hops, -2.0 * v.conj(), v, {}, shift=1.0).T
 
     def worst_miss(points):
         worst = 0.0

@@ -513,6 +513,28 @@ def test_pipeline_and_evaluator_refuse_bad_prune_floors(code15, plus_logical15):
         assert evaluator.success(row, prune)[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_restricted_evaluator_refuses_pruned_calls(code15, chain15, plus_logical15):
+    # pruned masses read the whole support, and the restricted evaluator once
+    # built its pruning tables on its own 154 positions: on U(2T + 0.05) it
+    # gave 9.18e-12 of discarded mass at 1e-12 where the pipeline gives 3.20e-11
+    ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    read = ev.restricted()
+    psi = apply_mode_unitary(plus_logical15, mode_unitaries(chain15, [2 * T0 + 0.05])[0])
+    row = psi.amps[ev.support]
+    at_read = row[np.unique(ev.weights.row)]
+    for p in (1e-12, 1e-3):
+        with pytest.raises(ValueError, match="restricted evaluator scores exact calls only"):
+            read.success(at_read, p)
+        want = decode_pipeline(psi, code15, _options(prune_below=p))
+        success, discarded = ev.success(row, p)
+        assert success == pytest.approx(want.success_probability, abs=1e-12)
+        assert discarded == pytest.approx(want.discarded_mass, abs=1e-12)
+    # exact calls score as the whole-support evaluator does, bit for bit
+    for p in (0.0, -0.0):
+        assert read.success(at_read, p) == ev.success(row)
+    assert read.restricted_from is ev and ev.restricted_from is None
+
+
 def test_pipeline_and_evaluator_refuse_x_type_bit_flip_checks(code15, plus_logical15):
     checks = code15.x_detecting_generators[:-1] + (from_sites(15, xs=(14, 15)),)
     code = replace(code15, x_detecting_generators=checks)

@@ -162,6 +162,12 @@ def test_hop_plan_reads_the_state_only_on_its_hop_reach(n, data):
     moves = {y ^ (1 << i) ^ (1 << j) for y in support.tolist() for i in range(n) for j in range(n)
              if i == j or (y >> i & 1) != (y >> j & 1)}
     assert reach.tolist() == sorted(moves)
+    # and the (position, i, j) cube of every y ^ b_i ^ b_j of the same weight
+    # that hop_reach once built, bit for bit
+    bits = 1 << np.arange(n, dtype=np.int64)
+    cube = support[:, None, None] ^ bits[:, None] ^ bits
+    cube = np.unique(cube[np.bitwise_count(cube) == np.bitwise_count(support)[:, None, None]])
+    assert reach.dtype == cube.dtype and reach.tobytes() == cube.tobytes()
     agreeing = np.where(np.isin(np.arange(1 << n), reach), amps, rng.standard_normal(1 << n))
     everywhere = np.arange(1 << n)
     full = hop_plan(n, (everywhere, amps), support)

@@ -55,8 +55,25 @@ def _on_support(setup, rows) -> np.ndarray:
     """(S, 2^N) rows on the evaluator's support scattered into dense vectors, 0 off it."""
     rows = np.atleast_2d(rows)
     dense = np.zeros((len(rows), 1 << setup.spec.n_sites), dtype=complex)
-    dense[:, setup.evaluator.support] = rows
+    dense[:, setup.pruned.evaluator.support] = rows
     return dense
+
+
+def _support_rows(setup, m) -> np.ndarray:
+    """(S, support) rows Gamma(M)|encoded> on the whole support, as pruned scoring builds them."""
+    plan, fold = setup.pruned.amplitudes
+    return mode_minors(m, plan) @ fold
+
+
+def _hop_rows(setup, readout, sites, t_errs) -> np.ndarray:
+    """(S, positions) single-Z rows phi - 2 n_v phi at the read-out's positions, as scored."""
+    v = setup._modes(sites, t_errs)
+    return apply_hops(readout.hops, -2.0 * v.conj(), v, {}, shift=1.0).T
+
+
+def _arrival(setup) -> np.ndarray:
+    """phi, the error-free state at the read-out, on the whole support, as its hop plan reads it."""
+    return setup.pruned._arrival_at(setup.pruned.evaluator.support)
 
 
 def test_manifest_json_records_every_field():
@@ -207,8 +224,8 @@ def test_batched_single_z_matches_pipeline_and_ignores_order(code15, chain15):
     success, discarded = setup.success_single_z(sites, t_errs)
     # every single flip is corrected, so also compare the arriving states:
     # the rows a pruned sweep scores on the support, and nothing off it
-    ev = setup.evaluator
-    arrived = setup.single_z_rows(sites, t_errs)
+    ev = setup.pruned.evaluator
+    arrived = _hop_rows(setup, setup.pruned, sites, t_errs)
     assert arrived.shape == (sites.size, ev.support.size)
     off_support = np.ones(2**15, dtype=bool)
     off_support[ev.support] = False
@@ -237,7 +254,7 @@ def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
     total = setup.duration
     cases = [(site, t) for site in (1, 8, 15) for t in (0.0, total / 3, total)]
     sites, t_errs = (np.array(col) for col in zip(*cases))
-    rows = setup.single_z_rows(sites, t_errs)
+    rows = _hop_rows(setup, setup.pruned, sites, t_errs)
     success, _ = setup.success_single_z(sites, t_errs)
     for k, (site, t_err) in enumerate(cases):
         got = _on_support(setup, rows[k])[0]
@@ -247,14 +264,8 @@ def test_single_z_one_mode_matches_expm_oracle(code15, chain15):
         assert success[k] == pytest.approx(oracle.success_probability, abs=1e-12)
 
 
-def _read_rows(setup, sites, t_errs):
-    """(S, 154) exact single-Z rows phi - 2 n_v phi at the positions W reads, as scored."""
-    v = setup._modes(sites, t_errs)
-    return apply_hops(setup.read_hops, -2.0 * v.conj(), v, {}, shift=1.0).T
-
-
 def test_exact_single_z_matches_scored_rows(chain15):
-    # the rows at W's read positions, scored by the read evaluator, against
+    # the rows at W's read positions, scored by the exact evaluator, against
     # the rows phi - 2 n_v phi on the whole support scored by the evaluator;
     # the whole-support rows themselves are checked against the expm oracle
     rng = np.random.default_rng(65)
@@ -262,17 +273,17 @@ def test_exact_single_z_matches_scored_rows(chain15):
     t_errs = rng.uniform(0.0, np.pi, 64)
     setup = harness._revival_setup(chain15)
     success, discarded = setup.success_single_z(sites, t_errs)
-    read = _read_rows(setup, sites, t_errs)
-    assert success.tobytes() == setup.read_evaluator.success(read)[0].tobytes()
-    rows = setup.single_z_rows(sites, t_errs)
-    want, _ = setup.evaluator.success(rows)
+    read = _hop_rows(setup, setup.exact, sites, t_errs)
+    assert success.tobytes() == setup.exact.evaluator.success(read)[0].tobytes()
+    rows = _hop_rows(setup, setup.pruned, sites, t_errs)
+    want, _ = setup.pruned.evaluator.success(rows)
     np.testing.assert_allclose(success, want, rtol=0, atol=1e-13)
     np.testing.assert_array_equal(discarded, 0.0)
     # every single flip is corrected, so the success is blind to a wrong sign
     # in a hopped state: compare the rows and their overlaps themselves
-    at_read = np.unique(setup.evaluator.weights.row)  # read_evaluator.support = support[at_read]
+    at_read = np.unique(setup.pruned.evaluator.weights.row)  # exact.evaluator.support = support[at_read]
     np.testing.assert_allclose(read, rows[:, at_read], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(read @ setup.read_evaluator.weights, rows @ setup.evaluator.weights,
+    np.testing.assert_allclose(read @ setup.exact.evaluator.weights, rows @ setup.pruned.evaluator.weights,
                                rtol=0, atol=1e-13)
 
 
@@ -290,7 +301,7 @@ def test_read_evaluator_is_the_evaluator_at_the_positions_w_reads(chain15, monke
     amp = 1 / np.sqrt(2)
     setup = RevivalSetup(chain15, amp, amp)
     assert len(built) == 1
-    ev, read_ev = setup.evaluator, setup.read_evaluator
+    ev, read_ev = setup.pruned.evaluator, setup.exact.evaluator
     assert read_ev.tables is ev.tables and read_ev.columns is ev.columns
     read = np.unique(ev.weights.row)
     assert read.size == read_ev.support.size == 154
@@ -318,6 +329,25 @@ def test_read_evaluator_is_the_evaluator_at_the_positions_w_reads(chain15, monke
         assert fresh.success(rows[:, read])[0].tobytes() == success.tobytes()
 
 
+def test_exact_evaluator_is_the_pruned_one_restricted(chain15):
+    # the two read-outs share one set of decode tables, W's columns and the
+    # reference: the exact evaluator is the whole-support one restricted to
+    # the positions W reads, entry for entry, and both build phi from one U(2T)
+    setup = harness._revival_setup(chain15)
+    exact, pruned = setup.exact.evaluator, setup.pruned.evaluator
+    assert exact.restricted_from is pruned and pruned.restricted_from is None
+    again = pruned.restricted()
+    assert set(vars(again)) == set(vars(exact))
+    for ev in (exact, again):
+        assert ev.tables is pruned.tables and ev.columns is pruned.columns
+        assert ev.reference is pruned.reference and ev.check_masks is pruned.check_masks
+    assert exact.support.tobytes() == again.support.tobytes()
+    for name in ("row", "col", "value", "_gather", "_scale", "_place"):
+        assert getattr(exact.weights, name).tobytes() == getattr(again.weights, name).tobytes(), name
+    assert setup.exact.transport is setup.pruned.transport
+    assert setup.exact.transport.tobytes() == mode_unitaries(chain15, [setup.duration]).tobytes()
+
+
 def _hop_rows_dense(state, support):
     """Row N i + j: c_{i+1}^dag c_{j+1} |state> on `support`, each entry one signed read.
 
@@ -342,15 +372,15 @@ def _hop_rows_dense(state, support):
 
 def test_hop_plan_reads_the_hopped_states_bit_for_bit(chain15):
     # the hopped states c_i^dag c_j phi from apply_hops equal their direct
-    # construction byte for byte, at W's read positions (read_hops, which
-    # the exact samples use) and on the whole support (hops, the pruned
-    # ones): each entry is a state amplitude with an exact sign, and
+    # construction byte for byte, at W's read positions (exact.hops, which
+    # the exact samples use) and on the whole support (pruned.hops, the
+    # pruned ones): each entry is a state amplitude with an exact sign, and
     # c_i^dag c_i phi through weight 11 is phi - phi = 0 or phi - 0 = phi exactly
     setup = harness._revival_setup(chain15)
     eye = np.eye(15, dtype=complex)
-    for hops, support in ((setup.read_hops, setup.read_evaluator.support),
-                          (setup.hops, setup.evaluator.support)):
-        want = _hop_rows_dense(StateVector(_on_support(setup, setup.arrival)[0], 15), support)
+    for hops, support in ((setup.exact.hops, setup.exact.evaluator.support),
+                          (setup.pruned.hops, setup.pruned.evaluator.support)):
+        want = _hop_rows_dense(StateVector(_on_support(setup, _arrival(setup))[0], 15), support)
         for i in range(15):  # rows 15 i .. 15 i + 14: the pairs (e_i, e_j)
             hopped = apply_hops(hops, np.repeat(eye[i:i + 1], 15, axis=0), eye, {})
             assert hopped.T.tobytes() == want[15 * i:15 * i + 15].tobytes()
@@ -404,12 +434,13 @@ def test_exact_single_z_builds_no_rows(monkeypatch):
     # exact rows are built at the 154 positions W reads, from phi on their
     # one-hop reach (1504 positions); only pruned rows, whose masses read the
     # whole support, are built on it, and only they build phi there.  A fresh
-    # set-up cache, so that no earlier call has built the arrival or a hop plan
+    # set-up cache, so that no earlier call has built a read-out's plans
     monkeypatch.setattr(harness, "_revival_setup", lru_cache(harness._revival_setup.__wrapped__))
-    build, calls = RevivalSetup.single_z_rows, []
+    hop, calls = harness.apply_hops, []  # (positions, samples) of each row block built
     monkeypatch.setattr(
-        RevivalSetup, "single_z_rows",
-        lambda self, sites, t_errs: calls.append(len(sites)) or build(self, sites, t_errs),
+        harness, "apply_hops",
+        lambda plan, a, *args, **kwargs: calls.append((sum(g[0].size for g in plan), len(a)))
+        or hop(plan, a, *args, **kwargs),
     )
     plan, planned = harness.amplitude_plan, []  # the targets of each amplitude plan
     monkeypatch.setattr(harness, "amplitude_plan",
@@ -417,21 +448,23 @@ def test_exact_single_z_builds_no_rows(monkeypatch):
     exp_timing(delta_grid=(0.0, 0.01))
     exp_coupling(f_grid=(0.05,), instances=2, seed=1)
     setup = harness._revival_setup(pst_couplings(15))
-    # exact M scoring: no support plan, no arrival, no hop plan
-    assert not {"support_plan", "arrival", "read_hops", "hops"} & set(vars(setup))
+    # exact M scoring: no whole-support plan, no phi, no hop plan
+    assert "hops" not in vars(setup.exact) and not {"amplitudes", "hops"} & set(vars(setup.pruned))
     summary = exp_single_z(samples=20, seed=2)
     assert summary.min_success >= 1 - 1e-8
-    assert not calls
-    assert "read_hops" in vars(setup) and "hops" not in vars(setup)  # no whole-support hop plan
-    # neither the support plan nor phi on the whole support
-    assert not {"support_plan", "arrival"} & set(vars(setup))
-    # the read fold at set-up, then phi on the reach, 1504 targets in 4 blocks
+    assert calls == [(154, 16), (154, 4)]  # no row on the whole support
+    assert "hops" in vars(setup.exact)
+    # neither whole-support plan, nor phi on the whole support
+    assert not {"amplitudes", "hops"} & set(vars(setup.pruned))
+    # the exact fold on the first timing chunk, then phi on the reach, 1504
+    # targets in 4 blocks
     assert planned == [154, 376, 376, 376, 376]
-    assert [group[0].size for group in setup.read_hops] == [1, 153]
+    assert [group[0].size for group in setup.exact.hops] == [1, 153]
     pruned = exp_single_z(samples=20, seed=2, prune_below=1e-12)
-    assert calls == [16, 4]  # one per chunk of 16
-    # phi on the whole support, 3004 targets in 4 blocks, and still no support plan
-    assert "arrival" in vars(setup) and "support_plan" not in vars(setup)
+    assert calls[2:] == [(3004, 16), (3004, 4)]  # one per chunk of 16
+    # phi on the whole support, 3004 targets in 4 blocks, and no whole-support
+    # minor plan: a pruned single-Z call builds no amplitudes
+    assert "hops" in vars(setup.pruned) and "amplitudes" not in vars(setup.pruned)
     assert planned == [154, 376, 376, 376, 376, 751, 751, 751, 751]
     np.testing.assert_allclose(pruned.successes, summary.successes, rtol=0, atol=1e-9)
 
@@ -445,33 +478,33 @@ def _held_arrays(*owners) -> list[np.ndarray]:
 
 def test_cached_setup_is_read_only():
     setup = harness._revival_setup(pst_couplings(15))
-    setup.success_single_z([3], [0.4])  # an exact call builds the arrival and read_hops
-    setup.success_single_z([3], [0.4], 1e-12)  # a pruned call builds the hop plan
-    plan = setup.plan
-    support_plan, support_table = setup.support_plan  # built here: no single-Z call reads it
-    arrays = _held_arrays(setup, setup.evaluator, setup.read_evaluator, setup.evaluator.tables,
-                          setup.read_fold, support_table)
-    arrays += [*setup.reference, setup.arrival]
-    # the read evaluator's support and W, derived from the evaluator's (restricted)
-    arrays += [setup.read_evaluator.support, *_held_arrays(setup.read_evaluator.weights)]
+    setup.success_single_z([3], [0.4])  # an exact call builds phi on the reach and exact.hops
+    setup.success_single_z([3], [0.4], 1e-12)  # a pruned call builds pruned.hops
+    plan, read_fold = setup.exact.amplitudes
+    support_plan, support_table = setup.pruned.amplitudes  # built here: no single-Z call reads it
+    arrays = _held_arrays(setup, setup.exact, setup.pruned, setup.pruned.evaluator, setup.exact.evaluator,
+                          setup.pruned.evaluator.tables, read_fold, support_table)
+    arrays += [*setup.reference, _arrival(setup)]
+    # the exact evaluator's support and W, derived from the pruned one's (restricted)
+    arrays += [setup.exact.evaluator.support, *_held_arrays(setup.exact.evaluator.weights)]
     for p in (plan, support_plan):
         arrays += [p.pairs, p.complementary, p.sign, p.node, *p.entries, *p.children]
-    pruning = setup.evaluator._prune_tables  # built by the pruned call
+    pruning = setup.pruned.evaluator._prune_tables  # built by the pruned call
     arrays += [a for a in pruning if isinstance(a, np.ndarray)] + _held_arrays(pruning[2])
     # both hop plans' tables, amplitudes and slots (the vacuum's table and
     # slots are empty: nothing in them can be written)
-    arrays += [a for hops in (setup.read_hops, setup.hops) for group in hops for a in group[2:] if a.size]
-    # the evaluators' arrays and W's table arrays, the read fold's, the
-    # pruning tables (four arrays and a table), three decode-table arrays,
-    # two states, each minor plan's four arrays and two tables per level,
-    # the support plan's fold and both hop plans
+    arrays += [a for hops in (setup.exact.hops, setup.pruned.hops) for group in hops for a in group[2:] if a.size]
+    # the evaluators' arrays and W's table arrays, U(2T), the exact fold's,
+    # the pruning tables (four arrays and a table), three decode-table
+    # arrays, two states, each minor plan's four arrays and two tables per
+    # level, the whole-support fold and both hop plans
     # the vacuum through weight -1 (no slot), weight 10 through weight 11
-    assert [(group[0].size, group[1], group[2].shape) for group in setup.hops] == [
+    assert [(group[0].size, group[1], group[2].shape) for group in setup.pruned.hops] == [
         (1, False, (15, 0)), (3003, True, (15, 1365))]
-    assert [(group[0].size, group[1]) for group in setup.read_hops] == [(1, False), (153, True)]
+    assert [(group[0].size, group[1]) for group in setup.exact.hops] == [(1, False), (153, True)]
     assert [e.shape for e in plan.entries] == [(45, 1), (315, 2), (990, 3), (945, 4), (459, 5)]
     assert [c.shape for c in plan.children] == [e.shape for e in plan.entries]
-    assert plan.node.shape == (460,) and setup.read_fold.shape == (460, 154)
+    assert plan.node.shape == (460,) and read_fold.shape == (460, 154)
     assert len(arrays) >= 60
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -480,7 +513,7 @@ def test_cached_setup_is_read_only():
 
 def test_evaluator_holds_no_state_sized_array():
     # the set-up's evaluator works on the encoded sectors, weights {0, 10}
-    ev = harness._revival_setup(pst_couplings(15)).evaluator
+    ev = harness._revival_setup(pst_couplings(15)).pruned.evaluator
     assert ev.support.size == 1 + 3003
     sizes = [a.size for a in _held_arrays(ev, ev.tables)]
     assert max(sizes) < 2**15
@@ -539,17 +572,18 @@ def test_single_z_csv_and_resume(tmp_path):
     assert "version" in manifest
 
 
-def test_single_z_resume_across_chunk_boundary(tmp_path):
+@pytest.mark.parametrize("prune", [0.0, 1e-12])
+def test_single_z_resume_across_chunk_boundary(tmp_path, prune):
     # 70 samples span five evaluation chunks; an interruption after 37 points
-    # re-chunks the rest, and the CSV must not notice
+    # re-chunks the rest, and the CSV must not notice, exact or pruned
     full_dir = tmp_path / "full"
     part_dir = tmp_path / "part"
-    exp_single_z(samples=70, seed=4, out_dir=str(full_dir))
+    exp_single_z(samples=70, seed=4, out_dir=str(full_dir), prune_below=prune)
     shutil.copytree(full_dir, part_dir)
     points = (part_dir / "points.jsonl").read_text().splitlines(keepends=True)
     (part_dir / "points.jsonl").write_text("".join(points[:37]))
     (part_dir / "single_z.csv").unlink()
-    exp_single_z(samples=70, seed=4, out_dir=str(part_dir))
+    exp_single_z(samples=70, seed=4, out_dir=str(part_dir), prune_below=prune)
     assert (part_dir / "single_z.csv").read_bytes() == (full_dir / "single_z.csv").read_bytes()
     assert (part_dir / "points.jsonl").read_bytes() == (full_dir / "points.jsonl").read_bytes()
 
@@ -650,7 +684,7 @@ def test_revival_setup_holds_and_builds_no_state_sized_array(chain15, monkeypatc
     fresh = RevivalSetup(chain15, 2**-0.5, 2**-0.5)
     rng = np.random.default_rng(73)
     sites, t_errs = rng.integers(1, 16, 16), rng.uniform(0.0, fresh.duration, 16)
-    success, _ = fresh.success_single_z(sites, t_errs)  # the first exact chunk builds read_hops
+    success, _ = fresh.success_single_z(sites, t_errs)  # the first exact chunk builds exact.hops
     m = mode_unitaries(chain15, fresh.duration + np.linspace(-0.1, 0.1, 16))
     stacked, _ = fresh.success_mode_unitaries(m)
     monkeypatch.undo()
@@ -689,7 +723,7 @@ def test_revival_setup_encodes_nothing_and_reads_the_encoded_entries(chain15, co
         assert indices.tobytes() == np.flatnonzero(dense).tobytes() == np.flatnonzero(formula).tobytes()
         assert values.tobytes() == dense[indices].tobytes() == formula[indices].tobytes()
     # the set-up's evaluator is RevivalEvaluator(code, alpha, beta), entry for entry
-    ev, fresh = setup.evaluator, RevivalEvaluator(code15, alpha, beta)
+    ev, fresh = setup.pruned.evaluator, RevivalEvaluator(code15, alpha, beta)
     assert ev.support.tobytes() == fresh.support.tobytes()
     assert ev.columns.tobytes() == fresh.columns.tobytes()
     for name in ("row", "col", "value", "_gather", "_scale", "_place"):
@@ -751,7 +785,7 @@ def _expm_row(setup, spec, duration, jumps=()) -> np.ndarray:
     """
     alpha, beta, _ = logical_readout(minimal15(), _encoded(setup))
     zero, one = _expm_codewords(spec, float(duration), tuple(jumps))
-    return (alpha * zero + beta * one)[setup.evaluator.support]
+    return (alpha * zero + beta * one)[setup.pruned.evaluator.support]
 
 
 def _assert_matches_rows(setup, stack, rows):
@@ -759,7 +793,7 @@ def _assert_matches_rows(setup, stack, rows):
     # whole support's minors, both against the oracle's rows
     for prune in (0.0, 1e-12):
         got, discarded = setup.success_mode_unitaries(stack, prune)
-        want, want_discarded = setup.evaluator.success(np.array(rows), prune)
+        want, want_discarded = setup.pruned.evaluator.success(np.array(rows), prune)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(discarded, want_discarded, rtol=0, atol=1e-12)
         if not prune:
@@ -860,10 +894,10 @@ def test_stack_member_does_not_depend_on_its_stack(chain15):
             alone = setup.success_mode_unitaries(stack[k:k + 1], prune)
             assert (alone[0][0], alone[1][0]) == (success[k], discarded[k]), (prune, k)
     # pruned members are scored from rows of one mode_minors call on the
-    # support plan: each member's row is computed alone too
-    rows = setup.support_rows(stack)
+    # whole-support plan (pruned.amplitudes): each member's row is computed alone too
+    rows = _support_rows(setup, stack)
     for k in range(len(stack)):
-        np.testing.assert_array_equal(setup.support_rows(stack[k:k + 1])[0], rows[k])
+        np.testing.assert_array_equal(_support_rows(setup, stack[k:k + 1])[0], rows[k])
     # nor does a mode unitary depend on the other times it is built with
     times = setup.duration + rng.uniform(-0.3, 0.3, 7)
     whole, _ = setup.success_mode_unitaries(mode_unitaries(chain15, times))
@@ -873,17 +907,18 @@ def test_stack_member_does_not_depend_on_its_stack(chain15):
 
 def test_arrival_is_the_expm_evolution_built_on_first_use(chain15):
     setup = RevivalSetup(chain15, 2**-0.5, 2**-0.5)
-    # exact scoring reads only the minors W reads: no support plan, no arrival
+    # exact scoring reads only the minors W reads: no whole-support plan, no phi
     setup.success_mode_unitaries(mode_unitaries(chain15, [setup.duration + 0.01]))
-    assert "support_plan" not in vars(setup) and "arrival" not in vars(setup)
+    assert "amplitudes" in vars(setup.exact)
+    assert not {"amplitudes", "hops"} & set(vars(setup.pruned)) and "hops" not in vars(setup.exact)
     want = evolve(_encoded(setup), chain15, setup.duration).amps
     # phi on the support, and 0 off it
-    assert np.abs(_on_support(setup, setup.arrival)[0] - want).max() <= 1e-13
-    plan, table = setup.support_plan
-    assert plan.pairs.shape == (2, 9010) and table.shape == (9010, setup.evaluator.support.size)
-    # the support plan is apply_mode_unitary's plan of the same state, in another target order
+    assert np.abs(_on_support(setup, _arrival(setup))[0] - want).max() <= 1e-13
+    plan, table = setup.pruned.amplitudes
+    assert plan.pairs.shape == (2, 9010) and table.shape == (9010, setup.pruned.evaluator.support.size)
+    # the whole-support plan is apply_mode_unitary's plan of the same state, in another target order
     engine = apply_mode_unitary(_encoded(setup), mode_unitaries(chain15, [setup.duration])[0])
-    np.testing.assert_array_equal(engine.amps, _on_support(setup, setup.arrival)[0])
+    np.testing.assert_array_equal(engine.amps, _on_support(setup, _arrival(setup))[0])
 
 
 def test_mode_unitary_scoring_refuses_bad_input(chain15):
@@ -907,25 +942,29 @@ def test_mode_unitary_scoring_refuses_bad_input(chain15):
 
 def test_exact_timing_and_coupling_never_evolve(monkeypatch):
     # once the set-up is cached, exact sweeps read the minors W reads: no
-    # evolve, no support row built, and the rows at W's read positions are
-    # scored by the read evaluator, never by the whole-support one
+    # evolve, nothing of the pruned read-out (no whole-support row built or
+    # scored), and the rows at W's read positions are scored by the exact
+    # evaluator, never by the whole-support one
     setup = harness._revival_setup(pst_couplings(15))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a state was evolved or a row scored")
 
+    class Refused:
+        def __getattr__(self, name):
+            refuse()
+
     monkeypatch.setattr(harness, "evolve", refuse)
-    monkeypatch.setattr(harness.RevivalSetup, "support_rows", refuse)
-    monkeypatch.setattr(setup.evaluator, "success", refuse)
-    scored, score = [], setup.read_evaluator.success
-    monkeypatch.setattr(setup.read_evaluator, "success",
-                        lambda rows: scored.append(rows.shape) or score(rows))
+    monkeypatch.setattr(setup, "pruned", Refused())
+    scored, score = [], setup.exact.evaluator.success
+    monkeypatch.setattr(setup.exact.evaluator, "success",
+                        lambda rows, prune_below: scored.append(rows.shape) or score(rows, prune_below))
     assert exp_timing(delta_grid=(0.0, 0.01)).successes[0] == pytest.approx(1.0, abs=1e-12)
     assert exp_coupling(f_grid=(0.0, 0.05), instances=2, seed=1).mean_success[0] == pytest.approx(
         1.0, abs=1e-12
     )
     assert scored == [(2, 154), (4, 154)]  # one call per chunk of each sweep
-    # pruned scoring builds each mode unitary's row on the support once
+    # pruned scoring reads the pruned read-out
     with pytest.raises(AssertionError, match="evolved"):
         exp_timing(delta_grid=(0.01,), prune_below=1e-7)
     with pytest.raises(AssertionError, match="evolved"):
@@ -964,7 +1003,7 @@ def test_timing_quadratic_form_corrects_first_order():
     # the 625 delta^4 below
     spec = pst_couplings(15)
     setup = harness._revival_setup(spec)
-    weights, support = setup.evaluator.weights, setup.evaluator.support
+    weights, support = setup.pruned.evaluator.weights, setup.pruned.evaluator.support
 
     def apply_h(v):
         out = np.zeros_like(v)
@@ -1074,13 +1113,13 @@ def test_fixed_order_products_are_scipys_bit_for_bit(chain15):
 
     setup = harness._revival_setup(chain15)
     stack = mode_unitaries(chain15, setup.duration + np.linspace(-0.3, 0.3, 16))
-    w = setup.evaluator.weights
+    w = setup.pruned.evaluator.weights
     scipy_w = sp.csc_array((w.value, (w.row, w.col)), w.shape)
     scipy_w.sum_duplicates()
-    rows = setup.support_rows(stack)
+    rows = _support_rows(setup, stack)
     xt = np.ascontiguousarray(rows.T)
     assert (rows @ w).tobytes() == (scipy_w.T @ xt).T.tobytes()
-    for plan, fold in (setup.support_plan, (setup.plan, setup.read_fold)):
+    for plan, fold in (setup.pruned.amplitudes, setup.exact.amplitudes):
         scipy_fold = sp.csr_array((fold.value, (fold.row, fold.col)), fold.shape)
         minors = mode_minors(stack, plan)
         assert (minors @ fold).tobytes() == (minors @ scipy_fold).tobytes()
@@ -1093,32 +1132,33 @@ def test_every_replaced_product_scores_a_member_alone_as_in_its_stack(chain15):
     setup = harness._revival_setup(chain15)
     rng = np.random.default_rng(66)
     stack = mode_unitaries(chain15, setup.duration + rng.uniform(-0.3, 0.3, 16))
-    plan, fold = setup.support_plan
-    read_rows = mode_minors(stack, setup.plan) @ setup.read_fold
-    cases = [(mode_minors(stack, setup.plan), setup.read_fold),
-             (read_rows, setup.read_evaluator.weights),
-             (setup.support_rows(stack), setup.evaluator.weights),
+    plan, fold = setup.pruned.amplitudes
+    read_plan, read_fold = setup.exact.amplitudes
+    read_rows = mode_minors(stack, read_plan) @ read_fold
+    cases = [(mode_minors(stack, read_plan), read_fold),
+             (read_rows, setup.exact.evaluator.weights),
+             (_support_rows(setup, stack), setup.pruned.evaluator.weights),
              (mode_minors(stack, plan), fold)]
     for x, table in cases:
         whole = x @ table
         for k in range(16):
             assert (x[k:k + 1] @ table)[0].tobytes() == whole[k].tobytes()
             assert (x[k] @ table).tobytes() == whole[k].tobytes()
-    # the exact and pruned rows phi - 2 n_v phi (apply_hops on read_hops and
-    # hops), the exact scores and the pruning masses
+    # the exact and pruned rows phi - 2 n_v phi (apply_hops on exact.hops and
+    # pruned.hops), the exact scores and the pruning masses
     sites, t_errs = rng.integers(1, 16, 16), rng.uniform(0, setup.duration, 16)
-    rows, flips = setup.single_z_rows(sites, t_errs), _read_rows(setup, sites, t_errs)
+    rows, flips = _hop_rows(setup, setup.pruned, sites, t_errs), _hop_rows(setup, setup.exact, sites, t_errs)
     for x in (read_rows, flips):
-        success, _ = setup.read_evaluator.success(x)
+        success, _ = setup.exact.evaluator.success(x)
         for k in range(16):
-            assert setup.read_evaluator.success(x[k])[0] == success[k]
-            assert setup.read_evaluator.success(x[k:k + 1])[0].tobytes() == success[k:k + 1].tobytes()
-    masses = setup.evaluator._prune_tables[2]
+            assert setup.exact.evaluator.success(x[k])[0] == success[k]
+            assert setup.exact.evaluator.success(x[k:k + 1])[0].tobytes() == success[k:k + 1].tobytes()
+    masses = setup.pruned.evaluator._prune_tables[2]
     overlaps = rng.standard_normal((16, masses.shape[0]))
     whole = overlaps @ masses
     for k in range(16):
-        assert setup.single_z_rows(sites[k:k + 1], t_errs[k:k + 1])[0].tobytes() == rows[k].tobytes()
-        assert _read_rows(setup, sites[k:k + 1], t_errs[k:k + 1])[0].tobytes() == flips[k].tobytes()
+        assert _hop_rows(setup, setup.pruned, sites[k:k + 1], t_errs[k:k + 1])[0].tobytes() == rows[k].tobytes()
+        assert _hop_rows(setup, setup.exact, sites[k:k + 1], t_errs[k:k + 1])[0].tobytes() == flips[k].tobytes()
         assert (overlaps[k] @ masses).tobytes() == whole[k].tobytes()
 
 
@@ -1128,7 +1168,7 @@ def test_pruning_masses_are_scipys_bit_for_bit(chain15):
     # order in real arithmetic, so it keeps scipy's bits
     import scipy.sparse as sp
 
-    ev = harness._revival_setup(chain15).evaluator
+    ev = harness._revival_setup(chain15).pruned.evaluator
     pairs, _, masses, _, _ = ev._prune_tables
     assert not masses.value.imag.any()
     old = sp.csc_array((masses.value.real, (masses.row, masses.col)), masses.shape)
@@ -1246,19 +1286,22 @@ def test_coupling_pruned_mass_reported(tmp_path):
     assert header == "f,mean_success,min_success,zeta_max_mean"
 
 
-def test_coupling_resume_across_a_stack_boundary(tmp_path):
+@pytest.mark.parametrize("prune", [0.0, 1e-12])
+def test_coupling_resume_across_a_stack_boundary(tmp_path, prune):
     # 3 points x 7 instances are 21 jobs, scored in stacks of 16 and 5 that
     # straddle point 2; resuming after point 0 scores the other 14 jobs as
-    # one stack, and neither file may notice
+    # one stack, and neither file may notice, exact or pruned
     assert harness._CHUNK == 16
     grid, instances, seed = (0.02, 0.05, 0.1), 7, 4
     full_dir, part_dir = tmp_path / "full", tmp_path / "part"
-    curves = exp_coupling(f_grid=grid, instances=instances, seed=seed, out_dir=str(full_dir))
+    curves = exp_coupling(f_grid=grid, instances=instances, seed=seed, out_dir=str(full_dir),
+                          prune_below=prune)
     shutil.copytree(full_dir, part_dir)
     points = (part_dir / "points.jsonl").read_text().splitlines(keepends=True)
     (part_dir / "points.jsonl").write_text(points[0])
     (part_dir / "coupling.csv").unlink()
-    exp_coupling(f_grid=grid, instances=instances, seed=seed, out_dir=str(part_dir))
+    exp_coupling(f_grid=grid, instances=instances, seed=seed, out_dir=str(part_dir),
+                 prune_below=prune)
     for name in ("coupling.csv", "points.jsonl"):
         assert (part_dir / name).read_bytes() == (full_dir / name).read_bytes()
     # each point is the mean over its instances scored one at a time
@@ -1269,7 +1312,7 @@ def test_coupling_resume_across_a_stack_boundary(tmp_path):
             draw = int(sample_rng(seed, i * instances + k).integers(0, 2**63 - 1))
             perturbed, zeta = disordered_spec(pst_couplings(15), f, draw)
             m = mode_unitaries(perturbed, [setup.duration])
-            alone.append(setup.success_mode_unitaries(m)[0][0])
+            alone.append(setup.success_mode_unitaries(m, prune)[0][0])
             zetas.append(zeta)
         assert curves.mean_success[i] == float(np.mean(alone))
         assert curves.min_success[i] == min(alone)
@@ -1310,18 +1353,19 @@ def test_warm_mode_minors_maps_no_fresh_pages(chain15):
 
     setup = harness._revival_setup(chain15)
     stack = mode_unitaries(chain15, setup.duration + np.linspace(-0.3, 0.3, 16))
-    got = mode_minors(stack, setup.plan)
+    plan = setup.exact.amplitudes[0]
+    got = mode_minors(stack, plan)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    mode_minors(stack, setup.plan)
+    mode_minors(stack, plan)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 20, faults
     # a call after one with another S reads the buffers' leading parts, to
     # the values a fresh plan gives
-    read = np.unique(setup.evaluator.weights.row)
-    targets, sources = setup.evaluator.support[read], setup.reference[0]
+    read = np.unique(setup.pruned.evaluator.weights.row)
+    targets, sources = setup.pruned.evaluator.support[read], setup.reference[0]
     for size in (5, 1, 16):
         fresh = mode_minors(stack[:size], minor_plan(15, targets, sources))
-        np.testing.assert_array_equal(mode_minors(stack[:size], setup.plan), fresh)
+        np.testing.assert_array_equal(mode_minors(stack[:size], plan), fresh)
         np.testing.assert_array_equal(fresh, got[:size])
 
 
