@@ -182,6 +182,7 @@ def main(argv=None) -> int:
                 "points": len(curve.deltas),
                 "min_success": min(curve.successes),
                 "success_at_zero": at_zero,
+                "discarded_mass": sum(curve.discarded_mass),
             })
         elif args.command == "coupling-sweep":
             curves = exp_coupling(

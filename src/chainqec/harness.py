@@ -41,7 +41,6 @@ from .hilbert import (
     apply_hops,
     from_density,
     hop_plan,
-    hop_reach,
     lindblad_evolve,
     mode_minors,
     mode_unitaries,
@@ -125,7 +124,9 @@ def _fill(out_dir: str | None, manifest: ExperimentManifest, count: int, evaluat
     raises before anything is written, so a resumed sweep never mixes
     points from a different run.  `evaluate(indices)` returns or yields one
     payload per index for the missing points, in chunks of at most _CHUNK;
-    each record is appended to points.jsonl as it arrives.
+    each record is appended to points.jsonl as it arrives.  Only lines
+    ending in a newline are read back: a record cut short by an
+    interruption is dropped from the file and its point recomputed.
     """
     done: dict[int, dict] = {}
     path = None
@@ -147,11 +148,16 @@ def _fill(out_dir: str | None, manifest: ExperimentManifest, count: int, evaluat
                     f"{out_dir} holds points of a different run (manifest.json differs); "
                     "use a fresh output directory"
                 )
-            with open(path) as fh:
-                for line in fh:
-                    if line.strip():
-                        rec = json.loads(line)
-                        done[int(rec["index"])] = rec
+            with open(path, "rb+") as fh:
+                # an interrupted write leaves a last line without its newline: cut it
+                # off, so its point is computed again and appended on a line of its own
+                complete = fh.read()
+                complete = complete[:complete.rfind(b"\n") + 1]
+                fh.truncate(len(complete))
+            for line in complete.splitlines():
+                if line.strip():
+                    rec = json.loads(line)
+                    done[int(rec["index"])] = rec
         with open(manifest_path, "w") as fh:
             fh.write(manifest.to_json() + "\n")
     todo = [i for i in range(count) if i not in done]
@@ -188,8 +194,8 @@ class Readout:
       (amplitude_plan), for a stack of mode unitaries M;
     - `hops`, the hop plan of phi = Gamma(U(duration))|encoded> there
       (hop_plan), for rows phi - 2 n_v phi.  phi is built only where that
-      plan reads it, on the positions' one-hop reach (hop_reach), and is
-      not kept.
+      plan asks for it, on the positions' one-hop reach, and is not
+      kept.
 
     `transport` is U(duration) as a one-member (1, N, N) stack.
     """
@@ -205,10 +211,8 @@ class Readout:
 
     @cached_property
     def hops(self) -> tuple:
-        """hop_plan of phi at the evaluator's support, from phi on their one-hop reach."""
-        n, support = self.transport.shape[-1], self.evaluator.support
-        reach = hop_reach(n, support)
-        return hop_plan(n, (reach, self._arrival_at(reach)), support)
+        """hop_plan of phi at the evaluator's support, phi built where the plan asks for it."""
+        return hop_plan(self.transport.shape[-1], self._arrival_at, self.evaluator.support)
 
     def _arrival_at(self, positions: np.ndarray) -> np.ndarray:
         """phi = Gamma(U(duration))|encoded> at the basis indices `positions`, read-only.
@@ -436,6 +440,7 @@ class TimingCurve:
     deltas: tuple[float, ...]
     smallness: tuple[float, ...]  # delta * lambda_max
     successes: tuple[float, ...]
+    discarded_mass: tuple[float, ...]  # per offset; nonzero only when pruning
 
 
 def default_timing_grid(transfer_time: float) -> tuple[float, ...]:
@@ -486,7 +491,8 @@ def exp_timing(
         out_dir, "timing.csv",
         ["delta_t", "delta_t_times_lambda_max", "success_probability"], rows,
     )
-    return TimingCurve(manifest, delta_grid, smallness, tuple(successes))
+    return TimingCurve(manifest, delta_grid, smallness, tuple(successes),
+                       tuple(float(r["discarded_mass"]) for r in recs))
 
 
 @dataclass

@@ -21,8 +21,8 @@ sources' amplitudes (amplitude_plan, from the state's nonzero entries:
 no 2^N array).  apply_mode_unitary plans the whole occupied sectors of
 one state, keeping the last few plans, and each revival read-out plans
 the amplitudes at its positions (those the decoder reads, or the whole
-support), kept, and the arrival state on their one-hop reach
-(hop_reach), in blocks freed once read.  The fold, like every
+support), kept, and the arrival state where its hop plan asks for it,
+in blocks freed once read.  The fold, like every
 sparse table an exact sweep reads, is a FixedOrderTable: numpy entry
 arrays whose product sums each column in stored order and rounds each
 complex product as scipy's sparse kernels do, so it keeps their bits and
@@ -39,7 +39,8 @@ phi - 2 n_v phi, with v the flipped site's row of a mode unitary
 (mode_unitaries).  n_v = sum_ij conj(v_i) v_j c_i^dag c_j, and apply_hops
 applies any such sum_ij a_i b_j c_i^dag c_j to a fixed state on a
 support, per member of a stack, by a route through a neighbouring
-excitation weight that hop_plan tables once: each revival read-out
+excitation weight that hop_plan tables once, asking for the state's
+amplitudes only at the indices its tables read: each revival read-out
 builds its single-Z rows with it, at its own positions.  lindblad_evolve, the exact dephasing oracle,
 keeps only the Liouvillian's blocks that the state occupies; up to
 _DENSE_LIOUVILLIAN_MAX_DIM kept positions it gathers them densely (the
@@ -510,9 +511,11 @@ def minor_plan(n_sites: int, targets, sources) -> MinorPlan:
     node, so the plan holds each once (45, 315, 990, 945 and 459 nodes at
     levels 1..5 for the revival set-up's 460 pairs).  The sign of term i is
     the same at every node of a level, so it is not stored.  Built with bit
-    masks, sorting and searchsorted, never a loop over pairs or nodes nor
-    a (pairs x N) array, and each level's child keys are resolved and
-    freed before the level below is expanded;
+    masks, never a loop over pairs or nodes nor a (pairs x N) array: one
+    np.unique per level, from level K down to the constant 1 of level 0,
+    gives its nodes and places its pairs and the level above's children
+    among them, so each level's child keys are resolved and freed before
+    the level below is expanded;
     refuses N > 31, where a node's key outgrows an int64, and, with
     ResourceLimitError, more pairs than _MINOR_PLAN_MAX_PAIRS, counted
     from the two weight histograms before the (targets x sources)
@@ -546,29 +549,26 @@ def minor_plan(n_sites: int, targets, sources) -> MinorPlan:
     low = (np.int64(1) << n) - 1
     flip = np.where(complementary, low, 0)
     pair_keys = ((mask_y[target] ^ flip) << n) | (mask_x[source] ^ flip)
-    keys, entries, children = [], [], []
+    entries, children, counts = [], [], []
+    node = np.empty(size.size, dtype=np.int64)  # each pair's node in its level, then among all
     wanted = np.empty((0, 0), dtype=np.int64)  # the keys of the children the level above reads
     for level in range(int(size.max(initial=0)), -1, -1):
-        if level:
-            key = _sorted_unique(np.concatenate([pair_keys[size == level], wanted.ravel()]))
-        else:
-            key = np.zeros(1, dtype=np.int64)  # level 0, the empty minor
-        if keys:  # the level above's children, as positions among this level's nodes
-            children.append(np.searchsorted(key, wanted))
-        keys.append(key)
-        if level:
-            r, c = key >> n, key & low
-            rows = _set_sites(r, level)
-            last = _set_sites(c, level)[:, -1]
-            entries.append(rows * n + last[:, None])
-            # term i drops row r_i and the last column
-            wanted = ((r[:, None] ^ (1 << rows)) << n) | (c ^ (1 << last))[:, None]
-    keys, entries, children = keys[::-1], entries[::-1], children[::-1]
-    offsets = np.cumsum([0] + [k.size for k in keys])
-    node = np.empty(size.size, dtype=np.int64)
-    for level, key in enumerate(keys):
         at = size == level
-        node[at] = offsets[level] + np.searchsorted(key, pair_keys[at])
+        # this level's nodes, and where its pairs and the level above's children sit among them
+        key, where = np.unique(np.concatenate([pair_keys[at], wanted.ravel()]), return_inverse=True)
+        placed = np.count_nonzero(at)  # this level's pairs, then the children
+        node[at] = where[:placed]
+        children.append(where[placed:].reshape(wanted.shape))
+        counts.append(key.size)
+        r, c = key >> n, key & low
+        rows = _set_sites(r, level)
+        last = _set_sites(c, level)[:, level - 1:]  # the last column, none at level 0
+        entries.append(rows * n + last)
+        # term i drops row r_i and the last column
+        wanted = ((r[:, None] ^ (1 << rows)) << n) | (c[:, None] ^ (1 << last))
+    # levels 1..K: entries[-1] expanded level 0, children[0] placed no level above K
+    entries, children = entries[-2::-1], children[:0:-1]
+    node += np.cumsum([0] + counts[::-1])[size]
     plan = MinorPlan(np.stack([target, source]), complementary, sign,
                      tuple(entries), tuple(children), node)
     _read_only(plan.pairs, plan.complementary, plan.sign, plan.node, *plan.entries, *plan.children)
@@ -796,12 +796,14 @@ def amplitude_plan(n_sites: int, targets, entries,
     return plan, fold
 
 
-def hop_plan(n_sites: int, entries, support: np.ndarray) -> tuple:
+def hop_plan(n_sites: int, amplitudes, support: np.ndarray) -> tuple:
     """Read-only tables of sum_ij a_i b_j c_i^dag c_j |state> on `support`, for apply_hops.
 
-    The state is given by `entries` = (basis indices, amplitudes), the
-    indices distinct and in any order, and is 0 off them (_lookup): no
-    2^N array is read, and entries on its hop reach (hop_reach) suffice.
+    `amplitudes(indices)` gives the state's amplitudes at an int64 array
+    of basis indices.  It is called once, with every index the tables
+    read, ascending and distinct: the support's own and every index one
+    particle move c_i^dag c_j from one of them.  So no 2^N array is read,
+    and two states that agree there have the same hop plan, bit for bit.
     `support` is an int64 array of basis indices, in any order.  Each
     excitation weight w of it takes the route with min(w, N - w) gathers a
     position, as minor_plan does: for w > N - w the anticommutator,
@@ -819,45 +821,35 @@ def hop_plan(n_sites: int, entries, support: np.ndarray) -> tuple:
     the anticommutator's minus require).  The tables hold the state's
     amplitudes with exact signs, so for unit a and b every entry is the
     state's to the bit, and c_i^dag c_i through w + 1 is phi - phi = 0
-    or phi - 0 = phi exactly.
+    or phi - 0 = phi exactly.  While `amplitudes` runs only each
+    weight's route is held; the tables are built after it.
     """
-    n, (keys, values) = n_sites, (np.asarray(a) for a in entries)
+    n = n_sites
     bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))  # b_i of site i + 1
     before = ~((bits << 1) - 1)  # the sites before site i + 1
     weights = np.bitwise_count(support)
-    plan = []
+    routes = []
     for w in _sorted_unique(weights).tolist():
         at = np.flatnonzero(weights == w)
         y, create = support[at], w > n - w
         site = np.nonzero(((y[:, None] & bits) != 0) != create)[1].reshape(y.size, -1).T
-        mid = _sorted_unique(y ^ bits[site])[:, None]  # the intermediate states the slots read
-        hopped = _lookup(keys, values, mid ^ bits, 0)
-        table = np.where(((mid & bits) != 0) == create, z_sign(mid & before) * hopped, 0)
-        amps = _lookup(keys, values, y, 0)
-        factor = site + n * ((z_sign(y & before[site]) < 0) != create)
-        pos = np.searchsorted(mid[:, 0], y ^ bits[site])
-        plan.append((at, create, *_read_only(table.T.copy(), amps, pos, factor)))
+        mid, pos = np.unique(y ^ bits[site], return_inverse=True)  # the intermediates slots read
+        hop = ((mid[:, None] & bits) != 0) == create  # c_i^dag or c_i back to weight w
+        routes.append((at, create, site, pos, mid[:, None], hop))
+    # every index the tables read, once: the support's and each hop back from an intermediate
+    reach, read = np.unique(
+        np.concatenate([support] + [(mid ^ bits)[hop] for *_, mid, hop in routes]),
+        return_inverse=True)
+    state = amplitudes(reach)
+    plan, start = [], support.size
+    for at, create, site, pos, mid, hop in routes:
+        stop = start + np.count_nonzero(hop)
+        table = np.zeros((n, mid.size), dtype=state.dtype)
+        table.T[hop] = z_sign(mid & before)[hop] * state[read[start:stop]]
+        factor = site + n * ((z_sign(support[at] & before[site]) < 0) != create)
+        plan.append((at, create, *_read_only(table, state[read[at]], pos, factor)))
+        start = stop
     return tuple(plan)
-
-
-def hop_reach(n_sites: int, support) -> np.ndarray:
-    """The basis indices, ascending, whose amplitudes hop_plan(state, support) puts in its tables.
-
-    Those are the support's own indices and every index one hop
-    c_i^dag c_j from one of them, one particle moved, so two states that
-    agree there have the same hop plan on `support`, bit for bit.  Built
-    site by site: the moves off each occupied site j, to every empty site
-    i, are merged into the sorted reach, so no (position, i, j) array is
-    made.
-    """
-    bits = 1 << (n_sites - 1 - np.arange(n_sites, dtype=np.int64))
-    y = np.asarray(support, dtype=np.int64)
-    reach = _sorted_unique(y)
-    for b_j in bits:
-        emptied = y[(y & b_j) != 0, None] ^ b_j  # (position, 1): site j emptied
-        moved = emptied | bits  # (position, i): a move where site i was empty, j giving y back
-        reach = _sorted_unique(np.concatenate([reach, moved[moved != emptied]]))
-    return reach
 
 
 def apply_hops(plan: tuple, a: np.ndarray, b: np.ndarray, work: dict,

@@ -211,6 +211,18 @@ def test_coupling_cli_reports_discarded_mass(tmp_path, capsys):
     assert payload["points"] == 1
 
 
+def test_timing_cli_reports_discarded_mass(tmp_path, capsys):
+    rc = main([
+        "timing-sweep", "--grid", "0,0.01", "--prune", "1e-7",
+        "--out", str(tmp_path), "--format", "json",
+    ])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    recs = [json.loads(line) for line in (tmp_path / "points.jsonl").read_text().splitlines()]
+    assert payload["discarded_mass"] == sum(rec["discarded_mass"] for rec in recs) > 0
+    assert payload["points"] == 2
+
+
 def _csv_column(path: Path, name: str) -> list[float]:
     with open(path) as fh:
         return [float(r[name]) for r in csv.DictReader(fh)]

@@ -36,7 +36,6 @@ from chainqec.hilbert import (
     dense_unitary,
     evolve,
     hop_plan,
-    hop_reach,
     jump_unitary,
     minor_plan,
     mode_minors,
@@ -141,7 +140,7 @@ def test_single_z_quadratic_form_matches_dense_flip(spec, data):
     arrival = apply_mode_unitary(psi, mode_unitaries(spec, [total])[0])
     v = mode_unitaries(spec, [t - total])[0, site - 1]
     support = rng.permutation(1 << n)
-    plan = hop_plan(n, (np.arange(1 << n), arrival.amps), support)
+    plan = hop_plan(n, lambda reach: arrival.amps[reach], support)
     n_v = apply_hops(plan, v.conj()[None], v[None], {})[:, 0]
     zsign = np.where(np.arange(1 << n) & site_bit(n, site), -1.0, 1.0)
     want = dense_unitary(spec, total - t) @ (zsign * (dense_unitary(spec, t) @ psi.amps))
@@ -151,34 +150,41 @@ def test_single_z_quadratic_form_matches_dense_flip(spec, data):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), data=st.data())
 def test_hop_plan_reads_the_state_only_on_its_hop_reach(n, data):
-    # hop_reach is each support index and every one-particle move of it, and
-    # a state that agrees with another there has the same hop plan, bit for
-    # bit, as has its entries there alone: the revival set-up builds phi only
-    # there for its exact rows
+    # hop_plan asks for the state once, on its hop reach: each support index
+    # and every one-particle move of it, ascending and distinct; a state that
+    # agrees with another there has the same hop plan, bit for bit.  The
+    # revival set-up builds phi only there
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     support = rng.permutation(1 << n)[:data.draw(st.integers(1, 1 << n))]
-    reach = hop_reach(n, support)
+    asked = []
+
+    def recorded(state):
+        def amplitudes(indices):
+            asked.append(indices.copy())
+            return state[indices]
+        return amplitudes
+
+    full = hop_plan(n, recorded(amps), support)
+    assert len(asked) == 1
+    reach = asked[0]
     moves = {y ^ (1 << i) ^ (1 << j) for y in support.tolist() for i in range(n) for j in range(n)
              if i == j or (y >> i & 1) != (y >> j & 1)}
     assert reach.tolist() == sorted(moves)
-    # and the (position, i, j) cube of every y ^ b_i ^ b_j of the same weight
-    # that hop_reach once built, bit for bit
+    # and the (position, i, j) cube of every y ^ b_i ^ b_j of the same weight,
+    # bit for bit
     bits = 1 << np.arange(n, dtype=np.int64)
     cube = support[:, None, None] ^ bits[:, None] ^ bits
     cube = np.unique(cube[np.bitwise_count(cube) == np.bitwise_count(support)[:, None, None]])
     assert reach.dtype == cube.dtype and reach.tobytes() == cube.tobytes()
     agreeing = np.where(np.isin(np.arange(1 << n), reach), amps, rng.standard_normal(1 << n))
-    everywhere = np.arange(1 << n)
-    full = hop_plan(n, (everywhere, amps), support)
-    for part in (hop_plan(n, (everywhere, agreeing), support),
-                 hop_plan(n, (reach, amps[reach]), support),
-                 hop_plan(n, (reach[::-1], amps[reach[::-1]]), support)):  # entries in any order
-        assert len(full) == len(part)
-        for group, other in zip(full, part):
-            for a, b in zip(group, other):
-                a, b = np.asarray(a), np.asarray(b)
-                assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    part = hop_plan(n, recorded(agreeing), support)
+    assert len(asked) == 2 and asked[1].tobytes() == reach.tobytes()
+    assert len(full) == len(part)
+    for group, other in zip(full, part):
+        for a, b in zip(group, other):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,6 +390,33 @@ def test_planned_minors_match_direct_determinants(n, seed, data):
         np.testing.assert_allclose(plan.sign * got[k], want, rtol=0, atol=1e-13)
         # each member is computed alone, whatever the stack
         np.testing.assert_array_equal(mode_minors(stack[k:k + 1], plan)[0], got[k])
+
+
+@pytest.mark.parametrize("targets, sources, pairs", [
+    ([0b00001, 0b00100], [0b00011, 0b11000], 0),  # weights 1 and 2: no equal-weight pair
+    ([0], [0], 1),  # the vacuum alone: the empty minor, 1
+    ([0b11111], [0b11111], 1),  # weight N alone: det M, from the empty complement
+    ([0, 0b00110, 0b01010], [0b10100, 0], 3),  # the vacuum and weight 2, planned directly
+    ([0b11011, 0], [0, 0b01111, 0b10111], 3),  # the vacuum and weight 4, from complements
+], ids=["no-pair", "vacuum", "weight-n", "vacuum-and-weight-2", "vacuum-and-weight-4"])
+def test_minor_plan_of_few_levels_matches_direct_determinants(targets, sources, pairs):
+    # plans with no pair, or only level 0 and at most one level above it;
+    # np.linalg.det per pair, and 1 for the vacuum's empty minor
+    n = 5
+    targets, sources = np.array(targets), np.array(sources)
+    plan = minor_plan(n, targets, sources)
+    assert plan.pairs.shape == (2, pairs)
+    spec = pst_couplings(n)
+    stack = np.array([
+        _haar(np.random.default_rng(7), n),
+        mode_unitaries(spec, [2 * analyze_transfer(spec).transfer_time])[0],
+        np.eye(n),
+    ])
+    got = mode_minors(stack, plan)
+    assert got.shape == (3, pairs)
+    for k, m in enumerate(stack):
+        want = _direct_minors(m, n, targets, sources, plan.pairs)
+        np.testing.assert_allclose(plan.sign * got[k], want, rtol=0, atol=1e-13)
 
 
 def test_minor_plan_shares_sub_minors_and_is_read_only():

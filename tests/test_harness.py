@@ -588,6 +588,26 @@ def test_single_z_resume_across_chunk_boundary(tmp_path, prune):
     assert (part_dir / "points.jsonl").read_bytes() == (full_dir / "points.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("cut", ["inside_record", "before_newline"])
+def test_single_z_resumes_a_record_cut_short(tmp_path, cut):
+    # an interruption while record 21 is written leaves it cut partway, or
+    # whole without its newline; the resumed run recomputes it, appends the
+    # rest on lines of their own, and a second resume reads them all
+    full_dir = tmp_path / "full"
+    part_dir = tmp_path / "part"
+    exp_single_z(samples=40, seed=0, out_dir=str(full_dir))
+    shutil.copytree(full_dir, part_dir)
+    points = (part_dir / "points.jsonl").read_bytes().splitlines(keepends=True)
+    record = points[21]
+    cut_record = record[:len(record) // 2] if cut == "inside_record" else record[:-1]
+    (part_dir / "points.jsonl").write_bytes(b"".join(points[:21]) + cut_record)
+    (part_dir / "single_z.csv").unlink()
+    for _ in range(2):
+        exp_single_z(samples=40, seed=0, out_dir=str(part_dir))
+        assert (part_dir / "single_z.csv").read_bytes() == (full_dir / "single_z.csv").read_bytes()
+        assert (part_dir / "points.jsonl").read_bytes() == (full_dir / "points.jsonl").read_bytes()
+
+
 def test_single_z_resume_refuses_other_seed(tmp_path):
     exp_single_z(samples=3, seed=1, out_dir=str(tmp_path))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
