@@ -73,7 +73,10 @@ class ChainSpec:
 
     @classmethod
     def from_config(cls, text: str) -> "ChainSpec":
-        """The chain of the key = value form of to_config: each of its keys once, no other."""
+        """The chain of the key = value form of to_config: each of its keys once, no other.
+
+        A list is comma separated; an empty entry is refused, naming its key.
+        """
         pairs = []
         for line in text.splitlines():
             line = line.split("#", 1)[0].strip()
@@ -84,6 +87,9 @@ class ChainSpec:
             key, _, rhs = line.partition("=")
             pairs.append((key.strip(), rhs.strip()))
         vals = _chain_keys(_unique_keys(pairs))
+        for key in ("couplings", "fields"):
+            if not all(entry.strip() for entry in vals[key].split(",")):  # "1,,1" once read as 1, 1
+                raise ValueError(f"empty entry in {key}: {vals[key]!r}")
         parse = lambda s: tuple(float(tok) for tok in s.replace(",", " ").split())
         return cls(int(vals["n_sites"]), parse(vals["couplings"]), parse(vals["fields"]))
 

@@ -466,7 +466,7 @@ def exp_timing(
     setup = _revival_setup(spec)
     if delta_grid is None:
         delta_grid = default_timing_grid(setup.transfer_time)
-    delta_grid = tuple(float(d) for d in delta_grid)
+    delta_grid = tuple(float(d) + 0.0 for d in delta_grid)  # -0.0 is recorded as 0.0
     if not all(np.isfinite(delta_grid)):
         raise ValueError("grid must be finite")
     manifest = replace(manifest, grid=delta_grid)
@@ -527,7 +527,8 @@ def exp_coupling(
     disordered_spec and mode_unitaries give that instance alone.
     """
     spec = spec or pst_couplings(15)
-    f_grid = DEFAULT_COUPLING_GRID if f_grid is None else tuple(float(f) for f in f_grid)
+    # -0.0 is recorded as 0.0
+    f_grid = DEFAULT_COUPLING_GRID if f_grid is None else tuple(float(f) + 0.0 for f in f_grid)
     if not all(0.0 <= f < 1.0 for f in f_grid):
         raise ValueError("disorder fraction must be finite and in [0, 1)")
     if instances < 1:
@@ -614,9 +615,10 @@ def exp_dephasing(
     apart (chi_support), 10 of the 36 Liouvillian positions the state
     occupies at N = 5.  The master equation is linear and keeps each
     weight-pair block apart, so the coherences are those of the whole
-    state's evolution; the Liouvillian's Hamiltonian part on those
-    positions is gathered once per chain and shared by every gamma
-    (lindblad_evolve).  Every gamma's work bound is checked
+    state's evolution; the two blocks' Hamiltonian parts are built once
+    per chain and shared by every gamma (lindblad_evolve).  Refuses
+    N > 6 (ResourceLimitError) and a gamma that is negative or not
+    finite; every gamma's work bound is checked
     (check_lindblad_work) before the checkpoint opens.  One checkpointed
     record per gamma; a NaN deviation propagates into the report.
     """
@@ -624,7 +626,7 @@ def exp_dephasing(
     n = spec.n_sites
     if n > 6:
         raise ResourceLimitError("dephasing experiment limited to N <= 6")
-    gamma_grid = tuple(float(g) for g in gamma_grid)
+    gamma_grid = tuple(float(g) + 0.0 for g in gamma_grid)  # -0.0 is recorded as 0.0
     if not all(0.0 <= g < np.inf for g in gamma_grid):
         raise ValueError("gamma must be finite and nonnegative")
     manifest = ExperimentManifest("dephasing", spec, "", gamma_grid, DEPHASING_TIME_POINTS, 0)

@@ -26,13 +26,13 @@ in blocks freed once read.  The fold, like every
 sparse table an exact sweep reads, is a FixedOrderTable: numpy entry
 arrays whose product sums each column in stored order and rounds each
 complex product as scipy's sparse kernels do, so it keeps their bits and
-computes each member of a stack alone.  evolve applies each occupied sector's sparse Hamiltonian
-with scipy's expm_multiply and serves as the exact N = 15 oracle,
-independent of the minors.  Neither caches anything that depends on the
-chain's couplings or fields; in this module only mode_unitaries (H1's
-eigendecomposition), the dense oracle dense_unitary (its
-eigendecomposition) and lindblad_evolve's dense path (the Hamiltonian
-part of its Liouvillian) do, in bounded caches that
+computes each member of a stack alone.  evolve applies each occupied
+sector's sparse Hamiltonian with scipy's expm_multiply and serves as the
+exact N = 15 oracle, independent of the minors.  Neither caches anything
+that depends on the chain's couplings or fields; in this module only
+mode_unitaries (H1's eigendecomposition), the dense oracle dense_unitary
+(its eigendecomposition) and lindblad_evolve (the Hamiltonian parts of
+its blocks) do, in bounded caches that
 clear_evolution_cache drops.  A single phase flip during transport is
 one rotated mode v about the error-free arrival state phi, read out as
 phi - 2 n_v phi, with v the flipped site's row of a mode unitary
@@ -41,24 +41,19 @@ applies any such sum_ij a_i b_j c_i^dag c_j to a fixed state on a
 support, per member of a stack, by a route through a neighbouring
 excitation weight that hop_plan tables once, asking for the state's
 amplitudes only at the indices its tables read: each revival read-out
-builds its single-Z rows with it, at its own positions.  lindblad_evolve, the exact dephasing oracle,
-keeps only the Liouvillian's blocks that the state occupies; up to
-_DENSE_LIOUVILLIAN_MAX_DIM kept positions it gathers them densely (the
-Hamiltonian part once per chain and kept positions, the dissipator per
-gamma) and exponentiates every distinct time step in one stacked
-scaling-and-squaring [13/13] Pade (_expm, in numpy), and above that it
-steps a sparse Liouvillian, built block by block from the sector
-Hamiltonians, with expm_multiply.  chi reads the mode coherences of a
-stack of states as the single-particle rotation of their bare ones, so
-the dephasing sweep builds no 2^N x 2^N unitary.  Both
-exact oracles (evolve and lindblad_evolve) leave a state unchanged when
-no entry of their generator times t reaches the smallest normal float
-(_negligible), and neither moves numpy's global random state
-(_expm_apply).  No scipy loads with this module: the code that calls it
-imports it where it runs, scipy.sparse in sector_sparse and
-_sector_liouvillian and scipy.sparse.linalg in _expm_apply, all of them
-oracles (evolve, the sparse Lindblad path).  So the revival sweeps,
-exact or pruned, and the dephasing sweep, which run neither path, load
+builds its single-Z rows with it, at its own positions.
+lindblad_evolve, the exact dephasing oracle, evolves each excitation
+weight-pair block of the Liouvillian that the state occupies on its own,
+exponentiating every (block, distinct time step) of one block size in a
+stacked scaling-and-squaring [13/13] Pade (_expm, in numpy).  chi reads
+the mode coherences of a stack of states as the single-particle rotation
+of their bare ones, so the dephasing sweep builds no 2^N x 2^N unitary.
+Both exact oracles (evolve and lindblad_evolve) leave a state unchanged
+when no entry of their generator times t reaches the smallest normal
+float (_negligible), and neither moves numpy's global random state
+(_expm_apply).  No scipy loads with this module: scipy.sparse is
+imported in sector_sparse and scipy.sparse.linalg in _expm_apply, where
+evolve calls them.  So every sweep, the dephasing sweep included, loads
 numpy alone.
 """
 
@@ -74,10 +69,12 @@ from .chain import ChainSpec, _u_of_t, single_excitation_matrix
 from .errors import ResourceLimitError
 from .pauli import PauliString, site_bit, z_sign
 
-_DENSITY_MATRIX_MAX_SITES = 8
+_DENSITY_MATRIX_MAX_SITES = 6
 _DENSE_H_MAX_SITES = 12
 _LINDBLAD_MAX_WORK = 1e7
-_DENSE_LIOUVILLIAN_MAX_DIM = 100
+# complex entries of one stack of Lindblad exponentials (4 MiB); _expm peaks
+# near ten times its input, and an N = 6 block holds at most 400^2 entries
+_EXPM_STACK_ENTRIES = 1 << 18
 # a dense N = 10 state to itself is 184 756 pairs, the largest plan the limit
 # admits; the revival set-up's support plan is 9010
 _MINOR_PLAN_MAX_PAIRS = 200_000
@@ -247,12 +244,12 @@ def clear_evolution_cache() -> None:
     """Drop the caches that depend on a chain's couplings and fields.
 
     Those are mode_unitaries' eigendecompositions of H1 (_h1_eigh),
-    dense_unitary's (_dense_eig) and lindblad_evolve's Hamiltonian parts
-    (_kept_hamiltonian).
+    dense_unitary's (_dense_eig) and lindblad_evolve's blocks
+    (_lindblad_blocks).
     """
     _h1_eigh.cache_clear()
     _dense_eig.cache_clear()
-    _kept_hamiltonian.cache_clear()
+    _lindblad_blocks.cache_clear()
 
 
 def sector_eig(spec: ChainSpec, weight: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -679,7 +676,7 @@ class FixedOrderTable:
     The product gathers x once for all entries, as interleaved real and
     imaginary parts, and multiplies them by the values tiled to the same
     shape: a product of two arrays of one shape runs numpy's fastest loop
-    (one with a broadcast operand took two to four times as long).  The
+    (one with a broadcast operand takes a slower loop).  The
     imaginary parts of the values take a second such product, with x's
     parts swapped, which a table of real values skips: its terms are
     exact zeros.  A real x times a table of real values is computed in
@@ -930,20 +927,15 @@ def dense_unitary(spec: ChainSpec, t: float) -> np.ndarray:
 def check_lindblad_work(spec: ChainSpec, gamma: float, t: float) -> None:
     """Refuse a Lindblad run up to time t whose work bound is not finite or above the limit.
 
-    ||L||_1 <= 2 (sum |J| + sum |B| + gamma N): a column of H holds at most
-    one hop per bond and one sum of fields, and the dissipator is at most
-    2 gamma N on the diagonal.  expm_multiply's step count grows linearly
-    with ||L t||_1, so the bound times t measures the sparse path's work
-    before any matrix is built; the dense path's grows only with
-    log ||L dt|| and stays far below it.  Measured on the sparse path (one
-    BLAS thread, 2-core Xeon) at gamma = 1e2 and 1e3 from full-rank rho on
-    N = 4 and 5 and from pure states on two or three excitation sectors
-    (N = 4 and 6, 121 to 1024 kept positions): 37-84 microseconds per unit
-    of the bound times t, linear in it.  So the limit of 1e7 refuses only
-    calls that would run for about 6 minutes or more there.  The dense
-    path evolves all 36 positions of |0...0+> on N = 5 in about 0.5 ms
-    per call at every gamma from 1e4 up to 6e5, the largest the limit
-    admits, and the 10 the dephasing sweep keeps in about 0.25 ms.
+    The refusal is a ResourceLimitError.  The bound is
+    2 (sum |J| + sum |B| + gamma N) t >= ||L t||_1: a column of H holds at
+    most one hop per bond and one sum of fields, and the dissipator is at
+    most 2 gamma N on the diagonal.  It is computed from the chain alone,
+    before any matrix is built.  The limit,
+    _LINDBLAD_MAX_WORK = 1e7, admits gamma up to about 6e5 on the
+    dephasing sweep's N = 5 chain, where each step's Pade takes at most 21
+    squarings (_expm); an infinite bound (gamma = 1e308) or a scanned
+    transfer time of 6e10 is refused.
     """
     norm = sum(map(abs, spec.couplings)) + sum(map(abs, spec.fields)) + gamma * spec.n_sites
     work = 2.0 * norm * t
@@ -956,52 +948,39 @@ def check_lindblad_work(spec: ChainSpec, gamma: float, t: float) -> None:
 def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) -> list[DensityMatrix]:
     """Exact solutions of drho/dt = -i[H,rho] - N gamma rho + gamma sum_n Z_n rho Z_n, one per time.
 
-    `times` is a nondecreasing list of times >= 0, as for mode_unitaries.
-    The map rho -> rho(t) is linear, and `rho` may hold any 2^N x 2^N
-    operator, not only a density matrix: a traceless, non-Hermitian part
-    of a state (the weight-pair blocks chi reads, chi_support) evolves as
-    it would inside the whole state.
-    On the row-major vec(rho) the Liouvillian is the sparse 4^N x 4^N matrix
+    `times` is a nondecreasing 1-D list of times >= 0, as for
+    mode_unitaries; the result holds one DensityMatrix per time.  The map
+    rho -> rho(t) is linear, and `rho` may hold any 2^N x 2^N operator,
+    not only a density matrix: a traceless, non-Hermitian part of a state
+    (the weight-pair blocks chi reads, chi_support) evolves as it would
+    inside the whole state.
+
+    On the row-major vec(rho) the Liouvillian is
     L = -i(H (x) I - I (x) H^T) - 2 gamma diag(popcount(i ^ j)): the
     dissipator is diagonal on |i><j|, where sum_n z_n(i) z_n(j) - N counts
     -2 per site that differs.  H conserves the excitation number, so L is
-    block-diagonal on the weight pairs (|i|, |j|), and a block on which rho
-    is zero stays exactly zero.  L is built once per call, restricted to
-    the positions (i, j) of the weight pairs where rho has a nonzero entry
-    (36 of 1024 from |0...0+> on N = 5, 10 from the part of it that chi
-    reads), and that shorter vector is stepped through the time
-    differences on one of two paths, chosen by the kept dimension alone:
+    block-diagonal on the weight pairs (a, b) = (|i|, |j|), a block of
+    C(N, a) C(N, b) positions (at most 400 at N = 6).  A block on which rho
+    is zero stays exactly zero, and each block rho occupies is evolved on
+    its own: its values do not depend on the other blocks rho holds.  A
+    block's Hamiltonian part, -i(H_a (x) I - I (x) H_b^T) from the sector
+    Hamiltonians, comes from a read-only cache per chain and occupied
+    pattern (_lindblad_blocks), and each call subtracts the dissipator.
+    e^{L dt} is computed once per block and distinct step dt (only steps
+    equal as floats share one), the blocks of one size and their steps
+    stacked in a scaling-and-squaring [13/13] Pade (_expm; Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)) that computes each member alone,
+    and each block's vector is stepped through the time differences.  A
+    stack holds at most _EXPM_STACK_ENTRIES entries, chunked before it is
+    allocated (_step_blocks), so memory does not grow with the number of
+    distinct steps.  A step whose generator L dt is negligible
+    (_negligible) leaves the block's vector as it is.
 
-    - up to _DENSE_LIOUVILLIAN_MAX_DIM positions, L is gathered densely
-      on them (_kept_liouvillian): its Hamiltonian part comes from the
-      dense Hamiltonian once per chain and kept positions and is cached
-      read-only (_kept_hamiltonian), and each call adds only the
-      dissipator's diagonal, so every gamma of a sweep shares one gather.
-      e^{L dt} is computed once per distinct step dt, all steps in one
-      stacked numpy scaling-and-squaring [13/13] Pade (_expm; Higham,
-      SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), which gives each step
-      the bits of its own call, and multiplied into the vector.
-      scipy.linalg.expm is its oracle in the tests.
-      Only steps equal as floats share an exponential: the steps of a
-      linspace differ in their last bits.  Its cost grows with
-      log ||L dt||, not ||L dt||.
-    - above it, L is built sparse on the kept positions, one Kronecker sum
-      of sector Hamiltonians per occupied weight pair
-      (_sector_liouvillian), and applied by scipy's expm_multiply
-      (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), which picks
-      its own Taylor degree and step count per step.  It is the only path
-      that runs a large kept dimension: over eight steps from a full-rank
-      rho on N = 5 (1024 positions) dense Pade took 6.9 s against 24 ms,
-      and at 4^8 it cannot allocate L.
-
-    The limit is the measured break-even (one BLAS thread, 2-core Xeon,
-    sweep-like steps): dense won at 100 kept positions (2.8 against
-    4.4 ms for one step) and lost at 121 (4.6 against 3.3 ms).  A step
-    whose generator L dt is negligible (_negligible) leaves the vector as
-    it is on both paths.  Refuses a run whose work bound is not finite or
-    too large (check_lindblad_work) before H is built.  The dense path
-    runs on numpy alone; the sparse one imports scipy.sparse and
-    scipy.sparse.linalg (_expm_apply) on its first call.
+    Refuses a size mismatch, N > _DENSITY_MATRIX_MAX_SITES
+    (ResourceLimitError), times that are not a 1-D nondecreasing list of
+    finite numbers >= 0, a gamma that is negative or not finite, and a run
+    whose work bound is not finite or too large (check_lindblad_work), all
+    before any block is built.  Runs on numpy alone.
     """
     n = rho.n_sites
     if n != spec.n_sites:
@@ -1022,31 +1001,47 @@ def lindblad_evolve(rho: DensityMatrix, spec: ChainSpec, gamma: float, times) ->
         raise ValueError("t must be nondecreasing")
     check_lindblad_work(spec, gamma, times.max(initial=0.0))
     dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    weight = np.bitwise_count(idx)
-    occupied = np.zeros((n + 1, n + 1), dtype=bool)
+    weight = np.bitwise_count(np.arange(dim)).astype(np.int64)
+    occupied = np.zeros((n + 1) ** 2, dtype=bool)  # weight pair (a, b) at a (N + 1) + b
     rows, cols = np.nonzero(rho.mat)
-    occupied[weight[rows], weight[cols]] = True
-    keep = np.flatnonzero(occupied[weight[:, None], weight[None, :]])
-    if keep.size <= _DENSE_LIOUVILLIAN_MAX_DIM:
-        dts = _sorted_unique(steps)
-        generators = _kept_liouvillian(spec, gamma, keep) * dts[:, None, None]
-        live = ~_negligible(generators, axis=(1, 2))
-        expms = dict(zip(dts[live], _expm(generators[live])))
+    occupied[weight[rows] * (n + 1) + weight[cols]] = True
+    flat, out = rho.mat.ravel(), np.zeros((steps.size, dim * dim), dtype=complex)
+    blocks = _lindblad_blocks(spec, tuple(np.flatnonzero(occupied).tolist()))
+    for keep, flips, hamiltonian in blocks:
+        liouvillian = hamiltonian - 2.0 * gamma * flips[..., None] * np.eye(keep.shape[1])
+        out[:, keep] = _step_blocks(liouvillian, flat[keep], steps)
+    return [DensityMatrix(mat.reshape(dim, dim), n) for mat in out]
 
-        def advance(dt, vec):
-            return expms[dt] @ vec if dt in expms else vec
-    else:
-        keep, liouvillian = _sector_liouvillian(spec, gamma, occupied)
 
-        def advance(dt, vec):
-            return _expm_apply(liouvillian * dt, vec)
-    vec, out = rho.mat.ravel()[keep], []
-    for dt in steps:
-        vec = advance(dt, vec)
-        full = np.zeros(dim * dim, dtype=complex)
-        full[keep] = vec
-        out.append(DensityMatrix(full.reshape(dim, dim), n))
+def _step_blocks(liouvillian: np.ndarray, vecs: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """(T, m, d): the m blocks' vectors (m, d) after each of the T steps, stepped by e^{L_k dt}.
+
+    A stack of exponentials holds at most _EXPM_STACK_ENTRIES entries: as
+    many blocks as fit with all their distinct steps, or else one block
+    and windows of as many consecutive steps as fit, a step in two windows
+    exponentiated in each.  _expm and np.matmul compute each member alone,
+    so a block's values do not depend on the blocks or windows it is
+    stepped with.
+    """
+    m, d = vecs.shape
+    fit = max(1, _EXPM_STACK_ENTRIES // (d * d))  # exponentials per stack
+    distinct = len(set(steps.tolist()))
+    blocks = max(1, min(m, fit // max(1, distinct)))
+    window = max(1, steps.size if distinct <= fit else fit)
+    out = np.empty((steps.size, m, d), dtype=complex)
+    for first in range(0, m, blocks):
+        at = slice(first, first + blocks)
+        vec = vecs[at]
+        for start in range(0, steps.size, window):
+            dts, index = np.unique(steps[start:start + window], return_inverse=True)
+            expms = liouvillian[at, None] * dts[:, None, None]  # L dt, (blocks, steps, d, d)
+            live = ~_negligible(expms, axis=(2, 3))
+            expms[live] = _expm(expms[live])  # a negligible L dt, a zero step's, is never applied
+            all_live = live.all(axis=0).tolist()
+            for t, k in enumerate(index.tolist(), start):
+                stepped = np.matmul(expms[:, k], vec[..., None])[..., 0]
+                vec = stepped if all_live[k] else np.where(live[:, k, None], stepped, vec)
+                out[t, at] = vec
     return out
 
 
@@ -1086,57 +1081,28 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sector_liouvillian(spec: ChainSpec, gamma: float,
-                        occupied: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
-    """(kept row-major positions, sparse Liouvillian on them) of lindblad_evolve, block by block.
-
-    The positions (i, j) of each occupied weight pair (a, b), i-major, hold
-    one block: the Kronecker sum -i(H_a (x) I - I (x) H_b^T) of the sector
-    Hamiltonians (sector_sparse) minus 2 gamma popcount(i ^ j) on the
-    diagonal, which is _kept_liouvillian's formula on those positions.  No
-    4^N x 4^N operator is built.
-    """
-    import scipy.sparse as sp  # here, not at load: only the oracles need it
-
-    n, keep, blocks = spec.n_sites, [], []
-    for a, b in zip(*np.nonzero(occupied)):
-        (s_a, h_a), (s_b, h_b) = ((_sector_table(n, w)[0], sector_sparse(spec, w)) for w in (a, b))
-        hamiltonian = sp.kron(h_a, sp.identity(s_b.size)) - sp.kron(sp.identity(s_a.size), h_b.T)
-        flips = np.bitwise_count(s_a[:, None] ^ s_b).ravel()
-        blocks.append(-1j * hamiltonian - sp.diags(2.0 * gamma * flips))
-        keep.append(((s_a[:, None] << n) | s_b).ravel())
-    return np.concatenate(keep), sp.block_diag(blocks, format="csr")
-
-
 @lru_cache(maxsize=8)
-def _kept_hamiltonian(spec: ChainSpec, keep: bytes) -> np.ndarray:
-    """-i(H (x) I - I (x) H^T) on the kept row-major positions (i, j) given as int64 bytes, read-only.
+def _lindblad_blocks(spec: ChainSpec, occupied: tuple[int, ...]) -> tuple:
+    """Per block size, (positions (m, d), flips (m, d), Hamiltonian parts (m, d, d)), read-only.
 
-    The part of _kept_liouvillian that gamma does not touch:
-    L[(i,j),(k,l)] = -i(h[i,k] delta[j,l] - delta[i,k] h[l,j]), gathered
-    from the dense 2^N x 2^N Hamiltonian h without building the 4^N x 4^N
-    operator.  Kept for the last 8 (chain, positions): each is at most
-    _DENSE_LIOUVILLIAN_MAX_DIM^2 entries (160 KiB), and a dephasing sweep
-    reads one per chain for all its gammas.  clear_evolution_cache drops
-    them.
+    `occupied` lists weight pairs (a, b) as a (N + 1) + b.  The block of
+    (a, b) holds the row-major positions i 2^N + j of i in sector a and j
+    in sector b, i-major, popcount(i ^ j) at each, and
+    -i(H_a (x) I - I (x) H_b^T) on them, H_a the dense Hamiltonian on
+    sector a: the Liouvillian of lindblad_evolve without the dissipator.
+    No 4^N x 4^N operator is built.  Kept for the last 8 (chain, pattern):
+    a full-rank N = 6 pattern is 13.7 MB, and a dephasing sweep reads one
+    per chain for all its gammas.  clear_evolution_cache drops them.
     """
-    h = dense_hamiltonian(spec)
-    i, j = np.divmod(np.frombuffer(keep, dtype=np.int64), len(h))
-    same_i, same_j = i[:, None] == i[None, :], j[:, None] == j[None, :]
-    return _read_only(-1j * (h[np.ix_(i, i)] * same_j - same_i * h[np.ix_(j, j)].T))
-
-
-def _kept_liouvillian(spec: ChainSpec, gamma: float, keep: np.ndarray) -> np.ndarray:
-    """The dense Liouvillian of lindblad_evolve on the kept row-major positions (i, j).
-
-    The cached Hamiltonian part (_kept_hamiltonian), copied, minus
-    2 gamma popcount(i ^ j) on the diagonal: the dissipator.
-    """
-    keep = np.asarray(keep, dtype=np.int64)
-    liouvillian = _kept_hamiltonian(spec, keep.tobytes()).copy()
-    i, j = np.divmod(keep, 1 << spec.n_sites)
-    liouvillian.flat[::keep.size + 1] -= 2.0 * gamma * np.bitwise_count(i ^ j)
-    return liouvillian
+    n, h, groups = spec.n_sites, dense_hamiltonian(spec), {}
+    for pair in occupied:
+        s_a, s_b = (_sector_table(n, w)[0] for w in divmod(pair, n + 1))
+        h_a, h_b = h[np.ix_(s_a, s_a)], h[np.ix_(s_b, s_b)]
+        part = -1j * (np.kron(h_a, np.eye(s_b.size)) - np.kron(np.eye(s_a.size), h_b.T))
+        positions = ((s_a[:, None] << n) | s_b).ravel()
+        flips = np.bitwise_count(s_a[:, None] ^ s_b).ravel()
+        groups.setdefault(part.shape[0], []).append((positions, flips, part))
+    return tuple(_read_only(*map(np.stack, zip(*blocks))) for blocks in groups.values())
 
 
 def mirror_mode(n_sites: int, mode: int) -> int:
@@ -1236,8 +1202,8 @@ def sample_rng(*words: int, reuse: np.random.Generator | None = None) -> np.rand
     re-keyed in place and returned instead: its Philox state is set to the
     key with counter 0 and an empty buffer, as a new one starts, so it
     draws what sample_rng(*words) would.  A batch of keyed draws then
-    builds one generator, not one per key (about 3 us a key against 16 us,
-    most of which is an OS-entropy SeedSequence that the key replaces).
+    builds one generator, not one per key, and draws no OS-entropy
+    SeedSequence, which a new generator builds before the key replaces it.
     """
     key = np.array([int(w) & (2**64 - 1) for w in words], dtype=np.uint64)
     if reuse is None:

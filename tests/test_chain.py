@@ -187,3 +187,10 @@ def test_config_keys_checked():
         ChainSpec.from_config(text + "fields = 1, 1, 1, 1\n")
     with pytest.raises(ValueError):
         ChainSpec.from_config(text.replace("n_sites = 4", "n_sites = 4.9"))
+    # an empty entry was once dropped: both of these read as a perfect 3-site chain
+    perfect = "n_sites = 3\ncouplings = 1.4142135623730951, 1.4142135623730951\nfields = 0, 0, 0\n"
+    assert ChainSpec.from_config(perfect) == pst_couplings(3)
+    with pytest.raises(ValueError, match="empty entry in couplings"):
+        ChainSpec.from_config(perfect.replace("951, 1.414", "951,,1.414"))
+    with pytest.raises(ValueError, match="empty entry in fields"):
+        ChainSpec.from_config(perfect.replace("0, 0, 0", "0, 0, 0,"))

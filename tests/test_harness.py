@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -1480,6 +1481,23 @@ def test_dephasing_resume_reuses_points(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("sweep", ["dephasing", "coupling", "timing"])
+def test_a_zero_grid_point_is_recorded_alike_however_zero_is_spelled(tmp_path, sweep):
+    # -0.0 was written as -0 in the CSV and -0.0 in the manifest, so a run's
+    # bytes depended on how the user spelled zero
+    run, point = {
+        "dephasing": (lambda grid, out: exp_dephasing(pst_couplings(3), grid, out_dir=out), 0.1),
+        "coupling": (lambda grid, out: exp_coupling(grid, instances=1, out_dir=out), 0.05),
+        "timing": (lambda grid, out: exp_timing(grid, out_dir=out), 0.01),
+    }[sweep]
+    written = []
+    for name, zero in (("negative", -0.0), ("positive", 0.0)):
+        run((zero, point), str(tmp_path / name))
+        written.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert written[0] == written[1]
+    assert all(b"-0" not in data for data in written[0].values())
+
+
 def test_dephasing_evolves_only_the_blocks_chi_reads(monkeypatch):
     # |0...0+> on N = 5 occupies 36 Liouvillian positions, the blocks of
     # weights (0, 0), (0, 1), (1, 0) and (1, 1); chi reads the 10 of (0, 1)
@@ -1488,15 +1506,32 @@ def test_dephasing_evolves_only_the_blocks_chi_reads(monkeypatch):
 
     kept = []
 
-    def spy(h, gamma, keep):
-        kept.append(keep.size)
-        return liouvillian(h, gamma, keep)
+    def spy(spec, occupied):
+        groups = blocks(spec, occupied)
+        kept.append(sum(keep.size for keep, _, _ in groups))
+        return groups
 
-    liouvillian = hilbert._kept_liouvillian
-    monkeypatch.setattr(hilbert, "_kept_liouvillian", spy)
+    blocks = hilbert._lindblad_blocks
+    monkeypatch.setattr(hilbert, "_lindblad_blocks", spy)
     report = exp_dephasing(pst_couplings(5), (0.05,))
     assert kept == [10]
     assert report.max_deviation[0] <= 1e-12
+
+
+_FIELDS_5 = ChainSpec(5, (2.0, 2.449489742783178, 2.449489742783178, 2.0), (0.4, -0.2, 0.1, -0.2, 0.4))
+
+
+@pytest.mark.parametrize("spec", [pst_couplings(n) for n in (3, 4, 5, 6)] + [_FIELDS_5],
+                         ids=["pst3", "pst4", "pst5", "pst6", "fields5"])
+def test_dephasing_keeps_the_closed_form_decay_to_roundoff(spec):
+    # the Liouvillian restricted to the blocks chi reads keeps the
+    # closed-form decay to roundoff on every chain the sweep admits; the
+    # chain with fields has a generic complex mode unitary, so chi's
+    # rotation reads both Re U and Im U
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        devs = exp_dephasing(spec, (0.01, 0.1)).max_deviation
+    assert max(devs) <= 1e-12
 
 
 def test_dephasing_sweep_runs_no_dense_eigendecomposition(monkeypatch):

@@ -285,8 +285,9 @@ def _full_rank(rng, n):
 
 
 def test_lindblad_leaves_global_rng_alone():
-    # full rank on N = 4 keeps all 256 positions, so it steps by expm_multiply,
-    # whose onenormest draws np.random once ||L t||_1 is large (gamma = 100)
+    # full rank on N = 4 occupies every weight-pair block, at gamma = 100
+    # where ||L t||_1 is large; the Pade draws nothing, so the caller's
+    # np.random stream is where it was
     rho = _full_rank(np.random.default_rng(21), 4)
     np.random.seed(0)
     want = np.random.random()
@@ -301,94 +302,186 @@ def _plus_last(n):
     return from_density(StateVector(amps, n))
 
 
-def _refuse(*args):
-    pytest.fail("the other path ran")
-
-
-@pytest.mark.parametrize("rho", [_full_rank(np.random.default_rng(22), 3), _plus_last(5)])
-def test_lindblad_dense_and_sparse_paths_agree(monkeypatch, rho):
-    # The kept dimension picks the path: a dense Pade exponential per distinct
-    # step up to _DENSE_LIOUVILLIAN_MAX_DIM positions, expm_multiply above it.
-    # The two inputs here keep 64 and 36 positions; each side is forced.  Of
-    # the hypothesis oracle tests above, full rank on n = 2 and 3 (16 and 64
-    # positions) lands on the dense path, n = 4 (256) on the sparse one.
-    from chainqec import hilbert
-
-    assert 64 <= hilbert._DENSE_LIOUVILLIAN_MAX_DIM < 256
-    spec = random_chain(np.random.default_rng(23), rho.n_sites, with_fields=True)
-    times = [0.3, 0.3, 1.1, 1.1, 1.7]
-    got = {}
-    for side, cap, other in (("dense", 10**9, "_expm_apply"), ("sparse", 0, "_kept_liouvillian")):
-        with monkeypatch.context() as m:
-            m.setattr(hilbert, "_DENSE_LIOUVILLIAN_MAX_DIM", cap)
-            m.setattr(hilbert, other, _refuse)
-            got[side] = [r.mat for r in lindblad_evolve(rho, spec, 0.3, times)]
-            assert lindblad_evolve(rho, spec, 0.3, []) == []
-        np.testing.assert_array_equal(got[side][1], got[side][0])  # a repeated time is a zero step
-        np.testing.assert_array_equal(got[side][3], got[side][2])
-    np.testing.assert_allclose(got["dense"], got["sparse"], rtol=0, atol=1e-13)
-
-
-def test_sparse_liouvillian_is_the_dense_gather_without_the_full_operator(monkeypatch):
-    # block by block from the sector Hamiltonians: _kept_liouvillian's values
-    # on the same positions, with no 2^N x 2^N Hamiltonian behind them
-    from chainqec import hilbert
-
-    n, gamma = 5, 0.4
-    spec = random_chain(np.random.default_rng(29), n, with_fields=True)
-    occupied = np.zeros((n + 1, n + 1), dtype=bool)
-    occupied[[1, 2, 2, 0], [2, 2, 1, 3]] = True
-    with monkeypatch.context() as m:
-        m.setattr(hilbert, "dense_hamiltonian", lambda spec: pytest.fail("2^N x 2^N H built"))
-        keep, sparse = hilbert._sector_liouvillian(spec, gamma, occupied)
-    weight = np.bitwise_count(np.arange(1 << n))
-    order = np.argsort(keep)
-    np.testing.assert_array_equal(keep[order], np.flatnonzero(occupied[weight[:, None], weight]))
-    want = hilbert._kept_liouvillian(spec, gamma, keep[order])
-    np.testing.assert_array_equal(sparse.toarray()[np.ix_(order, order)], want)
+def _with_diagonal(part, flips, gamma):
+    """A stack of blocks' Liouvillians: Hamiltonian parts minus 2 gamma flips on the diagonal."""
+    liouvillian = part.copy()
+    diagonal = np.arange(part.shape[-1])
+    liouvillian[..., diagonal, diagonal] -= 2.0 * gamma * flips
+    return liouvillian
 
 
 def test_lindblad_hamiltonian_part_is_cached_read_only_and_bit_identical():
-    # the dense path gathers -i(H (x) I - I (x) H^T) once per (chain, kept
-    # positions) and adds only the dissipator per gamma, then exponentiates
-    # every distinct step in one stacked expm: a gamma after another on the
-    # same chain gives the bits of a cold-cache run, and those of one expm
-    # per step of the whole Liouvillian (scipy's expm, its oracle, to roundoff)
+    # each occupied weight-pair block's -i(H_a (x) I - I (x) H_b^T) is built
+    # once per (chain, occupied pattern) and only the dissipator is added per
+    # gamma: a gamma after another on the same chain gives the bits of a
+    # cold-cache run, and those of one _expm per block and step (scipy's
+    # expm, its oracle, to roundoff)
     from chainqec import hilbert
 
-    n = 5
+    n, gamma = 5, 0.3
     spec = random_chain(np.random.default_rng(31), n, with_fields=True)
     rho = _plus_last(n)
     times = [0.2, 0.2, 0.7, 1.3, 1.3, 1.9]
     clear_evolution_cache()
-    cold = [r.mat.tobytes() for r in lindblad_evolve(rho, spec, 0.3, times)]
+    cold = [r.mat.tobytes() for r in lindblad_evolve(rho, spec, gamma, times)]
     lindblad_evolve(rho, spec, 0.05, times)
-    hits = hilbert._kept_hamiltonian.cache_info().hits
-    warm = [r.mat.tobytes() for r in lindblad_evolve(rho, spec, 0.3, times)]
-    assert hilbert._kept_hamiltonian.cache_info().hits == hits + 1
+    hits = hilbert._lindblad_blocks.cache_info().hits
+    warm = [r.mat.tobytes() for r in lindblad_evolve(rho, spec, gamma, times)]
+    assert hilbert._lindblad_blocks.cache_info().hits == hits + 1
     assert warm == cold
 
+    # |0...0+> occupies the weight pairs (0, 0), (0, 1), (1, 0) and (1, 1),
+    # keyed a (N + 1) + b: 36 positions in blocks of 1, 5, 5 and 25
+    groups = hilbert._lindblad_blocks(spec, (0, 1, n + 1, n + 2))
+    assert sorted(keep.shape for keep, _, _ in groups) == [(1, 1), (1, 25), (2, 5)]
+    cold = np.array([np.frombuffer(c, dtype=complex) for c in cold])
+    for keep, flips, part in groups:
+        for block, liouvillian in zip(keep, _with_diagonal(part, flips, gamma)):
+            vec = oracle = rho.mat.ravel()[block]
+            for dt, got in zip(np.diff(times, prepend=0.0), cold[:, block]):
+                # a zero step, or any step of the (0, 0) block, whose L is 0, is negligible
+                if not hilbert._negligible(liouvillian * dt):
+                    vec = hilbert._expm((liouvillian * dt)[None])[0] @ vec
+                    oracle = scipy.linalg.expm(liouvillian * dt) @ oracle
+                assert got.tobytes() == vec.tobytes()
+                np.testing.assert_allclose(vec, oracle, rtol=0, atol=1e-15)
+
+    for array in (a for group in groups for a in group):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        groups[0][2][0, 0, 0] = 0
+    clear_evolution_cache()
+    assert hilbert._lindblad_blocks.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lindblad_evolves_each_block_on_its_own(n):
+    # rho masked to one weight-pair block evolves to the bits that block
+    # has inside the whole rho: no block's values depend on the others
+    rng = np.random.default_rng(40 + n)
+    spec = random_chain(rng, n, with_fields=True)
+    rho = _full_rank(rng, n).mat
     weight = np.bitwise_count(np.arange(1 << n))
-    keep = np.flatnonzero((weight[:, None] <= 1) & (weight[None, :] <= 1))
-    assert keep.size == 36
-    liouvillian = hilbert._kept_liouvillian(spec, 0.3, keep)
-    vec, want = rho.mat.ravel()[keep], []
-    oracle = vec
+    times = [0.3, 0.3, 1.1, 1.7]
+    whole = lindblad_evolve(DensityMatrix(rho, n), spec, 0.2, times)
+    for a in range(n + 1):
+        for b in range(n + 1):
+            mask = (weight[:, None] == a) & (weight[None, :] == b)
+            alone = lindblad_evolve(DensityMatrix(rho * mask, n), spec, 0.2, times)
+            for w, one in zip(whole, alone):
+                assert one.mat[mask].tobytes() == w.mat[mask].tobytes()
+                assert not one.mat[~mask].any()
+
+
+def _kronecker_sum_oracle(rho: DensityMatrix, spec, gamma, times):
+    """rho at each time from one sparse Kronecker-sum Liouvillian on rho's weight-pair blocks.
+
+    Per occupied weight pair (a, b): -i(H_a (x) I - I (x) H_b^T) from
+    scipy's sparse sector Hamiltonians, minus 2 gamma popcount(i ^ j) on the
+    diagonal, all blocks in one block-diagonal matrix stepped by scipy's
+    expm_multiply.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply
+
+    from chainqec.hilbert import sector_indices, sector_sparse
+
+    n, dim = rho.n_sites, 1 << rho.n_sites
+    weight = np.bitwise_count(np.arange(dim))
+    rows, cols = np.nonzero(rho.mat)
+    keep, blocks = [], []
+    for a, b in sorted(set(zip(weight[rows].tolist(), weight[cols].tolist()))):
+        s_a, s_b = sector_indices(n, a), sector_indices(n, b)
+        h_a, h_b = sector_sparse(spec, a), sector_sparse(spec, b)
+        hamiltonian = sp.kron(h_a, sp.identity(s_b.size)) - sp.kron(sp.identity(s_a.size), h_b.T)
+        flips = np.bitwise_count(s_a[:, None] ^ s_b).ravel()
+        blocks.append(-1j * hamiltonian - sp.diags(2.0 * gamma * flips))
+        keep.append(((s_a[:, None] << n) | s_b).ravel())
+    keep, liouvillian = np.concatenate(keep), sp.block_diag(blocks, format="csr")
+    vec, out = rho.mat.ravel()[keep], []
     for dt in np.diff(times, prepend=0.0):
         if dt:
-            vec = hilbert._expm((liouvillian * dt)[None])[0] @ vec
-            oracle = scipy.linalg.expm(liouvillian * dt) @ oracle
-        want.append(vec.tobytes())
-        np.testing.assert_allclose(vec, oracle, rtol=0, atol=1e-15)
-    assert [np.frombuffer(c, dtype=complex)[keep].tobytes() for c in cold] == want
+            vec = expm_multiply(liouvillian * dt, vec)
+        full = np.zeros(dim * dim, dtype=complex)
+        full[keep] = vec
+        out.append(full.reshape(dim, dim))
+    return out
 
-    part = hilbert._kept_hamiltonian(spec, keep.tobytes())
-    assert not part.flags.writeable
-    with pytest.raises(ValueError):
-        part[0, 0] = 0
-    assert liouvillian.flags.writeable and not np.shares_memory(liouvillian, part)
+
+@pytest.mark.parametrize("n, sectors", [(5, None), (6, (2, 3, 4))])
+def test_lindblad_matches_a_sparse_kronecker_sum_oracle(n, sectors):
+    # full rank on N = 5 (blocks up to 100 positions), and a pure state on
+    # N = 6's middle sectors (blocks of 225 to 400 positions)
+    rng = np.random.default_rng(70 + n)
+    spec = random_chain(rng, n, with_fields=True)
+    if sectors is None:
+        rho = _full_rank(rng, n)
+    else:
+        inside = np.isin(np.bitwise_count(np.arange(1 << n)), sectors)
+        psi = (rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)) * inside
+        rho = from_density(StateVector(psi / np.linalg.norm(psi), n))
+    times = [0.5, 0.5, 1.0] if sectors else [0.25, 0.5, 0.5, 1.5]
+    got = lindblad_evolve(rho, spec, 0.3, times)
+    for g, want in zip(got, _kronecker_sum_oracle(rho, spec, 0.3, times)):
+        np.testing.assert_allclose(g.mat, want, rtol=0, atol=1e-12)
+
+
+def test_lindblad_site_limit_fires_before_anything_is_built(monkeypatch):
+    # N = 7's middle blocks hold 1225 and 4900 positions: refused before the
+    # Hamiltonian or a block is built
+    from chainqec import hilbert
+
+    for name in ("dense_hamiltonian", "_lindblad_blocks"):
+        monkeypatch.setattr(hilbert, name, lambda *args: pytest.fail("built before the limit"))
+    rho = DensityMatrix(np.eye(128) / 128, 7)
+    with pytest.raises(ResourceLimitError, match="N <= 6"):
+        lindblad_evolve(rho, pst_couplings(7), 0.1, [0.1])
+
+
+def test_lindblad_stacks_of_exponentials_are_bounded(monkeypatch):
+    # a full-rank rho on N = 6 over 120 distinct steps: every (block, step)
+    # exponential at once would be 120 x 853776 entries (1.6 GB); each stack
+    # is chunked to _EXPM_STACK_ENTRIES before it is allocated.  The Pade is
+    # replaced by a stand-in that allocates its result as _expm does, so the
+    # traced peak is the engine's own (the real Pade would run for tens of
+    # seconds here); the real _expm's own peak on one full stack is bounded
+    # below, and the real call peaks at most near the sum of the two bounds
+    import tracemalloc
+
+    from chainqec import hilbert
+
+    stacks = []
+
+    def expm(a):
+        stacks.append(a.size)
+        return np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+
+    rng = np.random.default_rng(90)
+    spec = random_chain(rng, 6, with_fields=True)
+    rho = _full_rank(rng, 6)
+    times = np.cumsum(rng.uniform(0.01, 0.02, 120))
+    assert _sorted_unique(np.diff(times, prepend=0.0)).size == 120
     clear_evolution_cache()
-    assert hilbert._kept_hamiltonian.cache_info().currsize == 0
+    with monkeypatch.context() as m:
+        m.setattr(hilbert, "_expm", expm)
+        tracemalloc.start()
+        try:
+            lindblad_evolve(rho, spec, 0.1, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    clear_evolution_cache()
+    assert max(stacks) <= hilbert._EXPM_STACK_ENTRIES
+    assert peak < 48 * 2**20  # 38 MiB measured
+
+    largest = rng.normal(size=(1, 400, 400)) * 1j
+    tracemalloc.start()
+    try:
+        hilbert._expm(largest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 16 * hilbert._EXPM_STACK_ENTRIES
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -471,26 +564,23 @@ def test_mode_unitaries_reuse_one_eigendecomposition_per_chain():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_pade_matches_scipy_expm_on_the_dephasing_sweeps_generators(n):
-    # the dense Lindblad steps exponentiate with numpy's [13/13] Pade; on
-    # every generator a dephasing sweep builds (the chi support of |0...0+>,
-    # the sweep's eight times) it agrees with scipy's expm, its oracle, to
-    # 1e-15 (measured at most 3.3e-16), and a member alone equals its stack
+    # the Lindblad steps exponentiate with numpy's [13/13] Pade; on every
+    # generator a dephasing sweep builds (the chi support of |0...0+>, the
+    # weight pairs (0, 1) and (1, 0) of N positions each, and the sweep's
+    # eight times) it agrees with scipy's expm, its oracle, to 1e-15, and a
+    # member alone equals its stack
     from chainqec import hilbert
 
     spec = pst_couplings(n)
     times = np.linspace(0.0, analyze_transfer(spec).transfer_time, 9)[1:]
-    mat = _plus_last(n).mat * chi_support(n)
-    weight = np.bitwise_count(np.arange(1 << n))
-    occupied = np.zeros((n + 1, n + 1), dtype=bool)
-    rows, cols = np.nonzero(mat)
-    occupied[weight[rows], weight[cols]] = True
-    keep = np.flatnonzero(occupied[weight[:, None], weight[None, :]])
+    ((keep, flips, part),) = hilbert._lindblad_blocks(spec, (1, n + 1))
+    assert keep.shape == (2, n)
     dts = np.unique(np.diff(times, prepend=0.0))
     for gamma in (0.0, 0.01, 0.1, 1.0, 1e2, 1e4, 1e5):
-        generators = hilbert._kept_liouvillian(spec, gamma, keep) * dts[:, None, None]
+        generators = (_with_diagonal(part, flips, gamma)[:, None] * dts[:, None, None]).reshape(-1, n, n)
         got = hilbert._expm(generators)
         np.testing.assert_allclose(got, scipy.linalg.expm(generators), rtol=0, atol=1e-15)
-        for k in range(len(dts)):
+        for k in range(len(generators)):
             assert hilbert._expm(generators[k:k + 1])[0].tobytes() == got[k].tobytes()
 
 
@@ -651,7 +741,7 @@ def test_lindblad_on_occupied_sectors_matches_superoperator(n, data, gamma, t):
 @pytest.mark.parametrize("n", [3, 4])
 def test_lindblad_commutes_with_the_chi_support_projection(n):
     # L keeps every weight-pair block apart, so projecting before or after
-    # the evolution agrees; N = 3 takes the dense path, N = 4 the sparse one
+    # the evolution agrees, on N = 3 and on N = 4 (blocks of up to 36 positions)
     rng = np.random.default_rng(50 + n)
     spec = random_chain(rng, n, with_fields=True)
     dim, mask = 1 << n, chi_support(n)
