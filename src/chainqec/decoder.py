@@ -41,6 +41,7 @@ from .pauli import PauliString, mask_of_sites, z_sign
 
 _EXACT_ZERO = 0.0
 _MAX_X_CHECKS = 20  # the per-key arrays hold 2^(number of bit-flip checks) entries
+_PRUNE_STATES = 4  # states per group of RevivalEvaluator._pruned's work buffers
 
 
 @dataclass(frozen=True)
@@ -425,7 +426,7 @@ class RevivalEvaluator:
         order = np.lexsort((pos[inner], col))
         self.weights = FixedOrderTable(pos[inner][order], col[order], vals[inner][order],
                                        (support.size, self.columns.size))
-        self._work: dict = {}  # _pruned's gather buffers (hilbert._work_array)
+        self._work: dict = {}  # _pruned's per-group buffers, _state_sums' copies (hilbert._work_array)
         self.restricted_from = None  # the whole-support evaluator of restricted(), else None
         _read_only(*(value for value in vars(self).values() if isinstance(value, np.ndarray)))
 
@@ -540,38 +541,48 @@ class RevivalEvaluator:
         <psi_key|X_S|psi_key>, a sum of Re(conj(psi_q) psi_p) over the
         support pairs X_S connects.  Branch and leaf masses are therefore
         one real product of those pair overlaps (_prune_tables), each
-        overlap formed as re re + im im in real arithmetic.  The two pair
-        gathers (complex), the overlaps (float) and the state-major copies
-        the discarded sums read go into the evaluator's work buffers, grown
-        to the largest chunk and reused, and the masses are clipped and
-        masked in place, so a warm call maps no fresh pages for them (a
-        call's fresh arrays then stay below what glibc's dynamic thresholds
-        map or trim on every call); not for concurrent use.
+        overlap formed as re re + im im in real arithmetic.  The states
+        are taken _PRUNE_STATES at a time: each group's copy, its two pair
+        gathers (complex), its overlaps (float) and the state-major copies
+        its discarded sums read go into the evaluator's work buffers,
+        sized by the group and reused, as are the mass table's, and the
+        masses are clipped and masked in place, so a warm call maps no
+        fresh pages for them (a call's fresh arrays then stay below what
+        glibc's dynamic thresholds map or trim on every call); not for
+        concurrent use.  Every step is per state, so a state's values do
+        not depend on its group.
         """
         pairs, leaf_keys, mass_weights, col_key, col_out = self._prune_tables
         p, q = pairs
-        at_q, at_p = (_work_array(self._work, name, p.size, xt.shape[1]) for name in ("q", "p"))
-        overlap = _work_array(self._work, "overlap", p.size, xt.shape[1], float)
-        # mode="clip": with the default, take buffers its out= afresh
-        np.take(xt, q, axis=0, out=at_q, mode="clip")
-        np.take(xt, p, axis=0, out=at_p, mode="clip")
-        # Re(conj(x_q) x_p) = re re + im im, each product and the sum rounded alone
-        np.multiply(at_q.view(float), at_p.view(float), out=at_q.view(float))
-        np.add(at_q.real, at_q.imag, out=overlap)
-        masses = (overlap.T @ mass_weights).T  # (pair, state) overlaps in, masses out
-        n_keys = len(masses) - leaf_keys.size * self.n_out
-        branch = masses[:n_keys]  # [key, state]
-        # a leaf mass is a squared norm: clip the roundoff of empty leaves at 0;
-        # leaf[decodable key, o, state]
-        leaf = masses[n_keys:].reshape(leaf_keys.size, self.n_out, xt.shape[1])
-        np.maximum(leaf, 0, out=leaf)
-        branch_kept = branch >= prune_below
-        leaf_dropped = branch_kept[leaf_keys][:, None] & (leaf < prune_below)
-        # the dropped masses, in place: masses is this call's own array
-        np.multiply(branch, ~branch_kept, out=branch)
-        np.multiply(leaf, leaf_dropped, out=leaf)
-        discarded = _state_sums(branch, self._work) + _state_sums(leaf, self._work)
-        kept = branch_kept[leaf_keys[col_key]] & ~leaf_dropped[col_key, col_out]
+        n_keys = mass_weights.shape[1] - leaf_keys.size * self.n_out
+        kept = np.empty((self.columns.size, xt.shape[1]), dtype=bool)
+        discarded = np.empty(xt.shape[1])
+        for start in range(0, xt.shape[1], _PRUNE_STATES):
+            group = slice(start, start + _PRUNE_STATES)
+            size = min(_PRUNE_STATES, xt.shape[1] - start)
+            states = _work_array(self._work, "states", len(xt), size)
+            np.copyto(states, xt[:, group])  # take would copy a strided source afresh
+            at_q, at_p = (_work_array(self._work, name, p.size, size) for name in ("q", "p"))
+            overlap = _work_array(self._work, "overlap", p.size, size, float)
+            # mode="clip": with the default, take buffers its out= afresh
+            np.take(states, q, axis=0, out=at_q, mode="clip")
+            np.take(states, p, axis=0, out=at_p, mode="clip")
+            # Re(conj(x_q) x_p) = re re + im im, each product and the sum rounded alone
+            np.multiply(at_q.view(float), at_p.view(float), out=at_q.view(float))
+            np.add(at_q.real, at_q.imag, out=overlap)
+            masses = (overlap.T @ mass_weights).T  # (pair, state) overlaps in, masses out
+            branch = masses[:n_keys]  # [key, state]
+            # a leaf mass is a squared norm: clip the roundoff of empty leaves at 0;
+            # leaf[decodable key, o, state]
+            leaf = masses[n_keys:].reshape(leaf_keys.size, self.n_out, size)
+            np.maximum(leaf, 0, out=leaf)
+            branch_kept = branch >= prune_below
+            leaf_dropped = branch_kept[leaf_keys][:, None] & (leaf < prune_below)
+            # the dropped masses, in place: masses is this group's own array
+            np.multiply(branch, ~branch_kept, out=branch)
+            np.multiply(leaf, leaf_dropped, out=leaf)
+            discarded[group] = _state_sums(branch, self._work) + _state_sums(leaf, self._work)
+            kept[:, group] = branch_kept[leaf_keys[col_key]] & ~leaf_dropped[col_key, col_out]
         return kept, discarded
 
 

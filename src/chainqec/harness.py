@@ -299,7 +299,7 @@ class RevivalSetup:
         transport = _read_only(mode_unitaries(spec, [self.duration]))
         self.exact = Readout(evaluator.restricted(), transport)
         self.pruned = Readout(evaluator, transport)
-        self._work: dict = {}  # apply_hops' work buffers for both hop plans (hilbert._work_array)
+        self._work: dict = {}  # apply_hops' block-bounded work buffers, both hop plans (hilbert._work_array)
 
     def _modes(self, sites, t_errs) -> np.ndarray:
         """(S, N) modes v_k the flip of sample k rotates: row s of U(t_err - duration).

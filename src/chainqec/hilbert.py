@@ -306,7 +306,7 @@ def _expm_apply(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
     """
     if _negligible(a.data):
         return v.copy()
-    from scipy.sparse.linalg import expm_multiply  # here, not at load: 0.05 s after scipy.sparse
+    from scipy.sparse.linalg import expm_multiply  # here, not at load: only the evolve oracle needs it
 
     rng_state = np.random.get_state()
     try:
@@ -466,9 +466,12 @@ def _work_array(work: dict, name: str, rows: int, cols: int, dtype=complex) -> n
     """A contiguous (rows, cols) view, complex by default, of the work buffer `name` in `work`.
 
     The buffer is grown to the largest size asked and never shrunk, so its
-    owner (a MinorPlan, a FixedOrderTable, the revival evaluator) holds one
-    buffer per name, sized by its largest stack; asked for another dtype,
-    it is replaced.
+    owner holds one buffer per name, sized by the largest array it asked
+    for; asked for another dtype, it is replaced.  A MinorPlan's and a
+    FixedOrderTable's grow with the stack they are called on; apply_hops'
+    (the work dict its caller keeps) and the revival evaluator's pruned
+    masses (RevivalEvaluator._pruned) ask for fixed blocks of positions or
+    states, so theirs stay bounded whatever the support.
     """
     buf = work.get(name)
     if buf is None or buf.size < rows * cols or buf.dtype != dtype:
@@ -849,6 +852,9 @@ def hop_plan(n_sites: int, amplitudes, support: np.ndarray) -> tuple:
     return tuple(plan)
 
 
+_HOP_BLOCK = 384  # positions per block of apply_hops' (block, S) work buffers
+
+
 def apply_hops(plan: tuple, a: np.ndarray, b: np.ndarray, work: dict,
                shift: float = 0.0) -> np.ndarray:
     """(support, S): (shift + sum_ij a_i b_j c_i^dag c_j)|state> per row of the (S, N) a and b.
@@ -857,11 +863,14 @@ def apply_hops(plan: tuple, a: np.ndarray, b: np.ndarray, work: dict,
     is n_v, so a = -2 conj(v), b = v and shift 1 give (1 - 2 n_v)|state>
     (scaling by -2 is exact).  Per group, the table times each member's
     factor is one stacked np.matmul (a GEMV per member), and the slots
-    are elementwise gathers, products and sums in slot order, so a
-    member's values do not depend on its stack.  The (positions, S)
-    intermediates live in `work`'s buffers (_work_array), which the caller
-    keeps across calls, so they are not for concurrent use; beyond them
-    only the result and a few (S, N)-sized arrays are allocated.
+    are elementwise gathers, products and sums in slot order, taken over
+    the group's positions in blocks of _HOP_BLOCK, so a member's values
+    depend neither on its stack nor on the block size.  The
+    (intermediate, S) and (block, S) work arrays live in `work`'s buffers
+    (_work_array), which the caller keeps across calls, so they are not
+    for concurrent use, and their size does not grow with the support;
+    beyond them only the result and a few (S, N)-sized arrays are
+    allocated.
     """
     s, n = a.shape
     norm = _complex_product(a, b).sum(axis=1)  # sum_i a_i b_i: {c_i, c_i^dag} = 1
@@ -872,15 +881,19 @@ def apply_hops(plan: tuple, a: np.ndarray, b: np.ndarray, work: dict,
         np.matmul(coef[:, None, :], table, out=mid.reshape(s, 1, table.shape[1]))  # a GEMV each
         mid_t[...] = mid.reshape(s, table.shape[1]).T
         signed = np.concatenate([other.T, -other.T])  # (2N, S)
-        acc, x, f, term = (_work_array(work, name, at.size, s) for name in ("acc", "x", "f", "term"))
-        np.multiply(amps[:, None], norm * create + shift, out=acc)
-        for p, g in zip(pos, factor):
-            # mode="clip": with the default, take buffers its out= afresh
-            np.take(mid_t, p, axis=0, out=x, mode="clip")
-            np.take(signed, g, axis=0, out=f, mode="clip")
-            np.multiply(x, f, out=term)
-            acc += term
-        out[at] = acc
+        diagonal = norm * create + shift
+        for start in range(0, at.size, _HOP_BLOCK):
+            block = slice(start, start + _HOP_BLOCK)
+            rows = min(_HOP_BLOCK, at.size - start)
+            acc, x, f, term = (_work_array(work, name, rows, s) for name in ("acc", "x", "f", "term"))
+            np.multiply(amps[block, None], diagonal, out=acc)
+            for p, g in zip(pos[:, block], factor[:, block]):
+                # mode="clip": with the default, take buffers its out= afresh
+                np.take(mid_t, p, axis=0, out=x, mode="clip")
+                np.take(signed, g, axis=0, out=f, mode="clip")
+                np.multiply(x, f, out=term)
+                acc += term
+            out[at[block]] = acc
     return out
 
 

@@ -1307,13 +1307,20 @@ def test_coupling_pruned_mass_reported(tmp_path):
     assert header == "f,mean_success,min_success,zeta_max_mean"
 
 
-@pytest.mark.parametrize("prune", [0.0, 1e-12])
-def test_coupling_resume_across_a_stack_boundary(tmp_path, prune):
+@pytest.mark.parametrize("grid, instances, seed, prune", [
+    pytest.param((0.02, 0.05, 0.1), 7, 4, 0.0, id="0.0"),
+    pytest.param((0.02, 0.05, 0.1), 7, 4, 1e-12, id="1e-12"),
+    pytest.param((0.03, 0.09), 37, 7, 0.0, id="37-instances-0.0"),
+    pytest.param((0.03, 0.09), 37, 7, 1e-12, id="37-instances-1e-12"),
+])
+def test_coupling_resume_across_a_stack_boundary(tmp_path, grid, instances, seed, prune):
     # 3 points x 7 instances are 21 jobs, scored in stacks of 16 and 5 that
     # straddle point 2; resuming after point 0 scores the other 14 jobs as
-    # one stack, and neither file may notice, exact or pruned
+    # one stack.  2 points x 37 instances are 74 jobs, in stacks of 16 that
+    # straddle point 1 and a 10-member remainder; resuming after point 0
+    # scores the other 37 as 16, 16 and 5.  Neither file may notice, exact
+    # or pruned
     assert harness._CHUNK == 16
-    grid, instances, seed = (0.02, 0.05, 0.1), 7, 4
     full_dir, part_dir = tmp_path / "full", tmp_path / "part"
     curves = exp_coupling(f_grid=grid, instances=instances, seed=seed, out_dir=str(full_dir),
                           prune_below=prune)
@@ -1426,6 +1433,58 @@ def test_warm_pruned_single_z_maps_no_fresh_pages():
     run = subprocess.run([sys.executable, "-c", _WARM_PRUNED_FAULTS], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert float(run.stdout) < 20, run.stdout
+
+
+@pytest.mark.parametrize("block", [1, 5, 7, None])
+def test_hop_rows_and_pruned_scores_keep_their_bits_across_block_sizes(monkeypatch, block):
+    # apply_hops walks each weight's positions in blocks of _HOP_BLOCK, and
+    # the pruned masses a chunk's states in groups of _PRUNE_STATES; rows and
+    # scores must equal, bit for bit, those of one block per group and one
+    # group per chunk.  Blocks of 5 leave a partial block of the pruned
+    # weight-10 group (3003 positions), blocks of 7 one of the exact
+    # read-out's (153), and both a partial group of states in a 16-state
+    # chunk; None keeps the defaults
+    from chainqec import decoder, hilbert
+
+    setup = harness._revival_setup(pst_couplings(15))
+    rng = np.random.default_rng(41)
+    modes = [setup._modes(rng.integers(1, 16, s), rng.uniform(0.0, setup.duration, s))
+             for s in (1, 5, 16)]
+
+    def scores():
+        got = []
+        for v in modes:
+            for readout, prune in ((setup.pruned, 1e-12), (setup.exact, 0.0)):
+                rows = apply_hops(readout.hops, -2.0 * v.conj(), v, {}, shift=1.0).T
+                got.append((rows, *readout.evaluator.success(rows, prune)))
+        return got
+
+    with monkeypatch.context() as whole:
+        whole.setattr(hilbert, "_HOP_BLOCK", 1 << 30)
+        whole.setattr(decoder, "_PRUNE_STATES", 1 << 30)
+        reference = scores()
+    if block is not None:
+        monkeypatch.setattr(hilbert, "_HOP_BLOCK", block)
+        monkeypatch.setattr(decoder, "_PRUNE_STATES", block)
+    for got, want in zip(scores(), reference, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert any(d.any() for _, _, d in reference[::2])  # the pruned calls drop mass
+
+
+def test_warm_pruned_chunk_work_buffers_are_bounded_by_their_blocks():
+    # after warm 16-sample pruned chunks, the work buffers of apply_hops, the
+    # evaluator, W and the mass table hold at most 3 MiB; sized by the whole
+    # 3003-position group and the whole chunk, they held 8.66 MiB
+    setup = RevivalSetup(pst_couplings(15), 2**-0.5, 2**-0.5)
+    rng = np.random.default_rng(74)
+    sites, t_errs = rng.integers(1, 16, 16), rng.uniform(0.0, setup.duration, 16)
+    for _ in range(3):
+        setup.success_single_z(sites, t_errs, 1e-12)
+    ev = setup.pruned.evaluator
+    works = (setup._work, ev._work, ev.weights._work, ev._prune_tables[2]._work)
+    total = sum(buf.nbytes for work in works for buf in work.values())
+    assert total <= 3 * 2**20, total
 
 
 def test_coupling_resume_refuses_older_version(tmp_path):
