@@ -202,15 +202,20 @@ def _uniform_gap(evals: np.ndarray, rel_tol: float = 1e-8) -> float | None:
 def analyze_transfer(spec: ChainSpec, tolerance: float = 1e-10) -> TransferReport:
     """Locate the earliest transfer time and report mirror data.
 
-    For a spectrum whose gaps are commensurate (the engineered chains), the
-    candidate t0 = pi / (common unit of the gaps) is checked directly: it is
-    the earliest time that can make every gap times t0 an odd multiple of
-    pi, as mirror transfer needs.  Otherwise the end-to-end amplitude is
-    scanned over a bounded window and the best local maximum is refined
-    numerically; chains that never reach 1 - tolerance are reported with
-    is_perfect = False rather than raising.  Only the scan imports
-    scipy.optimize, so a process that analyses engineered chains alone
-    never loads it.  The report is frozen and kept for the last 16 (chain,
+    Every candidate is judged by the end amplitude in closed form,
+    a(t) = sum_k V_{N,k} V_{1,k} e^{-i lambda_k t}, from the eigenpairs
+    (lambda, V) of the single-excitation matrix.  For a spectrum whose gaps
+    are commensurate (the engineered chains), t0 = pi / (common unit of the
+    gaps) is checked directly: it is the earliest time that can make every
+    gap times t0 an odd multiple of pi, as mirror transfer needs.  Otherwise
+    |a| is scanned on 4000 points of the window (0, 8 pi N / spread], spread
+    the width of the spectrum.  The first grid point with |a| >= 1 -
+    tolerance, or failing that the grid maximum, is refined by nested grids
+    of 65 points, each spanning the two neighbours of the last round's best,
+    so the refined |a| never ends below the grid point's.  A chain that
+    never reaches 1 - tolerance is reported with is_perfect = False rather
+    than raising.  The mirror data are U(t0) itself, and no step loads
+    scipy.  The report is frozen and kept for the last 16 (chain,
     tolerance) keys, so repeated sweeps on one chain analyse it once.
     """
     if not 0 < tolerance < 1:  # also refuses NaN
@@ -219,40 +224,25 @@ def analyze_transfer(spec: ChainSpec, tolerance: float = 1e-10) -> TransferRepor
     evals, evecs = np.linalg.eigh(h1)
     n = spec.n_sites
     lam_max = float(np.max(np.abs(evals)))
+    weights = evecs[n - 1] * evecs[0]
 
-    def end_amp(t: float) -> complex:
-        return complex(_u_of_t(evals, evecs, t)[n - 1, 0])
+    def end_fidelity(t):
+        """|a(t)| at every time of t, a time or an array of them."""
+        return np.abs(np.exp(-1j * np.multiply.outer(t, evals)) @ weights)
 
-    t0 = None
     g = _uniform_gap(evals)
-    if g is not None:
-        cand = np.pi / g
-        if abs(end_amp(cand)) >= 1 - tolerance:
-            t0 = cand
-    if t0 is None:
-        from scipy.optimize import minimize_scalar  # here, not at load: only this fallback needs it
-
+    t0 = np.pi / g if g is not None else None
+    if t0 is None or end_fidelity(t0) < 1 - tolerance:
         spread = max(float(evals[-1] - evals[0]), 1e-12)
-        window = 8 * np.pi * n / spread
-        grid = np.linspace(0, window, 4001)[1:]
-        amps = np.abs([end_amp(t) for t in grid])
-        k = int(np.argmax(amps))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, len(grid) - 1)]
-        res = minimize_scalar(lambda t: -abs(end_amp(t)), bounds=(lo, hi), method="bounded")
-        t0 = float(res.x)
+        ts = np.linspace(0, 8 * np.pi * n / spread, 4001)[1:]
+        amps = end_fidelity(ts)
         # prefer the earliest grid time that already reaches the same quality
-        best = abs(end_amp(t0))
         hits = np.nonzero(amps >= 1 - tolerance)[0]
-        if hits.size and best >= 1 - tolerance:
-            k0 = int(hits[0])
-            res0 = minimize_scalar(
-                lambda t: -abs(end_amp(t)),
-                bounds=(grid[max(k0 - 1, 0)], grid[min(k0 + 1, len(grid) - 1)]),
-                method="bounded",
-            )
-            if abs(end_amp(float(res0.x))) >= 1 - tolerance:
-                t0 = float(res0.x)
+        k = int(hits[0]) if hits.size else int(np.argmax(amps))
+        for _ in range(8):
+            ts = np.linspace(ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)], 65)
+            k = int(np.argmax(end_fidelity(ts)))
+        t0 = ts[k]
 
     u = _u_of_t(evals, evecs, t0)
     mirror = tuple(complex(u[n - k, k - 1]) for k in range(1, n + 1))

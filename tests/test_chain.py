@@ -2,8 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from chainqec.chain import ChainSpec, analyze_transfer, pst_couplings, single_excitation_matrix
+from chainqec.chain import (
+    ChainSpec,
+    _uniform_gap,
+    analyze_transfer,
+    pst_couplings,
+    single_excitation_matrix,
+)
 
 
 def test_pst_couplings_small_cases():
@@ -113,6 +122,65 @@ def test_non_pst_chain_flagged():
     rep = analyze_transfer(ChainSpec(6, (1.0,) * 5, (0.0,) * 6))
     assert not rep.is_perfect
     assert 0 < rep.mirror_fidelity < 1 - 1e-10
+
+
+def _scan_grid(spec):
+    """The scan's 4000 grid times and |<N| U(t) |1>| on them, from the eigenpairs."""
+    evals, evecs = np.linalg.eigh(single_excitation_matrix(spec))
+    grid = np.linspace(0, 8 * np.pi * spec.n_sites / (evals[-1] - evals[0]), 4001)[1:]
+    end_fidelity = lambda t: np.abs(np.exp(-1j * np.multiply.outer(t, evals)) @ (evecs[-1] * evecs[0]))
+    return grid, end_fidelity
+
+
+def test_scan_ends_at_or_above_its_grid_maximum():
+    # a bounded search (xatol 1e-5) once refined this grid maximum, 0.949795390128,
+    # down to 0.949795105258
+    spec = ChainSpec(5, (1.0149, 1.1229, 0.8282, 0.8925), (0.0,) * 5)
+    grid, end_fidelity = _scan_grid(spec)
+    rep = analyze_transfer(spec)
+    assert not rep.is_perfect
+    assert rep.mirror_fidelity >= end_fidelity(grid).max() - 1e-15
+    assert rep.mirror_fidelity >= 0.949795390128
+
+
+@st.composite
+def _scanned_chains(draw):
+    n = draw(st.integers(3, 15))
+    fields = draw(st.one_of(st.just((0.0,) * n), st.tuples(*[st.floats(-0.5, 0.5)] * n)))
+    spec = ChainSpec(n, draw(st.tuples(*[st.floats(0.3, 1.5)] * (n - 1))), fields)
+    assume(_uniform_gap(np.linalg.eigvalsh(single_excitation_matrix(spec))) is None)
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scanned_chains())
+def test_scan_refines_its_grid_point_as_well_as_a_fine_bounded_search(spec):
+    grid, end_fidelity = _scan_grid(spec)
+    amps = end_fidelity(grid)
+    k = int(np.argmax(amps))
+    rep = analyze_transfer(spec)
+    assert rep.mirror_fidelity >= amps[k] - 1e-15
+    # one-sided: with the grid maximum at a bracket end, which a bounded search
+    # never evaluates, or with its step floor sqrt(eps) |t|, the search ends lower
+    res = minimize_scalar(lambda t: -end_fidelity(t), method="bounded", options={"xatol": 1e-13},
+                          bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]))
+    assert rep.mirror_fidelity >= -res.fun - 1e-14
+
+
+def test_scan_prefers_the_earliest_grid_time_of_the_same_quality():
+    # the flat 4-site chain reaches 0.9532 near t = 2.547 and its grid maximum,
+    # 0.9962, near t = 28.10; at tolerance 0.05 the first hit is refined instead
+    spec = ChainSpec(4, (1.0,) * 3, (0.0,) * 4)
+    grid, end_fidelity = _scan_grid(spec)
+    amps = end_fidelity(grid)
+    first = int(np.nonzero(amps >= 0.95)[0][0])
+    assert grid[int(np.argmax(amps))] == pytest.approx(28.10, abs=0.01)
+    rep = analyze_transfer(spec, tolerance=0.05)
+    assert rep.is_perfect
+    assert rep.transfer_time == pytest.approx(2.5474, abs=1e-4)
+    assert rep.mirror_fidelity == pytest.approx(0.9532, abs=1e-4)
+    assert rep.mirror_fidelity >= amps[first] - 1e-15
+    assert grid[first - 1] <= rep.transfer_time <= grid[first + 1]
 
 
 @pytest.mark.parametrize("tolerance", [np.inf, np.nan, 0.0, 1.0, 2.0])

@@ -91,6 +91,14 @@ def test_single_z_cli_json(tmp_path, capsys):
     assert "different run" in err["message"]
 
 
+def test_negative_seed_reaches_the_sweep(tmp_path):
+    # argparse reads "-1" as the seed, and seed -1 once replayed seed 0
+    for seed in ("-1", "0"):
+        assert main(["single-z", "--samples", "2", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+    csv_of = lambda seed: (tmp_path / seed / "single_z.csv").read_bytes()
+    assert csv_of("-1") != csv_of("0")
+
+
 @pytest.mark.parametrize("sweep, flag", [
     (["single-z"], "--samples"),
     (["coupling-sweep", "--grid", "0.05"], "--instances"),
@@ -320,17 +328,13 @@ def test_timing_success_at_zero_reads_the_zero_offset(capsys):
     assert "success_at_zero: None" in capsys.readouterr().out
 
 
-# the scipy a process loads after cli.main: every scipy module, and the
-# scipy packages among them that are not private (scipy.sparse, scipy.linalg)
+# every scipy module a process has loaded after cli.main, private ones included
 _LOADED_AFTER_MAIN = """
 import json, sys
 from chainqec.cli import main
 rc = main(sys.argv[1:])
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-packages = [m for m in scipy if hasattr(sys.modules[m], "__path__")
-            and not any(part.startswith("_") for part in m.split("."))]
-print(json.dumps({"rc": rc, "scipy": scipy, "packages": packages,
-                  "numpy_ma": "numpy.ma" in sys.modules}))
+print(json.dumps({"rc": rc, "scipy": scipy, "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -351,33 +355,29 @@ def _fresh_main(argv, tmp_path) -> dict:
     return out
 
 
-@pytest.mark.parametrize("argv, packages", [
-    (["single-z", "--samples", "2"], []),
+@pytest.mark.parametrize("argv", [
+    ["single-z", "--samples", "2"],
     # pruned rows (hop_plan) and masses (RevivalEvaluator._prune_tables) are numpy's
-    (["single-z", "--samples", "2", "--prune", "1e-12"], []),
-    (["timing-sweep", "--grid", "0,0.01"], []),
-    (["timing-sweep", "--grid", "0,0.01", "--prune", "1e-7"], []),
-    (["coupling-sweep", "--grid", "0.05", "--instances", "1"], []),
-    (["coupling-sweep", "--grid", "0.05", "--instances", "1", "--prune", "1e-7"], []),
-    (["dephasing", "--pst", "5"], []),  # its dense Pade steps are numpy's
-    (["transfer-check", "--pst", "6"], []),
-    (["code-info"], []),
+    ["single-z", "--samples", "2", "--prune", "1e-12"],
+    ["timing-sweep", "--grid", "0,0.01"],
+    ["timing-sweep", "--grid", "0,0.01", "--prune", "1e-7"],
+    ["coupling-sweep", "--grid", "0.05", "--instances", "1"],
+    ["coupling-sweep", "--grid", "0.05", "--instances", "1", "--prune", "1e-7"],
+    ["dephasing", "--pst", "5"],  # its dense Pade steps are numpy's
+    ["transfer-check", "--pst", "6"],
+    # a uniform chain's spectrum is not commensurate, so analyze_transfer scans
+    ["transfer-check", "--config", "uniform6.cfg"],
+    ["code-info"],
 ], ids=["single-z", "single-z-pruned", "timing-sweep", "timing-sweep-pruned", "coupling-sweep",
-        "coupling-sweep-pruned", "dephasing", "transfer-check", "code-info"])
-def test_subcommand_loads_only_the_scipy_it_calls(argv, packages, tmp_path):
+        "coupling-sweep-pruned", "dephasing", "transfer-check", "transfer-check-scan", "code-info"])
+def test_subcommand_loads_only_the_scipy_it_calls(argv, tmp_path):
+    (tmp_path / "uniform6.cfg").write_text(
+        "n_sites = 6\ncouplings = 1, 1, 1, 1, 1\nfields = 0, 0, 0, 0, 0, 0\n")
     # a fresh interpreter: this one has imported scipy for other tests
     out = _fresh_main(argv, tmp_path)
-    assert out["packages"] == packages
+    # no subcommand calls scipy, so none loads any scipy module, private ones included
+    assert out["scipy"] == []
     # np.unique(a) alone loads numpy.ma, which no subcommand uses
     assert out["numpy_ma"] is False
-    if not packages:  # no scipy module at all, private ones included
-        assert out["scipy"] == []
-
-
-def test_transfer_scan_fallback_loads_its_optimizer(tmp_path):
-    # a uniform chain's spectrum is not commensurate, so analyze_transfer scans
-    cfg = tmp_path / "uniform6.cfg"
-    cfg.write_text("n_sites = 6\ncouplings = 1, 1, 1, 1, 1\nfields = 0, 0, 0, 0, 0, 0\n")
-    out = _fresh_main(["transfer-check", "--config", str(cfg)], tmp_path)
-    assert out["report"]["is_perfect"] is False
-    assert "scipy.optimize" in out["packages"]
+    if "--config" in argv:
+        assert out["report"]["is_perfect"] is False

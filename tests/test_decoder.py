@@ -490,7 +490,7 @@ def test_pruned_evaluator_matches_pipeline(code15, chain15, plus_logical15):
     assert whole_branch and leaves_only
 
 
-def test_expm_and_givens_agree_at_scale(code15, chain15, plus_logical15):
+def test_expm_and_mode_unitary_agree_at_scale(code15, chain15, plus_logical15):
     # the expm oracle and the minors engine on the full 15-site encoded state
     for t in (1.1, -0.4, 2 * np.pi):
         a = evolve(plus_logical15, chain15, t)

@@ -2,8 +2,8 @@
 unitaries, checked against the exact expm and dense oracles; the quadratic-form single-Z
 read-out, the shared pair table and the planned minors of a mode unitary.
 
-"givens" in a test name or parameter is apply_mode_unitary, the mode-unitary engine,
-named for the Givens factorisation it was first built on.
+"givens" in this module's name and in a test name is apply_mode_unitary, the
+mode-unitary engine, named for the Givens factorisation it was first built on.
 """
 
 import time
@@ -320,13 +320,13 @@ def test_occupied_weights_match_loop():
     assert _occupied_weights(StateVector(tiny, 4)) == [0, 1]
 
 
-@pytest.mark.parametrize("engine", ["givens", "expm"])
+@pytest.mark.parametrize("engine", ["mode-unitary", "expm"])
 def test_evolve_moves_amplitudes_whose_square_underflows(engine):
     spec = ChainSpec(4, (1.0, 0.7, 1.2), (0.0, 0.3, 0.0, -0.2))
     amps = np.zeros(16, dtype=complex)
     amps[0], amps[0b1000] = 1.0, 1e-200
     psi = StateVector(amps, 4)
-    if engine == "givens":
+    if engine == "mode-unitary":
         got = apply_mode_unitary(psi, mode_unitaries(spec, [0.9])[0]).amps
     else:
         got = evolve(psi, spec, 0.9).amps

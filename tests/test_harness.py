@@ -141,6 +141,7 @@ def test_negative_seeds_draw_their_own_samples():
         "trajectory_sample": lambda seed: trajectory_sample(
             basis_state(5, [1]), 2.0, 1.0, seed, spec
         )[1],
+        "exp_single_z": lambda seed: exp_single_z(samples=2, seed=seed).times,
     }
     for name, draw in draws.items():
         assert len({draw(seed) for seed in (-1, -2, 0)}) == 3, name
