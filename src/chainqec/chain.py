@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -177,14 +176,18 @@ def _u_of_t(evals: np.ndarray, evecs: np.ndarray, t) -> np.ndarray:
 # the gap ratios of engineered chains are fractions of small denominator; a
 # false match only costs a rejected candidate, since analyze_transfer checks it
 _GAP_DENOMINATOR_MAX = 32
+# the narrowest spectrum analyze_transfer scans, as 1e-12 is the narrowest gap
+# _uniform_gap reads
+_MIN_SCAN_SPREAD = 1e-12
 
 
 def _uniform_gap(evals: np.ndarray, rel_tol: float = 1e-8) -> float | None:
     """The common unit of the eigenvalue gaps, if they are commensurate.
 
-    Each gap over the smallest is matched to a fraction of small
-    denominator; the unit is the smallest gap over the lcm of those
-    denominators, so every gap is an integer multiple of it.
+    Each gap over the smallest, r, is matched to the fraction round(r q) / q
+    nearest it, q <= _GAP_DENOMINATOR_MAX, with the smallest such q (so the
+    fraction is in lowest terms); the unit is the smallest gap over the lcm
+    of those denominators, so every gap is an integer multiple of it.
     """
     diffs = np.diff(np.sort(evals))
     diffs = diffs[diffs > 1e-12]
@@ -192,9 +195,11 @@ def _uniform_gap(evals: np.ndarray, rel_tol: float = 1e-8) -> float | None:
         return None
     g = diffs.min()
     ratios = diffs / g
-    fracs = [Fraction(float(r)).limit_denominator(_GAP_DENOMINATOR_MAX) for r in ratios]
-    if np.all(np.abs(ratios - np.array([float(f) for f in fracs])) < rel_tol * np.max(ratios)):
-        return float(g / math.lcm(*(f.denominator for f in fracs)))
+    q = np.arange(1, _GAP_DENOMINATOR_MAX + 1)
+    fracs = np.round(ratios[:, None] * q) / q  # (gap, denominator)
+    best = np.argmin(np.abs(fracs - ratios[:, None]), axis=1)  # the first of equal distances
+    if np.all(np.abs(ratios - fracs[np.arange(ratios.size), best]) < rel_tol * np.max(ratios)):
+        return float(g / math.lcm(*q[best].tolist()))
     return None
 
 
@@ -214,8 +219,11 @@ def analyze_transfer(spec: ChainSpec, tolerance: float = 1e-10) -> TransferRepor
     of 65 points, each spanning the two neighbours of the last round's best,
     so the refined |a| never ends below the grid point's.  A chain that
     never reaches 1 - tolerance is reported with is_perfect = False rather
-    than raising.  The mirror data are U(t0) itself, and no step loads
-    scipy.  The report is frozen and kept for the last 16 (chain,
+    than raising, but a spectrum to scan that is narrower than
+    _MIN_SCAN_SPREAD is refused with a ValueError naming its spread: its
+    window would be so long that |a| is roundoff at every grid point, and
+    the reported time arbitrary.  The mirror data are U(t0) itself, and no
+    step loads scipy.  The report is frozen and kept for the last 16 (chain,
     tolerance) keys, so repeated sweeps on one chain analyse it once.
     """
     if not 0 < tolerance < 1:  # also refuses NaN
@@ -233,7 +241,10 @@ def analyze_transfer(spec: ChainSpec, tolerance: float = 1e-10) -> TransferRepor
     g = _uniform_gap(evals)
     t0 = np.pi / g if g is not None else None
     if t0 is None or end_fidelity(t0) < 1 - tolerance:
-        spread = max(float(evals[-1] - evals[0]), 1e-12)
+        spread = float(evals[-1] - evals[0])
+        if spread < _MIN_SCAN_SPREAD:
+            raise ValueError(f"spectrum spread {spread:g} is too narrow to scan for a transfer "
+                             f"time: need at least {_MIN_SCAN_SPREAD:g}")
         ts = np.linspace(0, 8 * np.pi * n / spread, 4001)[1:]
         amps = end_fidelity(ts)
         # prefer the earliest grid time that already reaches the same quality

@@ -468,7 +468,8 @@ class RevivalEvaluator:
 
         The branch and leaf masses come from the overlaps of pairs (p, q) of
         support positions with support[q] = support[p] ^ m_S (pairs leaving
-        the support read zero amplitudes and are left out): mass_weights has
+        the support read zero amplitudes and are left out, as are the S != 0
+        pairs of undecodable keys, which no mass reads): mass_weights has
         one column per bit-flip key on the support for its branch mass (the
         S = 0 pairs), then n_out per decodable key (leaf_keys, positions
         among the keys present) for its leaf masses, with
@@ -489,8 +490,11 @@ class RevivalEvaluator:
         leaf_col[leaf_keys] = np.arange(leaf_keys.size)
         partner = self._positions(support[:, None] ^ self.check_masks)  # (p, S)
         p, check = np.nonzero(partner < support.size)
-        pairs = np.stack([p, partner[p, check]])
         leaf = leaf_col[key_col[p]]
+        # mass_weights reads the S = 0 pairs and the decodable keys' pairs, no other
+        read = (check == 0) | (leaf >= 0)
+        p, check, leaf = p[read], check[read], leaf[read]
+        pairs = np.stack([p, partner[p, check]])
         own, dec = np.flatnonzero(check == 0), np.flatnonzero(leaf >= 0)
         # the correction commutes with X_S up to (-1)^{|m_S & trail|}
         trail = z_sign(tables.z_trail[support_keys[p[dec]]] & self.check_masks[check[dec]])

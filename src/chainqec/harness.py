@@ -23,7 +23,7 @@ from . import __version__
 from .chain import ChainSpec, analyze_transfer, pst_couplings
 from .code import StabilizerCode, minimal15, shor_code
 from .code import encode  # noqa: F401  unused here, but perfbench/spans.py traces harness.encode
-from .decoder import RevivalEvaluator, check_prune
+from .decoder import _PRUNE_STATES, RevivalEvaluator, check_prune
 from .errors import ResourceLimitError
 from .freefermion import chi_decay
 from .hilbert import (
@@ -31,6 +31,7 @@ from .hilbert import (
     StateVector,
     _read_only,
     amplitude_plan,
+    amplitudes_at,
     check_lindblad_work,
     check_mode_unitaries,
     check_sites,
@@ -57,9 +58,6 @@ _BRUTE_FORCE_MAX_SITES = 6
 # missing points) would differ from a fresh one; the chunk, batched-engine
 # and resume tests check this.  CHANGES.md records what a chunk costs.
 _CHUNK = 16
-# phi is planned in this many blocks of positions, so that no one plan of all
-# their pairs is held at once (Readout._arrival_at)
-_ARRIVAL_BLOCKS = 4
 
 DEFAULT_TIMING_GRID_POINTS = 21
 DEFAULT_TIMING_GRID_MAX_FRACTION = 0.1  # of t0
@@ -194,8 +192,8 @@ class Readout:
       (amplitude_plan), for a stack of mode unitaries M;
     - `hops`, the hop plan of phi = Gamma(U(duration))|encoded> there
       (hop_plan), for rows phi - 2 n_v phi.  phi is built only where that
-      plan asks for it, on the positions' one-hop reach, and is not
-      kept.
+      plan asks for it, on the positions' one-hop reach (amplitudes_at,
+      whose plans are freed once read), and is not kept.
 
     `transport` is U(duration) as a one-member (1, N, N) stack.
     """
@@ -212,22 +210,8 @@ class Readout:
     @cached_property
     def hops(self) -> tuple:
         """hop_plan of phi at the evaluator's support, phi built where the plan asks for it."""
-        return hop_plan(self.transport.shape[-1], self._arrival_at, self.evaluator.support)
-
-    def _arrival_at(self, positions: np.ndarray) -> np.ndarray:
-        """phi = Gamma(U(duration))|encoded> at the basis indices `positions`, read-only.
-
-        The positions are planned in _ARRIVAL_BLOCKS blocks, each plan the
-        block's alone and freed once it is read (amplitude_plan), so no plan
-        of all their pairs is held at once.  A target's amplitude does not
-        depend on the targets planned with it, so phi has, at every index,
-        the bits any one plan gives it.
-        """
-        n, reference = self.transport.shape[-1], self.evaluator.reference
-        blocks = (amplitude_plan(n, block, reference)
-                  for block in np.array_split(positions, _ARRIVAL_BLOCKS))
-        return _read_only(np.concatenate([(mode_minors(self.transport, plan) @ fold)[0]
-                                          for plan, fold in blocks]))
+        ev, n = self.evaluator, self.transport.shape[-1]
+        return hop_plan(n, lambda at: amplitudes_at(self.transport, ev.reference, at)[0], ev.support)
 
 
 class RevivalSetup:
@@ -341,13 +325,22 @@ class RevivalSetup:
         Refuses anything but a stack of finite unitaries on this chain's N
         sites: the complementary minors hold only for a unitary.  A
         member's row Gamma(M)|encoded> is its minors times the read-out's
-        fold (mode_minors, amplitudes).  Every step is per member, so a
-        member's values do not depend on the stack.
+        fold (mode_minors, amplitudes).  The pruned read-out's 9010-pair
+        plan builds its rows _PRUNE_STATES members at a time, so its and
+        its fold's work buffers are sized by that group, not the stack;
+        the rows are then scored in one call.  Every step is per member, so
+        a member's values do not depend on the stack.
         """
         m = check_mode_unitaries(m, self.spec.n_sites)
         out = self.pruned if prune_below > 0.0 else self.exact
         plan, fold = out.amplitudes
-        return out.evaluator.success(mode_minors(m, plan) @ fold, prune_below)
+        if out is self.exact:
+            return out.evaluator.success(mode_minors(m, plan) @ fold, prune_below)
+        rows = np.empty((len(m), fold.shape[1]), dtype=complex)
+        for start in range(0, len(m), _PRUNE_STATES):
+            group = slice(start, start + _PRUNE_STATES)
+            rows[group] = mode_minors(m[group], plan) @ fold
+        return out.evaluator.success(rows, prune_below)
 
     def success_coupling_instance(self, f: float, draw_seed: int,
                                   prune_below: float = 0.0) -> tuple[float, float, float]:

@@ -18,11 +18,12 @@ of minors of M planned once for a set of targets and sources as one
 Laplace expansion over shared sub-minors (minor_plan), evaluated
 elementwise for a whole stack of M (mode_minors) and folded with the
 sources' amplitudes (amplitude_plan, from the state's nonzero entries:
-no 2^N array).  apply_mode_unitary plans the whole occupied sectors of
-one state, keeping the last few plans, and each revival read-out plans
-the amplitudes at its positions (those the decoder reads, or the whole
-support), kept, and the arrival state where its hop plan asks for it,
-in blocks freed once read.  The fold, like every
+no 2^N array).  amplitudes_at plans a set of targets in a fixed number
+of blocks, each plan freed once read: apply_mode_unitary reads one
+state's whole occupied sectors through it, and each revival read-out its
+arrival state where its hop plan asks for it.  No plan outlives its call
+but a read-out's own plan of the amplitudes at its positions (those the
+decoder reads, or the whole support).  The fold, like every
 sparse table an exact sweep reads, is a FixedOrderTable: numpy entry
 arrays whose product sums each column in stored order and rounds each
 complex product as scipy's sparse kernels do, so it keeps their bits and
@@ -334,21 +335,19 @@ def apply_mode_unitary(state: StateVector, m) -> StateVector:
     Gamma(M)^dag = sum_i M_ij c_i^dag (minor_plan), so Gamma(exp(-i H1 t)) =
     e^{-iHt} and Gamma(R) = Z_s for the reflection R = I - 2 e_s e_s^T
     (jump_unitary).  Each amplitude of the occupied sectors is
-    sum_x c_x det M[y, x] over the state's nonzero entries x: one plan for
-    those targets and their fold (amplitude_plan, which keeps the plans
-    of the last few nonzero patterns), times the minors (mode_minors).
+    sum_x c_x det M[y, x] over the state's nonzero entries x
+    (amplitudes_at, which plans those targets afresh on every call).
     Refuses an M of another size, or one that is not a finite unitary (the
     complementary minors hold only for a unitary), and a state whose plan
-    outgrows the pair limit (minor_plan).
+    of a block of targets outgrows the pair limit (minor_plan).
     """
     n = state.n_sites
     m = check_mode_unitaries([m], n)
     weight = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
     targets = np.flatnonzero(np.isin(weight, weight[state.amps != 0]))
     sources = np.flatnonzero(state.amps)
-    plan, fold = amplitude_plan(n, targets, (sources, state.amps[sources]), keep=True)
     amps = np.zeros_like(state.amps)
-    amps[targets] = (mode_minors(m, plan) @ fold)[0]
+    amps[targets] = amplitudes_at(m, (sources, state.amps[sources]), targets)[0]
     return StateVector(amps, n)
 
 
@@ -448,9 +447,11 @@ class MinorPlan:
     `work` holds mode_minors' writable work buffers (_work_array): one
     per name, sized by the largest stack seen, reused by every later call,
     so a warm call maps no fresh memory.  They grow with the plan's node
-    count times the stack size.  So a plan is not for concurrent use: two
-    threads evaluating one plan at once would write over each other's
-    levels.
+    count times the stack size, so a caller that holds a large plan
+    evaluates it on a few members at a time (the pruned revival read-out
+    does).  A plan is its caller's alone (amplitude_plan); nothing caches
+    one.  It is not for concurrent use: two threads evaluating one plan at
+    once would write over each other's levels.
     """
 
     pairs: np.ndarray
@@ -641,13 +642,6 @@ def mode_minors(m: np.ndarray, plan: MinorPlan) -> np.ndarray:
     return minors.T
 
 
-@lru_cache(maxsize=4)
-def _cached_minor_plan(n_sites: int, targets: bytes, sources: bytes) -> MinorPlan:
-    """minor_plan of int64 targets and sources given as bytes, kept for the last 4 keys."""
-    return minor_plan(n_sites, np.frombuffer(targets, dtype=np.int64),
-                      np.frombuffer(sources, dtype=np.int64))
-
-
 def _complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b as (ac - bd) + i(ad + bc), rounded part by part in real arithmetic.
 
@@ -763,8 +757,7 @@ class FixedOrderTable:
         return out.T if x.ndim == 2 else out[:, 0]
 
 
-def amplitude_plan(n_sites: int, targets, entries,
-                   keep: bool = False) -> tuple[MinorPlan, FixedOrderTable]:
+def amplitude_plan(n_sites: int, targets, entries) -> tuple[MinorPlan, FixedOrderTable]:
     """The minor plan of <y|Gamma(M)|psi> for each target y, and its fold, read-only.
 
     psi is given by its nonzero entries, `entries` = (basis indices
@@ -775,25 +768,36 @@ def amplitude_plan(n_sites: int, targets, entries,
     @ fold is sum_x c_x det M[y, x] per member and target, each target
     summed over its pairs in plan order (FixedOrderTable): a member's
     amplitudes do not depend on its stack, and a target's do not depend
-    on the targets planned with it.
-
-    The plan depends only on (N, targets, sources).  With `keep` it is
-    taken from, and left in, a cache of the last few (_cached_minor_plan):
-    applying Gamma(M) to states of one nonzero pattern, as
-    trajectory_sample does, plans once, and its callers share the plan and
-    its work buffers (MinorPlan).  Without it the plan is the caller's
-    alone and is freed with it.
+    on the targets planned with it.  Nothing is cached: the plan and its
+    work buffers are the caller's alone and are freed with it.  A caller
+    that reads its targets once takes amplitudes_at; a revival read-out
+    keeps its own plan (harness.Readout).
     """
     sources, values = (np.asarray(a) for a in entries)
     targets = np.asarray(targets, dtype=np.int64)
-    if keep:
-        plan = _cached_minor_plan(n_sites, targets.tobytes(), sources.astype(np.int64).tobytes())
-    else:
-        plan = minor_plan(n_sites, targets, sources)
+    plan = minor_plan(n_sites, targets, sources)
     target, source = plan.pairs
     fold = FixedOrderTable(np.arange(target.size), target, plan.sign * values[source],
                            (target.size, len(targets)))
     return plan, fold
+
+
+_TARGET_BLOCKS = 4  # amplitudes_at plans its targets in this many blocks
+
+
+def amplitudes_at(m: np.ndarray, entries, targets) -> np.ndarray:
+    """(S, targets) amplitudes <y|Gamma(M)|psi> per member M of the stack m, at the int64 targets.
+
+    psi is given by its nonzero entries, as amplitude_plan takes them.  The
+    targets are planned in _TARGET_BLOCKS blocks, each plan the block's
+    alone and freed once it is read, so no plan of all their pairs is held
+    at once.  A target's amplitude does not depend on the targets planned
+    with it (amplitude_plan), so every target has the bits one plan of
+    them all gives it.
+    """
+    blocks = (amplitude_plan(m.shape[-1], block, entries)
+              for block in np.array_split(targets, _TARGET_BLOCKS))
+    return np.concatenate([mode_minors(m, plan) @ fold for plan, fold in blocks], axis=1)
 
 
 def hop_plan(n_sites: int, amplitudes, support: np.ndarray) -> tuple:

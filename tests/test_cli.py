@@ -72,6 +72,17 @@ def test_error_json_on_failure(capsys):
     assert "nonsense" in err["message"]
 
 
+def test_transfer_check_refuses_a_spectrum_too_narrow_to_scan(capsys):
+    # spread 8e-300: a scan would read roundoff at every grid point and print
+    # an arbitrary transfer time
+    rc = main(["transfer-check", "--pst", "5", "--scale", "1e-300"])
+    captured = capsys.readouterr()
+    assert rc != 0 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert "spread 8e-300" in err["message"]
+
+
 def test_single_z_cli_json(tmp_path, capsys):
     rc = main([
         "single-z", "--samples", "4", "--seed", "2",
@@ -328,18 +339,20 @@ def test_timing_success_at_zero_reads_the_zero_offset(capsys):
     assert "success_at_zero: None" in capsys.readouterr().out
 
 
-# every scipy module a process has loaded after cli.main, private ones included
+# every scipy module a process has loaded after cli.main, private ones included,
+# and which of numpy.ma, fractions and decimal it has loaded
 _LOADED_AFTER_MAIN = """
 import json, sys
 from chainqec.cli import main
 rc = main(sys.argv[1:])
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"rc": rc, "scipy": scipy, "numpy_ma": "numpy.ma" in sys.modules}))
+others = [m for m in ("fractions", "decimal") if m in sys.modules]
+print(json.dumps({"rc": rc, "scipy": scipy, "numpy_ma": "numpy.ma" in sys.modules, "others": others}))
 """
 
 
 def _fresh_main(argv, tmp_path) -> dict:
-    """cli.main(argv) in a new interpreter: its exit code and what it loaded (scipy, numpy.ma)."""
+    """cli.main(argv) in a new interpreter: its exit code and what it loaded (scipy and others)."""
     if argv[0] not in ("transfer-check", "code-info"):
         argv = [*argv, "--out", str(tmp_path / "run")]
     src = str(Path(chainqec.__file__).resolve().parents[1])
@@ -379,5 +392,7 @@ def test_subcommand_loads_only_the_scipy_it_calls(argv, tmp_path):
     assert out["scipy"] == []
     # np.unique(a) alone loads numpy.ma, which no subcommand uses
     assert out["numpy_ma"] is False
+    # nor fractions, nor the decimal it imports: the gap search is numpy's
+    assert out["others"] == []
     if "--config" in argv:
         assert out["report"]["is_perfect"] is False

@@ -490,6 +490,17 @@ def test_pruned_evaluator_matches_pipeline(code15, chain15, plus_logical15):
     assert whole_branch and leaves_only
 
 
+@pytest.mark.parametrize("support", [None, np.arange(2**15)], ids=["sectors", "whole"])
+def test_pruned_tables_keep_only_the_pairs_the_masses_read(code15, support):
+    # the S != 0 pairs of undecodable keys enter no mass (600 of 3766 on the
+    # default support), so they are neither gathered nor multiplied
+    ev = RevivalEvaluator(code15, 1 / np.sqrt(2), 1 / np.sqrt(2), support)
+    pairs, _, mass_weights, *_ = ev._prune_tables
+    assert np.array_equal(np.unique(mass_weights.row), np.arange(pairs.shape[1]))
+    if support is None:
+        assert pairs.shape == (2, 3166)
+
+
 def test_expm_and_mode_unitary_agree_at_scale(code15, chain15, plus_logical15):
     # the expm oracle and the minors engine on the full 15-site encoded state
     for t in (1.1, -0.4, 2 * np.pi):

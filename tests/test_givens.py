@@ -28,6 +28,8 @@ from chainqec.hilbert import (
     StateVector,
     _occupied_weights,
     _sector_table,
+    amplitude_plan,
+    amplitudes_at,
     apply_hops,
     apply_mode_unitary,
     apply_pauli,
@@ -417,6 +419,24 @@ def test_minor_plan_of_few_levels_matches_direct_determinants(targets, sources, 
     for k, m in enumerate(stack):
         want = _direct_minors(m, n, targets, sources, plan.pairs)
         np.testing.assert_allclose(plan.sign * got[k], want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 8])
+def test_amplitudes_at_keeps_the_bits_of_one_plan_of_every_target(n):
+    # amplitudes_at plans its targets in blocks, each freed once read; a
+    # target's amplitude does not depend on the targets planned with it, so
+    # every block gives the bits of one plan of all the targets
+    rng = np.random.default_rng(90 + n)
+    spec = random_chain(rng, n, with_fields=True)
+    stack = mode_unitaries(spec, [0.0, 0.7, -2.3])
+    for _ in range(5):
+        sources = np.sort(rng.choice(1 << n, rng.integers(1, 1 << n), replace=False))
+        entries = (sources, rng.standard_normal(sources.size) + 1j * rng.standard_normal(sources.size))
+        targets = rng.permutation(1 << n)[:rng.integers(1, 1 << n)]
+        plan, fold = amplitude_plan(n, targets, entries)
+        got = amplitudes_at(stack, entries, targets)
+        assert got.shape == (3, targets.size)
+        assert got.tobytes() == (mode_minors(stack, plan) @ fold).tobytes()
 
 
 def test_minor_plan_shares_sub_minors_and_is_read_only():
